@@ -386,6 +386,11 @@ struct Group<T> {
 /// from a future segment starts at or after that session's watermark,
 /// hence at least `slack` past the group), so the winner is final no
 /// matter how decode shards interleave across gateways.
+///
+/// A merge over a single session waits for nobody: every
+/// [`advance`](FleetMerge::advance) releases all it has been offered,
+/// so a one-gateway pipeline delivers a segment's frames as soon as
+/// that segment completes in order.
 pub struct FleetMerge<T> {
     slack: u64,
     /// Per-session watermark; `u64::MAX` once the session finished.
@@ -500,7 +505,14 @@ impl<T> FleetMerge<T> {
     }
 
     fn drain_final(&mut self) -> Vec<T> {
-        let horizon = self.progress.iter().copied().min().unwrap_or(u64::MAX);
+        // A sole session has no peer copy to wait for: whatever it has
+        // offered is final now (first copy wins; repeats decoded from
+        // its later, overlapping segments hit the release memory).
+        let horizon = if self.progress.len() == 1 {
+            u64::MAX
+        } else {
+            self.progress.iter().copied().min().unwrap_or(u64::MAX)
+        };
         if self
             .pending
             .iter()
@@ -768,8 +780,31 @@ mod tests {
     }
 
     #[test]
+    fn sole_session_releases_on_offer_but_a_peer_is_waited_for() {
+        // One session: the advance that follows an offer releases it,
+        // however far behind the frame the watermark still is, and a
+        // repeat from a later overlapping segment is suppressed.
+        let mut m: FleetMerge<u8> = FleetMerge::new(1, 4096);
+        m.offer(0, TechId::XBee, b"a", 10_000, 0.4, 1);
+        assert_eq!(m.advance(0, 9_000), vec![1]);
+        m.offer(0, TechId::XBee, b"a", 10_008, 0.9, 2);
+        assert!(m.advance(0, 9_500).is_empty(), "first copy wins");
+        assert_eq!((m.delivered(), m.suppressed()), (1, 1));
+        // Two sessions: the same offer is held until both watermarks
+        // are a slack past it.
+        let mut m: FleetMerge<u8> = FleetMerge::new(2, 4096);
+        m.offer(0, TechId::XBee, b"a", 10_000, 0.4, 1);
+        assert!(m.advance(0, 9_000).is_empty());
+        assert!(m.advance(0, 50_000).is_empty(), "peer has not spoken");
+        assert_eq!(m.advance(1, 50_000), vec![1]);
+    }
+
+    #[test]
     fn merge_watermarks_never_regress() {
-        let mut m: FleetMerge<u8> = FleetMerge::new(1, 10);
+        // Two sessions, the peer already finished: release hangs on
+        // session 0's watermark alone (a sole session would not wait).
+        let mut m: FleetMerge<u8> = FleetMerge::new(2, 10);
+        m.finish(1);
         m.advance(0, 500);
         m.offer(0, TechId::ZWave, b"a", 600, 0.5, 7);
         // A stale, smaller watermark must not drag the horizon back;

@@ -1,20 +1,25 @@
-//! The multi-gateway fleet pipeline: N independent gateway sessions —
-//! each with its own sequence space, transport, and (in transport
-//! mode) decorrelated link-fault seeds — feeding one shared cloud
-//! decode pool through a sharded, fairness-gated ingest, with
-//! cross-gateway duplicate suppression on the way out.
+//! The live pipeline engine: N gateway sessions — each with its own
+//! wire id, sequence space, transport, and (in transport mode)
+//! decorrelated link-fault seeds — feeding one shared cloud decode pool
+//! through a fairness-gated ingest, with duplicate suppression and
+//! capture-order release on the way out. It is the same picture for one
+//! gateway and for a neighbourhood of them: [`FleetGaliot`] starts it
+//! with `config.gateways` sessions (wire ids 1..=N),
+//! [`crate::StreamingGaliot`] with exactly one (wire id 0).
 //!
 //! # Topology
 //!
 //! ```text
-//!              chunks (broadcast)          per-session inbox
+//!              chunks (last session takes      per-session inbox
+//!              the original, rest a clone)
 //!  push_chunk ──▶ session 1 ─[transport 1]─▶ mux 1 ─┐  supervised pool
-//!             ──▶ session 2 ─[transport 2]─▶ mux 2 ─┼─▶ shard_for(gw,seq)
-//!             ──▶   ...                       ...   ┘  ─▶ worker 0..W ─┐
-//!                                                      (FairnessGate)  │
-//!                                                                      ▼
-//!        frames ◀── FleetMerge (dedup, capture order) ◀── per-session
-//!                                                         reassembly
+//!             ──▶ session 2 ─[transport 2]─▶ mux 2 ─┼─▶ (leases, retries,
+//!             ──▶   ...                       ...   ┘   deadlines)
+//!                    │                   (FairnessGate)  ─▶ worker 0..W ─┐
+//!                    └─ edge decodes ──────────────────────────────────┐ │
+//!                                                                      ▼ ▼
+//!        frames ◀── FleetMerge (dedup, capture order) ◀── per-session lanes
+//!                                                         (seq order)
 //! ```
 //!
 //! Every gateway hears (roughly) the same air — the paper's deployment
@@ -24,6 +29,27 @@
 //! fleet conformance suite pins the keystone invariant that N sessions
 //! deliver exactly the single-gateway frame set, once, for any worker
 //! count, shard count, and per-link fault seeds.
+//!
+//! # A sole session
+//!
+//! Everything the engine needs to know about its topology is how many
+//! sessions it was started with; none of it is an option. Sessions are
+//! addressed by position (lanes, crash specs, seed salts) and only
+//! *stamped* with their wire id, so gateway 0 needs no special case:
+//! its trace tags are transparent (`tag_seq(0, seq) == seq`) and
+//! position 0's first life keeps the configured ARQ/fault seeds. With
+//! exactly one session:
+//!
+//! * there is no peer copy to wait for — [`FleetMerge`] releases a
+//!   segment's frames as soon as that segment completes in order (first
+//!   copy wins; repeats decoded from later, overlapping segments hit
+//!   its release memory) instead of holding them until every watermark
+//!   has moved a dedup window past them;
+//! * there is no cross-session routing to keep reproducible and nobody
+//!   to be fair to — no shard affinity (any idle worker serves), no
+//!   credit quota, and a pool intake as deep as one gateway needs
+//!   (`2·max(4, workers)`);
+//! * `push_chunk` moves the chunk instead of cloning it.
 //!
 //! # Self-healing
 //!
@@ -51,7 +77,7 @@
 //! is quarantined to a dead-letter record while an empty watermarked
 //! result keeps capture-order release and the liveness reaper moving.
 //!
-//! Ingest-side fleet mechanics — [`SessionRegistry`],
+//! Ingest-side mechanics — [`SessionRegistry`],
 //! [`galiot_cloud::shard_for`], [`galiot_cloud::FairnessGate`],
 //! [`galiot_cloud::FleetMerge`] — live in `galiot-cloud`; this module
 //! wires them to the per-session machinery of [`crate::streaming`] and
@@ -60,9 +86,8 @@
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use galiot_cloud::{FairnessGate, FleetMerge, SessionInfo, SessionRegistry};
 use galiot_dsp::Cf32;
-use galiot_gateway::{GatewayId, LinkFaults};
+use galiot_gateway::GatewayId;
 use galiot_phy::registry::Registry;
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::thread;
@@ -81,11 +106,11 @@ use crate::transport::{spawn_arq_receiver, spawn_arq_sender, SendQueue, SendQueu
 /// the worker pool (see [`FairnessGate`]).
 const SESSION_QUOTA: usize = 8;
 
-/// Decorrelates a per-link seed across fleet sessions and instances.
-/// Salt 0 (session index 0, first life) keeps the configured seed, so
-/// a one-gateway fleet reproduces [`crate::StreamingGaliot`]'s wire
-/// behavior exactly; a restarted instance draws fresh link randomness,
-/// as a rebooted radio would.
+/// Decorrelates a per-link seed across sessions and instances. Salt 0
+/// (position 0, first life) keeps the configured seed, so a one-session
+/// pipeline's wire behavior is exactly what the config spells; a
+/// restarted instance draws fresh link randomness, as a rebooted radio
+/// would.
 fn session_seed(seed: u64, salt: u64) -> u64 {
     seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
@@ -96,7 +121,13 @@ fn instance_salt(index: usize, instance: u64) -> u64 {
     index as u64 | (instance << 32)
 }
 
-/// A running multi-gateway GalioT fleet.
+/// The wire ids [`FleetGaliot::start`] gives `n` sessions: 1..=n (id 0
+/// is the one-session identity [`crate::StreamingGaliot`] uses).
+fn fleet_ids(n: usize) -> Vec<GatewayId> {
+    (1..=n.max(1) as u16).map(GatewayId).collect()
+}
+
+/// A running GalioT pipeline of one or more gateway sessions.
 ///
 /// Feed raw capture chunks with [`FleetGaliot::push_chunk`] — every
 /// session receives each chunk, modelling N gateways hearing the same
@@ -105,75 +136,99 @@ fn instance_salt(index: usize, instance: u64) -> u64 {
 pub struct FleetGaliot {
     chunk_txs: Vec<Sender<Vec<Cf32>>>,
     frames_rx: Receiver<PipelineFrame>,
-    /// One supervisor per session; each owns its instances' gateway
-    /// loop and IO threads (transport, mux) across crash/restart.
-    sessions: Vec<thread::JoinHandle<()>>,
-    workers: Vec<thread::JoinHandle<()>>,
-    merge: Option<thread::JoinHandle<()>>,
-    /// Send queues created by session supervisors (one per transport
-    /// instance), drained for their high-water marks at join time.
-    send_queues: Arc<Mutex<Vec<Arc<SendQueue>>>>,
+    /// Every pipeline thread in dataflow order, which is the order
+    /// teardown joins them in: one supervisor per session (each owns
+    /// its instances' gateway loop and IO threads across
+    /// crash/restart), the decode-pool supervisor, the merge.
+    threads: Vec<thread::JoinHandle<()>>,
     registry: Arc<SessionRegistry>,
     metrics: SharedMetrics,
     engine_before: Option<galiot_dsp::engine::EngineStats>,
 }
 
 impl FleetGaliot {
-    /// Spawns `config.gateways` session supervisors (wire ids 1..=N),
-    /// a shared pool of `config.effective_cloud_workers()` decode
-    /// workers, and the fleet merge.
+    /// Starts `config.gateways` sessions (wire ids 1..=N) with the
+    /// configured crash injections.
     ///
     /// # Panics
     /// Panics if `config` fails [`GaliotConfig::validate`] — in
     /// particular a crash spec the liveness reaper could never evict
     /// must be rejected here rather than wedge the merge.
     pub fn start(config: GaliotConfig, phy_registry: Registry) -> Self {
+        let crashes = config.crashes.clone();
+        let ids = fleet_ids(config.gateways);
+        Self::start_sessions(config, phy_registry, &ids, &crashes)
+    }
+
+    /// The one place pipeline threads are spawned: one session
+    /// supervisor per entry of `ids` (its wire id; sessions are
+    /// addressed by position everywhere else), a shared pool of
+    /// `config.effective_cloud_workers()` decode workers, and the
+    /// merge. The topology is what the caller passes, never
+    /// `config.gateways` / `config.crashes`.
+    pub(crate) fn start_sessions(
+        config: GaliotConfig,
+        phy_registry: Registry,
+        ids: &[GatewayId],
+        crashes: &[CrashSpec],
+    ) -> Self {
         if let Err(e) = config.validate() {
             panic!("invalid GaliotConfig: {e}");
         }
-        let n_gateways = config.gateways.max(1);
         let n_workers = config.effective_cloud_workers();
-        let n_shards = config.effective_ingest_shards();
+        // Routing, fairness and queue depth follow from the session
+        // count (module docs, "A sole session"): one session needs no
+        // shard affinity, no credit cap, and only enough intake to keep
+        // every worker busy; a fleet keeps (gateway, seq) → shard →
+        // worker deterministic, caps each session's credits, and scales
+        // the intake so every session keeps that depth.
+        let (n_shards, quota, intake_cap) = if ids.len() == 1 {
+            (0, usize::MAX, 2 * n_workers.max(4))
+        } else {
+            (
+                config.effective_ingest_shards(),
+                SESSION_QUOTA,
+                2 * ids.len().max(4) * n_workers,
+            )
+        };
         let engine_before = galiot_dsp::engine::stats();
         let metrics = SharedMetrics::new();
         metrics.with(|m| {
             m.cloud_workers = n_workers;
-            m.fleet_gateways = n_gateways;
+            m.fleet_gateways = ids.len();
             m.ingest_shards = n_shards;
         });
 
         let registry = Arc::new(SessionRegistry::new());
-        let gate = Arc::new(FairnessGate::new(SESSION_QUOTA));
+        let gate = Arc::new(FairnessGate::new(quota));
         let (result_tx, result_rx) = unbounded::<ResultMsg>();
+        // Unbounded on purpose: `finish`/`Drop` join the pipeline
+        // before draining, so a bounded frame channel could deadlock a
+        // run that decodes more frames than the bound.
         let (frames_tx, frames_rx) = unbounded::<PipelineFrame>();
 
-        // Shared supervised decode pool. The supervisor owns shard
-        // routing ((gateway, seq) → shard → worker stays deterministic
-        // — an MPMC free-for-all would let scheduling decide who
-        // decodes what) and the hang/retry/quarantine ladder. Intake
-        // capacity scales with the fleet so every session keeps the
-        // queue depth it had with per-worker channels.
+        // Shared supervised decode pool: the supervisor owns worker
+        // routing and the hang/retry/quarantine ladder.
         let pool = spawn_supervised_pool(
             &config,
             phy_registry.clone(),
             n_workers,
-            2 * n_gateways.max(4) * n_workers,
+            intake_cap,
             n_shards,
             result_tx.clone(),
             metrics.clone(),
         );
         let pool_tx = pool.intake;
-        let workers = vec![pool.supervisor];
 
-        let send_queues: Arc<Mutex<Vec<Arc<SendQueue>>>> = Arc::new(Mutex::new(Vec::new()));
-        let mut chunk_txs = Vec::with_capacity(n_gateways);
-        let mut sessions = Vec::with_capacity(n_gateways);
-        for index in 0..n_gateways {
+        let mut chunk_txs = Vec::with_capacity(ids.len());
+        let mut threads = Vec::with_capacity(ids.len() + 2);
+        for (index, &gw) in ids.iter().enumerate() {
             let (chunk_tx, chunk_rx) = bounded::<Vec<Cf32>>(8);
             chunk_txs.push(chunk_tx);
-            let crash = config.crashes.iter().find(|c| c.session == index).copied();
-            sessions.push(spawn_session(SessionSupervisor {
+            let crash = crashes.iter().find(|c| c.session == index).copied();
+            threads.push(spawn_session(SessionSupervisor {
                 index,
+                gw,
                 config: config.clone(),
                 phy_registry: phy_registry.clone(),
                 chunk_rx,
@@ -181,7 +236,6 @@ impl FleetGaliot {
                 gate: gate.clone(),
                 registry: registry.clone(),
                 result_tx: result_tx.clone(),
-                send_queues: send_queues.clone(),
                 crash,
                 metrics: metrics.clone(),
             }));
@@ -192,36 +246,39 @@ impl FleetGaliot {
         drop(pool_tx);
         drop(result_tx);
 
-        let merge = spawn_merge(
+        threads.push(pool.supervisor);
+        threads.push(spawn_merge(
             result_rx,
             frames_tx,
-            n_gateways,
+            ids.to_vec(),
             registry.clone(),
-            gate.clone(),
+            gate,
             config.liveness_horizon,
             metrics.clone(),
-        );
+        ));
 
         FleetGaliot {
             chunk_txs,
             frames_rx,
-            sessions,
-            workers,
-            merge: Some(merge),
-            send_queues,
+            threads,
             registry,
             metrics,
             engine_before: Some(engine_before),
         }
     }
 
-    /// Feeds one capture chunk to every session; blocks if any session
-    /// is saturated. Chunks to a dead (crashed, unrestarted) session
-    /// are discarded — its radio is gone.
+    /// Feeds one capture chunk to every session (the last one takes
+    /// the original, the others a clone); blocks if any session is
+    /// saturated. Chunks to a dead (crashed, unrestarted) session are
+    /// discarded — its radio is gone.
     pub fn push_chunk(&self, chunk: Vec<Cf32>) {
-        for tx in &self.chunk_txs {
+        let Some((last, rest)) = self.chunk_txs.split_last() else {
+            return;
+        };
+        for tx in rest {
             let _ = tx.send(chunk.clone());
         }
+        let _ = last.send(chunk);
     }
 
     /// The deduplicated frame output channel, in capture order.
@@ -246,18 +303,8 @@ impl FleetGaliot {
         // ingress, and mux (joined inside the supervisor); exited
         // supervisors drop the pool senders, ending the decode pool;
         // the pool drops the result senders, ending the merge.
-        for s in self.sessions.drain(..) {
-            let _ = s.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        if let Some(m) = self.merge.take() {
-            let _ = m.join();
-        }
-        for q in self.send_queues.lock().drain(..) {
-            self.metrics
-                .with(|m| m.send_queue_hwm = m.send_queue_hwm.max(q.high_water_mark()));
+        for t in self.threads.drain(..) {
+            let _ = t.join();
         }
         if let Some(before) = self.engine_before.take() {
             self.metrics.with(|m| m.record_engine_stats(&before));
@@ -280,7 +327,10 @@ impl Drop for FleetGaliot {
 
 /// Everything a session supervisor owns for the lifetime of its slot.
 struct SessionSupervisor {
+    /// Position in the topology: keys crash specs and seed salts.
     index: usize,
+    /// Wire id stamped on everything the session ships.
+    gw: GatewayId,
     config: GaliotConfig,
     phy_registry: Registry,
     chunk_rx: Receiver<Vec<Cf32>>,
@@ -288,29 +338,30 @@ struct SessionSupervisor {
     gate: Arc<FairnessGate>,
     registry: Arc<SessionRegistry>,
     result_tx: Sender<ResultMsg>,
-    send_queues: Arc<Mutex<Vec<Arc<SendQueue>>>>,
     crash: Option<CrashSpec>,
     metrics: SharedMetrics,
 }
 
-/// The IO threads one gateway instance runs with; joined when the
+/// What one gateway instance runs with besides its own loop: the IO
+/// threads in dataflow order (uplink and ingress in transport mode,
+/// then the mux) and the transport send queue. Joined when the
 /// instance ends (cleanly or by crash) before any successor starts, so
 /// epochs never overlap on the wire.
 struct SessionIo {
-    uplink: Option<thread::JoinHandle<()>>,
-    ingress: Option<thread::JoinHandle<()>>,
-    mux: thread::JoinHandle<()>,
+    threads: Vec<thread::JoinHandle<()>>,
+    send_queue: Option<Arc<SendQueue>>,
 }
 
 impl SessionIo {
-    fn join(self) {
-        if let Some(u) = self.uplink {
-            let _ = u.join();
+    /// Joins the threads and folds the send queue's high-water mark
+    /// into the metrics.
+    fn join(self, metrics: &SharedMetrics) {
+        for t in self.threads {
+            let _ = t.join();
         }
-        if let Some(i) = self.ingress {
-            let _ = i.join();
+        if let Some(q) = self.send_queue {
+            metrics.with(|m| m.send_queue_hwm = m.send_queue_hwm.max(q.high_water_mark()));
         }
-        let _ = self.mux.join();
     }
 }
 
@@ -321,7 +372,7 @@ impl SessionIo {
 /// joined before the replacement registers, so a restarted session
 /// never overlaps its past self on the wire.
 fn spawn_session(sup: SessionSupervisor) -> thread::JoinHandle<()> {
-    let gw = GatewayId(sup.index as u16 + 1);
+    let gw = sup.gw;
     spawn_thread(&format!("galiot-session-{}", gw.0), move || {
         let mut capture_offset = 0usize;
         let mut instance = 0u64;
@@ -369,7 +420,7 @@ fn spawn_session(sup: SessionSupervisor) -> thread::JoinHandle<()> {
             // closes the send queue / inbox. Drain and join its IO
             // (a graceful-drain crash model: segments already in
             // the transport complete their ARQ journey).
-            io.join();
+            io.join(&sup.metrics);
             if run.crashed {
                 sup.metrics.with(|m| m.sessions_crashed += 1);
                 if sup.crash.is_some_and(|c| c.restart) {
@@ -405,8 +456,10 @@ fn build_session_io(
     // backhaul, awaiting the fence + fairness credit.
     let (inbox_tx, inbox_rx) = bounded::<PoolItem>(2 * n_workers.max(4));
 
-    let mut uplink = None;
-    let mut ingress = None;
+    let mut io = SessionIo {
+        threads: Vec::new(),
+        send_queue: None,
+    };
     let shipper = if transport.is_passthrough() {
         Shipper {
             gateway: gw,
@@ -420,20 +473,14 @@ fn build_session_io(
         // impaired links, seeds decorrelated per session and per life.
         let salt = instance_salt(sup.index, instance);
         let mut t = transport;
-        t.data_faults = LinkFaults {
-            seed: session_seed(t.data_faults.seed, salt),
-            ..t.data_faults
-        };
-        t.ack_faults = LinkFaults {
-            seed: session_seed(t.ack_faults.seed, salt),
-            ..t.ack_faults
-        };
+        t.data_faults.seed = session_seed(t.data_faults.seed, salt);
+        t.ack_faults.seed = session_seed(t.ack_faults.seed, salt);
         t.arq.seed = session_seed(t.arq.seed, salt);
         let queue = SendQueue::new(t.send_queue_cap);
         let (wire_tx, wire_rx) = bounded::<Vec<u8>>(64);
         let (ack_tx, ack_rx) = unbounded::<Vec<u8>>();
         let lost_tx = sup.result_tx.clone();
-        uplink = Some(spawn_arq_sender(
+        io.threads.push(spawn_arq_sender(
             queue.clone(),
             wire_tx,
             ack_rx,
@@ -446,25 +493,18 @@ fn build_session_io(
                     galiot_trace::EventKind::Lost,
                     galiot_trace::tag_seq(gw.0, seq),
                 );
-                lost_tx
-                    .send(ResultMsg::Segment(SegmentResult {
-                        gateway: gw,
-                        seq,
-                        frames: Vec::new(),
-                        watermark: None,
-                        power: 0.0,
-                    }))
-                    .is_ok()
+                // Start unknown here: `None` holds the merge horizon.
+                lost_tx.send(ResultMsg::gap(gw, seq, None)).is_ok()
             },
         ));
-        ingress = Some(spawn_arq_receiver(
+        io.threads.push(spawn_arq_receiver(
             wire_rx,
             ack_tx,
             inbox_tx,
             t.ack_faults,
             sup.metrics.clone(),
         ));
-        sup.send_queues.lock().push(queue.clone());
+        io.send_queue = Some(queue.clone());
         Shipper {
             gateway: gw,
             mode: ShipMode::Transport {
@@ -480,22 +520,15 @@ fn build_session_io(
         }
     };
 
-    let mux = spawn_mux(
+    io.threads.push(spawn_mux(
         inbox_rx,
         sup.pool_tx.clone(),
         sup.gate.clone(),
         sup.registry.clone(),
         epoch,
         sup.metrics.clone(),
-    );
-    (
-        shipper,
-        SessionIo {
-            uplink,
-            ingress,
-            mux,
-        },
-    )
+    ));
+    (shipper, io)
 }
 
 /// Per-instance mux: fences stale traffic against the session
@@ -535,6 +568,10 @@ fn spawn_mux(
             if pool_tx.send(item).is_err() {
                 return; // pool gone; the in-item guard frees the credit
             }
+            // The queue the workers drain: its depth, not the inbox's
+            // (which this thread empties at once), shows a busy pool.
+            let depth = pool_tx.len();
+            metrics.with(|m| m.seg_queue_hwm = m.seg_queue_hwm.max(depth));
         }
     })
     .unwrap_or_else(|e| panic!("fleet mux startup: {e}"))
@@ -561,23 +598,25 @@ struct SessionLane {
 /// release resumes for the survivors; restart fences the superseded
 /// epoch's sequence space and revives the lane.
 struct MergeCore {
+    /// Wire id of each session, by position.
+    ids: Vec<GatewayId>,
     lanes: Vec<SessionLane>,
     merge: FleetMerge<PipelineFrame>,
     metrics: SharedMetrics,
 }
 
 impl MergeCore {
-    fn new(n_gateways: usize, metrics: SharedMetrics) -> Self {
+    fn new(ids: Vec<GatewayId>, metrics: SharedMetrics) -> Self {
         MergeCore {
-            lanes: (0..n_gateways).map(|_| SessionLane::default()).collect(),
-            merge: FleetMerge::new(n_gateways, DEDUP_SLACK as u64),
+            lanes: ids.iter().map(|_| SessionLane::default()).collect(),
+            merge: FleetMerge::new(ids.len(), DEDUP_SLACK as u64),
+            ids,
             metrics,
         }
     }
 
     fn lane_index(&self, gateway: GatewayId) -> Option<usize> {
-        let index = (gateway.0 as usize).wrapping_sub(1);
-        (index < self.lanes.len()).then_some(index)
+        self.ids.iter().position(|&id| id == gateway)
     }
 
     /// Feeds one in-order segment result into the merge: offer its
@@ -620,7 +659,7 @@ impl MergeCore {
     /// in-order through the session's lane.
     fn on_result(&mut self, result: SegmentResult) -> Vec<PipelineFrame> {
         let Some(index) = self.lane_index(result.gateway) else {
-            return Vec::new(); // not a fleet session (defensive)
+            return Vec::new(); // not one of this engine's sessions (defensive)
         };
         let lane = &mut self.lanes[index];
         if lane.dead || result.seq < lane.epoch_floor {
@@ -639,9 +678,8 @@ impl MergeCore {
             });
             return Vec::new();
         }
-        // As in single-gateway reassembly, a seq can report twice
-        // under the faulty transport (declared lost, then delivered
-        // late by a reordering link): first wins.
+        // A seq can report twice under the faulty transport (declared
+        // lost, then delivered late by a reordering link): first wins.
         if result.seq < lane.next_seq {
             return Vec::new();
         }
@@ -663,6 +701,17 @@ impl MergeCore {
         released
     }
 
+    /// Offers whatever a lane still buffers, in sequence order, gaps
+    /// or not: the session will never fill them.
+    fn flush_lane(&mut self, index: usize) -> Vec<PipelineFrame> {
+        let pending = std::mem::take(&mut self.lanes[index].pending);
+        let mut released = Vec::new();
+        for (_, r) in pending {
+            released.extend(self.offer_segment(index, r));
+        }
+        released
+    }
+
     /// Death transition: flush the lane's stragglers (the session will
     /// never fill its gaps), then finalize its merge watermark so the
     /// survivors' capture-order release resumes. Idempotent.
@@ -674,11 +723,7 @@ impl MergeCore {
             return Vec::new();
         }
         self.lanes[index].dead = true;
-        let pending = std::mem::take(&mut self.lanes[index].pending);
-        let mut released = Vec::new();
-        for (_, r) in pending {
-            released.extend(self.offer_segment(index, r));
-        }
+        let mut released = self.flush_lane(index);
         released.extend(self.merge.finish(index));
         released
     }
@@ -691,11 +736,7 @@ impl MergeCore {
         let Some(index) = self.lane_index(gateway) else {
             return Vec::new();
         };
-        let pending = std::mem::take(&mut self.lanes[index].pending);
-        let mut released = Vec::new();
-        for (_, r) in pending {
-            released.extend(self.offer_segment(index, r));
-        }
+        let released = self.flush_lane(index);
         let lane = &mut self.lanes[index];
         lane.next_seq = seq_base;
         lane.epoch_floor = seq_base;
@@ -712,10 +753,7 @@ impl MergeCore {
     fn finish(&mut self) -> Vec<PipelineFrame> {
         let mut released = Vec::new();
         for index in 0..self.lanes.len() {
-            let pending = std::mem::take(&mut self.lanes[index].pending);
-            for (_, r) in pending {
-                released.extend(self.offer_segment(index, r));
-            }
+            released.extend(self.flush_lane(index));
         }
         for index in 0..self.lanes.len() {
             released.extend(self.merge.finish(index));
@@ -736,14 +774,14 @@ impl MergeCore {
 fn spawn_merge(
     result_rx: Receiver<ResultMsg>,
     frames_tx: Sender<PipelineFrame>,
-    n_gateways: usize,
+    ids: Vec<GatewayId>,
     registry: Arc<SessionRegistry>,
     gate: Arc<FairnessGate>,
     liveness_horizon: u64,
     metrics: SharedMetrics,
 ) -> thread::JoinHandle<()> {
     spawn_thread("galiot-fleet-merge", move || {
-        let mut core = MergeCore::new(n_gateways, metrics.clone());
+        let mut core = MergeCore::new(ids, metrics.clone());
 
         let emit = |released: Vec<PipelineFrame>, merge_suppressed: u64| -> bool {
             metrics.with(|m| {
@@ -961,7 +999,7 @@ mod tests {
         // segment's gap notice (both watermark 0), holding the fleet
         // horizon back. With Option watermarks, Some(0) is progress.
         let metrics = SharedMetrics::new();
-        let mut core = MergeCore::new(2, metrics);
+        let mut core = MergeCore::new(fleet_ids(2), metrics);
         // Session 1 decodes a frame at capture start 0 and reports
         // watermark Some(0); session 2 has already advanced past it.
         let rel = core.on_result(seg(1, 0, vec![frame(TechId::XBee, &[1], 0)], Some(0)));
@@ -992,13 +1030,41 @@ mod tests {
     }
 
     #[test]
+    fn sole_session_releases_each_segment_as_it_completes_in_order() {
+        // One session, wire id 0 (the `StreamingGaliot` topology):
+        // lanes are addressed by position, so gateway 0's results are
+        // not dropped, and nothing waits for a later watermark.
+        let metrics = SharedMetrics::new();
+        let mut core = MergeCore::new(vec![GatewayId(0)], metrics.clone());
+        let first = frame(TechId::XBee, &[1], 5_000);
+        let rel = core.on_result(seg(0, 0, vec![first], Some(4_000)));
+        assert_eq!(rel.len(), 1, "released by the call that offered it");
+        // Out-of-order completion still waits for the gap to fill.
+        let late = frame(TechId::XBee, &[3], 90_000);
+        assert!(core
+            .on_result(seg(0, 2, vec![late], Some(89_000)))
+            .is_empty());
+        // Seq 1 re-decodes frame [1] from an overlapping window: the
+        // repeat is suppressed, its own frame and seq 2's release.
+        let repeat = frame(TechId::XBee, &[1], 5_004);
+        let second = frame(TechId::ZWave, &[2], 40_000);
+        let rel = core.on_result(seg(0, 1, vec![second, repeat], Some(4_500)));
+        let starts: Vec<usize> = rel.iter().map(|pf| pf.frame.start).collect();
+        assert_eq!(starts, vec![40_000, 90_000]);
+        assert_eq!(core.suppressed(), 1);
+        assert!(core.finish().is_empty(), "nothing was held back");
+        let m = metrics.snapshot();
+        assert_eq!(m.per_gateway_decoded.get(&0), Some(&4), "{m:?}");
+    }
+
+    #[test]
     fn dead_session_watermark_finalizes_and_releases_survivors() {
         // The tentpole stall: session 2 dies silently at watermark 0;
         // session 1 keeps streaming. Without the death transition the
         // merge would hold every group behind session 2's frozen
         // watermark until teardown.
         let metrics = SharedMetrics::new();
-        let mut core = MergeCore::new(2, metrics.clone());
+        let mut core = MergeCore::new(fleet_ids(2), metrics.clone());
         let rel = core.on_result(seg(
             1,
             0,
@@ -1029,7 +1095,7 @@ mod tests {
     #[test]
     fn restart_fences_superseded_epoch_and_revives_lane() {
         let metrics = SharedMetrics::new();
-        let mut core = MergeCore::new(2, metrics.clone());
+        let mut core = MergeCore::new(fleet_ids(2), metrics.clone());
         let seq_base = 1u64 << galiot_trace::EPOCH_SHIFT;
         let mut delivered = 0usize;
         // Old epoch delivers seq 0, then the session dies.
@@ -1084,7 +1150,7 @@ mod tests {
     #[test]
     fn dead_lane_drops_results_on_the_crash_account() {
         let metrics = SharedMetrics::new();
-        let mut core = MergeCore::new(1, metrics.clone());
+        let mut core = MergeCore::new(fleet_ids(1), metrics.clone());
         let _ = core.on_dead(GatewayId(1));
         let rel = core.on_result(seg(
             1,

@@ -9,8 +9,11 @@
 //! * [`pipeline::Galiot`] — batch processing of a capture: RTL-SDR
 //!   front end, universal-preamble detection, extraction, edge-first
 //!   decode, compressed backhaul, and Algorithm 1 at the cloud;
-//! * [`streaming::StreamingGaliot`] — the same stages as a live,
-//!   thread-per-stage pipeline over crossbeam channels;
+//! * [`fleet::FleetGaliot`] — the same stages as a live pipeline of
+//!   threads and crossbeam channels: N gateway sessions feeding one
+//!   supervised cloud decode pool, merged exactly-once in capture
+//!   order; [`streaming::StreamingGaliot`] is that engine started with
+//!   a single session;
 //! * [`experiment`] — the engines behind every figure of the paper;
 //! * [`sensing`] — the Sec. 6 multi-technology wireless-sensing sketch;
 //! * [`config`], [`metrics`] — knobs and counters.

@@ -39,6 +39,37 @@ pub struct RunReport {
     pub last_arrival_s: Option<f64>,
 }
 
+/// Block length of the backhaul's block-floating-point compression.
+pub(crate) const COMPRESS_BLOCK: usize = 1024;
+
+/// The gateway's packet detector for `config.detector` — the one
+/// constructor behind both the batch pipeline and the live gateway
+/// loop, so streaming≡batch holds for every [`DetectorKind`].
+pub(crate) fn build_detector(
+    config: &GaliotConfig,
+    registry: &Registry,
+) -> Box<dyn PacketDetector> {
+    match config.detector {
+        DetectorKind::Energy => Box::new(EnergyDetector {
+            threshold_db: if config.detect_threshold > 0.0 {
+                config.detect_threshold
+            } else {
+                6.0
+            },
+            ..EnergyDetector::default()
+        }),
+        DetectorKind::MatchedBank => Box::new(MatchedFilterBank::new(
+            registry.clone(),
+            config.detect_threshold,
+        )),
+        DetectorKind::Universal => Box::new(UniversalDetector::new(
+            registry,
+            config.fs,
+            config.detect_threshold,
+        )),
+    }
+}
+
 /// The GalioT system: a configured gateway + cloud pair.
 pub struct Galiot {
     config: GaliotConfig,
@@ -60,28 +91,9 @@ impl Galiot {
         if let Err(e) = config.validate() {
             panic!("invalid GaliotConfig: {e}");
         }
-        let detector: Box<dyn PacketDetector> = match config.detector {
-            DetectorKind::Energy => Box::new(EnergyDetector {
-                threshold_db: if config.detect_threshold > 0.0 {
-                    config.detect_threshold
-                } else {
-                    6.0
-                },
-                ..EnergyDetector::default()
-            }),
-            DetectorKind::MatchedBank => Box::new(MatchedFilterBank::new(
-                registry.clone(),
-                config.detect_threshold,
-            )),
-            DetectorKind::Universal => Box::new(UniversalDetector::new(
-                &registry,
-                config.fs,
-                config.detect_threshold,
-            )),
-        };
         Galiot {
             front_end: RtlSdrFrontEnd::new(config.front_end),
-            detector,
+            detector: build_detector(&config, &registry),
             edge: EdgeDecoder::new(registry.clone())
                 .with_cluster_guard_s(config.edge_cluster_guard_s),
             cloud: CloudDecoder::with_params(registry.clone(), config.cloud),
@@ -161,7 +173,7 @@ impl Galiot {
             let _ = &shipped_frames; // edge partial decodes are re-derived at the cloud
 
             // Compress, ship, decompress at the cloud.
-            let compressed = compress(&seg.samples, self.config.compression_bits, 1024);
+            let compressed = compress(&seg.samples, self.config.compression_bits, COMPRESS_BLOCK);
             let bytes = compressed.wire_bytes();
             metrics.shipped_segments += 1;
             metrics.shipped_bytes += bytes as u64;

@@ -1,36 +1,28 @@
-//! The streaming pipeline: gateway, a pool of cloud decode workers and
-//! an order-preserving reassembly stage on separate OS threads,
-//! connected by bounded crossbeam channels — "real-time streaming of
-//! bit streams" in the paper's system figure, scaled out on the cloud
-//! side.
+//! The per-session machinery of the live pipeline — the gateway loop,
+//! its shipping policy and the supervised cloud decode pool — plus
+//! [`StreamingGaliot`], the one-gateway front door.
+//!
+//! There is one live engine, [`crate::fleet`]: it spawns the threads,
+//! wires each session's transport, restores order and tears down.
+//! `StreamingGaliot` is that engine started with a single session; the
+//! topology diagram and the rules that follow from "one session" live
+//! in the fleet module docs. This module holds what every session runs
+//! regardless of how many there are.
 //!
 //! Per the project's networking guides, this CPU-bound signal path uses
 //! plain threads and channels rather than an async runtime: each stage
 //! is pure computation, and backpressure comes from the bounded
 //! channels.
 //!
-//! # Topology
-//!
-//! ```text
-//!                 chunks            segments (seq-tagged,
-//!                (bounded)           compressed, bounded)
-//!  push_chunk ──▶ gateway ─┬──▶ supervisor ─▶ worker 0 ─┐
-//!                          │     (leases,  ─▶ worker 1 ─┤   results
-//!                          │      retries,    ...       ├─▶ reassembly
-//!                          │      deadlines) ─▶ worker N ┘   ─▶ frames
-//!                          └─ edge decodes ──────────────▶ (seq order,
-//!                                                            dedup)
-//! ```
-//!
 //! The paper's bet is that "cloud computational resources are elastic":
 //! the gateway stays dumb and cheap while the cloud absorbs the
 //! expensive kill-filter/SIC work. That only pays off if the cloud tier
 //! actually scales, so each worker owns a private [`CloudDecoder`] and
 //! segments fan out across the pool. Decode order inside the pool is
-//! nondeterministic; the reassembly stage restores gateway emission
-//! order via per-segment sequence numbers before anything reaches the
-//! output channel, so the observable frame stream is identical for any
-//! worker count (the conformance tests pin this).
+//! nondeterministic; the merge restores gateway emission order via
+//! per-segment sequence numbers before anything reaches the output
+//! channel, so the observable frame stream is identical for any worker
+//! count (the conformance tests pin this).
 //!
 //! # The supervised pool
 //!
@@ -43,59 +35,52 @@
 //! too. After `decode_retries` re-dispatches fail, the segment is
 //! quarantined to a dead-letter [`QuarantineRecord`] and an empty
 //! result carrying its watermark is synthesized, so in-order delivery
-//! (and the fleet's liveness reaper) never stalls behind a poison
-//! segment.
+//! (and the liveness reaper) never stalls behind a poison segment.
 //!
 //! # Parity with the batch pipeline
 //!
 //! The gateway half runs the same stages as [`crate::pipeline::Galiot`]
-//! in the same order: digitize → universal detection → extraction →
-//! edge-first decode → block-floating-point compression. Workers
-//! decompress before decoding, so the cloud sees bit-identical samples
-//! to the batch backhaul path. Segments are only emitted once the
-//! rolling buffer extends far enough past them that extraction can no
-//! longer grow them ("finalized"), which keeps streaming segmentation
-//! equal to batch segmentation for captures whose collision clusters
-//! fit within one flush window.
+//! in the same order: digitize → detection (the configured
+//! [`crate::DetectorKind`], built by the constructor the batch
+//! pipeline uses) → extraction → edge-first decode →
+//! block-floating-point compression. Workers decompress before
+//! decoding, so the cloud sees bit-identical samples to the batch
+//! backhaul path. Segments are only emitted once the rolling buffer
+//! extends far enough past them that extraction can no longer grow
+//! them ("finalized"), which keeps streaming segmentation equal to
+//! batch segmentation for captures whose collision clusters fit within
+//! one flush window.
 
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use galiot_channel::{DecodeFaultKind, DecodeFaultSpec};
 use galiot_cloud::{shard_for, CloudDecoder, CloudParams, Recovery};
 use galiot_dsp::Cf32;
 use galiot_gateway::{
-    extract, EdgeDecoder, EdgeOutcome, ExtractParams, GatewayId, PacketDetector, RtlSdrFrontEnd,
-    ShippedSegment, UniversalDetector,
+    extract, EdgeDecoder, EdgeOutcome, ExtractParams, GatewayId, RtlSdrFrontEnd, ShippedSegment,
 };
 use galiot_phy::registry::Registry;
-use galiot_phy::TechId;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use crate::config::GaliotConfig;
+use crate::fleet::FleetGaliot;
 use crate::metrics::{QuarantineRecord, SharedMetrics};
-use crate::pipeline::PipelineFrame;
+use crate::pipeline::{build_detector, PipelineFrame, COMPRESS_BLOCK};
 use crate::spawn::{spawn_thread, SpawnError};
-use crate::transport::{
-    degraded_bits, spawn_arq_receiver, spawn_arq_sender, QueuedSegment, SendQueue, SendQueueTx,
-};
+use crate::transport::{degraded_bits, QueuedSegment, SendQueueTx};
 use std::sync::Arc;
 
-/// Compression block length, matching the batch pipeline's backhaul.
-const COMPRESS_BLOCK: usize = 1024;
-
-/// Start-offset slack when deduplicating frames re-decoded from
-/// overlapping segment emissions. The fleet merge uses the same window
-/// for cross-gateway suppression so single- and multi-gateway delivery
-/// agree.
+/// Start-offset slack when deduplicating copies of one over-the-air
+/// frame: re-decodes from a session's overlapping segment emissions
+/// and the same frame heard by several gateways.
 pub(crate) const DEDUP_SLACK: usize = 4_096;
 
-/// One segment's decode outcome travelling to the reassembly stage (or
-/// to the fleet merge in multi-gateway mode).
+/// One segment's decode outcome travelling to the merge.
 pub(crate) struct SegmentResult {
-    /// Emitting session; `GatewayId(0)` in single-gateway mode.
+    /// Emitting session's wire id.
     pub(crate) gateway: GatewayId,
     pub(crate) seq: u64,
     pub(crate) frames: Vec<PipelineFrame>,
@@ -118,14 +103,29 @@ pub(crate) enum ResultMsg {
     /// One segment's decode outcome.
     Segment(SegmentResult),
     /// A crashed fleet session restarted under a bumped epoch; its
-    /// new instance numbers segments from `seq_base`. Single-gateway
-    /// reassembly never sees this.
+    /// new instance numbers segments from `seq_base`.
     SessionRestarted { gateway: GatewayId, seq_base: u64 },
+}
+
+impl ResultMsg {
+    /// An empty result that only moves the session's sequence window
+    /// past a segment nothing was decoded from (lost, shed or
+    /// quarantined). `watermark` is the segment's capture start where
+    /// known.
+    pub(crate) fn gap(gateway: GatewayId, seq: u64, watermark: Option<u64>) -> Self {
+        ResultMsg::Segment(SegmentResult {
+            gateway,
+            seq,
+            frames: Vec::new(),
+            watermark,
+            power: 0.0,
+        })
+    }
 }
 
 /// A segment in flight between ingest and a decode worker, carrying
 /// the [`FairnessGate`](galiot_cloud::FairnessGate) credit its session
-/// holds for it (fleet mode). The credit travels *with* the segment so
+/// holds for it. The credit travels *with* the segment so
 /// that whoever drops the segment — the worker after decode, a
 /// panicked worker's unwind, or a torn-down queue — returns the credit
 /// via the guard's `Drop`, closing every leak path.
@@ -140,234 +140,52 @@ impl From<ShippedSegment> for PoolItem {
     }
 }
 
-/// A running streaming GalioT instance.
+/// A running one-gateway GalioT pipeline: the fleet engine
+/// ([`FleetGaliot`]) started with a single session whose wire id is
+/// `GatewayId(0)`. `config.gateways`, `config.crashes` and
+/// `config.ingest_shards` describe a fleet and are ignored here.
 ///
 /// Feed raw capture chunks with [`StreamingGaliot::push_chunk`], close
 /// the intake with [`StreamingGaliot::finish`], and collect decoded
 /// frames from the output receiver.
-pub struct StreamingGaliot {
-    chunk_tx: Option<Sender<Vec<Cf32>>>,
-    frames_rx: Receiver<PipelineFrame>,
-    gateway: Option<thread::JoinHandle<()>>,
-    /// ARQ sender thread (transport mode only).
-    uplink: Option<thread::JoinHandle<()>>,
-    /// ARQ receiver thread (transport mode only).
-    ingress: Option<thread::JoinHandle<()>>,
-    /// Transport send queue, kept to fold its high-water mark into the
-    /// metrics at join time (transport mode only).
-    send_queue: Option<Arc<SendQueue>>,
-    workers: Vec<thread::JoinHandle<()>>,
-    reassembly: Option<thread::JoinHandle<()>>,
-    metrics: SharedMetrics,
-    /// DSP engine counters sampled at start; the delta is folded into
-    /// the metrics when the pipeline joins.
-    engine_before: Option<galiot_dsp::engine::EngineStats>,
-}
+pub struct StreamingGaliot(FleetGaliot);
 
 impl StreamingGaliot {
-    /// Spawns the gateway, `config.effective_cloud_workers()` cloud
-    /// decode workers, and the reassembly stage.
+    /// Starts the engine with one session.
     ///
     /// # Panics
     /// Panics if `config` fails [`GaliotConfig::validate`] — a
     /// silently-degenerate configuration must fail at construction,
     /// not hang a live pipeline.
     pub fn start(config: GaliotConfig, registry: Registry) -> Self {
-        if let Err(e) = config.validate() {
-            panic!("invalid GaliotConfig: {e}");
-        }
-        let n_workers = config.effective_cloud_workers();
-        let engine_before = galiot_dsp::engine::stats();
-        let metrics = SharedMetrics::new();
-        metrics.with(|m| m.cloud_workers = n_workers);
-
-        let (chunk_tx, chunk_rx) = bounded::<Vec<Cf32>>(8);
-        let (result_tx, result_rx) = unbounded::<ResultMsg>();
-        // Unbounded on purpose: `finish`/`Drop` join the workers before
-        // draining, so a bounded frame channel could deadlock a run
-        // that decodes more frames than the bound.
-        let (frames_tx, frames_rx) = unbounded::<PipelineFrame>();
-
-        // The supervised decode pool: its intake replaces the old
-        // direct worker channel (same capacity — enough queue to keep
-        // every worker busy without unbounded buffering of
-        // multi-hundred-kilobyte segments). `n_shards == 0`: a single
-        // gateway has no affinity to preserve, any idle worker serves.
-        let pool = spawn_supervised_pool(
-            &config,
-            registry.clone(),
-            n_workers,
-            2 * n_workers.max(4),
-            0,
-            result_tx.clone(),
-            metrics.clone(),
-        );
-        let seg_tx = pool.intake;
-
-        // Route the gateway→pool segment flow. Passthrough (perfect
-        // links, no ARQ — the default) hands segments straight to the
-        // worker channel exactly as before the transport existed.
-        // Otherwise they go through the send queue → ARQ sender →
-        // FaultyLink wire → ARQ receiver → worker channel.
-        let transport = config.transport;
-        let uplink_bps = config.emulate_backhaul.then_some(config.backhaul_bps);
-        let mut uplink = None;
-        let mut ingress = None;
-        let mut send_queue = None;
-        let shipper = if transport.is_passthrough() {
-            Shipper {
-                gateway: GatewayId(0),
-                mode: ShipMode::Direct(seg_tx),
-                base_bits: config.compression_bits,
-                uplink_bps,
-                metrics: metrics.clone(),
-            }
-        } else {
-            let queue = SendQueue::new(transport.send_queue_cap);
-            let (wire_tx, wire_rx) = bounded::<Vec<u8>>(64);
-            let (ack_tx, ack_rx) = unbounded::<Vec<u8>>();
-            let lost_tx = result_tx.clone();
-            uplink = Some(spawn_arq_sender(
-                queue.clone(),
-                wire_tx,
-                ack_rx,
-                transport.arq,
-                transport.data_faults,
-                uplink_bps,
-                metrics.clone(),
-                // A declared-lost segment still needs its slot in the
-                // in-order reassembly: an empty result models the gap
-                // notice the sender would piggyback on later traffic.
-                move |seq| {
-                    galiot_trace::event(galiot_trace::EventKind::Lost, seq);
-                    lost_tx
-                        .send(ResultMsg::Segment(SegmentResult {
-                            gateway: GatewayId(0),
-                            seq,
-                            frames: Vec::new(),
-                            watermark: None,
-                            power: 0.0,
-                        }))
-                        .is_ok()
-                },
-            ));
-            ingress = Some(spawn_arq_receiver(
-                wire_rx,
-                ack_tx,
-                seg_tx,
-                transport.ack_faults,
-                metrics.clone(),
-            ));
-            send_queue = Some(queue.clone());
-            Shipper {
-                gateway: GatewayId(0),
-                mode: ShipMode::Transport {
-                    tx: SendQueueTx::new(queue),
-                    hwm: transport.degrade_hwm,
-                    cap: transport.send_queue_cap,
-                    min_bits: transport.min_bits,
-                    result_tx: result_tx.clone(),
-                },
-                base_bits: config.compression_bits,
-                // Serialization time is paid on the uplink thread in
-                // transport mode, not in the gateway.
-                uplink_bps: None,
-                metrics: metrics.clone(),
-            }
-        };
-
-        let gateway = spawn_gateway(
-            &config,
-            &registry,
-            chunk_rx,
-            shipper,
-            result_tx.clone(),
-            metrics.clone(),
-        );
-
-        // The supervisor thread stands in for the worker handles: it
-        // joins its own workers on shutdown. Reassembly must observe
-        // disconnection once the gateway and the pool are done — drop
-        // the original result handle.
-        let workers: Vec<thread::JoinHandle<()>> = vec![pool.supervisor];
-        drop(result_tx);
-
-        let reassembly = spawn_reassembly(result_rx, frames_tx, metrics.clone());
-
-        StreamingGaliot {
-            chunk_tx: Some(chunk_tx),
-            frames_rx,
-            gateway: Some(gateway),
-            uplink,
-            ingress,
-            send_queue,
-            workers,
-            reassembly: Some(reassembly),
-            metrics,
-            engine_before: Some(engine_before),
-        }
+        StreamingGaliot(FleetGaliot::start_sessions(
+            config,
+            registry,
+            &[GatewayId(0)],
+            &[],
+        ))
     }
 
     /// Feeds one capture chunk; blocks if the pipeline is saturated.
     pub fn push_chunk(&self, chunk: Vec<Cf32>) {
-        if let Some(tx) = &self.chunk_tx {
-            let _ = tx.send(chunk);
-        }
+        self.0.push_chunk(chunk)
     }
 
     /// The decoded-frame output channel. Frames arrive in gateway
     /// emission (capture) order regardless of the worker count.
     pub fn frames(&self) -> &Receiver<PipelineFrame> {
-        &self.frames_rx
+        self.0.frames()
     }
 
     /// Shared metrics handle.
     pub fn metrics(&self) -> &SharedMetrics {
-        &self.metrics
-    }
-
-    fn join_all(&mut self) {
-        drop(self.chunk_tx.take());
-        // Join order follows the data flow: the gateway closes the send
-        // queue (via its `SendQueueTx`), which ends the uplink, whose
-        // dropped wire sender ends the ingress, whose dropped segment
-        // sender ends the workers, whose dropped result senders end the
-        // reassembly.
-        if let Some(g) = self.gateway.take() {
-            let _ = g.join();
-        }
-        if let Some(u) = self.uplink.take() {
-            let _ = u.join();
-        }
-        if let Some(i) = self.ingress.take() {
-            let _ = i.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        if let Some(r) = self.reassembly.take() {
-            let _ = r.join();
-        }
-        if let Some(q) = self.send_queue.take() {
-            self.metrics
-                .with(|m| m.send_queue_hwm = m.send_queue_hwm.max(q.high_water_mark()));
-        }
-        if let Some(before) = self.engine_before.take() {
-            self.metrics.with(|m| m.record_engine_stats(&before));
-        }
+        self.0.metrics()
     }
 
     /// Closes the intake, waits for the whole pipeline, and returns all
     /// remaining decoded frames (in capture order).
-    pub fn finish(mut self) -> Vec<PipelineFrame> {
-        self.join_all();
-        self.frames_rx.try_iter().collect()
-    }
-}
-
-impl Drop for StreamingGaliot {
-    fn drop(&mut self) {
-        self.join_all();
+    pub fn finish(self) -> Vec<PipelineFrame> {
+        self.0.finish()
     }
 }
 
@@ -380,23 +198,12 @@ pub(crate) struct SessionStart {
     /// receive from the chunk feed.
     pub(crate) capture_offset: usize,
     /// First sequence number this instance emits (`epoch <<
-    /// EPOCH_SHIFT` in fleet failover mode).
+    /// EPOCH_SHIFT` after a restart).
     pub(crate) seq_base: u64,
     /// Fault injection: die immediately before emitting segment
     /// number `crash_after` (counted within this instance; 0 = silent
     /// from the first would-be segment). `None` runs to completion.
     pub(crate) crash_after: Option<u64>,
-}
-
-impl SessionStart {
-    /// A first life with no fault injection.
-    pub(crate) fn clean() -> Self {
-        SessionStart {
-            capture_offset: 0,
-            seq_base: 0,
-            crash_after: None,
-        }
-    }
 }
 
 /// How a gateway instance ended.
@@ -433,7 +240,7 @@ pub(crate) fn run_gateway(
 ) -> GatewayRun {
     let fs = config.fs;
     let front_end = RtlSdrFrontEnd::new(config.front_end);
-    let detector = UniversalDetector::new(registry, fs, config.detect_threshold);
+    let detector = build_detector(config, registry);
     let window = registry
         .max_frame_samples_for(fs, config.max_expected_payload)
         .max(1);
@@ -510,13 +317,12 @@ pub(crate) fn run_gateway(
 
             // Edge-first decode (paper, Sec. 4): handle clean
             // single packets locally, ship everything else.
+            let mut seg = seg;
+            seg.start = abs_start;
             if let Some(edge) = &edge {
-                let mut abs_seg = seg;
-                abs_seg.start = abs_start;
-                if let EdgeOutcome::DecodedLocally(frame) = edge.process(&abs_seg, fs) {
-                    metrics.with(|m| m.gateway_busy_ns += t0.elapsed().as_nanos() as u64);
-                    let power = abs_seg.samples.iter().map(|c| c.norm_sqr()).sum::<f32>()
-                        / abs_seg.samples.len().max(1) as f32;
+                if let EdgeOutcome::DecodedLocally(frame) = edge.process(&seg, fs) {
+                    let power = seg.samples.iter().map(|c| c.norm_sqr()).sum::<f32>()
+                        / seg.samples.len().max(1) as f32;
                     let ok = result_tx
                         .send(ResultMsg::Segment(SegmentResult {
                             gateway: shipper.gateway,
@@ -535,10 +341,8 @@ pub(crate) fn run_gateway(
                     }
                     continue;
                 }
-                if !shipper.ship(this_seq, abs_start, &abs_seg.samples) {
-                    return Err(FlushStop::Downstream);
-                }
-            } else if !shipper.ship(this_seq, abs_start, &seg.samples) {
+            }
+            if !shipper.ship(this_seq, abs_start, &seg.samples) {
                 return Err(FlushStop::Downstream);
             }
         }
@@ -552,7 +356,7 @@ pub(crate) fn run_gateway(
         consumed += chunk.len();
         buffer.extend_from_slice(&chunk);
         while buffer.len() >= flush_len {
-            match flush(
+            if let Err(stop) = flush(
                 &buffer[..flush_len],
                 buffer_start,
                 &mut emitted_until,
@@ -560,64 +364,32 @@ pub(crate) fn run_gateway(
                 &mut emitted_count,
                 false,
             ) {
-                Ok(()) => {}
-                Err(stop) => {
-                    return GatewayRun {
-                        crashed: matches!(stop, FlushStop::Crashed),
-                        consumed,
-                    }
-                }
+                return GatewayRun {
+                    crashed: matches!(stop, FlushStop::Crashed),
+                    consumed,
+                };
             }
             buffer.drain(..stride);
             buffer_start += stride;
         }
     }
-    if !buffer.is_empty() {
-        let stopped = flush(
+    // The feed is closed: whatever is still buffered is final.
+    let last = if buffer.is_empty() {
+        Ok(())
+    } else {
+        flush(
             &buffer,
             buffer_start,
             &mut emitted_until,
             &mut seq,
             &mut emitted_count,
             true,
-        );
-        if let Err(FlushStop::Crashed) = stopped {
-            return GatewayRun {
-                crashed: true,
-                consumed,
-            };
-        }
-    }
+        )
+    };
     GatewayRun {
-        crashed: false,
+        crashed: matches!(last, Err(FlushStop::Crashed)),
         consumed,
     }
-}
-
-/// Gateway thread: [`run_gateway`] with a clean [`SessionStart`], for
-/// the single-session streaming pipeline.
-pub(crate) fn spawn_gateway(
-    config: &GaliotConfig,
-    registry: &Registry,
-    chunk_rx: Receiver<Vec<Cf32>>,
-    shipper: Shipper,
-    result_tx: Sender<ResultMsg>,
-    metrics: SharedMetrics,
-) -> thread::JoinHandle<()> {
-    let config = config.clone();
-    let registry = registry.clone();
-    spawn_thread("galiot-gateway", move || {
-        run_gateway(
-            &config,
-            &registry,
-            &chunk_rx,
-            shipper,
-            &result_tx,
-            &metrics,
-            SessionStart::clean(),
-        );
-    })
-    .unwrap_or_else(|e| panic!("gateway startup: {e}"))
 }
 
 /// Where the gateway's compressed segments go.
@@ -658,7 +430,7 @@ impl Shipper {
                 let shipped =
                     ShippedSegment::pack(seq, abs_start, samples, self.base_bits, COMPRESS_BLOCK)
                         .with_gateway(self.gateway);
-                let ok = ship(&shipped, tx, &self.metrics, self.uplink_bps);
+                let ok = ship(shipped, tx, &self.metrics, self.uplink_bps);
                 if ok {
                     self.metrics
                         .with(|m| *m.shipped_by_bits.entry(self.base_bits).or_default() += 1);
@@ -696,22 +468,15 @@ impl Shipper {
                     power,
                 }) {
                     // The shed victim's sequence slot still needs a gap
-                    // notice so reassembly can advance past it.
+                    // notice so the merge can advance past it.
+                    let v = victim.seg;
                     self.metrics.with(|m| m.segments_shed += 1);
                     galiot_trace::event(
                         galiot_trace::EventKind::Shed,
-                        galiot_trace::tag_seq(victim.seg.gateway.0, victim.seg.seq),
+                        galiot_trace::tag_seq(v.gateway.0, v.seq),
                     );
-                    if result_tx
-                        .send(ResultMsg::Segment(SegmentResult {
-                            gateway: victim.seg.gateway,
-                            seq: victim.seg.seq,
-                            frames: Vec::new(),
-                            watermark: Some(victim.seg.start as u64),
-                            power: 0.0,
-                        }))
-                        .is_err()
-                    {
+                    let notice = ResultMsg::gap(v.gateway, v.seq, Some(v.start as u64));
+                    if result_tx.send(notice).is_err() {
                         return false;
                     }
                 }
@@ -729,7 +494,7 @@ impl Shipper {
 /// time on the shared uplink — serialization cannot be parallelized
 /// away, which is why it happens here on the single gateway thread.
 fn ship(
-    shipped: &ShippedSegment,
+    shipped: ShippedSegment,
     seg_tx: &Sender<PoolItem>,
     metrics: &SharedMetrics,
     uplink_bps: Option<f64>,
@@ -745,7 +510,7 @@ fn ship(
         galiot_trace::EventKind::Ship,
         galiot_trace::tag_seq(shipped.gateway.0, shipped.seq),
     );
-    if seg_tx.send(PoolItem::from(shipped.clone())).is_err() {
+    if seg_tx.send(PoolItem::from(shipped)).is_err() {
         return false;
     }
     let depth = seg_tx.len();
@@ -849,8 +614,8 @@ pub(crate) struct SupervisedPool {
 /// dead-letter record and replaced by an empty result carrying its
 /// watermark, so capture-order delivery never stalls.
 ///
-/// `n_shards == 0` disables shard affinity (single-gateway streaming:
-/// any idle worker takes the next segment); with shards, first
+/// `n_shards == 0` disables shard affinity (a sole session: any idle
+/// worker takes the next segment); with shards, first
 /// attempts keep the fleet's deterministic `(gateway, seq) → shard →
 /// worker` mapping and only retries roam.
 pub(crate) fn spawn_supervised_pool(
@@ -1013,7 +778,7 @@ impl Supervisor {
     }
 
     /// Opens a lease for an admitted segment and queues its first
-    /// attempt (shard-affine in fleet mode).
+    /// attempt (shard-affine when the pool routes by shard).
     fn admit(&mut self, item: PoolItem) {
         let PoolItem { seg, credit } = item;
         let id = self.next_lease;
@@ -1304,13 +1069,8 @@ impl Supervisor {
                 },
             });
         });
-        let _ = self.result_tx.send(ResultMsg::Segment(SegmentResult {
-            gateway: seg.gateway,
-            seq: seg.seq,
-            frames: Vec::new(),
-            watermark: Some(seg.start as u64),
-            power: 0.0,
-        }));
+        let notice = ResultMsg::gap(seg.gateway, seg.seq, Some(seg.start as u64));
+        let _ = self.result_tx.send(notice);
         self.resolved.insert(
             id,
             ResolvedLease {
@@ -1462,90 +1222,11 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Reassembly stage: restore gateway emission order across workers,
-/// drop duplicate frames decoded from overlapping segment emissions,
-/// and record frame metrics exactly once.
-fn spawn_reassembly(
-    result_rx: Receiver<ResultMsg>,
-    frames_tx: Sender<PipelineFrame>,
-    metrics: SharedMetrics,
-) -> thread::JoinHandle<()> {
-    spawn_thread("galiot-reassembly", move || {
-        let mut pending: BTreeMap<u64, Vec<PipelineFrame>> = BTreeMap::new();
-        let mut next_seq = 0u64;
-        // Overlapping segment emissions can decode the same frame
-        // twice; drop repeats by (tech, payload, ~start). Processing
-        // strictly in seq order makes the surviving set independent
-        // of worker count and scheduling.
-        let mut seen: Vec<(TechId, Vec<u8>, usize)> = Vec::new();
-        let mut emit = |mut frames: Vec<PipelineFrame>| -> bool {
-            // Algorithm 1 yields a segment's frames in SIC power
-            // order; re-sort by position so delivery is capture
-            // order end to end (segments already arrive in
-            // ascending-start order via `seq`).
-            frames.sort_by_key(|pf| pf.frame.start);
-            for pf in frames {
-                let dup = seen.iter().any(|(t, p, s)| {
-                    *t == pf.frame.tech
-                        && *p == pf.frame.payload
-                        && s.abs_diff(pf.frame.start) < DEDUP_SLACK
-                });
-                if dup {
-                    continue;
-                }
-                seen.push((pf.frame.tech, pf.frame.payload.clone(), pf.frame.start));
-                if seen.len() > 256 {
-                    seen.remove(0);
-                }
-                metrics.with(|m| m.record_frame(&pf.frame, pf.at_edge, pf.via_kill));
-                if frames_tx.send(pf).is_err() {
-                    return false;
-                }
-            }
-            true
-        };
-        while let Ok(msg) = result_rx.recv() {
-            let result = match msg {
-                ResultMsg::Segment(r) => r,
-                // Session control traffic only concerns the fleet
-                // merge; the single-session reassembler never
-                // restarts anything.
-                ResultMsg::SessionRestarted { .. } => continue,
-            };
-            // A sequence number can report twice under the faulty
-            // transport: a segment declared lost by the ARQ (empty
-            // gap notice) can still be delivered late by a
-            // reordering link and decoded. The first report wins;
-            // anything at an already-emitted seq is dropped so the
-            // final flush cannot replay it out of order.
-            if result.seq < next_seq {
-                continue;
-            }
-            pending.entry(result.seq).or_insert(result.frames);
-            metrics.with(|m| m.reassembly_hwm = m.reassembly_hwm.max(pending.len()));
-            while let Some(frames) = pending.remove(&next_seq) {
-                let _span = galiot_trace::span(galiot_trace::Stage::Reassembly, next_seq);
-                next_seq += 1;
-                if !emit(frames) {
-                    return;
-                }
-            }
-        }
-        // Producers are gone; flush whatever remains in order.
-        for (seq, frames) in std::mem::take(&mut pending) {
-            let _span = galiot_trace::span(galiot_trace::Stage::Reassembly, seq);
-            if !emit(frames) {
-                return;
-            }
-        }
-    })
-    .unwrap_or_else(|e| panic!("reassembly startup: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use galiot_channel::{compose, snr_to_noise_power, TxEvent};
+    use galiot_phy::TechId;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1600,6 +1281,107 @@ mod tests {
         let sys = StreamingGaliot::start(GaliotConfig::prototype(), Registry::prototype());
         let frames = sys.finish();
         assert!(frames.is_empty());
+    }
+
+    #[test]
+    fn frame_is_delivered_while_the_stream_is_still_open() {
+        // One packet, then nothing but noise: no later segment ever
+        // arrives to push a watermark past it, so the frame reaches
+        // `frames()` only if a sole session's segments are released
+        // as they complete.
+        let mut rng = StdRng::seed_from_u64(6);
+        let reg = Registry::prototype();
+        let zwave = reg.get(TechId::ZWave).unwrap().clone();
+        let ev = TxEvent::new(zwave, vec![0x3C; 6], 100_000);
+        let np = snr_to_noise_power(18.0, 0.0);
+        let cap = compose(&[ev], 1_200_000, FS, np, &mut rng);
+        let sys = StreamingGaliot::start(GaliotConfig::prototype(), reg);
+        for chunk in cap.samples.chunks(65_536) {
+            sys.push_chunk(chunk.to_vec());
+        }
+        let early = sys
+            .frames()
+            .recv_timeout(Duration::from_secs(120))
+            .expect("frame held back until finish()");
+        assert_eq!(early.frame.payload, vec![0x3C; 6]);
+        assert!(sys.finish().is_empty());
+    }
+
+    #[test]
+    fn fleet_shaped_config_still_runs_one_uncrashed_session() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let reg = Registry::prototype();
+        let xbee = reg.get(TechId::XBee).unwrap().clone();
+        let zwave = reg.get(TechId::ZWave).unwrap().clone();
+        let events = vec![
+            TxEvent::new(xbee, vec![0x11; 6], 100_000),
+            TxEvent::new(zwave, vec![0x22; 6], 700_000),
+        ];
+        let np = snr_to_noise_power(18.0, 0.0);
+        let cap = compose(&events, 1_500_000, FS, np, &mut rng);
+        let ids = |frames: &[PipelineFrame]| -> Vec<(TechId, Vec<u8>)> {
+            let mut v: Vec<_> = frames
+                .iter()
+                .map(|f| (f.frame.tech, f.frame.payload.clone()))
+                .collect();
+            v.sort();
+            v
+        };
+        let batch = crate::Galiot::new(GaliotConfig::prototype(), reg.clone())
+            .process_capture(&cap.samples);
+        assert_eq!(batch.frames.len(), 2);
+
+        // The shape `galiot-sim` hands every oracle: session 1 of 3
+        // silent from sample 0. None of it applies to one gateway.
+        let config = GaliotConfig::prototype()
+            .with_gateways(3)
+            .with_ingest_shards(5)
+            .with_crash(1, 0, false);
+        let sys = StreamingGaliot::start(config, reg);
+        for chunk in cap.samples.chunks(100_000) {
+            sys.push_chunk(chunk.to_vec());
+        }
+        let metrics = sys.metrics().clone();
+        let frames = sys.finish();
+        let m = metrics.snapshot();
+        assert_eq!(ids(&frames), ids(&batch.frames));
+        assert_eq!(m.fleet_gateways, 1, "{m:?}");
+        assert_eq!(m.ingest_shards, 0, "{m:?}");
+        assert_eq!(m.sessions_crashed, 0, "{m:?}");
+        assert_eq!(m.samples_processed, cap.samples.len() as u64, "{m:?}");
+        assert!(m.per_gateway_decoded.keys().all(|&gw| gw == 0), "{m:?}");
+    }
+
+    #[test]
+    fn gateway_busy_time_counts_each_flush_once() {
+        // A clean packet every other flush, all decoded at the edge, with a
+        // cloud that has nothing to do: the gateway thread's busy time
+        // cannot exceed the wall time of the run.
+        let mut rng = StdRng::seed_from_u64(8);
+        let reg = Registry::prototype();
+        let zwave = reg.get(TechId::ZWave).unwrap().clone();
+        let events: Vec<TxEvent> = (0..8)
+            .map(|i| TxEvent::new(zwave.clone(), vec![i as u8 + 1; 6], 60_000 + i * 420_000))
+            .collect();
+        let np = snr_to_noise_power(18.0, 0.0);
+        let cap = compose(&events, 3_400_000, FS, np, &mut rng);
+        let t0 = Instant::now();
+        let sys = StreamingGaliot::start(GaliotConfig::prototype(), reg);
+        for chunk in cap.samples.chunks(65_536) {
+            sys.push_chunk(chunk.to_vec());
+        }
+        let metrics = sys.metrics().clone();
+        let frames = sys.finish();
+        let wall_ns = t0.elapsed().as_nanos() as u64;
+        let m = metrics.snapshot();
+        assert_eq!(frames.len(), 8);
+        assert!(frames.iter().all(|f| f.at_edge), "{m:?}");
+        assert!(
+            m.gateway_busy_ns <= wall_ns,
+            "gateway busy {} ns over a {} ns run",
+            m.gateway_busy_ns,
+            wall_ns
+        );
     }
 
     #[test]

@@ -569,7 +569,12 @@ impl TraceSession {
 
 impl Drop for TraceSession {
     fn drop(&mut self) {
-        ENABLED.store(false, Ordering::SeqCst);
+        // A finished session has already stopped recording and handed
+        // the session lock on; storing again here would switch off the
+        // successor that was waiting on the lock.
+        if self.guard.is_some() {
+            ENABLED.store(false, Ordering::SeqCst);
+        }
     }
 }
 
