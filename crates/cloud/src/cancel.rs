@@ -17,6 +17,8 @@ use galiot_phy::{DecodedFrame, Technology};
 pub struct CancelReport {
     /// Sample offset the reference was aligned to.
     pub aligned_at: usize,
+    /// Samples subtracted, starting at `aligned_at`.
+    pub len: usize,
     /// Energy in the overlap before subtraction.
     pub energy_before: f32,
     /// Energy in the overlap after subtraction.
@@ -31,6 +33,12 @@ pub struct CancelReport {
 }
 
 impl CancelReport {
+    /// The samples of the residual the subtraction changed — everything
+    /// outside is bit-identical to before the call.
+    pub fn span(&self) -> std::ops::Range<usize> {
+        self.aligned_at..self.aligned_at + self.len
+    }
+
     /// Suppression achieved, in dB (positive = energy removed).
     pub fn suppression_db(&self) -> f32 {
         if self.energy_after <= 0.0 {
@@ -180,6 +188,7 @@ pub fn cancel_frame(
     let energy_after: f32 = kernels::energy_f32(&residual[at..at + n]);
     Some(CancelReport {
         aligned_at: at,
+        len: n,
         energy_before,
         energy_after,
         mean_gain: if gain_w > 0.0 {

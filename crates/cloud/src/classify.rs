@@ -5,11 +5,24 @@
 //! cloud"). The cloud identifies them by correlating the segment
 //! against each technology's own preamble and estimating per-signal
 //! received power from the matched-filter response.
+//!
+//! Successive cancellation re-classifies the residual after every
+//! subtracted frame, but a subtraction only changes the samples of that
+//! frame. [`Classifier`] therefore keeps each technology's correlation
+//! trace and re-scores only the lags a cancellation touched;
+//! [`classify()`] is its one-shot form.
 
+use std::borrow::Cow;
+use std::ops::Range;
+use std::sync::Arc;
+
+use galiot_dsp::engine::TemplateBank;
 use galiot_dsp::kernels;
 use galiot_dsp::Cf32;
 use galiot_phy::registry::Registry;
-use galiot_phy::TechId;
+use galiot_phy::{DecodedFrame, TechId};
+
+use crate::cancel::{cancel_frame, CancelReport};
 
 /// One classified signal inside a segment.
 #[derive(Clone, Copy, Debug)]
@@ -18,11 +31,27 @@ pub struct Classified {
     pub tech: TechId,
     /// Sample offset of its preamble inside the segment.
     pub start: usize,
+    /// Where a demodulator should start looking for the frame: `start`,
+    /// unless a lag at least a template length earlier scores within
+    /// 10 % of it. A frame's own tail can look like its preamble (a LoRa
+    /// frame whose last interleaver block is padding ends in eight plain
+    /// up-chirps) and outscore the real one by noise; the frame then
+    /// begins at the earlier lag.
+    pub search_from: usize,
     /// Normalized correlation score in [0, 1].
     pub score: f32,
     /// Estimated received amplitude (linear) from the matched filter.
     pub amplitude: f32,
 }
+
+/// How close to the best preamble correlation an earlier lag must score
+/// to count as a possible start of the same frame. Two preamble-like
+/// stretches of one frame sit at one SNR, so their scores differ by
+/// noise alone — a few percent wherever anything decodes. Only lags a
+/// whole template away are compared, so a preamble's own
+/// autocorrelation sidelobes never qualify; an unrelated earlier frame
+/// that does only widens the demodulator's window.
+const LOOKALIKE_SHARE: f32 = 0.9;
 
 impl Classified {
     /// Estimated received power (linear).
@@ -37,45 +66,148 @@ impl Classified {
 /// `threshold`, sorted by estimated power, strongest first — the decode
 /// order of Algorithm 1 ("dependent only on the power of the signal").
 pub fn classify(segment: &[Cf32], fs: f64, registry: &Registry, threshold: f32) -> Vec<Classified> {
-    let mut found = Vec::new();
-    // One template bank per (registry, fs): preamble waveforms and
-    // their forward FFTs are synthesized once, not per classify call.
-    let bank = registry.template_bank(fs);
-    for (i, tech) in registry.techs().iter().enumerate() {
-        let template = bank.template(i);
-        if template.len() > segment.len() || template.is_empty() {
-            continue;
+    Classifier::new(segment, fs, registry, threshold).candidates()
+}
+
+/// A segment's residual together with every technology's normalized
+/// preamble-correlation trace over it, kept consistent across
+/// cancellations.
+///
+/// The trace value at lag `i` depends only on residual samples
+/// `i..i + template_len`, so subtracting a frame from `span` leaves
+/// every lag outside `span.start - template_len + 1..span.end` exactly
+/// as it was: [`Classifier::cancel`] re-correlates that range alone (a
+/// LoRa frame dirties about a fifth of a collision segment, an XBee
+/// frame a fiftieth). The residual is only copied from the caller's
+/// segment when the first cancellation writes to it.
+pub struct Classifier<'a> {
+    registry: &'a Registry,
+    /// One template bank per (registry, fs): preamble waveforms and
+    /// their forward FFTs are synthesized once, not per segment.
+    bank: Arc<TemplateBank>,
+    fs: f64,
+    threshold: f32,
+    residual: Cow<'a, [Cf32]>,
+    /// Per technology, in registry order; empty where the template is
+    /// empty or longer than the segment.
+    traces: Vec<Vec<f32>>,
+}
+
+impl<'a> Classifier<'a> {
+    /// Correlates `segment` against every technology's preamble.
+    pub fn new(segment: &'a [Cf32], fs: f64, registry: &'a Registry, threshold: f32) -> Self {
+        let bank = registry.template_bank(fs);
+        let traces = (0..bank.len())
+            .map(|i| bank.template(i).xcorr_normalized(segment))
+            .collect();
+        Classifier {
+            registry,
+            bank,
+            fs,
+            threshold,
+            residual: Cow::Borrowed(segment),
+            traces,
         }
-        let ncc = template.xcorr_normalized(segment);
-        let Some((start, score)) = ncc
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, &v)| (i, v))
-        else {
-            continue;
-        };
-        if score < threshold {
-            continue;
-        }
-        // Amplitude from the raw matched-filter output at the peak:
-        // corr = a * E_template for a scaled template copy. A direct
-        // dot product at the known lag beats an FFT correlation whose
-        // only used output is lag zero.
-        let h = template.waveform();
-        let end = (start + h.len()).min(segment.len());
-        let dot = kernels::dot_conj(&segment[start..end], h);
-        let e = template.energy();
-        let amplitude = if e > 0.0 { dot.abs() / e } else { 0.0 };
-        found.push(Classified {
-            tech: tech.id(),
-            start,
-            score,
-            amplitude,
-        });
     }
-    found.sort_by(|a, b| b.amplitude.total_cmp(&a.amplitude));
-    found
+
+    /// The segment with every cancelled frame subtracted.
+    pub fn residual(&self) -> &[Cf32] {
+        &self.residual
+    }
+
+    /// The technologies present in the residual: one entry per
+    /// technology whose strongest preamble correlation reaches the
+    /// threshold, sorted by estimated power, strongest first.
+    pub fn candidates(&self) -> Vec<Classified> {
+        let mut found = Vec::new();
+        for (i, tech) in self.registry.techs().iter().enumerate() {
+            let Some((start, score)) = peak(&self.traces[i]) else {
+                continue;
+            };
+            if score < self.threshold {
+                continue;
+            }
+            let template = self.bank.template(i);
+            let search_from = peak(&self.traces[i][..start.saturating_sub(template.len())])
+                .filter(|&(_, v)| v >= LOOKALIKE_SHARE * score)
+                .map_or(start, |(i, _)| i);
+            // Amplitude from the raw matched-filter output at the peak:
+            // corr = a * E_template for a scaled template copy. A direct
+            // dot product at the known lag beats an FFT correlation whose
+            // only used output is lag zero.
+            let h = template.waveform();
+            let dot = kernels::dot_conj(&self.residual[start..start + h.len()], h);
+            let e = template.energy();
+            let amplitude = if e > 0.0 { dot.abs() / e } else { 0.0 };
+            found.push(Classified {
+                tech: tech.id(),
+                start,
+                search_from,
+                score,
+                amplitude,
+            });
+        }
+        found.sort_by(|a, b| b.amplitude.total_cmp(&a.amplitude));
+        found
+    }
+
+    /// Subtracts a decoded frame from the residual ([`cancel_frame`])
+    /// and re-scores the lags the subtraction touched. `None`, with the
+    /// residual unchanged, if the frame cannot be aligned.
+    pub fn cancel(&mut self, frame: &DecodedFrame, slack: usize) -> Option<CancelReport> {
+        let tech = self.registry.get(frame.tech)?;
+        let report = cancel_frame(self.residual.to_mut(), tech.as_ref(), frame, self.fs, slack)?;
+        self.rescore(report.span());
+        Some(report)
+    }
+
+    /// Re-correlates every lag whose template window overlaps `dirty`.
+    fn rescore(&mut self, dirty: Range<usize>) {
+        for (i, trace) in self.traces.iter_mut().enumerate() {
+            let template = self.bank.template(i);
+            let m = template.len();
+            let lo = (dirty.start + 1).saturating_sub(m);
+            let hi = dirty.end.min(trace.len());
+            if lo >= hi {
+                continue;
+            }
+            let fresh = template.xcorr_normalized(&self.residual[lo..hi + m - 1]);
+            trace[lo..hi].copy_from_slice(&fresh);
+        }
+    }
+}
+
+/// Index and value of the largest score in a trace (the last one on an
+/// exact tie; scores are never NaN).
+///
+/// Every round scans every trace twice, so the scan is shaped for the
+/// vectorizer: block maxima over independent lanes first, then an index
+/// search inside the one winning block.
+fn peak(trace: &[f32]) -> Option<(usize, f32)> {
+    const BLOCK: usize = 1024;
+    fn block_max(block: &[f32]) -> f32 {
+        let mut lanes = [f32::NEG_INFINITY; 16];
+        let chunks = block.chunks_exact(lanes.len());
+        let rest = chunks.remainder();
+        for chunk in chunks {
+            for (lane, &v) in lanes.iter_mut().zip(chunk) {
+                *lane = lane.max(v);
+            }
+        }
+        lanes
+            .iter()
+            .chain(rest)
+            .copied()
+            .fold(f32::NEG_INFINITY, f32::max)
+    }
+    let (block, max) = trace
+        .chunks(BLOCK)
+        .map(block_max)
+        .enumerate()
+        .max_by(|a, b| a.1.total_cmp(&b.1))?;
+    let from = block * BLOCK;
+    let at = trace[from..].iter().take(BLOCK).rposition(|&v| v == max)?;
+    Some((from + at, max))
 }
 
 #[cfg(test)]
@@ -146,6 +278,27 @@ mod tests {
         let noise = galiot_channel::awgn(200_000, 1.0, &mut rng);
         let found = classify(&noise, FS, &reg, 0.3);
         assert!(found.is_empty(), "{found:?}");
+    }
+
+    #[test]
+    fn peak_is_the_last_largest_element() {
+        assert_eq!(peak(&[]), None);
+        assert_eq!(peak(&[0.25]), Some((0, 0.25)));
+        // Across block and lane boundaries, with ties: the naive scan
+        // is the specification.
+        let mut trace: Vec<f32> = (0..5_000)
+            .map(|i| ((i * 7919) % 1009) as f32 / 2018.0)
+            .collect();
+        for at in [0, 15, 16, 1023, 1024, 2047, 4999] {
+            trace[at] = 0.75;
+            let naive = trace
+                .iter()
+                .enumerate()
+                .max_by(|a, b| a.1.total_cmp(b.1))
+                .map(|(i, &v)| (i, v));
+            assert_eq!(peak(&trace), naive, "peak planted at {at}");
+            assert_eq!(peak(&trace[..at + 1]), Some((at, 0.75)));
+        }
     }
 
     #[test]

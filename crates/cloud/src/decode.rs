@@ -9,12 +9,12 @@
 //! technology, exactly as the paper requires.
 
 use galiot_dsp::Cf32;
+use galiot_phy::common::{anchored_window, demodulate_anchored, MAX_DEMOD_FIR_TAPS};
 use galiot_phy::registry::Registry;
 use galiot_phy::{DecodedFrame, TechId};
 
-use crate::cancel::cancel_frame;
-use crate::classify::{classify, Classified};
-use crate::kill::apply_kill;
+use crate::classify::Classifier;
+use crate::kill::apply_kill_window;
 
 /// Cloud decoder tuning knobs.
 #[derive(Clone, Copy, Debug)]
@@ -108,10 +108,18 @@ impl CloudDecoder {
     /// copy — moving to the next-least `S_j` while that fails
     /// (step 14). If `S_i` is unrecoverable under every kill, move to
     /// the next-highest-powered `S_i` and repeat (steps 15-16).
+    ///
+    /// Every step works on the frame it concerns, not on the segment:
+    /// `S_i` is demodulated on the window the classifier anchored it
+    /// to, `S_j` is killed on that window only, and a cancellation
+    /// re-classifies only the lags it touched.
     pub fn decode(&self, segment: &[Cf32], fs: f64) -> CloudResult {
-        let mut residual = segment.to_vec();
         let mut result = CloudResult::default();
         let mut already: Vec<(TechId, Vec<u8>)> = Vec::new();
+        let slack = self.params.cancel_slack;
+        let pad = anchor_pad(slack);
+        let mut classifier =
+            Classifier::new(segment, fs, &self.registry, self.params.classify_threshold);
 
         while result.rounds < self.params.max_rounds {
             // One span per *successful* round, so the sic_round
@@ -119,12 +127,7 @@ impl CloudDecoder {
             // final nothing-left probe is discarded.
             let round_span =
                 galiot_trace::span(galiot_trace::Stage::SicRound, galiot_trace::NO_SEQ);
-            let candidates = classify(
-                &residual,
-                fs,
-                &self.registry,
-                self.params.classify_threshold,
-            );
+            let candidates = classifier.candidates();
             if candidates.is_empty() {
                 round_span.discard();
                 break;
@@ -132,23 +135,36 @@ impl CloudDecoder {
             let mut round: Option<(DecodedFrame, Recovery)> = None;
             // Steps 4/15-16: S_i in descending power order.
             's_i: for (i, s_i) in candidates.iter().enumerate() {
-                // Step 5: direct decode of S_i.
-                if let Some(frame) = self.try_decode(&residual, s_i, &already, fs) {
-                    if cancel_frame(
-                        &mut residual,
-                        self.registry.get(s_i.tech).unwrap().as_ref(),
-                        &frame,
-                        fs,
-                        self.params.cancel_slack,
-                    )
-                    .is_some()
+                let Some(tech) = self.registry.get(s_i.tech) else {
+                    continue;
+                };
+                let tech = tech.as_ref();
+                // Demodulates S_i where the classifier anchored it, in
+                // samples that begin at segment sample `offset`;
+                // rejects payloads already recovered.
+                let try_decode = |samples: &[Cf32], offset: usize| {
+                    let anchor = s_i.search_from - offset..=s_i.start - offset;
+                    let mut frame = demodulate_anchored(tech, samples, fs, anchor, pad).ok()?;
+                    if already
+                        .iter()
+                        .any(|(t, p)| *t == frame.tech && *p == frame.payload)
                     {
+                        return None;
+                    }
+                    frame.start += offset;
+                    Some(frame)
+                };
+                // Step 5: direct decode of S_i.
+                if let Some(frame) = try_decode(classifier.residual(), 0) {
+                    if classifier.cancel(&frame, slack).is_some() {
                         round = Some((frame, Recovery::Direct));
                         break 's_i;
                     }
                 }
                 // Steps 7-14: kill the least-powered other signal and
                 // retry S_i; escalate victims while it keeps failing.
+                let window =
+                    anchored_window(tech, fs, s_i.search_from..=s_i.start, pad, segment.len());
                 for (j, s_j) in candidates.iter().enumerate().rev() {
                     if i == j {
                         continue;
@@ -157,27 +173,20 @@ impl CloudDecoder {
                         continue;
                     };
                     let span_end = s_j.start + vtech.max_frame_samples(fs);
-                    let killed = apply_kill(
-                        &residual,
+                    let (offset, killed) = apply_kill_window(
+                        classifier.residual(),
                         fs,
                         vtech.as_ref(),
                         s_j.start,
-                        s_j.start..span_end.min(residual.len()),
+                        s_j.start..span_end.min(segment.len()),
+                        window.clone(),
                     );
                     result.kills += 1;
-                    if let Some(frame) = self.try_decode(&killed, s_i, &already, fs) {
-                        // Cancel from the *original* residual (not the
+                    if let Some(frame) = try_decode(&killed, offset) {
+                        // Cancel from the residual itself (not the
                         // killed copy) so S_j's own signal is preserved
                         // for later rounds.
-                        if cancel_frame(
-                            &mut residual,
-                            self.registry.get(s_i.tech).unwrap().as_ref(),
-                            &frame,
-                            fs,
-                            self.params.cancel_slack,
-                        )
-                        .is_some()
-                        {
+                        if classifier.cancel(&frame, slack).is_some() {
                             round = Some((frame, Recovery::AfterKill { victim: s_j.tech }));
                             break 's_i;
                         }
@@ -198,25 +207,13 @@ impl CloudDecoder {
         }
         result
     }
+}
 
-    /// Attempts to decode one classified signal, rejecting duplicates.
-    fn try_decode(
-        &self,
-        samples: &[Cf32],
-        cand: &Classified,
-        already: &[(TechId, Vec<u8>)],
-        fs: f64,
-    ) -> Option<DecodedFrame> {
-        let tech = self.registry.get(cand.tech)?;
-        let frame = tech.demodulate(samples, fs).ok()?;
-        if already
-            .iter()
-            .any(|(t, p)| *t == frame.tech && *p == frame.payload)
-        {
-            return None;
-        }
-        Some(frame)
-    }
+/// How far either side of a classifier anchor the demodulator is given
+/// samples: its channel filter's settling time, plus the alignment
+/// error cancellation later tolerates for the same frame.
+pub(crate) fn anchor_pad(cancel_slack: usize) -> usize {
+    MAX_DEMOD_FIR_TAPS + cancel_slack
 }
 
 #[cfg(test)]
@@ -322,6 +319,73 @@ mod tests {
             None => panic!("XBee not recovered: {:?}", res.frames),
         }
         assert!(res.payload_bits() > 0);
+    }
+
+    #[test]
+    fn two_frames_of_one_technology_are_both_recovered_strongest_first() {
+        // The classifier reports one anchor per technology per round:
+        // two rounds, two windows, and each frame's start re-based from
+        // its window to segment coordinates.
+        let mut rng = StdRng::seed_from_u64(galiot_channel::scenario_seed(6));
+        let reg = Registry::prototype();
+        let xbee = reg.get(TechId::XBee).unwrap().clone();
+        let events = vec![
+            TxEvent::new(xbee.clone(), vec![0xA1; 12], 30_000).with_power_db(-6.0),
+            TxEvent::new(xbee, vec![0xB2; 12], 180_000),
+        ];
+        let np = snr_to_noise_power(20.0, -6.0);
+        let cap = compose(&events, 260_000, FS, np, &mut rng);
+        let res = CloudDecoder::new(reg).decode(&cap.samples, FS);
+        let got: Vec<(Vec<u8>, usize)> = res
+            .frames
+            .iter()
+            .map(|(f, _)| (f.payload.clone(), f.start))
+            .collect();
+        assert_eq!(got.len(), 2, "{got:?}");
+        assert_eq!(got[0].0, vec![0xB2; 12], "strongest first: {got:?}");
+        assert!(got[0].1.abs_diff(180_000) <= 4, "{got:?}");
+        assert_eq!(got[1].0, vec![0xA1; 12]);
+        assert!(got[1].1.abs_diff(30_000) <= 4, "{got:?}");
+        assert_eq!(res.rounds, 2);
+    }
+
+    #[test]
+    fn frame_whose_tail_outscores_its_preamble_is_still_decoded() {
+        // A 9-byte LoRa payload leaves one data nibble in the last
+        // interleaver block; when it whitens to zero the frame ends in
+        // eight plain up-chirps — a second "preamble". Here the real
+        // one is attenuated so the tail wins the classifier's peak
+        // pick outright; the demodulator must still be pointed at the
+        // whole frame.
+        let reg = Registry::prototype();
+        let lora = reg.get(TechId::LoRa).unwrap().clone();
+        let preamble = lora.preamble_waveform(FS);
+        let m = preamble.len();
+        let (payload, frame) = (0..=255u8)
+            .map(|b| {
+                let payload = vec![b; 9];
+                let frame = lora.modulate(&payload, FS);
+                (payload, frame)
+            })
+            .find(|(_, frame)| {
+                let tail = &frame[frame.len() - m..];
+                galiot_dsp::kernels::dot_conj(tail, &preamble).abs() > 0.99 * m as f32
+            })
+            .expect("some 9-byte payload ends in a zero block");
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut samples = galiot_channel::awgn(120_000, snr_to_noise_power(6.0, 0.0), &mut rng);
+        let at = 16_000;
+        for (k, &z) in frame.iter().enumerate() {
+            samples[at + k] += if k < m { z * 0.8 } else { z };
+        }
+        let found = crate::classify(&samples, FS, &reg, 0.12);
+        let c = found.iter().find(|c| c.tech == TechId::LoRa).unwrap();
+        assert_eq!(c.start, at + frame.len() - m, "the tail is the peak");
+        assert_eq!(c.search_from, at, "the search opens at the real preamble");
+        let res = CloudDecoder::new(reg).decode(&samples, FS);
+        let got = payloads(&res);
+        assert!(got.contains(&(TechId::LoRa, payload)), "{got:?}");
+        assert!(res.frames[0].0.start.abs_diff(at) <= 8);
     }
 
     #[test]

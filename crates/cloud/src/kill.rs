@@ -5,9 +5,9 @@
 use galiot_dsp::fft::Fft;
 use galiot_dsp::kernels;
 use galiot_dsp::mix::mix;
-use galiot_dsp::spectral::{suppress_bands, Band};
+use galiot_dsp::spectral::{stft_frame, suppress_bands, suppress_bands_framed, Band};
 use galiot_dsp::Cf32;
-use galiot_phy::common::KillRecipe;
+use galiot_phy::common::{KillRecipe, WINDOW_ALIGN};
 use galiot_phy::Technology;
 
 /// KILL-FREQUENCY: suppress the spectral bands where an FSK/PSK
@@ -358,9 +358,48 @@ pub fn apply_kill(
     grid_start: usize,
     span: std::ops::Range<usize>,
 ) -> Vec<Cf32> {
+    apply_kill_window(samples, fs, tech, grid_start, span, 0..samples.len()).1
+}
+
+/// [`apply_kill`] on one window of a segment: what a decoder that only
+/// needs the samples a *target* frame occupies pays for, instead of
+/// filtering the whole segment whatever the victim's extent.
+///
+/// Returns the filtered copy and the segment index of its first
+/// sample. That index is `window.start`, except that grid-anchored
+/// filters (KILL-CSS, KILL-CODES) reach back to `grid_start` (down to
+/// [`WINDOW_ALIGN`], like any window) when the victim begins before the
+/// window, so the victim's frame anatomy is laid out from its real
+/// anchor. KILL-FREQUENCY keeps the STFT frame
+/// size the whole segment would have used, so its band edges are the
+/// same at any window length.
+pub(crate) fn apply_kill_window(
+    samples: &[Cf32],
+    fs: f64,
+    tech: &dyn Technology,
+    grid_start: usize,
+    span: std::ops::Range<usize>,
+    window: std::ops::Range<usize>,
+) -> (usize, Vec<Cf32>) {
     let _span = galiot_trace::span(galiot_trace::Stage::KillFilter, galiot_trace::NO_SEQ);
-    match tech.kill_recipe(fs) {
-        KillRecipe::Frequency(bands) => kill_frequency(samples, fs, &bands),
+    let hi = window.end.min(samples.len());
+    let recipe = tech.kill_recipe(fs);
+    let lo = match recipe {
+        KillRecipe::Css { .. } | KillRecipe::Codes { .. } if grid_start < window.start => {
+            grid_start / WINDOW_ALIGN * WINDOW_ALIGN
+        }
+        _ => window.start,
+    }
+    .min(hi);
+    let cut = &samples[lo..hi];
+    // The grid-anchored filters have `lo <= grid_start`; a span that
+    // begins before the cut simply clips to it.
+    let grid = grid_start.saturating_sub(lo);
+    let span = span.start.saturating_sub(lo)..span.end.saturating_sub(lo);
+    let killed = match recipe {
+        KillRecipe::Frequency(bands) => {
+            suppress_bands_framed(cut, fs, &bands, stft_frame(samples.len()))
+        }
         KillRecipe::Css {
             bw,
             sf,
@@ -368,12 +407,12 @@ pub fn apply_kill(
             head_symbols,
             sfd_symbols,
         } => kill_css(
-            samples,
+            cut,
             fs,
             bw,
             sf,
             center_offset_hz,
-            grid_start,
+            grid,
             span,
             head_symbols,
             sfd_symbols,
@@ -382,8 +421,9 @@ pub fn apply_kill(
             refs,
             sps,
             center_offset_hz,
-        } => kill_codes(samples, fs, &refs, sps, center_offset_hz, grid_start, span),
-    }
+        } => kill_codes(cut, fs, &refs, sps, center_offset_hz, grid, span),
+    };
+    (lo, killed)
 }
 
 #[cfg(test)]
@@ -460,6 +500,72 @@ mod tests {
         );
         // Samples before the span are bit-identical.
         assert_eq!(cap.samples[..t.start], killed[..t.start]);
+    }
+
+    #[test]
+    fn windowed_kill_css_matches_the_whole_segment_filter() {
+        // A LoRa victim that begins before the target's window: the
+        // window reaches back to the victim's grid anchor, and from
+        // there every whole symbol is filtered exactly as the
+        // whole-segment call filters it.
+        let mut rng = StdRng::seed_from_u64(7);
+        let lora: Arc<LoraPhy> = Arc::new(LoraPhy::new(LoraParams::default()));
+        let ev = TxEvent::new(lora.clone(), vec![0x3C; 10], 8_200 + 1_024);
+        let cap = compose(&[ev], 200_000, FS, 0.01, &mut rng);
+        let t = &cap.truth[0];
+        let span = t.start..t.start + t.len;
+        let whole = apply_kill(&cap.samples, FS, lora.as_ref(), t.start, span.clone());
+        let window = 30_000..52_000;
+        let (offset, cut) = apply_kill_window(
+            &cap.samples,
+            FS,
+            lora.as_ref(),
+            t.start,
+            span,
+            window.clone(),
+        );
+        assert_eq!(offset, 9_216, "reaches back to the grid anchor, aligned");
+        assert_eq!(cut.len(), window.end - offset);
+        // The last, partial symbol window of the cut is left alone.
+        let sps = 1024;
+        let upto = window.end - sps;
+        assert_eq!(cut[..upto - offset], whole[offset..upto]);
+        // A victim that begins inside the window needs no reach-back.
+        let (offset, cut) = apply_kill_window(
+            &cap.samples,
+            FS,
+            lora.as_ref(),
+            t.start,
+            t.start..t.start + t.len,
+            2_000..40_000,
+        );
+        assert_eq!(offset, 2_000);
+        assert_eq!(cut[..30_000], whole[2_000..32_000]);
+    }
+
+    #[test]
+    fn windowed_kill_frequency_suppresses_like_the_whole_segment_filter() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let xbee: Arc<XbeePhy> = Arc::new(XbeePhy::new(XbeeParams::default()));
+        let ev = TxEvent::new(xbee.clone(), vec![0x5A; 100], 60_000);
+        let cap = compose(&[ev], 272_000, FS, 0.0, &mut rng);
+        let t = &cap.truth[0];
+        let (offset, cut) = apply_kill_window(
+            &cap.samples,
+            FS,
+            xbee.as_ref(),
+            t.start,
+            t.start..t.start + t.len,
+            62_000..70_000,
+        );
+        assert_eq!((offset, cut.len()), (62_000, 8_000));
+        // An 8 k window would pick a 1024-point STFT on its own; the
+        // segment's 4096-point frame is what gives these band edges.
+        let inner = 64_000..68_000;
+        let before = mean_power(&cap.samples[inner.clone()]);
+        let after = mean_power(&cut[inner.start - offset..inner.end - offset]);
+        let s = 10.0 * (before / after.max(1e-20)).log10();
+        assert!(s > 10.0, "only {s} dB suppressed");
     }
 
     #[test]

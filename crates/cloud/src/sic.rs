@@ -13,11 +13,12 @@
 //! decoding it first.
 
 use galiot_dsp::Cf32;
+use galiot_phy::common::demodulate_anchored;
 use galiot_phy::registry::Registry;
 use galiot_phy::{DecodedFrame, TechId};
 
-use crate::cancel::cancel_frame;
-use crate::classify::classify;
+use crate::classify::Classifier;
+use crate::decode::anchor_pad;
 
 /// SIC tuning knobs.
 #[derive(Clone, Copy, Debug)]
@@ -50,35 +51,39 @@ pub struct SicResult {
 }
 
 /// Runs SIC on a segment: classify, decode strongest-first, cancel,
-/// repeat until nothing more decodes.
+/// repeat until nothing more decodes. Built from the same incremental
+/// classifier and anchored demodulation as [`crate::CloudDecoder`], so
+/// the two differ by algorithm only.
 pub fn sic_decode(segment: &[Cf32], fs: f64, registry: &Registry, params: &SicParams) -> SicResult {
-    let mut residual = segment.to_vec();
     let mut result = SicResult::default();
     let mut already: Vec<(TechId, Vec<u8>)> = Vec::new();
+    let pad = anchor_pad(params.cancel_slack);
+    let mut classifier = Classifier::new(segment, fs, registry, params.classify_threshold);
 
     while result.rounds < params.max_rounds {
         // One span per successful round (the stall probe is
         // discarded), mirroring the CloudDecode instrumentation.
         let round_span = galiot_trace::span(galiot_trace::Stage::SicRound, galiot_trace::NO_SEQ);
         let frame = (|| {
-            let candidates = classify(&residual, fs, registry, params.classify_threshold);
+            let candidates = classifier.candidates();
             // Strict SIC: only the strongest remaining signal is eligible.
             let strongest = candidates.first()?;
             let tech = registry.get(strongest.tech)?;
-            let frame = tech.demodulate(&residual, fs).ok()?;
+            let frame = demodulate_anchored(
+                tech.as_ref(),
+                classifier.residual(),
+                fs,
+                strongest.search_from..=strongest.start,
+                pad,
+            )
+            .ok()?;
             if already
                 .iter()
                 .any(|(t, p)| *t == frame.tech && *p == frame.payload)
             {
                 return None;
             }
-            cancel_frame(
-                &mut residual,
-                tech.as_ref(),
-                &frame,
-                fs,
-                params.cancel_slack,
-            )?;
+            classifier.cancel(&frame, params.cancel_slack)?;
             Some(frame)
         })();
         let Some(frame) = frame else {

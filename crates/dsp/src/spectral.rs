@@ -56,16 +56,16 @@ impl Band {
 
 /// Picks an STFT frame size for a capture: long enough for sharp band
 /// edges, short enough to track per-symbol structure.
-fn stft_frame(len: usize) -> usize {
+pub fn stft_frame(len: usize) -> usize {
     next_pow2(len / 8).clamp(256, 4096)
 }
 
-/// Applies `gain(f_hz) -> f32` to every STFT bin and resynthesizes.
-fn stft_apply(signal: &[Cf32], fs: f64, gain: impl Fn(f64) -> f32) -> Vec<Cf32> {
+/// Applies `gain(f_hz) -> f32` to every bin of an `n`-point STFT and
+/// resynthesizes.
+fn stft_apply(signal: &[Cf32], fs: f64, n: usize, gain: impl Fn(f64) -> f32) -> Vec<Cf32> {
     if signal.is_empty() {
         return Vec::new();
     }
-    let n = stft_frame(signal.len());
     let hop = n / 2;
     let plan = engine::plan(n);
     // sqrt-Hann analysis and synthesis windows: their product is Hann,
@@ -113,7 +113,18 @@ fn stft_apply(signal: &[Cf32], fs: f64, gain: impl Fn(f64) -> f32) -> Vec<Cf32> 
 /// Zeroes all spectral content of `signal` inside `bands`
 /// (a "kill" mask). The returned vector has the original length.
 pub fn suppress_bands(signal: &[Cf32], fs: f64, bands: &[Band]) -> Vec<Cf32> {
-    stft_apply(signal, fs, |f| {
+    suppress_bands_framed(signal, fs, bands, stft_frame(signal.len()))
+}
+
+/// [`suppress_bands`] with the STFT frame size chosen by the caller
+/// rather than from `signal.len()`: a caller filtering one window of a
+/// longer capture passes [`stft_frame`] of the capture, so the band
+/// edges are those the whole capture would have been filtered with.
+///
+/// # Panics
+/// Panics if `frame` is not a power of two.
+pub fn suppress_bands_framed(signal: &[Cf32], fs: f64, bands: &[Band], frame: usize) -> Vec<Cf32> {
+    stft_apply(signal, fs, frame, |f| {
         if bands.iter().any(|b| b.contains(f)) {
             0.0
         } else {
@@ -125,7 +136,7 @@ pub fn suppress_bands(signal: &[Cf32], fs: f64, bands: &[Band]) -> Vec<Cf32> {
 /// Zeroes all spectral content of `signal` *outside* `bands`
 /// (a band-select mask).
 pub fn select_bands(signal: &[Cf32], fs: f64, bands: &[Band]) -> Vec<Cf32> {
-    stft_apply(signal, fs, |f| {
+    stft_apply(signal, fs, stft_frame(signal.len()), |f| {
         if bands.iter().any(|b| b.contains(f)) {
             1.0
         } else {
@@ -137,7 +148,7 @@ pub fn select_bands(signal: &[Cf32], fs: f64, bands: &[Band]) -> Vec<Cf32> {
 /// Scales spectral content inside `bands` by `gain` (0 = kill,
 /// 1 = identity), leaving the rest untouched.
 pub fn apply_mask(signal: &[Cf32], fs: f64, bands: &[Band], gain: f32) -> Vec<Cf32> {
-    stft_apply(signal, fs, |f| {
+    stft_apply(signal, fs, stft_frame(signal.len()), |f| {
         if bands.iter().any(|b| b.contains(f)) {
             gain
         } else {

@@ -230,9 +230,150 @@ pub fn remodulate(tech: &dyn Technology, frame: &DecodedFrame, fs: f64) -> Vec<C
     tech.modulate(&frame.payload, fs)
 }
 
+/// Upper bound on the tap count of any demodulator's channel filter
+/// (the PHYs clamp their designs to it). A demodulator's output is only
+/// trustworthy this far inside the slice it was handed, so callers that
+/// cut a capture down to one frame pad the cut by at least this much.
+pub const MAX_DEMOD_FIR_TAPS: usize = 513;
+
+/// Windows cut out of a capture start on multiples of this many
+/// samples. A demodulator that decimates and slices symbols on a fixed
+/// grid from the first sample it is handed (LoRa: by `fs / bw`, then
+/// `2^sf` chips) recovers no fractional timing, so whether a marginal
+/// frame decodes depends on where its slice starts; a window must hand
+/// it the phase and grid the whole capture would have, not draw new
+/// ones. 1024 is the longest symbol of the prototype technologies at
+/// the prototype rate (LoRa SF7 at 8x oversampling); for longer symbols
+/// only the decimation phase is preserved.
+pub const WINDOW_ALIGN: usize = 1024;
+
+/// The slice of a `capture_len`-sample capture that a frame of `tech`
+/// can occupy when its preamble starts somewhere in `anchor`, widened
+/// by `pad` samples each side (and down to [`WINDOW_ALIGN`]).
+pub fn anchored_window(
+    tech: &dyn Technology,
+    fs: f64,
+    anchor: std::ops::RangeInclusive<usize>,
+    pad: usize,
+    capture_len: usize,
+) -> std::ops::Range<usize> {
+    let hi = anchor
+        .end()
+        .saturating_add(tech.max_frame_samples(fs))
+        .saturating_add(pad)
+        .min(capture_len);
+    let lo = anchor.start().saturating_sub(pad) / WINDOW_ALIGN * WINDOW_ALIGN;
+    lo.min(hi)..hi
+}
+
+/// Demodulates the frame of `tech` whose preamble a classifier placed
+/// in `anchor`: [`Technology::demodulate`] on the [`anchored_window`]
+/// only, with [`DecodedFrame::start`] re-based to `capture`
+/// coordinates. Cost follows the frame, not the capture, and a second
+/// frame of the same technology elsewhere in the capture cannot
+/// capture the sync search.
+pub fn demodulate_anchored(
+    tech: &dyn Technology,
+    capture: &[Cf32],
+    fs: f64,
+    anchor: std::ops::RangeInclusive<usize>,
+    pad: usize,
+) -> Result<DecodedFrame, PhyError> {
+    let window = anchored_window(tech, fs, anchor, pad, capture.len());
+    let mut frame = tech.demodulate(&capture[window.clone()], fs)?;
+    frame.start += window.start;
+    Ok(frame)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::xbee::{XbeeParams, XbeePhy};
+
+    const FS: f64 = 1_000_000.0;
+    const PAD: usize = MAX_DEMOD_FIR_TAPS + 64;
+
+    /// `len` silent samples with one XBee frame starting at `at`
+    /// (cut off where the capture ends).
+    fn xbee_at(at: usize, len: usize, payload: &[u8]) -> Vec<Cf32> {
+        let mut capture = vec![Cf32::ZERO; len];
+        let frame = XbeePhy::new(XbeeParams::default()).modulate(payload, FS);
+        for (dst, &src) in capture[at..].iter_mut().zip(&frame) {
+            *dst = src;
+        }
+        capture
+    }
+
+    #[test]
+    fn anchored_demodulation_reports_capture_coordinates() {
+        let xbee = XbeePhy::new(XbeeParams::default());
+        let capture = xbee_at(150_000, 200_000, b"anchored");
+        let frame =
+            demodulate_anchored(&xbee, &capture, FS, 150_003..=150_003, PAD).expect("decode");
+        assert_eq!(frame.payload, b"anchored");
+        assert!(frame.start.abs_diff(150_000) <= 2, "start {}", frame.start);
+        // The window is the frame's neighbourhood, not the capture.
+        let window = anchored_window(&xbee, FS, 150_003..=150_003, PAD, capture.len());
+        assert_eq!(window.start % WINDOW_ALIGN, 0);
+        assert!((150_003 - PAD - window.start) < WINDOW_ALIGN);
+        assert!(window.len() < xbee.max_frame_samples(FS) + 2 * PAD + WINDOW_ALIGN);
+        // An anchor range opens the window at its first lag and sizes
+        // it from its last.
+        let wide = anchored_window(&xbee, FS, 100_000..=150_003, PAD, capture.len());
+        let opens = (100_000 - PAD) / WINDOW_ALIGN * WINDOW_ALIGN;
+        assert_eq!((wide.start, wide.end), (opens, window.end));
+    }
+
+    #[test]
+    fn anchor_within_pad_of_either_end_of_the_capture() {
+        let xbee = XbeePhy::new(XbeeParams::default());
+        // Closer to sample 0 than the pad: the window clips at 0.
+        let head = xbee_at(40, 30_000, b"head");
+        let frame = demodulate_anchored(&xbee, &head, FS, 40..=40, PAD).expect("decode at head");
+        assert_eq!(frame.payload, b"head");
+        assert!(frame.start.abs_diff(40) <= 2, "start {}", frame.start);
+        // The frame's last sample is the capture's last: the window
+        // clips at the end and the whole frame is still inside.
+        let n = xbee.modulate(b"tail", FS).len();
+        let tail = xbee_at(30_000 - n, 30_000, b"tail");
+        let at = 30_000 - n;
+        let frame = demodulate_anchored(&xbee, &tail, FS, at..=at, PAD).expect("decode at tail");
+        assert_eq!(frame.payload, b"tail");
+        assert!(
+            frame.start.abs_diff(30_000 - n) <= 2,
+            "start {}",
+            frame.start
+        );
+    }
+
+    #[test]
+    fn frame_cut_by_the_capture_end_is_an_error_not_a_panic() {
+        let xbee = XbeePhy::new(XbeeParams::default());
+        let n = xbee.modulate(&[7; 40], FS).len();
+        // Cut mid-payload, mid-header, mid-preamble and down to nothing.
+        for keep in [n - 200, 1_200, 300, 30, 1] {
+            let len = 20_000 + keep;
+            let capture = xbee_at(20_000, len, &[7; 40]);
+            let got = demodulate_anchored(&xbee, &capture, FS, 20_000..=20_000, PAD);
+            assert!(
+                matches!(
+                    got,
+                    Err(PhyError::Truncated | PhyError::CaptureTooShort | PhyError::SyncNotFound)
+                ),
+                "{keep} samples kept: {got:?}"
+            );
+        }
+        // Anchors at and past the end: an empty window, never a slice
+        // out of range.
+        let capture = xbee_at(1_000, 10_000, b"x");
+        for anchor in [9_999, 10_000, usize::MAX] {
+            let at = anchor..=anchor;
+            assert!(
+                anchored_window(&xbee, FS, at.clone(), PAD, capture.len()).end <= capture.len()
+            );
+            assert!(demodulate_anchored(&xbee, &capture, FS, at, PAD).is_err());
+        }
+    }
 
     #[test]
     fn tech_ids_are_distinct_and_named() {

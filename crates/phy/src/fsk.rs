@@ -12,6 +12,7 @@
 //! appears on a discriminator output as a DC shift.
 
 use galiot_dsp::corr::ncc_real;
+use galiot_dsp::engine::FsCache;
 use galiot_dsp::fir::Fir;
 use galiot_dsp::mix::mix;
 use galiot_dsp::pulse::gaussian_filter;
@@ -40,6 +41,9 @@ pub struct FskParams {
 #[derive(Clone, Debug)]
 pub struct FskModem {
     params: FskParams,
+    /// The discriminator's channel filter, designed once per sample
+    /// rate rather than on every demodulation attempt.
+    channel_fir: FsCache<Fir>,
 }
 
 impl FskModem {
@@ -50,7 +54,10 @@ impl FskModem {
     pub fn new(params: FskParams) -> Self {
         assert!(params.bitrate > 0.0, "bitrate must be positive");
         assert!(params.deviation_hz > 0.0, "deviation must be positive");
-        FskModem { params }
+        FskModem {
+            params,
+            channel_fir: FsCache::new(),
+        }
     }
 
     /// The parameters this modem was built with.
@@ -118,10 +125,12 @@ impl FskModem {
             return Err(PhyError::CaptureTooShort);
         }
         let base = mix(capture, -self.params.center_offset_hz, fs);
-        // Carson bandwidth: deviation + bitrate.
-        let cutoff = (self.params.deviation_hz + self.params.bitrate).min(0.45 * fs);
-        let ntaps = (4 * sps + 1).clamp(33, 257);
-        let fir = Fir::lowpass(cutoff, fs, ntaps, Window::Hamming);
+        let fir = self.channel_fir.get_or(fs, || {
+            // Carson bandwidth: deviation + bitrate.
+            let cutoff = (self.params.deviation_hz + self.params.bitrate).min(0.45 * fs);
+            let ntaps = (4 * sps + 1).clamp(33, 257);
+            Fir::lowpass(cutoff, fs, ntaps, Window::Hamming)
+        });
         let filtered = fir.filter(&base);
         let k = fs as f32 / (2.0 * std::f32::consts::PI * self.params.deviation_hz as f32);
         let mut soft = Vec::with_capacity(filtered.len());

@@ -13,6 +13,7 @@
 //! filters and detection experiments exercise.
 
 use galiot_dsp::chirp::{downchirp, symbol_chirp, upchirp};
+use galiot_dsp::engine::FsCache;
 use galiot_dsp::fft::Fft;
 use galiot_dsp::fir::Fir;
 use galiot_dsp::kernels;
@@ -56,10 +57,22 @@ impl Default for LoraParams {
     }
 }
 
+/// What the demodulator designs once per sample rate rather than on
+/// every attempt: the anti-alias filter and the elementary chirps at
+/// rate `bw`.
+#[derive(Debug)]
+struct DemodTables {
+    /// `None` when the capture rate already equals `bw`.
+    channel_fir: Option<Fir>,
+    up: Vec<Cf32>,
+    down: Vec<Cf32>,
+}
+
 /// The LoRa technology implementation.
 #[derive(Clone, Debug)]
 pub struct LoraPhy {
     params: LoraParams,
+    demod: FsCache<DemodTables>,
 }
 
 impl LoraPhy {
@@ -70,7 +83,10 @@ impl LoraPhy {
     pub fn new(params: LoraParams) -> Self {
         assert!((7..=12).contains(&params.sf), "SF must be 7..=12");
         assert!(params.bw > 0.0, "bandwidth must be positive");
-        LoraPhy { params }
+        LoraPhy {
+            params,
+            demod: FsCache::new(),
+        }
     }
 
     /// The parameters in use.
@@ -180,24 +196,38 @@ impl LoraPhy {
         Ok(bits)
     }
 
+    /// The cached demodulator tables for capture rate `fs`
+    /// (oversampling factor `os`).
+    fn demod_tables(&self, fs: f64, os: usize) -> std::sync::Arc<DemodTables> {
+        self.demod.get_or(fs, || {
+            let n = 1usize << self.params.sf;
+            let bw = self.params.bw;
+            // Pass the full +-bw/2 chirp band; edge content aliases onto
+            // itself after decimation, which CSS is cyclic in by design.
+            let channel_fir = (os > 1).then(|| {
+                let ntaps = (6 * os + 1).clamp(33, crate::common::MAX_DEMOD_FIR_TAPS);
+                Fir::lowpass(0.49 * bw, fs, ntaps, Window::Hamming)
+            });
+            DemodTables {
+                channel_fir,
+                up: upchirp(bw, n, bw),
+                down: downchirp(bw, n, bw),
+            }
+        })
+    }
+
     /// Channelizes a capture to the LoRa baseband at rate `bw`:
     /// mix down, anti-alias, decimate by the oversampling factor.
-    fn channelize(&self, capture: &[Cf32], fs: f64) -> Result<Vec<Cf32>, PhyError> {
-        let (os, _) = self.geometry(fs)?;
+    fn channelize(&self, capture: &[Cf32], fs: f64, os: usize, fir: Option<&Fir>) -> Vec<Cf32> {
         let base = if self.params.center_offset_hz != 0.0 {
             mix(capture, -self.params.center_offset_hz, fs)
         } else {
             capture.to_vec()
         };
-        if os == 1 {
-            return Ok(base);
+        match fir {
+            Some(fir) => fir.filter(&base).iter().step_by(os).copied().collect(),
+            None => base,
         }
-        // Pass the full +-bw/2 chirp band; edge content aliases onto
-        // itself after decimation, which CSS is cyclic in by design.
-        let cutoff = 0.49 * self.params.bw;
-        let fir = Fir::lowpass(cutoff, fs, (6 * os + 1).max(33), Window::Hamming);
-        let filtered = fir.filter(&base);
-        Ok(filtered.iter().step_by(os).copied().collect())
     }
 
     /// Demodulates one symbol-aligned window (at rate `bw`,
@@ -310,12 +340,13 @@ impl Technology for LoraPhy {
         let n = 1usize << sf; // samples per symbol at rate bw
         let bw = self.params.bw;
 
-        let base = self.channelize(capture, fs)?;
+        let tables = self.demod_tables(fs, os);
+        let (up, down) = (&tables.up, &tables.down);
+        let base = self.channelize(capture, fs, os, tables.channel_fir.as_ref());
         if base.len() < (PREAMBLE_SYMBOLS + 5) * n {
             return Err(PhyError::CaptureTooShort);
         }
 
-        let down = downchirp(bw, n, bw);
         // Shared cached plan: every demod call (and every cloud worker)
         // reuses one 2^sf-point plan instead of re-planning per frame.
         let plan = galiot_dsp::engine::plan(n);
@@ -330,7 +361,7 @@ impl Technology for LoraPhy {
         let nwin = base.len() / n;
         let wins: Vec<(usize, f32)> = (0..nwin)
             .map(|i| {
-                let (bin, _, q) = self.dechirp_peak(&base[i * n..(i + 1) * n], &down, &plan);
+                let (bin, _, q) = self.dechirp_peak(&base[i * n..(i + 1) * n], down, &plan);
                 (bin, q)
             })
             .collect();
@@ -365,7 +396,6 @@ impl Technology for LoraPhy {
         let p_i = run_start * n;
         let max_cfo_bins = 8i64;
         let nn = n as i64;
-        let up = upchirp(bw, n, bw);
         let mut found: Option<(usize, i64)> = None; // (t_pre, cfo_bins)
                                                     // Smallest |cfo| hypotheses first.
         let mut dcs: Vec<i64> = (-max_cfo_bins..=max_cfo_bins).collect();
@@ -388,7 +418,7 @@ impl Technology for LoraPhy {
                 let mut ok = true;
                 for (s, &expect) in SYNC_SYMBOLS.iter().enumerate() {
                     let w = &base[sync_at + s * n..sync_at + (s + 1) * n];
-                    let (bin, _, q) = self.dechirp_peak(w, &down, &plan);
+                    let (bin, _, q) = self.dechirp_peak(w, down, &plan);
                     let want = ((expect as i64 + cfo) % nn + nn) % nn;
                     if q < q_thr || bin_dist(bin, want as usize, n) > 1 {
                         ok = false;
@@ -405,7 +435,7 @@ impl Technology for LoraPhy {
                 // degeneracy the up-side checks alone cannot resolve.
                 for s in 0..2usize {
                     let w = &base[sfd_at + s * n..sfd_at + (s + 1) * n];
-                    let (bin, _, q) = self.dechirp_peak(w, &up, &plan);
+                    let (bin, _, q) = self.dechirp_peak(w, up, &plan);
                     let want = ((cfo % nn) + nn) % nn;
                     if q < q_thr || bin_dist(bin, want as usize, n) > 1 {
                         ok = false;
@@ -430,7 +460,7 @@ impl Technology for LoraPhy {
             if s + n > base.len() {
                 break;
             }
-            let (_, c, _) = self.dechirp_peak(&base[s..s + n], &down, &plan);
+            let (_, c, _) = self.dechirp_peak(&base[s..s + n], down, &plan);
             if let Some(p) = prev {
                 drift += c * p.conj();
             }
@@ -459,7 +489,7 @@ impl Technology for LoraPhy {
                 if s + n > base.len() {
                     return Err(PhyError::Truncated);
                 }
-                syms.push(self.demod_symbol(&base[s..s + n], &down, &plan));
+                syms.push(self.demod_symbol(&base[s..s + n], down, &plan));
             }
             Ok(syms)
         };

@@ -131,7 +131,12 @@ impl SigfoxPhy {
         let base = mix(capture, -self.params.center_offset_hz, fs);
         let cutoff = (2.0 * self.params.bitrate).min(0.45 * fs);
         let ntaps = (fs / self.params.bitrate / 2.0) as usize | 1;
-        let fir = Fir::lowpass(cutoff, fs, ntaps.clamp(33, 513), Window::Hamming);
+        let fir = Fir::lowpass(
+            cutoff,
+            fs,
+            ntaps.clamp(33, crate::common::MAX_DEMOD_FIR_TAPS),
+            Window::Hamming,
+        );
         let filt = fir.filter(&base);
         let mut soft = vec![0.0f32; filt.len()];
         for i in sps..filt.len() {

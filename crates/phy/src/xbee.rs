@@ -6,6 +6,7 @@
 //! (payload + CRC-16/CCITT FCS). Modulation is 2-GFSK at 50 kb/s with
 //! modulation index 1 (±25 kHz deviation), BT = 0.5.
 
+use galiot_dsp::engine::FsCache;
 use galiot_dsp::spectral::Band;
 use galiot_dsp::Cf32;
 
@@ -46,6 +47,9 @@ impl Default for XbeeParams {
 #[derive(Clone, Debug)]
 pub struct XbeePhy {
     modem: FskModem,
+    /// Discriminator-domain preamble+SFD template, shaped once per
+    /// sample rate rather than on every demodulation attempt.
+    sync: FsCache<Vec<f32>>,
 }
 
 impl XbeePhy {
@@ -58,6 +62,7 @@ impl XbeePhy {
                 bt: Some(params.bt),
                 center_offset_hz: params.center_offset_hz,
             }),
+            sync: FsCache::new(),
         }
     }
 
@@ -131,12 +136,16 @@ impl Technology for XbeePhy {
     fn demodulate(&self, capture: &[Cf32], fs: f64) -> Result<DecodedFrame, PhyError> {
         let soft = self.modem.discriminate(capture, fs)?;
         let sync_bits = Self::sync_bits();
-        let template = self.modem.sync_template(&sync_bits, fs)?;
+        let sps = self.modem.sps(fs)?;
+        let template = self.sync.get_or(fs, || {
+            self.modem
+                .sync_template(&sync_bits, fs)
+                .expect("sample rate checked by sps")
+        });
         let (start, _) = self
             .modem
             .find_sync(&soft, &template, 0.55)
             .ok_or(PhyError::SyncNotFound)?;
-        let sps = self.modem.sps(fs)?;
         let data_at = start + sync_bits.len() * sps;
 
         // PHR first.

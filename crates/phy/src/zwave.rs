@@ -12,6 +12,7 @@
 //! | R2 | 40 kb/s | NRZ | ±20 kHz | 8-bit XOR checksum |
 //! | R3 | 100 kb/s | NRZ, GFSK BT 0.6 | ±29 kHz | CRC-16 (AUG-CCITT) |
 
+use galiot_dsp::engine::FsCache;
 use galiot_dsp::spectral::Band;
 use galiot_dsp::Cf32;
 
@@ -115,6 +116,9 @@ impl Default for ZwaveParams {
 pub struct ZwavePhy {
     modem: FskModem,
     params: ZwaveParams,
+    /// Discriminator-domain preamble+SOF template, shaped once per
+    /// sample rate rather than on every demodulation attempt.
+    sync: FsCache<Vec<f32>>,
 }
 
 impl ZwavePhy {
@@ -128,6 +132,7 @@ impl ZwavePhy {
                 center_offset_hz: params.center_offset_hz,
             }),
             params,
+            sync: FsCache::new(),
         }
     }
 
@@ -247,12 +252,16 @@ impl Technology for ZwavePhy {
     fn demodulate(&self, capture: &[Cf32], fs: f64) -> Result<DecodedFrame, PhyError> {
         let soft = self.modem.discriminate(capture, fs)?;
         let sync_line = self.sync_line_bits();
-        let template = self.modem.sync_template(&sync_line, fs)?;
+        let sps = self.modem.sps(fs)?;
+        let template = self.sync.get_or(fs, || {
+            self.modem
+                .sync_template(&sync_line, fs)
+                .expect("sample rate checked by sps")
+        });
         let (start, _) = self
             .modem
             .find_sync(&soft, &template, 0.55)
             .ok_or(PhyError::SyncNotFound)?;
-        let sps = self.modem.sps(fs)?;
         let lf = self.line_factor();
         let mpdu_at = start + sync_line.len() * sps;
 
