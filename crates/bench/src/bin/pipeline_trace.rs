@@ -9,7 +9,8 @@
 //! when nobody is looking — and fails the run if the traced-but-idle
 //! detector is more than 3% slower than the span-free baseline.
 //!
-//! Writes `BENCH_pr4.json` (stage summaries + overhead numbers) and
+//! Writes `BENCH_pr4.json` (the trace's stats report — stage summaries,
+//! event totals, drops — plus the overhead numbers) and
 //! `trace_pr4.json` (chrome://tracing timeline of the workload).
 //! Usage: `pipeline_trace [trials] [seed]` or `--trials N --seed S`.
 
@@ -65,8 +66,7 @@ fn main() {
     }
     let frames = sys.finish();
     let trace = session.finish();
-    let mut m = metrics.snapshot();
-    m.record_trace(&trace);
+    let m = metrics.snapshot();
 
     trace
         .write_chrome_trace(std::path::Path::new("trace_pr4.json"))
@@ -91,8 +91,8 @@ fn main() {
 
     // ── Overhead regression: disabled tracing must be near-free ──────
     // `detect_raw` is the span-free inherent method; the trait `detect`
-    // adds the (currently disabled — the session above is finished)
-    // span guard. Best-of-N wall time for each, interleaved so thermal
+    // adds the span guard, disarmed here: the session above is
+    // finished, so this thread has no recorder. Best-of-N wall time for each, interleaved so thermal
     // or scheduler drift hits both sides alike.
     assert!(!galiot_trace::enabled(), "session leaked into the bench");
     let registry = Registry::prototype();
@@ -123,7 +123,11 @@ fn main() {
         "{{\n  \"bench\": \"pipeline_trace\",\n  \"seed\": {seed},\n  \
          \"samples\": {},\n  \"frames\": {},\n  \"shipped_segments\": {},\n  \
          \"sic_rounds\": {},\n  \"kill_applications\": {},\n  \
-         \"span_records\": {},\n  \"event_records\": {},\n  \"stages\": {{",
+         \"span_records\": {},\n  \"event_records\": {},\n  \"trace\": {},\n  \
+         \"overhead\": {{\n    \"baseline_detect_raw_ns\": {best_raw},\n    \
+         \"tracing_disabled_detect_ns\": {best_disabled},\n    \
+         \"overhead_fraction\": {overhead:.6},\n    \
+         \"budget_fraction\": {OVERHEAD_BUDGET}\n  }}\n}}\n",
         samples.len(),
         frames.len(),
         m.shipped_segments,
@@ -131,31 +135,13 @@ fn main() {
         m.kill_applications,
         trace.spans.len(),
         trace.events.len(),
-    );
-    let mut first = true;
-    for (stage, h) in trace.stage_histograms() {
-        if h.count() == 0 {
-            continue;
-        }
-        if !first {
-            json.push(',');
-        }
-        first = false;
-        json.push_str("\n    ");
-        json.push_str(&galiot_trace::export::summary_json(stage.name(), h));
-    }
-    let _ = write!(
-        json,
-        "\n  }},\n  \"overhead\": {{\n    \"baseline_detect_raw_ns\": {best_raw},\n    \
-         \"tracing_disabled_detect_ns\": {best_disabled},\n    \
-         \"overhead_fraction\": {overhead:.6},\n    \
-         \"budget_fraction\": {OVERHEAD_BUDGET}\n  }}\n}}\n"
+        trace.stats_json(),
     );
     std::fs::write("BENCH_pr4.json", &json).expect("write BENCH_pr4.json");
     println!("# wrote BENCH_pr4.json and trace_pr4.json");
 
     // Sanity: the workload exercised the cloud tier at all.
-    assert!(m.shipped_segments > 0, "nothing shipped: {m}");
+    assert!(m.shipped_segments > 0, "nothing shipped: {m:?}");
     assert!(m.sic_rounds > 0, "no SIC rounds on a collision workload");
     assert!(
         trace.histogram(Stage::WorkerDecode).count() > 0,

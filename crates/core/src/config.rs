@@ -6,8 +6,7 @@ use galiot_cloud::CloudParams;
 use galiot_gateway::{FrontEndParams, LinkFaults};
 use std::fmt;
 
-/// Why a [`GaliotConfig`] was rejected by [`GaliotConfig::validate`]
-/// or one of the `try_with_*` builders.
+/// Why a [`GaliotConfig`] was rejected by [`GaliotConfig::validate`].
 ///
 /// Every variant names a *silently-degenerate* configuration: one the
 /// pipelines would accept without an immediate error but that cannot
@@ -426,82 +425,6 @@ impl GaliotConfig {
         }
         Ok(())
     }
-
-    /// [`GaliotConfig::validate`] as a consuming builder finisher:
-    /// `config.with_gateways(n).with_crash(...).validated()?`.
-    pub fn validated(self) -> Result<Self, ConfigError> {
-        self.validate()?;
-        Ok(self)
-    }
-
-    /// [`GaliotConfig::with_gateways`], rejecting a zero-session fleet.
-    pub fn try_with_gateways(self, gateways: usize) -> Result<Self, ConfigError> {
-        if gateways == 0 {
-            return Err(ConfigError::ZeroCount { field: "gateways" });
-        }
-        Ok(self.with_gateways(gateways))
-    }
-
-    /// [`GaliotConfig::with_ingest_shards`], rejecting an *explicit*
-    /// zero shard count (auto-sizing is expressed by not calling this;
-    /// an explicit 0 is almost always a generator bug, not a request
-    /// for one-shard-per-worker).
-    pub fn try_with_ingest_shards(self, shards: usize) -> Result<Self, ConfigError> {
-        if shards == 0 {
-            return Err(ConfigError::ZeroCount {
-                field: "ingest_shards",
-            });
-        }
-        Ok(self.with_ingest_shards(shards))
-    }
-
-    /// [`GaliotConfig::with_liveness_horizon`], rejecting an *explicit*
-    /// `0` (which disables eviction and lets a dead session wedge the
-    /// fleet; disabling on purpose goes through the raw field or the
-    /// unchecked builder).
-    pub fn try_with_liveness_horizon(self, horizon: u64) -> Result<Self, ConfigError> {
-        if horizon == 0 {
-            return Err(ConfigError::ZeroCount {
-                field: "liveness_horizon",
-            });
-        }
-        Ok(self.with_liveness_horizon(horizon))
-    }
-
-    /// [`GaliotConfig::with_decode_deadline`], rejecting a deadline
-    /// that is not finite and strictly positive (a zero or negative
-    /// lease would declare every worker hung on dispatch).
-    pub fn try_with_decode_deadline(self, deadline_s: f64) -> Result<Self, ConfigError> {
-        if !(deadline_s.is_finite() && deadline_s > 0.0) {
-            return Err(ConfigError::NonPositive {
-                field: "decode_deadline_s",
-                value: deadline_s,
-            });
-        }
-        Ok(self.with_decode_deadline(deadline_s))
-    }
-
-    /// [`GaliotConfig::with_crash`], rejecting a session index outside
-    /// the configured fleet and a no-restart crash the liveness reaper
-    /// could never evict. Set `gateways` (and any custom
-    /// `liveness_horizon`) before injecting crashes.
-    pub fn try_with_crash(
-        self,
-        session: usize,
-        after_segments: u64,
-        restart: bool,
-    ) -> Result<Self, ConfigError> {
-        if session >= self.gateways {
-            return Err(ConfigError::CrashSessionOutOfRange {
-                session,
-                gateways: self.gateways,
-            });
-        }
-        if !restart && self.liveness_horizon == 0 {
-            return Err(ConfigError::CrashWithoutEviction { session });
-        }
-        Ok(self.with_crash(session, after_segments, restart))
-    }
 }
 
 #[cfg(test)]
@@ -547,7 +470,7 @@ mod tests {
             .with_gateways(4)
             .with_cloud_workers(4)
             .with_crash(2, 3, true)
-            .validated()
+            .validate()
             .unwrap();
     }
 
@@ -614,6 +537,15 @@ mod tests {
                 gateways: 2
             })
         );
+        // ... whatever its restart policy, and in the default fleet of
+        // one too.
+        assert_eq!(
+            GaliotConfig::prototype().with_crash(1, 0, true).validate(),
+            Err(ConfigError::CrashSessionOutOfRange {
+                session: 1,
+                gateways: 1
+            })
+        );
         // A no-restart crash with eviction disabled wedges the fleet.
         let c = GaliotConfig::prototype()
             .with_gateways(2)
@@ -629,41 +561,16 @@ mod tests {
             .with_gateways(2)
             .with_liveness_horizon(0)
             .with_crash(0, 0, true)
-            .validated()
+            .validate()
             .unwrap();
-    }
-
-    #[test]
-    fn try_builders_reject_what_with_builders_accept() {
-        assert!(GaliotConfig::prototype().try_with_gateways(0).is_err());
-        assert!(GaliotConfig::prototype().try_with_ingest_shards(0).is_err());
-        assert!(GaliotConfig::prototype()
-            .try_with_liveness_horizon(0)
-            .is_err());
-        assert!(GaliotConfig::prototype()
-            .try_with_crash(1, 0, true)
-            .is_err());
-        let c = GaliotConfig::prototype()
-            .try_with_gateways(3)
-            .unwrap()
-            .try_with_ingest_shards(5)
-            .unwrap()
-            .try_with_liveness_horizon(16)
-            .unwrap()
-            .try_with_crash(1, 2, false)
+        // And a no-restart crash is fine while the reaper can evict it.
+        GaliotConfig::prototype()
+            .with_gateways(3)
+            .with_ingest_shards(5)
+            .with_liveness_horizon(16)
+            .with_crash(1, 2, false)
+            .validate()
             .unwrap();
-        assert_eq!(c.gateways, 3);
-        assert_eq!(c.ingest_shards, 5);
-        assert_eq!(c.liveness_horizon, 16);
-        assert_eq!(
-            c.crashes,
-            vec![CrashSpec {
-                session: 1,
-                after_segments: 2,
-                restart: false
-            }]
-        );
-        c.validated().unwrap();
     }
 
     #[test]
@@ -685,12 +592,10 @@ mod tests {
                 ..
             })
         ));
-        assert!(GaliotConfig::prototype()
-            .try_with_decode_deadline(f64::NAN)
-            .is_err());
+        c.decode_deadline_s = f64::NAN;
+        assert!(c.validate().is_err());
         let c = GaliotConfig::prototype()
-            .try_with_decode_deadline(0.25)
-            .unwrap()
+            .with_decode_deadline(0.25)
             .with_decode_retries(1);
         assert_eq!(c.decode_deadline_s, 0.25);
         assert_eq!(c.decode_retries, 1);
@@ -710,7 +615,7 @@ mod tests {
             sticky_attempts: 1,
             seed: 7,
         });
-        c.validated().unwrap();
+        c.validate().unwrap();
     }
 
     #[test]

@@ -50,6 +50,11 @@ impl std::error::Error for SpawnError {
 /// handle, or a [`SpawnError`] naming the thread and carrying the final
 /// OS error once the retry budget is spent.
 ///
+/// The child inherits the caller's trace recorder before `f` runs
+/// ([`galiot_trace::inherit`]): every pipeline thread is born here, so
+/// a pipeline records into the session of the thread that started it —
+/// or, started outside any session, nowhere.
+///
 /// `Builder::spawn` consumes its closure even when it fails, so the
 /// real closure lives in a shared slot and each attempt hands the OS a
 /// cheap shim that takes it out; a failed attempt only drops the shim.
@@ -57,6 +62,11 @@ pub fn spawn_thread<F>(name: &str, f: F) -> Result<JoinHandle<()>, SpawnError>
 where
     F: FnOnce() + Send + 'static,
 {
+    let adopt_recorder = galiot_trace::inherit();
+    let f = move || {
+        adopt_recorder();
+        f()
+    };
     let slot = Arc::new(Mutex::new(Some(f)));
     let mut attempt = 0;
     loop {
@@ -102,6 +112,23 @@ mod tests {
         .expect("spawn test thread");
         handle.join().expect("join test thread");
         assert!(ran.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn spawned_thread_inherits_the_callers_trace_session() {
+        let child_enabled = |expect: bool| {
+            spawn_thread("galiot-spawn-trace", move || {
+                assert_eq!(galiot_trace::enabled(), expect);
+            })
+            .expect("spawn test thread")
+            .join()
+            .expect("child saw the wrong recorder");
+        };
+        child_enabled(false);
+        let session = galiot_trace::TraceSession::start();
+        child_enabled(true);
+        drop(session);
+        child_enabled(false);
     }
 
     #[test]

@@ -628,32 +628,9 @@ pub(crate) fn spawn_supervised_pool(
     metrics: SharedMetrics,
 ) -> SupervisedPool {
     let (intake_tx, intake_rx) = bounded::<PoolItem>(intake_cap);
-    let (done_tx, done_rx) = unbounded::<Done>();
-    let n_workers = n_workers.max(1);
-    let sup = Supervisor {
-        deadline: Duration::from_secs_f64(config.decode_deadline_s),
-        retries: config.decode_retries,
-        faults: config.decode_faults,
-        fs: config.fs,
-        cloud_params: config.cloud,
-        hop_latency: config
-            .emulate_backhaul
-            .then(|| Duration::from_secs_f64(config.backhaul_latency_s)),
-        registry,
-        n_shards,
-        n_workers,
-        intake_cap: intake_cap.max(1),
-        result_tx,
-        metrics,
-        done_tx,
-        done_rx,
-        slots: Vec::with_capacity(n_workers),
-        runq: VecDeque::new(),
-        prefq: (0..n_workers).map(|_| VecDeque::new()).collect(),
-        leases: HashMap::new(),
-        resolved: HashMap::new(),
-        next_lease: 0,
-    };
+    let sup = Supervisor::new(
+        config, registry, n_workers, intake_cap, n_shards, result_tx, metrics,
+    );
     let supervisor = spawn_thread("galiot-pool-supervisor", move || sup.run(intake_rx))
         .unwrap_or_else(|e| panic!("decode pool startup: {e}"));
     SupervisedPool {
@@ -693,6 +670,45 @@ struct Supervisor {
 }
 
 impl Supervisor {
+    /// A supervisor with no worker slots yet ([`Supervisor::run`]
+    /// spawns them).
+    fn new(
+        config: &GaliotConfig,
+        registry: Registry,
+        n_workers: usize,
+        intake_cap: usize,
+        n_shards: usize,
+        result_tx: Sender<ResultMsg>,
+        metrics: SharedMetrics,
+    ) -> Self {
+        let (done_tx, done_rx) = unbounded::<Done>();
+        let n_workers = n_workers.max(1);
+        Supervisor {
+            deadline: Duration::from_secs_f64(config.decode_deadline_s),
+            retries: config.decode_retries,
+            faults: config.decode_faults,
+            fs: config.fs,
+            cloud_params: config.cloud,
+            hop_latency: config
+                .emulate_backhaul
+                .then(|| Duration::from_secs_f64(config.backhaul_latency_s)),
+            registry,
+            n_shards,
+            n_workers,
+            intake_cap: intake_cap.max(1),
+            result_tx,
+            metrics,
+            done_tx,
+            done_rx,
+            slots: Vec::with_capacity(n_workers),
+            runq: VecDeque::new(),
+            prefq: (0..n_workers).map(|_| VecDeque::new()).collect(),
+            leases: HashMap::new(),
+            resolved: HashMap::new(),
+            next_lease: 0,
+        }
+    }
+
     fn run(mut self, intake_rx: Receiver<PoolItem>) {
         for wid in 0..self.n_workers {
             match self.spawn_slot(wid, 0) {
@@ -993,6 +1009,9 @@ impl Supervisor {
     /// segment until its result is queued at the merge).
     fn win(&mut self, id: u64, wid: usize, frames: Vec<PipelineFrame>, power: f32) {
         let Lease { seg, credit, .. } = self.leases.remove(&id).expect("winning lease exists");
+        // A slow attempt can win after it was declared hung, while its
+        // retry is still queued: every queued id must name a live lease.
+        self.runq.retain(|&queued| queued != id);
         galiot_trace::event(
             galiot_trace::EventKind::Decode,
             galiot_trace::tag_seq(seg.gateway.0, seg.seq),
@@ -1231,6 +1250,65 @@ mod tests {
     use rand::SeedableRng;
 
     const FS: f64 = 1_000_000.0;
+
+    /// A slow first attempt is declared hung, its retry waits in the
+    /// queue (every worker busy), and then the slow attempt finishes
+    /// and wins: the queued retry names a resolved lease and must not
+    /// be dispatched. Driven on a supervisor with one thread-less slot.
+    #[test]
+    fn late_win_purges_its_queued_retry() {
+        let (result_tx, result_rx) = unbounded();
+        let metrics = SharedMetrics::new();
+        let config = GaliotConfig::prototype();
+        let registry = Registry::prototype();
+        let mut sup = Supervisor::new(&config, registry, 1, 4, 0, result_tx, metrics.clone());
+        let (tx, attempt_rx) = bounded(1);
+        sup.slots.push(Some(WorkerSlot {
+            incarnation: 0,
+            tx,
+            abandoned: Arc::new(AtomicBool::new(false)),
+            busy: None,
+            handle: None,
+        }));
+
+        let samples = vec![Cf32::new(0.5, -0.5); 256];
+        let seg = ShippedSegment::pack(7, 1_000, &samples, 8, 64);
+        sup.admit(seg.into());
+        sup.dispatch();
+        let first = attempt_rx.try_recv().expect("first attempt dispatched");
+        assert_eq!((first.lease, first.attempt), (0, 0));
+
+        sup.fail_attempt(first.lease, FAIL_HUNG);
+        assert_eq!(sup.queued(), 1, "retry queued behind the busy worker");
+        sup.on_done(Done {
+            wid: 0,
+            incarnation: 0,
+            lease: first.lease,
+            attempt: first.attempt,
+            outcome: Outcome::Decoded {
+                frames: Vec::new(),
+                power: 0.0,
+                rounds: 0,
+                kills: 0,
+            },
+            busy_ns: 1,
+        });
+        sup.dispatch();
+
+        assert_eq!(sup.queued(), 0);
+        assert!(sup.leases.is_empty());
+        assert!(
+            attempt_rx.try_recv().is_err(),
+            "resolved lease re-dispatched"
+        );
+        assert!(matches!(
+            result_rx.try_recv(),
+            Ok(ResultMsg::Segment(SegmentResult { seq: 7, .. }))
+        ));
+        assert!(result_rx.try_recv().is_err(), "one result per segment");
+        let m = metrics.snapshot();
+        assert_eq!((m.decode_retried, m.decode_stale_results), (1, 0), "{m:?}");
+    }
 
     #[test]
     fn streaming_decodes_packet_spanning_chunks() {

@@ -8,9 +8,8 @@
 //! thread. Segment sequence numbers ride in `args.seq`, so following
 //! one packet across threads is a search for its seq.
 //!
-//! The stats report is the same per-stage summary [`crate::Trace`]
-//! feeds into `Metrics`: count / p50 / p95 / p99 / max / mean per
-//! stage, totals per event kind, and the ring drop count.
+//! The stats report is a per-stage summary — count / p50 / p95 / p99 /
+//! max / mean — plus totals per event kind and the ring drop count.
 
 use crate::{EventKind, Trace, NO_SEQ};
 use std::fmt::Write as _;
@@ -103,19 +102,7 @@ pub fn stats_json(trace: &Trace) -> String {
             continue;
         }
         push_sep(&mut out, &mut first);
-        let s = h.summary();
-        let _ = write!(
-            out,
-            "\"{}\":{{\"count\":{},\"p50_ns\":{},\"p95_ns\":{},\
-             \"p99_ns\":{},\"max_ns\":{},\"mean_ns\":{:.1}}}",
-            stage.name(),
-            s.count,
-            s.p50_ns,
-            s.p95_ns,
-            s.p99_ns,
-            s.max_ns,
-            s.mean_ns
-        );
+        out.push_str(&summary_json(stage.name(), h));
     }
     out.push_str("},\"events\":{");
     let mut first = true;
@@ -127,8 +114,8 @@ pub fn stats_json(trace: &Trace) -> String {
     out
 }
 
-/// Render one stage's summary as a JSON object fragment (shared by
-/// the bench bin and `Metrics`' own report).
+/// Render one stage's summary as a JSON object fragment
+/// (`"name":{…}`), as [`stats_json`] lists them.
 pub fn summary_json(stage_name: &str, h: &crate::Histogram) -> String {
     let s = h.summary();
     format!(

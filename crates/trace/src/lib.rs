@@ -10,30 +10,32 @@
 //!
 //! ## Design constraints
 //!
-//! - **Near-zero disabled cost.** [`span`] and [`event`] check one
-//!   relaxed atomic and return without reading the clock when tracing
-//!   is off. The hot path never allocates: a record is four `u64`
-//!   stores into a pre-sized ring.
+//! - **Near-zero disabled cost.** [`span`] and [`event`] check the
+//!   calling thread's recorder (one thread-local read) and return
+//!   without reading the clock when it has none. The hot path never
+//!   allocates: a record is four `u64` stores into a pre-sized ring.
 //! - **Lock-free recording, no `unsafe`.** Each thread owns one
 //!   [`Arc`]'d ring of atomic slot quads; it is the only writer.
 //!   Slots are claimed with a relaxed `fetch_add` and published with a
 //!   release store of the tag word. A full ring *counts drops* instead
 //!   of wrapping, so the conformance oracle can demand `dropped == 0`
 //!   rather than silently losing the records it is about to assert on.
-//! - **Sessions are serialized.** One global recorder means two
-//!   concurrent traced runs would interleave; [`TraceSession`] holds a
-//!   process-wide lock for its lifetime, so parallel `cargo test`
-//!   threads queue instead of corrupting each other's traces.
+//! - **A session owns its recorder.** [`TraceSession::start`] creates
+//!   one recorder (thread rings + stage histograms) and makes it the
+//!   *calling thread's* current recorder; a thread records into its
+//!   current recorder or nowhere. Pipeline threads get theirs from the
+//!   thread that spawned them ([`inherit`], called by
+//!   `galiot_core::spawn_thread`), so a pipeline started inside a
+//!   session is traced whole, one started outside any session costs a
+//!   thread-local read per span, and concurrent sessions in one
+//!   process never see each other's records.
 //! - **Drain after quiescence.** [`TraceSession::finish`] must be
 //!   called after the traced pipeline's threads have been joined
-//!   (`StreamingGaliot::run` returns post-join, so the natural call
+//!   (`StreamingGaliot::finish` returns post-join, so the natural call
 //!   order is correct). Records written by still-running threads may
-//!   be missed or half-visible.
-//!
-//! Threads discover the current session through a generation counter:
-//! each session bump invalidates every thread's cached ring handle, so
-//! reused test threads and freshly spawned pipeline threads alike
-//! register a new ring on their first record.
+//!   be missed or half-visible; a thread the pipeline abandoned (a
+//!   hung decode worker) keeps the recorder alive and stops recording
+//!   into it once the session is finished.
 //!
 //! Exporters live in [`export`] (chrome://tracing JSON + stats
 //! report); the structural test oracle lives in [`verify`].
@@ -49,7 +51,7 @@ pub use hist::{Histogram, Summary, N_BUCKETS};
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Number of traced pipeline stages.
@@ -109,7 +111,7 @@ pub fn split_epoch_seq(seq: u64) -> (u64, u64) {
     (seq >> EPOCH_SHIFT, seq & ((1u64 << EPOCH_SHIFT) - 1))
 }
 
-/// A traced pipeline stage. The discriminant indexes the global
+/// A traced pipeline stage. The discriminant indexes a recorder's
 /// per-stage histogram table and [`Stage::ALL`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
@@ -235,17 +237,12 @@ impl EventKind {
 }
 
 // ---------------------------------------------------------------------------
-// Global recorder state
+// The recorder
 // ---------------------------------------------------------------------------
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static GENERATION: AtomicU64 = AtomicU64::new(0);
-static RING_CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_RING_CAPACITY);
-static NEXT_TID: AtomicUsize = AtomicUsize::new(0);
-static SESSION_LOCK: Mutex<()> = Mutex::new(());
-static REGISTRY: Mutex<Vec<Arc<ThreadRing>>> = Mutex::new(Vec::new());
+/// Time origin of every timestamp; process-wide so traces of
+/// concurrent sessions share one axis.
 static EPOCH: OnceLock<Instant> = OnceLock::new();
-static STAGE_HISTS: [AtomicHist; N_STAGES] = [const { AtomicHist::new() }; N_STAGES];
 
 /// Tag-word bit distinguishing event slots from span slots.
 const TAG_EVENT_BIT: u64 = 1 << 8;
@@ -255,13 +252,6 @@ const SLOT_EMPTY: u64 = u64::MAX;
 #[inline]
 fn now_ns() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // Tracing must stay usable across panic-injection tests; a poisoned
-    // lock carries no broken invariant here (the state is reset at
-    // every session start).
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 struct Slot {
@@ -283,8 +273,7 @@ impl Slot {
 }
 
 struct ThreadRing {
-    tid: usize,
-    name: String,
+    info: ThreadInfo,
     slots: Box<[Slot]>,
     len: AtomicUsize,
     dropped: AtomicU64,
@@ -305,46 +294,6 @@ impl ThreadRing {
         // whole record or an empty slot, never a torn one.
         s.tag.store(tag, Ordering::Release);
     }
-}
-
-thread_local! {
-    static LOCAL: RefCell<Option<(u64, Arc<ThreadRing>)>> = const { RefCell::new(None) };
-}
-
-fn with_ring(f: impl FnOnce(&ThreadRing)) {
-    LOCAL.with(|cell| {
-        let mut local = cell.borrow_mut();
-        let generation = GENERATION.load(Ordering::Acquire);
-        let stale = match &*local {
-            Some((g, _)) => *g != generation,
-            None => true,
-        };
-        if stale {
-            *local = Some((generation, register_ring()));
-        }
-        if let Some((_, ring)) = &*local {
-            f(ring);
-        }
-    });
-}
-
-fn register_ring() -> Arc<ThreadRing> {
-    let capacity = RING_CAPACITY.load(Ordering::Relaxed);
-    let tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-    let name = std::thread::current()
-        .name()
-        .map(str::to_owned)
-        .unwrap_or_else(|| format!("thread-{tid}"));
-    let slots: Box<[Slot]> = (0..capacity).map(|_| Slot::empty()).collect();
-    let ring = Arc::new(ThreadRing {
-        tid,
-        name,
-        slots,
-        len: AtomicUsize::new(0),
-        dropped: AtomicU64::new(0),
-    });
-    lock(&REGISTRY).push(Arc::clone(&ring));
-    ring
 }
 
 struct AtomicHist {
@@ -383,57 +332,124 @@ impl AtomicHist {
             max: self.max.load(Ordering::Relaxed),
         }
     }
+}
 
-    fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
+/// Everything one session records into: created by
+/// [`TraceSession::start`], shared (`Arc`) with every thread that
+/// inherits it, drained by [`TraceSession::finish`].
+struct Recorder {
+    /// Cleared when the session ends, so a thread that outlives it
+    /// stops paying for the clock. Publishes no other data (a drain
+    /// follows the joins of the threads it reads), hence `Relaxed`.
+    recording: AtomicBool,
+    ring_capacity: usize,
+    /// One ring per thread that recorded, in registration order — a
+    /// ring's index is its session-local thread id.
+    rings: Mutex<Vec<Arc<ThreadRing>>>,
+    hists: [AtomicHist; N_STAGES],
+}
+
+impl Recorder {
+    fn register_ring(&self) -> Arc<ThreadRing> {
+        // Tracing must stay usable across panic-injection tests; a
+        // poisoned lock carries no broken invariant (push-only list).
+        let mut rings = self.rings.lock().unwrap_or_else(PoisonError::into_inner);
+        let tid = rings.len();
+        let name = std::thread::current()
+            .name()
+            .map(str::to_owned)
+            .unwrap_or_else(|| format!("thread-{tid}"));
+        let ring = Arc::new(ThreadRing {
+            info: ThreadInfo { tid, name },
+            slots: (0..self.ring_capacity).map(|_| Slot::empty()).collect(),
+            len: AtomicUsize::new(0),
+            dropped: AtomicU64::new(0),
+        });
+        rings.push(Arc::clone(&ring));
+        ring
     }
+}
+
+/// A thread's current recorder and, once it has recorded, its ring in
+/// it.
+type Local = (Arc<Recorder>, Option<Arc<ThreadRing>>);
+
+thread_local! {
+    static CURRENT: RefCell<Option<Local>> = const { RefCell::new(None) };
+}
+
+/// Makes `recorder` (or nothing) the calling thread's current recorder.
+fn install(recorder: Option<Arc<Recorder>>) {
+    // `try_with`: a thread already tearing its locals down records
+    // nowhere.
+    let _ = CURRENT.try_with(|cell| {
+        *cell.borrow_mut() = recorder.map(|recorder| (recorder, None));
+    });
+}
+
+/// Runs `f` on the calling thread's recorder and ring, if the thread
+/// has a recorder that is still recording.
+fn record(f: impl FnOnce(&Recorder, &ThreadRing)) {
+    let _ = CURRENT.try_with(|cell| {
+        if let Some((recorder, ring)) = &mut *cell.borrow_mut() {
+            if recorder.recording.load(Ordering::Relaxed) {
+                f(
+                    recorder,
+                    ring.get_or_insert_with(|| recorder.register_ring()),
+                );
+            }
+        }
+    });
+}
+
+/// Captures the calling thread's current recorder for a thread it is
+/// about to spawn: run the returned closure first thing on the child
+/// and the child records into the same session as its parent (or
+/// nowhere, if the parent has none). `galiot_core::spawn_thread` — the
+/// one place pipeline threads are born — does exactly that.
+pub fn inherit() -> impl FnOnce() + Send + 'static {
+    let recorder = CURRENT
+        .try_with(|cell| cell.borrow().as_ref().map(|(r, _)| Arc::clone(r)))
+        .ok()
+        .flatten();
+    move || install(recorder)
 }
 
 // ---------------------------------------------------------------------------
 // Recording API
 // ---------------------------------------------------------------------------
 
-/// Is a trace session currently recording?
+/// Is the calling thread recording into a live trace session?
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    CURRENT
+        .try_with(|cell| {
+            cell.borrow()
+                .as_ref()
+                .is_some_and(|(r, _)| r.recording.load(Ordering::Relaxed))
+        })
+        .unwrap_or(false)
 }
 
 /// Open a timed span for `stage`, tagged with a segment sequence
 /// number (or [`NO_SEQ`]). The span is recorded when the returned
-/// guard drops. When tracing is disabled this is one relaxed atomic
-/// load — the clock is never read and nothing is recorded.
+/// guard drops. On a thread with no live recorder this is one
+/// thread-local read — the clock is never read and nothing is recorded.
 #[inline]
 pub fn span(stage: Stage, seq: u64) -> SpanGuard {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return SpanGuard {
-            stage,
-            seq,
-            start_ns: 0,
-            armed: false,
-        };
-    }
+    let armed = enabled();
     SpanGuard {
         stage,
         seq,
-        start_ns: now_ns(),
-        armed: true,
+        start_ns: if armed { now_ns() } else { 0 },
+        armed,
     }
 }
 
 /// Record an instantaneous lifecycle event for segment `seq`.
 #[inline]
 pub fn event(kind: EventKind, seq: u64) {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return;
-    }
-    let t = now_ns();
-    with_ring(|r| r.push(kind as u64 | TAG_EVENT_BIT, seq, t, 0));
+    record(|_, ring| ring.push(kind as u64 | TAG_EVENT_BIT, seq, now_ns(), 0));
 }
 
 /// RAII guard returned by [`span`]; records the span on drop.
@@ -468,8 +484,10 @@ impl Drop for SpanGuard {
             return;
         }
         let dur = now_ns().saturating_sub(self.start_ns);
-        STAGE_HISTS[self.stage as usize].record(dur);
-        with_ring(|r| r.push(self.stage as u64, self.seq, self.start_ns, dur));
+        record(|recorder, ring| {
+            recorder.hists[self.stage as usize].record(dur);
+            ring.push(self.stage as u64, self.seq, self.start_ns, dur);
+        });
     }
 }
 
@@ -477,12 +495,13 @@ impl Drop for SpanGuard {
 // Sessions and drained traces
 // ---------------------------------------------------------------------------
 
-/// An exclusive recording session. Created by [`TraceSession::start`],
-/// consumed by [`TraceSession::finish`]. Holds a process-wide lock so
-/// concurrent sessions serialize; dropping without `finish` disables
-/// tracing and discards the recording.
+/// A recording session: owns one recorder, which the starting thread
+/// and every pipeline thread spawned under it record into. Created by
+/// [`TraceSession::start`], consumed by [`TraceSession::finish`];
+/// dropping without `finish` discards the recording. Sessions on
+/// different threads are independent.
 pub struct TraceSession {
-    guard: Option<MutexGuard<'static, ()>>,
+    recorder: Arc<Recorder>,
 }
 
 impl TraceSession {
@@ -492,43 +511,38 @@ impl TraceSession {
     }
 
     /// Start recording with an explicit per-thread ring capacity
-    /// (records per thread; floored at 16).
+    /// (records per thread; floored at 16). The new recorder replaces
+    /// whatever the calling thread was recording into.
     pub fn start_with_capacity(capacity: usize) -> TraceSession {
-        let guard = SESSION_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        lock(&REGISTRY).clear();
-        NEXT_TID.store(0, Ordering::Relaxed);
-        RING_CAPACITY.store(capacity.max(16), Ordering::Relaxed);
-        for h in &STAGE_HISTS {
-            h.reset();
-        }
         let _ = EPOCH.get_or_init(Instant::now);
-        // Publish the new generation before enabling so every thread's
-        // first record registers a fresh ring.
-        GENERATION.fetch_add(1, Ordering::Release);
-        ENABLED.store(true, Ordering::SeqCst);
-        TraceSession { guard: Some(guard) }
+        let recorder = Arc::new(Recorder {
+            recording: AtomicBool::new(true),
+            ring_capacity: capacity.max(16),
+            rings: Mutex::new(Vec::new()),
+            hists: [const { AtomicHist::new() }; N_STAGES],
+        });
+        install(Some(Arc::clone(&recorder)));
+        TraceSession { recorder }
     }
 
-    /// Stop recording and drain every thread's ring into a [`Trace`].
+    /// Drain every thread's ring into a [`Trace`]; recording stops as
+    /// the session drops.
     ///
     /// Call only after the traced pipeline's threads have been joined
     /// (see the crate docs); records from still-running threads may be
     /// missed.
-    pub fn finish(mut self) -> Trace {
-        ENABLED.store(false, Ordering::SeqCst);
-        let rings: Vec<Arc<ThreadRing>> = lock(&REGISTRY).drain(..).collect();
+    pub fn finish(self) -> Trace {
+        let recorder = &self.recorder;
+        let rings = recorder
+            .rings
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let mut trace = Trace {
-            spans: Vec::new(),
-            events: Vec::new(),
-            threads: Vec::new(),
-            dropped: 0,
-            hists: STAGE_HISTS.iter().map(AtomicHist::snapshot).collect(),
+            hists: recorder.hists.iter().map(AtomicHist::snapshot).collect(),
+            ..Trace::default()
         };
-        for ring in &rings {
-            trace.threads.push(ThreadInfo {
-                tid: ring.tid,
-                name: ring.name.clone(),
-            });
+        for ring in rings.iter() {
+            trace.threads.push(ring.info.clone());
             trace.dropped += ring.dropped.load(Ordering::Relaxed);
             let n = ring.len.load(Ordering::Relaxed).min(ring.slots.len());
             for s in &ring.slots[..n] {
@@ -542,7 +556,7 @@ impl TraceSession {
                 if tag & TAG_EVENT_BIT != 0 {
                     if let Some(kind) = EventKind::from_code((tag & 0xff) as u8) {
                         trace.events.push(EventRec {
-                            tid: ring.tid,
+                            tid: ring.info.tid,
                             kind,
                             seq,
                             t_ns: a,
@@ -550,7 +564,7 @@ impl TraceSession {
                     }
                 } else if let Some(stage) = Stage::from_index(tag as usize) {
                     trace.spans.push(SpanRec {
-                        tid: ring.tid,
+                        tid: ring.info.tid,
                         stage,
                         seq,
                         start_ns: a,
@@ -559,22 +573,24 @@ impl TraceSession {
                 }
             }
         }
-        trace.threads.sort_by_key(|t| t.tid);
         trace.spans.sort_by_key(|s| (s.start_ns, s.tid));
         trace.events.sort_by_key(|e| (e.t_ns, e.tid));
-        self.guard.take();
         trace
     }
 }
 
 impl Drop for TraceSession {
+    /// Ends recording (a finished session has been drained by now), and
+    /// detaches the calling thread if this session's recorder is still
+    /// its current one.
     fn drop(&mut self) {
-        // A finished session has already stopped recording and handed
-        // the session lock on; storing again here would switch off the
-        // successor that was waiting on the lock.
-        if self.guard.is_some() {
-            ENABLED.store(false, Ordering::SeqCst);
-        }
+        self.recorder.recording.store(false, Ordering::Relaxed);
+        let _ = CURRENT.try_with(|cell| {
+            let mut current = cell.borrow_mut();
+            if matches!(&*current, Some((r, _)) if Arc::ptr_eq(r, &self.recorder)) {
+                *current = None;
+            }
+        });
     }
 }
 
@@ -694,22 +710,36 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
 
     #[test]
     fn disabled_recording_is_invisible() {
+        // Another thread's session is open for as long as this thread
+        // records: with no recorder of its own, this thread is disabled
+        // and its records go nowhere — not into that session either.
+        let (opened_tx, opened_rx) = mpsc::channel();
+        let (close_tx, close_rx) = mpsc::channel();
+        let other = std::thread::spawn(move || {
+            let session = TraceSession::start();
+            opened_tx.send(()).unwrap();
+            close_rx.recv().unwrap();
+            session.finish()
+        });
+        opened_rx.recv().unwrap();
         assert!(!enabled());
-        // No session: spans and events must record nothing, and a
-        // subsequent empty session must not see them.
         event(EventKind::Ship, 1);
         {
             let _s = span(Stage::Compress, 1);
         }
-        let session = TraceSession::start();
-        let trace = session.finish();
-        assert!(trace.spans.is_empty());
-        assert!(trace.events.is_empty());
-        assert_eq!(trace.dropped, 0);
-        assert_eq!(trace.histogram(Stage::Compress).count(), 0);
+        close_tx.send(()).unwrap();
+        // Nor does a session this thread opens afterwards see them.
+        for trace in [other.join().unwrap(), TraceSession::start().finish()] {
+            assert!(trace.spans.is_empty());
+            assert!(trace.events.is_empty());
+            assert!(trace.threads.is_empty());
+            assert_eq!(trace.dropped, 0);
+            assert_eq!(trace.histogram(Stage::Compress).count(), 0);
+        }
     }
 
     #[test]
@@ -774,27 +804,66 @@ mod tests {
     }
 
     #[test]
-    fn threads_register_fresh_rings_per_session() {
+    fn threads_record_into_the_recorder_they_inherit_or_nowhere() {
         let session = TraceSession::start();
         event(EventKind::Ship, 7);
-        let handle = std::thread::Builder::new()
+        let adopt = inherit();
+        let heir = std::thread::Builder::new()
             .name("ring-test".into())
-            .spawn(|| {
+            .spawn(move || {
+                adopt();
+                assert!(enabled());
                 let _s = span(Stage::Extract, NO_SEQ);
             })
             .unwrap();
-        handle.join().unwrap();
+        // Spawned while the session is open, but outside its lineage.
+        let stranger = std::thread::spawn(|| {
+            assert!(!enabled());
+            let _s = span(Stage::Compress, NO_SEQ);
+            event(EventKind::Shed, 9);
+        });
+        heir.join().unwrap();
+        stranger.join().unwrap();
         let trace = session.finish();
         assert_eq!(trace.threads.len(), 2);
         assert!(trace.threads.iter().any(|t| t.name == "ring-test"));
+        assert_eq!(trace.span_count(Stage::Extract), 1);
+        assert_eq!(trace.spans.len(), 1, "{:?}", trace.spans);
+        assert_eq!(trace.event_count(EventKind::Shed), 0);
+        assert!(!enabled(), "finish must detach the session's own thread");
 
-        // Same (reused) main thread, next session: counters reset.
+        // Same (reused) main thread, next session: a fresh recorder.
         let session = TraceSession::start();
         event(EventKind::Ship, 8);
         let trace = session.finish();
         assert_eq!(trace.threads.len(), 1);
         assert_eq!(trace.events.len(), 1);
         assert_eq!(trace.events[0].seq, 8);
+        assert_eq!(trace.histogram(Stage::Extract).count(), 0);
+    }
+
+    #[test]
+    fn recorder_outlives_finish_while_an_abandoned_thread_holds_it() {
+        let session = TraceSession::start();
+        let adopt = inherit();
+        let (recorded_tx, recorded_rx) = mpsc::channel();
+        let (wake_tx, wake_rx) = mpsc::channel();
+        // A hung worker: records once, then wakes after the session it
+        // belongs to has been drained and dropped.
+        let hung = std::thread::spawn(move || {
+            adopt();
+            event(EventKind::Ship, 1);
+            recorded_tx.send(()).unwrap();
+            wake_rx.recv().unwrap();
+            let _s = span(Stage::WorkerDecode, 1);
+            event(EventKind::Decode, 1);
+            enabled()
+        });
+        recorded_rx.recv().unwrap();
+        let trace = session.finish();
+        assert_eq!(trace.events.len(), 1);
+        wake_tx.send(()).unwrap();
+        assert!(!hung.join().unwrap(), "straggler still recording");
     }
 
     #[test]

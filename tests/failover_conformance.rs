@@ -58,12 +58,12 @@ const HORIZON: u64 = 12;
 /// deadlocked teardown trips this rather than hanging the suite.
 const CELL_DEADLINE: Duration = Duration::from_secs(180);
 
-/// Serializes the suite: every test here runs a full multi-gateway
-/// fleet (channelizer + mux + decode pool + merge, all CPU-bound) and
-/// two of them record a process-global [`TraceSession`]. On a small
-/// box, letting them contend turns the wall-clock budgets above into
-/// lottery tickets — the cells are timing assertions, so they run one
-/// at a time.
+/// Serializes the suite, for *timing* only (each cell's
+/// [`TraceSession`] sees just its own fleet): every test here runs a
+/// full multi-gateway fleet (channelizer + mux + decode pool + merge,
+/// all CPU-bound). On a small box, letting them contend turns the
+/// wall-clock budgets above into lottery tickets — the cells are
+/// timing assertions, so they run one at a time (ROADMAP item 5).
 static SUITE: Mutex<()> = Mutex::new(());
 
 fn suite_lock() -> MutexGuard<'static, ()> {

@@ -22,19 +22,20 @@ use std::time::Duration;
 
 const FS: f64 = 1_000_000.0;
 
-/// Serializes the decode-running tests in this binary. The recovery
-/// matrix records a [`TraceSession`] — a process-global recorder — so
-/// any concurrently running pipeline or DSP stage would bleed spans
-/// into its trace and break the reconciliation it asserts.
-static PIPELINE: Mutex<()> = Mutex::new(());
+/// Serializes the two decode-deadline matrices — for *timing*, not for
+/// tracing (each cell's trace session sees only its own pipeline): a
+/// cell asserts that honest decodes beat a 2 s lease and that the whole
+/// hang ladder fits a 90 s budget, and two matrices contending for the
+/// same cores turn those wall-clock bounds into a lottery (ROADMAP
+/// item 5). The other tests assert no timing and run alongside.
+static TIMING: Mutex<()> = Mutex::new(());
 
-fn pipeline_lock() -> MutexGuard<'static, ()> {
-    PIPELINE.lock().unwrap_or_else(PoisonError::into_inner)
+fn timing_lock() -> MutexGuard<'static, ()> {
+    TIMING.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[test]
 fn truncated_frames_error_cleanly_for_every_phy() {
-    let _serial = pipeline_lock();
     let reg = Registry::extended();
     for tech in reg.techs() {
         let fs = if tech.id() == TechId::SigFox {
@@ -58,7 +59,6 @@ fn truncated_frames_error_cleanly_for_every_phy() {
 
 #[test]
 fn degenerate_samples_do_not_panic_detectors_or_demods() {
-    let _serial = pipeline_lock();
     let reg = Registry::prototype();
     let nasty: Vec<Cf32> = (0..50_000)
         .map(|i| match i % 5 {
@@ -82,7 +82,6 @@ fn degenerate_samples_do_not_panic_detectors_or_demods() {
 
 #[test]
 fn empty_and_tiny_captures_flow_through_the_pipeline() {
-    let _serial = pipeline_lock();
     let system = Galiot::new(GaliotConfig::prototype(), Registry::prototype());
     for n in [0usize, 1, 7, 100, 1000] {
         let report = system.process_capture(&vec![Cf32::ZERO; n]);
@@ -92,7 +91,6 @@ fn empty_and_tiny_captures_flow_through_the_pipeline() {
 
 #[test]
 fn corrupted_compressed_segments_decompress_without_panic() {
-    let _serial = pipeline_lock();
     let mut rng = StdRng::seed_from_u64(scenario_seed(1));
     let reg = Registry::prototype();
     let xbee = reg.get(TechId::XBee).unwrap().clone();
@@ -126,7 +124,6 @@ fn corrupted_compressed_segments_decompress_without_panic() {
 
 #[test]
 fn cancellation_with_a_lying_frame_does_not_panic_or_amplify() {
-    let _serial = pipeline_lock();
     // A frame whose payload does NOT match what's on the air: the
     // block gains should fit poorly and the subtraction stay bounded.
     let mut rng = StdRng::seed_from_u64(scenario_seed(2));
@@ -152,7 +149,6 @@ fn cancellation_with_a_lying_frame_does_not_panic_or_amplify() {
 
 #[test]
 fn sic_handles_captures_full_of_preamble_lookalikes() {
-    let _serial = pipeline_lock();
     // A capture that is nothing but repeated preamble patterns (no
     // valid frames) must terminate and return nothing.
     let reg = Registry::prototype();
@@ -168,7 +164,6 @@ fn sic_handles_captures_full_of_preamble_lookalikes() {
 
 #[test]
 fn zero_power_capture_is_quiet_everywhere() {
-    let _serial = pipeline_lock();
     let reg = Registry::prototype();
     let silence = vec![Cf32::ZERO; 200_000];
     assert!(UniversalDetector::auto(&reg, FS)
@@ -229,7 +224,6 @@ impl Technology for PanickingPhy {
 
 #[test]
 fn poisoned_segment_does_not_take_down_the_worker_pool() {
-    let _serial = pipeline_lock();
     // The cloud registry decodes with a PHY whose demodulator panics,
     // so every shipped segment detonates inside a worker. The pool must
     // contain each blast, count it, keep the remaining segments
@@ -292,7 +286,6 @@ fn poisoned_segment_does_not_take_down_the_worker_pool() {
 
 #[test]
 fn nan_burst_between_packets_does_not_stop_the_stream() {
-    let _serial = pipeline_lock();
     // Clean packet, then a burst of NaN/Inf garbage samples, then
     // another clean packet: both packets must decode and the pipeline
     // must terminate normally.
@@ -344,7 +337,6 @@ fn nan_burst_between_packets_does_not_stop_the_stream() {
 
 #[test]
 fn malformed_length_fields_are_rejected() {
-    let _serial = pipeline_lock();
     // Craft an XBee frame, then decode with a registry whose XBee
     // expects the same framing — but corrupt only the PHR so the
     // length points past the capture.
@@ -625,7 +617,7 @@ fn run_recovery_cell(workers: usize, kind: DecodeFaultKind, fleet: bool, sticky:
 
 #[test]
 fn decode_pool_quarantines_exhausted_segments_across_the_matrix() {
-    let _serial = pipeline_lock();
+    let _serial = timing_lock();
     for fleet in [false, true] {
         for kind in [
             DecodeFaultKind::Panic,
@@ -644,7 +636,7 @@ fn decode_pool_quarantines_exhausted_segments_across_the_matrix() {
 
 #[test]
 fn decode_pool_heals_transient_faults_across_the_matrix() {
-    let _serial = pipeline_lock();
+    let _serial = timing_lock();
     for fleet in [false, true] {
         for kind in [
             DecodeFaultKind::Panic,
