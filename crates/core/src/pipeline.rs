@@ -149,28 +149,17 @@ impl Galiot {
         for seg in segments {
             // Edge-first decode (paper, Sec. 4): handle clean single
             // packets locally, ship everything else.
-            let mut shipped_frames: Vec<DecodedFrame> = Vec::new();
-            let mut ship = true;
             if self.config.edge_decoding {
-                match self.edge.process(&seg, fs) {
-                    EdgeOutcome::DecodedLocally(frame) => {
-                        metrics.record_frame(&frame, true, false);
-                        frames.push(PipelineFrame {
-                            frame,
-                            at_edge: true,
-                            via_kill: false,
-                        });
-                        ship = false;
-                    }
-                    EdgeOutcome::ShipToCloud(partial) => {
-                        shipped_frames = partial;
-                    }
+                if let EdgeOutcome::DecodedLocally(frame) = self.edge.process(&seg, fs) {
+                    metrics.record_frame(&frame, true, false);
+                    frames.push(PipelineFrame {
+                        frame,
+                        at_edge: true,
+                        via_kill: false,
+                    });
+                    continue;
                 }
             }
-            if !ship {
-                continue;
-            }
-            let _ = &shipped_frames; // edge partial decodes are re-derived at the cloud
 
             // Compress, ship, decompress at the cloud.
             let compressed = compress(&seg.samples, self.config.compression_bits, COMPRESS_BLOCK);

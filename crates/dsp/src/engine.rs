@@ -122,15 +122,14 @@ pub fn note_bank_hit() {
 // ---------------------------------------------------------------------------
 
 /// Reusable per-thread work buffers for the overlap-save correlator.
+/// Each is sized by the template's FFT block, never by the signal.
 #[derive(Default)]
 struct Scratch {
     /// FFT work block (signal block in, correlation block out).
     block: Vec<Cf32>,
-    /// Raw correlation output for normalized variants.
-    raw: Vec<Cf32>,
     /// Per-sample `|z|^2` staging for the prefix-sum pass.
     sq: Vec<f32>,
-    /// Prefix sums for sliding-window energy.
+    /// Prefix sums under the sliding-window energies in flight.
     prefix: Vec<f64>,
 }
 
@@ -232,9 +231,10 @@ impl Template {
     /// with the cached plan, writing into `out`.
     pub fn xcorr_into(&self, x: &[Cf32], out: &mut Vec<Cf32>) {
         out.clear();
+        out.reserve(self.lags(x));
         SCRATCH.with(|s| {
             let scratch = &mut *s.borrow_mut();
-            self.xcorr_scratch(x, &mut scratch.block, out);
+            self.overlap_save(x, &mut scratch.block, |corr| out.extend_from_slice(corr));
         });
     }
 
@@ -245,14 +245,22 @@ impl Template {
         out
     }
 
-    /// Overlap-save core against a caller-supplied block buffer.
-    fn xcorr_scratch(&self, x: &[Cf32], block: &mut Vec<Cf32>, out: &mut Vec<Cf32>) {
+    /// Number of lags at which the template fits inside `x`.
+    fn lags(&self, x: &[Cf32]) -> usize {
         let m = self.waveform.len();
         if m == 0 || x.len() < m {
-            return;
+            0
+        } else {
+            x.len() - m + 1
         }
-        let out_len = x.len() - m + 1;
-        out.reserve(out_len);
+    }
+
+    /// Overlap-save core against a caller-supplied block buffer: hands
+    /// `emit` the correlation at consecutive lags, one run of at most
+    /// `fft_len - len + 1` per FFT block.
+    fn overlap_save(&self, x: &[Cf32], block: &mut Vec<Cf32>, mut emit: impl FnMut(&[Cf32])) {
+        let out_len = self.lags(x);
+        let m = self.waveform.len();
         let n = self.fft_len;
         let step = n - m + 1;
         let plan = plan(n);
@@ -272,9 +280,9 @@ impl Template {
             plan.inverse(block);
             // Outputs 0..step of a block are full-overlap correlations;
             // later ones wrap circularly and belong to the next block.
-            let emit = step.min(out_len - pos);
-            out.extend_from_slice(&block[..emit]);
-            pos += emit;
+            let run = step.min(out_len - pos);
+            emit(&block[..run]);
+            pos += run;
         }
     }
 
@@ -283,48 +291,101 @@ impl Template {
     /// precomputed template energy and per-thread scratch.
     pub fn xcorr_normalized(&self, x: &[Cf32]) -> Vec<f32> {
         let m = self.waveform.len();
-        if m == 0 || x.len() < m {
+        let out_len = self.lags(x);
+        if out_len == 0 {
             return Vec::new();
         }
         SCRATCH.with(|s| {
             let scratch = &mut *s.borrow_mut();
-            let Scratch {
-                block,
-                raw,
-                sq,
-                prefix,
-            } = scratch;
-            raw.clear();
-            self.xcorr_scratch(x, block, raw);
-            // Sliding window energy of x via prefix sums: |z|^2 on the
-            // SIMD backend (bit-exact), then the same sequential f64
-            // accumulation as ever (f64 to avoid drift).
-            sq.resize(x.len(), 0.0);
-            crate::kernels::norm_sqr_into(x, sq);
-            prefix.clear();
-            prefix.reserve(x.len() + 1);
-            prefix.push(0.0f64);
-            let mut acc = 0.0f64;
-            for &v in sq.iter() {
-                acc += v as f64;
-                prefix.push(acc);
+            let Scratch { block, sq, prefix } = scratch;
+            // Windows this quiet against the loudest one are numerical
+            // residue, not signal: score them zero.
+            let run = self.fft_len - m + 1;
+            let mut energies = WindowEnergies::new(x, m, sq, prefix);
+            let mut max_win = 0.0f64;
+            for lag in (0..out_len).step_by(run) {
+                let count = run.min(out_len - lag);
+                energies.load(count);
+                max_win = (0..count).map(|k| energies.win(k)).fold(max_win, f64::max);
             }
-            let mut out = Vec::with_capacity(raw.len());
-            let max_win = (0..raw.len())
-                .map(|i| prefix[i + m] - prefix[i])
-                .fold(0.0f64, f64::max);
             let floor = (max_win * 1e-9).max(1e-30);
-            for (i, r) in raw.iter().enumerate() {
-                let win = prefix[i + m] - prefix[i];
-                if win <= floor {
-                    out.push(0.0);
-                } else {
-                    let denom = (win * self.energy as f64).sqrt() as f32;
-                    out.push((r.abs() / denom).min(1.0));
+            // Second walk, in step with the correlator: each block's
+            // lags are normalized as they come out of the inverse FFT.
+            let mut energies = WindowEnergies::new(x, m, sq, prefix);
+            let mut out = Vec::with_capacity(out_len);
+            self.overlap_save(x, block, |corr| {
+                energies.load(corr.len());
+                for (k, r) in corr.iter().enumerate() {
+                    let win = energies.win(k);
+                    if win <= floor {
+                        out.push(0.0);
+                    } else {
+                        let denom = (win * self.energy as f64).sqrt() as f32;
+                        out.push((r.abs() / denom).min(1.0));
+                    }
                 }
-            }
+            });
             out
         })
+    }
+}
+
+/// The sliding-window energies `sum |x[i..i + m]|^2` of a signal, read
+/// a run of consecutive lags at a time.
+///
+/// Each energy is a difference of two f64 prefix sums accumulated
+/// sample by sample from `x[0]` (f64 to avoid drift) — the values a
+/// whole-signal prefix table would hold — but only the `m + run`
+/// entries under the run in flight are kept, so the working set follows
+/// the template, not the capture.
+struct WindowEnergies<'a> {
+    x: &'a [Cf32],
+    m: usize,
+    /// `|z|^2` staging: squared on the SIMD backend (bit-exact), summed
+    /// sequentially.
+    sq: &'a mut Vec<f32>,
+    /// `prefix[k]` is the energy of `x[..first + k]`.
+    prefix: &'a mut Vec<f64>,
+    /// Lag of the window `win(0)` describes.
+    first: usize,
+    /// Windows in the current run.
+    count: usize,
+}
+
+impl<'a> WindowEnergies<'a> {
+    fn new(x: &'a [Cf32], m: usize, sq: &'a mut Vec<f32>, prefix: &'a mut Vec<f64>) -> Self {
+        prefix.clear();
+        prefix.push(0.0);
+        WindowEnergies {
+            x,
+            m,
+            sq,
+            prefix,
+            first: 0,
+            count: 0,
+        }
+    }
+
+    /// Moves on to the next `count` windows: drops the sums behind the
+    /// previous run and extends them to cover this one.
+    fn load(&mut self, count: usize) {
+        self.prefix.drain(..self.count);
+        self.first += self.count;
+        self.count = count;
+        let have = self.first + self.prefix.len() - 1;
+        let need = self.first + count - 1 + self.m;
+        self.sq.resize(need - have, 0.0);
+        crate::kernels::norm_sqr_into(&self.x[have..need], self.sq);
+        let mut acc = self.prefix[self.prefix.len() - 1];
+        for &v in self.sq.iter() {
+            acc += v as f64;
+            self.prefix.push(acc);
+        }
+    }
+
+    /// Energy of window `k` of the current run.
+    fn win(&self, k: usize) -> f64 {
+        self.prefix[k + self.m] - self.prefix[k]
     }
 }
 
@@ -535,6 +596,45 @@ mod tests {
             .unwrap();
         assert_eq!(idx, 300);
         assert!(val > 0.999);
+    }
+
+    #[test]
+    fn streamed_normalization_equals_a_whole_signal_prefix_table() {
+        // The specification: every lag's window energy read off one
+        // prefix-sum table over the whole signal. Several blocks, a
+        // ragged last one, a silent stretch under the floor.
+        let h = wave(33, 0.9);
+        let t = Template::with_block(&h, 256);
+        for len in [33, 34, 256, 257, 1_000, 5_000] {
+            let mut x = wave(len, 0.31);
+            for z in x.iter_mut().skip(400).take(300) {
+                *z = Cf32::ZERO;
+            }
+            let m = h.len();
+            let raw = t.xcorr(&x);
+            let mut prefix = vec![0.0f64];
+            for z in &x {
+                prefix.push(prefix[prefix.len() - 1] + z.norm_sqr() as f64);
+            }
+            let win = |i: usize| prefix[i + m] - prefix[i];
+            let max_win = (0..raw.len()).map(win).fold(0.0f64, f64::max);
+            let floor = (max_win * 1e-9).max(1e-30);
+            let want: Vec<f32> = (0..raw.len())
+                .map(|i| {
+                    if win(i) <= floor {
+                        0.0
+                    } else {
+                        let denom = (win(i) * t.energy() as f64).sqrt() as f32;
+                        (raw[i].abs() / denom).min(1.0)
+                    }
+                })
+                .collect();
+            let got = t.xcorr_normalized(&x);
+            assert_eq!(got.len(), want.len(), "len {len}");
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g.to_bits(), w.to_bits(), "len {len} lag {i}");
+            }
+        }
     }
 
     #[test]

@@ -1,11 +1,17 @@
 //! Radix-2 fast Fourier transform.
 //!
-//! An iterative, in-place Cooley-Tukey FFT with a cached twiddle-factor
-//! table. Sizes must be powers of two; callers that need other lengths
+//! An iterative, in-place Cooley-Tukey FFT with cached twiddle-factor
+//! tables. Sizes must be powers of two; callers that need other lengths
 //! zero-pad (see [`next_pow2`]). This is the workhorse behind LoRa
 //! dechirp demodulation, FFT-based correlation in the universal
 //! preamble detector, and spectral kill filters at the cloud.
+//!
+//! Each stage's butterflies run on the active
+//! [`kernels::Backend`](crate::kernels::Backend) and are bit-exact
+//! across backends, so a transform's output does not depend on the
+//! CPU it ran on.
 
+use crate::kernels;
 use crate::num::Cf32;
 
 /// Returns the smallest power of two `>= n` (and `>= 1`).
@@ -25,8 +31,12 @@ pub struct Fft {
     n: usize,
     // Bit-reversed index for each position; rev[i] < i entries are swapped once.
     rev: Vec<u32>,
-    // Twiddles for the forward transform: e^{-2 pi i k / n} for k in 0..n/2.
+    // Forward twiddles, one contiguous run per stage: the stage whose
+    // blocks hold `half` butterflies reads `[half - 1..2 * half - 1]`,
+    // entry k of it being e^{-2 pi i k / (2 half)}. n - 1 entries.
     twiddles: Vec<Cf32>,
+    // The same table conjugated, for the inverse transform.
+    twiddles_conj: Vec<Cf32>,
 }
 
 impl Fft {
@@ -43,10 +53,24 @@ impl Fft {
         let rev: Vec<u32> = (0..n as u32)
             .map(|i| i.reverse_bits() >> (32 - bits.max(1)))
             .collect();
-        let twiddles: Vec<Cf32> = (0..n / 2)
+        // Every stage's twiddles are a stride of the last stage's, so
+        // trig runs once per entry of that one.
+        let last: Vec<Cf32> = (0..n / 2)
             .map(|k| Cf32::cis(-2.0 * std::f32::consts::PI * k as f32 / n as f32))
             .collect();
-        Fft { n, rev, twiddles }
+        let mut twiddles: Vec<Cf32> = Vec::with_capacity(n.saturating_sub(1));
+        let mut half = 1;
+        while half < n {
+            twiddles.extend(last.iter().step_by(n / (2 * half)));
+            half <<= 1;
+        }
+        let twiddles_conj = twiddles.iter().map(|w: &Cf32| w.conj()).collect();
+        Fft {
+            n,
+            rev,
+            twiddles,
+            twiddles_conj,
+        }
     }
 
     /// The transform size.
@@ -84,36 +108,79 @@ impl Fft {
         }
     }
 
+    /// The bit-reversal permutation, in place.
+    ///
+    /// Swapping `i` with `rev[i]` one pair at a time strides through
+    /// the buffer by powers of two and, from a few thousand samples
+    /// up, misses cache on nearly every access. Large transforms are
+    /// therefore permuted a tile at a time: with the index split as
+    /// `(a, m, c)` — `a` and `c` the top and bottom `TILE_BITS` bits —
+    /// element `(a, m, c)` trades places with `(rev c, rev m, rev a)`,
+    /// so the `TILE x TILE` elements sharing one `m` move as `TILE`
+    /// contiguous runs in and `TILE` contiguous runs out.
+    fn bit_reverse(&self, buf: &mut [Cf32]) {
+        const TILE_BITS: u32 = 4;
+        const TILE: usize = 1 << TILE_BITS;
+        let bits = self.n.trailing_zeros();
+        if bits < 2 * TILE_BITS {
+            for (i, &j) in self.rev.iter().enumerate() {
+                if i < j as usize {
+                    buf.swap(i, j as usize);
+                }
+            }
+            return;
+        }
+        // `rev` reverses `bits`-bit indices; shifted down it reverses
+        // the narrower fields too.
+        let top = bits - TILE_BITS;
+        let rev_tile = |a: usize| (self.rev[a] >> top) as usize;
+        let run = |a: usize, m: usize| (a << top) | (m << TILE_BITS);
+        let mut tile = [Cf32::ZERO; TILE * TILE];
+        for m in 0..1usize << (top - TILE_BITS) {
+            let m_rev = (self.rev[m] >> (2 * TILE_BITS)) as usize;
+            if m_rev < m {
+                continue; // moved when the loop stood at `m_rev`
+            }
+            // tile[rev a][c] <- buf[(a, m, c)]
+            for a in 0..TILE {
+                let at = run(a, m);
+                tile[rev_tile(a) * TILE..][..TILE].copy_from_slice(&buf[at..at + TILE]);
+            }
+            // buf[(rev c, rev m, a')] <-> tile[a'][c]
+            for c in 0..TILE {
+                let at = run(rev_tile(c), m_rev);
+                for (a, z) in buf[at..at + TILE].iter_mut().enumerate() {
+                    std::mem::swap(z, &mut tile[a * TILE + c]);
+                }
+            }
+            // The tile now holds what block `rev m` held, laid out for
+            // block `m` — unless they are the same block, already done.
+            if m_rev != m {
+                for a in 0..TILE {
+                    let at = run(a, m);
+                    buf[at..at + TILE].copy_from_slice(&tile[rev_tile(a) * TILE..][..TILE]);
+                }
+            }
+        }
+    }
+
     fn transform(&self, buf: &mut [Cf32], inverse: bool) {
         let n = self.n;
         if n <= 1 {
             return;
         }
-        // Bit-reversal permutation.
-        for i in 0..n {
-            let j = self.rev[i] as usize;
-            if i < j {
-                buf.swap(i, j);
-            }
-        }
-        // Iterative butterflies.
-        let mut len = 2;
-        while len <= n {
-            let half = len / 2;
-            let step = n / len; // stride into the n/2-long twiddle table
-            for start in (0..n).step_by(len) {
-                for k in 0..half {
-                    let mut w = self.twiddles[k * step];
-                    if inverse {
-                        w = w.conj();
-                    }
-                    let a = buf[start + k];
-                    let b = buf[start + k + half] * w;
-                    buf[start + k] = a + b;
-                    buf[start + k + half] = a - b;
-                }
-            }
-            len <<= 1;
+        self.bit_reverse(buf);
+        // Iterative butterflies, one kernel call per stage.
+        let backend = kernels::active();
+        let table = if inverse {
+            &self.twiddles_conj
+        } else {
+            &self.twiddles
+        };
+        let mut half = 1;
+        while half < n {
+            backend.butterflies(buf, &table[half - 1..2 * half - 1]);
+            half <<= 1;
         }
     }
 }

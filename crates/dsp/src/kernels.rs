@@ -2,8 +2,9 @@
 //!
 //! Every compute-bound inner loop in the workspace — the complex
 //! dot products behind correlation and SIC gain estimation, the FIR
-//! convolution, the pointwise spectral/dechirp multiplies, and the
-//! magnitude/energy reductions — funnels through this module. A
+//! convolution, the pointwise spectral/dechirp multiplies, the FFT
+//! butterflies under every correlation, and the magnitude/energy
+//! reductions — funnels through this module. A
 //! [`Backend`] is selected once per process from CPU feature detection
 //! (overridable with the `GALIOT_DSP_BACKEND` environment variable or
 //! [`set_backend`]), and each kernel dispatches to that backend's
@@ -21,12 +22,16 @@
 //! * **Bit-exact in every backend** — element-wise operations whose
 //!   per-element rounding sequence is preserved lane-for-lane:
 //!   [`mul_in_place`], [`sub_scaled`], [`norm_sqr_into`],
-//!   [`max_norm_sqr`], and the FIR kernels [`fir_same`] /
+//!   [`max_norm_sqr`], the FIR kernels [`fir_same`] /
 //!   [`fir_same_real`] (vectorized across *outputs*, so each output
 //!   accumulates taps in the exact scalar order, with no FMA
-//!   contraction even in the [`Backend::Fma`] backend). These are the
-//!   operations on the waveform-synthesis path (GFSK pulse shaping,
-//!   channelizers, mixers, dechirpers).
+//!   contraction even in the [`Backend::Fma`] backend), and the FFT
+//!   stage [`Backend::butterflies`] (vectorized across the independent
+//!   butterflies of one stage, each an unfused complex multiply, one
+//!   add and one subtract). These are the operations on the
+//!   waveform-synthesis path (GFSK pulse shaping, channelizers,
+//!   mixers, dechirpers) and, with the FFT, under every correlation
+//!   trace a detection or classification is read from.
 //! * **ULP-bounded reductions** — [`dot_conj`], [`energy_f32`] and
 //!   [`energy_f64`] split the sum across lanes, so vector results
 //!   differ from the scalar reference by accumulated rounding only
@@ -365,6 +370,48 @@ impl Backend {
             _ => scalar::fir_same_real(taps, input, out),
         }
     }
+
+    /// One radix-2 decimation-in-time FFT stage, in place: in every
+    /// consecutive block of `2 * half` samples (`half =
+    /// twiddles.len()`), butterfly `k` replaces `(a, b) = (block[k],
+    /// block[k + half])` with `(a + b * twiddles[k], a - b *
+    /// twiddles[k])`.
+    ///
+    /// Bit-exact across backends: the butterflies of one stage touch
+    /// disjoint samples, and vector paths compute each with the unfused
+    /// complex multiply of [`Backend::mul_in_place`] followed by one
+    /// add and one subtract — [`Cf32`]'s scalar rounding sequence per
+    /// lane. Stages with fewer butterflies per block than a vector
+    /// holds run the scalar body.
+    ///
+    /// # Panics
+    /// Panics if `twiddles` is empty or `buf.len()` is not a multiple
+    /// of `2 * twiddles.len()`.
+    pub fn butterflies(self, buf: &mut [Cf32], twiddles: &[Cf32]) {
+        let half = twiddles.len();
+        assert!(
+            half > 0 && buf.len().is_multiple_of(2 * half),
+            "butterflies: {} samples do not split into blocks of 2 x {half}",
+            buf.len()
+        );
+        match self.effective() {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `effective()` guarantees CPU support. Masked
+            // add/sub keeps the per-lane rounding sequence, as in
+            // mul_in_place.
+            Backend::Avx512 if half >= 8 => unsafe { x86::butterflies_avx512(buf, twiddles) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above; Avx512 implies avx2 support. Fma shares
+            // the AVX2 body (fusing would break bit-exactness).
+            Backend::Avx2 | Backend::Fma | Backend::Avx512 if half >= 4 => unsafe {
+                x86::butterflies_avx2(buf, twiddles)
+            },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above.
+            Backend::Sse41 if half >= 2 => unsafe { x86::butterflies_sse41(buf, twiddles) },
+            _ => scalar::butterflies(buf, twiddles),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -625,6 +672,23 @@ mod scalar {
                 }
             }
             *o = acc;
+        }
+    }
+
+    pub fn butterflies(buf: &mut [Cf32], tw: &[Cf32]) {
+        let half = tw.len();
+        for block in buf.chunks_exact_mut(2 * half) {
+            let (lo, hi) = block.split_at_mut(half);
+            butterfly_run(lo, hi, tw);
+        }
+    }
+
+    /// Butterflies `(lo[k], hi[k])` by `tw[k]` over the common prefix.
+    #[inline]
+    pub fn butterfly_run(lo: &mut [Cf32], hi: &mut [Cf32], tw: &[Cf32]) {
+        for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(tw) {
+            let t = *b * w;
+            (*a, *b) = (*a + t, *a - t);
         }
     }
 }
@@ -1132,6 +1196,96 @@ mod x86 {
         }
         let done = i / 2;
         scalar::sub_scaled(&mut x[done..], &y[done..], g);
+    }
+
+    // -- FFT butterflies ---------------------------------------------------
+    //
+    // Per block, `lo[k], hi[k] = lo[k] + hi[k]*w[k], lo[k] - hi[k]*w[k]`
+    // for a vector of consecutive k at a time: the interleaved complex
+    // multiply of mul_in_place (two rounded products, one addsub), then
+    // one add and one sub — the scalar rounding sequence per lane.
+    // Callers guarantee `buf.len() % (2 * tw.len()) == 0`; a block's
+    // last `half % lanes` butterflies (none for the power-of-two halves
+    // an FFT asks for) run the scalar body.
+
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn butterflies_avx2(buf: &mut [Cf32], tw: &[Cf32]) {
+        let half = tw.len();
+        let wf = floats(tw);
+        let lim = 2 * half;
+        for block in buf.chunks_exact_mut(2 * half) {
+            let (lo, hi) = block.split_at_mut(half);
+            let af = floats_mut(lo);
+            let bf = floats_mut(hi);
+            let mut i = 0usize;
+            while i + 8 <= lim {
+                let a = _mm256_loadu_ps(af.as_ptr().add(i));
+                let b = _mm256_loadu_ps(bf.as_ptr().add(i));
+                let w = _mm256_loadu_ps(wf.as_ptr().add(i));
+                let t1 = _mm256_mul_ps(b, _mm256_moveldup_ps(w));
+                let t2 = _mm256_mul_ps(_mm256_permute_ps(b, 0b1011_0001), _mm256_movehdup_ps(w));
+                let t = _mm256_addsub_ps(t1, t2);
+                _mm256_storeu_ps(af.as_mut_ptr().add(i), _mm256_add_ps(a, t));
+                _mm256_storeu_ps(bf.as_mut_ptr().add(i), _mm256_sub_ps(a, t));
+                i += 8;
+            }
+            let done = i / 2;
+            scalar::butterfly_run(&mut lo[done..], &mut hi[done..], &tw[done..]);
+        }
+    }
+
+    #[target_feature(enable = "sse4.1")]
+    pub unsafe fn butterflies_sse41(buf: &mut [Cf32], tw: &[Cf32]) {
+        let half = tw.len();
+        let wf = floats(tw);
+        let lim = 2 * half;
+        for block in buf.chunks_exact_mut(2 * half) {
+            let (lo, hi) = block.split_at_mut(half);
+            let af = floats_mut(lo);
+            let bf = floats_mut(hi);
+            let mut i = 0usize;
+            while i + 4 <= lim {
+                let a = _mm_loadu_ps(af.as_ptr().add(i));
+                let b = _mm_loadu_ps(bf.as_ptr().add(i));
+                let w = _mm_loadu_ps(wf.as_ptr().add(i));
+                let t1 = _mm_mul_ps(b, _mm_moveldup_ps(w));
+                let t2 = _mm_mul_ps(_mm_shuffle_ps(b, b, 0b1011_0001), _mm_movehdup_ps(w));
+                let t = _mm_addsub_ps(t1, t2);
+                _mm_storeu_ps(af.as_mut_ptr().add(i), _mm_add_ps(a, t));
+                _mm_storeu_ps(bf.as_mut_ptr().add(i), _mm_sub_ps(a, t));
+                i += 4;
+            }
+            let done = i / 2;
+            scalar::butterfly_run(&mut lo[done..], &mut hi[done..], &tw[done..]);
+        }
+    }
+
+    // The masked-subtract addsub replacement of mul_in_place_avx512.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn butterflies_avx512(buf: &mut [Cf32], tw: &[Cf32]) {
+        let half = tw.len();
+        let wf = floats(tw);
+        let lim = 2 * half;
+        const RE_LANES: u16 = 0x5555;
+        for block in buf.chunks_exact_mut(2 * half) {
+            let (lo, hi) = block.split_at_mut(half);
+            let af = floats_mut(lo);
+            let bf = floats_mut(hi);
+            let mut i = 0usize;
+            while i + 16 <= lim {
+                let a = _mm512_loadu_ps(af.as_ptr().add(i));
+                let b = _mm512_loadu_ps(bf.as_ptr().add(i));
+                let w = _mm512_loadu_ps(wf.as_ptr().add(i));
+                let t1 = _mm512_mul_ps(b, _mm512_moveldup_ps(w));
+                let t2 = _mm512_mul_ps(_mm512_permute_ps(b, 0b1011_0001), _mm512_movehdup_ps(w));
+                let t = _mm512_mask_sub_ps(_mm512_add_ps(t1, t2), RE_LANES, t1, t2);
+                _mm512_storeu_ps(af.as_mut_ptr().add(i), _mm512_add_ps(a, t));
+                _mm512_storeu_ps(bf.as_mut_ptr().add(i), _mm512_sub_ps(a, t));
+                i += 16;
+            }
+            let done = i / 2;
+            scalar::butterfly_run(&mut lo[done..], &mut hi[done..], &tw[done..]);
+        }
     }
 
     // -- FIR ---------------------------------------------------------------

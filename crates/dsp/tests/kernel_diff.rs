@@ -18,10 +18,14 @@
 //!   sequential f32 accumulation itself carries, with margin.
 //!
 //! Backend values are passed explicitly (`Backend::dot_conj(...)`), so
-//! the suite never mutates the process-wide dispatcher and is safe
-//! under the parallel test runner.
+//! the suite is safe under the parallel test runner. The one exception
+//! is [`fft_plans_bit_exact_on_every_backend`], which walks the
+//! process-wide dispatcher through every backend to drive whole
+//! [`Fft`] plans: no other test here reads the active backend for
+//! anything but bit-exact kernels, so none can observe the walk.
 
-use galiot_dsp::kernels::Backend;
+use galiot_dsp::fft::Fft;
+use galiot_dsp::kernels::{self, Backend};
 use galiot_dsp::Cf32;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -208,6 +212,162 @@ fn fir_same_real_bit_exact_across_backends() {
 }
 
 // ---------------------------------------------------------------------------
+// FFT butterflies: bit-exact against the pre-kernel scalar transform
+// ---------------------------------------------------------------------------
+
+/// The radix-2 transform as it was before the butterflies became a
+/// kernel — one n/2-entry twiddle table read at a stride, conjugated
+/// per butterfly for the inverse — kept verbatim as the reference every
+/// backend must reproduce bit for bit.
+fn reference_transform(buf: &mut [Cf32], inverse: bool) {
+    let n = buf.len();
+    if n <= 1 {
+        return;
+    }
+    let bits = n.trailing_zeros();
+    for i in 0..n {
+        let j = ((i as u32).reverse_bits() >> (32 - bits)) as usize;
+        if i < j {
+            buf.swap(i, j);
+        }
+    }
+    let twiddles: Vec<Cf32> = (0..n / 2)
+        .map(|k| Cf32::cis(-2.0 * std::f32::consts::PI * k as f32 / n as f32))
+        .collect();
+    let mut len = 2;
+    while len <= n {
+        let half = len / 2;
+        let step = n / len;
+        for start in (0..n).step_by(len) {
+            for k in 0..half {
+                let mut w = twiddles[k * step];
+                if inverse {
+                    w = w.conj();
+                }
+                let a = buf[start + k];
+                let b = buf[start + k + half] * w;
+                buf[start + k] = a + b;
+                buf[start + k + half] = a - b;
+            }
+        }
+        len <<= 1;
+    }
+    if inverse {
+        let k = 1.0 / n as f32;
+        for z in buf.iter_mut() {
+            *z *= k;
+        }
+    }
+}
+
+/// Input families for the FFT differential, `n` samples each.
+fn fft_inputs(rng: &mut StdRng, n: usize) -> Vec<(&'static str, Vec<Cf32>)> {
+    let mut impulse = vec![Cf32::ZERO; n];
+    impulse[n / 3] = Cf32::new(1.0, -0.5);
+    // Mostly subnormal magnitudes with a few normal samples, so
+    // products underflow, sums cancel into the subnormal range, and
+    // gradual underflow has to match lane for lane.
+    let denormal = (0..n)
+        .map(|i| {
+            let k = if i % 7 == 0 { 1.0 } else { 1.0e-41 };
+            Cf32::new(
+                (rng.gen::<f32>() * 2.0 - 1.0) * k,
+                (rng.gen::<f32>() * 2.0 - 1.0) * k,
+            )
+        })
+        .collect();
+    vec![
+        ("random", cvec(rng, n)),
+        ("zero", vec![Cf32::ZERO; n]),
+        ("impulse", impulse),
+        ("denormal", denormal),
+    ]
+}
+
+fn assert_same_bits(got: &[Cf32], want: &[Cf32], what: std::fmt::Arguments) {
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(bits(*g), bits(*w), "{what} sample {i}");
+    }
+}
+
+#[test]
+fn fft_plans_bit_exact_on_every_backend() {
+    let mut rng = StdRng::seed_from_u64(0x5eed_000b);
+    let entry = kernels::active();
+    for log2 in 1..=16 {
+        let n = 1usize << log2;
+        let plan = Fft::new(n);
+        for (family, input) in fft_inputs(&mut rng, n) {
+            for inverse in [false, true] {
+                let mut want = input.clone();
+                reference_transform(&mut want, inverse);
+                for backend in backends() {
+                    kernels::set_backend(backend);
+                    // In place at the allocation's alignment, and one
+                    // sample (8 bytes) off it: no vector load or store
+                    // of the second run is aligned.
+                    let mut aligned = input.clone();
+                    let mut shifted = vec![Cf32::ZERO; n + 1];
+                    shifted[1..].copy_from_slice(&input);
+                    if inverse {
+                        plan.inverse(&mut aligned);
+                        plan.inverse(&mut shifted[1..]);
+                    } else {
+                        plan.forward(&mut aligned);
+                        plan.forward(&mut shifted[1..]);
+                    }
+                    let what = format_args!("{backend:?} n={n} {family} inverse={inverse}");
+                    assert_same_bits(&aligned, &want, what);
+                    assert_same_bits(&shifted[1..], &want, what);
+                }
+            }
+        }
+    }
+    kernels::set_backend(entry);
+}
+
+#[test]
+fn butterflies_bit_exact_across_backends() {
+    // The stage kernel on its own terms: arbitrary twiddles (not roots
+    // of unity), every `half` around each vector width including
+    // non-powers of two, one and several blocks, misaligned slices.
+    let mut rng = StdRng::seed_from_u64(0x5eed_000c);
+    for half in [1usize, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 32, 100, 1024] {
+        for blocks in [1usize, 2, 5] {
+            let tw = cvec(&mut rng, half + 1);
+            let x = cvec(&mut rng, 2 * half * blocks + 1);
+            let mut reference = x.clone();
+            Backend::Scalar.butterflies(&mut reference[1..], &tw[1..]);
+            for backend in backends() {
+                let mut got = x.clone();
+                backend.butterflies(&mut got[1..], &tw[1..]);
+                let what = format_args!("{backend:?} half={half} blocks={blocks}");
+                assert_same_bits(&got, &reference, what);
+            }
+        }
+    }
+}
+
+#[test]
+fn fft_inverse_undoes_forward_on_the_active_backend() {
+    let mut rng = StdRng::seed_from_u64(0x5eed_000d);
+    for log2 in 0..=16 {
+        let n = 1usize << log2;
+        let plan = Fft::new(n);
+        let x: Vec<Cf32> = (0..n)
+            .map(|_| Cf32::new(rng.gen::<f32>() * 2.0 - 1.0, rng.gen::<f32>() * 2.0 - 1.0))
+            .collect();
+        let mut y = x.clone();
+        plan.forward(&mut y);
+        plan.inverse(&mut y);
+        let tol = 1e-6 * (log2 as f32 + 1.0);
+        for (i, (a, b)) in y.iter().zip(&x).enumerate() {
+            assert!((*a - *b).abs() <= tol, "n={n} sample {i}: {a:?} vs {b:?}");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // ULP-bounded reductions, checked against an f64 ground truth
 // ---------------------------------------------------------------------------
 
@@ -333,6 +493,26 @@ proptest! {
             for (g, r) in got.iter().zip(&reference) {
                 prop_assert_eq!(g.to_bits(), r.to_bits(), "{:?}", backend);
             }
+        }
+    }
+
+    #[test]
+    fn prop_fft_matches_reference(
+        log2 in 1u32..=11,
+        raw in collection::vec(-1.0e6f32..1.0e6, 2 << 11),
+        inverse in any::<bool>(),
+    ) {
+        // The active backend only (CI runs this binary scalar-forced
+        // and detected): the dispatcher walk belongs to one test.
+        let n = 1usize << log2;
+        let input: Vec<Cf32> = raw.chunks(2).take(n).map(|c| Cf32::new(c[0], c[1])).collect();
+        let mut want = input.clone();
+        reference_transform(&mut want, inverse);
+        let mut got = input;
+        let plan = Fft::new(n);
+        if inverse { plan.inverse(&mut got) } else { plan.forward(&mut got) }
+        for i in 0..n {
+            prop_assert_eq!(bits(got[i]), bits(want[i]), "n={} inverse={} sample {}", n, inverse, i);
         }
     }
 

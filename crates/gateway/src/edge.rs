@@ -2,13 +2,15 @@
 //!
 //! "I/Q samples are pushed to the edge for decoding individual
 //! technologies (assuming no collisions) and shipped to the cloud only
-//! if decoding fails" (Sec. 4). The edge tries every registered
-//! demodulator on a segment; if the segment looks like a single clean
-//! packet it is finished locally, otherwise it travels on.
+//! if decoding fails" (Sec. 4). The edge correlates a segment against
+//! every registered preamble once; if that shows a single packet, the
+//! technologies it could belong to are demodulated where it sits and a
+//! lone clean decode is finished locally. Everything else travels on.
 
 use galiot_dsp::corr::find_peaks;
+use galiot_phy::common::{demodulate_anchored, MAX_DEMOD_FIR_TAPS};
 use galiot_phy::registry::Registry;
-use galiot_phy::{DecodedFrame, PhyError};
+use galiot_phy::DecodedFrame;
 
 use crate::extract::Segment;
 
@@ -18,20 +20,17 @@ pub enum EdgeOutcome {
     /// A single technology decoded and nothing else claims the
     /// segment: done at the edge, nothing shipped.
     DecodedLocally(DecodedFrame),
-    /// Decoding failed or more than one technology decoded (a likely
-    /// collision): ship the segment to the cloud, together with any
-    /// frames the edge did manage.
+    /// Decoding failed, more than one technology decoded, or the
+    /// segment shows collision evidence: ship it to the cloud. Carries
+    /// the frames decoded before the verdict — empty when collision
+    /// evidence short-circuited demodulation.
     ShipToCloud(Vec<DecodedFrame>),
 }
 
-/// Per-segment decode attempt results for reporting.
-#[derive(Clone, Debug, Default)]
-pub struct EdgeReport {
-    /// Frames recovered at the edge.
-    pub decoded: Vec<DecodedFrame>,
-    /// (technology name, error) for each failed attempt.
-    pub failures: Vec<(&'static str, PhyError)>,
-}
+/// How far either side of its preamble peaks a demodulator is given
+/// samples: its channel filter's settling time plus the few samples a
+/// correlation peak can sit off the true frame start.
+const ANCHOR_PAD: usize = MAX_DEMOD_FIR_TAPS + 64;
 
 /// Default collision cluster guard, in seconds: peaks closer than this
 /// belong to one packet's preamble. 2.048 ms reproduces the historical
@@ -73,36 +72,42 @@ impl EdgeDecoder {
         &self.registry
     }
 
-    /// Tries every technology's demodulator on the segment.
-    pub fn try_all(&self, seg: &Segment, fs: f64) -> EdgeReport {
-        let mut report = EdgeReport::default();
-        for tech in self.registry.techs() {
-            match tech.demodulate(&seg.samples, fs) {
-                Ok(mut frame) => {
-                    // Convert to capture coordinates.
-                    frame.start += seg.start;
-                    report.decoded.push(frame);
-                }
-                Err(e) => report.failures.push((tech.id().name(), e)),
-            }
-        }
-        report
-    }
-
     /// The paper's policy: the edge handles a segment locally only
-    /// when it looks like a single clean packet — exactly one
-    /// technology decodes *and* the segment shows no collision
-    /// evidence. A robust technology (LoRa) can decode straight
-    /// through a collision, so "one decode succeeded" alone is not
-    /// enough: the still-buried frame would be silently lost.
+    /// when it looks like a single clean packet — the segment shows no
+    /// collision evidence *and* exactly one technology decodes. A
+    /// robust technology (LoRa) can decode straight through a
+    /// collision, so "one decode succeeded" alone is not enough: the
+    /// still-buried frame would be silently lost.
+    ///
+    /// The preamble correlation that supplies the collision evidence
+    /// also says where the one packet is, so it runs first and each
+    /// technology is demodulated over the span of its own peaks only; a
+    /// technology without a peak has no preamble in the segment to
+    /// synchronize to and is not tried.
     pub fn process(&self, seg: &Segment, fs: f64) -> EdgeOutcome {
         let _span = galiot_trace::span(galiot_trace::Stage::EdgeDecode, galiot_trace::NO_SEQ);
-        let report = self.try_all(seg, fs);
-        match report.decoded.len() {
-            1 if !self.collision_suspected(seg, fs) => {
-                EdgeOutcome::DecodedLocally(report.decoded.into_iter().next().unwrap())
+        let peaks = self.preamble_peaks(seg, fs);
+        if self.clusters(&peaks, fs) >= 2 {
+            return EdgeOutcome::ShipToCloud(Vec::new());
+        }
+        let mut decoded = Vec::new();
+        for (tech, at) in self.registry.techs().iter().zip(&peaks) {
+            let (Some(&first), Some(&last)) = (at.first(), at.last()) else {
+                continue;
+            };
+            let anchor = first..=last;
+            if let Ok(mut frame) =
+                demodulate_anchored(tech.as_ref(), &seg.samples, fs, anchor, ANCHOR_PAD)
+            {
+                // Convert to capture coordinates.
+                frame.start += seg.start;
+                decoded.push(frame);
             }
-            _ => EdgeOutcome::ShipToCloud(report.decoded),
+        }
+        if decoded.len() == 1 {
+            EdgeOutcome::DecodedLocally(decoded.remove(0))
+        } else {
+            EdgeOutcome::ShipToCloud(decoded)
         }
     }
 
@@ -113,30 +118,44 @@ impl EdgeDecoder {
     /// to samples at `fs`, so the verdict does not change with the
     /// capture rate.
     pub fn collision_suspected(&self, seg: &Segment, fs: f64) -> bool {
-        let mut peak_positions: Vec<usize> = Vec::new();
+        self.clusters(&self.preamble_peaks(seg, fs), fs) >= 2
+    }
+
+    /// Where each technology's preamble correlates with the segment:
+    /// per technology, in registry order, the ascending sample offsets
+    /// of its normalized-correlation peaks.
+    fn preamble_peaks(&self, seg: &Segment, fs: f64) -> Vec<Vec<usize>> {
         let bank = self.registry.template_bank(fs);
-        for i in 0..bank.len() {
-            let template = bank.template(i);
-            if template.is_empty() || template.len() > seg.samples.len() {
-                continue;
-            }
-            let ncc = template.xcorr_normalized(&seg.samples);
-            for p in find_peaks(&ncc, 0.25, template.len() / 2) {
-                peak_positions.push(p.index);
-            }
-        }
-        peak_positions.sort_unstable();
-        // Count clusters separated by more than the guard distance.
+        (0..bank.len())
+            .map(|i| {
+                let template = bank.template(i);
+                if template.is_empty() || template.len() > seg.samples.len() {
+                    return Vec::new();
+                }
+                let ncc = template.xcorr_normalized(&seg.samples);
+                find_peaks(&ncc, 0.25, template.len() / 2)
+                    .iter()
+                    .map(|p| p.index)
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Number of peak clusters separated by more than the guard
+    /// distance, over every technology's peaks together.
+    fn clusters(&self, peaks: &[Vec<usize>], fs: f64) -> usize {
+        let mut positions: Vec<usize> = peaks.iter().flatten().copied().collect();
+        positions.sort_unstable();
         let guard = (self.cluster_guard_s * fs).round().max(1.0) as usize;
         let mut clusters = 0usize;
         let mut last: Option<usize> = None;
-        for pos in peak_positions {
+        for pos in positions {
             if last.is_none_or(|l| pos - l > guard) {
                 clusters += 1;
             }
             last = Some(pos);
         }
-        clusters >= 2
+        clusters
     }
 }
 
@@ -278,12 +297,11 @@ mod tests {
         // Segment starting at 3_000 within the capture.
         let seg = seg_from(cap.samples[3_000..].to_vec(), 3_000);
         let edge = EdgeDecoder::new(reg);
-        let report = edge.try_all(&seg, FS);
-        let frame = report
-            .decoded
-            .iter()
-            .find(|f| f.tech == TechId::XBee)
-            .expect("xbee decoded");
+        let frame = match edge.process(&seg, FS) {
+            EdgeOutcome::DecodedLocally(f) => f,
+            other => panic!("expected local decode, got {other:?}"),
+        };
+        assert_eq!(frame.tech, TechId::XBee);
         assert!(frame.start.abs_diff(5_000) <= 4, "start {}", frame.start);
     }
 }

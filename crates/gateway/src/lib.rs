@@ -23,7 +23,7 @@ pub use backhaul::{
     GatewayId, LinkFaults, LinkStats, ShippedSegment, WireError, WIRE_VERSION, WIRE_VERSION_MIN,
 };
 pub use detect::{score_detections, Detection, EnergyDetector, MatchedFilterBank, PacketDetector};
-pub use edge::{EdgeDecoder, EdgeOutcome, EdgeReport, DEFAULT_CLUSTER_GUARD_S};
+pub use edge::{EdgeDecoder, EdgeOutcome, DEFAULT_CLUSTER_GUARD_S};
 pub use extract::{extract, shipped_fraction, ExtractParams, Segment};
 pub use frontend::{FrontEndParams, HoppingFrontEnd, RtlSdrFrontEnd};
 pub use universal::{build as build_universal_preamble, UniversalDetector, UniversalPreamble};
