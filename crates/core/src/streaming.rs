@@ -265,26 +265,26 @@ pub(crate) fn run_gateway(
     let stride = 2 * window;
     let flush_len = keep_len + stride;
 
-    let mut buffer: Vec<Cf32> = Vec::new();
-    let mut buffer_start = start.capture_offset; // capture index of buffer[0]
-                                                 // Capture index up to which segment content has been
-                                                 // emitted; a segment is emitted only when it ends past this
-                                                 // line AND is finalized (or the capture is over).
+    // The capture from index `buffer_start` on, and its digitized window.
+    let (mut buffer, mut digital): (Vec<Cf32>, Vec<Cf32>) = (Vec::new(), Vec::new());
+    let mut buffer_start = start.capture_offset;
+    // Capture index segment content has been emitted up to: a segment goes
+    // out only if it ends past it AND is finalized (or the capture is over).
     let mut emitted_until = start.capture_offset;
     let mut seq = start.seq_base;
     // Segments emitted by THIS instance (crash injection counts per
     // life, independent of the epoch folded into `seq`).
     let mut emitted_count = 0u64;
 
-    let flush = |buffer: &[Cf32],
-                 buffer_start: usize,
-                 emitted_until: &mut usize,
-                 seq: &mut u64,
-                 emitted_count: &mut u64,
-                 is_final: bool|
+    let mut flush = |buffer: &[Cf32],
+                     buffer_start: usize,
+                     emitted_until: &mut usize,
+                     seq: &mut u64,
+                     emitted_count: &mut u64,
+                     is_final: bool|
      -> Result<(), FlushStop> {
         let t0 = Instant::now();
-        let digital = front_end.digitize(buffer);
+        front_end.digitize_into(buffer, &mut digital);
         let detections = detector.detect(&digital, fs);
         metrics.with(|m| m.detections += detections.len());
         let buffer_end = buffer_start + buffer.len();

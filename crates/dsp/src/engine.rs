@@ -27,7 +27,7 @@
 //! crate surfaces them in its `Metrics`.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -66,17 +66,27 @@ pub fn plan(n: usize) -> Arc<Fft> {
     // this cache exists to hide, and other sizes should not wait on it.
     let fresh = Arc::new(Fft::new(n));
     let mut map = cache.lock().expect("plan cache poisoned");
-    let entry = map.entry(n).or_insert_with(|| fresh);
-    PLAN_MISSES.fetch_add(1, Ordering::Relaxed);
-    entry.clone()
+    match map.entry(n) {
+        // Lost a planning race: the caller is served the cached plan
+        // after all, which is what a hit means.
+        Entry::Occupied(winner) => {
+            PLAN_HITS.fetch_add(1, Ordering::Relaxed);
+            winner.get().clone()
+        }
+        Entry::Vacant(slot) => {
+            PLAN_MISSES.fetch_add(1, Ordering::Relaxed);
+            slot.insert(fresh).clone()
+        }
+    }
 }
 
 /// A snapshot of the engine's cache counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Plan-cache lookups that found an existing plan.
+    /// Plan-cache lookups served an existing plan (the loser of a
+    /// planning race included).
     pub plan_hits: u64,
-    /// Plan-cache lookups that had to plan a new FFT.
+    /// Plans inserted into the cache.
     pub plan_misses: u64,
     /// Template banks synthesized from scratch.
     pub bank_builds: u64,
@@ -289,46 +299,82 @@ impl Template {
     /// Normalized sliding correlation magnitude in `[0, 1]` (identical
     /// semantics to [`crate::corr::xcorr_normalized`]), using the
     /// precomputed template energy and per-thread scratch.
+    ///
+    /// Windows quieter than `1e-9` of the loudest one are numerical
+    /// residue, not signal, and score zero — a floor only known once
+    /// every window has been seen. The signal is still walked once:
+    /// no window can outweigh `m` samples at the capture's peak power,
+    /// which bounds the floor from above before the walk starts, and
+    /// the loudest window so far bounds it from below. A lag under the
+    /// lower bound is zero, one over the upper bound is normalized as
+    /// it comes out of the inverse FFT, and the few in between (none on
+    /// a capture with a noise floor) are parked and settled at the end.
     pub fn xcorr_normalized(&self, x: &[Cf32]) -> Vec<f32> {
-        let m = self.waveform.len();
-        let out_len = self.lags(x);
-        if out_len == 0 {
-            return Vec::new();
+        let mut out = vec![0.0; self.lags(x)];
+        if !out.is_empty() {
+            let m = self.waveform.len() as f64;
+            let ceiling = (m * crate::kernels::max_norm_sqr(x) as f64 * 2e-9).max(QUIET_FLOOR);
+            let floor = self.normalize_walk(x, QUIET_FLOOR, ceiling, &mut out);
+            if floor > ceiling {
+                // Only NaN samples, which `max_norm_sqr` may skip a
+                // neighbour of, can void the bound: walk again knowing
+                // the floor.
+                self.normalize_walk(x, floor, floor, &mut out);
+            }
         }
+        out
+    }
+
+    /// One correlate-and-normalize walk over `x` into `out`, given that
+    /// the quiet-window floor lies in `[at_least, at_most]`; returns the
+    /// floor. Exact whenever the returned floor is at most `at_most`.
+    fn normalize_walk(&self, x: &[Cf32], at_least: f64, at_most: f64, out: &mut [f32]) -> f64 {
+        let m = self.waveform.len();
         SCRATCH.with(|s| {
-            let scratch = &mut *s.borrow_mut();
-            let Scratch { block, sq, prefix } = scratch;
-            // Windows this quiet against the loudest one are numerical
-            // residue, not signal: score them zero.
-            let run = self.fft_len - m + 1;
+            let Scratch { block, sq, prefix } = &mut *s.borrow_mut();
             let mut energies = WindowEnergies::new(x, m, sq, prefix);
             let mut max_win = 0.0f64;
-            for lag in (0..out_len).step_by(run) {
-                let count = run.min(out_len - lag);
-                energies.load(count);
-                max_win = (0..count).map(|k| energies.win(k)).fold(max_win, f64::max);
-            }
-            let floor = (max_win * 1e-9).max(1e-30);
-            // Second walk, in step with the correlator: each block's
-            // lags are normalized as they come out of the inverse FFT.
-            let mut energies = WindowEnergies::new(x, m, sq, prefix);
-            let mut out = Vec::with_capacity(out_len);
+            // (lag, window energy) of the lags normalized on credit.
+            let mut parked: Vec<(usize, f64)> = Vec::new();
+            let mut lag = 0usize;
             self.overlap_save(x, block, |corr| {
                 energies.load(corr.len());
-                for (k, r) in corr.iter().enumerate() {
-                    let win = energies.win(k);
-                    if win <= floor {
-                        out.push(0.0);
-                    } else {
-                        let denom = (win * self.energy as f64).sqrt() as f32;
-                        out.push((r.abs() / denom).min(1.0));
-                    }
+                let (quietest, loudest) = energies.extremes();
+                max_win = max_win.max(loudest);
+                let floor = (max_win * 1e-9).max(at_least);
+                let run = &mut out[lag..lag + corr.len()];
+                crate::kernels::normalize_lags(
+                    corr,
+                    energies.prefix,
+                    m,
+                    self.energy as f64,
+                    floor,
+                    run,
+                );
+                if quietest <= at_most {
+                    parked.extend(
+                        (0..corr.len())
+                            .map(|k| (lag + k, energies.win(k)))
+                            .filter(|&(_, win)| win > floor && win <= at_most),
+                    );
                 }
+                lag += corr.len();
             });
-            out
+            let floor = (max_win * 1e-9).max(QUIET_FLOOR);
+            for (lag, win) in parked {
+                if win <= floor {
+                    out[lag] = 0.0;
+                }
+            }
+            floor
         })
     }
 }
+
+/// The least quiet-window floor of normalized correlation: window
+/// energies at or under this score zero whatever the rest of the signal
+/// holds.
+const QUIET_FLOOR: f64 = 1e-30;
 
 /// The sliding-window energies `sum |x[i..i + m]|^2` of a signal, read
 /// a run of consecutive lags at a time.
@@ -344,7 +390,8 @@ struct WindowEnergies<'a> {
     /// `|z|^2` staging: squared on the SIMD backend (bit-exact), summed
     /// sequentially.
     sq: &'a mut Vec<f32>,
-    /// `prefix[k]` is the energy of `x[..first + k]`.
+    /// `prefix[k]` is the energy of `x[..first + k]`; `count + m`
+    /// entries, so window `k` of the run is `prefix[k + m] - prefix[k]`.
     prefix: &'a mut Vec<f64>,
     /// Lag of the window `win(0)` describes.
     first: usize,
@@ -377,15 +424,27 @@ impl<'a> WindowEnergies<'a> {
         self.sq.resize(need - have, 0.0);
         crate::kernels::norm_sqr_into(&self.x[have..need], self.sq);
         let mut acc = self.prefix[self.prefix.len() - 1];
-        for &v in self.sq.iter() {
+        self.prefix.extend(self.sq.iter().map(|&v| {
             acc += v as f64;
-            self.prefix.push(acc);
-        }
+            acc
+        }));
     }
 
     /// Energy of window `k` of the current run.
     fn win(&self, k: usize) -> f64 {
         self.prefix[k + self.m] - self.prefix[k]
+    }
+
+    /// The least and greatest window energy of the current run (NaN
+    /// energies skipped).
+    fn extremes(&self) -> (f64, f64) {
+        let (lo, hi) = (&self.prefix[..self.count], &self.prefix[self.m..]);
+        lo.iter()
+            .zip(hi)
+            .map(|(a, b)| b - a)
+            .fold((f64::INFINITY, 0.0f64), |(min, max), win| {
+                (min.min(win), max.max(win))
+            })
     }
 }
 
@@ -634,6 +693,94 @@ mod tests {
             for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                 assert_eq!(g.to_bits(), w.to_bits(), "len {len} lag {i}");
             }
+        }
+    }
+
+    /// `corr::xcorr_normalized` — whole-signal prefix table, the floor
+    /// found in a pass of its own — is the specification; it correlates
+    /// at this block size, and equal blocks make equal raw correlations.
+    fn assert_matches_two_pass(x: &[Cf32], h: &[Cf32], what: &str) {
+        let block = default_block(h.len()).min(next_pow2(x.len() + h.len()));
+        let want = crate::corr::xcorr_normalized(x, h);
+        let got = Template::with_block(h, block).xcorr_normalized(x);
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(
+                g.to_bits(),
+                w.to_bits(),
+                "{what}: lag {i} of {}",
+                want.len()
+            );
+        }
+    }
+
+    #[test]
+    fn one_walk_normalization_equals_the_two_pass_one() {
+        let h = wave(33, 0.9); // 256-sample blocks, 224 lags each
+        let scaled = |len: usize, k: f32| wave(len, 0.31).into_iter().map(move |z| z * k);
+        // Several blocks and a ragged tail.
+        for len in [33, 34, 256, 257, 1_000, 5_000] {
+            assert_matches_two_pass(&wave(len, 0.31), &h, &format!("plain {len}"));
+        }
+        assert_matches_two_pass(&vec![Cf32::ZERO; 2_000], &h, "all zero");
+        let mut silent = wave(3_000, 0.31);
+        silent[700..1_900].fill(Cf32::ZERO);
+        assert_matches_two_pass(&silent, &h, "silent stretch");
+        // The loudest window comes last: every earlier window is under
+        // the floor, which a walk that trusted the floor so far would
+        // miss. And first, and in the middle.
+        let quiet_then_loud: Vec<Cf32> = scaled(2_000, 1e-6).chain(scaled(100, 1.0)).collect();
+        assert_matches_two_pass(&quiet_then_loud, &h, "loudest last");
+        assert!(
+            Template::new(&h).xcorr_normalized(&quiet_then_loud)[..1_900]
+                .iter()
+                .all(|&v| v == 0.0)
+        );
+        let loud_then_quiet: Vec<Cf32> = scaled(100, 1.0).chain(scaled(2_000, 1e-6)).collect();
+        assert_matches_two_pass(&loud_then_quiet, &h, "loudest first");
+        let ramp: Vec<Cf32> = (0..8)
+            .flat_map(|step| scaled(300, 10f32.powi(step - 7)))
+            .chain(scaled(300, 1e-3))
+            .collect();
+        assert_matches_two_pass(&ramp, &h, "ramp up and back down");
+        // Windows within a factor of two over the floor (the slack in
+        // the up-front bound).
+        let near: Vec<Cf32> = scaled(1_000, 3.5e-5).chain(scaled(1_000, 1.0)).collect();
+        assert_matches_two_pass(&near, &h, "just over the floor");
+        // Samples no bound can be trusted on.
+        let mut poisoned = quiet_then_loud.clone();
+        poisoned[1_000] = Cf32::new(f32::NAN, 0.0);
+        poisoned[400] = Cf32::new(3.0, f32::INFINITY);
+        assert_matches_two_pass(&poisoned, &h, "NaN and inf");
+        // A NaN one vector stride after the peak wipes the peak from a
+        // vector `max_norm_sqr`'s lane, and the first block's quiet lags
+        // are long written when the peak's window shows up: the bound
+        // comes out under the true floor and the walk is redone.
+        let mut hidden: Vec<Cf32> = scaled(2_000, 1e-6).collect();
+        hidden[1_000] = Cf32::new(1e3, 0.0);
+        hidden[1_004] = Cf32::new(f32::NAN, 0.0);
+        assert_matches_two_pass(&hidden, &h, "peak hidden behind a NaN");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn prop_one_walk_normalization_equals_the_two_pass_one(
+            m in 1usize..70,
+            // Runs of a length and a decade each: loud, quiet and dead
+            // stretches in any order.
+            lens in proptest::collection::vec(1usize..600, 1..6),
+            decades in proptest::collection::vec(0i32..9, 6),
+            phase in 0.0f32..1.0,
+        ) {
+            let h = wave(m, 0.4 + phase);
+            let mut x = Vec::new();
+            for (len, decade) in lens.into_iter().zip(decades) {
+                let k = if decade == 8 { 0.0 } else { 10f32.powi(-decade) };
+                x.extend(wave(len, phase).into_iter().map(|z| z * k));
+            }
+            assert_matches_two_pass(&x, &h, "random runs");
         }
     }
 

@@ -6,10 +6,11 @@
 //! dechirp demodulation, FFT-based correlation in the universal
 //! preamble detector, and spectral kill filters at the cloud.
 //!
-//! Each stage's butterflies run on the active
-//! [`kernels::Backend`](crate::kernels::Backend) and are bit-exact
-//! across backends, so a transform's output does not depend on the
-//! CPU it ran on.
+//! The butterflies run on the active
+//! [`kernels::Backend`](crate::kernels::Backend), which walks the
+//! buffer once per two or three stages rather than once per stage, and
+//! are bit-exact across backends and with the stage-at-a-time order, so
+//! a transform's output does not depend on the CPU it ran on.
 
 use crate::kernels;
 use crate::num::Cf32;
@@ -102,10 +103,6 @@ impl Fft {
     pub fn inverse(&self, buf: &mut [Cf32]) {
         assert_eq!(buf.len(), self.n, "buffer length must equal FFT size");
         self.transform(buf, true);
-        let k = 1.0 / self.n as f32;
-        for z in buf.iter_mut() {
-            *z *= k;
-        }
     }
 
     /// The bit-reversal permutation, in place.
@@ -165,23 +162,15 @@ impl Fft {
     }
 
     fn transform(&self, buf: &mut [Cf32], inverse: bool) {
-        let n = self.n;
-        if n <= 1 {
-            return;
-        }
         self.bit_reverse(buf);
-        // Iterative butterflies, one kernel call per stage.
-        let backend = kernels::active();
-        let table = if inverse {
-            &self.twiddles_conj
+        // Every stage in one kernel call, which fuses them two or
+        // three to a pass over `buf` and folds in the inverse's 1/n.
+        let (table, scale) = if inverse {
+            (&self.twiddles_conj, Some(1.0 / self.n as f32))
         } else {
-            &self.twiddles
+            (&self.twiddles, None)
         };
-        let mut half = 1;
-        while half < n {
-            backend.butterflies(buf, &table[half - 1..2 * half - 1]);
-            half <<= 1;
-        }
+        kernels::active().fft_stages(buf, table, scale);
     }
 }
 

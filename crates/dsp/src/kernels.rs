@@ -3,8 +3,9 @@
 //! Every compute-bound inner loop in the workspace — the complex
 //! dot products behind correlation and SIC gain estimation, the FIR
 //! convolution, the pointwise spectral/dechirp multiplies, the FFT
-//! butterflies under every correlation, and the magnitude/energy
-//! reductions — funnels through this module. A
+//! butterflies under every correlation, its normalization, the front
+//! end's quantizer, and the magnitude/energy reductions — funnels
+//! through this module. A
 //! [`Backend`] is selected once per process from CPU feature detection
 //! (overridable with the `GALIOT_DSP_BACKEND` environment variable or
 //! [`set_backend`]), and each kernel dispatches to that backend's
@@ -25,13 +26,19 @@
 //!   [`max_norm_sqr`], the FIR kernels [`fir_same`] /
 //!   [`fir_same_real`] (vectorized across *outputs*, so each output
 //!   accumulates taps in the exact scalar order, with no FMA
-//!   contraction even in the [`Backend::Fma`] backend), and the FFT
-//!   stage [`Backend::butterflies`] (vectorized across the independent
-//!   butterflies of one stage, each an unfused complex multiply, one
-//!   add and one subtract). These are the operations on the
-//!   waveform-synthesis path (GFSK pulse shaping, channelizers,
-//!   mixers, dechirpers) and, with the FFT, under every correlation
-//!   trace a detection or classification is read from.
+//!   contraction even in the [`Backend::Fma`] backend), the FFT
+//!   ([`Backend::butterflies`], one stage, vectorized across its
+//!   independent butterflies, each an unfused complex multiply, one
+//!   add and one subtract; [`Backend::fft_stages`], every stage of a
+//!   transform, the same butterflies in the same order fused two or
+//!   three stages to a pass over memory), the correlation
+//!   normalization [`normalize_lags`] and the ADC model [`digitize`]
+//!   (correctly rounded operations only, per lane in the scalar
+//!   order). These are the operations on the waveform-synthesis path
+//!   (GFSK pulse shaping, channelizers, mixers, dechirpers) and, with
+//!   the FFT and the two loops around it, under every digitized
+//!   capture and every correlation trace a detection or
+//!   classification is read from.
 //! * **ULP-bounded reductions** — [`dot_conj`], [`energy_f32`] and
 //!   [`energy_f64`] split the sum across lanes, so vector results
 //!   differ from the scalar reference by accumulated rounding only
@@ -412,6 +419,151 @@ impl Backend {
             _ => scalar::butterflies(buf, twiddles),
         }
     }
+
+    /// Every radix-2 decimation-in-time stage of an `n`-point FFT over
+    /// bit-reversed `buf`, then (for the inverse's `1/n`) every output
+    /// multiplied by `scale`. `twiddles` holds the `n - 1` per-stage
+    /// twiddles back to back — the stage with `half` butterflies per
+    /// block at `[half - 1..2 * half - 1]`, as [`Backend::butterflies`]
+    /// takes them.
+    ///
+    /// Bit-exact across backends, and with calling
+    /// [`Backend::butterflies`] once per stage: every butterfly is
+    /// computed in stage order, with its own twiddle and the same
+    /// unfused multiply, add and subtract. Vector backends only change
+    /// how often the buffer is walked: the stages narrower than a
+    /// vector run inside one register (the multiply by the `w = 1`
+    /// twiddle included — skipping it would flip the sign of a zero and
+    /// turn `inf * 0` into `inf`), and the rest run two or three to a
+    /// pass with the four or eight samples they connect held in
+    /// registers. Twiddles are never combined.
+    ///
+    /// # Panics
+    /// Panics if `buf.len()` is not a power of two or `twiddles.len()`
+    /// is not `buf.len() - 1`.
+    pub fn fft_stages(self, buf: &mut [Cf32], twiddles: &[Cf32], scale: Option<f32>) {
+        assert!(
+            buf.len().is_power_of_two() && twiddles.len() == buf.len() - 1,
+            "fft_stages: {} samples, {} twiddles",
+            buf.len(),
+            twiddles.len()
+        );
+        match self.effective() {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `effective()` guarantees CPU support; the lengths
+            // the callee relies on are asserted above.
+            Backend::Avx512 => unsafe { x86::fft_stages_avx512(buf, twiddles, scale) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above. Fma shares the AVX2 body (fusing would
+            // break bit-exactness).
+            Backend::Avx2 | Backend::Fma => unsafe { x86::fft_stages_avx2(buf, twiddles, scale) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above.
+            Backend::Sse41 => unsafe { x86::fft_stages_sse41(buf, twiddles, scale) },
+            _ => scalar::fft_stages(buf, twiddles, scale),
+        }
+    }
+
+    /// Normalizes one run of correlation lags: with `win[k] =
+    /// prefix[k + m] - prefix[k]` the energy of the signal window under
+    /// lag `k`, `out[k]` is 0 where `win[k] <= floor` and
+    /// `min(|corr[k]| / sqrt(win[k] * energy), 1)` elsewhere (the
+    /// square root taken in f64, the quotient in f32).
+    ///
+    /// Bit-exact across backends: subtract, multiply, square root,
+    /// narrowing conversion, divide and `min` are each correctly
+    /// rounded and applied per lane in the scalar order.
+    ///
+    /// # Panics
+    /// Panics if `out.len() != corr.len()` or `prefix` is shorter than
+    /// `corr.len() + m`.
+    pub fn normalize_lags(
+        self,
+        corr: &[Cf32],
+        prefix: &[f64],
+        m: usize,
+        energy: f64,
+        floor: f64,
+        out: &mut [f32],
+    ) {
+        assert_eq!(corr.len(), out.len(), "normalize_lags length mismatch");
+        assert!(
+            prefix.len() >= corr.len() + m,
+            "normalize_lags: {} prefix sums for {} lags of {m}-sample windows",
+            prefix.len(),
+            corr.len()
+        );
+        let (lo, hi) = (&prefix[..corr.len()], &prefix[m..m + corr.len()]);
+        match self.effective() {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `effective()` guarantees CPU support; `lo`, `hi`,
+            // `corr` and `out` have one length.
+            Backend::Avx512 => unsafe {
+                x86::normalize_lags_avx512(corr, lo, hi, energy, floor, out)
+            },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above. Nothing here can fuse.
+            Backend::Avx2 | Backend::Fma => unsafe {
+                x86::normalize_lags_avx2(corr, lo, hi, energy, floor, out)
+            },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above.
+            Backend::Sse41 => unsafe {
+                x86::normalize_lags_sse41(corr, lo, hi, energy, floor, out)
+            },
+            _ => scalar::normalize_lags(corr, lo, hi, energy, floor, out),
+        }
+    }
+
+    /// The ADC model of a receiver front end, sample by sample: gain,
+    /// quadrature-rail gain error and phase skew, DC offset, clipping
+    /// to full scale and rounding (half away from zero) to the ADC
+    /// grid — see [`Adc`] for the arithmetic.
+    ///
+    /// Bit-exact across backends: every step is one correctly rounded
+    /// operation per lane in the scalar order, and `round` is emulated
+    /// exactly (`trunc(v + copysign(0.5 - 2^-25, v))` for the
+    /// magnitudes a clipped sample times at most 2^15 levels can take).
+    ///
+    /// # Panics
+    /// Panics if `out.len() != analog.len()` or `adc.levels` exceeds
+    /// 2^15 (a 16-bit converter).
+    pub fn digitize(self, adc: &Adc, analog: &[Cf32], out: &mut [Cf32]) {
+        assert_eq!(analog.len(), out.len(), "digitize length mismatch");
+        assert!(adc.levels <= 32_768.0, "digitize: {} levels", adc.levels);
+        match self.effective() {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `effective()` guarantees CPU support; equal
+            // lengths are asserted above.
+            Backend::Avx512 => unsafe { x86::digitize_avx512(adc, analog, out) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above. Fma shares the AVX2 body.
+            Backend::Avx2 | Backend::Fma => unsafe { x86::digitize_avx2(adc, analog, out) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above.
+            Backend::Sse41 => unsafe { x86::digitize_sse41(adc, analog, out) },
+            _ => scalar::digitize(adc, analog, out),
+        }
+    }
+}
+
+/// The per-sample arithmetic of [`Backend::digitize`]. With `s = z *
+/// gain`, the rails are `i = s.re` and `q = iq_gain * (s.im + iq_skew *
+/// s.re)`; each rail `v` then becomes `round((v + dc).clamp(-1, 1) *
+/// levels) / levels`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Adc {
+    /// Linear gain ahead of the converter.
+    pub gain: f32,
+    /// Q-rail gain relative to the I rail (1 = balanced).
+    pub iq_gain: f32,
+    /// Share of the I rail leaking into the Q rail (the sine of the
+    /// phase imbalance; 0 = none).
+    pub iq_skew: f32,
+    /// DC offset on both rails, as a fraction of full scale.
+    pub dc: f32,
+    /// Quantization levels per polarity (`2^bits / 2`).
+    pub levels: f32,
 }
 
 // ---------------------------------------------------------------------------
@@ -587,6 +739,25 @@ pub fn fir_same_real(taps: &[f32], input: &[f32], out: &mut [f32]) {
     active().fir_same_real(taps, input, out)
 }
 
+/// [`Backend::normalize_lags`] on the [`active`] backend.
+#[inline]
+pub fn normalize_lags(
+    corr: &[Cf32],
+    prefix: &[f64],
+    m: usize,
+    energy: f64,
+    floor: f64,
+    out: &mut [f32],
+) {
+    active().normalize_lags(corr, prefix, m, energy, floor, out)
+}
+
+/// [`Backend::digitize`] on the [`active`] backend.
+#[inline]
+pub fn digitize(adc: &Adc, analog: &[Cf32], out: &mut [Cf32]) {
+    active().digitize(adc, analog, out)
+}
+
 // ---------------------------------------------------------------------------
 // Scalar reference implementations
 // ---------------------------------------------------------------------------
@@ -597,6 +768,7 @@ pub fn fir_same_real(taps: &[f32], input: &[f32], out: &mut [f32]) {
 /// golden waveform fingerprints pinned before this module existed
 /// still hold).
 mod scalar {
+    use super::Adc;
     use crate::num::Cf32;
 
     pub fn dot_conj(x: &[Cf32], h: &[Cf32]) -> Cf32 {
@@ -683,6 +855,46 @@ mod scalar {
         }
     }
 
+    pub fn fft_stages(buf: &mut [Cf32], tw: &[Cf32], scale: Option<f32>) {
+        let mut half = 1;
+        while half < buf.len() {
+            butterflies(buf, &tw[half - 1..2 * half - 1]);
+            half <<= 1;
+        }
+        if let Some(k) = scale {
+            for z in buf.iter_mut() {
+                *z *= k;
+            }
+        }
+    }
+
+    pub fn normalize_lags(
+        corr: &[Cf32],
+        lo: &[f64],
+        hi: &[f64],
+        energy: f64,
+        floor: f64,
+        out: &mut [f32],
+    ) {
+        for (((o, r), &a), &b) in out.iter_mut().zip(corr).zip(lo).zip(hi) {
+            let win = b - a;
+            *o = if win <= floor {
+                0.0
+            } else {
+                let denom = (win * energy).sqrt() as f32;
+                (r.abs() / denom).min(1.0)
+            };
+        }
+    }
+
+    pub fn digitize(adc: &Adc, analog: &[Cf32], out: &mut [Cf32]) {
+        let q = |v: f32| ((v + adc.dc).clamp(-1.0, 1.0) * adc.levels).round() / adc.levels;
+        for (o, &z) in out.iter_mut().zip(analog) {
+            let s = z * adc.gain;
+            *o = Cf32::new(q(s.re), q(adc.iq_gain * (s.im + adc.iq_skew * s.re)));
+        }
+    }
+
     /// Butterflies `(lo[k], hi[k])` by `tw[k]` over the common prefix.
     #[inline]
     pub fn butterfly_run(lo: &mut [Cf32], hi: &mut [Cf32], tw: &[Cf32]) {
@@ -703,7 +915,7 @@ mod scalar {
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod x86 {
-    use super::scalar;
+    use super::{scalar, Adc};
     use crate::num::Cf32;
     use std::arch::x86_64::*;
 
@@ -1198,95 +1410,696 @@ mod x86 {
         scalar::sub_scaled(&mut x[done..], &y[done..], g);
     }
 
-    // -- FFT butterflies ---------------------------------------------------
+    // -- One vector type per ISA ---------------------------------------------
     //
-    // Per block, `lo[k], hi[k] = lo[k] + hi[k]*w[k], lo[k] - hi[k]*w[k]`
-    // for a vector of consecutive k at a time: the interleaved complex
-    // multiply of mul_in_place (two rounded products, one addsub), then
-    // one add and one sub — the scalar rounding sequence per lane.
-    // Callers guarantee `buf.len() % (2 * tw.len()) == 0`; a block's
-    // last `half % lanes` butterflies (none for the power-of-two halves
-    // an FFT asks for) run the scalar body.
+    // The FFT passes and the digitizer are written once over `Simd` and
+    // instantiated for `__m128`, `__m256` and `__m512`: every body is
+    // `#[inline(always)]` and entered only through a `#[target_feature]`
+    // function, so each instantiation compiles for its ISA.
 
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn butterflies_avx2(buf: &mut [Cf32], tw: &[Cf32]) {
-        let half = tw.len();
-        let wf = floats(tw);
-        let lim = 2 * half;
-        for block in buf.chunks_exact_mut(2 * half) {
-            let (lo, hi) = block.split_at_mut(half);
-            let af = floats_mut(lo);
-            let bf = floats_mut(hi);
-            let mut i = 0usize;
-            while i + 8 <= lim {
-                let a = _mm256_loadu_ps(af.as_ptr().add(i));
-                let b = _mm256_loadu_ps(bf.as_ptr().add(i));
-                let w = _mm256_loadu_ps(wf.as_ptr().add(i));
-                let t1 = _mm256_mul_ps(b, _mm256_moveldup_ps(w));
-                let t2 = _mm256_mul_ps(_mm256_permute_ps(b, 0b1011_0001), _mm256_movehdup_ps(w));
-                let t = _mm256_addsub_ps(t1, t2);
-                _mm256_storeu_ps(af.as_mut_ptr().add(i), _mm256_add_ps(a, t));
-                _mm256_storeu_ps(bf.as_mut_ptr().add(i), _mm256_sub_ps(a, t));
-                i += 8;
-            }
-            let done = i / 2;
-            scalar::butterfly_run(&mut lo[done..], &mut hi[done..], &tw[done..]);
+    /// A vector of `LANES` interleaved complex samples (`2 * LANES`
+    /// floats) and the per-lane operations the generic kernels use.
+    /// Every arithmetic method is one correctly rounded IEEE operation
+    /// per float lane.
+    ///
+    /// # Safety
+    /// Methods may only be called where the CPU supports the
+    /// implementing ISA; pointer methods read or write `LANES` samples
+    /// (unaligned) at the pointer.
+    trait Simd: Copy {
+        const LANES: usize;
+        /// Twiddle vectors of the stages [`Simd::small_stages`] runs.
+        type Small: Copy;
+
+        unsafe fn load(p: *const Cf32) -> Self;
+        unsafe fn store(self, p: *mut Cf32);
+        unsafe fn splat(v: f32) -> Self;
+        /// `[re, im, re, im, ...]`.
+        unsafe fn rails(re: f32, im: f32) -> Self;
+        unsafe fn add(self, o: Self) -> Self;
+        unsafe fn sub(self, o: Self) -> Self;
+        unsafe fn mul(self, o: Self) -> Self;
+        unsafe fn div(self, o: Self) -> Self;
+        /// `self < o ? self : o` per lane: `o` where either is NaN.
+        unsafe fn min(self, o: Self) -> Self;
+        /// `self > o ? self : o` per lane: `o` where either is NaN.
+        unsafe fn max(self, o: Self) -> Self;
+        unsafe fn and(self, o: Self) -> Self;
+        unsafe fn or(self, o: Self) -> Self;
+        /// Rounds every lane toward zero.
+        unsafe fn trunc(self) -> Self;
+        /// `[im, re, im, re, ...]`.
+        unsafe fn swap(self) -> Self;
+        /// Real lanes of `self`, imaginary lanes of `o`.
+        unsafe fn blend_im(self, o: Self) -> Self;
+        /// Unfused complex multiply, [`Cf32`]'s `Mul` per sample: two
+        /// rounded products and one add or subtract per component.
+        unsafe fn cmul(self, w: Self) -> Self;
+        /// The twiddles of the FFT stages with fewer than `LANES`
+        /// butterflies per block, from a table of at least
+        /// `LANES - 1` entries laid out as `Backend::fft_stages` takes it.
+        unsafe fn small_twiddles(tw: &[Cf32]) -> Self::Small;
+        /// Those stages (`half = 1, 2, .. LANES / 2`), in order, on one
+        /// block of `LANES` samples held in `self`: both halves of every
+        /// butterfly are shuffled into place, the upper half is
+        /// multiplied by its twiddle, and sum and difference are blended
+        /// back — the arithmetic of `butterfly`, lane for lane.
+        unsafe fn small_stages(self, tw: Self::Small) -> Self;
+        /// `Backend::normalize_lags` for the `LANES` lags at the
+        /// pointers.
+        unsafe fn normalize(
+            corr: *const Cf32,
+            lo: *const f64,
+            hi: *const f64,
+            energy: f64,
+            floor: f64,
+            out: *mut f32,
+        );
+    }
+
+    /// `ROUND_TO_ZERO | NO_EXC` for the `round`/`roundscale` family.
+    const TRUNC: i32 = _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC;
+    /// Swaps the floats of every pair (`permute`/`shuffle` control).
+    const SWAP: i32 = 0b1011_0001;
+
+    impl Simd for __m128 {
+        const LANES: usize = 2;
+        type Small = __m128;
+
+        #[inline(always)]
+        unsafe fn load(p: *const Cf32) -> Self {
+            _mm_loadu_ps(p.cast())
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut Cf32) {
+            _mm_storeu_ps(p.cast(), self)
+        }
+        #[inline(always)]
+        unsafe fn splat(v: f32) -> Self {
+            _mm_set1_ps(v)
+        }
+        #[inline(always)]
+        unsafe fn rails(re: f32, im: f32) -> Self {
+            _mm_setr_ps(re, im, re, im)
+        }
+        #[inline(always)]
+        unsafe fn add(self, o: Self) -> Self {
+            _mm_add_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn sub(self, o: Self) -> Self {
+            _mm_sub_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn mul(self, o: Self) -> Self {
+            _mm_mul_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn div(self, o: Self) -> Self {
+            _mm_div_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn min(self, o: Self) -> Self {
+            _mm_min_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn max(self, o: Self) -> Self {
+            _mm_max_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn and(self, o: Self) -> Self {
+            _mm_and_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn or(self, o: Self) -> Self {
+            _mm_or_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn trunc(self) -> Self {
+            _mm_round_ps::<TRUNC>(self)
+        }
+        #[inline(always)]
+        unsafe fn swap(self) -> Self {
+            _mm_shuffle_ps::<SWAP>(self, self)
+        }
+        #[inline(always)]
+        unsafe fn blend_im(self, o: Self) -> Self {
+            _mm_blend_ps::<0b1010>(self, o)
+        }
+        #[inline(always)]
+        unsafe fn cmul(self, w: Self) -> Self {
+            let t1 = _mm_mul_ps(self, _mm_moveldup_ps(w));
+            let t2 = _mm_mul_ps(self.swap(), _mm_movehdup_ps(w));
+            _mm_addsub_ps(t1, t2)
+        }
+        #[inline(always)]
+        unsafe fn small_twiddles(tw: &[Cf32]) -> Self::Small {
+            Self::rails(tw[0].re, tw[0].im)
+        }
+        #[inline(always)]
+        unsafe fn small_stages(self, w1: Self::Small) -> Self {
+            // half = 1: (x0, x1).
+            let (a, t) = (
+                _mm_movelh_ps(self, self),
+                _mm_movehl_ps(self, self).cmul(w1),
+            );
+            _mm_blend_ps::<0b1100>(a.add(t), a.sub(t))
+        }
+        #[inline(always)]
+        unsafe fn normalize(
+            corr: *const Cf32,
+            lo: *const f64,
+            hi: *const f64,
+            energy: f64,
+            floor: f64,
+            out: *mut f32,
+        ) {
+            let win = _mm_sub_pd(_mm_loadu_pd(hi), _mm_loadu_pd(lo));
+            // Lanes 2 and 3 of everything below are don't-cares: only
+            // the low two results are stored.
+            let denom = _mm_cvtpd_ps(_mm_sqrt_pd(_mm_mul_pd(win, _mm_set1_pd(energy))));
+            let z = Self::load(corr);
+            let sq = _mm_mul_ps(z, z);
+            let mag = _mm_sqrt_ps(_mm_hadd_ps(sq, sq));
+            let q = _mm_min_ps(_mm_div_ps(mag, denom), _mm_set1_ps(1.0));
+            let quiet = _mm_castpd_ps(_mm_cmple_pd(win, _mm_set1_pd(floor)));
+            let quiet = _mm_shuffle_ps::<0b1000_1000>(quiet, quiet);
+            _mm_storel_pd(out.cast(), _mm_castps_pd(_mm_andnot_ps(quiet, q)));
         }
     }
 
-    #[target_feature(enable = "sse4.1")]
-    pub unsafe fn butterflies_sse41(buf: &mut [Cf32], tw: &[Cf32]) {
-        let half = tw.len();
-        let wf = floats(tw);
-        let lim = 2 * half;
-        for block in buf.chunks_exact_mut(2 * half) {
-            let (lo, hi) = block.split_at_mut(half);
-            let af = floats_mut(lo);
-            let bf = floats_mut(hi);
-            let mut i = 0usize;
-            while i + 4 <= lim {
-                let a = _mm_loadu_ps(af.as_ptr().add(i));
-                let b = _mm_loadu_ps(bf.as_ptr().add(i));
-                let w = _mm_loadu_ps(wf.as_ptr().add(i));
-                let t1 = _mm_mul_ps(b, _mm_moveldup_ps(w));
-                let t2 = _mm_mul_ps(_mm_shuffle_ps(b, b, 0b1011_0001), _mm_movehdup_ps(w));
-                let t = _mm_addsub_ps(t1, t2);
-                _mm_storeu_ps(af.as_mut_ptr().add(i), _mm_add_ps(a, t));
-                _mm_storeu_ps(bf.as_mut_ptr().add(i), _mm_sub_ps(a, t));
-                i += 4;
-            }
-            let done = i / 2;
-            scalar::butterfly_run(&mut lo[done..], &mut hi[done..], &tw[done..]);
+    impl Simd for __m256 {
+        const LANES: usize = 4;
+        type Small = [__m256; 2];
+
+        #[inline(always)]
+        unsafe fn load(p: *const Cf32) -> Self {
+            _mm256_loadu_ps(p.cast())
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut Cf32) {
+            _mm256_storeu_ps(p.cast(), self)
+        }
+        #[inline(always)]
+        unsafe fn splat(v: f32) -> Self {
+            _mm256_set1_ps(v)
+        }
+        #[inline(always)]
+        unsafe fn rails(re: f32, im: f32) -> Self {
+            _mm256_setr_ps(re, im, re, im, re, im, re, im)
+        }
+        #[inline(always)]
+        unsafe fn add(self, o: Self) -> Self {
+            _mm256_add_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn sub(self, o: Self) -> Self {
+            _mm256_sub_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn mul(self, o: Self) -> Self {
+            _mm256_mul_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn div(self, o: Self) -> Self {
+            _mm256_div_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn min(self, o: Self) -> Self {
+            _mm256_min_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn max(self, o: Self) -> Self {
+            _mm256_max_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn and(self, o: Self) -> Self {
+            _mm256_and_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn or(self, o: Self) -> Self {
+            _mm256_or_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn trunc(self) -> Self {
+            _mm256_round_ps::<TRUNC>(self)
+        }
+        #[inline(always)]
+        unsafe fn swap(self) -> Self {
+            _mm256_permute_ps::<SWAP>(self)
+        }
+        #[inline(always)]
+        unsafe fn blend_im(self, o: Self) -> Self {
+            _mm256_blend_ps::<0b1010_1010>(self, o)
+        }
+        #[inline(always)]
+        unsafe fn cmul(self, w: Self) -> Self {
+            let t1 = _mm256_mul_ps(self, _mm256_moveldup_ps(w));
+            let t2 = _mm256_mul_ps(self.swap(), _mm256_movehdup_ps(w));
+            _mm256_addsub_ps(t1, t2)
+        }
+        #[inline(always)]
+        unsafe fn small_twiddles(tw: &[Cf32]) -> Self::Small {
+            let w2 = _mm_loadu_ps(tw[1..3].as_ptr().cast());
+            [Self::rails(tw[0].re, tw[0].im), _mm256_broadcast_ps(&w2)]
+        }
+        #[inline(always)]
+        unsafe fn small_stages(self, [w1, w2]: Self::Small) -> Self {
+            // half = 1: (x0, x1), (x2, x3).
+            let d = _mm256_castps_pd(self);
+            let a = _mm256_castpd_ps(_mm256_movedup_pd(d));
+            let t = _mm256_castpd_ps(_mm256_permute_pd::<0b1111>(d)).cmul(w1);
+            let v = _mm256_blend_ps::<0b1100_1100>(a.add(t), a.sub(t));
+            // half = 2: (x0, x2), (x1, x3).
+            let a = _mm256_permute2f128_ps::<0x00>(v, v);
+            let t = _mm256_permute2f128_ps::<0x11>(v, v).cmul(w2);
+            _mm256_blend_ps::<0b1111_0000>(a.add(t), a.sub(t))
+        }
+        #[inline(always)]
+        unsafe fn normalize(
+            corr: *const Cf32,
+            lo: *const f64,
+            hi: *const f64,
+            energy: f64,
+            floor: f64,
+            out: *mut f32,
+        ) {
+            let win = _mm256_sub_pd(_mm256_loadu_pd(hi), _mm256_loadu_pd(lo));
+            let denom = _mm256_cvtpd_ps(_mm256_sqrt_pd(_mm256_mul_pd(win, _mm256_set1_pd(energy))));
+            let z = Self::load(corr);
+            let sq = _mm256_mul_ps(z, z);
+            // [s0 s1 s0 s1 | s2 s3 s2 s3] -> [s0 s1 s2 s3].
+            let h = _mm256_hadd_ps(sq, sq);
+            let mag2 = _mm_movelh_ps(_mm256_castps256_ps128(h), _mm256_extractf128_ps::<1>(h));
+            let q = _mm_min_ps(_mm_div_ps(_mm_sqrt_ps(mag2), denom), _mm_set1_ps(1.0));
+            // Four 64-bit compare masks, narrowed to their low halves.
+            let quiet = _mm256_castpd_ps(_mm256_cmp_pd::<_CMP_LE_OQ>(win, _mm256_set1_pd(floor)));
+            let quiet = _mm_shuffle_ps::<0b1000_1000>(
+                _mm256_castps256_ps128(quiet),
+                _mm256_extractf128_ps::<1>(quiet),
+            );
+            _mm_storeu_ps(out, _mm_andnot_ps(quiet, q));
         }
     }
 
-    // The masked-subtract addsub replacement of mul_in_place_avx512.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn butterflies_avx512(buf: &mut [Cf32], tw: &[Cf32]) {
-        let half = tw.len();
-        let wf = floats(tw);
-        let lim = 2 * half;
-        const RE_LANES: u16 = 0x5555;
-        for block in buf.chunks_exact_mut(2 * half) {
-            let (lo, hi) = block.split_at_mut(half);
-            let af = floats_mut(lo);
-            let bf = floats_mut(hi);
-            let mut i = 0usize;
-            while i + 16 <= lim {
-                let a = _mm512_loadu_ps(af.as_ptr().add(i));
-                let b = _mm512_loadu_ps(bf.as_ptr().add(i));
-                let w = _mm512_loadu_ps(wf.as_ptr().add(i));
-                let t1 = _mm512_mul_ps(b, _mm512_moveldup_ps(w));
-                let t2 = _mm512_mul_ps(_mm512_permute_ps(b, 0b1011_0001), _mm512_movehdup_ps(w));
-                let t = _mm512_mask_sub_ps(_mm512_add_ps(t1, t2), RE_LANES, t1, t2);
-                _mm512_storeu_ps(af.as_mut_ptr().add(i), _mm512_add_ps(a, t));
-                _mm512_storeu_ps(bf.as_mut_ptr().add(i), _mm512_sub_ps(a, t));
-                i += 16;
-            }
-            let done = i / 2;
-            scalar::butterfly_run(&mut lo[done..], &mut hi[done..], &tw[done..]);
+    // AVX-512F has neither `addsub` nor float `and`/`or`: a masked
+    // subtract over the full-width add stands in for the first (each
+    // lane still computes one add or one subtract of the same two
+    // rounded products), the integer forms for the others.
+    impl Simd for __m512 {
+        const LANES: usize = 8;
+        type Small = [__m512; 3];
+
+        #[inline(always)]
+        unsafe fn load(p: *const Cf32) -> Self {
+            _mm512_loadu_ps(p.cast())
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut Cf32) {
+            _mm512_storeu_ps(p.cast(), self)
+        }
+        #[inline(always)]
+        unsafe fn splat(v: f32) -> Self {
+            _mm512_set1_ps(v)
+        }
+        #[inline(always)]
+        unsafe fn rails(re: f32, im: f32) -> Self {
+            _mm512_mask_blend_ps(0xAAAA, _mm512_set1_ps(re), _mm512_set1_ps(im))
+        }
+        #[inline(always)]
+        unsafe fn add(self, o: Self) -> Self {
+            _mm512_add_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn sub(self, o: Self) -> Self {
+            _mm512_sub_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn mul(self, o: Self) -> Self {
+            _mm512_mul_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn div(self, o: Self) -> Self {
+            _mm512_div_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn min(self, o: Self) -> Self {
+            _mm512_min_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn max(self, o: Self) -> Self {
+            _mm512_max_ps(self, o)
+        }
+        #[inline(always)]
+        unsafe fn and(self, o: Self) -> Self {
+            _mm512_castsi512_ps(_mm512_and_si512(
+                _mm512_castps_si512(self),
+                _mm512_castps_si512(o),
+            ))
+        }
+        #[inline(always)]
+        unsafe fn or(self, o: Self) -> Self {
+            _mm512_castsi512_ps(_mm512_or_si512(
+                _mm512_castps_si512(self),
+                _mm512_castps_si512(o),
+            ))
+        }
+        #[inline(always)]
+        unsafe fn trunc(self) -> Self {
+            _mm512_roundscale_ps::<TRUNC>(self)
+        }
+        #[inline(always)]
+        unsafe fn swap(self) -> Self {
+            _mm512_permute_ps::<SWAP>(self)
+        }
+        #[inline(always)]
+        unsafe fn blend_im(self, o: Self) -> Self {
+            _mm512_mask_blend_ps(0xAAAA, self, o)
+        }
+        #[inline(always)]
+        unsafe fn cmul(self, w: Self) -> Self {
+            let t1 = _mm512_mul_ps(self, _mm512_moveldup_ps(w));
+            let t2 = _mm512_mul_ps(self.swap(), _mm512_movehdup_ps(w));
+            _mm512_mask_sub_ps(_mm512_add_ps(t1, t2), 0x5555, t1, t2)
+        }
+        #[inline(always)]
+        unsafe fn small_twiddles(tw: &[Cf32]) -> Self::Small {
+            let w2 = _mm_loadu_ps(tw[1..3].as_ptr().cast());
+            let w4 = _mm256_loadu_pd(tw[3..7].as_ptr().cast());
+            [
+                Self::rails(tw[0].re, tw[0].im),
+                _mm512_broadcast_f32x4(w2),
+                _mm512_castpd_ps(_mm512_broadcast_f64x4(w4)),
+            ]
+        }
+        #[inline(always)]
+        unsafe fn small_stages(self, [w1, w2, w4]: Self::Small) -> Self {
+            // half = 1: (x0, x1), (x2, x3), ...
+            let d = _mm512_castps_pd(self);
+            let a = _mm512_castpd_ps(_mm512_movedup_pd(d));
+            let t = _mm512_castpd_ps(_mm512_permute_pd::<0xFF>(d)).cmul(w1);
+            let v = _mm512_mask_sub_ps(a.add(t), 0xCCCC, a, t);
+            // half = 2: (x0, x2), (x1, x3), (x4, x6), (x5, x7).
+            let a = _mm512_shuffle_f32x4::<0b1010_0000>(v, v);
+            let t = _mm512_shuffle_f32x4::<0b1111_0101>(v, v).cmul(w2);
+            let v = _mm512_mask_sub_ps(a.add(t), 0xF0F0, a, t);
+            // half = 4: (x0, x4) .. (x3, x7).
+            let a = _mm512_shuffle_f32x4::<0b0100_0100>(v, v);
+            let t = _mm512_shuffle_f32x4::<0b1110_1110>(v, v).cmul(w4);
+            _mm512_mask_sub_ps(a.add(t), 0xFF00, a, t)
+        }
+        #[inline(always)]
+        unsafe fn normalize(
+            corr: *const Cf32,
+            lo: *const f64,
+            hi: *const f64,
+            energy: f64,
+            floor: f64,
+            out: *mut f32,
+        ) {
+            let win = _mm512_sub_pd(_mm512_loadu_pd(hi), _mm512_loadu_pd(lo));
+            let denom = _mm512_cvtpd_ps(_mm512_sqrt_pd(_mm512_mul_pd(win, _mm512_set1_pd(energy))));
+            let z = Self::load(corr);
+            let sq = _mm512_mul_ps(z, z);
+            // re^2 + im^2 lands in both lanes of a pair; gather the
+            // even ones into the low half.
+            let sums = _mm512_add_ps(sq, sq.swap());
+            let even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 0, 0, 0, 0, 0, 0, 0, 0);
+            let mag2 = _mm512_castps512_ps256(_mm512_permutexvar_ps(even, sums));
+            let q = _mm256_min_ps(
+                _mm256_div_ps(_mm256_sqrt_ps(mag2), denom),
+                _mm256_set1_ps(1.0),
+            );
+            let quiet = _mm512_cmp_pd_mask::<_CMP_LE_OQ>(win, _mm512_set1_pd(floor));
+            let q =
+                _mm512_mask_mov_ps(_mm512_castps256_ps512(q), quiet as u16, _mm512_setzero_ps());
+            _mm256_storeu_ps(out, _mm512_castps512_ps256(q));
         }
     }
+
+    // -- FFT stages --------------------------------------------------------
+    //
+    // One butterfly is `(a, b) <- (a + b*w, a - b*w)`: the interleaved
+    // complex multiply of mul_in_place (two rounded products, one
+    // addsub), then one add and one sub — the scalar rounding sequence
+    // per lane. A fused pass loads the 4 or 8 samples two or three
+    // consecutive stages connect (`k + j*h`), runs those stages'
+    // butterflies on them in stage order, each with its own twiddle
+    // from its own stage's run of the table, and stores them once.
+
+    #[inline(always)]
+    unsafe fn butterfly<S: Simd>(a: &mut S, b: &mut S, w: S) {
+        let t = b.cmul(w);
+        (*a, *b) = (a.add(t), a.sub(t));
+    }
+
+    #[inline(always)]
+    unsafe fn scaled<S: Simd>(v: S, scale: Option<S>) -> S {
+        match scale {
+            Some(k) => v.mul(k),
+            None => v,
+        }
+    }
+
+    /// The stage with `tw.len()` butterflies per block — the body of
+    /// `Backend::butterflies`. A block's last `half % LANES` butterflies
+    /// (none for the power-of-two halves an FFT asks for) run the scalar
+    /// body.
+    #[inline(always)]
+    unsafe fn pass1<S: Simd>(buf: &mut [Cf32], tw: &[Cf32]) {
+        let h = tw.len();
+        assert!(buf.len().is_multiple_of(2 * h));
+        let vec_h = h - h % S::LANES;
+        for block in buf.chunks_exact_mut(2 * h) {
+            let (lo, hi) = block.split_at_mut(h);
+            let (p0, p1) = (lo.as_mut_ptr(), hi.as_mut_ptr());
+            for k in (0..vec_h).step_by(S::LANES) {
+                // SAFETY (pointers): k + LANES <= vec_h <= h, the length
+                // of `lo`, `hi` and `tw`.
+                let (mut a, mut b) = (S::load(p0.add(k)), S::load(p1.add(k)));
+                butterfly(&mut a, &mut b, S::load(tw.as_ptr().add(k)));
+                a.store(p0.add(k));
+                b.store(p1.add(k));
+            }
+            scalar::butterfly_run(&mut lo[vec_h..], &mut hi[vec_h..], &tw[vec_h..]);
+        }
+    }
+
+    /// Stages `h` and `2h` in one pass; `tw` is the whole table.
+    #[inline(always)]
+    unsafe fn pass2<S: Simd>(buf: &mut [Cf32], h: usize, tw: &[Cf32], scale: Option<S>) {
+        assert!(h.is_multiple_of(S::LANES) && buf.len().is_multiple_of(4 * h));
+        let (t1, t2) = (
+            tw[h - 1..2 * h - 1].as_ptr(),
+            tw[2 * h - 1..4 * h - 1].as_ptr(),
+        );
+        for block in buf.chunks_exact_mut(4 * h) {
+            let p = block.as_mut_ptr();
+            for k in (0..h).step_by(S::LANES) {
+                // SAFETY (pointers): k + LANES <= h, so sample reads stay
+                // inside the 4h-sample block and twiddle reads inside
+                // the h- and 2h-entry runs sliced above.
+                let at = |j: usize| p.add(k + j * h);
+                let (mut x0, mut x1) = (S::load(at(0)), S::load(at(1)));
+                let (mut x2, mut x3) = (S::load(at(2)), S::load(at(3)));
+                let w = S::load(t1.add(k));
+                butterfly(&mut x0, &mut x1, w);
+                butterfly(&mut x2, &mut x3, w);
+                butterfly(&mut x0, &mut x2, S::load(t2.add(k)));
+                butterfly(&mut x1, &mut x3, S::load(t2.add(k + h)));
+                scaled(x0, scale).store(at(0));
+                scaled(x1, scale).store(at(1));
+                scaled(x2, scale).store(at(2));
+                scaled(x3, scale).store(at(3));
+            }
+        }
+    }
+
+    /// Stages `h`, `2h` and `4h` in one pass; `tw` is the whole table.
+    #[inline(always)]
+    unsafe fn pass3<S: Simd>(buf: &mut [Cf32], h: usize, tw: &[Cf32], scale: Option<S>) {
+        assert!(h.is_multiple_of(S::LANES) && buf.len().is_multiple_of(8 * h));
+        let t1 = tw[h - 1..2 * h - 1].as_ptr();
+        let t2 = tw[2 * h - 1..4 * h - 1].as_ptr();
+        let t4 = tw[4 * h - 1..8 * h - 1].as_ptr();
+        for block in buf.chunks_exact_mut(8 * h) {
+            let p = block.as_mut_ptr();
+            for k in (0..h).step_by(S::LANES) {
+                // SAFETY (pointers): k + LANES <= h, so sample reads stay
+                // inside the 8h-sample block and twiddle reads inside
+                // the h-, 2h- and 4h-entry runs sliced above.
+                let at = |j: usize| p.add(k + j * h);
+                let (mut x0, mut x1) = (S::load(at(0)), S::load(at(1)));
+                let (mut x2, mut x3) = (S::load(at(2)), S::load(at(3)));
+                let (mut x4, mut x5) = (S::load(at(4)), S::load(at(5)));
+                let (mut x6, mut x7) = (S::load(at(6)), S::load(at(7)));
+                let w = S::load(t1.add(k));
+                butterfly(&mut x0, &mut x1, w);
+                butterfly(&mut x2, &mut x3, w);
+                butterfly(&mut x4, &mut x5, w);
+                butterfly(&mut x6, &mut x7, w);
+                let (wa, wb) = (S::load(t2.add(k)), S::load(t2.add(k + h)));
+                butterfly(&mut x0, &mut x2, wa);
+                butterfly(&mut x1, &mut x3, wb);
+                butterfly(&mut x4, &mut x6, wa);
+                butterfly(&mut x5, &mut x7, wb);
+                butterfly(&mut x0, &mut x4, S::load(t4.add(k)));
+                butterfly(&mut x1, &mut x5, S::load(t4.add(k + h)));
+                butterfly(&mut x2, &mut x6, S::load(t4.add(k + 2 * h)));
+                butterfly(&mut x3, &mut x7, S::load(t4.add(k + 3 * h)));
+                scaled(x0, scale).store(at(0));
+                scaled(x1, scale).store(at(1));
+                scaled(x2, scale).store(at(2));
+                scaled(x3, scale).store(at(3));
+                scaled(x4, scale).store(at(4));
+                scaled(x5, scale).store(at(5));
+                scaled(x6, scale).store(at(6));
+                scaled(x7, scale).store(at(7));
+            }
+        }
+    }
+
+    /// `Backend::fft_stages`: the in-register stages, the one or two
+    /// stages that do not fill a triple, then triples; `scale` rides
+    /// on whichever pass comes last. The dispatcher has checked that
+    /// `buf.len()` is a power of two and `tw.len() == buf.len() - 1`.
+    #[inline(always)]
+    unsafe fn fft_stages<S: Simd>(buf: &mut [Cf32], tw: &[Cf32], scale: Option<f32>) {
+        let n = buf.len();
+        if n < S::LANES {
+            return scalar::fft_stages(buf, tw, scale);
+        }
+        // (No closure here: one would not inherit the entry point's
+        // target features.)
+        let mut scale = scale.is_some().then_some(S::splat(scale.unwrap_or(1.0)));
+        let mut last = |span: usize| if span == n { scale.take() } else { None };
+        let mut h = S::LANES;
+        let (small, k) = (S::small_twiddles(tw), last(h));
+        for block in buf.chunks_exact_mut(S::LANES) {
+            let p = block.as_mut_ptr();
+            scaled(S::load(p).small_stages(small), k).store(p);
+        }
+        match (n / h).trailing_zeros() % 3 {
+            1 => {
+                pass1::<S>(buf, &tw[h - 1..2 * h - 1]);
+                h *= 2;
+            }
+            2 => {
+                pass2::<S>(buf, h, tw, last(4 * h));
+                h *= 4;
+            }
+            _ => {}
+        }
+        while h < n {
+            pass3::<S>(buf, h, tw, last(8 * h));
+            h *= 8;
+        }
+        // Only a transform that ends on the lone single stage
+        // (n = 2 * LANES) still has its scale to apply.
+        if let Some(k) = scale {
+            for block in buf.chunks_exact_mut(S::LANES) {
+                let p = block.as_mut_ptr();
+                S::load(p).mul(k).store(p);
+            }
+        }
+    }
+
+    /// `Backend::normalize_lags` over slices of one length.
+    #[inline(always)]
+    unsafe fn normalize_lags<S: Simd>(
+        corr: &[Cf32],
+        lo: &[f64],
+        hi: &[f64],
+        energy: f64,
+        floor: f64,
+        out: &mut [f32],
+    ) {
+        let n = out.len();
+        assert!(corr.len() == n && lo.len() == n && hi.len() == n);
+        let done = n - n % S::LANES;
+        for k in (0..done).step_by(S::LANES) {
+            // SAFETY (pointers): k + LANES <= n, every slice's length.
+            S::normalize(
+                corr.as_ptr().add(k),
+                lo.as_ptr().add(k),
+                hi.as_ptr().add(k),
+                energy,
+                floor,
+                out.as_mut_ptr().add(k),
+            );
+        }
+        scalar::normalize_lags(
+            &corr[done..],
+            &lo[done..],
+            &hi[done..],
+            energy,
+            floor,
+            &mut out[done..],
+        );
+    }
+
+    /// `Backend::digitize` over slices of one length. `round` is
+    /// `trunc(x + copysign(0.5 - 2^-25, x))`: for `|x| <= 2^15` the sum
+    /// rounds up to the next integer exactly when the fraction of `|x|`
+    /// is at least one half, and never past it.
+    #[inline(always)]
+    unsafe fn digitize<S: Simd>(adc: &Adc, analog: &[Cf32], out: &mut [Cf32]) {
+        let n = out.len();
+        assert!(analog.len() == n);
+        let (gain, skew, iq_gain) = (
+            S::splat(adc.gain),
+            S::splat(adc.iq_skew),
+            S::splat(adc.iq_gain),
+        );
+        let (dc, levels) = (S::splat(adc.dc), S::splat(adc.levels));
+        let (one, neg_one) = (S::splat(1.0), S::splat(-1.0));
+        let (sign, nearly_half) = (S::splat(-0.0), S::splat(0.5 - f32::EPSILON / 4.0));
+        let done = n - n % S::LANES;
+        for k in (0..done).step_by(S::LANES) {
+            // SAFETY (pointers): k + LANES <= n, both slices' length.
+            let s = S::load(analog.as_ptr().add(k)).mul(gain);
+            let q_rail = iq_gain.mul(s.add(skew.mul(s.swap())));
+            let v = s.blend_im(q_rail).add(dc);
+            // Operand order keeps a NaN sample NaN, as `clamp` does.
+            let x = neg_one.max(one.min(v)).mul(levels);
+            let rounded = x.add(x.and(sign).or(nearly_half)).trunc();
+            rounded.div(levels).store(out.as_mut_ptr().add(k));
+        }
+        scalar::digitize(adc, &analog[done..], &mut out[done..]);
+    }
+
+    /// Instantiates the generic kernels for one ISA.
+    macro_rules! instantiate {
+        ($feat:literal, $v:ty: $butterflies:ident, $fft_stages:ident, $normalize_lags:ident, $digitize:ident) => {
+            #[target_feature(enable = $feat)]
+            pub unsafe fn $butterflies(buf: &mut [Cf32], tw: &[Cf32]) {
+                pass1::<$v>(buf, tw)
+            }
+            #[target_feature(enable = $feat)]
+            pub unsafe fn $fft_stages(buf: &mut [Cf32], tw: &[Cf32], scale: Option<f32>) {
+                fft_stages::<$v>(buf, tw, scale)
+            }
+            #[target_feature(enable = $feat)]
+            pub unsafe fn $normalize_lags(
+                corr: &[Cf32],
+                lo: &[f64],
+                hi: &[f64],
+                energy: f64,
+                floor: f64,
+                out: &mut [f32],
+            ) {
+                normalize_lags::<$v>(corr, lo, hi, energy, floor, out)
+            }
+            #[target_feature(enable = $feat)]
+            pub unsafe fn $digitize(adc: &Adc, analog: &[Cf32], out: &mut [Cf32]) {
+                digitize::<$v>(adc, analog, out)
+            }
+        };
+    }
+
+    instantiate!("sse4.1", __m128: butterflies_sse41, fft_stages_sse41, normalize_lags_sse41, digitize_sse41);
+    instantiate!("avx2", __m256: butterflies_avx2, fft_stages_avx2, normalize_lags_avx2, digitize_avx2);
+    instantiate!("avx512f", __m512: butterflies_avx512, fft_stages_avx512, normalize_lags_avx512, digitize_avx512);
 
     // -- FIR ---------------------------------------------------------------
     //

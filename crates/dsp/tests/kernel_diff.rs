@@ -25,7 +25,7 @@
 //! anything but bit-exact kernels, so none can observe the walk.
 
 use galiot_dsp::fft::Fft;
-use galiot_dsp::kernels::{self, Backend};
+use galiot_dsp::kernels::{self, Adc, Backend};
 use galiot_dsp::Cf32;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -326,6 +326,119 @@ fn fft_plans_bit_exact_on_every_backend() {
     kernels::set_backend(entry);
 }
 
+/// Inputs whose bits a shortcut would flip: skipping the multiply by a
+/// `w = 1` twiddle (`1 - 0i` forward, `1 + 0i` inverse) turns
+/// `-0.0 - 0.0 * x` into `-0.0`, and `inf * 0` (NaN) into `inf`.
+fn fft_special_inputs(rng: &mut StdRng, n: usize) -> Vec<(&'static str, Vec<Cf32>)> {
+    let signed_zeros = (0..n)
+        .map(|i| {
+            Cf32::new(
+                if i % 2 == 0 { -0.0 } else { 0.0 },
+                if i % 3 == 0 { 0.0 } else { -0.0 },
+            )
+        })
+        .collect();
+    let mut sparse_zeros = cvec(rng, n);
+    for z in sparse_zeros.iter_mut().step_by(3) {
+        *z = Cf32::new(-0.0, z.im);
+    }
+    // One special value per transform, at a random place: it spreads
+    // to every output through a different butterfly path each time.
+    let mut poke = |v: Cf32| {
+        let mut x = cvec(rng, n);
+        x[rng.gen_range(0..n)] = v;
+        x
+    };
+    vec![
+        ("+inf", poke(Cf32::new(f32::INFINITY, 1.0))),
+        ("-inf", poke(Cf32::new(-2.0, f32::NEG_INFINITY))),
+        ("nan", poke(Cf32::new(f32::NAN, 0.5))),
+        ("signed zeros", signed_zeros),
+        ("sparse -0.0", sparse_zeros),
+    ]
+}
+
+#[test]
+fn fft_plans_bit_exact_on_special_values() {
+    let mut rng = StdRng::seed_from_u64(0x5eed_000e);
+    let entry = kernels::active();
+    // A fused transform runs the stages narrower than a vector in
+    // registers, then the `(log2 n - log2 lanes) % 3` left-over stages
+    // (none, a single, a pair), then triples: the sizes swept must put
+    // every vector width through all three left-over shapes.
+    const SIZES: std::ops::RangeInclusive<u32> = 1..=16;
+    for backend in backends() {
+        let log2_lanes = match backend {
+            Backend::Scalar => continue,
+            Backend::Sse41 => 1,
+            Backend::Avx2 | Backend::Fma => 2,
+            Backend::Avx512 => 3,
+        };
+        let shapes: std::collections::BTreeSet<u32> = SIZES
+            .filter(|&log2| log2 > log2_lanes)
+            .map(|log2| (log2 - log2_lanes) % 3)
+            .collect();
+        assert_eq!(shapes.len(), 3, "{backend:?}: left-over shapes {shapes:?}");
+    }
+    for log2 in SIZES {
+        let n = 1usize << log2;
+        let plan = Fft::new(n);
+        for (family, input) in fft_special_inputs(&mut rng, n) {
+            for inverse in [false, true] {
+                let mut want = input.clone();
+                reference_transform(&mut want, inverse);
+                for backend in backends() {
+                    kernels::set_backend(backend);
+                    let mut got = input.clone();
+                    if inverse {
+                        plan.inverse(&mut got);
+                    } else {
+                        plan.forward(&mut got);
+                    }
+                    let what = format_args!("{backend:?} n={n} {family} inverse={inverse}");
+                    assert_same_bits(&got, &want, what);
+                }
+            }
+        }
+    }
+    kernels::set_backend(entry);
+}
+
+#[test]
+fn fft_stages_equal_one_butterflies_call_per_stage() {
+    // The fused kernel against its own oracle, on twiddles that are
+    // not roots of unity (so no two stages' twiddles could be merged
+    // unnoticed), with and without the trailing scale.
+    let mut rng = StdRng::seed_from_u64(0x5eed_000f);
+    for log2 in 0..=13 {
+        let n = 1usize << log2;
+        let tw = cvec(&mut rng, n - 1);
+        let x = cvec(&mut rng, n + 1);
+        for scale in [None, Some(0.37f32)] {
+            let mut want = x.clone();
+            let mut half = 1;
+            while half < n {
+                Backend::Scalar.butterflies(&mut want[1..], &tw[half - 1..2 * half - 1]);
+                half <<= 1;
+            }
+            if let Some(k) = scale {
+                for z in want[1..].iter_mut() {
+                    *z *= k;
+                }
+            }
+            for backend in backends() {
+                let mut got = x.clone();
+                backend.fft_stages(&mut got[1..], &tw, scale);
+                assert_same_bits(
+                    &got,
+                    &want,
+                    format_args!("{backend:?} n={n} scale={scale:?}"),
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn butterflies_bit_exact_across_backends() {
     // The stage kernel on its own terms: arbitrary twiddles (not roots
@@ -363,6 +476,220 @@ fn fft_inverse_undoes_forward_on_the_active_backend() {
         let tol = 1e-6 * (log2 as f32 + 1.0);
         for (i, (a, b)) in y.iter().zip(&x).enumerate() {
             assert!((*a - *b).abs() <= tol, "n={n} sample {i}: {a:?} vs {b:?}");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Correlation normalization and the ADC model: bit-exact against the
+// scalar bodies they replaced, kept here
+// ---------------------------------------------------------------------------
+
+/// The normalization loop of `Template::xcorr_normalized` as it was
+/// before it became a kernel.
+fn reference_normalize(
+    corr: &[Cf32],
+    prefix: &[f64],
+    m: usize,
+    energy: f32,
+    floor: f64,
+) -> Vec<f32> {
+    let mut out = Vec::new();
+    for (k, r) in corr.iter().enumerate() {
+        let win = prefix[k + m] - prefix[k];
+        if win <= floor {
+            out.push(0.0);
+        } else {
+            let denom = (win * energy as f64).sqrt() as f32;
+            out.push((r.abs() / denom).min(1.0));
+        }
+    }
+    out
+}
+
+#[test]
+fn normalize_lags_bit_exact_across_backends() {
+    let mut rng = StdRng::seed_from_u64(0x5eed_0010);
+    for &n in &LENGTHS {
+        for m in [1usize, 7, 64] {
+            // Window energies across the floor, a dead-flat stretch
+            // (energy exactly 0), and correlations from far under to
+            // far over the window energy (so `min` clips some).
+            let mut prefix = vec![0.0f64];
+            for i in 0..n + m + 3 {
+                let step = if i % 50 < 10 {
+                    0.0
+                } else {
+                    rng.gen::<f64>() * 10f64.powi(rng.gen_range(-14..3))
+                };
+                prefix.push(prefix[i] + step);
+            }
+            let mut corr = cvec(&mut rng, n);
+            let energy = rng.gen::<f32>() * 100.0 + 0.01;
+            if n > 4 {
+                corr[1] = Cf32::new(f32::NAN, 1.0);
+                corr[2] = Cf32::new(f32::INFINITY, 1.0);
+                corr[3] = Cf32::ZERO;
+                prefix[4 + m] = f64::NAN;
+            }
+            for floor in [1e-30, 1e-9, 0.5] {
+                let want = reference_normalize(&corr, &prefix, m, energy, floor);
+                for backend in backends() {
+                    let mut got = vec![-1.0f32; n];
+                    backend.normalize_lags(&corr, &prefix, m, energy as f64, floor, &mut got);
+                    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            g.to_bits(),
+                            w.to_bits(),
+                            "{backend:?} n={n} m={m} floor={floor} lag {i}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `RtlSdrFrontEnd::digitize`'s per-sample body as it was before it
+/// became a kernel: two `round` calls a sample.
+fn reference_digitize(adc: &Adc, analog: &[Cf32]) -> Vec<Cf32> {
+    analog
+        .iter()
+        .map(|&z| {
+            let mut s = z * adc.gain;
+            s = Cf32::new(s.re, adc.iq_gain * (s.im + adc.iq_skew * s.re));
+            s += Cf32::new(adc.dc, adc.dc);
+            let q = |v: f32| ((v.clamp(-1.0, 1.0) * adc.levels).round()) / adc.levels;
+            Cf32::new(q(s.re), q(s.im))
+        })
+        .collect()
+}
+
+/// [`bits`] with every NaN mapped to one: a rail fed both an infinity
+/// and a NaN adds two NaNs of different sign, and which of them an
+/// `add` returns follows its operand order — the compiler's choice in
+/// the scalar body. That a NaN comes out is the contract, not which.
+fn rail_bits(z: Cf32) -> (u32, u32) {
+    let canon = |v: f32| {
+        if v.is_nan() {
+            f32::NAN.to_bits()
+        } else {
+            v.to_bits()
+        }
+    };
+    (canon(z.re), canon(z.im))
+}
+
+fn assert_digitize_matches(adc: &Adc, analog: &[Cf32]) {
+    let want = reference_digitize(adc, analog);
+    for backend in backends() {
+        let mut got = vec![Cf32::new(7.0, 7.0); analog.len()];
+        backend.digitize(adc, analog, &mut got);
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(
+                rail_bits(*g),
+                rail_bits(*w),
+                "{backend:?} {adc:?} sample {i}: {:?}",
+                analog[i]
+            );
+        }
+    }
+}
+
+fn ulp_up(v: f32) -> f32 {
+    f32::from_bits(v.to_bits() + 1)
+}
+
+fn ulp_down(v: f32) -> f32 {
+    f32::from_bits(v.to_bits() - 1)
+}
+
+#[test]
+fn digitize_rounds_every_tie_like_round() {
+    // A transparent front end (unit gains, no skew, no offset), so the
+    // value rounded is `sample * levels` exactly: every `k + 0.5` tie a
+    // converter of each depth can meet, one ulp either side, both
+    // signs, both rails.
+    for adc_bits in 1..=16u32 {
+        let levels = (1u32 << adc_bits) as f32 / 2.0;
+        let adc = Adc {
+            gain: 1.0,
+            iq_gain: 1.0,
+            iq_skew: 0.0,
+            dc: 0.0,
+            levels,
+        };
+        let mut analog = Vec::new();
+        for k in 0..levels as u32 {
+            let tie = (k as f32 + 0.5) / levels;
+            for v in [ulp_down(tie), tie, ulp_up(tie)] {
+                analog.push(Cf32::new(v, -v));
+                analog.push(Cf32::new(-v, v));
+            }
+        }
+        assert_digitize_matches(&adc, &analog);
+    }
+}
+
+#[test]
+fn digitize_bit_exact_across_backends() {
+    let mut rng = StdRng::seed_from_u64(0x5eed_0011);
+    let edge_cases = [
+        0.0,
+        -0.0,
+        0.3,
+        -0.3,
+        0.49999997,
+        0.5,
+        0.50000006,
+        1.0,
+        -1.0,
+        1.0000001,
+        -1.0000001,
+        3.0e9,
+        -3.0e9,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        f32::MIN_POSITIVE,
+        1.0e-41,
+        -1.0e-41,
+    ];
+    for adc_bits in 1..=16u32 {
+        let levels = (1u32 << adc_bits) as f32 / 2.0;
+        for (gain, iq_gain, iq_skew, dc) in [
+            (1.0f32, 1.0f32, 0.0f32, 0.0f32),
+            (1.0, 1.01, 0.01f32.sin(), 0.004),
+            (0.2 / 0.037, 1.01, 0.01f32.sin(), 0.004),
+            (1.0e4, 0.97, -0.02, -0.01),
+        ] {
+            let adc = Adc {
+                gain,
+                iq_gain,
+                iq_skew,
+                dc,
+                levels,
+            };
+            // Both clip rails and everything between, in units of the
+            // grid so ties are dense; then the edge values, scaled so
+            // they reach the rounding step as themselves where they can.
+            let mut analog: Vec<Cf32> = (0..1_003)
+                .map(|_| {
+                    let span = 1.2 / gain;
+                    Cf32::new(
+                        (rng.gen::<f32>() * 2.0 - 1.0) * span,
+                        (rng.gen::<f32>() * 2.0 - 1.0) * span,
+                    )
+                })
+                .collect();
+            for (i, &a) in edge_cases.iter().enumerate() {
+                let b = edge_cases[(i * 7 + 3) % edge_cases.len()];
+                analog.push(Cf32::new(a / levels, b / levels));
+                analog.push(Cf32::new(b, a));
+            }
+            for &n in &[0usize, 1, 2, 3, 7, 8, 9, 15, 16, 17, analog.len()] {
+                assert_digitize_matches(&adc, &analog[analog.len() - n..]);
+            }
         }
     }
 }
@@ -513,6 +840,26 @@ proptest! {
         if inverse { plan.inverse(&mut got) } else { plan.forward(&mut got) }
         for i in 0..n {
             prop_assert_eq!(bits(got[i]), bits(want[i]), "n={} inverse={} sample {}", n, inverse, i);
+        }
+    }
+
+    #[test]
+    fn prop_digitize_matches_round(
+        raw in collection::vec(any::<f32>(), 0..70),
+        adc_bits in 1u32..=16,
+        gain in 1.0e-3f32..1.0e3,
+        dc in -0.05f32..0.05,
+    ) {
+        let analog: Vec<Cf32> = raw.chunks(2).filter(|c| c.len() == 2)
+            .map(|c| Cf32::new(c[0], c[1])).collect();
+        let adc = Adc { gain, iq_gain: 1.01, iq_skew: 0.01, dc, levels: (1u32 << adc_bits) as f32 / 2.0 };
+        let want = reference_digitize(&adc, &analog);
+        for backend in backends() {
+            let mut got = vec![Cf32::ZERO; analog.len()];
+            backend.digitize(&adc, &analog, &mut got);
+            for i in 0..analog.len() {
+                prop_assert_eq!(rail_bits(got[i]), rail_bits(want[i]), "{:?} sample {} {:?}", backend, i, analog[i]);
+            }
         }
     }
 

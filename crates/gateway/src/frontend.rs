@@ -7,6 +7,7 @@
 //! against quantization noise — all modelled here so the detection
 //! experiments see what the prototype saw.
 
+use galiot_dsp::kernels::Adc;
 use galiot_dsp::Cf32;
 
 /// RTL-SDR front-end parameters.
@@ -84,6 +85,14 @@ impl RtlSdrFrontEnd {
     /// clipping to full scale, and quantization to the ADC grid.
     /// Output remains in float full-scale units (`-1.0..=1.0` grid).
     pub fn digitize(&self, analog: &[Cf32]) -> Vec<Cf32> {
+        let mut out = Vec::new();
+        self.digitize_into(analog, &mut out);
+        out
+    }
+
+    /// [`RtlSdrFrontEnd::digitize`] into a caller-held buffer, which a
+    /// gateway session reuses from one flush window to the next.
+    pub fn digitize_into(&self, analog: &[Cf32], out: &mut Vec<Cf32>) {
         let _span = galiot_trace::span(galiot_trace::Stage::FrontendCapture, galiot_trace::NO_SEQ);
         let p = &self.params;
         let gain = if p.auto_gain {
@@ -96,19 +105,16 @@ impl RtlSdrFrontEnd {
         } else {
             p.gain
         };
-        let levels = (1u32 << p.adc_bits) as f32 / 2.0; // per polarity
-        let sin_e = p.iq_phase_imbalance.sin();
-        analog
-            .iter()
-            .map(|&z| {
-                let mut s = z * gain;
-                // IQ imbalance: Q rail gain error + phase skew leaking I into Q.
-                s = Cf32::new(s.re, p.iq_gain_imbalance * (s.im + sin_e * s.re));
-                s += Cf32::new(p.dc_offset, p.dc_offset);
-                let q = |v: f32| ((v.clamp(-1.0, 1.0) * levels).round()) / levels;
-                Cf32::new(q(s.re), q(s.im))
-            })
-            .collect()
+        let adc = Adc {
+            gain,
+            // Q rail gain error + phase skew leaking I into Q.
+            iq_gain: p.iq_gain_imbalance,
+            iq_skew: p.iq_phase_imbalance.sin(),
+            dc: p.dc_offset,
+            levels: (1u32 << p.adc_bits) as f32 / 2.0, // per polarity
+        };
+        out.resize(analog.len(), Cf32::ZERO);
+        galiot_dsp::kernels::digitize(&adc, analog, out);
     }
 
     /// Splits a digitized capture into the fixed-size URB-style chunks
@@ -283,6 +289,38 @@ mod tests {
         let out = fe.digitize(&vec![Cf32::ZERO; 1024]);
         let mean: Cf32 = out.iter().copied().sum::<Cf32>() / 1024.0;
         assert!((mean.re - 0.05).abs() < 0.01);
+    }
+
+    #[test]
+    fn impairments_land_on_the_right_rail() {
+        // Q carries its own gain error plus the I leakage of the phase
+        // skew; DC is added to both rails after that.
+        let fe = RtlSdrFrontEnd::new(FrontEndParams {
+            adc_bits: 16,
+            auto_gain: false,
+            gain: 1.0,
+            dc_offset: 0.05,
+            iq_gain_imbalance: 1.2,
+            iq_phase_imbalance: 0.3,
+            ..Default::default()
+        });
+        let out = fe.digitize(&[Cf32::new(0.5, 0.25)]);
+        assert!((out[0].re - 0.55).abs() < 1e-4, "{:?}", out[0]);
+        let q = 1.2 * (0.25 + 0.3f32.sin() * 0.5) + 0.05;
+        assert!((out[0].im - q).abs() < 1e-4, "{:?} vs {q}", out[0]);
+    }
+
+    #[test]
+    fn digitize_into_reuses_a_buffer_of_any_length() {
+        // Bit-exactness of the kernel is `galiot-dsp`'s `kernel_diff`;
+        // this holds the wrapper: a reused buffer longer or shorter than
+        // the capture ends up exactly what `digitize` allocates.
+        let fe = RtlSdrFrontEnd::new(FrontEndParams::default());
+        let mut reused = vec![Cf32::ONE; 1_000];
+        for analog in [tone(77, 0.013), tone(4_099, 0.4), Vec::new()] {
+            fe.digitize_into(&analog, &mut reused);
+            assert_eq!(reused, fe.digitize(&analog));
+        }
     }
 
     #[test]

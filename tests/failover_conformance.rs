@@ -216,6 +216,41 @@ fn run_with_deadline<T: Send + 'static>(ctx: &str, f: impl FnOnce() -> T + Send 
     }
 }
 
+/// Feeds the capture to a fleet running under [`HORIZON`]. Liveness
+/// counts logical events, and a session is on that clock from the
+/// moment it registers: fed at memory speed, the other sessions can
+/// put a whole horizon of admissions and results on it while one
+/// session's first segment is still hopping threads towards the mux,
+/// and a healthy session is reaped before it was ever heard. So the
+/// feed goes chunk by chunk, in step with the gateways, until every
+/// session has emitted its first segment (one each in this capture's
+/// first flush: registrations, admissions and results make at most
+/// ten events), waits for each to be admitted, and only then lets go.
+fn feed(fleet: &FleetGaliot, samples: &[Cf32], gateways: usize) {
+    let metrics = fleet.metrics().clone();
+    let wait_for = |done: &dyn Fn(&Metrics) -> bool| {
+        while !done(&metrics.snapshot()) {
+            thread::sleep(Duration::from_millis(1));
+        }
+    };
+    let mut chunks = samples.chunks(65_536);
+    let mut fed = 0;
+    for c in chunks.by_ref() {
+        fleet.push_chunk(c.to_vec());
+        // A gateway takes a chunk only after the flush the previous
+        // one triggered, so consumed chunks have their segments counted.
+        fed += (c.len() * gateways) as u64;
+        wait_for(&|m| m.samples_processed == fed);
+        if metrics.snapshot().segments >= gateways {
+            break;
+        }
+    }
+    wait_for(&|m| m.per_gateway_segments.len() == gateways);
+    for c in chunks {
+        fleet.push_chunk(c.to_vec());
+    }
+}
+
 /// One traced fleet pass with the cell's crash injected. When the cell
 /// expects mid-stream un-stalling, frames are drained from the live
 /// channel (with a generous polling budget) *before* `finish()` so a
@@ -236,9 +271,7 @@ fn run_cell(cell: Cell, batch_len: usize) -> CellOutcome {
         let session = TraceSession::start();
         let fleet = FleetGaliot::start(config, Registry::prototype());
         let metrics = fleet.metrics().clone();
-        for c in samples.chunks(65_536) {
-            fleet.push_chunk(c.to_vec());
-        }
+        feed(&fleet, &samples, cell.gateways);
         let mut frames: Vec<PipelineFrame> = Vec::new();
         if cell.expect_unstall {
             // The capture's tail (up to one flush window) legitimately
@@ -633,9 +666,7 @@ fn virtual_clock_failover_cell_conforms() {
             let session = TraceSession::start();
             let fleet = FleetGaliot::start(config, Registry::prototype());
             let metrics = fleet.metrics().clone();
-            for c in samples.chunks(65_536) {
-                fleet.push_chunk(c.to_vec());
-            }
+            feed(&fleet, &samples, cell.gateways);
             let sessions = fleet.sessions();
             let frames = fleet.finish();
             let trace = session.finish();
