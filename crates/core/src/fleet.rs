@@ -10,25 +10,36 @@
 //! # Topology
 //!
 //! ```text
-//!              chunks (last session takes      per-session inbox
-//!              the original, rest a clone)
+//!              chunks (one buffer,             per-session inbox
+//!              every session an `Arc`)
 //!  push_chunk ──▶ session 1 ─[transport 1]─▶ mux 1 ─┐  supervised pool
 //!             ──▶ session 2 ─[transport 2]─▶ mux 2 ─┼─▶ (leases, retries,
-//!             ──▶   ...                       ...   ┘   deadlines)
-//!                    │                   (FairnessGate)  ─▶ worker 0..W ─┐
-//!                    └─ edge decodes ──────────────────────────────────┐ │
-//!                                                                      ▼ ▼
+//!             ──▶   ...                       ...   ┘   deadlines; copies of
+//!                    │                   (FairnessGate)  one span share a lease)
+//!                    │                                   ─▶ worker 0..W ─┐
+//!                    └─ edge decodes ──────────────────────────────────┐ │ one result
+//!                                                                      ▼ ▼ per copy
 //!        frames ◀── FleetMerge (dedup, capture order) ◀── per-session lanes
 //!                                                         (seq order)
 //! ```
 //!
 //! Every gateway hears (roughly) the same air — the paper's deployment
-//! shape is redundant cheap SDRs covering one neighbourhood — so the
-//! same over-the-air frame decodes once per session. The merge keeps
-//! the best-power copy and counts the rest as `dedup_suppressed`; the
-//! fleet conformance suite pins the keystone invariant that N sessions
-//! deliver exactly the single-gateway frame set, once, for any worker
-//! count, shard count, and per-link fault seeds.
+//! shape is redundant cheap SDRs covering one neighbourhood — so every
+//! session ships its own copy of each over-the-air span. The pool
+//! decodes a span **once**: the first copy to arrive opens a lease,
+//! another gateway's copy of the same capture span (both ends within
+//! the dedup slack) parks on that lease — or is answered from a short
+//! memory of resolved ones — and a decode that recovers at least one
+//! frame is delivered to every copy under its own `(gateway, seq)` and
+//! watermark; an empty or quarantined decode promotes the next copy to
+//! a decode of its own (see [`crate::streaming`] and DESIGN.md §17,
+//! "Shared leases"). Nothing downstream can tell: each lane receives
+//! its own in-order results, the merge keeps the best-power copy and
+//! counts the rest as `dedup_suppressed`, a session that dies loses
+//! only its own deliveries. The fleet conformance suite pins the
+//! keystone invariant that N sessions deliver exactly the
+//! single-gateway frame set, once, for any worker count, shard count,
+//! and per-link fault seeds.
 //!
 //! # A sole session
 //!
@@ -49,7 +60,8 @@
 //!   to be fair to — no shard affinity (any idle worker serves), no
 //!   credit quota, and a pool intake as deep as one gateway needs
 //!   (`2·max(4, workers)`);
-//! * `push_chunk` moves the chunk instead of cloning it.
+//! * there is never a sibling copy — the pool skips the shared-lease
+//!   lookup and remembers no results.
 //!
 //! # Self-healing
 //!
@@ -76,6 +88,9 @@
 //! to `decode_retries` times, and a segment that exhausts the ladder
 //! is quarantined to a dead-letter record while an empty watermarked
 //! result keeps capture-order release and the liveness reaper moving.
+//! A copy parked on a shared lease keeps its fairness credit until its
+//! result is queued at the merge, so its session is never "silent" to
+//! the reaper while it waits.
 //!
 //! Ingest-side mechanics — [`SessionRegistry`],
 //! [`galiot_cloud::shard_for`], [`galiot_cloud::FairnessGate`],
@@ -134,7 +149,7 @@ fn fleet_ids(n: usize) -> Vec<GatewayId> {
 /// air — close the intake with [`FleetGaliot::finish`], and collect
 /// deduplicated, capture-ordered frames from the output receiver.
 pub struct FleetGaliot {
-    chunk_txs: Vec<Sender<Vec<Cf32>>>,
+    chunk_txs: Vec<Sender<Arc<Vec<Cf32>>>>,
     frames_rx: Receiver<PipelineFrame>,
     /// Every pipeline thread in dataflow order, which is the order
     /// teardown joins them in: one supervisor per session (each owns
@@ -223,7 +238,7 @@ impl FleetGaliot {
         let mut chunk_txs = Vec::with_capacity(ids.len());
         let mut threads = Vec::with_capacity(ids.len() + 2);
         for (index, &gw) in ids.iter().enumerate() {
-            let (chunk_tx, chunk_rx) = bounded::<Vec<Cf32>>(8);
+            let (chunk_tx, chunk_rx) = bounded::<Arc<Vec<Cf32>>>(8);
             chunk_txs.push(chunk_tx);
             let crash = crashes.iter().find(|c| c.session == index).copied();
             threads.push(spawn_session(SessionSupervisor {
@@ -267,18 +282,15 @@ impl FleetGaliot {
         }
     }
 
-    /// Feeds one capture chunk to every session (the last one takes
-    /// the original, the others a clone); blocks if any session is
-    /// saturated. Chunks to a dead (crashed, unrestarted) session are
-    /// discarded — its radio is gone.
+    /// Feeds one capture chunk to every session — all read the
+    /// caller's buffer through one `Arc`, nobody copies it; blocks if
+    /// any session is saturated. Chunks to a dead (crashed,
+    /// unrestarted) session are discarded — its radio is gone.
     pub fn push_chunk(&self, chunk: Vec<Cf32>) {
-        let Some((last, rest)) = self.chunk_txs.split_last() else {
-            return;
-        };
-        for tx in rest {
+        let chunk = Arc::new(chunk);
+        for tx in &self.chunk_txs {
             let _ = tx.send(chunk.clone());
         }
-        let _ = last.send(chunk);
     }
 
     /// The deduplicated frame output channel, in capture order.
@@ -333,7 +345,7 @@ struct SessionSupervisor {
     gw: GatewayId,
     config: GaliotConfig,
     phy_registry: Registry,
-    chunk_rx: Receiver<Vec<Cf32>>,
+    chunk_rx: Receiver<Arc<Vec<Cf32>>>,
     pool_tx: Sender<PoolItem>,
     gate: Arc<FairnessGate>,
     registry: Arc<SessionRegistry>,

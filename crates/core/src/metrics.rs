@@ -202,6 +202,13 @@ pub struct Metrics {
     /// resolved (a replacement attempt won, or the segment was
     /// quarantined); their results were fenced off.
     pub decode_stale_results: usize,
+    /// Segments the pool answered with another gateway's decode of the
+    /// same capture span instead of decoding them again (parked on a
+    /// live lease, or matched against a recently resolved one). Closes
+    /// the segment-level identity *admitted == leases won +
+    /// `decodes_shared` + `decode_quarantined`*; always 0 with one
+    /// session.
+    pub decodes_shared: usize,
     /// Dead-letter records, one per quarantined segment, in quarantine
     /// order.
     pub quarantine_records: Vec<QuarantineRecord>,

@@ -37,6 +37,13 @@
 //! result carrying its watermark is synthesized, so in-order delivery
 //! (and the liveness reaper) never stalls behind a poison segment.
 //!
+//! In a fleet the lease is also the unit of *sharing*: copies of one
+//! over-the-air span shipped by different gateways ride on one lease
+//! (or are answered from a short memory of resolved ones) and each is
+//! delivered the one decode's frames under its own `(gateway, seq)`;
+//! a decode that recovers nothing, or is quarantined, promotes the
+//! next copy to a lease of its own.
+//!
 //! # Parity with the batch pipeline
 //!
 //! The gateway half runs the same stages as [`crate::pipeline::Galiot`]
@@ -77,6 +84,22 @@ use std::sync::Arc;
 /// frame: re-decodes from a session's overlapping segment emissions
 /// and the same frame heard by several gateways.
 pub(crate) const DEDUP_SLACK: usize = 4_096;
+
+/// Resolved shared decodes the pool supervisor remembers (span →
+/// frames, power) to answer a copy that reaches the pool after its
+/// sibling's decode finished — the fleet's common case, since a decode
+/// takes tens of milliseconds and ARQ links skew arrivals by more.
+/// Like the merge's release memory it is a fixed FIFO: a copy later
+/// than this many other spans is simply decoded itself.
+const SHARED_MEMORY: usize = 64;
+
+/// Quarantined leases the supervisor remembers (FIFO) so that a spent
+/// attempt's late success can still be booked to the quarantine. Only
+/// a lease with a spent attempt can receive a late report at all, only
+/// a quarantined one needs it attributed, and the attempt in question
+/// is a hung worker about to wake or be abandoned — a short memory
+/// suffices, and a report later than it is merely counted stale.
+const FENCE_MEMORY: usize = 256;
 
 /// One segment's decode outcome travelling to the merge.
 pub(crate) struct SegmentResult {
@@ -130,13 +153,17 @@ impl ResultMsg {
 /// panicked worker's unwind, or a torn-down queue — returns the credit
 /// via the guard's `Drop`, closing every leak path.
 pub(crate) struct PoolItem {
-    pub(crate) seg: ShippedSegment,
+    /// Shared, not copied, with every decode attempt dispatched for it.
+    pub(crate) seg: Arc<ShippedSegment>,
     pub(crate) credit: Option<galiot_cloud::CreditGuard>,
 }
 
 impl From<ShippedSegment> for PoolItem {
     fn from(seg: ShippedSegment) -> Self {
-        PoolItem { seg, credit: None }
+        PoolItem {
+            seg: Arc::new(seg),
+            credit: None,
+        }
     }
 }
 
@@ -232,7 +259,7 @@ enum FlushStop {
 pub(crate) fn run_gateway(
     config: &GaliotConfig,
     registry: &Registry,
-    chunk_rx: &Receiver<Vec<Cf32>>,
+    chunk_rx: &Receiver<Arc<Vec<Cf32>>>,
     shipper: Shipper,
     result_tx: &Sender<ResultMsg>,
     metrics: &SharedMetrics,
@@ -535,7 +562,7 @@ const FAIL_HUNG: &str = "hung";
 struct Attempt {
     lease: u64,
     attempt: u32,
-    seg: ShippedSegment,
+    seg: Arc<ShippedSegment>,
 }
 
 /// What a completed decode attempt produced.
@@ -575,22 +602,37 @@ struct WorkerSlot {
     handle: Option<thread::JoinHandle<()>>,
 }
 
-/// An in-flight segment lease: the segment (kept for re-dispatch), its
-/// fairness credit, and the retry ladder's position.
+/// An in-flight segment lease: the primary segment (kept for
+/// re-dispatch) with its fairness credit, the retry ladder's position,
+/// and the other gateways' copies of the same capture span riding on
+/// this decode.
 struct Lease {
-    seg: ShippedSegment,
-    credit: Option<galiot_cloud::CreditGuard>,
+    primary: PoolItem,
     /// 0-based attempt currently dispatched (or queued for dispatch).
     attempt: u32,
     /// Failure names of every spent attempt, oldest first.
     history: Vec<&'static str>,
+    /// Parked copies, each still holding its own `(gateway, seq)` and
+    /// credit (so its session is not silent to the liveness reaper),
+    /// in arrival order: the promotion order if the primary fails.
+    followers: VecDeque<PoolItem>,
 }
 
-/// Terminal fate of a resolved lease, kept to fence the results of
-/// attempts that were still running when the lease resolved.
-struct ResolvedLease {
-    gateway: u16,
-    quarantined: bool,
+/// A shared decode's outcome, remembered for late copies of its span.
+struct SharedResult {
+    gateway: GatewayId,
+    start: usize,
+    len: usize,
+    frames: Vec<PipelineFrame>,
+    power: f32,
+}
+
+/// Whether `seg` is another gateway's copy of the capture span
+/// `[start, start + len)` (both ends within [`DEDUP_SLACK`]).
+fn same_span(seg: &ShippedSegment, gateway: GatewayId, start: usize, len: usize) -> bool {
+    seg.gateway != gateway
+        && seg.start.abs_diff(start) <= DEDUP_SLACK
+        && (seg.start + seg.compressed.len).abs_diff(start + len) <= DEDUP_SLACK
 }
 
 /// A running supervised decode pool: ship [`PoolItem`]s into `intake`;
@@ -614,10 +656,13 @@ pub(crate) struct SupervisedPool {
 /// dead-letter record and replaced by an empty result carrying its
 /// watermark, so capture-order delivery never stalls.
 ///
-/// `n_shards == 0` disables shard affinity (a sole session: any idle
-/// worker takes the next segment); with shards, first
-/// attempts keep the fleet's deterministic `(gateway, seq) → shard →
-/// worker` mapping and only retries roam.
+/// `n_shards == 0` means a sole session: no shard affinity (any idle
+/// worker takes the next segment) and no sibling lookup. With shards —
+/// a fleet — first attempts keep the deterministic `(gateway, seq) →
+/// shard → worker` mapping and only retries roam, and a segment whose
+/// capture span another gateway's live lease already covers joins that
+/// lease instead of being decoded again (DESIGN.md §17, "Shared
+/// leases").
 pub(crate) fn spawn_supervised_pool(
     config: &GaliotConfig,
     registry: Registry,
@@ -665,7 +710,11 @@ struct Supervisor {
     /// Shard-affine first attempts awaiting their preferred worker.
     prefq: Vec<VecDeque<u64>>,
     leases: HashMap<u64, Lease>,
-    resolved: HashMap<u64, ResolvedLease>,
+    /// Quarantined leases `(id, gateway)`, newest last, at most
+    /// [`FENCE_MEMORY`].
+    quarantined: VecDeque<(u64, u16)>,
+    /// Newest last, at most [`SHARED_MEMORY`].
+    shared: VecDeque<SharedResult>,
     next_lease: u64,
 }
 
@@ -704,7 +753,8 @@ impl Supervisor {
             runq: VecDeque::new(),
             prefq: (0..n_workers).map(|_| VecDeque::new()).collect(),
             leases: HashMap::new(),
-            resolved: HashMap::new(),
+            quarantined: VecDeque::new(),
+            shared: VecDeque::new(),
             next_lease: 0,
         }
     }
@@ -793,27 +843,80 @@ impl Supervisor {
             .unwrap_or(Duration::from_millis(200))
     }
 
-    /// Opens a lease for an admitted segment and queues its first
-    /// attempt (shard-affine when the pool routes by shard).
+    /// Whether sibling copies can exist: the engine routes by shard
+    /// exactly when it runs more than one session.
+    fn is_fleet(&self) -> bool {
+        self.n_shards > 0
+    }
+
+    /// Admits one segment. In a fleet, a copy of a capture span that
+    /// another gateway's live lease covers — queued, in flight or on
+    /// its retry ladder — parks on that lease as a follower, and a copy
+    /// of a span decoded recently is answered from memory; everything
+    /// else (always, for a sole session) opens a lease at once.
     fn admit(&mut self, item: PoolItem) {
-        let PoolItem { seg, credit } = item;
+        if self.is_fleet() {
+            let seg = &item.seg;
+            let live = self
+                .leases
+                .iter()
+                .filter(|(_, l)| {
+                    let p = &l.primary.seg;
+                    same_span(seg, p.gateway, p.start, p.compressed.len)
+                })
+                .map(|(&id, _)| id)
+                .min();
+            if let Some(id) = live {
+                let lease = self.leases.get_mut(&id).expect("matched lease is live");
+                lease.followers.push_back(item);
+                return;
+            }
+            let remembered = self
+                .shared
+                .iter()
+                .rev()
+                .find(|r| same_span(seg, r.gateway, r.start, r.len))
+                .map(|r| (r.frames.clone(), r.power));
+            if let Some((frames, power)) = remembered {
+                self.metrics.with(|m| m.decodes_shared += 1);
+                self.deliver(item, frames, power);
+                return;
+            }
+        }
+        self.open_lease(item, VecDeque::new());
+    }
+
+    /// Opens a lease with a fresh attempt ladder and queues its first
+    /// attempt (shard-affine when the pool routes by shard).
+    fn open_lease(&mut self, primary: PoolItem, followers: VecDeque<PoolItem>) {
         let id = self.next_lease;
         self.next_lease += 1;
+        let seg = &primary.seg;
         let pref = (self.n_shards > 0)
             .then(|| shard_for(seg.gateway, seg.seq, self.n_shards) % self.n_workers)
             .filter(|&w| self.slots[w].is_some());
         self.leases.insert(
             id,
             Lease {
-                seg,
-                credit,
+                primary,
                 attempt: 0,
                 history: Vec::new(),
+                followers,
             },
         );
         match pref {
             Some(w) => self.prefq[w].push_back(id),
             None => self.runq.push_back(id),
+        }
+    }
+
+    /// Resolves a lease whose decode yielded nothing to share (no
+    /// frame, or quarantine): the first parked copy becomes the primary
+    /// of a new lease and the rest stay attached to it, so a poisoned
+    /// or empty copy costs its siblings nothing but the wait.
+    fn promote(&mut self, mut followers: VecDeque<PoolItem>) {
+        if let Some(next) = followers.pop_front() {
+            self.open_lease(next, followers);
         }
     }
 
@@ -838,7 +941,7 @@ impl Supervisor {
     fn dispatch_to(&mut self, wid: usize, id: u64) {
         let (attempt_no, seg) = {
             let lease = self.leases.get(&id).expect("queued lease exists");
-            (lease.attempt, lease.seg.clone())
+            (lease.attempt, lease.primary.seg.clone())
         };
         let sent = self.slots[wid]
             .as_ref()
@@ -1003,21 +1106,17 @@ impl Supervisor {
         }
     }
 
-    /// Terminal success: emit the `Decode` trace terminal, deliver the
-    /// result, then release the fairness credit (the liveness reaper
-    /// exempts credit-holding sessions, so the credit must cover the
-    /// segment until its result is queued at the merge).
-    fn win(&mut self, id: u64, wid: usize, frames: Vec<PipelineFrame>, power: f32) {
-        let Lease { seg, credit, .. } = self.leases.remove(&id).expect("winning lease exists");
-        // A slow attempt can win after it was declared hung, while its
-        // retry is still queued: every queued id must name a live lease.
-        self.runq.retain(|&queued| queued != id);
+    /// Hands one segment its decode outcome: the `Decode` trace
+    /// terminal and a result under its own `(gateway, seq)` and
+    /// watermark, and only then its fairness credit back (the liveness
+    /// reaper exempts credit-holding sessions, so the credit must cover
+    /// the segment until its result is queued at the merge).
+    fn deliver(&self, member: PoolItem, frames: Vec<PipelineFrame>, power: f32) {
+        let PoolItem { seg, credit } = member;
         galiot_trace::event(
             galiot_trace::EventKind::Decode,
             galiot_trace::tag_seq(seg.gateway.0, seg.seq),
         );
-        self.metrics
-            .with(|m| *m.per_worker_decoded.entry(wid).or_default() += frames.len());
         let _ = self.result_tx.send(ResultMsg::Segment(SegmentResult {
             gateway: seg.gateway,
             seq: seg.seq,
@@ -1025,14 +1124,48 @@ impl Supervisor {
             watermark: Some(seg.start as u64),
             power,
         }));
-        self.resolved.insert(
-            id,
-            ResolvedLease {
-                gateway: seg.gateway.0,
-                quarantined: false,
-            },
-        );
         drop(credit);
+    }
+
+    /// Terminal success. A decode that recovered at least one frame is
+    /// every member's result — each delivered through its own lane, so
+    /// the merge still sees one offer per copy — and is remembered for
+    /// copies yet to arrive. (Not "a clean exit": every cluster decode
+    /// ends on unresolved residual candidates, so recovered frames are
+    /// the only success test there is.) An empty decode is the
+    /// primary's alone: the next copy is decoded in its own right.
+    fn win(&mut self, id: u64, wid: usize, frames: Vec<PipelineFrame>, power: f32) {
+        let Lease {
+            primary, followers, ..
+        } = self.leases.remove(&id).expect("winning lease exists");
+        // A slow attempt can win after it was declared hung, while its
+        // retry is still queued: every queued id must name a live lease.
+        self.runq.retain(|&queued| queued != id);
+        self.metrics
+            .with(|m| *m.per_worker_decoded.entry(wid).or_default() += frames.len());
+        if frames.is_empty() {
+            self.deliver(primary, frames, power);
+            self.promote(followers);
+            return;
+        }
+        if self.is_fleet() {
+            if self.shared.len() == SHARED_MEMORY {
+                self.shared.pop_front();
+            }
+            let seg = &primary.seg;
+            self.shared.push_back(SharedResult {
+                gateway: seg.gateway,
+                start: seg.start,
+                len: seg.compressed.len,
+                frames: frames.clone(),
+                power,
+            });
+        }
+        self.metrics.with(|m| m.decodes_shared += followers.len());
+        for follower in followers {
+            self.deliver(follower, frames.clone(), power);
+        }
+        self.deliver(primary, frames, power);
     }
 
     /// One attempt failed (panic or hang): re-dispatch while the
@@ -1051,7 +1184,7 @@ impl Supervisor {
         let lease = &self.leases[&id];
         galiot_trace::event(
             galiot_trace::EventKind::Retried,
-            galiot_trace::tag_seq(lease.seg.gateway.0, lease.seg.seq),
+            galiot_trace::tag_seq(lease.primary.seg.gateway.0, lease.primary.seg.seq),
         );
         self.metrics.with(|m| m.decode_retried += 1);
         // Retries go to whoever frees up first — the preferred worker
@@ -1059,16 +1192,21 @@ impl Supervisor {
         self.runq.push_back(id);
     }
 
-    /// Dead-letters a lease after its last attempt failed and
+    /// Dead-letters a lease's primary after its last attempt failed and
     /// synthesizes the empty result that keeps capture-order delivery
-    /// (and the fleet liveness reaper) moving past it.
+    /// (and the fleet liveness reaper) moving past it; parked copies
+    /// get a decode of their own.
     fn quarantine(&mut self, id: u64) {
         let Lease {
-            seg,
-            credit,
+            primary: PoolItem { seg, credit },
             history,
+            followers,
             ..
         } = self.leases.remove(&id).expect("quarantining a live lease");
+        if self.quarantined.len() == FENCE_MEMORY {
+            self.quarantined.pop_front();
+        }
+        self.quarantined.push_back((id, seg.gateway.0));
         galiot_trace::event(
             galiot_trace::EventKind::Quarantined,
             galiot_trace::tag_seq(seg.gateway.0, seg.seq),
@@ -1090,14 +1228,8 @@ impl Supervisor {
         });
         let notice = ResultMsg::gap(seg.gateway, seg.seq, Some(seg.start as u64));
         let _ = self.result_tx.send(notice);
-        self.resolved.insert(
-            id,
-            ResolvedLease {
-                gateway: seg.gateway.0,
-                quarantined: true,
-            },
-        );
         drop(credit);
+        self.promote(followers);
     }
 
     /// A completed attempt of an already-resolved lease. Its frames
@@ -1107,11 +1239,10 @@ impl Supervisor {
     /// crash-loss arm) so the fleet identity stays closed.
     fn stale_success(&mut self, id: u64, n_frames: usize) {
         self.metrics.with(|m| m.decode_stale_results += 1);
-        let Some(r) = self.resolved.get(&id) else {
+        if n_frames == 0 {
             return;
-        };
-        if r.quarantined && n_frames > 0 {
-            let gw = r.gateway;
+        }
+        if let Some(&(_, gw)) = self.quarantined.iter().find(|&&(lease, _)| lease == id) {
             self.metrics.with(|m| {
                 *m.per_gateway_decoded.entry(gw).or_default() += n_frames;
                 m.quarantined_frames += n_frames;
@@ -1308,6 +1439,286 @@ mod tests {
         assert!(result_rx.try_recv().is_err(), "one result per segment");
         let m = metrics.snapshot();
         assert_eq!((m.decode_retried, m.decode_stale_results), (1, 0), "{m:?}");
+    }
+
+    // -----------------------------------------------------------------
+    // Shared leases: join / remember / promote, and the stale-report
+    // fence, on a supervisor whose worker slots have no threads.
+    // -----------------------------------------------------------------
+
+    struct Bench {
+        sup: Supervisor,
+        attempts: Receiver<Attempt>,
+        results: Receiver<ResultMsg>,
+        metrics: SharedMetrics,
+    }
+
+    /// One thread-less worker slot; `n_shards > 0` makes it a fleet's
+    /// pool (sibling lookup on), 0 a sole session's.
+    fn bench(n_shards: usize) -> Bench {
+        let (result_tx, results) = unbounded();
+        let metrics = SharedMetrics::new();
+        let config = GaliotConfig::prototype();
+        let mut sup = Supervisor::new(
+            &config,
+            Registry::prototype(),
+            1,
+            4,
+            n_shards,
+            result_tx,
+            metrics.clone(),
+        );
+        let (tx, attempts) = bounded(1);
+        sup.slots.push(Some(WorkerSlot {
+            incarnation: 0,
+            tx,
+            abandoned: Arc::new(AtomicBool::new(false)),
+            busy: None,
+            handle: None,
+        }));
+        Bench {
+            sup,
+            attempts,
+            results,
+            metrics,
+        }
+    }
+
+    /// Gateway `gw`'s copy of the 256-sample span at `start`.
+    fn copy(gw: u16, seq: u64, start: usize) -> PoolItem {
+        let samples = vec![Cf32::new(0.5, -0.5); 256];
+        ShippedSegment::pack(seq, start, &samples, 8, 64)
+            .with_gateway(GatewayId(gw))
+            .into()
+    }
+
+    fn frames(n: usize) -> Vec<PipelineFrame> {
+        (0..n)
+            .map(|i| PipelineFrame {
+                frame: galiot_phy::DecodedFrame {
+                    tech: TechId::XBee,
+                    payload: vec![i as u8],
+                    start: 1_000 + i,
+                    len: 100,
+                },
+                at_edge: false,
+                via_kill: false,
+            })
+            .collect()
+    }
+
+    impl Bench {
+        /// Dispatches the next queued lease and returns its attempt.
+        fn dispatched(&mut self) -> Attempt {
+            self.sup.dispatch();
+            self.attempts.try_recv().expect("an attempt was dispatched")
+        }
+
+        /// Reports `attempt` decoded with `n` frames.
+        fn done(&mut self, attempt: &Attempt, n: usize) {
+            self.sup.on_done(Done {
+                wid: 0,
+                incarnation: 0,
+                lease: attempt.lease,
+                attempt: attempt.attempt,
+                outcome: Outcome::Decoded {
+                    frames: frames(n),
+                    power: 0.25,
+                    rounds: n as u64,
+                    kills: 0,
+                },
+                busy_ns: 1,
+            });
+        }
+
+        /// Fails `attempt` and each of its retries in turn, as a wedged
+        /// or panicking decode would, until the lease is quarantined.
+        fn poison(&mut self, mut attempt: Attempt, how: &'static str) {
+            let retries = GaliotConfig::prototype().decode_retries;
+            for rung in 0..=retries {
+                // What `on_done` / `replace_worker` do for a real slot.
+                self.sup.slots[0].as_mut().expect("one slot").busy = None;
+                self.sup.fail_attempt(attempt.lease, how);
+                if rung < retries {
+                    attempt = self.dispatched();
+                }
+            }
+        }
+
+        /// Drains the result channel as (gateway, seq, frames, watermark).
+        fn delivered(&self) -> Vec<(u16, u64, usize, Option<u64>)> {
+            self.results
+                .try_iter()
+                .map(|msg| match msg {
+                    ResultMsg::Segment(r) => (r.gateway.0, r.seq, r.frames.len(), r.watermark),
+                    ResultMsg::SessionRestarted { .. } => unreachable!("no session restarts here"),
+                })
+                .collect()
+        }
+    }
+
+    #[test]
+    fn a_sibling_copy_joins_the_live_lease_and_is_delivered_under_its_own_name() {
+        let mut b = bench(4);
+        b.sup.admit(copy(1, 7, 10_000));
+        // Same air, a few samples apart: a follower, not a lease.
+        b.sup.admit(copy(2, 3, 10_016));
+        assert_eq!(b.sup.leases.len(), 1);
+        assert_eq!(b.sup.leases[&0].followers.len(), 1);
+        // Past the slack on either end, or from the primary's own
+        // gateway: decoded in their own right.
+        b.sup.admit(copy(3, 0, 10_000 + DEDUP_SLACK + 1));
+        b.sup.admit(copy(1, 8, 10_000));
+        assert_eq!(b.sup.leases.len(), 3);
+
+        let first = b.dispatched();
+        assert_eq!((first.seg.gateway, first.seg.seq), (GatewayId(1), 7));
+        // A follower joins a lease on its retry ladder too.
+        b.sup.fail_attempt(first.lease, FAIL_HUNG);
+        b.sup.admit(copy(3, 1, 9_990));
+        assert_eq!(b.sup.leases[&0].followers.len(), 2);
+        b.done(&first, 2);
+
+        // One result per member, each with its own seq and watermark,
+        // all carrying the one decode's frames.
+        let mut got = b.delivered();
+        got.sort_unstable();
+        assert_eq!(
+            got,
+            vec![
+                (1, 7, 2, Some(10_000)),
+                (2, 3, 2, Some(10_016)),
+                (3, 1, 2, Some(9_990)),
+            ]
+        );
+        let m = b.metrics.snapshot();
+        assert_eq!(m.decodes_shared, 2, "{m:?}");
+        assert_eq!(m.per_worker_segments.values().sum::<usize>(), 1, "{m:?}");
+        assert_eq!(m.pool_decoded(), 2, "frames are counted once: {m:?}");
+        assert_eq!(b.sup.leases.len(), 2, "the unrelated leases stay live");
+    }
+
+    #[test]
+    fn a_late_copy_is_answered_from_memory_until_the_fifo_forgets() {
+        let mut b = bench(4);
+        b.sup.admit(copy(1, 0, 50_000));
+        let first = b.dispatched();
+        b.done(&first, 1);
+        assert_eq!(b.delivered(), vec![(1, 0, 1, Some(50_000))]);
+
+        // The sibling arrives after the decode finished: no lease, no
+        // attempt, the remembered frames under its own name.
+        b.sup.admit(copy(2, 5, 50_003));
+        assert!(b.sup.leases.is_empty());
+        assert_eq!(b.delivered(), vec![(2, 5, 1, Some(50_003))]);
+        assert_eq!(b.metrics.snapshot().decodes_shared, 1);
+
+        // An empty decode is nobody's answer: its late sibling is
+        // decoded in its own right.
+        b.sup.admit(copy(1, 1, 900_000));
+        let empty = b.dispatched();
+        b.done(&empty, 0);
+        b.sup.admit(copy(2, 6, 900_000));
+        assert_eq!(b.sup.leases.len(), 1);
+        let own = b.dispatched();
+        b.done(&own, 1);
+        b.delivered();
+
+        // SHARED_MEMORY newer spans push the first one out.
+        for i in 0..SHARED_MEMORY as u64 {
+            b.sup
+                .admit(copy(1, 2 + i, 2_000_000 + 100_000 * i as usize));
+            let a = b.dispatched();
+            b.done(&a, 1);
+        }
+        assert_eq!(b.sup.shared.len(), SHARED_MEMORY);
+        b.delivered();
+        b.sup.admit(copy(3, 0, 50_000));
+        assert_eq!(b.sup.leases.len(), 1, "forgotten span gets a lease");
+        assert!(b.delivered().is_empty());
+    }
+
+    #[test]
+    fn an_empty_or_quarantined_primary_promotes_its_first_follower() {
+        let mut b = bench(4);
+        for gw in 1..=3 {
+            b.sup.admit(copy(gw, 10 + gw as u64, 70_000));
+        }
+        let first = b.dispatched();
+        b.done(&first, 0);
+        // Nothing recovered, nothing shared: gateway 1 gets its own
+        // empty result, gateway 2's copy a fresh ladder with gateway 3
+        // still attached.
+        assert_eq!(b.delivered(), vec![(1, 11, 0, Some(70_000))]);
+        assert_eq!(b.sup.leases.len(), 1);
+        let second = b.dispatched();
+        assert_eq!((second.seg.gateway, second.attempt), (GatewayId(2), 0));
+        assert_eq!(b.sup.leases[&second.lease].followers.len(), 1);
+
+        // Gateway 2's copy is poison: it walks the whole ladder alone,
+        // is dead-lettered with its gap notice, and costs gateway 3
+        // nothing but the wait.
+        b.poison(second, FAIL_PANIC);
+        assert_eq!(b.delivered(), vec![(2, 12, 0, Some(70_000))]);
+        let m = b.metrics.snapshot();
+        assert_eq!(m.decode_quarantined, 1, "{m:?}");
+        assert_eq!(m.quarantine_records[0].gateway, 2, "{m:?}");
+
+        let third = b.dispatched();
+        assert_eq!((third.seg.gateway, third.attempt), (GatewayId(3), 0));
+        assert!(b.sup.leases[&third.lease].history.is_empty());
+        b.done(&third, 1);
+        assert_eq!(b.delivered(), vec![(3, 13, 1, Some(70_000))]);
+        assert!(b.sup.leases.is_empty() && b.sup.queued() == 0);
+        // admitted == leases won + decodes_shared + quarantined.
+        let m = b.metrics.snapshot();
+        let won = m.per_worker_segments.values().sum::<usize>();
+        assert_eq!(3, won + m.decodes_shared + m.decode_quarantined, "{m:?}");
+    }
+
+    #[test]
+    fn only_quarantined_leases_are_fenced_and_the_fence_is_bounded() {
+        let mut b = bench(0);
+        for seq in 0..10_000u64 {
+            b.sup.admit(copy(0, seq, 1_000 * seq as usize));
+            let a = b.dispatched();
+            b.done(&a, 1);
+        }
+        assert!(b.sup.quarantined.is_empty(), "wins need no fence");
+        assert!(b.sup.shared.is_empty(), "a sole session remembers nothing");
+        assert!(b.sup.leases.is_empty());
+        b.delivered();
+
+        // A lease quarantined while its first attempt is still running:
+        // that attempt's late report must still reach the ledger.
+        b.sup.admit(copy(0, 10_000, 5_000));
+        let slow = b.dispatched();
+        let late = Attempt {
+            seg: slow.seg.clone(),
+            ..slow
+        };
+        b.poison(slow, FAIL_HUNG);
+        assert_eq!(b.sup.quarantined.len(), 1);
+        b.done(&late, 2);
+        let m = b.metrics.snapshot();
+        assert_eq!(m.decode_stale_results, 1, "{m:?}");
+        assert_eq!(m.quarantined_frames, 2, "{m:?}");
+        assert_eq!(m.per_gateway_decoded.get(&0), Some(&2), "{m:?}");
+
+        // A late win after a spent attempt needs no fence either, and
+        // the fence forgets oldest-first.
+        b.sup.admit(copy(0, 10_001, 0));
+        let a = b.dispatched();
+        b.sup.fail_attempt(a.lease, FAIL_HUNG);
+        b.done(&a, 0);
+        assert_eq!(b.sup.quarantined.len(), 1);
+        for seq in 0..2 * FENCE_MEMORY as u64 {
+            b.sup.admit(copy(0, 20_000 + seq, 0));
+            let a = b.dispatched();
+            b.poison(a, FAIL_PANIC);
+        }
+        assert_eq!(b.sup.quarantined.len(), FENCE_MEMORY);
+        assert!(b.sup.leases.is_empty() && b.sup.queued() == 0);
     }
 
     #[test]

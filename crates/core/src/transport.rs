@@ -536,7 +536,6 @@ pub fn spawn_arq_sender(
                                 .mul_f64(arq.backoff * (1.0 + arq.jitter * rng.gen::<f64>()))
                                 .min(max_timeout);
                             f.deadline = now + f.timeout;
-                            let bytes = f.bytes.clone();
                             metrics.with(|m| m.arq_retransmits += 1);
                             let send_span = galiot_trace::span(
                                 galiot_trace::Stage::ArqSend,
@@ -544,10 +543,10 @@ pub fn spawn_arq_sender(
                             );
                             if let Some(bps) = serialize_bps {
                                 thread::sleep(Duration::from_secs_f64(
-                                    bytes.len() as f64 * 8.0 / bps,
+                                    f.bytes.len() as f64 * 8.0 / bps,
                                 ));
                             }
-                            if !push_link(&mut link, &bytes, &wire_tx, &metrics) {
+                            if !push_link(&mut link, &f.bytes, &wire_tx, &metrics) {
                                 break 'run;
                             }
                             drop(send_span);

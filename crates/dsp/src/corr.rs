@@ -102,14 +102,23 @@ pub struct Peak {
 /// boundary would otherwise register a phantom detection there (the
 /// real peak lies in the neighbouring block, which will report it).
 pub fn find_peaks(corr: &[f32], threshold: f32, min_distance: usize) -> Vec<Peak> {
-    let mut candidates: Vec<Peak> = corr
-        .iter()
-        .enumerate()
-        .filter(|&(i, &v)| {
-            v >= threshold && i > 0 && i + 1 < corr.len() && corr[i - 1] <= v && corr[i + 1] < v
-        })
-        .map(|(i, &v)| Peak { index: i, value: v })
-        .collect();
+    // Nearly every lag of a detector's correlation is below threshold,
+    // so a block is first asked one vectorizable question — does any
+    // lag reach it? — and the per-lag maximum test runs only where the
+    // answer is yes. (`|`, not `||`: no early exit, no branch per lag.)
+    const BLOCK: usize = 64;
+    let mut candidates: Vec<Peak> = Vec::new();
+    for (b, block) in corr.chunks(BLOCK).enumerate() {
+        if !block.iter().fold(false, |hit, &v| hit | (v >= threshold)) {
+            continue;
+        }
+        for (i, &v) in (b * BLOCK..).zip(block) {
+            if v >= threshold && i > 0 && i + 1 < corr.len() && corr[i - 1] <= v && corr[i + 1] < v
+            {
+                candidates.push(Peak { index: i, value: v });
+            }
+        }
+    }
     // Greedy non-maximum suppression, strongest first.
     candidates.sort_by(|a, b| b.value.total_cmp(&a.value));
     let mut accepted: Vec<Peak> = Vec::new();

@@ -889,6 +889,65 @@ proptest! {
             );
         }
     }
+
+    #[test]
+    fn prop_find_peaks_matches_the_per_lag_scan(
+        // A small alphabet, mostly sub-threshold, so runs of several
+        // blocks are skipped whole and plateaus, threshold ties, NaN
+        // and infinities all occur — at block seams too.
+        levels in collection::vec(0u8..16, 0..400),
+        threshold_level in 8u8..16,
+        min_distance in 0usize..12,
+    ) {
+        let value = |l: u8| match l {
+            0..=9 => l as f32 * 0.01,
+            10 | 11 => 0.5,
+            12 => 0.75,
+            13 => 1.0,
+            14 => f32::NAN,
+            _ => f32::INFINITY,
+        };
+        let corr: Vec<f32> = levels.iter().map(|&l| value(l)).collect();
+        let threshold = value(threshold_level);
+        let got = galiot_dsp::corr::find_peaks(&corr, threshold, min_distance);
+        let want = find_peaks_per_lag(&corr, threshold, min_distance);
+        prop_assert_eq!(got.len(), want.len(), "{:?} vs {:?}", got, want);
+        for (g, w) in got.iter().zip(&want) {
+            prop_assert_eq!(g.index, w.index);
+            prop_assert_eq!(g.value.to_bits(), w.value.to_bits());
+        }
+    }
+}
+
+/// `corr::find_peaks` as it stood before the block pre-check: four
+/// conditions on every lag. Kept verbatim as the reference.
+fn find_peaks_per_lag(
+    corr: &[f32],
+    threshold: f32,
+    min_distance: usize,
+) -> Vec<galiot_dsp::corr::Peak> {
+    use galiot_dsp::corr::Peak;
+    let mut candidates: Vec<Peak> = corr
+        .iter()
+        .enumerate()
+        .filter(|&(i, &v)| {
+            v >= threshold && i > 0 && i + 1 < corr.len() && corr[i - 1] <= v && corr[i + 1] < v
+        })
+        .map(|(i, &v)| Peak { index: i, value: v })
+        .collect();
+    // Greedy non-maximum suppression, strongest first.
+    candidates.sort_by(|a, b| b.value.total_cmp(&a.value));
+    let mut accepted: Vec<Peak> = Vec::new();
+    for c in candidates {
+        if accepted
+            .iter()
+            .all(|a| a.index.abs_diff(c.index) >= min_distance)
+        {
+            accepted.push(c);
+        }
+    }
+    accepted.sort_by_key(|p| p.index);
+    accepted
 }
 
 // ---------------------------------------------------------------------------

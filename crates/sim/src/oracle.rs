@@ -343,15 +343,34 @@ fn check_fleet_batch(scenario: &Scenario, built: &Built) -> Result<(), String> {
     err_if(shipped != m.shipped_segments as u64, || {
         format!("trace shipped {shipped} vs metrics {}", m.shipped_segments)
     })?;
-    // Every completed pool attempt is a trace decode terminal (a win),
-    // a poisoned attempt, or a stale result fenced after resolution;
-    // hung attempts never complete and appear in none of them.
+    // Every completed pool attempt is a win, a poisoned attempt, or a
+    // stale result fenced after resolution (hung attempts never
+    // complete and appear in none of them); every trace decode
+    // terminal is a win or a sibling's win shared with that copy.
     err_if(
-        decoded + (m.decode_poisoned + m.decode_stale_results) as u64 != pool as u64,
+        decoded + (m.decode_poisoned + m.decode_stale_results) as u64
+            != (pool + m.decodes_shared) as u64,
         || {
             format!(
-                "trace decodes {decoded} + poisoned {} + stale {} vs pool attempts {pool}",
-                m.decode_poisoned, m.decode_stale_results
+                "trace decodes {decoded} + poisoned {} + stale {} vs pool attempts {pool} + shared {}",
+                m.decode_poisoned, m.decode_stale_results, m.decodes_shared
+            )
+        },
+    )?;
+    // The segment-level identity, from the counters alone: every
+    // admitted copy was decoded under its own lease, answered by a
+    // sibling's decode, or quarantined.
+    // (Leases won = pool attempts − poisoned − stale, moved across the
+    // equation so a broken run reports instead of underflowing.)
+    let admitted: usize = m.per_gateway_segments.values().sum();
+    err_if(
+        admitted + m.decode_poisoned + m.decode_stale_results
+            != pool + m.decodes_shared + m.decode_quarantined,
+        || {
+            format!(
+                "admitted {admitted} + poisoned {} + stale {} vs pool attempts {pool} \
+                 + shared {} + quarantined {}: {m:?}",
+                m.decode_poisoned, m.decode_stale_results, m.decodes_shared, m.decode_quarantined
             )
         },
     )?;

@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 use galiot::channel::scenario_seed;
 use galiot::cloud::SessionInfo;
 use galiot::core::metrics::Metrics;
-use galiot::core::PipelineFrame;
+use galiot::core::{DecodeFaultKind, DecodeFaultSpec, PipelineFrame};
 use galiot::dsp::spectral::Band;
 use galiot::phy::common::KillRecipe;
 use galiot::phy::registry::TechHandle;
@@ -403,7 +403,14 @@ fn assert_failover_cell(out: &CellOutcome, cell: Cell, batch: &[FrameId]) {
         shipped, m.shipped_segments as u64,
         "{ctx}: trace vs shipped: {m:?}"
     );
-    assert_eq!(decoded, pool as u64, "{ctx}: trace vs pool decodes: {m:?}");
+    // A decode terminal is a decode won by that copy's own lease or a
+    // sibling's decode shared with it (`decodes_shared`, 0 with one
+    // session).
+    assert_eq!(
+        decoded,
+        (pool + m.decodes_shared) as u64,
+        "{ctx}: trace vs pool decodes + shared: {m:?}"
+    );
     assert!(
         lost >= m.arq_lost as u64 && lost <= (m.arq_lost + m.crash_lost_segments) as u64,
         "{ctx}: trace lost terminals ({lost}) outside arq_lost + crash fence: {m:?}"
@@ -632,6 +639,258 @@ fn poisoned_decodes_do_not_leak_fairness_credits() {
         shipped,
         "dead-letter records diverge from quarantines: {m:?}"
     );
+}
+
+// ------------------------------------------------------------------
+// Shared decode leases (DESIGN.md §17): copies of one over-the-air
+// span ride on one decode. The cells below hold such leases open (or
+// poison them) while a member's session dies, and demand what the
+// matrix above demands — nothing heard by a survivor is lost, nothing
+// leaks — plus the segment-level identity
+// `admitted == leases won + decodes_shared + decode_quarantined`.
+
+/// Leases won by a decode, from the counters: completed pool attempts
+/// that were neither poisoned nor fenced as stale.
+fn leases_won(m: &Metrics) -> usize {
+    m.per_worker_segments.values().sum::<usize>() - m.decode_poisoned - m.decode_stale_results
+}
+
+fn assert_segment_identity(m: &Metrics, ctx: &str) {
+    let admitted: usize = m.per_gateway_segments.values().sum();
+    assert_eq!(
+        admitted,
+        leases_won(m) + m.decodes_shared + m.decode_quarantined,
+        "{ctx}: admitted copies vs won + shared + quarantined: {m:?}"
+    );
+}
+
+/// A member's session dies while the lease it rides on is still open.
+/// Every lease's first attempt hangs for the whole decode deadline, so
+/// the copies the doomed session shipped before its crash point are
+/// all inside the pool — as a lease's primary with followers attached,
+/// or parked behind a sibling, whichever arrival order made them; the
+/// first and the last session are crashed in turn so both roles occur
+/// — when its gateway dies. The contract does not depend on the role:
+/// the dead session loses only its own deliveries, its parked copies
+/// keep it off the reaper's list until they are answered, and the
+/// survivors still get one decode per span between them.
+#[test]
+fn shared_leases_outlive_a_member_sessions_crash() {
+    let _serial = suite_lock();
+    let samples = fleet_capture();
+    let batch = batch_reference(&samples, &Registry::prototype());
+
+    for crash_session in [0usize, 2] {
+        let ctx = format!("shared-crash session {crash_session}");
+        let samples = samples.clone();
+        let (frames, trace, m) = run_with_deadline(&ctx, move || {
+            let mut config = GaliotConfig::prototype()
+                .with_gateways(3)
+                .with_cloud_workers(2)
+                .with_crash(crash_session, 2, false)
+                .with_liveness_horizon(HORIZON)
+                .with_decode_deadline(0.5)
+                .with_decode_faults(DecodeFaultSpec {
+                    kind: DecodeFaultKind::Hang,
+                    period: 1,
+                    sticky_attempts: 1,
+                    seed: 0x5AFE,
+                });
+            config.edge_decoding = false;
+            let session = TraceSession::start();
+            let fleet = FleetGaliot::start(config, Registry::prototype());
+            let metrics = fleet.metrics().clone();
+            feed(&fleet, &samples, 3);
+            let frames = fleet.finish();
+            (frames, session.finish(), metrics.snapshot())
+        });
+
+        let delivered = frame_ids(&frames);
+        assert_same_frames(&delivered, &batch, &ctx);
+        let starts: Vec<usize> = delivered.iter().map(|(_, _, s)| *s).collect();
+        assert!(
+            starts.windows(2).all(|w| w[1] + START_TOLERANCE >= w[0]),
+            "{ctx}: frames out of capture order: {starts:?}"
+        );
+        assert_eq!(m.sessions_crashed, 1, "{ctx}: injected crash missed: {m:?}");
+        let offered: usize = m.per_gateway_decoded.values().sum();
+        assert_eq!(
+            offered,
+            m.fleet_delivered + m.dedup_suppressed + m.crash_lost_frames + m.quarantined_frames,
+            "{ctx}: fleet decode accounting leaks: {m:?}"
+        );
+        assert_eq!(
+            m.decode_quarantined, 0,
+            "{ctx}: a healing hang quarantined: {m:?}"
+        );
+        assert!(m.decodes_shared > 0, "{ctx}: nothing was shared: {m:?}");
+        assert_segment_identity(&m, &ctx);
+        // One decode per span the fleet heard, each after one hang.
+        let spans = *m.per_gateway_segments.values().max().unwrap();
+        assert_eq!(leases_won(&m), spans, "{ctx}: {m:?}");
+        assert_eq!(m.decode_hung, spans, "{ctx}: {m:?}");
+        // Every copy that reached the pool got its own terminal.
+        let by_gw = check_gateway_terminals(&trace).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        for (gw, acc) in &by_gw {
+            assert_eq!(
+                acc.decoded,
+                *m.per_gateway_segments.get(gw).unwrap_or(&0) as u64,
+                "{ctx}: gw{gw} trace decodes vs mux admissions: {by_gw:?} {m:?}"
+            );
+        }
+    }
+}
+
+/// A decode-fault plan that panics every attempt at gateway 1's and
+/// gateway 2's copy of each of a session's first `seqs` segments and
+/// never at gateway 3's, found by walking seeds (strikes are a pure
+/// hash of `(seed, gateway, seq)`; at period 2 one seed in `4^seqs *
+/// 2^seqs` fits).
+fn poison_all_but_gateway_3(seqs: u64) -> DecodeFaultSpec {
+    (0u64..)
+        .map(|seed| DecodeFaultSpec {
+            kind: DecodeFaultKind::Panic,
+            period: 2,
+            sticky_attempts: u32::MAX,
+            seed,
+        })
+        .find(|spec| {
+            (0..seqs).all(|seq| {
+                spec.strikes(1, seq, 0) && spec.strikes(2, seq, 0) && !spec.strikes(3, seq, 0)
+            })
+        })
+        .expect("the seed walk is unbounded")
+}
+
+/// Two of every span's three copies are poison. Whenever one of them
+/// opens the lease it is walked down the ladder and dead-lettered with
+/// its gap notice, and the next parked copy is promoted with a fresh
+/// ladder — so diversity pays exactly here: gateway 3's clean copy
+/// always gets (or already gave) a decode, and not one frame is lost.
+#[test]
+fn a_poisoned_primary_costs_its_siblings_nothing() {
+    let _serial = suite_lock();
+    let samples = fleet_capture();
+    let batch = batch_reference(&samples, &Registry::prototype());
+    const SEQS: u64 = 8;
+    let faults = poison_all_but_gateway_3(SEQS);
+
+    let ctx = "poisoned-primary";
+    let (frames, trace, m) = run_with_deadline(ctx, move || {
+        let mut config = GaliotConfig::prototype()
+            .with_gateways(3)
+            .with_cloud_workers(2)
+            .with_decode_faults(faults);
+        config.edge_decoding = false;
+        let session = TraceSession::start();
+        let fleet = FleetGaliot::start(config, Registry::prototype());
+        let metrics = fleet.metrics().clone();
+        for c in samples.chunks(65_536) {
+            fleet.push_chunk(c.to_vec());
+        }
+        let frames = fleet.finish();
+        (frames, session.finish(), metrics.snapshot())
+    });
+
+    for (gw, n) in &m.per_gateway_segments {
+        assert!(
+            *n as u64 <= SEQS,
+            "gw{gw} shipped {n} segments, past the {SEQS} the fault plan covers: {m:?}"
+        );
+    }
+    assert_same_frames(&frame_ids(&frames), &batch, ctx);
+    let offered: usize = m.per_gateway_decoded.values().sum();
+    assert_eq!(
+        offered,
+        m.fleet_delivered + m.dedup_suppressed + m.crash_lost_frames + m.quarantined_frames,
+        "{ctx}: fleet decode accounting leaks: {m:?}"
+    );
+    assert_segment_identity(&m, ctx);
+    // Only poisoned copies were ever quarantined, each after the full
+    // ladder, each with its record and its trace terminal.
+    let attempts = 1 + GaliotConfig::prototype().decode_retries;
+    assert_eq!(
+        m.decode_poisoned,
+        attempts * m.decode_quarantined,
+        "{ctx}: {m:?}"
+    );
+    assert_eq!(
+        m.quarantine_records.len(),
+        m.decode_quarantined,
+        "{ctx}: {m:?}"
+    );
+    for r in &m.quarantine_records {
+        assert!(
+            r.gateway == 1 || r.gateway == 2,
+            "{ctx}: clean copy quarantined: {r:?}"
+        );
+        assert_eq!(r.attempts.len(), attempts, "{ctx}: {r:?}");
+    }
+    let by_gw = check_gateway_terminals(&trace).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+    let quarantined: u64 = by_gw.values().map(|a| a.quarantined).sum();
+    assert_eq!(quarantined, m.decode_quarantined as u64, "{ctx}: {by_gw:?}");
+    // Gateway 3's copy of every span was decoded or answered, never
+    // dead-lettered; the other two sessions' copies each met one fate.
+    assert_eq!(by_gw[&3].quarantined, 0, "{ctx}: {by_gw:?}");
+    for (gw, acc) in &by_gw {
+        assert_eq!(
+            acc.decoded + acc.quarantined,
+            *m.per_gateway_segments.get(gw).unwrap_or(&0) as u64,
+            "{ctx}: gw{gw} fates vs mux admissions: {by_gw:?} {m:?}"
+        );
+    }
+}
+
+/// The credit regression above, for copies that never get a decode of
+/// their own: with a healthy registry every span is decoded once and
+/// the sibling copy — parked on the live lease or answered from memory
+/// — must hand its fairness credit back when its shared result is
+/// queued. Each session ships more than its quota, so a credit leaked
+/// per shared delivery would wedge the mux and trip the deadline.
+#[test]
+fn shared_deliveries_do_not_leak_fairness_credits() {
+    let _serial = suite_lock();
+    let mut rng = StdRng::seed_from_u64(scenario_seed(63));
+    let registry = Registry::prototype();
+    let xbee = registry.get(TechId::XBee).unwrap().clone();
+    let events: Vec<TxEvent> = (0..12)
+        .map(|i| {
+            TxEvent::new(
+                xbee.clone(),
+                vec![i as u8; 5],
+                60_000 + i as usize * 300_000,
+            )
+        })
+        .collect();
+    let np = snr_to_noise_power(18.0, 0.0);
+    let samples = compose(&events, 3_600_000, FS, np, &mut rng).samples;
+
+    let (frames, m) = run_with_deadline("shared-credits", move || {
+        let mut config = GaliotConfig::prototype()
+            .with_gateways(2)
+            .with_cloud_workers(2);
+        config.edge_decoding = false;
+        let fleet = FleetGaliot::start(config, registry);
+        let metrics = fleet.metrics().clone();
+        for c in samples.chunks(65_536) {
+            fleet.push_chunk(c.to_vec());
+        }
+        (fleet.finish(), metrics.snapshot())
+    });
+
+    assert_eq!(frames.len(), 12, "a healthy fleet lost frames: {m:?}");
+    for (gw, n) in &m.per_gateway_segments {
+        assert!(
+            *n > 8,
+            "gw{gw} shipped only {n} segments — scenario no longer \
+             exceeds the fairness quota: {m:?}"
+        );
+    }
+    assert!(
+        m.decodes_shared > 8,
+        "fewer shared deliveries than the quota: {m:?}"
+    );
+    assert_segment_identity(&m, "shared-credits");
 }
 
 /// Satellite: the same failover cell under the virtual ARQ clock — a

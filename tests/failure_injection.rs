@@ -524,9 +524,11 @@ fn run_recovery_cell(workers: usize, kind: DecodeFaultKind, fleet: bool, sticky:
         "{ctx}: {m:?}"
     );
     assert_eq!(m.quarantine_records.len(), m.decode_quarantined, "{ctx}");
+    // A decode terminal is a win or a sibling's win shared with that
+    // copy (`decodes_shared`, 0 outside a fleet).
     assert_eq!(
         acc.decoded as usize + m.decode_poisoned + m.decode_stale_results,
-        pool,
+        pool + m.decodes_shared,
         "{ctx}: completed pool attempts must be wins, poisons or stales: {m:?}"
     );
     assert_eq!(
@@ -593,7 +595,16 @@ fn run_recovery_cell(workers: usize, kind: DecodeFaultKind, fleet: bool, sticky:
         }
     } else {
         // Healing regime: the ladder absorbs every strike; delivery is
-        // lossless.
+        // lossless. A copy answered by its sibling's decode walks no
+        // ladder of its own.
+        let laddered = shipped - m.decodes_shared;
+        if fleet {
+            assert_eq!(
+                laddered,
+                fix.batch.len(),
+                "{ctx}: one decode per span: {m:?}"
+            );
+        }
         assert_eq!(m.decode_quarantined, 0, "{ctx}: {m:?}");
         assert_eq!(m.quarantined_frames, 0, "{ctx}: {m:?}");
         assert_eq!(
@@ -603,12 +614,12 @@ fn run_recovery_cell(workers: usize, kind: DecodeFaultKind, fleet: bool, sticky:
         );
         match kind {
             DecodeFaultKind::Panic => {
-                assert_eq!(m.decode_poisoned, 2 * shipped, "{ctx}: {m:?}");
-                assert_eq!(m.decode_retried, 2 * shipped, "{ctx}: {m:?}");
+                assert_eq!(m.decode_poisoned, 2 * laddered, "{ctx}: {m:?}");
+                assert_eq!(m.decode_retried, 2 * laddered, "{ctx}: {m:?}");
             }
             DecodeFaultKind::Hang => {
-                assert_eq!(m.decode_hung, 2 * shipped, "{ctx}: {m:?}");
-                assert_eq!(m.decode_retried, 2 * shipped, "{ctx}: {m:?}");
+                assert_eq!(m.decode_hung, 2 * laddered, "{ctx}: {m:?}");
+                assert_eq!(m.decode_retried, 2 * laddered, "{ctx}: {m:?}");
             }
             DecodeFaultKind::Slow => {}
         }

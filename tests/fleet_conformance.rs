@@ -23,7 +23,7 @@ use galiot::core::metrics::Metrics;
 use galiot::core::PipelineFrame;
 use galiot::prelude::*;
 use galiot::trace::verify::{check_gateway_terminals, check_nesting, check_no_drops};
-use galiot::trace::{Trace, TraceSession};
+use galiot::trace::{Stage, Trace, TraceSession};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -221,7 +221,14 @@ fn assert_fleet_conformance(
         shipped, m.shipped_segments as u64,
         "{ctx}: trace vs shipped: {m:?}"
     );
-    assert_eq!(decoded, pool as u64, "{ctx}: trace vs pool decodes: {m:?}");
+    // A decode terminal is a decode won by that copy's own lease or a
+    // sibling's decode shared with it (`decodes_shared`, 0 with one
+    // session).
+    assert_eq!(
+        decoded,
+        (pool + m.decodes_shared) as u64,
+        "{ctx}: trace vs pool decodes + shared: {m:?}"
+    );
     assert_eq!(shed, m.segments_shed as u64, "{ctx}: trace vs shed: {m:?}");
     assert_eq!(lost, m.arq_lost as u64, "{ctx}: trace vs lost: {m:?}");
     // And per session: the mux admitted exactly the segments whose
@@ -266,6 +273,56 @@ fn fleet_matches_single_gateway_batch_across_the_matrix() {
                 }
             }
         }
+    }
+}
+
+/// Decode once: three gateways hear the same four packets over faulty
+/// links, and the pool spends one decode per over-the-air span, not one
+/// per copy — whichever copy arrives first, however far the ARQ skews
+/// its siblings — while every copy still reaches the merge through its
+/// own lane (the whole fleet contract above, `dedup_suppressed`
+/// included, holds unchanged).
+#[test]
+fn redundant_copies_cost_one_decode_per_span() {
+    let samples = fleet_capture();
+    let registry = Registry::prototype();
+    let batch = batch_reference(&samples, &registry);
+
+    for workers in [1usize, 2] {
+        let ctx = format!("decode-once workers={workers}");
+        let mut config = GaliotConfig::prototype()
+            .with_gateways(3)
+            .with_cloud_workers(workers);
+        config.edge_decoding = false;
+        let seed = fault_seed() ^ 0xD0CE ^ ((workers as u64) << 32);
+        config = config.with_transport(repairable_transport(0.05, seed));
+        let (frames, trace, m) = traced_fleet_run(config, &samples);
+        assert_fleet_conformance(&frames, &trace, &m, &batch, 3, &ctx);
+        assert_eq!(m.arq_lost, 0, "{ctx}: ARQ gave a segment up: {m:?}");
+
+        let one_gateway = *m.per_gateway_segments.values().max().unwrap();
+        let admitted: usize = m.per_gateway_segments.values().sum();
+        assert_eq!(admitted, 3 * one_gateway, "{ctx}: {m:?}");
+        let pool: usize = m.per_worker_segments.values().sum();
+        assert!(
+            pool <= one_gateway + m.decode_retried,
+            "{ctx}: {pool} decodes for {one_gateway} spans: {m:?}"
+        );
+        let decode_spans = trace
+            .spans
+            .iter()
+            .filter(|s| s.stage == Stage::WorkerDecode)
+            .count();
+        assert_eq!(decode_spans, pool, "{ctx}: worker_decode spans vs pool");
+        // Segment-level identity: every admitted copy was decoded
+        // under its own lease, answered by a sibling's decode, or
+        // quarantined (nothing here is).
+        assert_eq!(
+            admitted,
+            pool + m.decodes_shared + m.decode_quarantined,
+            "{ctx}: {m:?}"
+        );
+        assert_eq!(m.decode_quarantined, 0, "{ctx}: {m:?}");
     }
 }
 
