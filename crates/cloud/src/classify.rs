@@ -88,26 +88,55 @@ pub struct Classifier<'a> {
     fs: f64,
     threshold: f32,
     residual: Cow<'a, [Cf32]>,
+    buffers: TraceBuffers,
+}
+
+/// The correlation traces of a [`Classifier`], one float per segment
+/// sample per technology: a decode worker hands the same buffers to
+/// every segment's classifier ([`Classifier::reusing`]) and takes them
+/// back afterwards ([`Classifier::into_buffers`]).
+#[derive(Debug, Default)]
+pub struct TraceBuffers {
     /// Per technology, in registry order; empty where the template is
     /// empty or longer than the segment.
     traces: Vec<Vec<f32>>,
+    /// The freshly correlated lags of one re-scoring.
+    fresh: Vec<f32>,
 }
 
 impl<'a> Classifier<'a> {
     /// Correlates `segment` against every technology's preamble.
     pub fn new(segment: &'a [Cf32], fs: f64, registry: &'a Registry, threshold: f32) -> Self {
+        Self::reusing(segment, fs, registry, threshold, TraceBuffers::default())
+    }
+
+    /// [`Classifier::new`] writing its traces into `buffers` (whatever
+    /// they held is discarded) instead of allocating them.
+    pub fn reusing(
+        segment: &'a [Cf32],
+        fs: f64,
+        registry: &'a Registry,
+        threshold: f32,
+        mut buffers: TraceBuffers,
+    ) -> Self {
         let bank = registry.template_bank(fs);
-        let traces = (0..bank.len())
-            .map(|i| bank.template(i).xcorr_normalized(segment))
-            .collect();
+        buffers.traces.resize_with(bank.len(), Vec::new);
+        for (i, trace) in buffers.traces.iter_mut().enumerate() {
+            bank.template(i).xcorr_normalized_into(segment, trace);
+        }
         Classifier {
             registry,
             bank,
             fs,
             threshold,
             residual: Cow::Borrowed(segment),
-            traces,
+            buffers,
         }
+    }
+
+    /// Gives the trace buffers back for the next segment.
+    pub fn into_buffers(self) -> TraceBuffers {
+        self.buffers
     }
 
     /// The segment with every cancelled frame subtracted.
@@ -121,14 +150,15 @@ impl<'a> Classifier<'a> {
     pub fn candidates(&self) -> Vec<Classified> {
         let mut found = Vec::new();
         for (i, tech) in self.registry.techs().iter().enumerate() {
-            let Some((start, score)) = peak(&self.traces[i]) else {
+            let trace = &self.buffers.traces[i];
+            let Some((start, score)) = peak(trace) else {
                 continue;
             };
             if score < self.threshold {
                 continue;
             }
             let template = self.bank.template(i);
-            let search_from = peak(&self.traces[i][..start.saturating_sub(template.len())])
+            let search_from = peak(&trace[..start.saturating_sub(template.len())])
                 .filter(|&(_, v)| v >= LOOKALIKE_SHARE * score)
                 .map_or(start, |(i, _)| i);
             // Amplitude from the raw matched-filter output at the peak:
@@ -163,7 +193,8 @@ impl<'a> Classifier<'a> {
 
     /// Re-correlates every lag whose template window overlaps `dirty`.
     fn rescore(&mut self, dirty: Range<usize>) {
-        for (i, trace) in self.traces.iter_mut().enumerate() {
+        let TraceBuffers { traces, fresh } = &mut self.buffers;
+        for (i, trace) in traces.iter_mut().enumerate() {
             let template = self.bank.template(i);
             let m = template.len();
             let lo = (dirty.start + 1).saturating_sub(m);
@@ -171,8 +202,8 @@ impl<'a> Classifier<'a> {
             if lo >= hi {
                 continue;
             }
-            let fresh = template.xcorr_normalized(&self.residual[lo..hi + m - 1]);
-            trace[lo..hi].copy_from_slice(&fresh);
+            template.xcorr_normalized_into(&self.residual[lo..hi + m - 1], fresh);
+            trace[lo..hi].copy_from_slice(fresh);
         }
     }
 }

@@ -13,7 +13,7 @@ use galiot_phy::common::{anchored_window, demodulate_anchored, MAX_DEMOD_FIR_TAP
 use galiot_phy::registry::Registry;
 use galiot_phy::{DecodedFrame, TechId};
 
-use crate::classify::Classifier;
+use crate::classify::{Classifier, TraceBuffers};
 use crate::kill::apply_kill_window;
 
 /// Cloud decoder tuning knobs.
@@ -114,12 +114,29 @@ impl CloudDecoder {
     /// to, `S_j` is killed on that window only, and a cancellation
     /// re-classifies only the lags it touched.
     pub fn decode(&self, segment: &[Cf32], fs: f64) -> CloudResult {
+        self.decode_reusing(segment, fs, &mut TraceBuffers::default())
+    }
+
+    /// [`CloudDecoder::decode`] with the classifier's correlation
+    /// traces in `buffers`, which a decode worker keeps from one
+    /// segment to the next (a decode that panics leaves them empty).
+    pub fn decode_reusing(
+        &self,
+        segment: &[Cf32],
+        fs: f64,
+        buffers: &mut TraceBuffers,
+    ) -> CloudResult {
         let mut result = CloudResult::default();
         let mut already: Vec<(TechId, Vec<u8>)> = Vec::new();
         let slack = self.params.cancel_slack;
         let pad = anchor_pad(slack);
-        let mut classifier =
-            Classifier::new(segment, fs, &self.registry, self.params.classify_threshold);
+        let mut classifier = Classifier::reusing(
+            segment,
+            fs,
+            &self.registry,
+            self.params.classify_threshold,
+            std::mem::take(buffers),
+        );
 
         while result.rounds < self.params.max_rounds {
             // One span per *successful* round, so the sic_round
@@ -205,6 +222,7 @@ impl CloudDecoder {
                 }
             }
         }
+        *buffers = classifier.into_buffers();
         result
     }
 }

@@ -40,6 +40,7 @@ pub mod metrics;
 pub mod pipeline;
 pub mod sensing;
 pub mod spawn;
+mod stage;
 pub mod streaming;
 pub mod transport;
 

@@ -4,17 +4,19 @@
 //! This is the batch (whole-capture) form; [`crate::streaming`] runs
 //! the same stages across threads for live chunked captures.
 
-use galiot_cloud::{CloudDecoder, Recovery};
+use galiot_cloud::{CloudDecoder, Recovery, TraceBuffers};
 use galiot_dsp::Cf32;
 use galiot_gateway::{
-    compress, decompress, extract, Backhaul, Detection, EdgeDecoder, EdgeOutcome, EnergyDetector,
-    ExtractParams, MatchedFilterBank, PacketDetector, RtlSdrFrontEnd, UniversalDetector,
+    Backhaul, Detection, EnergyDetector, MatchedFilterBank, PacketDetector, ShippedSegment,
+    UniversalDetector,
 };
 use galiot_phy::registry::Registry;
 use galiot_phy::DecodedFrame;
+use std::convert::Infallible;
 
 use crate::config::{DetectorKind, GaliotConfig};
-use crate::metrics::Metrics;
+use crate::metrics::{Metrics, SharedMetrics};
+use crate::stage::{GatewayStage, StageBuffers};
 
 /// A decoded frame plus where in the pipeline it was recovered.
 #[derive(Clone, Debug)]
@@ -74,10 +76,17 @@ pub(crate) fn build_detector(
 pub struct Galiot {
     config: GaliotConfig,
     registry: Registry,
-    front_end: RtlSdrFrontEnd,
-    detector: Box<dyn PacketDetector>,
-    edge: EdgeDecoder,
+    gateway: GatewayStage,
     cloud: CloudDecoder,
+}
+
+/// What the gateway half of [`Galiot::process_capture`] hands its
+/// cloud half, in capture order.
+enum Emission {
+    /// Decoded at the edge; nothing travels.
+    Edge(DecodedFrame),
+    /// Compressed for the backhaul.
+    Shipped(ShippedSegment),
 }
 
 impl Galiot {
@@ -92,10 +101,7 @@ impl Galiot {
             panic!("invalid GaliotConfig: {e}");
         }
         Galiot {
-            front_end: RtlSdrFrontEnd::new(config.front_end),
-            detector: build_detector(&config, &registry),
-            edge: EdgeDecoder::new(registry.clone())
-                .with_cluster_guard_s(config.edge_cluster_guard_s),
+            gateway: GatewayStage::new(&config, &registry),
             cloud: CloudDecoder::with_params(registry.clone(), config.cloud),
             registry,
             config,
@@ -114,43 +120,51 @@ impl Galiot {
 
     /// Runs detection only (used by the detection experiments).
     pub fn detect(&self, analog: &[Cf32]) -> Vec<Detection> {
-        let digital = self.front_end.digitize(analog);
-        self.detector.detect(&digital, self.config.fs)
+        self.gateway.detect(analog)
     }
 
-    /// Processes one analog capture end to end.
+    /// Processes one analog capture end to end: the gateway stage a
+    /// live session runs per flush window ([`crate::stage`]), here over
+    /// the whole capture with every segment emitted, then the cloud.
     pub fn process_capture(&self, analog: &[Cf32]) -> RunReport {
         let fs = self.config.fs;
         let engine_before = galiot_dsp::engine::stats();
-        let mut metrics = Metrics {
-            samples_processed: analog.len() as u64,
-            ..Metrics::default()
-        };
+        let shared = SharedMetrics::new();
+        shared.with(|m| m.samples_processed = analog.len() as u64);
 
-        // Gateway: digitize and detect.
-        let digital = self.front_end.digitize(analog);
-        let detections = self.detector.detect(&digital, fs);
-        metrics.detections = detections.len();
-
-        // Extract segments around detections (paper: 2x max frame,
-        // sized by the deployment's expected payloads).
-        let params = ExtractParams::paper(
-            self.registry
-                .max_frame_samples_for(fs, self.config.max_expected_payload)
-                .max(1),
+        // Gateway: digitize, detect, extract, edge-decode, compress.
+        let bits = self.config.compression_bits;
+        let mut emissions = Vec::new();
+        let Ok(()) = self.gateway.run(
+            &mut StageBuffers::default(),
+            analog,
+            0,
+            &shared,
+            |_| Ok::<_, Infallible>(true),
+            |seg| {
+                let seq = emissions.len() as u64;
+                emissions.push(match seg.edge_frame {
+                    Some(frame) => Emission::Edge(frame),
+                    None => Emission::Shipped(ShippedSegment::pack(
+                        seq,
+                        seg.start,
+                        seg.samples,
+                        bits,
+                        COMPRESS_BLOCK,
+                    )),
+                });
+                Ok(())
+            },
         );
-        let segments = extract(&digital, &detections, params);
-        metrics.segments = segments.len();
+        let mut metrics = shared.snapshot();
 
         let mut frames = Vec::new();
         let mut backhaul = Backhaul::new(self.config.backhaul_bps, self.config.backhaul_latency_s);
         let mut last_arrival = None;
-
-        for seg in segments {
-            // Edge-first decode (paper, Sec. 4): handle clean single
-            // packets locally, ship everything else.
-            if self.config.edge_decoding {
-                if let EdgeOutcome::DecodedLocally(frame) = self.edge.process(&seg, fs) {
+        let (mut at_cloud, mut traces) = (Vec::new(), TraceBuffers::default());
+        for emission in emissions {
+            let seg = match emission {
+                Emission::Edge(frame) => {
                     metrics.record_frame(&frame, true, false);
                     frames.push(PipelineFrame {
                         frame,
@@ -159,21 +173,21 @@ impl Galiot {
                     });
                     continue;
                 }
-            }
+                Emission::Shipped(seg) => seg,
+            };
 
-            // Compress, ship, decompress at the cloud.
-            let compressed = compress(&seg.samples, self.config.compression_bits, COMPRESS_BLOCK);
-            let bytes = compressed.wire_bytes();
+            // Ship, decompress at the cloud.
+            let bytes = seg.compressed.wire_bytes();
             metrics.shipped_segments += 1;
             metrics.shipped_bytes += bytes as u64;
-            let now_s = seg.end() as f64 / fs;
+            let now_s = (seg.start + seg.compressed.len) as f64 / fs;
             last_arrival = Some(backhaul.ship(bytes, now_s));
-            let at_cloud = decompress(&compressed);
+            seg.unpack_into(&mut at_cloud);
 
             // Cloud: Algorithm 1.
             let decode_span =
                 galiot_trace::span(galiot_trace::Stage::WorkerDecode, galiot_trace::NO_SEQ);
-            let result = self.cloud.decode(&at_cloud, fs);
+            let result = self.cloud.decode_reusing(&at_cloud, fs, &mut traces);
             drop(decode_span);
             metrics.sic_rounds += result.rounds as u64;
             metrics.kill_applications += result.kills as u64;

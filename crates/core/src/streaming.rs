@@ -46,27 +46,25 @@
 //!
 //! # Parity with the batch pipeline
 //!
-//! The gateway half runs the same stages as [`crate::pipeline::Galiot`]
-//! in the same order: digitize → detection (the configured
-//! [`crate::DetectorKind`], built by the constructor the batch
-//! pipeline uses) → extraction → edge-first decode →
-//! block-floating-point compression. Workers decompress before
-//! decoding, so the cloud sees bit-identical samples to the batch
-//! backhaul path. Segments are only emitted once the rolling buffer
-//! extends far enough past them that extraction can no longer grow
-//! them ("finalized"), which keeps streaming segmentation equal to
-//! batch segmentation for captures whose collision clusters fit within
-//! one flush window.
+//! The gateway half is the function [`crate::pipeline::Galiot`] runs
+//! (`crate::stage`), called once per flush window: digitize →
+//! detection (the configured [`crate::DetectorKind`]) → extraction →
+//! edge-first decode, then block-floating-point compression of what
+//! ships. Workers decompress before decoding, so the cloud sees
+//! bit-identical samples to the batch backhaul path. Segments are only
+//! emitted once the rolling buffer extends far enough past them that
+//! extraction can no longer grow them ("finalized"), which keeps
+//! streaming segmentation equal to batch segmentation for captures
+//! whose collision clusters fit within one flush window.
 
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use galiot_channel::{DecodeFaultKind, DecodeFaultSpec};
-use galiot_cloud::{shard_for, CloudDecoder, CloudParams, Recovery};
+use galiot_cloud::{shard_for, CloudDecoder, CloudParams, Recovery, TraceBuffers};
 use galiot_dsp::Cf32;
-use galiot_gateway::{
-    extract, EdgeDecoder, EdgeOutcome, ExtractParams, GatewayId, RtlSdrFrontEnd, ShippedSegment,
-};
+use galiot_gateway::{GatewayId, ShippedSegment};
 use galiot_phy::registry::Registry;
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
@@ -75,8 +73,9 @@ use std::time::{Duration, Instant};
 use crate::config::GaliotConfig;
 use crate::fleet::FleetGaliot;
 use crate::metrics::{QuarantineRecord, SharedMetrics};
-use crate::pipeline::{build_detector, PipelineFrame, COMPRESS_BLOCK};
+use crate::pipeline::{PipelineFrame, COMPRESS_BLOCK};
 use crate::spawn::{spawn_thread, SpawnError};
+use crate::stage::{Emitted, GatewayStage, StageBuffers};
 use crate::transport::{degraded_bits, QueuedSegment, SendQueueTx};
 use std::sync::Arc;
 
@@ -265,16 +264,9 @@ pub(crate) fn run_gateway(
     metrics: &SharedMetrics,
     start: SessionStart,
 ) -> GatewayRun {
-    let fs = config.fs;
-    let front_end = RtlSdrFrontEnd::new(config.front_end);
-    let detector = build_detector(config, registry);
-    let window = registry
-        .max_frame_samples_for(fs, config.max_expected_payload)
-        .max(1);
-    let params = ExtractParams::paper(window);
-    let edge = config.edge_decoding.then(|| {
-        EdgeDecoder::new(registry.clone()).with_cluster_guard_s(config.edge_cluster_guard_s)
-    });
+    let stage = GatewayStage::new(config, registry);
+    let params = stage.params;
+    let window = params.max_frame_samples;
 
     // A segment is "settled" once the buffer extends at least
     // this far past it: extraction can then neither lengthen it
@@ -292,8 +284,12 @@ pub(crate) fn run_gateway(
     let stride = 2 * window;
     let flush_len = keep_len + stride;
 
-    // The capture from index `buffer_start` on, and its digitized window.
-    let (mut buffer, mut digital): (Vec<Cf32>, Vec<Cf32>) = (Vec::new(), Vec::new());
+    // The capture from index `buffer_start` on. It stays one contiguous
+    // window (drained, not a ring): the front end's gain is the mean
+    // power of the window summed in one order.
+    let mut buffer: Vec<Cf32> = Vec::new();
+    // What the stage digitizes and correlates into, flush after flush.
+    let mut buffers = StageBuffers::default();
     let mut buffer_start = start.capture_offset;
     // Capture index segment content has been emitted up to: a segment goes
     // out only if it ends past it AND is finalized (or the capture is over).
@@ -303,78 +299,59 @@ pub(crate) fn run_gateway(
     // life, independent of the epoch folded into `seq`).
     let mut emitted_count = 0u64;
 
-    let mut flush = |buffer: &[Cf32],
-                     buffer_start: usize,
-                     emitted_until: &mut usize,
-                     seq: &mut u64,
-                     emitted_count: &mut u64,
-                     is_final: bool|
-     -> Result<(), FlushStop> {
-        let t0 = Instant::now();
-        front_end.digitize_into(buffer, &mut digital);
-        let detections = detector.detect(&digital, fs);
-        metrics.with(|m| m.detections += detections.len());
+    let mut flush = |buffer: &[Cf32], buffer_start: usize, is_final: bool| {
         let buffer_end = buffer_start + buffer.len();
-        for seg in extract(&digital, &detections, params) {
-            let abs_start = buffer_start + seg.start;
-            let abs_end = abs_start + seg.samples.len();
-            if abs_end <= *emitted_until {
-                continue; // fully covered by earlier output
+        // Which of the window's spans go out in this flush.
+        let admit = |span: Range<usize>| {
+            if span.end <= emitted_until {
+                return Ok(false); // fully covered by earlier output
             }
             // Defer an unsettled segment only if the next flush
             // will still contain its head — otherwise emit now.
             if !is_final
-                && abs_end + defer_guard > buffer_end
-                && abs_start >= buffer_start + stride + params.pre_guard
+                && span.end + defer_guard > buffer_end
+                && span.start >= buffer_start + stride + params.pre_guard
             {
-                continue;
+                return Ok(false);
             }
             // Fault injection: the crash lands between finalizing a
             // segment and emitting it — the worst spot, since the
             // fleet can only learn of the loss through liveness.
-            if start.crash_after == Some(*emitted_count) {
-                metrics.with(|m| m.gateway_busy_ns += t0.elapsed().as_nanos() as u64);
+            if start.crash_after == Some(emitted_count) {
                 return Err(FlushStop::Crashed);
             }
-            *emitted_until = abs_end;
-            metrics.with(|m| m.segments += 1);
-            let this_seq = *seq;
-            *seq += 1;
-            *emitted_count += 1;
-
-            // Edge-first decode (paper, Sec. 4): handle clean
-            // single packets locally, ship everything else.
-            let mut seg = seg;
-            seg.start = abs_start;
-            if let Some(edge) = &edge {
-                if let EdgeOutcome::DecodedLocally(frame) = edge.process(&seg, fs) {
-                    let power = seg.samples.iter().map(|c| c.norm_sqr()).sum::<f32>()
-                        / seg.samples.len().max(1) as f32;
-                    let ok = result_tx
-                        .send(ResultMsg::Segment(SegmentResult {
-                            gateway: shipper.gateway,
-                            seq: this_seq,
-                            frames: vec![PipelineFrame {
-                                frame,
-                                at_edge: true,
-                                via_kill: false,
-                            }],
-                            watermark: Some(abs_start as u64),
-                            power,
-                        }))
-                        .is_ok();
-                    if !ok {
-                        return Err(FlushStop::Downstream);
-                    }
-                    continue;
-                }
+            emitted_until = span.end;
+            emitted_count += 1;
+            Ok(true)
+        };
+        // Where an emitted one goes: its frame straight to the merge
+        // if the edge decoded it, its samples to the shipper if not.
+        let emit = |seg: Emitted<'_>| {
+            let this_seq = seq;
+            seq += 1;
+            let delivered = match seg.edge_frame {
+                Some(frame) => result_tx
+                    .send(ResultMsg::Segment(SegmentResult {
+                        gateway: shipper.gateway,
+                        seq: this_seq,
+                        frames: vec![PipelineFrame {
+                            frame,
+                            at_edge: true,
+                            via_kill: false,
+                        }],
+                        watermark: Some(seg.start as u64),
+                        power: mean_power(seg.samples),
+                    }))
+                    .is_ok(),
+                None => shipper.ship(this_seq, seg.start, seg.samples),
+            };
+            if delivered {
+                Ok(())
+            } else {
+                Err(FlushStop::Downstream)
             }
-            if !shipper.ship(this_seq, abs_start, &seg.samples) {
-                return Err(FlushStop::Downstream);
-            }
-        }
-        metrics.with(|m| m.gateway_busy_ns += t0.elapsed().as_nanos() as u64);
-        Ok(())
+        };
+        stage.run(&mut buffers, buffer, buffer_start, metrics, admit, emit)
     };
 
     let mut consumed = start.capture_offset;
@@ -383,14 +360,7 @@ pub(crate) fn run_gateway(
         consumed += chunk.len();
         buffer.extend_from_slice(&chunk);
         while buffer.len() >= flush_len {
-            if let Err(stop) = flush(
-                &buffer[..flush_len],
-                buffer_start,
-                &mut emitted_until,
-                &mut seq,
-                &mut emitted_count,
-                false,
-            ) {
+            if let Err(stop) = flush(&buffer[..flush_len], buffer_start, false) {
                 return GatewayRun {
                     crashed: matches!(stop, FlushStop::Crashed),
                     consumed,
@@ -404,14 +374,7 @@ pub(crate) fn run_gateway(
     let last = if buffer.is_empty() {
         Ok(())
     } else {
-        flush(
-            &buffer,
-            buffer_start,
-            &mut emitted_until,
-            &mut seq,
-            &mut emitted_count,
-            true,
-        )
+        flush(&buffer, buffer_start, true)
     };
     GatewayRun {
         crashed: matches!(last, Err(FlushStop::Crashed)),
@@ -476,8 +439,7 @@ impl Shipper {
                 let shipped = ShippedSegment::pack(seq, abs_start, samples, bits, COMPRESS_BLOCK)
                     .with_gateway(self.gateway);
                 let wire = shipped.wire_bytes() as u64;
-                let power =
-                    samples.iter().map(|c| c.norm_sqr()).sum::<f32>() / samples.len().max(1) as f32;
+                let power = mean_power(samples);
                 self.metrics.with(|m| {
                     m.shipped_segments += 1;
                     m.shipped_bytes += wire;
@@ -1270,6 +1232,8 @@ fn run_pool_worker(
     abandoned: Arc<AtomicBool>,
 ) {
     let decoder = CloudDecoder::with_params(registry, cloud_params);
+    // Decompressed samples and classifier traces, kept across segments.
+    let (mut samples, mut traces) = (Vec::new(), TraceBuffers::default());
     while let Ok(Attempt {
         lease,
         attempt,
@@ -1313,10 +1277,9 @@ fn run_pool_worker(
             if strike && faults.kind == DecodeFaultKind::Panic {
                 panic!("injected decode fault");
             }
-            let samples = seg.unpack();
-            let power =
-                samples.iter().map(|c| c.norm_sqr()).sum::<f32>() / samples.len().max(1) as f32;
-            (power, decoder.decode(&samples, fs))
+            seg.unpack_into(&mut samples);
+            let result = decoder.decode_reusing(&samples, fs, &mut traces);
+            (mean_power(&samples), result)
         }));
         drop(decode_span);
         let busy_ns = t0.elapsed().as_nanos() as u64;
@@ -1360,6 +1323,13 @@ fn run_pool_worker(
             return;
         }
     }
+}
+
+/// Mean received power of a segment's samples (0 for none): the fleet
+/// merge's best-copy criterion, summed in sample order so that every
+/// copy of a span scores alike wherever it is computed.
+fn mean_power(samples: &[Cf32]) -> f32 {
+    samples.iter().map(|c| c.norm_sqr()).sum::<f32>() / samples.len().max(1) as f32
 }
 
 /// FNV-1a over the compressed payload bytes, for dead-letter records.
@@ -1871,6 +1841,61 @@ mod tests {
             m.gateway_busy_ns,
             wall_ns
         );
+    }
+
+    #[test]
+    fn a_flush_that_finds_downstream_gone_still_books_its_busy_time() {
+        // The flush does all its work — digitize, detect, extract, the
+        // edge attempt — before it learns nobody is listening; both
+        // ways of learning it (the result channel for an edge decode,
+        // the pool channel for a shipped segment) must account for
+        // that work like any other flush.
+        let reg = Registry::prototype();
+        let config = GaliotConfig::prototype();
+        let np = snr_to_noise_power(18.0, 0.0);
+        let zwave = reg.get(TechId::ZWave).unwrap().clone();
+        let clean = vec![TxEvent::new(zwave, vec![7; 6], 60_000)];
+        let mut rng = StdRng::seed_from_u64(9);
+        let collision =
+            galiot_channel::forced_collision(&reg, 8, &[0.0, 0.0], 3_000, 60_000, &mut rng);
+        for (events, decoded_at_edge) in [(clean, true), (collision, false)] {
+            let cap = compose(&events, 500_000, FS, np, &mut rng);
+            let metrics = SharedMetrics::new();
+            let (chunk_tx, chunk_rx) = unbounded();
+            let (result_tx, result_rx) = unbounded();
+            let (seg_tx, seg_rx) = unbounded();
+            drop(seg_rx);
+            // The shipped case keeps its result channel open, to show
+            // it was the pool channel that stopped it.
+            let result_rx = (!decoded_at_edge).then_some(result_rx);
+            chunk_tx.send(Arc::new(cap.samples)).unwrap();
+            drop(chunk_tx);
+            let run = run_gateway(
+                &config,
+                &reg,
+                &chunk_rx,
+                Shipper {
+                    gateway: GatewayId(0),
+                    mode: ShipMode::Direct(seg_tx),
+                    base_bits: config.compression_bits,
+                    uplink_bps: None,
+                    metrics: metrics.clone(),
+                },
+                &result_tx,
+                &metrics,
+                SessionStart {
+                    capture_offset: 0,
+                    seq_base: 0,
+                    crash_after: None,
+                },
+            );
+            assert!(!run.crashed);
+            let m = metrics.snapshot();
+            assert_eq!(m.segments, 1, "stopped at the first segment: {m:?}");
+            assert_eq!(m.shipped_segments, 0, "edge case {decoded_at_edge}: {m:?}");
+            assert!(result_rx.is_none_or(|rx| rx.try_recv().is_err()));
+            assert!(m.gateway_busy_ns > 0, "edge case {decoded_at_edge}: {m:?}");
+        }
     }
 
     #[test]

@@ -395,23 +395,36 @@ impl Drop for SendQueueTx {
     }
 }
 
-/// A datagram tracked by the ARQ window. Deadlines are points on the
+/// A segment tracked by the ARQ window. Deadlines are points on the
 /// sender's [`SenderClock`], not raw `Instant`s.
 struct Flight {
-    bytes: Vec<u8>,
+    /// Encoded afresh for each (rare) retransmission, so that the
+    /// first transmission's datagram can go down the link by value.
+    seg: ShippedSegment,
     retries: u32,
     timeout: Duration,
     deadline: Duration,
 }
 
-/// Offers `bytes` to the lossy link and forwards whatever comes out.
-/// Returns `false` when the far end is gone.
+/// Encodes `seg`, pays the uplink's serialization delay, offers the
+/// datagram to the lossy link by value (so it is forwarded, not
+/// copied) and sends on whatever comes out. Returns `false` when the
+/// far end is gone.
 fn push_link(
     link: &mut FaultyLink,
-    bytes: &[u8],
+    seg: &ShippedSegment,
+    serialize_bps: Option<f64>,
     wire_tx: &Sender<Vec<u8>>,
     metrics: &SharedMetrics,
 ) -> bool {
+    let _span = galiot_trace::span(
+        galiot_trace::Stage::ArqSend,
+        galiot_trace::tag_seq(seg.gateway.0, seg.seq),
+    );
+    let bytes = encode_segment(seg);
+    if let Some(bps) = serialize_bps {
+        thread::sleep(Duration::from_secs_f64(bytes.len() as f64 * 8.0 / bps));
+    }
     metrics.with(|m| m.wire_bytes_sent += bytes.len() as u64);
     for d in link.transmit(bytes) {
         if wire_tx.send(d).is_err() {
@@ -465,18 +478,9 @@ pub fn spawn_arq_sender(
                         None => break,
                     }
                 };
-                let send_span = galiot_trace::span(
-                    galiot_trace::Stage::ArqSend,
-                    galiot_trace::tag_seq(item.seg.gateway.0, item.seg.seq),
-                );
-                let bytes = encode_segment(&item.seg);
-                if let Some(bps) = serialize_bps {
-                    thread::sleep(Duration::from_secs_f64(bytes.len() as f64 * 8.0 / bps));
-                }
-                if !push_link(&mut link, &bytes, &wire_tx, &metrics) {
+                if !push_link(&mut link, &item.seg, serialize_bps, &wire_tx, &metrics) {
                     break 'run;
                 }
-                drop(send_span);
                 if arq.enabled {
                     let timeout = Duration::from_secs_f64(
                         arq.base_timeout_s * (1.0 + arq.jitter * rng.gen::<f64>()),
@@ -484,7 +488,7 @@ pub fn spawn_arq_sender(
                     in_flight.insert(
                         (item.seg.gateway, item.seg.seq),
                         Flight {
-                            bytes,
+                            seg: item.seg,
                             retries: 0,
                             timeout,
                             deadline: clock.now() + timeout,
@@ -537,19 +541,9 @@ pub fn spawn_arq_sender(
                                 .min(max_timeout);
                             f.deadline = now + f.timeout;
                             metrics.with(|m| m.arq_retransmits += 1);
-                            let send_span = galiot_trace::span(
-                                galiot_trace::Stage::ArqSend,
-                                galiot_trace::tag_seq(key.0 .0, key.1),
-                            );
-                            if let Some(bps) = serialize_bps {
-                                thread::sleep(Duration::from_secs_f64(
-                                    f.bytes.len() as f64 * 8.0 / bps,
-                                ));
-                            }
-                            if !push_link(&mut link, &f.bytes, &wire_tx, &metrics) {
+                            if !push_link(&mut link, &f.seg, serialize_bps, &wire_tx, &metrics) {
                                 break 'run;
                             }
-                            drop(send_span);
                         }
                     }
                 }
@@ -684,7 +678,7 @@ pub fn spawn_arq_receiver<T: From<ShippedSegment> + Send + 'static>(
                     recv_span.set_seq(galiot_trace::tag_seq(seg.gateway.0, seg.seq));
                     // Ack first, even for duplicates: the original
                     // ack may have been the casualty.
-                    for d in ack_link.transmit(&encode_ack(seg.gateway, seg.seq)) {
+                    for d in ack_link.transmit(encode_ack(seg.gateway, seg.seq)) {
                         let _ = ack_tx.send(d);
                     }
                     if !seen.insert(seg.gateway, seg.seq) {

@@ -311,18 +311,36 @@ impl Template {
     /// a capture with a noise floor) are parked and settled at the end.
     pub fn xcorr_normalized(&self, x: &[Cf32]) -> Vec<f32> {
         let mut out = vec![0.0; self.lags(x)];
-        if !out.is_empty() {
-            let m = self.waveform.len() as f64;
-            let ceiling = (m * crate::kernels::max_norm_sqr(x) as f64 * 2e-9).max(QUIET_FLOOR);
-            let floor = self.normalize_walk(x, QUIET_FLOOR, ceiling, &mut out);
-            if floor > ceiling {
-                // Only NaN samples, which `max_norm_sqr` may skip a
-                // neighbour of, can void the bound: walk again knowing
-                // the floor.
-                self.normalize_walk(x, floor, floor, &mut out);
-            }
-        }
+        self.normalize(x, &mut out);
         out
+    }
+
+    /// [`Template::xcorr_normalized`] into a caller-held buffer — a
+    /// gateway session's or a decode worker's, reused from one window
+    /// to the next. Whatever `out` held is discarded; it comes back
+    /// with one score per lag.
+    pub fn xcorr_normalized_into(&self, x: &[Cf32], out: &mut Vec<f32>) {
+        // No `clear()`: every lag is written below, so a buffer that
+        // is already long enough is not filled twice.
+        out.resize(self.lags(x), 0.0);
+        self.normalize(x, out);
+    }
+
+    /// Writes the normalized correlation at every lag of `x` into
+    /// `out` (one entry per lag, each overwritten).
+    fn normalize(&self, x: &[Cf32], out: &mut [f32]) {
+        if out.is_empty() {
+            return;
+        }
+        let m = self.waveform.len() as f64;
+        let ceiling = (m * crate::kernels::max_norm_sqr(x) as f64 * 2e-9).max(QUIET_FLOOR);
+        let floor = self.normalize_walk(x, QUIET_FLOOR, ceiling, out);
+        if floor > ceiling {
+            // Only NaN samples, which `max_norm_sqr` may skip a
+            // neighbour of, can void the bound: walk again knowing
+            // the floor.
+            self.normalize_walk(x, floor, floor, out);
+        }
     }
 
     /// One correlate-and-normalize walk over `x` into `out`, given that
@@ -781,6 +799,34 @@ mod tests {
                 x.extend(wave(len, phase).into_iter().map(|z| z * k));
             }
             assert_matches_two_pass(&x, &h, "random runs");
+        }
+
+        #[test]
+        fn prop_normalized_into_ignores_what_the_buffer_held(
+            m in 1usize..70,
+            len in 0usize..1_500,
+            // A reused buffer: shorter than, as long as or longer than
+            // the trace, and full of stale scores.
+            held in 0usize..3_000,
+            phase in 0.0f32..1.0,
+        ) {
+            let t = Template::new(&wave(m, 0.4 + phase));
+            let x = wave(len, phase);
+            let mut out = vec![f32::NAN; held];
+            t.xcorr_normalized_into(&x, &mut out);
+            let want = t.xcorr_normalized(&x);
+            proptest::prop_assert_eq!(out.len(), want.len());
+            for (g, w) in out.iter().zip(&want) {
+                proptest::prop_assert_eq!(g.to_bits(), w.to_bits());
+            }
+            // And again over a different signal, into what this one left.
+            let y = wave(len / 2 + m, phase + 0.2);
+            t.xcorr_normalized_into(&y, &mut out);
+            let want = t.xcorr_normalized(&y);
+            proptest::prop_assert_eq!(out.len(), want.len());
+            for (g, w) in out.iter().zip(&want) {
+                proptest::prop_assert_eq!(g.to_bits(), w.to_bits());
+            }
         }
     }
 

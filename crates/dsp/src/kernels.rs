@@ -4,8 +4,8 @@
 //! dot products behind correlation and SIC gain estimation, the FIR
 //! convolution, the pointwise spectral/dechirp multiplies, the FFT
 //! butterflies under every correlation, its normalization, the front
-//! end's quantizer, and the magnitude/energy reductions — funnels
-//! through this module. A
+//! end's quantizer, the backhaul's block-floating-point codec, and the
+//! magnitude/energy reductions — funnels through this module. A
 //! [`Backend`] is selected once per process from CPU feature detection
 //! (overridable with the `GALIOT_DSP_BACKEND` environment variable or
 //! [`set_backend`]), and each kernel dispatches to that backend's
@@ -32,13 +32,15 @@
 //!   add and one subtract; [`Backend::fft_stages`], every stage of a
 //!   transform, the same butterflies in the same order fused two or
 //!   three stages to a pass over memory), the correlation
-//!   normalization [`normalize_lags`] and the ADC model [`digitize`]
-//!   (correctly rounded operations only, per lane in the scalar
-//!   order). These are the operations on the waveform-synthesis path
-//!   (GFSK pulse shaping, channelizers, mixers, dechirpers) and, with
+//!   normalization [`normalize_lags`], the ADC model [`digitize`] and
+//!   the backhaul codec [`compress`] / [`decompress`] (correctly
+//!   rounded operations only, per lane in the scalar order; a block's
+//!   peak is a maximum, which has no order). These are the operations
+//!   on the waveform-synthesis path (GFSK pulse shaping,
+//!   channelizers, mixers, dechirpers) and, with
 //!   the FFT and the two loops around it, under every digitized
-//!   capture and every correlation trace a detection or
-//!   classification is read from.
+//!   capture, every correlation trace a detection or classification
+//!   is read from, and every byte a segment puts on the wire.
 //! * **ULP-bounded reductions** — [`dot_conj`], [`energy_f32`] and
 //!   [`energy_f64`] split the sum across lanes, so vector results
 //!   differ from the scalar reference by accumulated rounding only
@@ -545,6 +547,110 @@ impl Backend {
             _ => scalar::digitize(adc, analog, out),
         }
     }
+
+    /// Block-floating-point compression of I/Q samples to `bits` bits
+    /// per rail, straight into the output bytes. Each run of
+    /// `block_len` samples is scaled by its peak rail magnitude
+    /// (`scales[b]`, floored at `1e-12`; NaN rails do not count), and
+    /// every rail `v` becomes the code `round((v / peak).clamp(-1, 1) *
+    /// (levels - 0.5) + levels - 0.5)` with `levels = 2^bits / 2`
+    /// (half away from zero; a NaN rail is code 0). Codes are packed I
+    /// then Q, little-endian, `bits` each, into `data`.
+    ///
+    /// Bit-exact across backends: the peak is a maximum, which no
+    /// summation order can change, and divide, clamp, multiply, add,
+    /// subtract and the rounding (`trunc(x + (0.5 - 2^-25))`, exact for
+    /// the `0 <= x < 2^16` a code can be) are correctly rounded per
+    /// lane in the scalar order.
+    ///
+    /// # Panics
+    /// Panics unless `1 <= bits <= 16`, `block_len > 0`, `scales` holds
+    /// one entry per block and `data` exactly [`packed_len`] bytes.
+    pub fn compress(
+        self,
+        samples: &[Cf32],
+        bits: u32,
+        block_len: usize,
+        scales: &mut [f32],
+        data: &mut [u8],
+    ) {
+        check_codec_shape(samples.len(), bits, block_len, scales.len(), data.len());
+        match self.effective() {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `effective()` guarantees CPU support; the slice
+            // lengths the callee relies on are asserted above.
+            Backend::Avx512 => unsafe {
+                x86::compress_avx512(samples, bits, block_len, scales, data)
+            },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above. Nothing here can fuse.
+            Backend::Avx2 | Backend::Fma => unsafe {
+                x86::compress_avx2(samples, bits, block_len, scales, data)
+            },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above.
+            Backend::Sse41 => unsafe {
+                x86::compress_sse41(samples, bits, block_len, scales, data)
+            },
+            _ => scalar::compress(samples, bits, block_len, scales, data),
+        }
+    }
+
+    /// The inverse of [`Backend::compress`]: sample `i`'s rails are
+    /// `(code - (levels - 0.5)) / (levels - 0.5) * scales[i / block_len]`,
+    /// the scale read once per block.
+    ///
+    /// Bit-exact across backends: an exact integer conversion, then one
+    /// correctly rounded subtract, divide and multiply per lane.
+    ///
+    /// # Panics
+    /// Panics on the shapes [`Backend::compress`] panics on, `out`
+    /// standing for the samples.
+    pub fn decompress(
+        self,
+        bits: u32,
+        block_len: usize,
+        scales: &[f32],
+        data: &[u8],
+        out: &mut [Cf32],
+    ) {
+        check_codec_shape(out.len(), bits, block_len, scales.len(), data.len());
+        match self.effective() {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `effective()` guarantees CPU support; the slice
+            // lengths the callee relies on are asserted above.
+            Backend::Avx512 => unsafe {
+                x86::decompress_avx512(bits, block_len, scales, data, out)
+            },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above. Nothing here can fuse.
+            Backend::Avx2 | Backend::Fma => unsafe {
+                x86::decompress_avx2(bits, block_len, scales, data, out)
+            },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above.
+            Backend::Sse41 => unsafe { x86::decompress_sse41(bits, block_len, scales, data, out) },
+            _ => scalar::decompress(bits, block_len, scales, data, out),
+        }
+    }
+}
+
+/// Exact byte count `len` samples occupy at `bits` bits per I/Q rail,
+/// or `None` where that count overflows `usize` (a length no buffer
+/// can have, declared by a hostile header).
+pub fn packed_len(len: usize, bits: u32) -> Option<usize> {
+    Some(len.checked_mul(2)?.checked_mul(bits as usize)?.div_ceil(8))
+}
+
+/// The shape [`Backend::compress`] and [`Backend::decompress`] rely on.
+fn check_codec_shape(len: usize, bits: u32, block_len: usize, n_scales: usize, n_bytes: usize) {
+    assert!((1..=16).contains(&bits), "bits must be 1..=16");
+    assert!(block_len > 0, "block length must be positive");
+    assert!(
+        n_scales == len.div_ceil(block_len) && Some(n_bytes) == packed_len(len, bits),
+        "codec: {len} samples at {bits} bits in blocks of {block_len} \
+         do not fill {n_scales} scales and {n_bytes} bytes"
+    );
 }
 
 /// The per-sample arithmetic of [`Backend::digitize`]. With `s = z *
@@ -758,6 +864,24 @@ pub fn digitize(adc: &Adc, analog: &[Cf32], out: &mut [Cf32]) {
     active().digitize(adc, analog, out)
 }
 
+/// [`Backend::compress`] on the [`active`] backend.
+#[inline]
+pub fn compress(
+    samples: &[Cf32],
+    bits: u32,
+    block_len: usize,
+    scales: &mut [f32],
+    data: &mut [u8],
+) {
+    active().compress(samples, bits, block_len, scales, data)
+}
+
+/// [`Backend::decompress`] on the [`active`] backend.
+#[inline]
+pub fn decompress(bits: u32, block_len: usize, scales: &[f32], data: &[u8], out: &mut [Cf32]) {
+    active().decompress(bits, block_len, scales, data, out)
+}
+
 // ---------------------------------------------------------------------------
 // Scalar reference implementations
 // ---------------------------------------------------------------------------
@@ -892,6 +1016,163 @@ mod scalar {
         for (o, &z) in out.iter_mut().zip(analog) {
             let s = z * adc.gain;
             *o = Cf32::new(q(s.re), q(adc.iq_gain * (s.im + adc.iq_skew * s.re)));
+        }
+    }
+
+    /// Quantization levels per polarity at `bits` bits per rail.
+    pub fn levels(bits: u32) -> f32 {
+        ((1u32 << bits) / 2) as f32
+    }
+
+    /// A block's scale: its peak rail magnitude, NaN rails skipped.
+    pub fn block_peak(block: &[Cf32]) -> f32 {
+        block
+            .iter()
+            .map(|z| z.re.abs().max(z.im.abs()))
+            .fold(0.0f32, f32::max)
+            .max(1e-12)
+    }
+
+    /// One rail's code: `[-peak, peak]` onto `[0, 2 * levels - 1]`.
+    #[inline]
+    pub fn quantize(v: f32, peak: f32, levels: f32) -> u16 {
+        let norm = (v / peak).clamp(-1.0, 1.0);
+        ((norm * (levels - 0.5)) + levels - 0.5).round() as u16
+    }
+
+    /// One rail back from its code.
+    #[inline]
+    pub fn dequantize(code: u16, levels: f32, scale: f32) -> f32 {
+        ((code as f32 - (levels - 0.5)) / (levels - 0.5)) * scale
+    }
+
+    /// Packs codes of up to 16 bits, little-endian, into bytes sized
+    /// for exactly the codes pushed.
+    pub struct BitWriter<'a> {
+        out: &'a mut [u8],
+        at: usize,
+        acc: u32,
+        nbits: u32,
+    }
+
+    impl<'a> BitWriter<'a> {
+        pub fn new(out: &'a mut [u8]) -> Self {
+            BitWriter {
+                out,
+                at: 0,
+                acc: 0,
+                nbits: 0,
+            }
+        }
+
+        #[inline]
+        pub fn push(&mut self, code: u16, bits: u32) {
+            self.acc |= (code as u32) << self.nbits;
+            self.nbits += bits;
+            while self.nbits >= 8 {
+                self.out[self.at] = self.acc as u8;
+                self.at += 1;
+                self.acc >>= 8;
+                self.nbits -= 8;
+            }
+        }
+
+        /// The next `n` whole bytes, for a writer of 8-bit codes (which
+        /// never holds a partial byte).
+        pub fn bytes(&mut self, n: usize) -> &mut [u8] {
+            debug_assert_eq!(self.nbits, 0);
+            let run = &mut self.out[self.at..self.at + n];
+            self.at += n;
+            run
+        }
+
+        /// Writes out the last, partial byte.
+        pub fn finish(self) {
+            if self.nbits > 0 {
+                self.out[self.at] = self.acc as u8;
+            }
+        }
+    }
+
+    /// Reads back what a [`BitWriter`] packed.
+    pub struct BitReader<'a> {
+        data: &'a [u8],
+        at: usize,
+        acc: u32,
+        nbits: u32,
+    }
+
+    impl<'a> BitReader<'a> {
+        pub fn new(data: &'a [u8]) -> Self {
+            BitReader {
+                data,
+                at: 0,
+                acc: 0,
+                nbits: 0,
+            }
+        }
+
+        #[inline]
+        pub fn next(&mut self, bits: u32) -> u16 {
+            while self.nbits < bits {
+                self.acc |= (self.data[self.at] as u32) << self.nbits;
+                self.at += 1;
+                self.nbits += 8;
+            }
+            let code = (self.acc & ((1 << bits) - 1)) as u16;
+            self.acc >>= bits;
+            self.nbits -= bits;
+            code
+        }
+
+        /// The next `n` whole bytes of a stream of 8-bit codes.
+        pub fn bytes(&mut self, n: usize) -> &'a [u8] {
+            debug_assert_eq!(self.nbits, 0);
+            let run = &self.data[self.at..self.at + n];
+            self.at += n;
+            run
+        }
+    }
+
+    pub fn compress(
+        samples: &[Cf32],
+        bits: u32,
+        block_len: usize,
+        scales: &mut [f32],
+        data: &mut [u8],
+    ) {
+        let levels = levels(bits);
+        let mut w = BitWriter::new(data);
+        for (block, scale) in samples.chunks(block_len).zip(scales) {
+            let peak = block_peak(block);
+            *scale = peak;
+            quantize_run(block, peak, levels, bits, &mut w);
+        }
+        w.finish();
+    }
+
+    /// Quantizes and packs samples that share one scale.
+    pub fn quantize_run(run: &[Cf32], peak: f32, levels: f32, bits: u32, w: &mut BitWriter) {
+        for z in run {
+            w.push(quantize(z.re, peak, levels), bits);
+            w.push(quantize(z.im, peak, levels), bits);
+        }
+    }
+
+    pub fn decompress(bits: u32, block_len: usize, scales: &[f32], data: &[u8], out: &mut [Cf32]) {
+        let levels = levels(bits);
+        let mut r = BitReader::new(data);
+        for (block, &scale) in out.chunks_mut(block_len).zip(scales) {
+            dequantize_run(block, scale, levels, bits, &mut r);
+        }
+    }
+
+    /// Unpacks and dequantizes samples that share one scale.
+    pub fn dequantize_run(run: &mut [Cf32], scale: f32, levels: f32, bits: u32, r: &mut BitReader) {
+        for z in run {
+            let re = dequantize(r.next(bits), levels, scale);
+            let im = dequantize(r.next(bits), levels, scale);
+            *z = Cf32::new(re, im);
         }
     }
 
@@ -1475,6 +1756,16 @@ mod x86 {
             floor: f64,
             out: *mut f32,
         );
+        /// Truncates every float lane (each in `0..256`) to a byte and
+        /// writes the `2 * LANES` of them at `p`.
+        unsafe fn store_u8(self, p: *mut u8);
+        /// Truncates every float lane (each in `0..65536`) to a `u16`
+        /// and writes the `2 * LANES` of them at `p`.
+        unsafe fn store_u16(self, p: *mut u16);
+        /// The `2 * LANES` bytes at `p`, one per float lane.
+        unsafe fn load_u8(p: *const u8) -> Self;
+        /// The `2 * LANES` `u16`s at `p`, one per float lane.
+        unsafe fn load_u16(p: *const u16) -> Self;
     }
 
     /// `ROUND_TO_ZERO | NO_EXC` for the `round`/`roundscale` family.
@@ -1585,6 +1876,27 @@ mod x86 {
             let quiet = _mm_castpd_ps(_mm_cmple_pd(win, _mm_set1_pd(floor)));
             let quiet = _mm_shuffle_ps::<0b1000_1000>(quiet, quiet);
             _mm_storel_pd(out.cast(), _mm_castps_pd(_mm_andnot_ps(quiet, q)));
+        }
+        #[inline(always)]
+        unsafe fn store_u8(self, p: *mut u8) {
+            let w = _mm_cvttps_epi32(self);
+            let h = _mm_packus_epi32(w, w);
+            p.cast::<i32>()
+                .write_unaligned(_mm_cvtsi128_si32(_mm_packus_epi16(h, h)));
+        }
+        #[inline(always)]
+        unsafe fn store_u16(self, p: *mut u16) {
+            let w = _mm_cvttps_epi32(self);
+            _mm_storel_epi64(p.cast(), _mm_packus_epi32(w, w));
+        }
+        #[inline(always)]
+        unsafe fn load_u8(p: *const u8) -> Self {
+            let b = _mm_cvtsi32_si128(p.cast::<i32>().read_unaligned());
+            _mm_cvtepi32_ps(_mm_cvtepu8_epi32(b))
+        }
+        #[inline(always)]
+        unsafe fn load_u16(p: *const u16) -> Self {
+            _mm_cvtepi32_ps(_mm_cvtepu16_epi32(_mm_loadl_epi64(p.cast())))
         }
     }
 
@@ -1699,6 +2011,26 @@ mod x86 {
                 _mm256_extractf128_ps::<1>(quiet),
             );
             _mm_storeu_ps(out, _mm_andnot_ps(quiet, q));
+        }
+        #[inline(always)]
+        unsafe fn store_u8(self, p: *mut u8) {
+            let w = _mm256_cvttps_epi32(self);
+            let h = _mm_packus_epi32(_mm256_castsi256_si128(w), _mm256_extracti128_si256::<1>(w));
+            _mm_storel_epi64(p.cast(), _mm_packus_epi16(h, h));
+        }
+        #[inline(always)]
+        unsafe fn store_u16(self, p: *mut u16) {
+            let w = _mm256_cvttps_epi32(self);
+            let h = _mm_packus_epi32(_mm256_castsi256_si128(w), _mm256_extracti128_si256::<1>(w));
+            _mm_storeu_si128(p.cast(), h);
+        }
+        #[inline(always)]
+        unsafe fn load_u8(p: *const u8) -> Self {
+            _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(_mm_loadl_epi64(p.cast())))
+        }
+        #[inline(always)]
+        unsafe fn load_u16(p: *const u16) -> Self {
+            _mm256_cvtepi32_ps(_mm256_cvtepu16_epi32(_mm_loadu_si128(p.cast())))
         }
     }
 
@@ -1834,6 +2166,22 @@ mod x86 {
             let q =
                 _mm512_mask_mov_ps(_mm512_castps256_ps512(q), quiet as u16, _mm512_setzero_ps());
             _mm256_storeu_ps(out, _mm512_castps512_ps256(q));
+        }
+        #[inline(always)]
+        unsafe fn store_u8(self, p: *mut u8) {
+            _mm_storeu_si128(p.cast(), _mm512_cvtepi32_epi8(_mm512_cvttps_epi32(self)));
+        }
+        #[inline(always)]
+        unsafe fn store_u16(self, p: *mut u16) {
+            _mm256_storeu_si256(p.cast(), _mm512_cvtepi32_epi16(_mm512_cvttps_epi32(self)));
+        }
+        #[inline(always)]
+        unsafe fn load_u8(p: *const u8) -> Self {
+            _mm512_cvtepi32_ps(_mm512_cvtepu8_epi32(_mm_loadu_si128(p.cast())))
+        }
+        #[inline(always)]
+        unsafe fn load_u16(p: *const u16) -> Self {
+            _mm512_cvtepi32_ps(_mm512_cvtepu16_epi32(_mm256_loadu_si256(p.cast())))
         }
     }
 
@@ -2068,9 +2416,167 @@ mod x86 {
         scalar::digitize(adc, &analog[done..], &mut out[done..]);
     }
 
+    // -- Backhaul codec ------------------------------------------------------
+    //
+    // A `Cf32` run is a run of rails, I then Q, which is also the order
+    // codes are packed in: every step below treats a vector as
+    // `2 * LANES` independent rails.
+
+    /// Samples quantized or dequantized between two visits of the bit
+    /// packer, their codes staged on the stack (any multiple of every
+    /// `LANES`).
+    const STAGE: usize = 128;
+
+    /// `scalar::block_peak`: a maximum over the non-NaN rail magnitudes
+    /// and zero, in whatever order.
+    #[inline(always)]
+    unsafe fn block_peak<S: Simd>(block: &[Cf32]) -> f32 {
+        let magnitude = S::splat(f32::from_bits(0x7FFF_FFFF));
+        let mut peaks = S::splat(0.0);
+        let done = block.len() - block.len() % S::LANES;
+        for k in (0..done).step_by(S::LANES) {
+            // SAFETY (pointer): k + LANES <= block.len(). A NaN lane
+            // keeps `peaks`, which is never NaN.
+            peaks = S::load(block.as_ptr().add(k)).and(magnitude).max(peaks);
+        }
+        let mut lanes = [Cf32::ZERO; 8];
+        debug_assert!(S::LANES <= lanes.len());
+        peaks.store(lanes.as_mut_ptr());
+        let head = lanes[..S::LANES]
+            .iter()
+            .map(|z| z.re.max(z.im))
+            .fold(0.0f32, f32::max);
+        head.max(scalar::block_peak(&block[done..]))
+    }
+
+    /// The constants of `scalar::quantize` at one bit depth.
+    #[derive(Clone, Copy)]
+    struct Quantizer<S> {
+        one: S,
+        neg_one: S,
+        span: S,
+        levels: S,
+        half: S,
+        nearly_half: S,
+    }
+
+    impl<S: Simd> Quantizer<S> {
+        #[inline(always)]
+        unsafe fn new(levels: f32) -> Self {
+            Quantizer {
+                one: S::splat(1.0),
+                neg_one: S::splat(-1.0),
+                span: S::splat(levels - 0.5),
+                levels: S::splat(levels),
+                half: S::splat(0.5),
+                nearly_half: S::splat(0.5 - f32::EPSILON / 4.0),
+            }
+        }
+
+        /// The floats whose truncations are the codes of rails `v`
+        /// under scale `peak`. `round(x)` is `trunc(x + (0.5 - 2^-25))`
+        /// for `0 <= x < 2^16`, as in `digitize`; `min` then `max` in
+        /// this operand order turn a NaN rail into -1, whose code is
+        /// the 0 that `NaN as u16` is.
+        #[inline(always)]
+        unsafe fn codes(self, v: S, peak: S) -> S {
+            let norm = self.one.min(v.div(peak)).max(self.neg_one);
+            let x = norm.mul(self.span).add(self.levels).sub(self.half);
+            x.add(self.nearly_half)
+        }
+    }
+
+    /// `Backend::compress` over checked shapes.
+    #[inline(always)]
+    unsafe fn compress<S: Simd>(
+        samples: &[Cf32],
+        bits: u32,
+        block_len: usize,
+        scales: &mut [f32],
+        data: &mut [u8],
+    ) {
+        let levels = scalar::levels(bits);
+        let q = Quantizer::<S>::new(levels);
+        let mut w = scalar::BitWriter::new(data);
+        let mut staged = [0u16; 2 * STAGE];
+        for (block, scale) in samples.chunks(block_len).zip(scales) {
+            let peak = block_peak::<S>(block);
+            *scale = peak;
+            let vpeak = S::splat(peak);
+            let done = block.len() - block.len() % S::LANES;
+            if bits == 8 {
+                let bytes = w.bytes(2 * done);
+                for k in (0..done).step_by(S::LANES) {
+                    // SAFETY (pointers): k + LANES <= done samples,
+                    // two bytes each.
+                    let v = S::load(block.as_ptr().add(k));
+                    q.codes(v, vpeak).store_u8(bytes.as_mut_ptr().add(2 * k));
+                }
+            } else {
+                for run in block[..done].chunks(STAGE) {
+                    for k in (0..run.len()).step_by(S::LANES) {
+                        // SAFETY (pointers): k + LANES <= run.len() <=
+                        // STAGE samples, two codes each.
+                        let v = S::load(run.as_ptr().add(k));
+                        q.codes(v, vpeak).store_u16(staged.as_mut_ptr().add(2 * k));
+                    }
+                    for &code in &staged[..2 * run.len()] {
+                        w.push(code, bits);
+                    }
+                }
+            }
+            scalar::quantize_run(&block[done..], peak, levels, bits, &mut w);
+        }
+        w.finish();
+    }
+
+    /// `Backend::decompress` over checked shapes.
+    #[inline(always)]
+    unsafe fn decompress<S: Simd>(
+        bits: u32,
+        block_len: usize,
+        scales: &[f32],
+        data: &[u8],
+        out: &mut [Cf32],
+    ) {
+        let levels = scalar::levels(bits);
+        let span = S::splat(levels - 0.5);
+        let mut r = scalar::BitReader::new(data);
+        let mut staged = [0u16; 2 * STAGE];
+        for (block, &scale) in out.chunks_mut(block_len).zip(scales) {
+            let vscale = S::splat(scale);
+            let done = block.len() - block.len() % S::LANES;
+            let (whole, tail) = block.split_at_mut(done);
+            if bits == 8 {
+                let bytes = r.bytes(2 * done);
+                for k in (0..done).step_by(S::LANES) {
+                    // SAFETY (pointers): k + LANES <= done samples,
+                    // two bytes each.
+                    let codes = S::load_u8(bytes.as_ptr().add(2 * k));
+                    let v = codes.sub(span).div(span).mul(vscale);
+                    v.store(whole.as_mut_ptr().add(k));
+                }
+            } else {
+                for run in whole.chunks_mut(STAGE) {
+                    for code in &mut staged[..2 * run.len()] {
+                        *code = r.next(bits);
+                    }
+                    for k in (0..run.len()).step_by(S::LANES) {
+                        // SAFETY (pointers): k + LANES <= run.len() <=
+                        // STAGE samples, two codes each.
+                        let codes = S::load_u16(staged.as_ptr().add(2 * k));
+                        let v = codes.sub(span).div(span).mul(vscale);
+                        v.store(run.as_mut_ptr().add(k));
+                    }
+                }
+            }
+            scalar::dequantize_run(tail, scale, levels, bits, &mut r);
+        }
+    }
+
     /// Instantiates the generic kernels for one ISA.
     macro_rules! instantiate {
-        ($feat:literal, $v:ty: $butterflies:ident, $fft_stages:ident, $normalize_lags:ident, $digitize:ident) => {
+        ($feat:literal, $v:ty: $butterflies:ident, $fft_stages:ident, $normalize_lags:ident, $digitize:ident, $compress:ident, $decompress:ident) => {
             #[target_feature(enable = $feat)]
             pub unsafe fn $butterflies(buf: &mut [Cf32], tw: &[Cf32]) {
                 pass1::<$v>(buf, tw)
@@ -2094,12 +2600,32 @@ mod x86 {
             pub unsafe fn $digitize(adc: &Adc, analog: &[Cf32], out: &mut [Cf32]) {
                 digitize::<$v>(adc, analog, out)
             }
+            #[target_feature(enable = $feat)]
+            pub unsafe fn $compress(
+                samples: &[Cf32],
+                bits: u32,
+                block_len: usize,
+                scales: &mut [f32],
+                data: &mut [u8],
+            ) {
+                compress::<$v>(samples, bits, block_len, scales, data)
+            }
+            #[target_feature(enable = $feat)]
+            pub unsafe fn $decompress(
+                bits: u32,
+                block_len: usize,
+                scales: &[f32],
+                data: &[u8],
+                out: &mut [Cf32],
+            ) {
+                decompress::<$v>(bits, block_len, scales, data, out)
+            }
         };
     }
 
-    instantiate!("sse4.1", __m128: butterflies_sse41, fft_stages_sse41, normalize_lags_sse41, digitize_sse41);
-    instantiate!("avx2", __m256: butterflies_avx2, fft_stages_avx2, normalize_lags_avx2, digitize_avx2);
-    instantiate!("avx512f", __m512: butterflies_avx512, fft_stages_avx512, normalize_lags_avx512, digitize_avx512);
+    instantiate!("sse4.1", __m128: butterflies_sse41, fft_stages_sse41, normalize_lags_sse41, digitize_sse41, compress_sse41, decompress_sse41);
+    instantiate!("avx2", __m256: butterflies_avx2, fft_stages_avx2, normalize_lags_avx2, digitize_avx2, compress_avx2, decompress_avx2);
+    instantiate!("avx512f", __m512: butterflies_avx512, fft_stages_avx512, normalize_lags_avx512, digitize_avx512, compress_avx512, decompress_avx512);
 
     // -- FIR ---------------------------------------------------------------
     //

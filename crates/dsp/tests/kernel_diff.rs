@@ -695,6 +695,278 @@ fn digitize_bit_exact_across_backends() {
 }
 
 // ---------------------------------------------------------------------------
+// The backhaul codec
+// ---------------------------------------------------------------------------
+
+/// `galiot_gateway::compress` as it was before it became a kernel: a
+/// `Vec<u16>` of codes from two libm `round` calls a sample, then a
+/// packing pass. Returns the scales and the packed bytes.
+fn reference_compress(samples: &[Cf32], bits: u32, block_len: usize) -> (Vec<f32>, Vec<u8>) {
+    let levels = ((1u32 << bits) / 2) as f32; // per polarity
+    let mut scales = Vec::with_capacity(samples.len().div_ceil(block_len));
+    let mut codes: Vec<u16> = Vec::with_capacity(samples.len() * 2);
+    for block in samples.chunks(block_len) {
+        let peak = block
+            .iter()
+            .map(|z| z.re.abs().max(z.im.abs()))
+            .fold(0.0f32, f32::max)
+            .max(1e-12);
+        scales.push(peak);
+        for z in block {
+            let q = |v: f32| -> u16 {
+                let norm = (v / peak).clamp(-1.0, 1.0);
+                // Map [-1, 1] to [0, 2*levels - 1].
+                ((norm * (levels - 0.5)) + levels - 0.5).round() as u16
+            };
+            codes.push(q(z.re));
+            codes.push(q(z.im));
+        }
+    }
+    // Bit-pack the codes.
+    let mut data = Vec::with_capacity((codes.len() * bits as usize).div_ceil(8));
+    let mut acc: u32 = 0;
+    let mut nbits: u32 = 0;
+    for &c in &codes {
+        acc |= (c as u32) << nbits;
+        nbits += bits;
+        while nbits >= 8 {
+            data.push((acc & 0xFF) as u8);
+            acc >>= 8;
+            nbits -= 8;
+        }
+    }
+    if nbits > 0 {
+        data.push((acc & 0xFF) as u8);
+    }
+    (scales, data)
+}
+
+/// `galiot_gateway`'s tolerant unpacking loop (still what it runs on a
+/// header it cannot trust), the scale looked up per sample.
+fn reference_decompress(
+    bits: u32,
+    block_len: usize,
+    scales: &[f32],
+    data: &[u8],
+    len: usize,
+) -> Vec<Cf32> {
+    let levels = ((1u32 << bits) / 2) as f32;
+    let mask = (1u32 << bits) - 1;
+    let mut out = Vec::with_capacity(len);
+    let mut acc: u32 = 0;
+    let mut nbits: u32 = 0;
+    let mut byte_iter = data.iter();
+    let mut next_code = || -> u16 {
+        while nbits < bits {
+            acc |= (*byte_iter.next().unwrap_or(&0) as u32) << nbits;
+            nbits += 8;
+        }
+        let code = (acc & mask) as u16;
+        acc >>= bits;
+        nbits -= bits;
+        code
+    };
+    for i in 0..len {
+        let scale = scales.get(i / block_len).copied().unwrap_or(0.0);
+        let dq = |code: u16| -> f32 { ((code as f32 - (levels - 0.5)) / (levels - 0.5)) * scale };
+        let re = dq(next_code());
+        let im = dq(next_code());
+        out.push(Cf32::new(re, im));
+    }
+    out
+}
+
+/// Compresses on every backend against the reference, then
+/// decompresses the reference's bytes on every backend against the
+/// reference: packed bytes, scale bits and sample bits all identical.
+fn assert_codec_matches(samples: &[Cf32], bits: u32, block_len: usize, what: &str) {
+    let (scales, data) = reference_compress(samples, bits, block_len);
+    assert_eq!(Some(data.len()), kernels::packed_len(samples.len(), bits));
+    let want = reference_decompress(bits, block_len, &scales, &data, samples.len());
+    for backend in backends() {
+        let mut got_scales = vec![-7.0f32; scales.len()];
+        let mut got_data = vec![0xA5u8; data.len()];
+        backend.compress(samples, bits, block_len, &mut got_scales, &mut got_data);
+        let ctx = format!(
+            "{backend:?} {what}: {} samples, {bits} bits, blocks of {block_len}",
+            samples.len()
+        );
+        assert_eq!(
+            got_scales.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+            scales.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+            "scales, {ctx}"
+        );
+        if let Some(at) = got_data.iter().zip(&data).position(|(g, w)| g != w) {
+            panic!(
+                "byte {at} of {}: {:#04x} for {:#04x}, {ctx}",
+                data.len(),
+                got_data[at],
+                data[at]
+            );
+        }
+        let mut got = vec![Cf32::new(7.0, 7.0); samples.len()];
+        backend.decompress(bits, block_len, &scales, &data, &mut got);
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(rail_bits(*g), rail_bits(*w), "sample {i}, {ctx}");
+        }
+    }
+}
+
+/// Block lengths of the codec differentials: one sample, one that is a
+/// multiple of no vector width, and the two the pipeline ships with.
+const CODEC_BLOCKS: [usize; 4] = [1, 7, 256, 1024];
+
+#[test]
+fn codec_bit_exact_across_backends() {
+    let mut rng = StdRng::seed_from_u64(0x5eed_0023);
+    // Whole blocks, ragged tails of every length under a vector, and
+    // lengths that end a block inside a staging run.
+    let lengths = [
+        0usize, 1, 2, 3, 6, 7, 8, 9, 15, 16, 17, 127, 128, 129, 255, 256, 257, 1000, 1024, 1031,
+        2048, 2193,
+    ];
+    for bits in 1..=16u32 {
+        for &block_len in &CODEC_BLOCKS {
+            let signal = cvec(&mut rng, 2_193);
+            for &n in &lengths {
+                assert_codec_matches(&signal[..n], bits, block_len, "wide-range noise");
+            }
+        }
+    }
+}
+
+#[test]
+fn codec_rounds_every_tie_like_round() {
+    // Under a peak of exactly 1 the value rounded is `v * (levels -
+    // 0.5) + levels - 0.5`, a `k + 0.5` tie wherever `v * (levels -
+    // 0.5)` is an integer: every such rail (or as near as an f32 gets),
+    // one ulp either side.
+    for bits in 1..=16u32 {
+        let levels = ((1u32 << bits) / 2) as i32;
+        let span = levels as f32 - 0.5;
+        let mut samples = vec![Cf32::new(1.0, -1.0)];
+        for j in 1 - levels..levels {
+            let tie = j as f32 / span;
+            samples.push(Cf32::new(tie, tie.next_up()));
+            samples.push(Cf32::new(tie.next_down(), -tie));
+        }
+        assert_codec_matches(&samples, bits, samples.len(), "ties");
+        assert_codec_matches(&samples, bits, 7, "ties under per-block peaks");
+    }
+}
+
+#[test]
+fn codec_bit_exact_on_special_values() {
+    let mut rng = StdRng::seed_from_u64(0x5eed_0024);
+    let specials = [
+        0.0,
+        -0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        -f32::NAN,
+        f32::MIN_POSITIVE,
+        -1.0e-41,
+        1.0e-12,
+        9.9e-13,
+        f32::MAX,
+        f32::MIN,
+        0.5,
+        -0.5,
+    ];
+    for bits in 1..=16u32 {
+        for &block_len in &CODEC_BLOCKS {
+            // All-zero blocks (the 1e-12 floor), of either sign of zero.
+            let mut zeros = vec![Cf32::ZERO; 2 * block_len + 3];
+            zeros[1] = Cf32::new(-0.0, 0.0);
+            assert_codec_matches(&zeros, bits, block_len, "zeros");
+            // All-NaN blocks: nothing to take a peak from.
+            let nans = vec![Cf32::new(f32::NAN, f32::NAN); block_len + 5];
+            assert_codec_matches(&nans, bits, block_len, "all NaN");
+            // The peak tied between rails, signs and lanes.
+            let ties: Vec<Cf32> = (0..2 * block_len + 9)
+                .map(|i| match i % 5 {
+                    0 => Cf32::new(0.75, -0.75),
+                    1 => Cf32::new(-0.75, 0.1),
+                    2 => Cf32::new(0.2, 0.75),
+                    _ => Cf32::new(0.74999994, -0.3),
+                })
+                .collect();
+            assert_codec_matches(&ties, bits, block_len, "peak ties");
+            // Every special in every lane position of a noise run.
+            let mut noisy = cvec(&mut rng, 600.max(block_len + 40));
+            for (i, &v) in specials.iter().enumerate() {
+                let w = specials[(i * 5 + 2) % specials.len()];
+                noisy[i * 17] = Cf32::new(v, w);
+                noisy[i * 17 + 9] = Cf32::new(0.3, v);
+            }
+            for cut in [0usize, 1, 5, 16] {
+                assert_codec_matches(&noisy[cut..], bits, block_len, "specials");
+            }
+        }
+    }
+}
+
+#[test]
+fn decompress_bit_exact_under_hostile_scales_and_codes() {
+    // Bytes and scales no compressor wrote: every code value, scales
+    // that are NaN, infinite, negative, denormal or zero.
+    let mut rng = StdRng::seed_from_u64(0x5eed_0025);
+    let hostile = [
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        -3.5,
+        0.0,
+        -0.0,
+        1.0e-41,
+        f32::MAX,
+        1.0,
+    ];
+    for bits in 1..=16u32 {
+        for &block_len in &CODEC_BLOCKS {
+            for len in [0usize, 1, 9, 130, 1_031] {
+                let n_bytes = kernels::packed_len(len, bits).unwrap();
+                let data: Vec<u8> = (0..n_bytes).map(|_| rng.gen()).collect();
+                let scales: Vec<f32> = (0..len.div_ceil(block_len))
+                    .map(|b| hostile[(b + bits as usize) % hostile.len()])
+                    .collect();
+                let want = reference_decompress(bits, block_len, &scales, &data, len);
+                for backend in backends() {
+                    let mut got = vec![Cf32::new(7.0, 7.0); len];
+                    backend.decompress(bits, block_len, &scales, &data, &mut got);
+                    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            rail_bits(*g),
+                            rail_bits(*w),
+                            "{backend:?} sample {i} of {len}, {bits} bits, blocks of {block_len}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "codec")]
+fn codec_rejects_a_short_output() {
+    let samples = vec![Cf32::new(0.5, -0.5); 10];
+    let mut scales = [0.0f32; 2];
+    let mut data = [0u8; 19]; // 20 needed
+    kernels::compress(&samples, 8, 5, &mut scales, &mut data);
+}
+
+#[test]
+fn packed_len_is_checked() {
+    assert_eq!(kernels::packed_len(0, 16), Some(0));
+    assert_eq!(kernels::packed_len(3, 3), Some(3)); // 18 bits
+    assert_eq!(kernels::packed_len(1_000, 8), Some(2_000));
+    assert_eq!(kernels::packed_len(1 << 59, 16), None);
+    assert_eq!(kernels::packed_len(usize::MAX, 1), None);
+}
+
+// ---------------------------------------------------------------------------
 // ULP-bounded reductions, checked against an f64 ground truth
 // ---------------------------------------------------------------------------
 

@@ -13,7 +13,9 @@
 //! loss, bit corruption, duplication, reordering) that the streaming
 //! pipeline's ARQ layer is tested against.
 
-use galiot_dsp::Cf32;
+use std::borrow::Cow;
+
+use galiot_dsp::{kernels, Cf32};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -48,44 +50,13 @@ impl CompressedSegment {
 /// Panics unless `1 <= bits <= 16` and `block_len > 0`.
 pub fn compress(samples: &[Cf32], bits: u32, block_len: usize) -> CompressedSegment {
     let _span = galiot_trace::span(galiot_trace::Stage::Compress, galiot_trace::NO_SEQ);
-    assert!((1..=16).contains(&bits), "bits must be 1..=16");
     assert!(block_len > 0, "block length must be positive");
-    let levels = ((1u32 << bits) / 2) as f32; // per polarity
-    let mut scales = Vec::with_capacity(samples.len().div_ceil(block_len));
-    let mut codes: Vec<u16> = Vec::with_capacity(samples.len() * 2);
-    for block in samples.chunks(block_len) {
-        let peak = block
-            .iter()
-            .map(|z| z.re.abs().max(z.im.abs()))
-            .fold(0.0f32, f32::max)
-            .max(1e-12);
-        scales.push(peak);
-        for z in block {
-            let q = |v: f32| -> u16 {
-                let norm = (v / peak).clamp(-1.0, 1.0);
-                // Map [-1, 1] to [0, 2*levels - 1].
-                ((norm * (levels - 0.5)) + levels - 0.5).round() as u16
-            };
-            codes.push(q(z.re));
-            codes.push(q(z.im));
-        }
-    }
-    // Bit-pack the codes.
-    let mut data = Vec::with_capacity((codes.len() * bits as usize).div_ceil(8));
-    let mut acc: u32 = 0;
-    let mut nbits: u32 = 0;
-    for &c in &codes {
-        acc |= (c as u32) << nbits;
-        nbits += bits;
-        while nbits >= 8 {
-            data.push((acc & 0xFF) as u8);
-            acc >>= 8;
-            nbits -= 8;
-        }
-    }
-    if nbits > 0 {
-        data.push((acc & 0xFF) as u8);
-    }
+    // The kernel (which checks `bits`) quantizes and packs straight
+    // into these: the only allocations are the ones that travel.
+    let mut scales = vec![0.0; samples.len().div_ceil(block_len)];
+    let packed = kernels::packed_len(samples.len(), bits).expect("a slice's packed size fits");
+    let mut data = vec![0; packed];
+    kernels::compress(samples, bits, block_len, &mut scales, &mut data);
     CompressedSegment {
         bits,
         scales,
@@ -125,19 +96,23 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// Exact byte count `len` samples occupy at `bits` bits per I/Q rail.
-fn packed_len(len: usize, bits: u32) -> usize {
-    (2 * len * bits as usize).div_ceil(8)
-}
-
-/// The shared unpacking loop. `bits`, `block_len`, `scales` and `data`
-/// must already be sanitized: `1 <= bits <= 16`, `block_len >= 1`, and
-/// out-of-range scale or data reads are tolerated (missing scales read
-/// as 0, missing bytes as 0).
-fn unpack_codes(bits: u32, block_len: usize, scales: &[f32], data: &[u8], len: usize) -> Vec<Cf32> {
+/// The tolerant unpacking loop, appending `len` samples to `out`.
+/// `bits` and `block_len` must already be sanitized (`1 <= bits <=
+/// 16`, `block_len >= 1`); out-of-range scale or data reads are
+/// tolerated (missing scales read as 0, missing bytes as 0). A
+/// consistent header never gets here: [`kernels::decompress`] is this
+/// loop at vector speed, held to it bit for bit.
+fn unpack_codes(
+    bits: u32,
+    block_len: usize,
+    scales: &[f32],
+    data: &[u8],
+    len: usize,
+    out: &mut Vec<Cf32>,
+) {
     let levels = ((1u32 << bits) / 2) as f32;
     let mask = (1u32 << bits) - 1;
-    let mut out = Vec::with_capacity(len);
+    out.reserve(len);
     let mut acc: u32 = 0;
     let mut nbits: u32 = 0;
     let mut byte_iter = data.iter();
@@ -158,7 +133,6 @@ fn unpack_codes(bits: u32, block_len: usize, scales: &[f32], data: &[u8], len: u
         let im = dq(next_code());
         out.push(Cf32::new(re, im));
     }
-    out
 }
 
 /// Validates a compressed segment's header before decoding.
@@ -177,7 +151,8 @@ pub fn validate_header(c: &CompressedSegment) -> Result<(), CodecError> {
     if c.scales.len() != c.len.div_ceil(c.block_len) {
         return Err(CodecError::ScaleCountMismatch);
     }
-    if c.data.len() != packed_len(c.len, c.bits) {
+    // A declared `len` whose packed size overflows matches no buffer.
+    if kernels::packed_len(c.len, c.bits) != Some(c.data.len()) {
         return Err(CodecError::DataLenMismatch);
     }
     Ok(())
@@ -187,7 +162,17 @@ pub fn validate_header(c: &CompressedSegment) -> Result<(), CodecError> {
 /// inconsistent headers instead of reading out of bounds.
 pub fn try_decompress(c: &CompressedSegment) -> Result<Vec<Cf32>, CodecError> {
     validate_header(c)?;
-    Ok(unpack_codes(c.bits, c.block_len, &c.scales, &c.data, c.len))
+    let mut out = Vec::new();
+    decompress_valid(c, &mut out);
+    Ok(out)
+}
+
+/// Decompresses a segment whose header [`validate_header`] accepted
+/// into `out`, replacing its contents.
+fn decompress_valid(c: &CompressedSegment, out: &mut Vec<Cf32>) {
+    // No `clear()`: the kernel writes every sample.
+    out.resize(c.len, Cf32::ZERO);
+    kernels::decompress(c.bits, c.block_len, &c.scales, &c.data, out);
 }
 
 /// Reconstructs samples from a compressed segment.
@@ -199,15 +184,28 @@ pub fn try_decompress(c: &CompressedSegment) -> Result<Vec<Cf32>, CodecError> {
 /// declared `len`. Use [`try_decompress`] when the segment crossed a
 /// wire and inconsistency should be surfaced as an error.
 pub fn decompress(c: &CompressedSegment) -> Vec<Cf32> {
-    match try_decompress(c) {
-        Ok(out) => out,
-        Err(_) => unpack_codes(
-            c.bits.clamp(1, 16),
-            c.block_len.max(1),
-            &c.scales,
-            &c.data,
-            c.len,
-        ),
+    let mut out = Vec::new();
+    decompress_into(c, &mut out);
+    out
+}
+
+/// [`decompress`] into a caller-held buffer (whatever it held is
+/// replaced), which a decode worker reuses from one segment to the
+/// next.
+pub fn decompress_into(c: &CompressedSegment, out: &mut Vec<Cf32>) {
+    match validate_header(c) {
+        Ok(()) => decompress_valid(c, out),
+        Err(_) => {
+            out.clear();
+            unpack_codes(
+                c.bits.clamp(1, 16),
+                c.block_len.max(1),
+                &c.scales,
+                &c.data,
+                c.len,
+                out,
+            );
+        }
     }
 }
 
@@ -274,6 +272,11 @@ impl ShippedSegment {
     /// Reconstructs the I/Q samples at the cloud side.
     pub fn unpack(&self) -> Vec<Cf32> {
         decompress(&self.compressed)
+    }
+
+    /// [`ShippedSegment::unpack`] into a caller-held buffer.
+    pub fn unpack_into(&self, out: &mut Vec<Cf32>) {
+        decompress_into(&self.compressed, out)
     }
 }
 
@@ -659,36 +662,40 @@ impl FaultyLink {
     /// Offers one datagram; returns every datagram that arrives at the
     /// far end as a consequence (possibly none, possibly several,
     /// possibly older held-back traffic).
-    pub fn transmit(&mut self, datagram: &[u8]) -> Vec<Vec<u8>> {
+    ///
+    /// A datagram handed over by value is forwarded as it is: bytes
+    /// are copied only for a borrowed datagram that gets through, and
+    /// for the extra copy a duplication makes.
+    pub fn transmit<'a>(&mut self, datagram: impl Into<Cow<'a, [u8]>>) -> Vec<Vec<u8>> {
         self.stats.sent += 1;
         let mut out: Vec<Vec<u8>> = Vec::new();
 
         if self.rng.gen_bool(self.faults.loss.clamp(0.0, 1.0)) {
             self.stats.dropped += 1;
         } else {
-            let mut copy = datagram.to_vec();
-            if !copy.is_empty() && self.rng.gen_bool(self.faults.corrupt.clamp(0.0, 1.0)) {
+            let mut datagram: Cow<[u8]> = datagram.into();
+            if !datagram.is_empty() && self.rng.gen_bool(self.faults.corrupt.clamp(0.0, 1.0)) {
                 let flips = self.rng.gen_range(1usize..=3);
+                let bytes = datagram.to_mut();
                 for _ in 0..flips {
-                    let bit = self.rng.gen_range(0..copy.len() * 8);
-                    copy[bit / 8] ^= 1 << (bit % 8);
+                    let bit = self.rng.gen_range(0..bytes.len() * 8);
+                    bytes[bit / 8] ^= 1 << (bit % 8);
                 }
                 self.stats.corrupted += 1;
             }
-            let copies = if self.rng.gen_bool(self.faults.duplicate.clamp(0.0, 1.0)) {
+            let duplicate = self.rng.gen_bool(self.faults.duplicate.clamp(0.0, 1.0));
+            if duplicate {
                 self.stats.duplicated += 1;
-                2
-            } else {
-                1
-            };
-            for _ in 0..copies {
+            }
+            let extra = duplicate.then(|| datagram.to_vec());
+            for copy in extra.into_iter().chain([datagram.into_owned()]) {
                 let depth = self.faults.jitter_depth;
                 if depth > 0 && self.rng.gen_bool(self.faults.reorder.clamp(0.0, 1.0)) {
                     let lag = self.rng.gen_range(1..=depth);
-                    self.held.push((lag, copy.clone()));
+                    self.held.push((lag, copy));
                     self.stats.reordered += 1;
                 } else {
-                    out.push(copy.clone());
+                    out.push(copy);
                 }
             }
         }
@@ -952,6 +959,48 @@ mod tests {
     }
 
     #[test]
+    fn a_declared_length_that_wraps_the_packed_size_is_rejected() {
+        // 2 * (1 << 59) * 16 wraps to 0 — the size of `data` — so
+        // unchecked arithmetic would accept the header and then try to
+        // allocate 2^59 samples.
+        let c = CompressedSegment {
+            bits: 16,
+            len: 1 << 59,
+            block_len: 1 << 59,
+            scales: vec![1.0],
+            data: vec![],
+        };
+        assert_eq!(validate_header(&c), Err(CodecError::DataLenMismatch));
+        assert_eq!(try_decompress(&c), Err(CodecError::DataLenMismatch));
+    }
+
+    #[test]
+    fn the_kernel_decodes_what_the_tolerant_loop_decodes() {
+        // Consistent headers take the kernel, inconsistent ones the
+        // tolerant loop: on a consistent header they must agree.
+        for (bits, block_len, n) in [(8, 1024, 5_000), (3, 7, 100), (16, 256, 257), (1, 1, 9)] {
+            let c = compress(&tone(n, 0.7), bits, block_len);
+            let mut tolerant = Vec::new();
+            unpack_codes(
+                c.bits,
+                c.block_len,
+                &c.scales,
+                &c.data,
+                c.len,
+                &mut tolerant,
+            );
+            let bits_of = |v: &[Cf32]| -> Vec<(u32, u32)> {
+                v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+            };
+            assert_eq!(bits_of(&decompress(&c)), bits_of(&tolerant));
+            // Into a reused buffer, whatever it held.
+            let mut reused = vec![Cf32::new(9.0, 9.0); 7_000];
+            decompress_into(&c, &mut reused);
+            assert_eq!(bits_of(&reused), bits_of(&tolerant));
+        }
+    }
+
+    #[test]
     fn consistent_segments_validate_and_roundtrip() {
         let sig = tone(777, 0.8);
         let c = compress(&sig, 7, 50);
@@ -1130,6 +1179,47 @@ mod tests {
             link.stats.delivered,
             400 - link.stats.dropped + link.stats.duplicated
         );
+    }
+
+    #[test]
+    fn a_datagram_handed_over_by_value_is_forwarded_not_copied() {
+        let mut link = FaultyLink::new(LinkFaults::none());
+        let datagram = vec![7u8; 4_096];
+        let at = datagram.as_ptr();
+        let out = link.transmit(datagram);
+        assert_eq!(out.len(), 1);
+        assert_eq!(
+            out[0].as_ptr(),
+            at,
+            "the link copied a datagram it only forwards"
+        );
+        // Held back, it is still the same allocation when released.
+        let mut jitter = FaultyLink::new(LinkFaults {
+            reorder: 1.0,
+            jitter_depth: 1,
+            ..LinkFaults::none()
+        });
+        let datagram = vec![9u8; 4_096];
+        let at = datagram.as_ptr();
+        let out = jitter.transmit(datagram);
+        assert_eq!(out.len(), 1, "a lag of one is released after this transmit");
+        assert_eq!(out[0].as_ptr(), at);
+        // By value or borrowed, the fault draws are the same.
+        let run = |owned: bool| -> Vec<Vec<u8>> {
+            let mut link = FaultyLink::new(LinkFaults::harsh(0.3, 17));
+            let mut out = Vec::new();
+            for i in 0..300u32 {
+                let d = i.to_le_bytes().repeat(8);
+                out.extend(if owned {
+                    link.transmit(d)
+                } else {
+                    link.transmit(&d)
+                });
+            }
+            out.extend(link.drain());
+            out
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]

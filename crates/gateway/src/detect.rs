@@ -30,7 +30,16 @@ pub trait PacketDetector: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Scans a capture and returns detections in time order.
-    fn detect(&self, capture: &[Cf32], fs: f64) -> Vec<Detection>;
+    fn detect(&self, capture: &[Cf32], fs: f64) -> Vec<Detection> {
+        self.detect_with(capture, fs, &mut Vec::new())
+    }
+
+    /// [`PacketDetector::detect`] with the correlation trace written
+    /// into `trace`, a buffer the caller keeps from one capture window
+    /// to the next (its contents going in are irrelevant, and coming
+    /// out unspecified): a trace is one float per capture sample, the
+    /// largest thing a detection pass would otherwise allocate.
+    fn detect_with(&self, capture: &[Cf32], fs: f64, trace: &mut Vec<f32>) -> Vec<Detection>;
 
     /// Approximate cost in multiply-accumulates per capture sample —
     /// the scaling metric of the paper's argument (the universal
@@ -67,8 +76,9 @@ impl PacketDetector for EnergyDetector {
         "energy"
     }
 
-    fn detect(&self, capture: &[Cf32], fs: f64) -> Vec<Detection> {
-        let _ = fs;
+    fn detect_with(&self, capture: &[Cf32], _fs: f64, _trace: &mut Vec<f32>) -> Vec<Detection> {
+        // The baseline is not on the gateway's hot path: it keeps its
+        // own power trace.
         let power = sliding_power(capture, self.window);
         if power.is_empty() {
             return Vec::new();
@@ -137,6 +147,12 @@ impl MatchedFilterBank {
     /// trace-overhead regression bench compares against. Production
     /// callers use the [`PacketDetector`] impl.
     pub fn detect_raw(&self, capture: &[Cf32], fs: f64) -> Vec<Detection> {
+        self.detect_raw_with(capture, fs, &mut Vec::new())
+    }
+
+    /// [`MatchedFilterBank::detect_raw`] with one reused trace buffer
+    /// for every technology's correlation.
+    fn detect_raw_with(&self, capture: &[Cf32], fs: f64, ncc: &mut Vec<f32>) -> Vec<Detection> {
         let mut detections: Vec<Detection> = Vec::new();
         // Bank entries are index-aligned with techs(); templates carry
         // their forward FFT, so each pass is correlate-only.
@@ -146,7 +162,7 @@ impl MatchedFilterBank {
             if template.len() > capture.len() {
                 continue;
             }
-            let ncc = template.xcorr_normalized(capture);
+            template.xcorr_normalized_into(capture, ncc);
             let min_distance = if self.min_distance == 0 {
                 (template.len() / 2).max(512)
             } else {
@@ -157,7 +173,7 @@ impl MatchedFilterBank {
             } else {
                 ncc_noise_threshold(capture.len(), template.len(), self.auto_factor)
             };
-            for p in find_peaks(&ncc, threshold, min_distance) {
+            for p in find_peaks(ncc, threshold, min_distance) {
                 detections.push(Detection {
                     start: p.index,
                     score: p.value,
@@ -175,9 +191,9 @@ impl PacketDetector for MatchedFilterBank {
         "matched-bank"
     }
 
-    fn detect(&self, capture: &[Cf32], fs: f64) -> Vec<Detection> {
+    fn detect_with(&self, capture: &[Cf32], fs: f64, trace: &mut Vec<f32>) -> Vec<Detection> {
         let _span = galiot_trace::span(galiot_trace::Stage::MatchedDetect, galiot_trace::NO_SEQ);
-        self.detect_raw(capture, fs)
+        self.detect_raw_with(capture, fs, trace)
     }
 
     fn complexity_per_sample(&self, fs: f64) -> f64 {

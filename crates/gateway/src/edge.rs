@@ -8,6 +8,7 @@
 //! lone clean decode is finished locally. Everything else travels on.
 
 use galiot_dsp::corr::find_peaks;
+use galiot_dsp::Cf32;
 use galiot_phy::common::{demodulate_anchored, MAX_DEMOD_FIR_TAPS};
 use galiot_phy::registry::Registry;
 use galiot_phy::DecodedFrame;
@@ -85,8 +86,23 @@ impl EdgeDecoder {
     /// technology without a peak has no preamble in the segment to
     /// synchronize to and is not tried.
     pub fn process(&self, seg: &Segment, fs: f64) -> EdgeOutcome {
+        self.process_slice(&seg.samples, seg.start, fs, &mut Vec::new())
+    }
+
+    /// [`EdgeDecoder::process`] on samples still lying in the window
+    /// they were detected in: `samples` begin at capture index `start`,
+    /// and `trace` is one buffer, kept by the caller from one segment
+    /// to the next, that every technology's correlation is written
+    /// into in turn.
+    pub fn process_slice(
+        &self,
+        samples: &[Cf32],
+        start: usize,
+        fs: f64,
+        trace: &mut Vec<f32>,
+    ) -> EdgeOutcome {
         let _span = galiot_trace::span(galiot_trace::Stage::EdgeDecode, galiot_trace::NO_SEQ);
-        let peaks = self.preamble_peaks(seg, fs);
+        let peaks = self.preamble_peaks(samples, fs, trace);
         if self.clusters(&peaks, fs) >= 2 {
             return EdgeOutcome::ShipToCloud(Vec::new());
         }
@@ -97,10 +113,10 @@ impl EdgeDecoder {
             };
             let anchor = first..=last;
             if let Ok(mut frame) =
-                demodulate_anchored(tech.as_ref(), &seg.samples, fs, anchor, ANCHOR_PAD)
+                demodulate_anchored(tech.as_ref(), samples, fs, anchor, ANCHOR_PAD)
             {
                 // Convert to capture coordinates.
-                frame.start += seg.start;
+                frame.start += start;
                 decoded.push(frame);
             }
         }
@@ -118,22 +134,23 @@ impl EdgeDecoder {
     /// to samples at `fs`, so the verdict does not change with the
     /// capture rate.
     pub fn collision_suspected(&self, seg: &Segment, fs: f64) -> bool {
-        self.clusters(&self.preamble_peaks(seg, fs), fs) >= 2
+        let peaks = self.preamble_peaks(&seg.samples, fs, &mut Vec::new());
+        self.clusters(&peaks, fs) >= 2
     }
 
     /// Where each technology's preamble correlates with the segment:
     /// per technology, in registry order, the ascending sample offsets
     /// of its normalized-correlation peaks.
-    fn preamble_peaks(&self, seg: &Segment, fs: f64) -> Vec<Vec<usize>> {
+    fn preamble_peaks(&self, samples: &[Cf32], fs: f64, ncc: &mut Vec<f32>) -> Vec<Vec<usize>> {
         let bank = self.registry.template_bank(fs);
         (0..bank.len())
             .map(|i| {
                 let template = bank.template(i);
-                if template.is_empty() || template.len() > seg.samples.len() {
+                if template.is_empty() || template.len() > samples.len() {
                     return Vec::new();
                 }
-                let ncc = template.xcorr_normalized(&seg.samples);
-                find_peaks(&ncc, 0.25, template.len() / 2)
+                template.xcorr_normalized_into(samples, ncc);
+                find_peaks(ncc, 0.25, template.len() / 2)
                     .iter()
                     .map(|p| p.index)
                     .collect()

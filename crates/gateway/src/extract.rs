@@ -5,6 +5,8 @@
 //! technologies" (paper, Sec. 4), merging overlapping slices so a
 //! collision travels as one segment.
 
+use std::ops::Range;
+
 use galiot_dsp::Cf32;
 
 use crate::detect::Detection;
@@ -48,35 +50,56 @@ impl ExtractParams {
     }
 }
 
-/// Cuts segments around detections, merging any that overlap.
-pub fn extract(capture: &[Cf32], detections: &[Detection], p: ExtractParams) -> Vec<Segment> {
+/// Where one segment lies in a capture: what extraction decides,
+/// before (and usually instead of) copying any sample out.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Span {
+    /// The segment's samples, as a range of the capture.
+    pub range: Range<usize>,
+    /// The detections that produced this segment.
+    pub detections: Vec<Detection>,
+}
+
+/// Cuts spans around detections in a capture of `capture_len` samples,
+/// merging any that overlap. Readers slice the capture they hold with
+/// each span's range; [`extract`] is this plus one copy per segment.
+pub fn spans(capture_len: usize, detections: &[Detection], p: ExtractParams) -> Vec<Span> {
     let _span = galiot_trace::span(galiot_trace::Stage::Extract, galiot_trace::NO_SEQ);
-    if detections.is_empty() || capture.is_empty() {
+    if detections.is_empty() || capture_len == 0 {
         return Vec::new();
     }
     let mut sorted: Vec<Detection> = detections.to_vec();
     sorted.sort_by_key(|d| d.start);
 
-    // Build (start, end) windows then merge.
-    let mut windows: Vec<(usize, usize, Vec<Detection>)> = Vec::new();
+    // Build windows then merge.
+    let mut spans: Vec<Span> = Vec::new();
     for d in sorted {
         let lo = d.start.saturating_sub(p.pre_guard);
-        let hi = (d.start + 2 * p.max_frame_samples).min(capture.len());
-        match windows.last_mut() {
-            Some((_, end, dets)) if lo <= *end => {
-                *end = (*end).max(hi);
-                dets.push(d);
+        let hi = (d.start + 2 * p.max_frame_samples).min(capture_len);
+        match spans.last_mut() {
+            Some(last) if lo <= last.range.end => {
+                last.range.end = last.range.end.max(hi);
+                last.detections.push(d);
             }
-            _ => windows.push((lo, hi, vec![d])),
+            _ => spans.push(Span {
+                range: lo..hi,
+                detections: vec![d],
+            }),
         }
     }
-    windows
+    spans.retain(|s| !s.range.is_empty());
+    spans
+}
+
+/// Cuts segments around detections, merging any that overlap: the
+/// [`spans`] of the capture, each with its samples copied out.
+pub fn extract(capture: &[Cf32], detections: &[Detection], p: ExtractParams) -> Vec<Segment> {
+    spans(capture.len(), detections, p)
         .into_iter()
-        .filter(|(lo, hi, _)| hi > lo)
-        .map(|(lo, hi, dets)| Segment {
-            start: lo,
-            samples: capture[lo..hi].to_vec(),
-            detections: dets,
+        .map(|s| Segment {
+            start: s.range.start,
+            samples: capture[s.range].to_vec(),
+            detections: s.detections,
         })
         .collect()
 }
@@ -169,6 +192,38 @@ mod tests {
         let f = shipped_fraction(cap.len(), &segs);
         assert!(f < 0.03, "fraction {f}");
         assert_eq!(shipped_fraction(0, &segs), 0.0);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn spans_are_extract_without_the_copies(
+            capture_len in 0usize..60_000,
+            // Unsorted, clustered, and past the capture's end.
+            starts in proptest::collection::vec(0usize..70_000, 0..12),
+            max_frame_samples in 1usize..9_000,
+            pre_guard in 0usize..3_000,
+        ) {
+            let cap = capture(capture_len);
+            let dets: Vec<Detection> = starts
+                .iter()
+                .enumerate()
+                .map(|(i, &start)| Detection { start, score: i as f32, tech: None })
+                .collect();
+            let p = ExtractParams { max_frame_samples, pre_guard };
+            let segments = extract(&cap, &dets, p);
+            let spans = spans(cap.len(), &dets, p);
+            proptest::prop_assert_eq!(segments.len(), spans.len());
+            for (seg, span) in segments.iter().zip(&spans) {
+                proptest::prop_assert_eq!(seg.start..seg.end(), span.range.clone());
+                proptest::prop_assert_eq!(&seg.detections, &span.detections);
+                proptest::prop_assert!(seg.samples == cap[span.range.clone()]);
+            }
+            // Spans are disjoint, in capture order and inside the capture.
+            for pair in spans.windows(2) {
+                proptest::prop_assert!(pair[0].range.end < pair[1].range.start);
+            }
+            proptest::prop_assert!(spans.iter().all(|s| s.range.end <= cap.len()));
+        }
     }
 
     #[test]

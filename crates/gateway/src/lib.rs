@@ -18,12 +18,13 @@ pub mod frontend;
 pub mod universal;
 
 pub use backhaul::{
-    compress, crc32, decode_ack, decode_segment, decompress, encode_ack, encode_segment,
-    try_decompress, validate_header, Backhaul, CodecError, CompressedSegment, FaultyLink,
-    GatewayId, LinkFaults, LinkStats, ShippedSegment, WireError, WIRE_VERSION, WIRE_VERSION_MIN,
+    compress, crc32, decode_ack, decode_segment, decompress, decompress_into, encode_ack,
+    encode_segment, try_decompress, validate_header, Backhaul, CodecError, CompressedSegment,
+    FaultyLink, GatewayId, LinkFaults, LinkStats, ShippedSegment, WireError, WIRE_VERSION,
+    WIRE_VERSION_MIN,
 };
 pub use detect::{score_detections, Detection, EnergyDetector, MatchedFilterBank, PacketDetector};
 pub use edge::{EdgeDecoder, EdgeOutcome, DEFAULT_CLUSTER_GUARD_S};
-pub use extract::{extract, shipped_fraction, ExtractParams, Segment};
+pub use extract::{extract, shipped_fraction, spans, ExtractParams, Segment, Span};
 pub use frontend::{FrontEndParams, HoppingFrontEnd, RtlSdrFrontEnd};
 pub use universal::{build as build_universal_preamble, UniversalDetector, UniversalPreamble};

@@ -132,9 +132,9 @@ pub fn build(reg: &Registry, fs: f64, coalesce_threshold: f32) -> UniversalPream
 pub struct UniversalDetector {
     preamble: UniversalPreamble,
     /// The summed template with its forward FFT precomputed at the
-    /// engine block size — every [`UniversalDetector::detect`] call is
-    /// correlate-only (no synthesis, no planning, no allocation beyond
-    /// the output).
+    /// engine block size — every detection pass is correlate-only (no
+    /// synthesis, no planning, and into a reused trace buffer no
+    /// allocation beyond the detections).
     template: Template,
     /// Normalized-correlation threshold for a peak to count. Zero
     /// selects the analytic noise threshold
@@ -179,6 +179,12 @@ impl UniversalDetector {
     /// trace-overhead regression bench compares against. Production
     /// callers use the [`PacketDetector`] impl.
     pub fn detect_raw(&self, capture: &[Cf32], _fs: f64) -> Vec<Detection> {
+        self.detect_raw_with(capture, &mut Vec::new())
+    }
+
+    /// [`UniversalDetector::detect_raw`] with the correlation trace in
+    /// a caller-held buffer.
+    fn detect_raw_with(&self, capture: &[Cf32], ncc: &mut Vec<f32>) -> Vec<Detection> {
         if self.preamble.template.len() > capture.len() {
             return Vec::new();
         }
@@ -191,8 +197,8 @@ impl UniversalDetector {
                 self.auto_factor,
             )
         };
-        let ncc = self.template.xcorr_normalized(capture);
-        find_peaks(&ncc, threshold, self.min_distance)
+        self.template.xcorr_normalized_into(capture, ncc);
+        find_peaks(ncc, threshold, self.min_distance)
             .into_iter()
             .map(|p| Detection {
                 start: p.index,
@@ -208,9 +214,9 @@ impl PacketDetector for UniversalDetector {
         "universal-preamble"
     }
 
-    fn detect(&self, capture: &[Cf32], fs: f64) -> Vec<Detection> {
+    fn detect_with(&self, capture: &[Cf32], _fs: f64, trace: &mut Vec<f32>) -> Vec<Detection> {
         let _span = galiot_trace::span(galiot_trace::Stage::UniversalDetect, galiot_trace::NO_SEQ);
-        self.detect_raw(capture, fs)
+        self.detect_raw_with(capture, trace)
     }
 
     fn complexity_per_sample(&self, _fs: f64) -> f64 {

@@ -23,6 +23,7 @@ use galiot_gateway::{
 use galiot_phy::common::WINDOW_ALIGN;
 use galiot_phy::registry::Registry;
 use galiot_phy::{DecodedFrame, TechId};
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -349,5 +350,46 @@ fn correlate_once_edge_matches_the_whole_segment_edge() {
             local >= 40 && shipped >= 20,
             "{local} local, {shipped} shipped"
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The gateway's edge attempt reads a span of its flush window in
+    /// place, through a trace buffer the last attempt left dirty; it
+    /// must be the attempt `EdgeDecoder::process` makes on that span
+    /// copied out into a `Segment` — verdict, frames and frame starts.
+    #[test]
+    fn edge_attempt_on_a_window_slice_is_the_attempt_on_its_copy(
+        tech in 0usize..3,
+        frame_at in 3_000usize..40_000,
+        cut_at in 0usize..12_000,
+        cut_len in 20_000usize..60_000,
+        origin in 0usize..5_000_000,
+        stale in 0usize..80_000,
+        seed in any::<u64>(),
+    ) {
+        let registry = Registry::prototype();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let tech = registry.techs()[tech].clone();
+        let event = TxEvent::new(tech, random_payload(6, &mut rng), frame_at);
+        let window = compose(&[event], 110_000, FS, snr_to_noise_power(15.0, 0.0), &mut rng).samples;
+        let range = cut_at..cut_at + cut_len;
+        let edge = EdgeDecoder::new(registry).with_cluster_guard_s(20.0e-3);
+        let want = edge.process(
+            &Segment {
+                start: origin + range.start,
+                samples: window[range.clone()].to_vec(),
+                detections: Vec::new(),
+            },
+            FS,
+        );
+        let mut trace = vec![0.7f32; stale];
+        let got = edge.process_slice(&window[range.clone()], origin + range.start, FS, &mut trace);
+        prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        // The same buffer, as the next span's attempt finds it.
+        let again = edge.process_slice(&window[range.clone()], origin + range.start, FS, &mut trace);
+        prop_assert_eq!(format!("{again:?}"), format!("{want:?}"));
     }
 }

@@ -155,6 +155,26 @@ proptest! {
     }
 
     #[test]
+    fn wrapped_length_fields_are_rejected(
+        gw in any::<u16>(),
+        n in 1usize..128,
+        wraps in 1u64..32,
+        seed in any::<u64>(),
+    ) {
+        // At 16 bits a rail the packed size is `32 * len / 8` bytes: a
+        // declared `len` that is `wraps << 59` too large multiplies
+        // (wrapping) to the very size the datagram carries, so only
+        // checked arithmetic — or the scale count — can tell.
+        let seg = segment(gw, 7, 64, 16, n, seed);
+        let mut bytes = encode_segment(&seg);
+        let len_at = 8 + 24;
+        let declared = n as u64 + (wraps << 59);
+        bytes[len_at..len_at + 8].copy_from_slice(&declared.to_le_bytes());
+        resign(&mut bytes);
+        prop_assert!(decode_segment(&bytes).is_err());
+    }
+
+    #[test]
     fn version_skew_accepts_the_window_and_rejects_the_rest(
         gw in any::<u16>(),
         version in any::<u8>(),

@@ -1,0 +1,201 @@
+//! The allocation budget of the gateway path: what one flush of a live
+//! session, and one `process_capture` call, may ask the allocator for.
+//!
+//! I/Q travels digitized window → segment → edge attempt → packed
+//! bytes without an owned copy in between (DESIGN.md, "Who owns the
+//! samples"): a flush that finds nothing allocates next to nothing, and
+//! one that emits a segment allocates for what the demodulator needs,
+//! not for the samples. The budgets below are measured byte counts plus
+//! at most a quarter; a copy or a per-flush buffer coming back costs
+//! megabytes and fails them. Counts, not timings: the same binary asks
+//! for the same bytes on every run.
+//!
+//! One `#[test]`: the counter is process-wide.
+
+use galiot::channel::{compose, snr_to_noise_power, TxEvent};
+use galiot::core::{Galiot, GaliotConfig, StreamingGaliot};
+use galiot::phy::registry::Registry;
+use galiot::phy::TechId;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
+
+/// Bytes requested so far by threads that are not [`uncounted`].
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Set on the test's own thread while it only feeds the pipeline,
+    /// so that its chunk vectors and metric snapshots are not counted.
+    static UNCOUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+struct Counting;
+
+fn note(size: usize) {
+    // A thread past its thread-local teardown counts like any other.
+    if !UNCOUNTED.try_with(Cell::get).unwrap_or(false) {
+        // Statistics only: nothing is published through the counter.
+        BYTES.fetch_add(size as u64, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter touches no
+// allocator state, and `UNCOUNTED` (const-initialized, no destructor)
+// never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller's `layout` obligations pass through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout`, since
+        // every allocating method here forwards to `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // Growth is what the program asked for beyond what it held.
+        note(new_size.saturating_sub(layout.size()));
+        // SAFETY: as for `dealloc`; `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+fn requested() -> u64 {
+    BYTES.load(Ordering::Relaxed)
+}
+
+/// Runs `f` without counting what this thread allocates in it.
+fn uncounted<R>(f: impl FnOnce() -> R) -> R {
+    UNCOUNTED.with(|u| u.set(true));
+    let out = f();
+    UNCOUNTED.with(|u| u.set(false));
+    out
+}
+
+const FS: f64 = 1_000_000.0;
+
+/// A flush that emits nothing: the detections and nothing else (the
+/// window's correlation trace alone was 1.7 MB when each flush
+/// allocated its own). Measured: 0 bytes over noise, 4 352 where the
+/// frame is sighted and deferred (peak candidates and its span).
+const QUIET_FLUSH_BUDGET: u64 = 5_440;
+/// The flush that emits the XBee frame's segment: one edge attempt's
+/// demodulator temporaries (8.8 MB when the segment and its three
+/// correlation traces were allocated per attempt). Measured: 2 750 700.
+const EMITTING_FLUSH_BUDGET: u64 = 3_400_000;
+/// `process_capture` per capture sample (16.7 before): one digitized
+/// copy (8 bytes), one correlation trace (4), the edge attempt.
+/// Measured: 13.30.
+const BATCH_BYTES_PER_SAMPLE_BUDGET: f64 = 14.6;
+
+#[test]
+fn gateway_flushes_and_process_capture_stay_inside_their_allocation_budgets() {
+    let config = GaliotConfig::prototype();
+    let registry = Registry::prototype();
+
+    // The flush grid (DESIGN.md §7): a window of `flush_len` samples
+    // every `stride`.
+    let window = registry.max_frame_samples_for(FS, config.max_expected_payload);
+    let stride = 2 * window;
+    let flush_len = stride + 2 * window + 2 * (window / 8) + 128;
+
+    // Noise, and one XBee frame that the fifth flush window is the
+    // first to hold settled.
+    let mut rng = StdRng::seed_from_u64(0xA110C);
+    let xbee = registry.get(TechId::XBee).expect("prototype").clone();
+    let frame_at = 5 * stride + 60_000;
+    let event = TxEvent::new(xbee, vec![0xA5; 16], frame_at);
+    let n = flush_len + 8 * stride;
+    let capture = compose(&[event], n, FS, snr_to_noise_power(18.0, 0.0), &mut rng).samples;
+
+    // -- Live session, one flush at a time --------------------------------
+    let (mut quiet, mut emitting) = (Vec::new(), Vec::new());
+    uncounted(|| {
+        let sys = StreamingGaliot::start(config.clone(), registry.clone());
+        let busy = || sys.metrics().snapshot().gateway_busy_ns;
+        let mut fed = 0;
+        for flush in 0.. {
+            // The first chunk fills a window, each further one moves it
+            // on by a stride: one flush per chunk.
+            let upto = flush_len + flush * stride;
+            if upto > capture.len() {
+                break;
+            }
+            let (before, busy_before) = (requested(), busy());
+            let segments_before = sys.metrics().snapshot().segments;
+            sys.push_chunk(capture[fed..upto].to_vec());
+            fed = upto;
+            // A flush books its busy time on its way out.
+            let deadline = Instant::now() + Duration::from_secs(120);
+            while busy() == busy_before {
+                assert!(Instant::now() < deadline, "flush {flush} never finished");
+                std::thread::yield_now();
+            }
+            let emitted = sys.metrics().snapshot().segments - segments_before;
+            for _ in 0..emitted {
+                // The segment's frame comes out through the merge.
+                let frame = sys.frames().recv_timeout(Duration::from_secs(120));
+                assert!(
+                    frame.is_ok(),
+                    "flush {flush} emitted a segment and no frame"
+                );
+            }
+            let bytes = requested() - before;
+            match (flush, emitted) {
+                (0 | 1, _) => {} // buffers growing to size
+                (_, 0) => quiet.push((flush, bytes)),
+                _ => emitting.push((flush, bytes)),
+            }
+        }
+        let rest = sys.finish();
+        assert!(rest.is_empty(), "frames nobody waited for: {rest:?}");
+    });
+    println!("quiet flushes {quiet:?}, emitting flushes {emitting:?}");
+    assert_eq!(emitting.len(), 1, "one frame, one emitting flush");
+    assert!(quiet.len() >= 5);
+    for &(flush, bytes) in &quiet {
+        assert!(
+            bytes <= QUIET_FLUSH_BUDGET,
+            "quiet flush {flush} requested {bytes} bytes, budget {QUIET_FLUSH_BUDGET}"
+        );
+    }
+    let (flush, bytes) = emitting[0];
+    assert!(
+        bytes <= EMITTING_FLUSH_BUDGET,
+        "emitting flush {flush} requested {bytes} bytes, budget {EMITTING_FLUSH_BUDGET}"
+    );
+
+    // -- Batch --------------------------------------------------------------
+    let system = Galiot::new(config, registry);
+    // Once for the lazily built plans and template banks, then measured.
+    let warm = system.process_capture(&capture);
+    assert_eq!(warm.frames.len(), 1, "{:?}", warm.metrics);
+    let before = requested();
+    let report = system.process_capture(&capture);
+    let bytes = requested() - before;
+    assert_eq!(report.frames.len(), 1);
+    let per_sample = bytes as f64 / capture.len() as f64;
+    println!("process_capture requested {bytes} bytes, {per_sample:.2} a sample");
+    assert!(
+        per_sample <= BATCH_BYTES_PER_SAMPLE_BUDGET,
+        "process_capture requested {bytes} bytes for {} samples: {per_sample:.2} a sample, \
+         budget {BATCH_BYTES_PER_SAMPLE_BUDGET}",
+        capture.len()
+    );
+}
