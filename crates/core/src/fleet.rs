@@ -108,13 +108,11 @@ use std::sync::Arc;
 use std::thread;
 
 use crate::config::{CrashSpec, GaliotConfig};
+use crate::gateway_loop::{run_gateway, SessionStart, ShipMode, Shipper};
 use crate::metrics::SharedMetrics;
 use crate::pipeline::PipelineFrame;
 use crate::spawn::spawn_thread;
-use crate::streaming::{
-    run_gateway, spawn_supervised_pool, PoolItem, ResultMsg, SegmentResult, SessionStart, ShipMode,
-    Shipper, DEDUP_SLACK,
-};
+use crate::streaming::{spawn_supervised_pool, PoolItem, ResultMsg, SegmentResult, DEDUP_SLACK};
 use crate::transport::{spawn_arq_receiver, spawn_arq_sender, SendQueue, SendQueueTx};
 
 /// In-flight decode credits each session may hold between its mux and

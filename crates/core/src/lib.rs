@@ -36,6 +36,7 @@
 pub mod config;
 pub mod experiment;
 pub mod fleet;
+mod gateway_loop;
 pub mod metrics;
 pub mod pipeline;
 pub mod sensing;

@@ -1,13 +1,14 @@
-//! The per-session machinery of the live pipeline — the gateway loop,
-//! its shipping policy and the supervised cloud decode pool — plus
-//! [`StreamingGaliot`], the one-gateway front door.
+//! The cloud half of the live pipeline — the supervised decode pool
+//! and what travels to and from it — plus [`StreamingGaliot`], the
+//! one-gateway front door. The gateway half, the flush loop and its
+//! shipping policy, is `crate::gateway_loop`.
 //!
 //! There is one live engine, [`crate::fleet`]: it spawns the threads,
 //! wires each session's transport, restores order and tears down.
 //! `StreamingGaliot` is that engine started with a single session; the
 //! topology diagram and the rules that follow from "one session" live
-//! in the fleet module docs. This module holds what every session runs
-//! regardless of how many there are.
+//! in the fleet module docs. This module and the gateway loop hold
+//! what every session runs regardless of how many there are.
 //!
 //! Per the project's networking guides, this CPU-bound signal path uses
 //! plain threads and channels rather than an async runtime: each stage
@@ -64,7 +65,6 @@ use galiot_dsp::Cf32;
 use galiot_gateway::{GatewayId, ShippedSegment};
 use galiot_phy::registry::Registry;
 use std::collections::{HashMap, VecDeque};
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
@@ -73,10 +73,8 @@ use std::time::{Duration, Instant};
 use crate::config::GaliotConfig;
 use crate::fleet::FleetGaliot;
 use crate::metrics::{QuarantineRecord, SharedMetrics};
-use crate::pipeline::{PipelineFrame, COMPRESS_BLOCK};
+use crate::pipeline::PipelineFrame;
 use crate::spawn::{spawn_thread, SpawnError};
-use crate::stage::{Emitted, GatewayStage, StageBuffers};
-use crate::transport::{degraded_bits, QueuedSegment, SendQueueTx};
 use std::sync::Arc;
 
 /// Start-offset slack when deduplicating copies of one over-the-air
@@ -213,302 +211,6 @@ impl StreamingGaliot {
     pub fn finish(self) -> Vec<PipelineFrame> {
         self.0.finish()
     }
-}
-
-/// Where a gateway instance begins: capture offset and sequence base
-/// (both 0 for a first life; a restarted instance resumes at the
-/// capture position its predecessor died at, numbering segments from
-/// the new epoch's base), plus the fault-injection point.
-pub(crate) struct SessionStart {
-    /// Absolute capture index of the first sample this instance will
-    /// receive from the chunk feed.
-    pub(crate) capture_offset: usize,
-    /// First sequence number this instance emits (`epoch <<
-    /// EPOCH_SHIFT` after a restart).
-    pub(crate) seq_base: u64,
-    /// Fault injection: die immediately before emitting segment
-    /// number `crash_after` (counted within this instance; 0 = silent
-    /// from the first would-be segment). `None` runs to completion.
-    pub(crate) crash_after: Option<u64>,
-}
-
-/// How a gateway instance ended.
-pub(crate) struct GatewayRun {
-    /// The instance hit its injected crash point. Samples buffered but
-    /// not yet flushed died with it — a rebooted radio loses its RAM.
-    pub(crate) crashed: bool,
-    /// Absolute capture index just past the last sample consumed from
-    /// the chunk feed; a restarted instance resumes here.
-    pub(crate) consumed: usize,
-}
-
-/// Why a flush stopped the gateway loop.
-enum FlushStop {
-    /// Downstream is gone; nothing more can be delivered.
-    Downstream,
-    /// The injected crash point was reached.
-    Crashed,
-}
-
-/// Gateway loop body: digitize chunks into a rolling buffer, detect on
-/// fixed, chunk-size-independent flush windows, edge-decode clean
-/// segments and ship the rest compressed. Runs on the caller's thread
-/// so a fleet session supervisor can run successive instances (crash →
-/// restart) over one chunk feed.
-pub(crate) fn run_gateway(
-    config: &GaliotConfig,
-    registry: &Registry,
-    chunk_rx: &Receiver<Arc<Vec<Cf32>>>,
-    shipper: Shipper,
-    result_tx: &Sender<ResultMsg>,
-    metrics: &SharedMetrics,
-    start: SessionStart,
-) -> GatewayRun {
-    let stage = GatewayStage::new(config, registry);
-    let params = stage.params;
-    let window = params.max_frame_samples;
-
-    // A segment is "settled" once the buffer extends at least
-    // this far past it: extraction can then neither lengthen it
-    // (detections reach 2×window forward) nor merge it with a
-    // later cluster (pre-guard reach). An unsettled segment is
-    // deferred to the next flush — but only when its start
-    // survives the drain; a cluster spanning the whole flush
-    // window is emitted as-is rather than lost.
-    let defer_guard = params.pre_guard + 64;
-    let keep_len = 2 * window + 2 * params.pre_guard + 128;
-    // Advance by two windows per flush: flush boundaries sit at
-    // fixed capture offsets (multiples of the stride), so
-    // segmentation is identical for any chunking of the same
-    // capture.
-    let stride = 2 * window;
-    let flush_len = keep_len + stride;
-
-    // The capture from index `buffer_start` on. It stays one contiguous
-    // window (drained, not a ring): the front end's gain is the mean
-    // power of the window summed in one order.
-    let mut buffer: Vec<Cf32> = Vec::new();
-    // What the stage digitizes and correlates into, flush after flush.
-    let mut buffers = StageBuffers::default();
-    let mut buffer_start = start.capture_offset;
-    // Capture index segment content has been emitted up to: a segment goes
-    // out only if it ends past it AND is finalized (or the capture is over).
-    let mut emitted_until = start.capture_offset;
-    let mut seq = start.seq_base;
-    // Segments emitted by THIS instance (crash injection counts per
-    // life, independent of the epoch folded into `seq`).
-    let mut emitted_count = 0u64;
-
-    let mut flush = |buffer: &[Cf32], buffer_start: usize, is_final: bool| {
-        let buffer_end = buffer_start + buffer.len();
-        // Which of the window's spans go out in this flush.
-        let admit = |span: Range<usize>| {
-            if span.end <= emitted_until {
-                return Ok(false); // fully covered by earlier output
-            }
-            // Defer an unsettled segment only if the next flush
-            // will still contain its head — otherwise emit now.
-            if !is_final
-                && span.end + defer_guard > buffer_end
-                && span.start >= buffer_start + stride + params.pre_guard
-            {
-                return Ok(false);
-            }
-            // Fault injection: the crash lands between finalizing a
-            // segment and emitting it — the worst spot, since the
-            // fleet can only learn of the loss through liveness.
-            if start.crash_after == Some(emitted_count) {
-                return Err(FlushStop::Crashed);
-            }
-            emitted_until = span.end;
-            emitted_count += 1;
-            Ok(true)
-        };
-        // Where an emitted one goes: its frame straight to the merge
-        // if the edge decoded it, its samples to the shipper if not.
-        let emit = |seg: Emitted<'_>| {
-            let this_seq = seq;
-            seq += 1;
-            let delivered = match seg.edge_frame {
-                Some(frame) => result_tx
-                    .send(ResultMsg::Segment(SegmentResult {
-                        gateway: shipper.gateway,
-                        seq: this_seq,
-                        frames: vec![PipelineFrame {
-                            frame,
-                            at_edge: true,
-                            via_kill: false,
-                        }],
-                        watermark: Some(seg.start as u64),
-                        power: mean_power(seg.samples),
-                    }))
-                    .is_ok(),
-                None => shipper.ship(this_seq, seg.start, seg.samples),
-            };
-            if delivered {
-                Ok(())
-            } else {
-                Err(FlushStop::Downstream)
-            }
-        };
-        stage.run(&mut buffers, buffer, buffer_start, metrics, admit, emit)
-    };
-
-    let mut consumed = start.capture_offset;
-    while let Ok(chunk) = chunk_rx.recv() {
-        metrics.with(|m| m.samples_processed += chunk.len() as u64);
-        consumed += chunk.len();
-        buffer.extend_from_slice(&chunk);
-        while buffer.len() >= flush_len {
-            if let Err(stop) = flush(&buffer[..flush_len], buffer_start, false) {
-                return GatewayRun {
-                    crashed: matches!(stop, FlushStop::Crashed),
-                    consumed,
-                };
-            }
-            buffer.drain(..stride);
-            buffer_start += stride;
-        }
-    }
-    // The feed is closed: whatever is still buffered is final.
-    let last = if buffer.is_empty() {
-        Ok(())
-    } else {
-        flush(&buffer, buffer_start, true)
-    };
-    GatewayRun {
-        crashed: matches!(last, Err(FlushStop::Crashed)),
-        consumed,
-    }
-}
-
-/// Where the gateway's compressed segments go.
-pub(crate) enum ShipMode {
-    /// Straight into the worker-pool channel (perfect backhaul — the
-    /// historical behavior).
-    Direct(Sender<PoolItem>),
-    /// Into the transport send queue, with the compression ladder and
-    /// lowest-power shedding driven by queue depth. The owned
-    /// [`SendQueueTx`] closes the queue when the gateway thread ends,
-    /// however it ends.
-    Transport {
-        tx: SendQueueTx,
-        hwm: usize,
-        cap: usize,
-        min_bits: u32,
-        result_tx: Sender<ResultMsg>,
-    },
-}
-
-/// The gateway's shipping policy: packs a finalized segment at the
-/// right compression level and hands it to whichever path is active,
-/// stamped with the session's [`GatewayId`].
-pub(crate) struct Shipper {
-    pub(crate) gateway: GatewayId,
-    pub(crate) mode: ShipMode,
-    pub(crate) base_bits: u32,
-    pub(crate) uplink_bps: Option<f64>,
-    pub(crate) metrics: SharedMetrics,
-}
-
-impl Shipper {
-    /// Packs and ships one segment. Returns `false` when downstream is
-    /// gone and the gateway should stop.
-    fn ship(&self, seq: u64, abs_start: usize, samples: &[Cf32]) -> bool {
-        match &self.mode {
-            ShipMode::Direct(tx) => {
-                let shipped =
-                    ShippedSegment::pack(seq, abs_start, samples, self.base_bits, COMPRESS_BLOCK)
-                        .with_gateway(self.gateway);
-                let ok = ship(shipped, tx, &self.metrics, self.uplink_bps);
-                if ok {
-                    self.metrics
-                        .with(|m| *m.shipped_by_bits.entry(self.base_bits).or_default() += 1);
-                }
-                ok
-            }
-            ShipMode::Transport {
-                tx,
-                hwm,
-                cap,
-                min_bits,
-                result_tx,
-            } => {
-                let depth = tx.queue().len();
-                let bits = degraded_bits(self.base_bits, *min_bits, depth, *hwm, *cap);
-                let shipped = ShippedSegment::pack(seq, abs_start, samples, bits, COMPRESS_BLOCK)
-                    .with_gateway(self.gateway);
-                let wire = shipped.wire_bytes() as u64;
-                let power = mean_power(samples);
-                self.metrics.with(|m| {
-                    m.shipped_segments += 1;
-                    m.shipped_bytes += wire;
-                    *m.shipped_by_bits.entry(bits).or_default() += 1;
-                    if bits < self.base_bits {
-                        m.segments_downgraded += 1;
-                    }
-                });
-                galiot_trace::event(
-                    galiot_trace::EventKind::Ship,
-                    galiot_trace::tag_seq(self.gateway.0, seq),
-                );
-                if let Some(victim) = tx.queue().push(QueuedSegment {
-                    seg: shipped,
-                    power,
-                }) {
-                    // The shed victim's sequence slot still needs a gap
-                    // notice so the merge can advance past it.
-                    let v = victim.seg;
-                    self.metrics.with(|m| m.segments_shed += 1);
-                    galiot_trace::event(
-                        galiot_trace::EventKind::Shed,
-                        galiot_trace::tag_seq(v.gateway.0, v.seq),
-                    );
-                    let notice = ResultMsg::gap(v.gateway, v.seq, Some(v.start as u64));
-                    if result_tx.send(notice).is_err() {
-                        return false;
-                    }
-                }
-                true
-            }
-        }
-    }
-}
-
-/// Ships one compressed segment towards the worker pool, updating the
-/// backhaul metrics and the queue high-water mark. Returns `false` when
-/// the pool is gone.
-///
-/// With backhaul emulation on, blocks for the segment's serialization
-/// time on the shared uplink — serialization cannot be parallelized
-/// away, which is why it happens here on the single gateway thread.
-fn ship(
-    shipped: ShippedSegment,
-    seg_tx: &Sender<PoolItem>,
-    metrics: &SharedMetrics,
-    uplink_bps: Option<f64>,
-) -> bool {
-    let bytes = shipped.wire_bytes();
-    if let Some(bps) = uplink_bps {
-        thread::sleep(Duration::from_secs_f64(bytes as f64 * 8.0 / bps));
-    }
-    // Mark the handoff before the send so the ship event
-    // happens-before everything the receiving worker records for this
-    // seq (the trace-conformance journey check relies on the order).
-    galiot_trace::event(
-        galiot_trace::EventKind::Ship,
-        galiot_trace::tag_seq(shipped.gateway.0, shipped.seq),
-    );
-    if seg_tx.send(PoolItem::from(shipped)).is_err() {
-        return false;
-    }
-    let depth = seg_tx.len();
-    metrics.with(|m| {
-        m.shipped_segments += 1;
-        m.shipped_bytes += bytes as u64;
-        m.seg_queue_hwm = m.seg_queue_hwm.max(depth);
-    });
-    true
 }
 
 // ---------------------------------------------------------------------
@@ -1328,7 +1030,7 @@ fn run_pool_worker(
 /// Mean received power of a segment's samples (0 for none): the fleet
 /// merge's best-copy criterion, summed in sample order so that every
 /// copy of a span scores alike wherever it is computed.
-fn mean_power(samples: &[Cf32]) -> f32 {
+pub(crate) fn mean_power(samples: &[Cf32]) -> f32 {
     samples.iter().map(|c| c.norm_sqr()).sum::<f32>() / samples.len().max(1) as f32
 }
 
@@ -1841,61 +1543,6 @@ mod tests {
             m.gateway_busy_ns,
             wall_ns
         );
-    }
-
-    #[test]
-    fn a_flush_that_finds_downstream_gone_still_books_its_busy_time() {
-        // The flush does all its work — digitize, detect, extract, the
-        // edge attempt — before it learns nobody is listening; both
-        // ways of learning it (the result channel for an edge decode,
-        // the pool channel for a shipped segment) must account for
-        // that work like any other flush.
-        let reg = Registry::prototype();
-        let config = GaliotConfig::prototype();
-        let np = snr_to_noise_power(18.0, 0.0);
-        let zwave = reg.get(TechId::ZWave).unwrap().clone();
-        let clean = vec![TxEvent::new(zwave, vec![7; 6], 60_000)];
-        let mut rng = StdRng::seed_from_u64(9);
-        let collision =
-            galiot_channel::forced_collision(&reg, 8, &[0.0, 0.0], 3_000, 60_000, &mut rng);
-        for (events, decoded_at_edge) in [(clean, true), (collision, false)] {
-            let cap = compose(&events, 500_000, FS, np, &mut rng);
-            let metrics = SharedMetrics::new();
-            let (chunk_tx, chunk_rx) = unbounded();
-            let (result_tx, result_rx) = unbounded();
-            let (seg_tx, seg_rx) = unbounded();
-            drop(seg_rx);
-            // The shipped case keeps its result channel open, to show
-            // it was the pool channel that stopped it.
-            let result_rx = (!decoded_at_edge).then_some(result_rx);
-            chunk_tx.send(Arc::new(cap.samples)).unwrap();
-            drop(chunk_tx);
-            let run = run_gateway(
-                &config,
-                &reg,
-                &chunk_rx,
-                Shipper {
-                    gateway: GatewayId(0),
-                    mode: ShipMode::Direct(seg_tx),
-                    base_bits: config.compression_bits,
-                    uplink_bps: None,
-                    metrics: metrics.clone(),
-                },
-                &result_tx,
-                &metrics,
-                SessionStart {
-                    capture_offset: 0,
-                    seq_base: 0,
-                    crash_after: None,
-                },
-            );
-            assert!(!run.crashed);
-            let m = metrics.snapshot();
-            assert_eq!(m.segments, 1, "stopped at the first segment: {m:?}");
-            assert_eq!(m.shipped_segments, 0, "edge case {decoded_at_edge}: {m:?}");
-            assert!(result_rx.is_none_or(|rx| rx.try_recv().is_err()));
-            assert!(m.gateway_busy_ns > 0, "edge case {decoded_at_edge}: {m:?}");
-        }
     }
 
     #[test]

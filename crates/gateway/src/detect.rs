@@ -36,10 +36,36 @@ pub trait PacketDetector: Send + Sync {
 
     /// [`PacketDetector::detect`] with the correlation trace written
     /// into `trace`, a buffer the caller keeps from one capture window
-    /// to the next (its contents going in are irrelevant, and coming
-    /// out unspecified): a trace is one float per capture sample, the
-    /// largest thing a detection pass would otherwise allocate.
-    fn detect_with(&self, capture: &[Cf32], fs: f64, trace: &mut Vec<f32>) -> Vec<Detection>;
+    /// to the next: a trace is one float per capture sample, the
+    /// largest thing a detection pass would otherwise allocate. What
+    /// `trace` holds going in is discarded — this is
+    /// [`PacketDetector::detect_resuming`] with nothing carried.
+    fn detect_with(&self, capture: &[Cf32], fs: f64, trace: &mut Vec<f32>) -> Vec<Detection> {
+        self.detect_resuming(capture, fs, trace, 0)
+    }
+
+    /// [`PacketDetector::detect_with`] over a window that overlaps the
+    /// one before it. The caller vouches that `trace[..valid]` holds
+    /// what this detector's previous call left there for the lags that
+    /// are lags `0..valid` of `capture` (it has moved them to the
+    /// front); a detector that can resume keeps those scores, scans
+    /// only the lags after them, and leaves the whole window's trace in
+    /// `trace` for the next call. Peaks, and any threshold that depends
+    /// on the window's length, are still taken over the whole trace.
+    ///
+    /// The hint is never trusted beyond what can be checked: a `valid`
+    /// longer than `trace` or than the window has lags for is cut
+    /// down, and a window too short to scan empties `trace`, so no
+    /// later call can carry scores out of it. A detector that cannot
+    /// resume ([`EnergyDetector`], [`MatchedFilterBank`]) ignores
+    /// `valid` and leaves `trace` unspecified.
+    fn detect_resuming(
+        &self,
+        capture: &[Cf32],
+        fs: f64,
+        trace: &mut Vec<f32>,
+        valid: usize,
+    ) -> Vec<Detection>;
 
     /// Approximate cost in multiply-accumulates per capture sample —
     /// the scaling metric of the paper's argument (the universal
@@ -76,7 +102,13 @@ impl PacketDetector for EnergyDetector {
         "energy"
     }
 
-    fn detect_with(&self, capture: &[Cf32], _fs: f64, _trace: &mut Vec<f32>) -> Vec<Detection> {
+    fn detect_resuming(
+        &self,
+        capture: &[Cf32],
+        _fs: f64,
+        _trace: &mut Vec<f32>,
+        _valid: usize,
+    ) -> Vec<Detection> {
         // The baseline is not on the gateway's hot path: it keeps its
         // own power trace.
         let power = sliding_power(capture, self.window);
@@ -191,8 +223,16 @@ impl PacketDetector for MatchedFilterBank {
         "matched-bank"
     }
 
-    fn detect_with(&self, capture: &[Cf32], fs: f64, trace: &mut Vec<f32>) -> Vec<Detection> {
+    fn detect_resuming(
+        &self,
+        capture: &[Cf32],
+        fs: f64,
+        trace: &mut Vec<f32>,
+        _valid: usize,
+    ) -> Vec<Detection> {
         let _span = galiot_trace::span(galiot_trace::Stage::MatchedDetect, galiot_trace::NO_SEQ);
+        // One buffer serves every technology's correlation in turn:
+        // what it holds afterwards is the last one's, nothing to carry.
         self.detect_raw_with(capture, fs, trace)
     }
 

@@ -143,6 +143,10 @@ impl EdgeDecoder {
     /// of its normalized-correlation peaks.
     fn preamble_peaks(&self, samples: &[Cf32], fs: f64, ncc: &mut Vec<f32>) -> Vec<Vec<usize>> {
         let bank = self.registry.template_bank(fs);
+        // Sized by the segment, exactly: a caller's buffer is allocated
+        // on its first segment and again only for a longer one, never
+        // doubled past what a trace needs.
+        ncc.reserve_exact(samples.len().saturating_sub(ncc.len()));
         (0..bank.len())
             .map(|i| {
                 let template = bank.template(i);

@@ -179,13 +179,21 @@ impl UniversalDetector {
     /// trace-overhead regression bench compares against. Production
     /// callers use the [`PacketDetector`] impl.
     pub fn detect_raw(&self, capture: &[Cf32], _fs: f64) -> Vec<Detection> {
-        self.detect_raw_with(capture, &mut Vec::new())
+        self.detect_raw_with(capture, &mut Vec::new(), 0)
     }
 
     /// [`UniversalDetector::detect_raw`] with the correlation trace in
-    /// a caller-held buffer.
-    fn detect_raw_with(&self, capture: &[Cf32], ncc: &mut Vec<f32>) -> Vec<Detection> {
+    /// a caller-held buffer whose first `valid` lags are already this
+    /// capture's (see [`PacketDetector::detect_resuming`]).
+    fn detect_raw_with(
+        &self,
+        capture: &[Cf32],
+        ncc: &mut Vec<f32>,
+        valid: usize,
+    ) -> Vec<Detection> {
         if self.preamble.template.len() > capture.len() {
+            // No lag fits: leave nothing a later window could carry.
+            ncc.clear();
             return Vec::new();
         }
         let threshold = if self.threshold > 0.0 {
@@ -197,7 +205,7 @@ impl UniversalDetector {
                 self.auto_factor,
             )
         };
-        self.template.xcorr_normalized_into(capture, ncc);
+        self.template.xcorr_normalized_extend(capture, valid, ncc);
         find_peaks(ncc, threshold, self.min_distance)
             .into_iter()
             .map(|p| Detection {
@@ -214,9 +222,15 @@ impl PacketDetector for UniversalDetector {
         "universal-preamble"
     }
 
-    fn detect_with(&self, capture: &[Cf32], _fs: f64, trace: &mut Vec<f32>) -> Vec<Detection> {
+    fn detect_resuming(
+        &self,
+        capture: &[Cf32],
+        _fs: f64,
+        trace: &mut Vec<f32>,
+        valid: usize,
+    ) -> Vec<Detection> {
         let _span = galiot_trace::span(galiot_trace::Stage::UniversalDetect, galiot_trace::NO_SEQ);
-        self.detect_raw_with(capture, trace)
+        self.detect_raw_with(capture, trace, valid)
     }
 
     fn complexity_per_sample(&self, _fs: f64) -> f64 {
