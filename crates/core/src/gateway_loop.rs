@@ -1,6 +1,6 @@
-//! The gateway loop of a live session: a rolling capture buffer flushed
-//! on a fixed grid through [`crate::stage`], and the shipping policy
-//! for what the edge does not decode.
+//! The gateway loop of a live session: its chunks fed to
+//! [`crate::stage`], which flushes a fixed step of the capture at a
+//! time, and the shipping policy for what the edge does not decode.
 //!
 //! [`crate::fleet`] runs one loop per session, on the session's own
 //! thread, and again from where it died after a crash; what the cloud
@@ -11,7 +11,6 @@ use crossbeam::channel::{Receiver, Sender};
 use galiot_dsp::Cf32;
 use galiot_gateway::{GatewayId, ShippedSegment};
 use galiot_phy::registry::Registry;
-use std::ops::Range;
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -19,7 +18,7 @@ use std::time::Duration;
 use crate::config::GaliotConfig;
 use crate::metrics::SharedMetrics;
 use crate::pipeline::{PipelineFrame, COMPRESS_BLOCK};
-use crate::stage::{Emitted, GatewayStage, StageBuffers};
+use crate::stage::{Emitted, GatewayStage};
 use crate::streaming::{mean_power, PoolItem, ResultMsg, SegmentResult};
 use crate::transport::{degraded_bits, QueuedSegment, SendQueueTx};
 
@@ -58,10 +57,10 @@ enum FlushStop {
     Crashed,
 }
 
-/// Gateway loop body: digitize chunks into a rolling buffer, detect on
-/// fixed, chunk-size-independent flush windows, edge-decode clean
-/// segments and ship the rest compressed. Runs on the caller's thread
-/// so a fleet session supervisor can run successive instances (crash →
+/// Gateway loop body: feeds chunks to the gateway stage, which flushes
+/// a fixed step of the capture at a time, edge-decodes clean segments
+/// and ships the rest compressed. Runs on the caller's thread so a
+/// fleet session supervisor can run successive instances (crash →
 /// restart) over one chunk feed.
 pub(crate) fn run_gateway(
     config: &GaliotConfig,
@@ -73,120 +72,61 @@ pub(crate) fn run_gateway(
     start: SessionStart,
 ) -> GatewayRun {
     let stage = GatewayStage::new(config, registry);
-    let params = stage.params;
-    let window = params.max_frame_samples;
-
-    // A segment is "settled" once the buffer extends at least
-    // this far past it: extraction can then neither lengthen it
-    // (detections reach 2×window forward) nor merge it with a
-    // later cluster (pre-guard reach). An unsettled segment is
-    // deferred to the next flush — but only when its start
-    // survives the drain; a cluster spanning the whole flush
-    // window is emitted as-is rather than lost.
-    let defer_guard = params.pre_guard + 64;
-    let keep_len = 2 * window + 2 * params.pre_guard + 128;
-    // Advance by two windows per flush: flush boundaries sit at
-    // fixed capture offsets (multiples of the stride), so
-    // segmentation is identical for any chunking of the same
-    // capture.
-    let stride = 2 * window;
-    let flush_len = keep_len + stride;
-
-    // The capture from index `buffer_start` on. It stays one contiguous
-    // window (drained, not a ring): the front end's gain is the mean
-    // power of the window summed in one order, and the detection trace
-    // the stage carries from flush to flush is resumed over a slice.
-    let mut buffer: Vec<Cf32> = Vec::new();
-    // What the stage digitizes and correlates into, flush after flush.
-    let mut buffers = StageBuffers::default();
-    let mut buffer_start = start.capture_offset;
-    // Capture index segment content has been emitted up to: a segment goes
-    // out only if it ends past it AND is finalized (or the capture is over).
-    let mut emitted_until = start.capture_offset;
+    let mut session = stage.session(start.capture_offset);
     let mut seq = start.seq_base;
     // Segments emitted by THIS instance (crash injection counts per
     // life, independent of the epoch folded into `seq`).
     let mut emitted_count = 0u64;
-
-    let mut flush = |buffer: &[Cf32], buffer_start: usize, is_final: bool| {
-        let buffer_end = buffer_start + buffer.len();
-        // Which of the window's spans go out in this flush.
-        let admit = |span: Range<usize>| {
-            if span.end <= emitted_until {
-                return Ok(false); // fully covered by earlier output
-            }
-            // Defer an unsettled segment only if the next flush
-            // will still contain its head — otherwise emit now.
-            if !is_final
-                && span.end + defer_guard > buffer_end
-                && span.start >= buffer_start + stride + params.pre_guard
-            {
-                return Ok(false);
-            }
-            // Fault injection: the crash lands between finalizing a
-            // segment and emitting it — the worst spot, since the
-            // fleet can only learn of the loss through liveness.
-            if start.crash_after == Some(emitted_count) {
-                return Err(FlushStop::Crashed);
-            }
-            emitted_until = span.end;
-            emitted_count += 1;
-            Ok(true)
+    // Fault injection: the crash lands between finalizing a segment and
+    // emitting it — the worst spot, since the fleet can only learn of
+    // the loss through liveness.
+    let mut admit = || {
+        if start.crash_after == Some(emitted_count) {
+            return Err(FlushStop::Crashed);
+        }
+        emitted_count += 1;
+        Ok(())
+    };
+    // Where an emitted segment goes: its frame straight to the merge if
+    // the edge decoded it, its samples to the shipper if not.
+    let mut emit = |seg: Emitted<'_>| {
+        let this_seq = seq;
+        seq += 1;
+        let delivered = match seg.edge_frame {
+            Some(frame) => result_tx
+                .send(ResultMsg::Segment(SegmentResult {
+                    gateway: shipper.gateway,
+                    seq: this_seq,
+                    frames: vec![PipelineFrame {
+                        frame,
+                        at_edge: true,
+                        via_kill: false,
+                    }],
+                    watermark: Some(seg.start as u64),
+                    power: mean_power(seg.samples),
+                }))
+                .is_ok(),
+            None => shipper.ship(this_seq, seg.start, seg.samples),
         };
-        // Where an emitted one goes: its frame straight to the merge
-        // if the edge decoded it, its samples to the shipper if not.
-        let emit = |seg: Emitted<'_>| {
-            let this_seq = seq;
-            seq += 1;
-            let delivered = match seg.edge_frame {
-                Some(frame) => result_tx
-                    .send(ResultMsg::Segment(SegmentResult {
-                        gateway: shipper.gateway,
-                        seq: this_seq,
-                        frames: vec![PipelineFrame {
-                            frame,
-                            at_edge: true,
-                            via_kill: false,
-                        }],
-                        watermark: Some(seg.start as u64),
-                        power: mean_power(seg.samples),
-                    }))
-                    .is_ok(),
-                None => shipper.ship(this_seq, seg.start, seg.samples),
-            };
-            if delivered {
-                Ok(())
-            } else {
-                Err(FlushStop::Downstream)
-            }
-        };
-        stage.run(&mut buffers, buffer, buffer_start, metrics, admit, emit)
+        delivered.then_some(()).ok_or(FlushStop::Downstream)
     };
 
     let mut consumed = start.capture_offset;
+    let mut fed = Ok(());
     while let Ok(chunk) = chunk_rx.recv() {
         metrics.with(|m| m.samples_processed += chunk.len() as u64);
         consumed += chunk.len();
-        buffer.extend_from_slice(&chunk);
-        while buffer.len() >= flush_len {
-            if let Err(stop) = flush(&buffer[..flush_len], buffer_start, false) {
-                return GatewayRun {
-                    crashed: matches!(stop, FlushStop::Crashed),
-                    consumed,
-                };
-            }
-            buffer.drain(..stride);
-            buffer_start += stride;
+        fed = stage.feed(&mut session, &chunk, false, metrics, &mut admit, &mut emit);
+        if fed.is_err() {
+            break;
         }
     }
-    // The feed is closed: whatever is still buffered is final.
-    let last = if buffer.is_empty() {
-        Ok(())
-    } else {
-        flush(&buffer, buffer_start, true)
-    };
+    // The feed is closed: whatever is still open is final.
+    if fed.is_ok() && consumed > start.capture_offset {
+        fed = stage.feed(&mut session, &[], true, metrics, &mut admit, &mut emit);
+    }
     GatewayRun {
-        crashed: matches!(last, Err(FlushStop::Crashed)),
+        crashed: matches!(fed, Err(FlushStop::Crashed)),
         consumed,
     }
 }

@@ -7,8 +7,8 @@
 use galiot_cloud::{CloudDecoder, Recovery, TraceBuffers};
 use galiot_dsp::Cf32;
 use galiot_gateway::{
-    Backhaul, Detection, EnergyDetector, MatchedFilterBank, PacketDetector, ShippedSegment,
-    UniversalDetector,
+    AnalogView, Backhaul, Detection, EnergyDetector, MatchedFilterBank, PacketDetector,
+    ShippedSegment, UniversalDetector,
 };
 use galiot_phy::registry::Registry;
 use galiot_phy::DecodedFrame;
@@ -16,7 +16,7 @@ use std::convert::Infallible;
 
 use crate::config::{DetectorKind, GaliotConfig};
 use crate::metrics::{Metrics, SharedMetrics};
-use crate::stage::{GatewayStage, StageBuffers};
+use crate::stage::GatewayStage;
 
 /// A decoded frame plus where in the pipeline it was recovered.
 #[derive(Clone, Debug)]
@@ -124,8 +124,8 @@ impl Galiot {
     }
 
     /// Processes one analog capture end to end: the gateway stage a
-    /// live session runs per flush window ([`crate::stage`]), here over
-    /// the whole capture with every segment emitted, then the cloud.
+    /// live session runs per flush step ([`crate::stage`]), here as one
+    /// last flush whose window is the whole capture, then the cloud.
     pub fn process_capture(&self, analog: &[Cf32]) -> RunReport {
         let fs = self.config.fs;
         let engine_before = galiot_dsp::engine::stats();
@@ -136,12 +136,12 @@ impl Galiot {
         let bits = self.config.compression_bits;
         let mut emissions = Vec::new();
         let Ok(()) = self.gateway.run(
-            &mut StageBuffers::default(),
-            analog,
-            0,
+            &mut self.gateway.buffers(0, analog.len()),
+            AnalogView::whole(analog),
+            true,
             &shared,
-            |_| Ok::<_, Infallible>(true),
-            |seg| {
+            &mut || Ok::<_, Infallible>(()),
+            &mut |seg| {
                 let seq = emissions.len() as u64;
                 emissions.push(match seg.edge_frame {
                     Some(frame) => Emission::Edge(frame),

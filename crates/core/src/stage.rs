@@ -1,17 +1,20 @@
-//! The gateway half of the pipeline as one stage over one analog
-//! window: digitize → detect → cut spans → edge attempt.
+//! The gateway half of the pipeline as one stage over a stream of
+//! analog samples: digitize → detect → cut spans → edge attempt.
 //!
-//! [`crate::pipeline::Galiot`] runs it once over a whole capture, a
-//! live session's [`crate::gateway_loop::run_gateway`] once per flush
-//! window; what differs between them — which spans are emitted now,
-//! and where an emitted one goes — is the two closures they pass in.
-//! Samples are never copied here: a segment is a range of the
-//! digitized window, read in place by the edge attempt and handed to
-//! the caller as a slice (DESIGN.md, "Who owns the samples").
+//! A live session ([`crate::gateway_loop::run_gateway`]) is fed chunk by
+//! chunk and flushes one fixed step of the capture at a time
+//! ([`GatewayStage::feed`]); [`crate::pipeline::Galiot`] runs one flush
+//! over a whole capture, the window being the capture. Either way each
+//! lag is scored once, each peak is decided once over the session's
+//! trace ([`DetectionStream`]), and a segment leaves with the first
+//! flush after which nothing can change it. What differs — where an
+//! emitted segment goes — is the closures the callers pass in
+//! (DESIGN.md §7, "The flush step").
 
 use galiot_dsp::Cf32;
 use galiot_gateway::{
-    spans, Detection, EdgeDecoder, EdgeOutcome, ExtractParams, PacketDetector, RtlSdrFrontEnd,
+    AnalogRing, AnalogView, Detection, DetectionStream, EdgeDecoder, EdgeOutcome, ExtractParams,
+    PacketDetector, RtlSdrFrontEnd, SlidingGain,
 };
 use galiot_phy::registry::Registry;
 use galiot_phy::DecodedFrame;
@@ -23,64 +26,60 @@ use crate::metrics::SharedMetrics;
 use crate::pipeline::build_detector;
 
 /// The configured gateway stages. Immutable once built: what a session
-/// carries from window to window is its [`StageBuffers`].
+/// carries from flush to flush is its [`StageBuffers`].
 pub(crate) struct GatewayStage {
     fs: f64,
     front_end: RtlSdrFrontEnd,
     detector: Box<dyn PacketDetector>,
     /// Extraction policy: the paper's 2× max frame, sized by the
     /// deployment's expected payloads.
-    pub(crate) params: ExtractParams,
+    params: ExtractParams,
     /// `None` with edge decoding off: everything ships.
     edge: Option<EdgeDecoder>,
+    /// W: a live flush takes its gain, and the detector its threshold,
+    /// over the last W samples (four frames, two pre-guards and 128).
+    window: usize,
+    /// How far the capture moves between live flushes: one overlap-save
+    /// block of the detector's template (24 577 samples at 1 Msps), or
+    /// a pre-guard for a detector that re-runs over the window.
+    step: usize,
 }
 
-/// The buffers one gateway session (or one batch call) digitizes and
-/// correlates into, window after window.
-#[derive(Default)]
+/// What one gateway session — or one batch call — carries from flush
+/// to flush.
 pub(crate) struct StageBuffers {
-    /// The last window, digitized.
-    digital: Vec<Cf32>,
-    /// The detector's correlation trace over the last window, kept so
-    /// that the next window's detection resumes where the two overlap
-    /// (DESIGN.md, "Who owns the samples").
-    trace: Vec<f32>,
-    /// Capture index of `trace[0]`.
-    trace_origin: usize,
+    /// Capture index of the session's first sample.
+    origin: usize,
+    /// Samples the gain and the detector's threshold are taken over:
+    /// the stage's window live, the whole capture in batch.
+    window: usize,
+    gain: SlidingGain,
+    scan: DetectionStream,
+    /// The span detections are merging into, until it settles, and where
+    /// its detections start.
+    open: Option<Range<usize>>,
+    merged: Vec<usize>,
+    /// An emitted span's digitization, where the scan's does not hold it.
+    span: Vec<Cf32>,
     /// Each edge attempt's correlation trace.
     edge_trace: Vec<f32>,
+    /// Every detection decided so far, in order, for the tests to check.
+    #[cfg(test)]
+    log: Vec<Detection>,
 }
 
-impl StageBuffers {
-    /// Moves the lags the window `origin .. origin + len` shares with
-    /// the last one to the front of `trace` and returns how many they
-    /// are. Nothing is carried — and nothing of the old trace is left —
-    /// unless the new window starts inside the old trace and reaches at
-    /// least as far as the old window did, which is what makes every
-    /// kept lag a lag of the new window too.
-    fn carry(&mut self, origin: usize, len: usize) -> usize {
-        // `digital` still holds the window the trace was computed over.
-        let old_end = self.trace_origin + self.digital.len();
-        let shift = origin
-            .checked_sub(self.trace_origin)
-            .filter(|&shift| shift <= self.trace.len() && origin + len >= old_end);
-        match shift {
-            Some(shift) => {
-                self.trace.copy_within(shift.., 0);
-                self.trace.truncate(self.trace.len() - shift);
-            }
-            None => self.trace.clear(),
-        }
-        self.trace_origin = origin;
-        self.trace.len()
-    }
+/// A live session: the analog ring its flushes read, and its buffers.
+pub(crate) struct Session {
+    buffers: StageBuffers,
+    /// The window as of the last flush, and what has arrived since.
+    ring: AnalogRing,
 }
 
 /// One segment leaving the gateway stage.
 pub(crate) struct Emitted<'a> {
     /// Capture index of `samples[0]`.
     pub(crate) start: usize,
-    /// The digitized samples, still in the window's buffer.
+    /// The digitized samples, in the session's buffers.
     pub(crate) samples: &'a [Cf32],
     /// The frame (start in capture coordinates) if the edge decoded
     /// the segment as a single clean packet; `None` ships it.
@@ -89,77 +88,165 @@ pub(crate) struct Emitted<'a> {
 
 impl GatewayStage {
     pub(crate) fn new(config: &GaliotConfig, registry: &Registry) -> Self {
-        let window = registry
+        let frame = registry
             .max_frame_samples_for(config.fs, config.max_expected_payload)
             .max(1);
+        let params = ExtractParams::paper(frame);
+        let detector = build_detector(config, registry);
+        let window = 4 * frame + 2 * params.pre_guard + 128;
+        let step = detector.peak_rule(window).map(|rule| rule.block_lags);
         GatewayStage {
             fs: config.fs,
             front_end: RtlSdrFrontEnd::new(config.front_end),
-            detector: build_detector(config, registry),
-            params: ExtractParams::paper(window),
             edge: config.edge_decoding.then(|| {
                 EdgeDecoder::new(registry.clone()).with_cluster_guard_s(config.edge_cluster_guard_s)
             }),
+            detector,
+            step: step.unwrap_or(params.pre_guard).max(1),
+            params,
+            window,
         }
     }
 
     /// Digitizes `analog` and runs detection only.
     pub(crate) fn detect(&self, analog: &[Cf32]) -> Vec<Detection> {
-        self.scan(&mut StageBuffers::default(), analog, 0)
+        (self.detector).detect(&self.front_end.digitize(analog), self.fs)
     }
 
-    /// Digitizes the window whose first sample is capture index
-    /// `origin` and detects over it, correlating only the lags
-    /// `buffers` does not already hold from the window before.
-    fn scan(&self, buffers: &mut StageBuffers, analog: &[Cf32], origin: usize) -> Vec<Detection> {
-        let valid = buffers.carry(origin, analog.len());
-        self.front_end.digitize_into(analog, &mut buffers.digital);
-        self.detector
-            .detect_resuming(&buffers.digital, self.fs, &mut buffers.trace, valid)
+    /// Fresh buffers for a session whose first sample is capture index
+    /// `origin`, with gain and threshold over `window` samples.
+    pub(crate) fn buffers(&self, origin: usize, window: usize) -> StageBuffers {
+        let (detector, guard) = (&*self.detector, self.params.pre_guard);
+        StageBuffers {
+            origin,
+            window,
+            gain: SlidingGain::new(origin, window, window / self.step + 2),
+            scan: DetectionStream::new(detector, self.fs, origin, window, guard),
+            open: None,
+            merged: Vec::new(),
+            span: Vec::new(),
+            edge_trace: Vec::new(),
+            #[cfg(test)]
+            log: Vec::new(),
+        }
     }
 
-    /// Runs the gateway stages over one window whose first sample is
-    /// capture index `origin`. Each span extraction cuts is offered, as
-    /// a capture range and in capture order, to `admit`; an admitted
-    /// one gets its edge attempt and goes to `emit`. An `Err` from
-    /// either closure ends the window there.
+    /// A live session starting at capture index `origin`.
+    pub(crate) fn session(&self, origin: usize) -> Session {
+        Session {
+            buffers: self.buffers(origin, self.window),
+            ring: AnalogRing::new(origin, self.window + self.step),
+        }
+    }
+
+    /// Feeds a live session `chunk`: one flush at every step boundary
+    /// the chunk reaches (counted from the session's first sample) and,
+    /// if `last`, one more where it ends.
+    pub(crate) fn feed<E>(
+        &self,
+        s: &mut Session,
+        mut chunk: &[Cf32],
+        last: bool,
+        metrics: &SharedMetrics,
+        admit: &mut impl FnMut() -> Result<(), E>,
+        emit: &mut impl FnMut(Emitted<'_>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        loop {
+            let due = self.step - (s.ring.end() - s.buffers.origin) % self.step;
+            let (now, rest) = chunk.split_at(due.min(chunk.len()));
+            s.ring.push(now);
+            chunk = rest;
+            let done = now.len() == due;
+            if done || last {
+                let view = s.ring.view();
+                self.run(&mut s.buffers, view, !done, metrics, admit, emit)?;
+            }
+            if !done {
+                return Ok(());
+            }
+            // Keep the window: the next gain reads back that far, and a
+            // span still waiting starts inside it.
+            s.ring.keep_last(self.window);
+        }
+    }
+
+    /// One flush: the capture is known up to `analog`'s end. Detects
+    /// over what the flush adds, merges the detections it decides into
+    /// spans, and emits a span once it has settled (no lag a later
+    /// detection could merge from is undecided), once its start is
+    /// about to leave the ring (cut at the end, carrying on from the
+    /// first detection whose extraction the cut truncated), or — if
+    /// `last` — in any case, cut at the end. An emitted span goes to
+    /// `admit`, then with its edge attempt to `emit`; an `Err` from
+    /// either ends the flush there.
     ///
     /// Books `detections`, `segments` (the admitted ones) and — on
-    /// every way out — the window's `gateway_busy_ns`.
+    /// every way out — the flush's `gateway_busy_ns`.
     pub(crate) fn run<E>(
         &self,
-        buffers: &mut StageBuffers,
-        analog: &[Cf32],
-        origin: usize,
+        bufs: &mut StageBuffers,
+        analog: AnalogView<'_>,
+        last: bool,
         metrics: &SharedMetrics,
-        mut admit: impl FnMut(Range<usize>) -> Result<bool, E>,
-        mut emit: impl FnMut(Emitted<'_>) -> Result<(), E>,
+        admit: &mut impl FnMut() -> Result<(), E>,
+        emit: &mut impl FnMut(Emitted<'_>) -> Result<(), E>,
     ) -> Result<(), E> {
         let t0 = Instant::now();
-        let result = (|| {
-            let detections = self.scan(buffers, analog, origin);
-            let (digital, edge_trace) = (&buffers.digital, &mut buffers.edge_trace);
-            metrics.with(|m| m.detections += detections.len());
-            for span in spans(digital.len(), &detections, self.params) {
-                let start = origin + span.range.start;
-                if !admit(start..origin + span.range.end)? {
-                    continue;
+        let (gain, end) = (bufs.gain.advance(&self.front_end, &analog), analog.end());
+        let mut out = |bufs: &mut StageBuffers, span: Range<usize>| {
+            let span = span.start..span.end.min(end);
+            admit()?;
+            metrics.with(|m| m.segments += 1);
+            let (fe, buf) = (&self.front_end, &mut bufs.span);
+            let samples = bufs.scan.samples(fe, gain, &analog, span.clone(), buf);
+            // Edge-first decode (paper, Sec. 4): handle clean single
+            // packets locally, ship everything else.
+            let edge_frame = self.edge.as_ref().and_then(|edge| {
+                match edge.process_slice(samples, span.start, self.fs, &mut bufs.edge_trace) {
+                    EdgeOutcome::DecodedLocally(frame) => Some(frame),
+                    EdgeOutcome::ShipToCloud(_) => None,
                 }
-                metrics.with(|m| m.segments += 1);
-                let samples = &digital[span.range];
-                // Edge-first decode (paper, Sec. 4): handle clean single
-                // packets locally, ship everything else.
-                let edge_frame = self.edge.as_ref().and_then(|edge| {
-                    match edge.process_slice(samples, start, self.fs, edge_trace) {
-                        EdgeOutcome::DecodedLocally(frame) => Some(frame),
-                        EdgeOutcome::ShipToCloud(_) => None,
+            });
+            emit(Emitted {
+                start: span.start,
+                samples,
+                edge_frame,
+            })
+        };
+        let result = (|| {
+            let scan = &mut bufs.scan;
+            let detections = scan.flush(&*self.detector, &self.front_end, gain, &analog, last);
+            metrics.with(|m| m.detections += detections.len());
+            #[cfg(test)]
+            bufs.log.extend(&detections);
+            let _extract = galiot_trace::span(galiot_trace::Stage::Extract, galiot_trace::NO_SEQ);
+            let (pre_guard, reach) = (self.params.pre_guard, 2 * self.params.max_frame_samples);
+            for d in detections {
+                let lo = d.start.saturating_sub(pre_guard).max(bufs.origin);
+                match &mut bufs.open {
+                    Some(open) if lo <= open.end => open.end = open.end.max(d.start + reach),
+                    // Nothing left to merge into the open span: it goes.
+                    _ => {
+                        bufs.merged.clear();
+                        if let Some(done) = bufs.open.replace(lo..d.start + reach) {
+                            out(bufs, done)?;
+                        }
                     }
-                });
-                emit(Emitted {
-                    start,
-                    samples,
-                    edge_frame,
-                })?;
+                }
+                bufs.merged.push(d.start);
+            }
+            if let Some(open) = bufs.open.clone() {
+                let settled = last || bufs.scan.decided() > open.end + pre_guard;
+                if settled || open.start + bufs.window < end {
+                    // A cluster cut before it settles carries on from the
+                    // first detection whose extraction the cut truncated.
+                    let cut = bufs.merged.iter().position(|&d| d + reach > end);
+                    let keep = cut.filter(|_| !settled).unwrap_or(bufs.merged.len());
+                    bufs.merged.drain(..keep);
+                    let go_on = |&d: &usize| d.saturating_sub(pre_guard).max(bufs.origin)..open.end;
+                    bufs.open = bufs.merged.first().map(go_on);
+                    out(bufs, open)?;
+                }
             }
             Ok(())
         })();
@@ -174,17 +261,18 @@ mod tests {
     use galiot_channel::{
         compose, forced_collision, random_payload, scenario_seed, snr_to_noise_power, TxEvent,
     };
-    use galiot_gateway::{FrontEndParams, UniversalDetector};
+    use galiot_dsp::corr::find_peaks;
+    use galiot_gateway::{spans, FrontEndParams, PeakRule, UniversalDetector};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::convert::Infallible;
     use std::sync::{Arc, Mutex};
 
-    /// What a detector was asked and what it answered, call by call:
-    /// `(valid, detections)`.
-    type Calls = Arc<Mutex<Vec<(usize, Vec<Detection>)>>>;
+    /// Each `score_lags` call a detector received: how many samples it
+    /// read, and the scores it wrote.
+    type Calls = Arc<Mutex<Vec<(usize, Vec<f32>)>>>;
 
-    /// Passes every call through to `inner` and keeps a record of it.
+    /// Passes every call through to `inner`, recording the scoring ones.
     struct Recorded<D> {
         inner: D,
         calls: Calls,
@@ -195,17 +283,18 @@ mod tests {
             self.inner.name()
         }
 
-        fn detect_resuming(
-            &self,
-            capture: &[Cf32],
-            fs: f64,
-            trace: &mut Vec<f32>,
-            valid: usize,
-        ) -> Vec<Detection> {
-            let detections = self.inner.detect_resuming(capture, fs, trace, valid);
+        fn detect_with(&self, capture: &[Cf32], fs: f64, trace: &mut Vec<f32>) -> Vec<Detection> {
+            self.inner.detect_with(capture, fs, trace)
+        }
+
+        fn peak_rule(&self, window_len: usize) -> Option<PeakRule> {
+            self.inner.peak_rule(window_len)
+        }
+
+        fn score_lags(&self, capture: &[Cf32], trace: &mut Vec<f32>) {
+            self.inner.score_lags(capture, trace);
             let mut calls = self.calls.lock().expect("a recording test panicked");
-            calls.push((valid, detections.clone()));
-            detections
+            calls.push((capture.len(), trace.clone()));
         }
 
         fn complexity_per_sample(&self, fs: f64) -> f64 {
@@ -213,24 +302,288 @@ mod tests {
         }
     }
 
-    /// A resuming detector that never detects: it leaves one score per
-    /// lag of an `m`-sample template, as the contract asks.
-    struct Lags(usize);
+    /// The configured stage with `detector`, recorded, for a detector —
+    /// and flushing at the step it asks for — and the record.
+    fn recorded_stage(
+        config: &GaliotConfig,
+        detector: impl PacketDetector + 'static,
+    ) -> (GatewayStage, Calls) {
+        let calls = Calls::default();
+        let base = GatewayStage::new(config, &Registry::prototype());
+        let step =
+            (detector.peak_rule(base.window)).map_or(base.params.pre_guard, |r| r.block_lags);
+        let detector = Box::new(Recorded {
+            inner: detector,
+            calls: calls.clone(),
+        });
+        let stage = GatewayStage {
+            detector,
+            step,
+            ..base
+        };
+        (stage, calls)
+    }
+
+    /// One emitted segment: how many flushes had run when it left, its
+    /// capture range, its samples.
+    type Emission = (usize, Range<usize>, Vec<Cf32>);
+
+    /// What one live session did.
+    struct Live {
+        session: Session,
+        emitted: Vec<Emission>,
+        /// Every scoring call its detector received.
+        calls: Vec<(usize, Vec<f32>)>,
+    }
+
+    /// Feeds `analog` — a session's samples, from capture index `origin`
+    /// on — in `chunk`-sample chunks, and closes the feed if `last`.
+    fn feed(
+        stage: &GatewayStage,
+        calls: &Calls,
+        origin: usize,
+        analog: &[Cf32],
+        chunk: usize,
+        last: bool,
+    ) -> Live {
+        calls.lock().unwrap().clear();
+        let (metrics, mut emitted) = (SharedMetrics::new(), Vec::new());
+        let mut session = stage.session(origin);
+        let mut admit = || Ok::<_, Infallible>(());
+        let mut emit = |seg: Emitted<'_>| {
+            let flushes = calls.lock().unwrap().len();
+            let range = seg.start..seg.start + seg.samples.len();
+            emitted.push((flushes, range, seg.samples.to_vec()));
+            Ok(())
+        };
+        for c in analog.chunks(chunk) {
+            let Ok(()) = stage.feed(&mut session, c, false, &metrics, &mut admit, &mut emit);
+        }
+        if last {
+            let Ok(()) = stage.feed(&mut session, &[], true, &metrics, &mut admit, &mut emit);
+        }
+        let m = metrics.snapshot();
+        assert_eq!(m.detections, session.buffers.log.len());
+        assert_eq!(m.segments, emitted.len());
+        let calls = calls.lock().unwrap().clone();
+        Live {
+            session,
+            emitted,
+            calls,
+        }
+    }
+
+    /// The first lag whose verdict a session that has scored `known`
+    /// lags of `trace` cannot give yet: the first candidate of a run
+    /// that a lag still unknown could join, else the newest lag (its
+    /// candidacy waits for the next) — worked out over the whole trace.
+    fn undecided(trace: &[f32], known: usize, threshold: f32, min_distance: usize) -> usize {
+        let t = &trace[..known];
+        let candidates: Vec<usize> = (1..known.saturating_sub(1))
+            .filter(|&i| t[i] >= threshold && t[i - 1] <= t[i] && t[i + 1] < t[i])
+            .collect();
+        let mut run_start = 0;
+        for (j, &c) in candidates.iter().enumerate() {
+            if j == 0 || c - candidates[j - 1] >= min_distance {
+                run_start = c;
+            }
+        }
+        match candidates.last() {
+            Some(&last) if known - 1 - last < min_distance => run_start,
+            _ => known.saturating_sub(1),
+        }
+    }
+
+    /// Holds one live session that was fed `analog` (its samples from
+    /// capture index `origin` to its last flush) against its own trace:
+    /// every flush scored one block of new lags; the detections are
+    /// `find_peaks` over the whole trace with the window's threshold; the
+    /// segments are `spans()` around them; and each left with the first
+    /// flush after which no lag it could merge from was undecided.
+    fn check(
+        stage: &GatewayStage,
+        m: usize,
+        origin: usize,
+        analog: &[Cf32],
+        live: &Live,
+        what: &str,
+    ) {
+        let (step, n, flushes) = (stage.step, analog.len(), live.calls.len());
+        let end = |k: usize| if k + 1 == flushes { n } else { (k + 1) * step };
+        let (mut trace, mut known) = (Vec::new(), 0);
+        for (k, (read, lags)) in live.calls.iter().enumerate() {
+            // The samples of the lags not scored yet, up to the flush's end.
+            assert_eq!(*read, end(k) - known, "{what}: flush {k} read");
+            known = (end(k) + 1).saturating_sub(m);
+            trace.extend_from_slice(lags);
+            assert_eq!(trace.len(), known, "{what}: flush {k} scored");
+            if k > 0 && k + 1 < flushes {
+                assert_eq!(
+                    (*read, lags.len()),
+                    (step + m - 1, step),
+                    "{what}: one block"
+                );
+            }
+        }
+        let rule = stage
+            .detector
+            .peak_rule(stage.window)
+            .expect("a lag scorer");
+        let want: Vec<Detection> = find_peaks(&trace, rule.threshold, rule.min_distance)
+            .into_iter()
+            .map(Detection::from)
+            .collect();
+        let live_detections: Vec<Detection> = (live.session.buffers.log.iter())
+            .map(|d| Detection {
+                start: d.start - origin,
+                ..*d
+            })
+            .collect();
+        assert_eq!(live_detections, want, "{what}: detections");
+
+        let (pre_guard, reach) = (stage.params.pre_guard, 2 * stage.params.max_frame_samples);
+        let cut = spans(n, &want, stage.params);
+        assert_eq!(live.emitted.len(), cut.len(), "{what}: segments");
+        for ((flushed, range, samples), span) in live.emitted.iter().zip(&cut) {
+            let rel = range.start - origin..range.end - origin;
+            assert_eq!(rel, span.range, "{what}: span");
+            // The settle point: no lag this span could still merge from
+            // undecided — or its start leaving the ring, or the last flush.
+            let hi = span.detections.last().expect("a span has detections").start + reach;
+            let leaves = (0..flushes).find(|&k| {
+                let known = (end(k) + 1).saturating_sub(m);
+                k + 1 == flushes
+                    || undecided(&trace, known, rule.threshold, rule.min_distance) > hi + pre_guard
+                    || rel.start + stage.window < end(k)
+            });
+            assert_eq!(
+                Some(*flushed - 1),
+                leaves,
+                "{what}: span {rel:?} left late or early"
+            );
+            if !stage.front_end.params().auto_gain {
+                // One gain for every window: the samples are the span's.
+                assert!(samples == &stage.front_end.digitize(&analog[rel]), "{what}");
+            }
+        }
+    }
+
+    /// A window to two of 18 dB noise with traffic `kind` in it,
+    /// anywhere: none, a frame, two frames 30–100 k samples apart, or a
+    /// LoRa + XBee cluster. (Clusters fit the ring: a segment cut when
+    /// its start leaves it is the spikes test's business.)
+    fn capture(stage: &GatewayStage, kind: usize, rng: &mut StdRng) -> Vec<Cf32> {
+        let registry = Registry::prototype();
+        let n = stage.window + rng.gen_range(0..stage.window);
+        let frame = |at: usize, rng: &mut StdRng| {
+            let tech = registry.techs()[rng.gen_range(0..3usize)].clone();
+            TxEvent::new(tech, random_payload(rng.gen_range(4..=16), rng), at)
+        };
+        let at = rng.gen_range(0..n - 200_000);
+        let events = match kind {
+            0 => Vec::new(),
+            1 => vec![frame(at, rng)],
+            2 => vec![
+                frame(at, rng),
+                frame(at + rng.gen_range(30_000..100_000usize), rng),
+            ],
+            _ => forced_collision(
+                &registry,
+                8,
+                &[0.0, 0.0],
+                rng.gen_range(500..20_000),
+                at,
+                rng,
+            ),
+        };
+        compose(&events, n, stage.fs, snr_to_noise_power(18.0, 0.0), rng).samples
+    }
+
+    #[test]
+    fn live_sessions_detect_cut_and_emit_as_their_own_trace_says_at_any_chunking() {
+        let quiet_edge = GaliotConfig {
+            edge_decoding: false,
+            ..GaliotConfig::prototype()
+        };
+        let fixed_gain = GaliotConfig {
+            front_end: FrontEndParams {
+                auto_gain: false,
+                gain: 0.5,
+                ..FrontEndParams::default()
+            },
+            ..quiet_edge.clone()
+        };
+        let registry = Registry::prototype();
+        let mut segments = 0;
+        for (c, config) in [quiet_edge, fixed_gain].iter().enumerate() {
+            let detector = UniversalDetector::new(&registry, config.fs, config.detect_threshold);
+            let m = detector.preamble().template.len();
+            let (stage, calls) = recorded_stage(config, detector);
+            let rule = stage.detector.peak_rule(stage.window).unwrap();
+            assert!((rule.threshold - 0.0557).abs() < 5e-5, "{rule:?}");
+            assert_eq!((stage.step, stage.window), (24_577, 436_416));
+            for k in 0..24 {
+                let seed = scenario_seed(0x5E77_0000 + (c * 100 + k) as u64);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let analog = capture(&stage, k % 4, &mut rng);
+                let auto_gain = config.front_end.auto_gain;
+                let what = |how: &str| format!("auto gain {auto_gain}, seed {seed:#x}, {how}");
+                let mut whole: Option<Vec<Emission>> = None;
+                for chunk in [1, 7, 4_096, 65_536] {
+                    let how = what(&format!("chunks of {chunk}"));
+                    let live = feed(&stage, &calls, 0, &analog, chunk, true);
+                    check(&stage, m, 0, &analog, &live, &how);
+                    let first = whole.get_or_insert_with(|| live.emitted.clone());
+                    assert!(
+                        *first == live.emitted,
+                        "{how}: not what chunks of 1 emitted"
+                    );
+                }
+                // A restart mid-capture: the instance that dies emitted
+                // what the whole session had by then; its successor is a
+                // session of its own.
+                let whole = whole.unwrap();
+                let r = rng.gen_range(analog.len() / 3..2 * analog.len() / 3);
+                let died = feed(&stage, &calls, 0, &analog[..r], 4_096, false);
+                let flushes = died.calls.len();
+                let by_then: Vec<Emission> =
+                    (whole.iter().filter(|e| e.0 <= flushes)).cloned().collect();
+                assert!(died.emitted == by_then, "{}", what("before the restart"));
+                let restarted = feed(&stage, &calls, r, &analog[r..], 4_096, true);
+                check(&stage, m, r, &analog[r..], &restarted, &what("restarted"));
+                segments += whole.len();
+            }
+        }
+        assert!(segments >= 24, "{segments} segments in 48 captures");
+    }
+
+    /// Scores every lag zero: an `m`-sample template read `block` lags a
+    /// flush. Counts what it is asked, costs nothing.
+    struct Lags {
+        m: usize,
+        block: usize,
+    }
 
     impl PacketDetector for Lags {
         fn name(&self) -> &'static str {
             "lags"
         }
 
-        fn detect_resuming(
-            &self,
-            capture: &[Cf32],
-            _fs: f64,
-            trace: &mut Vec<f32>,
-            _valid: usize,
-        ) -> Vec<Detection> {
-            trace.resize((capture.len() + 1).saturating_sub(self.0), 0.0);
+        fn detect_with(&self, _: &[Cf32], _: f64, _: &mut Vec<f32>) -> Vec<Detection> {
             Vec::new()
+        }
+
+        fn peak_rule(&self, _window_len: usize) -> Option<PeakRule> {
+            Some(PeakRule {
+                block_lags: self.block,
+                threshold: 1.0,
+                min_distance: 1,
+            })
+        }
+
+        fn score_lags(&self, capture: &[Cf32], trace: &mut Vec<f32>) {
+            trace.clear();
+            trace.resize((capture.len() + 1).saturating_sub(self.m), 0.0);
         }
 
         fn complexity_per_sample(&self, _fs: f64) -> f64 {
@@ -238,246 +591,165 @@ mod tests {
         }
     }
 
-    /// The configured stage with `inner`, recorded, for a detector, and
-    /// the record of its calls.
-    fn recorded_stage(
-        config: &GaliotConfig,
-        inner: impl PacketDetector + 'static,
-    ) -> (GatewayStage, Calls) {
-        let calls = Calls::default();
-        let stage = GatewayStage {
-            detector: Box::new(Recorded {
-                inner,
-                calls: calls.clone(),
-            }),
-            ..GatewayStage::new(config, &Registry::prototype())
-        };
-        (stage, calls)
-    }
-
-    /// One admitted span and what became of it.
-    type Outcome = (Range<usize>, Option<String>);
-
-    /// Runs one window with every span admitted.
-    fn run_window(
-        stage: &GatewayStage,
-        buffers: &mut StageBuffers,
-        analog: &[Cf32],
-        origin: usize,
-    ) -> Vec<Outcome> {
-        let mut ranges = Vec::new();
-        let mut outcomes = Vec::new();
-        let Ok(()) = stage.run(
-            buffers,
-            analog,
-            origin,
-            &SharedMetrics::new(),
-            |range| {
-                ranges.push(range);
-                Ok::<_, Infallible>(true)
-            },
-            |seg| {
-                let range = seg.start..seg.start + seg.samples.len();
-                outcomes.push((range, seg.edge_frame.map(|f| format!("{f:?}"))));
-                Ok(())
-            },
-        );
-        let emitted: Vec<_> = outcomes.iter().map(|(range, _)| range.clone()).collect();
-        assert_eq!(ranges, emitted, "every admitted span is emitted");
-        outcomes
-    }
-
-    /// The live session's flush grid for `stage` (DESIGN.md §7):
-    /// `(flush_len, stride)`.
-    fn flush_grid(stage: &GatewayStage) -> (usize, usize) {
-        let window = stage.params.max_frame_samples;
-        let stride = 2 * window;
-        (
-            stride + 2 * window + 2 * stage.params.pre_guard + 128,
-            stride,
-        )
-    }
-
     #[test]
-    fn the_hint_is_the_overlap_and_nothing_after_an_invalidation() {
+    fn every_flush_scores_one_block_of_new_lags() {
         const M: usize = 8_192;
-        let (stage, calls) = recorded_stage(&GaliotConfig::prototype(), Lags(M));
-        let (flush_len, stride) = flush_grid(&stage);
-        let steady = flush_len - M + 1 - stride;
-        let analog = vec![Cf32::ZERO; 2 * flush_len];
-        let mut buffers = StageBuffers::default();
-        let hint = |buffers: &mut StageBuffers, origin: usize, len: usize| {
-            run_window(&stage, buffers, &analog[..len], origin);
-            let (valid, _) = calls.lock().unwrap().pop().expect("one call per window");
-            valid
+        const BLOCK: usize = 24_577;
+        let detector = Lags { m: M, block: BLOCK };
+        let (stage, calls) = recorded_stage(&GaliotConfig::prototype(), detector);
+        assert_eq!(stage.step, BLOCK, "the step is the detector's block");
+        let analog = vec![Cf32::ZERO; 10 * BLOCK + 1_234];
+        let asked = |live: &Live| -> Vec<(usize, usize)> {
+            (live.calls.iter())
+                .map(|(read, lags)| (*read, lags.len()))
+                .collect()
         };
-
-        // A session's life: nothing to resume, then the overlap — also
-        // into the shorter window a closing feed leaves, as long as it
-        // reaches as far as the one before.
-        assert_eq!(hint(&mut buffers, 0, flush_len), 0);
-        assert_eq!(hint(&mut buffers, stride, flush_len), steady);
-        assert_eq!(hint(&mut buffers, 2 * stride, flush_len), steady);
-        assert_eq!(hint(&mut buffers, 3 * stride, flush_len - stride), steady);
-        assert_eq!(steady, flush_len - stride - M + 1, "all of its lags");
-        // The same window again knows every lag.
-        assert_eq!(
-            hint(&mut buffers, 3 * stride, flush_len - stride),
-            steady,
-            "nothing moved"
-        );
-
-        // A window shorter than the template has no lags and leaves none.
-        assert_eq!(hint(&mut buffers, 3 * stride, flush_len), steady);
-        assert_eq!(hint(&mut buffers, 4 * stride, M - 1), 0);
-        assert_eq!(hint(&mut buffers, 4 * stride, flush_len), 0);
-        // The origin moved backwards.
-        assert_eq!(hint(&mut buffers, 5 * stride, flush_len), steady);
-        assert_eq!(hint(&mut buffers, 4 * stride, flush_len), 0);
-        assert_eq!(hint(&mut buffers, 5 * stride, flush_len), steady);
-        // The origin moved past the trace: onto its last lag is the
-        // furthest a window can still resume from.
-        let lags = flush_len - M + 1;
-        assert_eq!(hint(&mut buffers, 5 * stride + lags - 1, flush_len), 1);
-        assert_eq!(hint(&mut buffers, 5 * stride + 2 * lags, flush_len), 0);
-        // A restarted session starts from fresh buffers.
-        assert_eq!(hint(&mut StageBuffers::default(), 6 * stride, flush_len), 0);
-        // A last window with fewer lags than were carried: it ends
-        // before the one before it did.
-        assert_eq!(hint(&mut buffers, 0, flush_len), 0);
-        assert_eq!(hint(&mut buffers, stride, flush_len - stride - 1), 0);
+        // The first flush reads its step, every later one the step and
+        // the m − 1 samples before it — one overlap-save block — for a
+        // block of lags; the last flush what is left.
+        let mut want = vec![(BLOCK, BLOCK - M + 1)];
+        want.extend([(BLOCK + M - 1, BLOCK); 9]);
+        want.push((1_234 + M - 1, 1_234));
+        for chunk in [1, 7, 4_096, 65_536, analog.len()] {
+            let live = feed(&stage, &calls, 0, &analog, chunk, true);
+            assert_eq!(asked(&live), want, "chunks of {chunk}");
+        }
+        // A restarted session starts over from its own first sample.
+        let live = feed(&stage, &calls, 5_000, &analog[5_000..], 4_096, true);
+        let got = asked(&live);
+        assert_eq!(got[0], (BLOCK, BLOCK - M + 1));
+        assert_eq!(got[1..9], [(BLOCK + M - 1, BLOCK); 8]);
+        assert_eq!(got[9..], [(BLOCK - 3_766 + M - 1, BLOCK - 3_766)]);
+        // A session shorter than the template scores nothing.
+        let live = feed(&stage, &calls, 0, &analog[..M - 1], 7, true);
+        assert_eq!(asked(&live), [(M - 1, 0)]);
+        // A closed feed that ends on a step boundary flushes once more,
+        // reading nothing new.
+        let live = feed(&stage, &calls, 0, &analog[..2 * BLOCK], 7, true);
+        assert_eq!(asked(&live).last(), Some(&(M - 1, 0)));
     }
 
-    /// A capture of three full flush windows and a shorter last one,
-    /// with traffic `kind` somewhere in it.
-    fn flush_sequence(stage: &GatewayStage, kind: usize, rng: &mut StdRng) -> Vec<Cf32> {
-        let registry = Registry::prototype();
-        let (flush_len, stride) = flush_grid(stage);
-        let n = flush_len + 2 * stride + rng.gen_range(1..stride);
-        let frame = |rng: &mut StdRng| {
-            let tech = registry.techs()[rng.gen_range(0..3usize)].clone();
-            let payload = random_payload(rng.gen_range(4..=16), rng);
-            TxEvent::new(tech, payload, rng.gen_range(0..n - stride))
-        };
-        let events = match kind {
-            0 => Vec::new(),
-            1 => vec![frame(rng)],
-            2 => vec![frame(rng), frame(rng)],
-            // LoRa + XBee, overlapping.
-            _ => {
-                let at = rng.gen_range(0..n - stride);
-                forced_collision(
-                    &registry,
-                    8,
-                    &[0.0, 0.0],
-                    rng.gen_range(500..20_000),
-                    at,
-                    rng,
-                )
-            }
-        };
-        compose(&events, n, stage.fs, snr_to_noise_power(18.0, 0.0), rng).samples
+    /// A one-sample template scoring each sample by its magnitude: every
+    /// isolated nonzero sample is a peak, so a test puts detections
+    /// exactly where it likes.
+    struct Spikes;
+
+    impl PacketDetector for Spikes {
+        fn name(&self) -> &'static str {
+            "spikes"
+        }
+
+        fn detect_with(&self, _: &[Cf32], _: f64, _: &mut Vec<f32>) -> Vec<Detection> {
+            Vec::new()
+        }
+
+        fn peak_rule(&self, _window_len: usize) -> Option<PeakRule> {
+            Some(PeakRule {
+                block_lags: 1_000,
+                threshold: 0.5,
+                min_distance: 300,
+            })
+        }
+
+        fn score_lags(&self, capture: &[Cf32], trace: &mut Vec<f32>) {
+            trace.clear();
+            trace.extend(capture.iter().map(|z| z.abs()));
+        }
+
+        fn complexity_per_sample(&self, _fs: f64) -> f64 {
+            0.0
+        }
     }
 
-    /// What a flush sequence must come to, window by window, worked out
-    /// from whole-window traces alone. A lag's score is the one it had
-    /// in the fresh trace of the first window to hold its samples whole
-    /// (under auto gain a later window digitizes them with another
-    /// gain, and scores them a little differently: which of two comb
-    /// peaks of a LoRa preamble wins the suppression can change, so the
-    /// fresh detections themselves are no reference there); detections
-    /// are the detector's own peak picking over those scores, spans
-    /// what extraction cuts around them.
     #[test]
-    fn a_carried_trace_is_each_lags_first_score_and_detects_over_all_of_them() {
-        let fixed_gain = GaliotConfig {
+    fn a_segment_leaves_at_its_settle_point_or_when_it_would_leave_the_ring() {
+        let config = GaliotConfig {
             front_end: FrontEndParams {
                 auto_gain: false,
-                gain: 0.5,
+                gain: 1.0,
+                dc_offset: 0.0,
+                iq_gain_imbalance: 1.0,
+                iq_phase_imbalance: 0.0,
                 ..FrontEndParams::default()
             },
+            edge_decoding: false,
             ..GaliotConfig::prototype()
         };
-        let starts = |d: &[Detection]| d.iter().map(|d| d.start).collect::<Vec<_>>();
-        let (mut resumed_lags, mut emitted) = (0, 0);
-        for (c, config) in [GaliotConfig::prototype(), fixed_gain].iter().enumerate() {
-            let auto_gain = config.front_end.auto_gain;
-            let registry = Registry::prototype();
-            let detector = || UniversalDetector::new(&registry, config.fs, config.detect_threshold);
-            let (carrying, carried_calls) = recorded_stage(config, detector());
-            let (fresh, fresh_calls) = recorded_stage(config, detector());
-            let reference = detector();
-            let (flush_len, stride) = flush_grid(&carrying);
-            for sequence in 0..24 {
-                let seed = scenario_seed(0xCA22_0000 + (c * 100 + sequence) as u64);
-                let mut rng = StdRng::seed_from_u64(seed);
-                let capture = flush_sequence(&carrying, sequence % 4, &mut rng);
-                let (mut kept, mut reset) = (StageBuffers::default(), StageBuffers::default());
-                // Every capture lag's score in the first window that had it.
-                let mut first_seen: Vec<f32> = Vec::new();
-                for origin in (0..capture.len() - flush_len + stride).step_by(stride) {
-                    let window = &capture[origin..capture.len().min(origin + flush_len)];
-                    let what = format!(
-                        "auto_gain {auto_gain}, sequence {sequence} (seed {seed:#x}), \
-                         window at {origin}"
-                    );
-                    reset.trace.clear();
-                    let got = run_window(&carrying, &mut kept, window, origin);
-                    let afresh = run_window(&fresh, &mut reset, window, origin);
-                    let (valid, got_detections) = carried_calls.lock().unwrap().pop().unwrap();
-                    let (none, fresh_detections) = fresh_calls.lock().unwrap().pop().unwrap();
-                    assert_eq!(none, 0, "{what}: the reference resumes nothing");
-                    assert_eq!(valid > 0, origin > 0, "{what}: resumed {valid} lags");
-                    resumed_lags += valid;
-                    emitted += got.len();
-
-                    first_seen.extend_from_slice(&reset.trace[first_seen.len() - origin..]);
-                    let mut scores = first_seen[origin..].to_vec();
-                    assert_eq!(kept.trace.len(), scores.len(), "{what}");
-                    for (lag, (g, w)) in kept.trace.iter().zip(&scores).enumerate() {
-                        assert!(
-                            (g - w).abs() <= 1e-6,
-                            "{what}: lag {lag} holds {g}, first {w}"
-                        );
-                    }
-                    let lags = scores.len();
-                    let want =
-                        reference.detect_resuming(&reset.digital, config.fs, &mut scores, lags);
-                    assert_eq!(starts(&got_detections), starts(&want), "{what}: detections");
-                    let cut = |detections: &[Detection]| {
-                        spans(window.len(), detections, carrying.params)
-                            .into_iter()
-                            .map(|s| origin + s.range.start..origin + s.range.end)
-                            .collect::<Vec<_>>()
-                    };
-                    let ranges = |o: &[Outcome]| o.iter().map(|o| o.0.clone()).collect::<Vec<_>>();
-                    assert_eq!(ranges(&got), cut(&want), "{what}: spans");
-
-                    if auto_gain {
-                        // The edge reads this window's digitization
-                        // whatever the trace says: where a re-scan cuts
-                        // the same span, the same verdict.
-                        for outcome in &got {
-                            if let Some(same) = afresh.iter().find(|o| o.0 == outcome.0) {
-                                assert_eq!(outcome, same, "{what}: edge verdict");
-                            }
-                        }
-                    } else {
-                        // With one gain for every window a sample
-                        // digitizes alike in each, and the carry changes
-                        // nothing a re-scan would find.
-                        assert_eq!(got, afresh, "{what}: spans and edge verdicts");
-                        assert_eq!(starts(&got_detections), starts(&fresh_detections), "{what}");
-                        for (g, w) in got_detections.iter().zip(&fresh_detections) {
-                            assert!((g.score - w.score).abs() <= 1e-6, "{what}: {g:?} / {w:?}");
-                        }
-                    }
-                }
-            }
-        }
-        assert!(
-            resumed_lags > 0 && emitted >= 48,
-            "{resumed_lags} lags, {emitted} segments"
+        let (stage, calls) = recorded_stage(&config, Spikes);
+        let (step, window) = (stage.step, stage.window);
+        let (pre_guard, reach) = (stage.params.pre_guard, 2 * stage.params.max_frame_samples);
+        let n = 3_000_000;
+        let mut analog = vec![Cf32::ZERO; n];
+        let mut spike = |at: usize, v: f32| analog[at] = Cf32::from_re(v);
+        // Flushes run by the first one to hold sample `at`.
+        let by = |at: usize| (at + 1).div_ceil(step);
+        // A lone detection's segment settles once the lags a detection
+        // merging into it could sit on are known: the flush that holds
+        // sample `hi + pre_guard + m` (m = 1).
+        let settles = |d: usize| by(d + reach + pre_guard + 1);
+        let mut want = Vec::new();
+        let d1 = 100_000;
+        spike(d1, 0.9);
+        want.push((settles(d1), d1 - pre_guard..d1 + reach));
+        // Two spans that overlap merge ...
+        let (d2, d3) = (400_000, 500_000);
+        spike(d2, 0.9);
+        spike(d3, 0.9);
+        want.push((settles(d3), d2 - pre_guard..d3 + reach));
+        // ... one sample further apart they do not.
+        let (d4, d5) = (900_000, 900_000 + reach + pre_guard + 1);
+        spike(d4, 0.9);
+        spike(d5, 0.9);
+        want.push((settles(d4), d4 - pre_guard..d4 + reach));
+        want.push((settles(d5), d5 - pre_guard..d5 + reach));
+        // A weak candidate on the last lag that would merge, beaten by a
+        // stronger one 200 lags on that would not: the segment waits for
+        // that run to be decided, min_distance (300) past its last lag.
+        let a = 1_560 * step - 1 - pre_guard - reach - 1;
+        let (weak, strong) = (a + reach + pre_guard, a + reach + pre_guard + 200);
+        assert_eq!(
+            settles(a),
+            1_560,
+            "a lone spike at `a` settles on a flush boundary"
         );
+        spike(a, 0.9);
+        spike(weak, 0.6);
+        spike(strong, 0.9);
+        want.push((by(strong + 300), a - pre_guard..a + reach));
+        want.push((settles(strong), strong - pre_guard..strong + reach));
+        // A cluster longer than the ring holds: it leaves as it stands
+        // when its start is about to drop out, and carries on from the
+        // first detection whose extraction the cut truncated, where the
+        // next detection merges into it.
+        let (chain, hop) = (1_900_000, 150_000);
+        for k in 0..4 {
+            spike(chain + k * hop, 0.9);
+        }
+        let lo = chain - pre_guard;
+        let leaves = (lo + window).div_ceil(step);
+        assert!((lo + window) % step != 0 && chain + 2 * hop + reach > leaves * step);
+        want.push((leaves, lo..leaves * step));
+        let fourth = chain + 3 * hop;
+        assert!(
+            chain + hop + reach <= leaves * step,
+            "the second's extraction is whole"
+        );
+        want.push((settles(fourth), chain + 2 * hop - pre_guard..fourth + reach));
+        // The last flush cuts what is still open at the capture's end.
+        let tail = n - 50_000;
+        spike(tail, 0.9);
+        for chunk in [7, 4_096, 65_536] {
+            let live = feed(&stage, &calls, 0, &analog, chunk, true);
+            let flushes = live.calls.len();
+            assert_eq!(flushes, n / step + 1, "a last flush after the boundary");
+            let mut want = want.clone();
+            want.push((flushes, tail - pre_guard..n));
+            let got: Vec<_> = (live.emitted.iter()).map(|e| (e.0, e.1.clone())).collect();
+            assert_eq!(got, want, "chunks of {chunk}");
+            let starts: Vec<usize> = live.session.buffers.log.iter().map(|d| d.start).collect();
+            let mut placed = vec![d1, d2, d3, d4, d5, a, strong];
+            placed.extend([chain, chain + hop, chain + 2 * hop, fourth, tail]);
+            assert_eq!(starts, placed, "chunks of {chunk}: the weak candidate lost");
+        }
     }
 }

@@ -48,15 +48,15 @@
 //! # Parity with the batch pipeline
 //!
 //! The gateway half is the function [`crate::pipeline::Galiot`] runs
-//! (`crate::stage`), called once per flush window: digitize →
-//! detection (the configured [`crate::DetectorKind`]) → extraction →
-//! edge-first decode, then block-floating-point compression of what
-//! ships. Workers decompress before decoding, so the cloud sees
-//! bit-identical samples to the batch backhaul path. Segments are only
-//! emitted once the rolling buffer extends far enough past them that
-//! extraction can no longer grow them ("finalized"), which keeps
-//! streaming segmentation equal to batch segmentation for captures
-//! whose collision clusters fit within one flush window.
+//! (`crate::stage`), flushed once per fixed step of the capture:
+//! digitize → detection (the configured [`crate::DetectorKind`]) →
+//! extraction → edge-first decode, then block-floating-point
+//! compression of what ships. Workers decompress before decoding, so
+//! the cloud sees bit-identical samples to the batch backhaul path.
+//! A segment is emitted once no later detection can merge into it
+//! ("settled"), which keeps streaming segmentation equal to batch
+//! segmentation for captures whose collision clusters fit the gateway's
+//! analog ring.
 
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use galiot_channel::{DecodeFaultKind, DecodeFaultSpec};

@@ -102,36 +102,142 @@ pub struct Peak {
 /// boundary would otherwise register a phantom detection there (the
 /// real peak lies in the neighbouring block, which will report it).
 pub fn find_peaks(corr: &[f32], threshold: f32, min_distance: usize) -> Vec<Peak> {
-    // Nearly every lag of a detector's correlation is below threshold,
-    // so a block is first asked one vectorizable question — does any
-    // lag reach it? — and the per-lag maximum test runs only where the
-    // answer is yes. (`|`, not `||`: no early exit, no branch per lag.)
-    const BLOCK: usize = 64;
-    let mut candidates: Vec<Peak> = Vec::new();
-    for (b, block) in corr.chunks(BLOCK).enumerate() {
-        if !block.iter().fold(false, |hit, &v| hit | (v >= threshold)) {
-            continue;
+    let mut stream = PeakStream::new(threshold, min_distance);
+    let mut peaks = Vec::new();
+    stream.push(corr, &mut peaks);
+    stream.finish(&mut peaks);
+    peaks
+}
+
+/// [`find_peaks`] over a trace that arrives a stretch at a time, each
+/// peak decided once and as soon as no later lag can change it.
+///
+/// The greedy suppression never reaches across a gap of `min_distance`
+/// between two candidates, so candidates fall into *runs* (each within
+/// `min_distance` of the one before) that are suppressed independently:
+/// a run is decided — by `find_peaks`'s own rule, strongest first — once
+/// `min_distance` lags past its last candidate are known. Pushing a
+/// trace whole and finishing is `find_peaks`.
+#[derive(Clone, Debug)]
+pub struct PeakStream {
+    threshold: f32,
+    min_distance: usize,
+    /// Lags pushed so far.
+    seen: usize,
+    /// The last two lags pushed. The newest is not a candidate yet: the
+    /// interior-maximum test waits for its right neighbour.
+    tail: [f32; 2],
+    /// The candidates of the run not yet decided, in index order.
+    run: Vec<Peak>,
+}
+
+impl PeakStream {
+    /// A stream with [`find_peaks`]'s `threshold` and `min_distance`.
+    pub fn new(threshold: f32, min_distance: usize) -> Self {
+        PeakStream {
+            threshold,
+            min_distance,
+            seen: 0,
+            tail: [0.0; 2],
+            run: Vec::new(),
         }
-        for (i, &v) in (b * BLOCK..).zip(block) {
-            if v >= threshold && i > 0 && i + 1 < corr.len() && corr[i - 1] <= v && corr[i + 1] < v
+    }
+
+    /// Lags pushed so far.
+    pub fn seen(&self) -> usize {
+        self.seen
+    }
+
+    /// Every lag before this index has its final verdict (peak or not);
+    /// none from it on has.
+    pub fn decided(&self) -> usize {
+        self.run
+            .first()
+            .map_or(self.seen.saturating_sub(1), |p| p.index)
+    }
+
+    /// Appends the next lags of the trace and pushes every peak this
+    /// decides onto `peaks`, in index order.
+    pub fn push(&mut self, lags: &[f32], peaks: &mut Vec<Peak>) {
+        let Some(&next) = lags.first() else { return };
+        // The lag held back last time has its right neighbour now (the
+        // trace's first lag is never a peak).
+        if self.seen >= 2 {
+            let [left, v] = self.tail;
+            self.test(self.seen - 1, left, v, next, peaks);
+        }
+        // Nearly every lag of a detector's correlation is below threshold,
+        // so a block is first asked one vectorizable question — does any
+        // lag reach it? — and the per-lag maximum test runs only where the
+        // answer is yes. (`|`, not `||`: no early exit, no branch per lag.)
+        const BLOCK: usize = 64;
+        for (b, block) in lags.chunks(BLOCK).enumerate() {
+            if !block
+                .iter()
+                .fold(false, |hit, &v| hit | (v >= self.threshold))
             {
-                candidates.push(Peak { index: i, value: v });
+                continue;
+            }
+            for k in b * BLOCK..b * BLOCK + block.len() {
+                if k + 1 == lags.len() || (k == 0 && self.seen == 0) {
+                    continue;
+                }
+                let left = if k == 0 { self.tail[1] } else { lags[k - 1] };
+                self.test(self.seen + k, left, lags[k], lags[k + 1], peaks);
+            }
+        }
+        self.tail = match lags {
+            [.., a, b] => [*a, *b],
+            _ => [self.tail[1], next],
+        };
+        self.seen += lags.len();
+        // No lag still untested lies within reach of the run's last one.
+        if let Some(last) = self.run.last() {
+            if self.seen - 1 - last.index >= self.min_distance {
+                self.decide(peaks);
             }
         }
     }
-    // Greedy non-maximum suppression, strongest first.
-    candidates.sort_by(|a, b| b.value.total_cmp(&a.value));
-    let mut accepted: Vec<Peak> = Vec::new();
-    for c in candidates {
-        if accepted
-            .iter()
-            .all(|a| a.index.abs_diff(c.index) >= min_distance)
-        {
-            accepted.push(c);
+
+    /// The trace has ended (its last lag is no peak): decides the open
+    /// run.
+    pub fn finish(&mut self, peaks: &mut Vec<Peak>) {
+        self.decide(peaks);
+    }
+
+    /// Lag `index`, between `left` and `right`: a candidate, which may
+    /// close the run before it.
+    fn test(&mut self, index: usize, left: f32, v: f32, right: f32, peaks: &mut Vec<Peak>) {
+        if v >= self.threshold && left <= v && right < v {
+            if let Some(last) = self.run.last() {
+                if index - last.index >= self.min_distance {
+                    self.decide(peaks);
+                }
+            }
+            self.run.push(Peak { index, value: v });
         }
     }
-    accepted.sort_by_key(|p| p.index);
-    accepted
+
+    /// Greedy non-maximum suppression over the run, strongest first
+    /// (ties in index order), in place.
+    fn decide(&mut self, peaks: &mut Vec<Peak>) {
+        self.run.sort_by(|a, b| b.value.total_cmp(&a.value));
+        let mut accepted = 0;
+        for i in 0..self.run.len() {
+            let c = self.run[i];
+            let (kept, _) = self.run.split_at(accepted);
+            if kept
+                .iter()
+                .all(|a| a.index.abs_diff(c.index) >= self.min_distance)
+            {
+                self.run[accepted] = c;
+                accepted += 1;
+            }
+        }
+        self.run.truncate(accepted);
+        self.run.sort_by_key(|p| p.index);
+        peaks.append(&mut self.run);
+    }
 }
 
 /// Zero-mean normalized cross-correlation (NCC) of real sequences,
@@ -287,6 +393,92 @@ mod tests {
         corr[70] = 0.8;
         let peaks = find_peaks(&corr, 0.5, 10);
         assert_eq!(peaks.len(), 2);
+    }
+
+    /// `find_peaks` before it streamed: every interior maximum over the
+    /// whole trace, then one greedy suppression over all of them.
+    fn find_peaks_whole(corr: &[f32], threshold: f32, min_distance: usize) -> Vec<Peak> {
+        let mut candidates: Vec<Peak> = (1..corr.len().saturating_sub(1))
+            .filter(|&i| {
+                let v = corr[i];
+                v >= threshold && corr[i - 1] <= v && corr[i + 1] < v
+            })
+            .map(|i| Peak {
+                index: i,
+                value: corr[i],
+            })
+            .collect();
+        candidates.sort_by(|a, b| b.value.total_cmp(&a.value));
+        let mut accepted: Vec<Peak> = Vec::new();
+        for c in candidates {
+            if accepted
+                .iter()
+                .all(|a| a.index.abs_diff(c.index) >= min_distance)
+            {
+                accepted.push(c);
+            }
+        }
+        accepted.sort_by_key(|p| p.index);
+        accepted
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn a_trace_pushed_in_pieces_peaks_as_find_peaks_over_it_whole(
+            // Few levels: plateaus, ties and runs of near candidates.
+            levels in proptest::collection::vec(0u8..8, 0..400),
+            cuts in proptest::collection::vec(0usize..400, 0..8),
+            threshold in 0u8..7,
+            min_distance in 0usize..60,
+        ) {
+            let corr: Vec<f32> = levels.iter().map(|&v| f32::from(v) / 4.0).collect();
+            let threshold = f32::from(threshold) / 4.0;
+            let want = find_peaks_whole(&corr, threshold, min_distance);
+            proptest::prop_assert_eq!(&find_peaks(&corr, threshold, min_distance), &want);
+
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(corr.len())).collect();
+            cuts.sort_unstable();
+            cuts.push(corr.len());
+            let mut stream = PeakStream::new(threshold, min_distance);
+            let (mut got, mut at) = (Vec::new(), 0);
+            for cut in cuts {
+                stream.push(&corr[at..cut], &mut got);
+                at = cut;
+                proptest::prop_assert_eq!(stream.seen(), at);
+                // What is decided is final: exactly the peaks the whole
+                // trace has there, and nothing past it.
+                let decided = stream.decided();
+                let settled: Vec<Peak> =
+                    want.iter().copied().filter(|p| p.index < decided).collect();
+                proptest::prop_assert_eq!(&got, &settled);
+            }
+            stream.finish(&mut got);
+            proptest::prop_assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn a_run_of_candidates_waits_for_min_distance_quiet_lags() {
+        let mut stream = PeakStream::new(0.5, 10);
+        let mut peaks = Vec::new();
+        let mut trace = [0.0f32; 40];
+        trace[5] = 0.8;
+        trace[12] = 0.9; // within 10 of lag 5: one run, and it wins
+        stream.push(&trace[..14], &mut peaks);
+        assert_eq!(stream.decided(), 5, "the run is open");
+        stream.push(&trace[14..22], &mut peaks);
+        assert!(peaks.is_empty(), "lag 21 is within reach of lag 12");
+        stream.push(&trace[22..23], &mut peaks);
+        assert_eq!(
+            peaks,
+            vec![Peak {
+                index: 12,
+                value: 0.9
+            }]
+        );
+        assert_eq!(stream.decided(), 22, "lag 22 waits for its neighbour");
     }
 
     #[test]

@@ -236,6 +236,12 @@ impl Template {
         self.energy
     }
 
+    /// Lags one overlap-save block scores (`fft_len - len + 1`): a signal
+    /// `block_lags() + len() - 1` samples long is one transform.
+    pub fn block_lags(&self) -> usize {
+        self.fft_len + 1 - self.waveform.len()
+    }
+
     /// Sliding cross-correlation of `x` against this template
     /// (identical semantics to [`crate::corr::xcorr_fft`]): overlap-save
     /// with the cached plan, writing into `out`.
@@ -270,9 +276,8 @@ impl Template {
     /// `fft_len - len + 1` per FFT block.
     fn overlap_save(&self, x: &[Cf32], block: &mut Vec<Cf32>, mut emit: impl FnMut(&[Cf32])) {
         let out_len = self.lags(x);
-        let m = self.waveform.len();
         let n = self.fft_len;
-        let step = n - m + 1;
+        let step = self.block_lags();
         let plan = plan(n);
         block.resize(n, Cf32::ZERO);
         let mut pos = 0usize;

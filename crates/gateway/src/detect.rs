@@ -5,11 +5,15 @@
 //!
 //! GalioT's own detector lives in [`crate::universal`].
 
-use galiot_dsp::corr::find_peaks;
+use std::ops::Range;
+
+use galiot_dsp::corr::{find_peaks, Peak, PeakStream};
 use galiot_dsp::power::{noise_floor, sliding_power};
 use galiot_dsp::{db_to_lin, Cf32};
 use galiot_phy::registry::Registry;
 use galiot_phy::TechId;
+
+use crate::frontend::{AnalogView, RtlSdrFrontEnd};
 
 /// One detected packet (or collision) in a capture.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -24,6 +28,17 @@ pub struct Detection {
     pub tech: Option<TechId>,
 }
 
+impl From<Peak> for Detection {
+    /// A correlation peak as a detection without attribution.
+    fn from(p: Peak) -> Self {
+        Detection {
+            start: p.index,
+            score: p.value,
+            tech: None,
+        }
+    }
+}
+
 /// A packet detector running at the gateway.
 pub trait PacketDetector: Send + Sync {
     /// Detector name for reports.
@@ -35,43 +50,179 @@ pub trait PacketDetector: Send + Sync {
     }
 
     /// [`PacketDetector::detect`] with the correlation trace written
-    /// into `trace`, a buffer the caller keeps from one capture window
-    /// to the next: a trace is one float per capture sample, the
-    /// largest thing a detection pass would otherwise allocate. What
-    /// `trace` holds going in is discarded — this is
-    /// [`PacketDetector::detect_resuming`] with nothing carried.
-    fn detect_with(&self, capture: &[Cf32], fs: f64, trace: &mut Vec<f32>) -> Vec<Detection> {
-        self.detect_resuming(capture, fs, trace, 0)
+    /// into `trace`, a buffer the caller keeps from one capture to the
+    /// next: a trace is one float per capture sample, the largest thing
+    /// a detection pass would otherwise allocate. What `trace` holds
+    /// going in is discarded, what it holds afterwards is unspecified.
+    fn detect_with(&self, capture: &[Cf32], fs: f64, trace: &mut Vec<f32>) -> Vec<Detection>;
+
+    /// `Some` for a detector that scores each lag from the samples
+    /// under it alone and whose detections over a window of
+    /// `window_len` samples are `find_peaks(trace, threshold,
+    /// min_distance)` over the trace [`PacketDetector::score_lags`]
+    /// writes. A live gateway then scores each lag once, a block at a
+    /// time, and picks peaks as the lags arrive. `None` (the default,
+    /// [`EnergyDetector`], [`MatchedFilterBank`]): the gateway re-runs
+    /// [`PacketDetector::detect_with`] over its window instead.
+    fn peak_rule(&self, _window_len: usize) -> Option<PeakRule> {
+        None
     }
 
-    /// [`PacketDetector::detect_with`] over a window that overlaps the
-    /// one before it. The caller vouches that `trace[..valid]` holds
-    /// what this detector's previous call left there for the lags that
-    /// are lags `0..valid` of `capture` (it has moved them to the
-    /// front); a detector that can resume keeps those scores, scans
-    /// only the lags after them, and leaves the whole window's trace in
-    /// `trace` for the next call. Peaks, and any threshold that depends
-    /// on the window's length, are still taken over the whole trace.
-    ///
-    /// The hint is never trusted beyond what can be checked: a `valid`
-    /// longer than `trace` or than the window has lags for is cut
-    /// down, and a window too short to scan empties `trace`, so no
-    /// later call can carry scores out of it. A detector that cannot
-    /// resume ([`EnergyDetector`], [`MatchedFilterBank`]) ignores
-    /// `valid` and leaves `trace` unspecified.
-    fn detect_resuming(
-        &self,
-        capture: &[Cf32],
-        fs: f64,
-        trace: &mut Vec<f32>,
-        valid: usize,
-    ) -> Vec<Detection>;
+    /// Writes one score per lag of `capture` into `trace`, replacing
+    /// what it held (none when the template does not fit). A detector
+    /// without a [`PeakRule`] scores nothing.
+    fn score_lags(&self, _capture: &[Cf32], trace: &mut Vec<f32>) {
+        trace.clear();
+    }
 
     /// Approximate cost in multiply-accumulates per capture sample —
     /// the scaling metric of the paper's argument (the universal
     /// preamble's cost stays flat as technologies are added; the
     /// matched bank's grows linearly).
     fn complexity_per_sample(&self, fs: f64) -> f64;
+}
+
+/// How a lag-scoring detector picks detections from its trace (see
+/// [`PacketDetector::peak_rule`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct PeakRule {
+    /// Lags one overlap-save block of the template scores: the fewest
+    /// new lags worth correlating at once.
+    pub block_lags: usize,
+    /// [`find_peaks`]'s threshold for the window.
+    pub threshold: f32,
+    /// [`find_peaks`]'s suppression distance.
+    pub min_distance: usize,
+}
+
+/// A [`PacketDetector`] over a live capture that arrives one flush at a
+/// time: each flush digitizes, at the gain of the window it ends, only
+/// what the detector reads, and returns the detections it decides —
+/// each once, in capture order.
+///
+/// A detector with a [`PeakRule`] reads the lags it has not scored yet
+/// — the flush's new samples and the `m − 1` before them: one
+/// overlap-save block when flushes are [`PeakRule::block_lags`] apart —
+/// and a [`PeakStream`] decides the peaks over the stream's trace as the
+/// lags arrive, so the detections are `find_peaks` over all of it with
+/// the window's threshold. Any other detector re-runs over the window,
+/// and what it finds `guard` samples or more before the flush's end is
+/// decided. A last flush decides everything: one last flush over a
+/// whole capture is [`PacketDetector::detect_with`] over
+/// [`RtlSdrFrontEnd::digitize`], bit for bit.
+pub struct DetectionStream {
+    fs: f64,
+    /// Capture index of the stream's first sample.
+    origin: usize,
+    /// Samples the threshold is taken over, and that a detector without
+    /// a peak rule re-runs over.
+    window: usize,
+    /// How far before a flush's end a re-run's detections are decided.
+    guard: usize,
+    peaks: Option<PeakStream>,
+    /// Capture index before which every detection is decided.
+    decided: usize,
+    /// What the last flush digitized, from capture index `digital_start`.
+    digital: Vec<Cf32>,
+    digital_start: usize,
+    /// The detector's scores over `digital`.
+    trace: Vec<f32>,
+}
+
+impl DetectionStream {
+    /// A stream for `detector` from capture index `origin`, threshold
+    /// over `window` samples.
+    pub fn new(
+        detector: &dyn PacketDetector,
+        fs: f64,
+        origin: usize,
+        window: usize,
+        guard: usize,
+    ) -> Self {
+        let rule = detector.peak_rule(window);
+        DetectionStream {
+            fs,
+            origin,
+            window,
+            guard,
+            peaks: rule.map(|rule| PeakStream::new(rule.threshold, rule.min_distance)),
+            decided: origin,
+            digital: Vec::new(),
+            digital_start: origin,
+            trace: Vec::new(),
+        }
+    }
+
+    /// Capture index before which every detection has been decided.
+    pub fn decided(&self) -> usize {
+        self.decided
+    }
+
+    /// One flush, at `gain`, over `analog`: the capture up to the
+    /// flush's end, reaching back over the window. Returns the
+    /// detections it decides.
+    pub fn flush(
+        &mut self,
+        detector: &dyn PacketDetector,
+        front_end: &RtlSdrFrontEnd,
+        gain: f32,
+        analog: &AnalogView<'_>,
+        last: bool,
+    ) -> Vec<Detection> {
+        let (origin, end) = (self.origin, analog.end());
+        let from = match &self.peaks {
+            Some(peaks) => origin + peaks.seen(),
+            None => end.saturating_sub(self.window).max(origin),
+        };
+        front_end.digitize_range(gain, analog, from..end, &mut self.digital);
+        self.digital_start = from;
+        let Some(peaks) = &mut self.peaks else {
+            let found = detector.detect_with(&self.digital, self.fs, &mut self.trace);
+            let horizon = end.saturating_sub(if last { 0 } else { self.guard });
+            let fresh = self.decided..horizon;
+            self.decided = horizon.max(self.decided);
+            return (found.into_iter())
+                .map(|d| Detection {
+                    start: from + d.start,
+                    ..d
+                })
+                .filter(|d| fresh.contains(&d.start))
+                .collect();
+        };
+        detector.score_lags(&self.digital, &mut self.trace);
+        let mut picked = Vec::new();
+        peaks.push(&self.trace, &mut picked);
+        if last {
+            peaks.finish(&mut picked);
+        }
+        self.decided = origin + peaks.decided();
+        (picked.into_iter())
+            .map(|p| Detection {
+                start: origin + p.index,
+                ..p.into()
+            })
+            .collect()
+    }
+
+    /// Capture range `r` digitized at `gain`: read from the last flush's
+    /// digitization where that holds it (a whole capture's always
+    /// does), else digitized from `analog` into `buf`.
+    pub fn samples<'a>(
+        &'a self,
+        front_end: &RtlSdrFrontEnd,
+        gain: f32,
+        analog: &AnalogView<'_>,
+        r: Range<usize>,
+        buf: &'a mut Vec<Cf32>,
+    ) -> &'a [Cf32] {
+        match r.start.checked_sub(self.digital_start) {
+            Some(at) => &self.digital[at..at + r.len()],
+            None => {
+                front_end.digitize_range(gain, analog, r, buf);
+                buf
+            }
+        }
+    }
 }
 
 /// The energy-threshold baseline: sliding window power against an
@@ -102,13 +253,7 @@ impl PacketDetector for EnergyDetector {
         "energy"
     }
 
-    fn detect_resuming(
-        &self,
-        capture: &[Cf32],
-        _fs: f64,
-        _trace: &mut Vec<f32>,
-        _valid: usize,
-    ) -> Vec<Detection> {
+    fn detect_with(&self, capture: &[Cf32], _fs: f64, _trace: &mut Vec<f32>) -> Vec<Detection> {
         // The baseline is not on the gateway's hot path: it keeps its
         // own power trace.
         let power = sliding_power(capture, self.window);
@@ -223,16 +368,9 @@ impl PacketDetector for MatchedFilterBank {
         "matched-bank"
     }
 
-    fn detect_resuming(
-        &self,
-        capture: &[Cf32],
-        fs: f64,
-        trace: &mut Vec<f32>,
-        _valid: usize,
-    ) -> Vec<Detection> {
+    fn detect_with(&self, capture: &[Cf32], fs: f64, trace: &mut Vec<f32>) -> Vec<Detection> {
         let _span = galiot_trace::span(galiot_trace::Stage::MatchedDetect, galiot_trace::NO_SEQ);
-        // One buffer serves every technology's correlation in turn:
-        // what it holds afterwards is the last one's, nothing to carry.
+        // One buffer serves every technology's correlation in turn.
         self.detect_raw_with(capture, fs, trace)
     }
 

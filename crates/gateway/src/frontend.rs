@@ -6,6 +6,15 @@
 //! a little IQ imbalance, and the gain setting that trades clipping
 //! against quantization noise — all modelled here so the detection
 //! experiments see what the prototype saw.
+//!
+//! A live gateway keeps the latest analog samples in an [`AnalogRing`]
+//! and takes its auto gain over a window that slides one step at a time
+//! ([`SlidingGain`]): each sample's power is summed once, as it arrives,
+//! and only what the gateway reads is digitized
+//! ([`RtlSdrFrontEnd::digitize_range`]).
+
+use std::collections::VecDeque;
+use std::ops::Range;
 
 use galiot_dsp::kernels::Adc;
 use galiot_dsp::Cf32;
@@ -90,21 +99,45 @@ impl RtlSdrFrontEnd {
         out
     }
 
-    /// [`RtlSdrFrontEnd::digitize`] into a caller-held buffer, which a
-    /// gateway session reuses from one flush window to the next.
+    /// [`RtlSdrFrontEnd::digitize`] into a caller-held buffer.
     pub fn digitize_into(&self, analog: &[Cf32], out: &mut Vec<Cf32>) {
+        let energy = match self.params.auto_gain {
+            true => galiot_dsp::kernels::energy_f64(analog),
+            false => 0.0,
+        };
+        let gain = self.gain(energy, analog.len());
+        out.resize(analog.len(), Cf32::ZERO);
+        self.digitize_at(gain, analog, out);
+    }
+
+    /// The gain a window of `len` analog samples holding `energy`
+    /// (`sum |z|^2`) is digitized at: with auto gain, what brings the
+    /// window's RMS to the target; otherwise the fixed gain. A gateway
+    /// session sums a sliding window's energy step by step.
+    pub fn gain(&self, energy: f64, len: usize) -> f32 {
+        let p = &self.params;
+        if !p.auto_gain {
+            return p.gain;
+        }
+        // `power::mean_power`'s arithmetic, on a sum taken elsewhere.
+        let power = if len == 0 {
+            0.0
+        } else {
+            (energy / len as f64) as f32
+        };
+        let rms = power.sqrt();
+        if rms > 0.0 {
+            p.target_rms / rms
+        } else {
+            1.0
+        }
+    }
+
+    /// Digitizes `analog` into `out` (of the same length) at `gain`: a
+    /// stretch of a window whose gain was set by [`RtlSdrFrontEnd::gain`].
+    pub fn digitize_at(&self, gain: f32, analog: &[Cf32], out: &mut [Cf32]) {
         let _span = galiot_trace::span(galiot_trace::Stage::FrontendCapture, galiot_trace::NO_SEQ);
         let p = &self.params;
-        let gain = if p.auto_gain {
-            let rms = galiot_dsp::power::mean_power(analog).sqrt();
-            if rms > 0.0 {
-                p.target_rms / rms
-            } else {
-                1.0
-            }
-        } else {
-            p.gain
-        };
         let adc = Adc {
             gain,
             // Q rail gain error + phase skew leaking I into Q.
@@ -113,8 +146,25 @@ impl RtlSdrFrontEnd {
             dc: p.dc_offset,
             levels: (1u32 << p.adc_bits) as f32 / 2.0, // per polarity
         };
-        out.resize(analog.len(), Cf32::ZERO);
         galiot_dsp::kernels::digitize(&adc, analog, out);
+    }
+
+    /// Digitizes capture range `r` of `analog` at `gain` into `out`,
+    /// which is resized to fit exactly rather than grown by doubling.
+    pub fn digitize_range(
+        &self,
+        gain: f32,
+        analog: &AnalogView<'_>,
+        r: Range<usize>,
+        out: &mut Vec<Cf32>,
+    ) {
+        out.reserve_exact(r.len().saturating_sub(out.len()));
+        out.resize(r.len(), Cf32::ZERO);
+        let mut at = 0;
+        for part in analog.slices(r).into_iter().filter(|s| !s.is_empty()) {
+            self.digitize_at(gain, part, &mut out[at..at + part.len()]);
+            at += part.len();
+        }
     }
 
     /// Splits a digitized capture into the fixed-size URB-style chunks
@@ -132,6 +182,142 @@ impl RtlSdrFrontEnd {
             out.push(rest);
         }
         out
+    }
+}
+
+/// A stretch of the analog capture held as two slices — a ring's
+/// contents, or one slice and nothing — from capture index `start`.
+#[derive(Clone, Copy, Debug)]
+pub struct AnalogView<'a> {
+    /// Capture index of the first sample.
+    pub start: usize,
+    /// The samples, in capture order.
+    pub parts: [&'a [Cf32]; 2],
+}
+
+impl<'a> AnalogView<'a> {
+    /// A whole capture.
+    pub fn whole(capture: &'a [Cf32]) -> Self {
+        AnalogView {
+            start: 0,
+            parts: [capture, &[]],
+        }
+    }
+
+    /// Capture index just past the last sample.
+    pub fn end(&self) -> usize {
+        self.start + self.parts[0].len() + self.parts[1].len()
+    }
+
+    /// Capture range `r`, which must lie in the view, as two slices.
+    pub fn slices(&self, r: Range<usize>) -> [&'a [Cf32]; 2] {
+        let [a, b] = self.parts;
+        let (lo, hi) = (r.start - self.start, r.end - self.start);
+        let (a_lo, a_hi) = (lo.min(a.len()), hi.min(a.len()));
+        [&a[a_lo..a_hi], &b[lo - a_lo..hi - a_hi]]
+    }
+
+    /// `sum |z|^2` over capture range `r` (one f64 reduction a slice).
+    pub fn energy(&self, r: Range<usize>) -> f64 {
+        (self.slices(r).into_iter())
+            .filter(|s| !s.is_empty())
+            .map(galiot_dsp::kernels::energy_f64)
+            .sum()
+    }
+}
+
+/// The latest analog samples of a live capture, in a ring allocated once:
+/// appended as they arrive, dropped from the front, never moved.
+#[derive(Clone, Debug)]
+pub struct AnalogRing {
+    samples: VecDeque<Cf32>,
+    /// Capture index of `samples[0]`.
+    start: usize,
+}
+
+impl AnalogRing {
+    /// An empty ring whose first sample will be capture index `start`,
+    /// with room for `capacity` samples.
+    pub fn new(start: usize, capacity: usize) -> Self {
+        AnalogRing {
+            samples: VecDeque::with_capacity(capacity),
+            start,
+        }
+    }
+
+    /// Capture index just past the newest sample.
+    pub fn end(&self) -> usize {
+        self.start + self.samples.len()
+    }
+
+    /// Appends the next samples of the capture.
+    pub fn push(&mut self, samples: &[Cf32]) {
+        self.samples.extend(samples);
+    }
+
+    /// Drops all but the newest `n` samples.
+    pub fn keep_last(&mut self, n: usize) {
+        let old = self.samples.len().saturating_sub(n);
+        self.samples.drain(..old);
+        self.start += old;
+    }
+
+    /// What the ring holds.
+    pub fn view(&self) -> AnalogView<'_> {
+        let (a, b) = self.samples.as_slices();
+        AnalogView {
+            start: self.start,
+            parts: [a, b],
+        }
+    }
+}
+
+/// Auto gain over a window that slides along a capture a step at a time
+/// (steps fixed to capture position by the caller). Each step's analog
+/// energy is summed once, as it arrives; a window's is the sum over the
+/// steps it covers whole plus its head, read back from the samples. In
+/// the one-step case (a whole capture) that is [`RtlSdrFrontEnd::digitize`]'s
+/// gain, bit for bit.
+#[derive(Clone, Debug)]
+pub struct SlidingGain {
+    /// Window length in samples.
+    window: usize,
+    /// Capture index of the first sample: no window reaches before it.
+    origin: usize,
+    /// Capture index the last step ended at.
+    end: usize,
+    /// `(first sample, energy)` of each step the window may still cover.
+    steps: VecDeque<(usize, f64)>,
+}
+
+impl SlidingGain {
+    /// Gain over the last `window` samples of a capture that starts at
+    /// capture index `origin`, with room for `steps` steps.
+    pub fn new(origin: usize, window: usize, steps: usize) -> Self {
+        SlidingGain {
+            window,
+            origin,
+            end: origin,
+            steps: VecDeque::with_capacity(steps),
+        }
+    }
+
+    /// Books the samples from where the last step ended to `analog`'s
+    /// end as the next step, and returns the gain of the window that
+    /// ends there. `analog` must reach back to that window's start.
+    pub fn advance(&mut self, front_end: &RtlSdrFrontEnd, analog: &AnalogView<'_>) -> f32 {
+        let end = analog.end();
+        self.steps
+            .push_back((self.end, analog.energy(self.end..end)));
+        self.end = end;
+        let start = end.saturating_sub(self.window).max(self.origin);
+        while self.steps.front().is_some_and(|&(at, _)| at < start) {
+            self.steps.pop_front();
+        }
+        let whole = self.steps.front().map_or(end, |&(at, _)| at);
+        let head = analog.energy(start..whole);
+        let energy = self.steps.iter().fold(head, |sum, &(_, e)| sum + e);
+        front_end.gain(energy, end - start)
     }
 }
 
@@ -320,6 +506,76 @@ mod tests {
         for analog in [tone(77, 0.013), tone(4_099, 0.4), Vec::new()] {
             fe.digitize_into(&analog, &mut reused);
             assert_eq!(reused, fe.digitize(&analog));
+        }
+    }
+
+    #[test]
+    fn a_window_digitized_in_stretches_at_its_gain_is_the_window_digitized_whole() {
+        // What a gateway session does: the gain from an energy summed
+        // elsewhere, the samples digitized a stretch at a time.
+        for auto_gain in [true, false] {
+            let fe = RtlSdrFrontEnd::new(FrontEndParams {
+                auto_gain,
+                gain: 0.7,
+                ..FrontEndParams::default()
+            });
+            for analog in [tone(5_003, 0.013), tone(1, 3.0), Vec::new()] {
+                let energy = galiot_dsp::kernels::energy_f64(&analog);
+                let gain = fe.gain(energy, analog.len());
+                let mut out = vec![Cf32::ZERO; analog.len()];
+                let (a, b) = analog.split_at(analog.len() / 3);
+                let (oa, ob) = out.split_at_mut(a.len());
+                fe.digitize_at(gain, a, oa);
+                fe.digitize_at(gain, b, ob);
+                assert_eq!(out, fe.digitize(&analog), "auto gain {auto_gain}");
+            }
+        }
+        // Silence and an empty window keep unit gain.
+        let fe = RtlSdrFrontEnd::new(FrontEndParams::default());
+        assert_eq!((fe.gain(0.0, 10), fe.gain(0.0, 0)), (1.0, 1.0));
+    }
+
+    #[test]
+    fn a_sliding_gain_over_a_ring_is_the_gain_of_its_window() {
+        let fe = RtlSdrFrontEnd::new(FrontEndParams::default());
+        let analog: Vec<Cf32> = (0..50_000)
+            .map(|i| Cf32::cis(i as f32 * 0.37) * (1.0 + (i / 7_000) as f32))
+            .collect();
+        // One step over a whole capture: `digitize`'s gain, bit for bit.
+        let mut once = SlidingGain::new(0, analog.len(), 1);
+        let gain = once.advance(&fe, &AnalogView::whole(&analog));
+        let mut out = Vec::new();
+        fe.digitize_range(gain, &AnalogView::whole(&analog), 0..analog.len(), &mut out);
+        assert_eq!(out, fe.digitize(&analog));
+        // A step at a time through a ring that wraps: the gain of the
+        // last `window` samples (no further back than the first), and
+        // any range of the ring digitized at it as if it were one slice.
+        let (origin, window, step) = (3_000, 12_000, 1_700);
+        let mut ring = AnalogRing::new(origin, window + step);
+        let mut sliding = SlidingGain::new(origin, window, window / step + 2);
+        for end in (origin + step..=analog.len()).step_by(step) {
+            ring.push(&analog[ring.end()..end]);
+            let view = ring.view();
+            let got = sliding.advance(&fe, &view);
+            let start = end.saturating_sub(window).max(origin);
+            let want = fe.gain(
+                galiot_dsp::kernels::energy_f64(&analog[start..end]),
+                end - start,
+            );
+            assert!(
+                (got / want - 1.0).abs() < 1e-5,
+                "window to {end}: {got} / {want}"
+            );
+            let r = view.start + 5..end - 3;
+            fe.digitize_range(got, &view, r.clone(), &mut out);
+            let mut whole = vec![Cf32::ZERO; r.len()];
+            fe.digitize_at(got, &analog[r], &mut whole);
+            assert_eq!(out, whole, "window to {end}");
+            ring.keep_last(window);
+            assert_eq!(
+                (ring.view().start, ring.end()),
+                (end - window.min(end - origin), end)
+            );
         }
     }
 

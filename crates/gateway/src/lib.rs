@@ -23,8 +23,13 @@ pub use backhaul::{
     FaultyLink, GatewayId, LinkFaults, LinkStats, ShippedSegment, WireError, WIRE_VERSION,
     WIRE_VERSION_MIN,
 };
-pub use detect::{score_detections, Detection, EnergyDetector, MatchedFilterBank, PacketDetector};
+pub use detect::{
+    score_detections, Detection, DetectionStream, EnergyDetector, MatchedFilterBank,
+    PacketDetector, PeakRule,
+};
 pub use edge::{EdgeDecoder, EdgeOutcome, DEFAULT_CLUSTER_GUARD_S};
 pub use extract::{extract, shipped_fraction, spans, ExtractParams, Segment, Span};
-pub use frontend::{FrontEndParams, HoppingFrontEnd, RtlSdrFrontEnd};
+pub use frontend::{
+    AnalogRing, AnalogView, FrontEndParams, HoppingFrontEnd, RtlSdrFrontEnd, SlidingGain,
+};
 pub use universal::{build as build_universal_preamble, UniversalDetector, UniversalPreamble};

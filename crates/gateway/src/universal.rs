@@ -24,7 +24,7 @@ use galiot_dsp::Cf32;
 use galiot_phy::registry::Registry;
 use galiot_phy::TechId;
 
-use crate::detect::{Detection, PacketDetector};
+use crate::detect::{Detection, PacketDetector, PeakRule};
 
 /// The result of the coalescing step: which technologies share a
 /// representative.
@@ -179,41 +179,34 @@ impl UniversalDetector {
     /// trace-overhead regression bench compares against. Production
     /// callers use the [`PacketDetector`] impl.
     pub fn detect_raw(&self, capture: &[Cf32], _fs: f64) -> Vec<Detection> {
-        self.detect_raw_with(capture, &mut Vec::new(), 0)
+        self.detect_raw_with(capture, &mut Vec::new())
     }
 
     /// [`UniversalDetector::detect_raw`] with the correlation trace in
-    /// a caller-held buffer whose first `valid` lags are already this
-    /// capture's (see [`PacketDetector::detect_resuming`]).
-    fn detect_raw_with(
-        &self,
-        capture: &[Cf32],
-        ncc: &mut Vec<f32>,
-        valid: usize,
-    ) -> Vec<Detection> {
-        if self.preamble.template.len() > capture.len() {
-            // No lag fits: leave nothing a later window could carry.
-            ncc.clear();
-            return Vec::new();
-        }
+    /// a caller-held buffer.
+    fn detect_raw_with(&self, capture: &[Cf32], ncc: &mut Vec<f32>) -> Vec<Detection> {
+        let rule = self.rule(capture.len());
+        self.template.xcorr_normalized_into(capture, ncc);
+        find_peaks(ncc, rule.threshold, rule.min_distance)
+            .into_iter()
+            .map(Detection::from)
+            .collect()
+    }
+
+    /// The peak rule over a window of `window_len` samples: the fixed
+    /// threshold, or the analytic one for that many lags.
+    fn rule(&self, window_len: usize) -> PeakRule {
         let threshold = if self.threshold > 0.0 {
             self.threshold
         } else {
-            crate::detect::ncc_noise_threshold(
-                capture.len(),
-                self.preamble.template.len(),
-                self.auto_factor,
-            )
+            let m = self.preamble.template.len();
+            crate::detect::ncc_noise_threshold(window_len, m, self.auto_factor)
         };
-        self.template.xcorr_normalized_extend(capture, valid, ncc);
-        find_peaks(ncc, threshold, self.min_distance)
-            .into_iter()
-            .map(|p| Detection {
-                start: p.index,
-                score: p.value,
-                tech: None,
-            })
-            .collect()
+        PeakRule {
+            block_lags: self.template.block_lags(),
+            threshold,
+            min_distance: self.min_distance,
+        }
     }
 }
 
@@ -222,15 +215,18 @@ impl PacketDetector for UniversalDetector {
         "universal-preamble"
     }
 
-    fn detect_resuming(
-        &self,
-        capture: &[Cf32],
-        _fs: f64,
-        trace: &mut Vec<f32>,
-        valid: usize,
-    ) -> Vec<Detection> {
+    fn detect_with(&self, capture: &[Cf32], _fs: f64, trace: &mut Vec<f32>) -> Vec<Detection> {
         let _span = galiot_trace::span(galiot_trace::Stage::UniversalDetect, galiot_trace::NO_SEQ);
-        self.detect_raw_with(capture, trace, valid)
+        self.detect_raw_with(capture, trace)
+    }
+
+    fn peak_rule(&self, window_len: usize) -> Option<PeakRule> {
+        Some(self.rule(window_len))
+    }
+
+    fn score_lags(&self, capture: &[Cf32], trace: &mut Vec<f32>) {
+        let _span = galiot_trace::span(galiot_trace::Stage::UniversalDetect, galiot_trace::NO_SEQ);
+        self.template.xcorr_normalized_into(capture, trace);
     }
 
     fn complexity_per_sample(&self, _fs: f64) -> f64 {

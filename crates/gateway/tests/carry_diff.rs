@@ -1,9 +1,13 @@
 //! Differential suite for the carried detection trace.
 //!
-//! A gateway session correlates each flush window only from where the
-//! last one's trace ends: `Template::xcorr_normalized_extend` keeps the
-//! first `valid` lags of a trace and appends the rest, computed from
-//! `x[valid..]` alone. Three contracts, on every backend the CPU runs:
+//! A gateway session scores each lag once: a flush correlates one
+//! overlap-save block — the lags it adds, from the samples under them
+//! alone — and a `DetectionStream` picks peaks over the session's trace
+//! as the blocks arrive. `Template::xcorr_normalized_extend` is the
+//! engine half: it keeps the first `valid` lags of a trace and appends
+//! the rest, computed from `x[valid..]` alone (a block's scores are the
+//! trace of its own samples, `valid = 0`). Three contracts, on every
+//! backend the CPU runs:
 //!
 //! * **From lag 0** it is `xcorr_normalized_into`, bit for bit.
 //! * **From any `valid`** the kept lags are untouched and the appended
@@ -18,6 +22,11 @@
 //!   dynamic range in one block, and the floor is taken over the lags
 //!   a call computes: hostile signals are held to the suffix identity.)
 //!
+//!
+//! The detector half: a `DetectionStream` fed flush by flush picks what
+//! `find_peaks` picks over the blocks it scored, and one last flush over
+//! a whole capture is `detect_with` over `digitize`, bit for bit.
+//!
 //! Captures are seeded through `galiot_channel::scenario_seed`, so
 //! `GALIOT_TEST_SEED` re-rolls all of them at once (CI sweeps it). The
 //! tests walk the process-wide kernel backend; every kernel under a
@@ -27,14 +36,19 @@
 use galiot_channel::{
     compose, forced_collision, random_payload, scenario_seed, snr_to_noise_power, TxEvent,
 };
+use galiot_dsp::corr::find_peaks;
 use galiot_dsp::engine::Template;
 use galiot_dsp::kernels::{self, Backend};
 use galiot_dsp::Cf32;
-use galiot_gateway::{build_universal_preamble, PacketDetector, RtlSdrFrontEnd, UniversalDetector};
+use galiot_gateway::{
+    build_universal_preamble, AnalogView, Detection, DetectionStream, MatchedFilterBank,
+    PacketDetector, PeakRule, RtlSdrFrontEnd, UniversalDetector,
+};
 use galiot_phy::registry::Registry;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Mutex;
 
 const FS: f64 = 1_000_000.0;
 
@@ -198,10 +212,9 @@ fn gateway_windows(registry: &Registry, len: usize) -> Vec<(&'static str, Vec<Cf
 #[test]
 fn appended_lags_are_the_whole_window_trace_to_fft_rounding() {
     let registry = Registry::prototype();
-    // The flush grid of a live session (DESIGN.md §7).
-    let window = registry.max_frame_samples_for(FS, 32);
-    let stride = 2 * window;
-    let flush_len = stride + 2 * window + 2 * (window / 8) + 128;
+    // A live session's window (DESIGN.md §7).
+    let frame = registry.max_frame_samples_for(FS, 32);
+    let flush_len = 4 * frame + 2 * (frame / 8) + 128;
 
     // The template a session resumes on is the universal preamble, and
     // it is held to 1e-6. A technology's own preamble (the edge and the
@@ -225,8 +238,8 @@ fn appended_lags_are_the_whole_window_trace_to_fft_rounding() {
         let mut worst = 0.0f32;
         for (kind, x) in &windows {
             let lags = x.len() - t.len() + 1;
-            // What a steady-state flush carries, the ends, anywhere.
-            let valids = [lags - stride, 1, lags - 1, rng.gen_range(1..lags)];
+            // Where a flush's block starts, the ends, anywhere.
+            let valids = [7 * t.block_lags(), 1, lags - 1, rng.gen_range(1..lags)];
             on_every_backend(|backend| {
                 let whole = t.xcorr_normalized(x);
                 for valid in valids {
@@ -250,47 +263,148 @@ fn appended_lags_are_the_whole_window_trace_to_fft_rounding() {
     }
 }
 
-#[test]
-fn a_detector_trusts_no_more_of_a_hint_than_it_can_check() {
-    let registry = Registry::prototype();
-    let detector = UniversalDetector::new(&registry, FS, 0.0);
-    let m = detector.preamble().template.len();
-    let (_, x) = gateway_windows(&registry, 120_000).remove(1);
-    let mut trace = Vec::new();
-    let want = detector.detect_with(&x, FS, &mut trace);
-    assert!(!want.is_empty(), "a frame in the window");
-    let whole = trace.clone();
+/// Scores like the universal detector, keeping every block it scored.
+struct Recorded {
+    inner: UniversalDetector,
+    trace: Mutex<Vec<f32>>,
+}
 
-    // Resuming from its own trace, anywhere: the same detections.
-    for valid in [1, 40_000, whole.len()] {
-        let mut resumed = whole.clone();
-        let got = detector.detect_resuming(&x, FS, &mut resumed, valid);
-        assert_eq!(got.len(), want.len(), "from {valid}");
-        for (g, w) in got.iter().zip(&want) {
-            assert_eq!(g.start, w.start, "from {valid}");
-            assert!((g.score - w.score).abs() <= 1e-6, "from {valid}");
+impl PacketDetector for Recorded {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn detect_with(&self, capture: &[Cf32], fs: f64, trace: &mut Vec<f32>) -> Vec<Detection> {
+        self.inner.detect_with(capture, fs, trace)
+    }
+
+    fn peak_rule(&self, window_len: usize) -> Option<PeakRule> {
+        self.inner.peak_rule(window_len)
+    }
+
+    fn score_lags(&self, capture: &[Cf32], trace: &mut Vec<f32>) {
+        self.inner.score_lags(capture, trace);
+        self.trace.lock().unwrap().extend_from_slice(trace);
+    }
+
+    fn complexity_per_sample(&self, fs: f64) -> f64 {
+        self.inner.complexity_per_sample(fs)
+    }
+}
+
+/// One frame of each prototype technology over 18 dB noise.
+fn isolated_frames(registry: &Registry, len: usize) -> Vec<Cf32> {
+    let mut rng = StdRng::seed_from_u64(scenario_seed(0xCA22_3000));
+    let events: Vec<TxEvent> = (registry.techs().iter().enumerate())
+        .map(|(k, tech)| {
+            let at = 40_000 + k * len / 3 + rng.gen_range(0..len / 8);
+            TxEvent::new(tech.clone(), random_payload(12, &mut rng), at)
+        })
+        .collect();
+    compose(&events, len, FS, snr_to_noise_power(18.0, 0.0), &mut rng).samples
+}
+
+/// Flushes `stream` at each of `ends` (the last one last) over
+/// `analog`, held as a ring would hold it — split in two somewhere — at
+/// one gain for every window, and returns what it decided.
+fn flush_at(
+    stream: &mut DetectionStream,
+    detector: &dyn PacketDetector,
+    front_end: &RtlSdrFrontEnd,
+    analog: &[Cf32],
+    ends: &[usize],
+) -> Vec<Detection> {
+    let gain = front_end.gain(galiot_dsp::kernels::energy_f64(analog), analog.len());
+    let mut decided = Vec::new();
+    for (k, &end) in ends.iter().enumerate() {
+        let cut = end / 3;
+        let view = AnalogView {
+            start: 0,
+            parts: [&analog[..cut], &analog[cut..end]],
+        };
+        let last = k + 1 == ends.len();
+        let fresh = stream.flush(detector, front_end, gain, &view, last);
+        assert!(fresh.iter().all(|d| d.start < stream.decided() || last));
+        decided.extend(fresh);
+    }
+    decided
+}
+
+#[test]
+fn a_detection_stream_picks_what_find_peaks_picks_over_the_lags_it_scored() {
+    let registry = Registry::prototype();
+    let front_end = RtlSdrFrontEnd::new(Default::default());
+    let analog = isolated_frames(&registry, 700_000);
+    let n = analog.len();
+    let universal = UniversalDetector::new(&registry, FS, 0.0);
+    let m = universal.preamble().template.len();
+    let detector = Recorded {
+        inner: universal,
+        trace: Mutex::new(Vec::new()),
+    };
+
+    // One last flush over a whole capture: `detect_with` over
+    // `digitize`, bit for bit.
+    let digital = front_end.digitize(&analog);
+    let batch = detector.detect_with(&digital, FS, &mut Vec::new());
+    assert!(batch.len() >= 3, "a frame of each technology: {batch:?}");
+    let mut stream = DetectionStream::new(&detector, FS, 0, n, 0);
+    let whole = AnalogView::whole(&analog);
+    let gain = front_end.gain(galiot_dsp::kernels::energy_f64(&analog), n);
+    assert_eq!(
+        stream.flush(&detector, &front_end, gain, &whole, true),
+        batch
+    );
+
+    // Flushed anywhere, with a live window's threshold: every lag scored
+    // once, and the peaks `find_peaks` picks over them all — which, at
+    // one gain, are the whole trace's to FFT rounding.
+    let window = 436_416;
+    let rule = detector.peak_rule(window).unwrap();
+    let mut rng = StdRng::seed_from_u64(scenario_seed(0xCA22_3001));
+    for _ in 0..4 {
+        let mut ends: Vec<usize> = (0..12).map(|_| rng.gen_range(m..n)).collect();
+        ends.sort_unstable();
+        ends.push(n);
+        detector.trace.lock().unwrap().clear();
+        let mut stream = DetectionStream::new(&detector, FS, 0, window, 0);
+        let got = flush_at(&mut stream, &detector, &front_end, &analog, &ends);
+        let scored = detector.trace.lock().unwrap().clone();
+        assert_eq!(scored.len(), n - m + 1, "flushes at {ends:?}");
+        let want: Vec<Detection> = find_peaks(&scored, rule.threshold, rule.min_distance)
+            .into_iter()
+            .map(Detection::from)
+            .collect();
+        assert_eq!(got, want, "flushes at {ends:?}");
+        let rescan = universal_trace(&registry, &digital);
+        for (lag, (g, w)) in scored.iter().zip(&rescan).enumerate() {
+            assert!((g - w).abs() <= 1e-6, "lag {lag}: {g} / {w}");
         }
     }
-    // A hint past what the buffer holds, or past the window's lags, is
-    // cut down to it: an empty buffer resumes nothing.
-    for (held, valid) in [
-        (0, 50_000),
-        (10, usize::MAX),
-        (whole.len() + 500, usize::MAX),
-    ] {
-        let mut lied_to: Vec<f32> = whole.iter().copied().chain([0.9; 500]).take(held).collect();
-        let got = detector.detect_resuming(&x, FS, &mut lied_to, valid);
-        assert_eq!(
-            got,
-            detector.detect_resuming(&x, FS, &mut whole.clone(), held.min(whole.len()))
-        );
-        assert_eq!(lied_to.len(), whole.len());
+
+    // A detector without a peak rule re-runs over the window; what it
+    // finds a guard before a flush's end is decided.
+    let bank = MatchedFilterBank::new(registry.clone(), 0.9);
+    let whole_bank = bank.detect(&digital, FS);
+    assert!(whole_bank.len() >= 3, "{whole_bank:?}");
+    let guard = 12_832;
+    let mut stream = DetectionStream::new(&bank, FS, 0, window, guard);
+    let ends: Vec<usize> = (1..=n / guard).map(|k| k * guard).chain([n]).collect();
+    let got = flush_at(&mut stream, &bank, &front_end, &analog, &ends);
+    assert_eq!(got.len(), whole_bank.len(), "{got:?}");
+    for (g, w) in got.iter().zip(&whole_bank) {
+        // Other windows, other overlap-save blocks: FFT rounding apart.
+        assert!(g.start == w.start && g.tech == w.tech, "{g:?} / {w:?}");
+        assert!((g.score - w.score).abs() <= 1e-6, "{g:?} / {w:?}");
     }
-    // A window the template does not fit in has no lags, and leaves
-    // none behind for the next window to carry.
-    let mut stale = whole.clone();
-    assert!(detector
-        .detect_resuming(&x[..m - 1], FS, &mut stale, 100)
-        .is_empty());
-    assert!(stale.is_empty(), "a stale trace survived a short window");
+
+    // A stream shorter than the template scores nothing.
+    let mut stream = DetectionStream::new(&detector, FS, 0, window, 0);
+    let short = &analog[..m - 1];
+    assert!(flush_at(&mut stream, &detector, &front_end, short, &[m - 1]).is_empty());
+}
+
+/// The universal preamble's trace over `digital`, whole.
+fn universal_trace(registry: &Registry, digital: &[Cf32]) -> Vec<f32> {
+    Template::new(&build_universal_preamble(registry, FS, 0.6).template).xcorr_normalized(digital)
 }

@@ -356,7 +356,7 @@ fn correlate_once_edge_matches_the_whole_segment_edge() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The gateway's edge attempt reads a span of its flush window in
+    /// The gateway's edge attempt reads a span of a digitized window in
     /// place, through a trace buffer the last attempt left dirty; it
     /// must be the attempt `EdgeDecoder::process` makes on that span
     /// copied out into a `Segment` — verdict, frames and frame starts.

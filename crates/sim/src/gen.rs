@@ -28,7 +28,7 @@ use crate::scenario::{CrashPlan, DecodeFaultPlan, Scenario, TxSpec};
 use crate::spec::CampaignSpec;
 
 /// Chunk sizes scenarios stream their capture in: a small power of
-/// two, a typical SDR USB transfer, and a large flush window. (The
+/// two, a typical SDR USB transfer, and a 64 Ki-sample buffer. (The
 /// conformance suites additionally pin chunk=1; it is far too slow for
 /// randomized campaigns.)
 const CHUNKS: [usize; 3] = [1_024, 4_096, 65_536];

@@ -1,9 +1,9 @@
 //! The allocation budget of the gateway path: what one flush of a live
 //! session, and one `process_capture` call, may ask the allocator for.
 //!
-//! I/Q travels digitized window → segment → edge attempt → packed
-//! bytes without an owned copy in between (DESIGN.md, "Who owns the
-//! samples"): a flush that finds nothing allocates next to nothing, and
+//! I/Q travels analog ring → digitized segment → edge attempt → packed
+//! bytes without a per-flush copy in between (DESIGN.md, "Who owns the
+//! samples"): a flush that finds nothing allocates nothing, and
 //! one that emits a segment allocates for what the demodulator needs,
 //! not for the samples. The budgets below are measured byte counts plus
 //! at most a quarter; a copy or a per-flush buffer coming back costs
@@ -14,6 +14,7 @@
 
 use galiot::channel::{compose, snr_to_noise_power, TxEvent};
 use galiot::core::{Galiot, GaliotConfig, StreamingGaliot};
+use galiot::gateway::{PacketDetector, UniversalDetector};
 use galiot::phy::registry::Registry;
 use galiot::phy::TechId;
 use rand::rngs::StdRng;
@@ -92,8 +93,10 @@ const FS: f64 = 1_000_000.0;
 
 /// A flush that emits nothing: the detections and nothing else (the
 /// window's correlation trace alone was 1.7 MB when each flush
-/// allocated its own). Measured: 0 bytes over noise, 4 352 where the
-/// frame is sighted and deferred (peak candidates and its span).
+/// allocated its own). Measured: 0 bytes over noise; 4 160 in the flush
+/// that decides the first frame's run of peak candidates (the run and
+/// its detection), 64 in one other (4 352 where a frame was sighted and
+/// deferred when a flush read a whole window).
 const QUIET_FLUSH_BUDGET: u64 = 5_440;
 /// A flush that emits an XBee frame's segment: one edge attempt's
 /// demodulator temporaries (8.8 MB when the segment and its three
@@ -101,13 +104,22 @@ const QUIET_FLUSH_BUDGET: u64 = 5_440;
 const EMITTING_FLUSH_BUDGET: u64 = 3_400_000;
 /// What a session's first edge attempt asks for on top of that, once:
 /// the edge's own correlation trace, one f32 per sample of the
-/// 218 144-sample segment (the detector's trace is carried from window
-/// to window now and can no longer be lent to the edge). Measured:
+/// 218 144-sample segment (the detector's trace holds one flush's
+/// block of lags and can no longer be lent to the edge). Measured when
+/// flushes read whole windows:
 /// 3 623 276 = 2 750 700 + 872 576 on the first emitting flush,
 /// 2 726 672 on the second — grown by `Vec` doubling instead of sized
 /// by the segment it was 1.68 MB, and allocated per attempt it would
 /// come back on every emitting flush.
 const EDGE_TRACE_BYTES: u64 = 4 * 218_144;
+/// And, once, the segment's digitization: a flush digitizes only the
+/// lags it scores, so an emitted span is digitized from the analog ring
+/// into a session buffer, 8 bytes per sample of the longest span seen,
+/// sized to the span (`reserve_exact`: a longer span later grows it to
+/// that span, not to twice the last). Measured: 5 363 964 = 2 746 236 +
+/// 872 576 + 1 745 152 on the first emitting flush, 2 722 208 on the
+/// second.
+const SPAN_BYTES: u64 = 8 * 218_144;
 /// `process_capture` per capture sample (16.7 before): one digitized
 /// copy (8 bytes), one correlation trace (4), the edge attempt and its
 /// trace. Measured: 13.72 (13.30 while the edge borrowed the detector's
@@ -119,18 +131,22 @@ fn gateway_flushes_and_process_capture_stay_inside_their_allocation_budgets() {
     let config = GaliotConfig::prototype();
     let registry = Registry::prototype();
 
-    // The flush grid (DESIGN.md §7): a window of `flush_len` samples
-    // every `stride`.
-    let window = registry.max_frame_samples_for(FS, config.max_expected_payload);
-    let stride = 2 * window;
-    let flush_len = stride + 2 * window + 2 * (window / 8) + 128;
+    // The flush step (DESIGN.md §7): a flush every `step` samples, its
+    // gain and threshold over the last `window`.
+    let frame = registry.max_frame_samples_for(FS, config.max_expected_payload);
+    let window = 4 * frame + 2 * (frame / 8) + 128;
+    let universal = UniversalDetector::new(&registry, FS, config.detect_threshold);
+    let step = universal
+        .peak_rule(window)
+        .expect("a lag scorer")
+        .block_lags;
 
-    // Noise, and two XBee frames that the fifth and the eleventh flush
-    // window are the first to hold settled.
+    // Noise, and two XBee frames, 1.1 and 2.3 M samples in.
     let mut rng = StdRng::seed_from_u64(0xA110C);
     let xbee = registry.get(TechId::XBee).expect("prototype").clone();
-    let events = [5, 11].map(|k| TxEvent::new(xbee.clone(), vec![0xA5; 16], k * stride + 60_000));
-    let n = flush_len + 13 * stride;
+    let events =
+        [5, 11].map(|k| TxEvent::new(xbee.clone(), vec![0xA5; 16], k * 2 * frame + 60_000));
+    let n = window + 26 * frame;
     let capture = compose(&events, n, FS, snr_to_noise_power(18.0, 0.0), &mut rng).samples;
 
     // -- Live session, one flush at a time --------------------------------
@@ -138,18 +154,11 @@ fn gateway_flushes_and_process_capture_stay_inside_their_allocation_budgets() {
     uncounted(|| {
         let sys = StreamingGaliot::start(config.clone(), registry.clone());
         let busy = || sys.metrics().snapshot().gateway_busy_ns;
-        let mut fed = 0;
-        for flush in 0.. {
-            // The first chunk fills a window, each further one moves it
-            // on by a stride: one flush per chunk.
-            let upto = flush_len + flush * stride;
-            if upto > capture.len() {
-                break;
-            }
+        for flush in 0..capture.len() / step {
+            // Each chunk is one step of the capture: one flush per chunk.
             let (before, busy_before) = (requested(), busy());
             let segments_before = sys.metrics().snapshot().segments;
-            sys.push_chunk(capture[fed..upto].to_vec());
-            fed = upto;
+            sys.push_chunk(capture[flush * step..(flush + 1) * step].to_vec());
             // A flush books its busy time on its way out.
             let deadline = Instant::now() + Duration::from_secs(120);
             while busy() == busy_before {
@@ -175,18 +184,26 @@ fn gateway_flushes_and_process_capture_stay_inside_their_allocation_budgets() {
         let rest = sys.finish();
         assert!(rest.is_empty(), "frames nobody waited for: {rest:?}");
     });
-    println!("quiet flushes {quiet:?}, emitting flushes {emitting:?}");
+    let sighted: Vec<_> = quiet.iter().filter(|q| q.1 > 0).collect();
+    println!(
+        "quiet flushes that allocated {sighted:?} of {}, emitting flushes {emitting:?}",
+        quiet.len()
+    );
     assert_eq!(emitting.len(), 2, "two frames, two emitting flushes");
-    assert!(quiet.len() >= 9);
+    assert!(quiet.len() >= 100);
     for &(flush, bytes) in &quiet {
         assert!(
             bytes <= QUIET_FLUSH_BUDGET,
             "quiet flush {flush} requested {bytes} bytes, budget {QUIET_FLUSH_BUDGET}"
         );
     }
+    // Over noise a flush requests nothing at all: only a flush that
+    // decides one of the two frames' peaks may.
+    assert!(sighted.len() <= 2, "{sighted:?}");
     // The session's buffers are allocated once: the first edge attempt
-    // pays for the edge trace, the second for nothing but itself.
-    for (&(flush, bytes), once) in emitting.iter().zip([EDGE_TRACE_BYTES, 0]) {
+    // pays for the edge trace and the span's digitization, the second
+    // for nothing but itself.
+    for (&(flush, bytes), once) in emitting.iter().zip([EDGE_TRACE_BYTES + SPAN_BYTES, 0]) {
         let budget = EMITTING_FLUSH_BUDGET + once;
         assert!(
             bytes <= budget,
@@ -196,7 +213,7 @@ fn gateway_flushes_and_process_capture_stay_inside_their_allocation_budgets() {
 
     // -- Batch --------------------------------------------------------------
     // Over the stretch that holds the first frame only.
-    let capture = &capture[..flush_len + 8 * stride];
+    let capture = &capture[..window + 16 * frame];
     let system = Galiot::new(config, registry);
     // Once for the lazily built plans and template banks, then measured.
     let warm = system.process_capture(capture);

@@ -274,7 +274,7 @@ fn run_cell(cell: Cell, batch_len: usize) -> CellOutcome {
         feed(&fleet, &samples, cell.gateways);
         let mut frames: Vec<PipelineFrame> = Vec::new();
         if cell.expect_unstall {
-            // The capture's tail (up to one flush window) legitimately
+            // The capture's tail (its last unsettled segment) legitimately
             // stays buffered until teardown, so only the front of the
             // batch can release mid-stream — but a fleet stalled on
             // the dead session's watermark releases *nothing*.

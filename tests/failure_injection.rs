@@ -316,7 +316,7 @@ fn nan_burst_between_packets_does_not_stop_the_stream() {
         })
         .collect();
 
-    // Quiet spans longer than a gateway flush window isolate the burst:
+    // Quiet spans longer than a gateway's gain window isolate the burst:
     // the windows that digitize NaN (auto-gain smears NaN across its
     // whole window, exactly as the batch front end would) detect
     // nothing, and the stream must carry on into the clean windows.

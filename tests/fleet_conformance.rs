@@ -50,9 +50,10 @@ fn frame_ids(frames: &[PipelineFrame]) -> Vec<FrameId> {
         .collect()
 }
 
-/// Streaming digitizes per flush window, so sync estimates can move a
-/// few samples; the dedup winner can additionally come from any
-/// session, so the fleet gets double the single-pipeline slack.
+/// Streaming digitizes a segment at the gain of the window it settled
+/// in, batch at the capture's, so sync estimates can move a few
+/// samples; the dedup winner can additionally come from any session,
+/// so the fleet gets double the single-pipeline slack.
 const START_TOLERANCE: usize = 32;
 
 fn assert_same_frames(fleet: &[FrameId], batch: &[FrameId], ctx: &str) {

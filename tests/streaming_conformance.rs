@@ -12,7 +12,7 @@ use galiot::channel::{compose, forced_collision, scenario_seed, snr_to_noise_pow
 use galiot::core::PipelineFrame;
 use galiot::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 const FS: f64 = 1_000_000.0;
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
@@ -57,11 +57,11 @@ fn run_streaming(
 /// one capture, and that streaming delivery respects capture order.
 /// Timing tolerance when matching streamed frames to batch frames.
 ///
-/// The streaming gateway digitizes per flush window while batch
-/// digitizes the whole capture, so auto-gain and 8-bit quantization
-/// differ in the last bit — enough to move a demodulator's sync
-/// estimate by a few samples (microseconds at 1 Msps) without changing
-/// what was decoded. Payloads and technologies must still match
+/// The streaming gateway digitizes a segment at the gain of the window
+/// it settled in while batch digitizes the whole capture at one gain,
+/// so auto-gain and 8-bit quantization differ in the last bit — enough
+/// to move a demodulator's sync estimate by a few samples
+/// (microseconds at 1 Msps) without changing what was decoded. Payloads and technologies must still match
 /// exactly, one to one.
 const START_TOLERANCE: usize = 16;
 
@@ -231,6 +231,83 @@ fn conformance_with_the_matched_bank_detector() {
         &registry,
         "matched-bank detector",
     );
+}
+
+/// Streaming cuts the segments batch cuts — as many — and recovers its
+/// frames, at every chunk size.
+fn assert_same_segments(samples: &[Cf32], registry: &Registry, label: &str) {
+    let config = GaliotConfig::prototype().with_cloud_workers(2);
+    let batch = Galiot::new(config.clone(), registry.clone()).process_capture(samples);
+    let batch_frames = frame_ids(&batch.frames);
+    assert!(!batch_frames.is_empty(), "{label}: vacuous scenario");
+    for chunk in [7, 4_096, 65_536] {
+        let sys = StreamingGaliot::start(config.clone(), registry.clone());
+        let metrics = sys.metrics().clone();
+        for c in samples.chunks(chunk) {
+            sys.push_chunk(c.to_vec());
+        }
+        let streamed = frame_ids(&sys.finish());
+        let ctx = format!("{label}: chunk={chunk}");
+        assert_eq!(
+            metrics.snapshot().segments,
+            batch.metrics.segments,
+            "{ctx}: segments"
+        );
+        assert_same_frames(&streamed, &batch_frames, &ctx);
+    }
+}
+
+/// Where a gateway that flushed a 436 416-sample window every 205 312
+/// samples (two frames) drew its windows: a segment whose head fell in
+/// the last quarter of a stride was cut at the window's edge and cut
+/// again from the next window (6 segments for 3 clusters, one frame
+/// lost). A gateway that emits each segment where it settles has no
+/// such place.
+const OLD_STRIDE: usize = 205_312;
+
+#[test]
+fn clusters_whose_heads_fell_late_in_a_flush_stride_segment_as_in_batch() {
+    let mut rng = StdRng::seed_from_u64(scenario_seed(45));
+    let registry = Registry::prototype();
+    let pre_guard = registry.max_frame_samples_for(FS, 32) / 8;
+    let mut events = Vec::new();
+    for k in [0, 2, 4] {
+        // The segment's head, in the last quarter of the stride.
+        let head = k * OLD_STRIDE + 180_000 + rng.gen_range(0..10_000usize);
+        let powers = if k == 2 { [1.0, 0.0] } else { [0.0, 1.0] };
+        let at = head + pre_guard;
+        events.extend(forced_collision(
+            &registry, 10, &powers, 20_000, at, &mut rng,
+        ));
+    }
+    let np = snr_to_noise_power(18.0, 0.0);
+    let cap = compose(&events, 7 * OLD_STRIDE, FS, np, &mut rng);
+    assert_same_segments(&cap.samples, &registry, "clusters late in a stride");
+}
+
+/// Two frames whose spans touch: the second's detection lies within a
+/// pre-guard past the first span's end, so batch cuts one segment. A
+/// gateway whose settle guard (pre-guard + 64) was shorter than the
+/// `m` samples a detection needs before it can be scored emitted the
+/// first span alone when its flush ended there, and then both again.
+#[test]
+fn frames_whose_spans_touch_merge_into_one_segment_as_in_batch() {
+    let mut rng = StdRng::seed_from_u64(scenario_seed(46));
+    let registry = Registry::prototype();
+    let xbee = registry.get(TechId::XBee).unwrap().clone();
+    let zwave = registry.get(TechId::ZWave).unwrap().clone();
+    // The old grid's second flush ended 641 728 samples in: 220 200
+    // past the first frame, the second frame 214 000 past it — within a
+    // pre-guard (12 832) of the first span's end (205 312), and not yet
+    // scorable there.
+    let first = 2 * OLD_STRIDE + 231_104 - 220_200;
+    let events = vec![
+        TxEvent::new(xbee, vec![0x5A; 8], first),
+        TxEvent::new(zwave, vec![0xA5; 8], first + 214_000),
+    ];
+    let np = snr_to_noise_power(18.0, 0.0);
+    let cap = compose(&events, first + 640_000, FS, np, &mut rng);
+    assert_same_segments(&cap.samples, &registry, "touching spans");
 }
 
 /// The pool's observability contract: per-worker decode counts and the

@@ -214,6 +214,8 @@ fn transport_mode_arq_spans_reconcile() {
 
 /// Under a saturated uplink the send queue sheds — and the shed
 /// segments show up in the trace as `shed` terminals, not as silence.
+/// Five frames far enough apart to be five segments, all cut within a
+/// fraction of the time the uplink needs to carry one.
 #[test]
 fn shed_segments_terminate_in_the_trace() {
     let mut rng = StdRng::seed_from_u64(seed(53));
@@ -221,19 +223,13 @@ fn shed_segments_terminate_in_the_trace() {
     let zwave = registry.get(TechId::ZWave).unwrap().clone();
     let xbee = registry.get(TechId::XBee).unwrap().clone();
     let events: Vec<TxEvent> = (0..5)
-        .flat_map(|i| {
-            [
-                TxEvent::new(
-                    zwave.clone(),
-                    vec![0x70 + i; 6],
-                    60_000 + i as usize * 180_000,
-                ),
-                TxEvent::new(
-                    xbee.clone(),
-                    vec![0x80 + i; 6],
-                    150_000 + i as usize * 180_000,
-                ),
-            ]
+        .map(|i| {
+            let tech = if i % 2 == 0 { &zwave } else { &xbee };
+            TxEvent::new(
+                tech.clone(),
+                vec![0x70 + i; 6],
+                60_000 + i as usize * 230_000,
+            )
         })
         .collect();
     let np = snr_to_noise_power(20.0, 0.0);

@@ -37,9 +37,9 @@ fn frame_ids(frames: &[galiot::core::PipelineFrame]) -> Vec<FrameId> {
         .collect()
 }
 
-/// See `streaming_conformance.rs`: streaming digitizes per flush
-/// window, so sync estimates can move a few samples without changing
-/// what was decoded.
+/// See `streaming_conformance.rs`: streaming digitizes a segment at the
+/// gain of the window it settled in, so sync estimates can move a few
+/// samples without changing what was decoded.
 const START_TOLERANCE: usize = 16;
 
 fn assert_same_frames(streamed: &[FrameId], batch: &[FrameId], ctx: &str) {
@@ -292,20 +292,15 @@ fn degradation_counters_stay_consistent() {
     let registry = Registry::prototype();
     let zwave = registry.get(TechId::ZWave).unwrap().clone();
     let xbee = registry.get(TechId::XBee).unwrap().clone();
+    // Five frames far enough apart to be five segments.
     let events: Vec<TxEvent> = (0..5)
-        .flat_map(|i| {
-            [
-                TxEvent::new(
-                    zwave.clone(),
-                    vec![0x70 + i; 6],
-                    60_000 + i as usize * 180_000,
-                ),
-                TxEvent::new(
-                    xbee.clone(),
-                    vec![0x80 + i; 6],
-                    150_000 + i as usize * 180_000,
-                ),
-            ]
+        .map(|i| {
+            let tech = if i % 2 == 0 { &zwave } else { &xbee };
+            TxEvent::new(
+                tech.clone(),
+                vec![0x70 + i; 6],
+                60_000 + i as usize * 230_000,
+            )
         })
         .collect();
     let np = snr_to_noise_power(20.0, 0.0);
