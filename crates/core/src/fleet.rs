@@ -32,7 +32,7 @@
 //! memory of resolved ones — and a decode that recovers at least one
 //! frame is delivered to every copy under its own `(gateway, seq)` and
 //! watermark; an empty or quarantined decode promotes the next copy to
-//! a decode of its own (see [`crate::streaming`] and DESIGN.md §17,
+//! a decode of its own (see [`crate::pool`] and DESIGN.md §17,
 //! "Shared leases"). Nothing downstream can tell: each lane receives
 //! its own in-order results, the merge keeps the best-power copy and
 //! counts the rest as `dedup_suppressed`, a session that dies loses
@@ -82,7 +82,7 @@
 //! floor) and accounted as `crash_lost_*`.
 //!
 //! The shared decode pool is supervised the same way (see
-//! [`crate::streaming`] §supervised pool and DESIGN.md §17): every
+//! [`crate::pool`] §supervised pool and DESIGN.md §17): every
 //! dispatched segment holds a deadline lease, hung workers are
 //! replaced in place, panicked and hung decodes are re-dispatched up
 //! to `decode_retries` times, and a segment that exhausts the ladder
@@ -95,7 +95,7 @@
 //! Ingest-side mechanics — [`SessionRegistry`],
 //! [`galiot_cloud::shard_for`], [`galiot_cloud::FairnessGate`],
 //! [`galiot_cloud::FleetMerge`] — live in `galiot-cloud`; this module
-//! wires them to the per-session machinery of [`crate::streaming`] and
+//! wires them to the per-session machinery of [`crate::pool`] and
 //! [`crate::transport`].
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
@@ -111,8 +111,8 @@ use crate::config::{CrashSpec, GaliotConfig};
 use crate::gateway_loop::{run_gateway, SessionStart, ShipMode, Shipper};
 use crate::metrics::SharedMetrics;
 use crate::pipeline::PipelineFrame;
+use crate::pool::{spawn_supervised_pool, PoolItem, ResultMsg, SegmentResult, DEDUP_SLACK};
 use crate::spawn::spawn_thread;
-use crate::streaming::{spawn_supervised_pool, PoolItem, ResultMsg, SegmentResult, DEDUP_SLACK};
 use crate::transport::{spawn_arq_receiver, spawn_arq_sender, SendQueue, SendQueueTx};
 
 /// In-flight decode credits each session may hold between its mux and

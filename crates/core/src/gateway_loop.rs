@@ -4,7 +4,7 @@
 //!
 //! [`crate::fleet`] runs one loop per session, on the session's own
 //! thread, and again from where it died after a crash; what the cloud
-//! does with a shipped segment is [`crate::streaming`]'s supervised
+//! does with a shipped segment is [`crate::pool`]'s supervised
 //! pool.
 
 use crossbeam::channel::{Receiver, Sender};
@@ -18,8 +18,8 @@ use std::time::Duration;
 use crate::config::GaliotConfig;
 use crate::metrics::SharedMetrics;
 use crate::pipeline::{PipelineFrame, COMPRESS_BLOCK};
+use crate::pool::{mean_power, PoolItem, ResultMsg, SegmentResult};
 use crate::stage::{Emitted, GatewayStage};
-use crate::streaming::{mean_power, PoolItem, ResultMsg, SegmentResult};
 use crate::transport::{degraded_bits, QueuedSegment, SendQueueTx};
 
 /// Where a gateway instance begins: capture offset and sequence base

@@ -12,7 +12,7 @@
 //! * [`fleet::FleetGaliot`] — the same stages as a live pipeline of
 //!   threads and crossbeam channels: N gateway sessions feeding one
 //!   supervised cloud decode pool, merged exactly-once in capture
-//!   order; [`streaming::StreamingGaliot`] is that engine started with
+//!   order; [`pool::StreamingGaliot`] is that engine started with
 //!   a single session;
 //! * [`experiment`] — the engines behind every figure of the paper;
 //! * [`sensing`] — the Sec. 6 multi-technology wireless-sensing sketch;
@@ -39,10 +39,10 @@ pub mod fleet;
 mod gateway_loop;
 pub mod metrics;
 pub mod pipeline;
+pub mod pool;
 pub mod sensing;
 pub mod spawn;
 mod stage;
-pub mod streaming;
 pub mod transport;
 
 pub use config::{ConfigError, CrashSpec, DetectorKind, GaliotConfig};
@@ -56,8 +56,8 @@ pub use galiot_channel::{DecodeFaultKind, DecodeFaultSpec};
 pub use galiot_trace as trace;
 pub use metrics::{Metrics, QuarantineRecord, SharedMetrics};
 pub use pipeline::{Galiot, PipelineFrame, RunReport};
+pub use pool::StreamingGaliot;
 pub use spawn::{spawn_thread, SpawnError};
-pub use streaming::StreamingGaliot;
 pub use transport::{
     degraded_bits, ArqClock, ArqParams, QueuedSegment, SendQueue, SendQueueTx, TransportConfig,
     ARQ_DEDUP_WINDOW,

@@ -1,7 +1,7 @@
 //! The end-to-end GalioT pipeline: front end → detection → extraction
 //! → edge decode → compressed backhaul → cloud decode.
 //!
-//! This is the batch (whole-capture) form; [`crate::streaming`] runs
+//! This is the batch (whole-capture) form; [`crate::pool`] runs
 //! the same stages across threads for live chunked captures.
 
 use galiot_cloud::{CloudDecoder, Recovery, TraceBuffers};

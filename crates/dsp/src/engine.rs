@@ -324,31 +324,17 @@ impl Template {
     /// gateway session's or a decode worker's, reused from one window
     /// to the next. Whatever `out` held is discarded; it comes back
     /// with one score per lag.
-    pub fn xcorr_normalized_into(&self, x: &[Cf32], out: &mut Vec<f32>) {
-        self.xcorr_normalized_extend(x, 0, out);
-    }
-
-    /// Appends to a trace that already holds the first `valid` lags of
-    /// `x`: `out[..valid]` is kept as it is, the lags from `valid` on
-    /// are correlated — from `x[valid..]` alone, so the work follows
-    /// the new samples, not the signal — and `out` comes back with one
-    /// score per lag of `x`. A `valid` past what `out` holds or `x` has
-    /// lags for is cut down to that; `valid = 0` is
-    /// [`Template::xcorr_normalized_into`].
     ///
-    /// The appended scores are the trace of `x[valid..]`: its overlap-
-    /// save blocks start at `valid`, so a score differs from the
-    /// whole-signal one by FFT rounding (not bit-identical), and the
-    /// quiet-window floor is taken over the lags this call computes —
-    /// `1e-9` of the loudest window from `valid` on, whatever the kept
-    /// lags saw.
-    pub fn xcorr_normalized_extend(&self, x: &[Cf32], valid: usize, out: &mut Vec<f32>) {
-        let lags = self.lags(x);
-        let valid = valid.min(out.len()).min(lags);
-        // No `clear()`: every lag from `valid` on is written below, so
-        // a buffer that is already long enough is not filled twice.
-        out.resize(lags, 0.0);
-        self.normalize(&x[valid..], &mut out[valid..]);
+    /// A live gateway scores each block of new lags this way, from the
+    /// block's own samples: the trace of `x[k..]` is the whole-signal
+    /// trace from lag `k` on to FFT rounding (its overlap-save blocks
+    /// start at `k`, so not bit for bit), with the quiet-window floor
+    /// taken over the lags it computes.
+    pub fn xcorr_normalized_into(&self, x: &[Cf32], out: &mut Vec<f32>) {
+        // No `clear()`: every lag is written below, so a buffer that is
+        // already long enough is not filled twice.
+        out.resize(self.lags(x), 0.0);
+        self.normalize(x, out);
     }
 
     /// Writes the normalized correlation at every lag of `x` into

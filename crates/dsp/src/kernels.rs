@@ -11,55 +11,68 @@
 //! [`set_backend`]), and each kernel dispatches to that backend's
 //! implementation.
 //!
+//! # One mechanism
+//!
+//! Every vector kernel is one generic body over a private vector trait
+//! (`x86::Simd`: a vector of `LANES` interleaved complex samples, each
+//! method one correctly rounded operation per float lane), instantiated
+//! for `__m128`, `__m256` and `__m512`. Which instantiation a backend
+//! runs is stated once, in a three-row table:
+//!
+//! | row | kernels | `Sse41` | `Avx2` | `Fma` | `Avx512` |
+//! |---|---|---|---|---|---|
+//! | wide | [`mul_in_place`], [`sub_scaled`], [`Backend::butterflies`], [`Backend::fft_stages`], [`normalize_lags`], [`digitize`], [`compress`], [`decompress`] | 128 | 256 | 256 | 512 |
+//! | capped | [`max_norm_sqr`], [`norm_sqr_into`], [`fir_same`], [`fir_same_real`] | 128 | 256 | 256 | 256 |
+//! | reduction | [`dot_conj`], [`energy_f32`], [`energy_f64`] | 128 | 256 | 256 fused | 256 fused |
+//!
+//! [`Backend::Scalar`], and any backend the CPU lacks, runs the scalar
+//! reference bodies.
+//!
 //! # Exactness policy
 //!
-//! The backends are *not* all bit-identical on every operation —
-//! vectorizing a reduction reassociates floating-point addition. The
-//! kernels therefore split into two contracts, chosen so that every
-//! waveform a modulator synthesizes (and therefore every golden
-//! fingerprint and every conformance frame set) is byte-identical
-//! across backends:
+//! Two contracts, chosen so that every waveform a modulator synthesizes
+//! (and therefore every golden fingerprint and every conformance frame
+//! set) is byte-identical across backends:
 //!
-//! * **Bit-exact in every backend** — element-wise operations whose
-//!   per-element rounding sequence is preserved lane-for-lane:
-//!   [`mul_in_place`], [`sub_scaled`], [`norm_sqr_into`],
-//!   [`max_norm_sqr`], the FIR kernels [`fir_same`] /
-//!   [`fir_same_real`] (vectorized across *outputs*, so each output
-//!   accumulates taps in the exact scalar order, with no FMA
-//!   contraction even in the [`Backend::Fma`] backend), the FFT
-//!   ([`Backend::butterflies`], one stage, vectorized across its
-//!   independent butterflies, each an unfused complex multiply, one
-//!   add and one subtract; [`Backend::fft_stages`], every stage of a
-//!   transform, the same butterflies in the same order fused two or
-//!   three stages to a pass over memory), the correlation
-//!   normalization [`normalize_lags`], the ADC model [`digitize`] and
-//!   the backhaul codec [`compress`] / [`decompress`] (correctly
-//!   rounded operations only, per lane in the scalar order; a block's
-//!   peak is a maximum, which has no order). These are the operations
-//!   on the waveform-synthesis path (GFSK pulse shaping,
-//!   channelizers, mixers, dechirpers) and, with
-//!   the FFT and the two loops around it, under every digitized
-//!   capture, every correlation trace a detection or classification
-//!   is read from, and every byte a segment puts on the wire.
-//! * **ULP-bounded reductions** — [`dot_conj`], [`energy_f32`] and
-//!   [`energy_f64`] split the sum across lanes, so vector results
-//!   differ from the scalar reference by accumulated rounding only
-//!   (relative error on the order of `n * 2^-24` for f32 paths). They
-//!   feed *decisions* — peak picking, SIC gains, classification
-//!   metrics — which are robust to last-bit noise; the differential
-//!   suite (`tests/kernel_diff.rs`) bounds the error against an f64
-//!   reference.
+//! * **Element-wise: bit-exact in every backend.** Every kernel of the
+//!   wide and capped rows computes each output with the scalar
+//!   reference's sequence of correctly rounded operations, lane for
+//!   lane, unfused even on [`Backend::Fma`]. The FIRs are vectorized
+//!   across *outputs*, so each output accumulates its taps in scalar
+//!   order; an FFT stage across its independent butterflies, each an
+//!   unfused complex multiply, one add and one subtract, and
+//!   [`Backend::fft_stages`] runs every stage's butterflies in the same
+//!   order, two or three stages to a pass over memory; a block's codec
+//!   peak is a maximum, which has no order. These are the operations on
+//!   the waveform-synthesis path (GFSK pulse shaping, channelizers,
+//!   mixers, dechirpers) and under every digitized capture, every
+//!   correlation trace a detection or classification is read from, and
+//!   every byte a segment puts on the wire.
+//! * **Reductions: bit-exact to the lane-split reference of their
+//!   backend.** [`dot_conj`], [`energy_f32`] and [`energy_f64`] split a
+//!   sum across a vector's lanes, so a vector result differs from the
+//!   scalar one by rounding (relative error on the order of `n * 2^-24`
+//!   for f32 sums) — but by exactly the lane split of its row: `2 *
+//!   LANES` float accumulators (`LANES` f64 ones for [`energy_f64`]),
+//!   each updated with an unfused multiply-add (fused on the `Fma` and
+//!   `Avx512` backends), the lanes summed in order, then the samples
+//!   that fill no vector in sample order. `tests/kernel_diff.rs` holds
+//!   every backend bit for bit to that reference in plain Rust, and
+//!   all of them to an f64 ground truth. The reductions feed
+//!   *decisions* — peak picking, SIC gains, classification metrics —
+//!   which are robust to last-bit noise.
 //!
 //! # Safety
 //!
 //! The vector paths are `unsafe` `#[target_feature]` functions inside
-//! the private `x86` submodule — the only `unsafe` code in the crate.
-//! They are reachable exclusively through [`Backend`] methods, and
-//! every method first clamps `self` to a CPU-supported backend
-//! (falling back to [`Backend::Scalar`]), so the `target_feature`
-//! contract — "only call this if the CPU has the feature" — is
-//! enforced at the dispatch site and the public API stays safe even
-//! for a hand-constructed unsupported `Backend` value.
+//! the private `x86` submodule — the only `unsafe` code in the crate,
+//! with the dispatch table's calls into them. They are reachable
+//! exclusively through [`Backend`] methods, and the table first clamps
+//! the backend to a CPU-supported one (falling back to
+//! [`Backend::Scalar`]), so the `target_feature` contract — "only call
+//! this if the CPU has the feature" — is enforced at the dispatch site
+//! and the public API stays safe even for a hand-constructed
+//! unsupported `Backend` value.
 
 // The one module where `unsafe` is permitted: `#[target_feature]`
 // bodies and the feature-guarded dispatch calls into them. See the
@@ -75,25 +88,68 @@ use std::sync::atomic::{AtomicU8, Ordering};
 /// the widest vector path; [`Backend::detect`] returns the best one
 /// the running CPU supports. On non-x86_64 targets every variant
 /// exists but only [`Backend::Scalar`] is supported, and the others
-/// clamp to it at dispatch.
+/// clamp to it at dispatch. Which vector type a variant runs each
+/// kernel on is the three-row table of the module docs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Backend {
     /// Portable scalar reference — the semantics all other backends
     /// are verified against.
     Scalar,
-    /// 128-bit SSE4.1 path (2 complex / 4 real lanes).
+    /// 128-bit SSE4.1 (2 complex / 4 real lanes) on every row.
     Sse41,
-    /// 256-bit AVX2 path (4 complex / 8 real lanes).
+    /// 256-bit AVX2 (4 complex / 8 real lanes) on every row, unfused.
     Avx2,
-    /// AVX2 with fused multiply-add in the *reduction* kernels only;
-    /// element-wise and FIR kernels reuse the unfused AVX2 bodies so
-    /// they stay bit-exact with the scalar reference.
+    /// AVX2 with fused multiply-add in the reduction row only; the wide
+    /// and capped rows run the unfused AVX2 bodies, so they stay
+    /// bit-exact with the scalar reference.
     Fma,
-    /// 512-bit AVX-512F path (8 complex / 16 real lanes) for the
-    /// element-wise multiply/subtract kernels, which stay bit-exact
-    /// (masked add/sub preserves the per-lane rounding sequence); the
-    /// remaining kernels reuse the AVX2/FMA bodies.
+    /// AVX-512F: the wide row — multiply/subtract, the FFT, correlation
+    /// normalization, the digitizer and the codec — runs 512 bits wide
+    /// (8 complex / 16 real lanes), still bit-exact (a masked subtract
+    /// stands in for `addsub` and keeps the per-lane rounding
+    /// sequence); the capped row runs the AVX2 bodies and the
+    /// reductions the [`Backend::Fma`] ones.
     Avx512,
+}
+
+/// The dispatch table: runs `kernel(args)` on the instantiation `row`
+/// assigns to `backend` (module docs), or on the scalar reference where
+/// `backend` is [`Backend::Scalar`] or not supported here. The one
+/// place a kernel method enters `unsafe` code.
+macro_rules! dispatch {
+    ($row:ident: $backend:expr, $kernel:ident($($arg:expr),*)) => {
+        match $backend.effective() {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `effective()` returned this backend, so the CPU has
+            // every feature of the body its row picks (`Fma` and `Avx512`
+            // imply avx2 and fma); the kernel method has asserted the
+            // shapes the body relies on.
+            b @ (Backend::Sse41 | Backend::Avx2 | Backend::Fma | Backend::Avx512) => unsafe {
+                dispatch!(@$row b, $kernel($($arg),*))
+            },
+            _ => scalar::$kernel($($arg),*),
+        }
+    };
+    (@wide $b:ident, $($call:tt)*) => {
+        match $b {
+            Backend::Avx512 => x86::avx512::$($call)*,
+            Backend::Avx2 | Backend::Fma => x86::avx2::$($call)*,
+            _ => x86::sse41::$($call)*,
+        }
+    };
+    (@capped $b:ident, $($call:tt)*) => {
+        match $b {
+            Backend::Avx2 | Backend::Fma | Backend::Avx512 => x86::avx2::$($call)*,
+            _ => x86::sse41::$($call)*,
+        }
+    };
+    (@reduction $b:ident, $($call:tt)*) => {
+        match $b {
+            Backend::Fma | Backend::Avx512 => x86::fma::$($call)*,
+            Backend::Avx2 => x86::avx2::$($call)*,
+            _ => x86::sse41::$($call)*,
+        }
+    };
 }
 
 impl Backend {
@@ -181,63 +237,31 @@ impl Backend {
     /// Complex correlation dot product `sum_i x[i] * conj(h[i])` over
     /// the common prefix of the two slices (empty input sums to zero).
     ///
-    /// ULP-bounded reduction: vector backends split the sum across
-    /// lanes (and [`Backend::Fma`] fuses the multiply-adds).
+    /// Reduction: bit-exact to the lane-split reference of the backend
+    /// (module docs); `re` sums the lanes of `x * h`, `im` the odd
+    /// lanes of `x * swap(h)` minus the even ones.
     pub fn dot_conj(self, x: &[Cf32], h: &[Cf32]) -> Cf32 {
         let n = x.len().min(h.len());
         let (x, h) = (&x[..n], &h[..n]);
-        match self.effective() {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `effective()` returned this backend, so the CPU
-            // supports the target features the callee was compiled for.
-            Backend::Sse41 => unsafe { x86::dot_conj_sse41(x, h) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above.
-            Backend::Avx2 => unsafe { x86::dot_conj_avx2(x, h) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above. Avx512 implies avx2+fma support, and
-            // the reduction is ULP-bounded either way.
-            Backend::Fma | Backend::Avx512 => unsafe { x86::dot_conj_fma(x, h) },
-            _ => scalar::dot_conj(x, h),
-        }
+        dispatch!(reduction: self, dot_conj(x, h))
     }
 
     /// Signal energy `sum |x[i]|^2` accumulated in f32 (the form the
     /// per-block SIC gain denominators and FFT-bin quality metrics
-    /// use). ULP-bounded reduction.
+    /// use). Reduction: bit-exact to the lane-split reference of the
+    /// backend, whose tail adds `re^2` then `im^2`.
     pub fn energy_f32(self, x: &[Cf32]) -> f32 {
-        match self.effective() {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `effective()` guarantees CPU support.
-            Backend::Sse41 => unsafe { x86::energy_f32_sse41(x) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above.
-            Backend::Avx2 => unsafe { x86::energy_f32_avx2(x) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above. Avx512 implies avx2+fma support.
-            Backend::Fma | Backend::Avx512 => unsafe { x86::energy_f32_fma(x) },
-            _ => scalar::energy_f32(x),
-        }
+        dispatch!(reduction: self, energy_f32(x))
     }
 
     /// Signal energy `sum |x[i]|^2` accumulated in f64 (the form the
     /// power/energy measurements use to avoid drift over long
-    /// captures). ULP-bounded reduction: vector backends square in
-    /// f64 where the scalar reference squares in f32 then widens, so
-    /// the vector result is the (slightly) more accurate one.
+    /// captures). Reduction: bit-exact to the lane-split reference of
+    /// the backend. Vector backends square in f64 where the scalar
+    /// reference squares in f32 then widens, so the vector result is
+    /// the (slightly) more accurate one.
     pub fn energy_f64(self, x: &[Cf32]) -> f64 {
-        match self.effective() {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `effective()` guarantees CPU support.
-            Backend::Sse41 => unsafe { x86::energy_f64_sse41(x) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above.
-            Backend::Avx2 => unsafe { x86::energy_f64_avx2(x) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above. Avx512 implies avx2+fma support.
-            Backend::Fma | Backend::Avx512 => unsafe { x86::energy_f64_fma(x) },
-            _ => scalar::energy_f64(x),
-        }
+        dispatch!(reduction: self, energy_f64(x))
     }
 
     /// Peak instantaneous power `max_i |x[i]|^2` (0 for empty input).
@@ -247,16 +271,7 @@ impl Backend {
     /// and `max` is exact. NaN samples are not part of the contract
     /// (the scalar fold drops them; vector `max` semantics differ).
     pub fn max_norm_sqr(self, x: &[Cf32]) -> f32 {
-        match self.effective() {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `effective()` guarantees CPU support.
-            Backend::Sse41 => unsafe { x86::max_norm_sqr_sse41(x) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above. Fma/Avx512 share the AVX2 body (no
-            // fusable op; 512-bit widening buys nothing for max).
-            Backend::Avx2 | Backend::Fma | Backend::Avx512 => unsafe { x86::max_norm_sqr_avx2(x) },
-            _ => scalar::max_norm_sqr(x),
-        }
+        dispatch!(capped: self, max_norm_sqr(x))
     }
 
     /// Writes `|x[i]|^2` into `out[i]` element-wise. Bit-exact across
@@ -267,18 +282,7 @@ impl Backend {
     /// Panics if `out.len() != x.len()`.
     pub fn norm_sqr_into(self, x: &[Cf32], out: &mut [f32]) {
         assert_eq!(x.len(), out.len(), "norm_sqr_into length mismatch");
-        match self.effective() {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `effective()` guarantees CPU support.
-            Backend::Sse41 => unsafe { x86::norm_sqr_into_sse41(x, out) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above. Fma/Avx512 share the AVX2 body (no
-            // fusable op).
-            Backend::Avx2 | Backend::Fma | Backend::Avx512 => unsafe {
-                x86::norm_sqr_into_avx2(x, out)
-            },
-            _ => scalar::norm_sqr_into(x, out),
-        }
+        dispatch!(capped: self, norm_sqr_into(x, out))
     }
 
     /// Pointwise complex multiply `a[i] *= b[i]` over the common
@@ -289,20 +293,7 @@ impl Backend {
     pub fn mul_in_place(self, a: &mut [Cf32], b: &[Cf32]) {
         let n = a.len().min(b.len());
         let (a, b) = (&mut a[..n], &b[..n]);
-        match self.effective() {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `effective()` guarantees CPU support.
-            Backend::Sse41 => unsafe { x86::mul_in_place_sse41(a, b) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above. Fma shares the AVX2 body (fusing would
-            // break bit-exactness).
-            Backend::Avx2 | Backend::Fma => unsafe { x86::mul_in_place_avx2(a, b) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above. Masked add/sub keeps the per-lane
-            // rounding sequence, so 512-bit lanes stay bit-exact.
-            Backend::Avx512 => unsafe { x86::mul_in_place_avx512(a, b) },
-            _ => scalar::mul_in_place(a, b),
-        }
+        dispatch!(wide: self, mul_in_place(a, b))
     }
 
     /// Scaled subtraction `x[i] -= y[i] * g` over the common prefix —
@@ -311,18 +302,7 @@ impl Backend {
     pub fn sub_scaled(self, x: &mut [Cf32], y: &[Cf32], g: Cf32) {
         let n = x.len().min(y.len());
         let (x, y) = (&mut x[..n], &y[..n]);
-        match self.effective() {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `effective()` guarantees CPU support.
-            Backend::Sse41 => unsafe { x86::sub_scaled_sse41(x, y, g) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above. Fma shares the AVX2 body.
-            Backend::Avx2 | Backend::Fma => unsafe { x86::sub_scaled_avx2(x, y, g) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above; bit-exact per lane as for mul_in_place.
-            Backend::Avx512 => unsafe { x86::sub_scaled_avx512(x, y, g) },
-            _ => scalar::sub_scaled(x, y, g),
-        }
+        dispatch!(wide: self, sub_scaled(x, y, g))
     }
 
     /// "Same"-mode real-tap FIR over complex input with group-delay
@@ -342,22 +322,12 @@ impl Backend {
             out.fill(Cf32::ZERO);
             return;
         }
-        match self.effective() {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `effective()` guarantees CPU support.
-            Backend::Sse41 => unsafe { x86::fir_same_sse41(taps, input, out) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above. Fma/Avx512 share the AVX2 body (no
-            // fusing on the synthesis path).
-            Backend::Avx2 | Backend::Fma | Backend::Avx512 => unsafe {
-                x86::fir_same_avx2(taps, input, out)
-            },
-            _ => scalar::fir_same(taps, input, out),
-        }
+        dispatch!(capped: self, fir_same(taps, input, out))
     }
 
     /// "Same"-mode real-tap FIR over real input — the GFSK pulse
-    /// shaper's kernel. Same contract as [`Backend::fir_same`].
+    /// shaper's kernel. Same contract as [`Backend::fir_same`], which is
+    /// this FIR over two interleaved rails.
     ///
     /// # Panics
     /// Panics if `out.len() != input.len()`.
@@ -367,17 +337,7 @@ impl Backend {
             out.fill(0.0);
             return;
         }
-        match self.effective() {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `effective()` guarantees CPU support.
-            Backend::Sse41 => unsafe { x86::fir_same_real_sse41(taps, input, out) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above. Fma/Avx512 share the AVX2 body.
-            Backend::Avx2 | Backend::Fma | Backend::Avx512 => unsafe {
-                x86::fir_same_real_avx2(taps, input, out)
-            },
-            _ => scalar::fir_same_real(taps, input, out),
-        }
+        dispatch!(capped: self, fir_same(taps, input, out))
     }
 
     /// One radix-2 decimation-in-time FFT stage, in place: in every
@@ -390,8 +350,9 @@ impl Backend {
     /// disjoint samples, and vector paths compute each with the unfused
     /// complex multiply of [`Backend::mul_in_place`] followed by one
     /// add and one subtract — [`Cf32`]'s scalar rounding sequence per
-    /// lane. Stages with fewer butterflies per block than a vector
-    /// holds run the scalar body.
+    /// lane. A stage with fewer butterflies per block than the
+    /// backend's vector holds runs on 256-bit vectors if it fills
+    /// those, else on the scalar body.
     ///
     /// # Panics
     /// Panics if `twiddles` is empty or `buf.len()` is not a multiple
@@ -403,23 +364,7 @@ impl Backend {
             "butterflies: {} samples do not split into blocks of 2 x {half}",
             buf.len()
         );
-        match self.effective() {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `effective()` guarantees CPU support. Masked
-            // add/sub keeps the per-lane rounding sequence, as in
-            // mul_in_place.
-            Backend::Avx512 if half >= 8 => unsafe { x86::butterflies_avx512(buf, twiddles) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above; Avx512 implies avx2 support. Fma shares
-            // the AVX2 body (fusing would break bit-exactness).
-            Backend::Avx2 | Backend::Fma | Backend::Avx512 if half >= 4 => unsafe {
-                x86::butterflies_avx2(buf, twiddles)
-            },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above.
-            Backend::Sse41 if half >= 2 => unsafe { x86::butterflies_sse41(buf, twiddles) },
-            _ => scalar::butterflies(buf, twiddles),
-        }
+        dispatch!(wide: self, butterflies(buf, twiddles))
     }
 
     /// Every radix-2 decimation-in-time stage of an `n`-point FFT over
@@ -450,20 +395,7 @@ impl Backend {
             buf.len(),
             twiddles.len()
         );
-        match self.effective() {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `effective()` guarantees CPU support; the lengths
-            // the callee relies on are asserted above.
-            Backend::Avx512 => unsafe { x86::fft_stages_avx512(buf, twiddles, scale) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above. Fma shares the AVX2 body (fusing would
-            // break bit-exactness).
-            Backend::Avx2 | Backend::Fma => unsafe { x86::fft_stages_avx2(buf, twiddles, scale) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above.
-            Backend::Sse41 => unsafe { x86::fft_stages_sse41(buf, twiddles, scale) },
-            _ => scalar::fft_stages(buf, twiddles, scale),
-        }
+        dispatch!(wide: self, fft_stages(buf, twiddles, scale))
     }
 
     /// Normalizes one run of correlation lags: with `win[k] =
@@ -496,25 +428,7 @@ impl Backend {
             corr.len()
         );
         let (lo, hi) = (&prefix[..corr.len()], &prefix[m..m + corr.len()]);
-        match self.effective() {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `effective()` guarantees CPU support; `lo`, `hi`,
-            // `corr` and `out` have one length.
-            Backend::Avx512 => unsafe {
-                x86::normalize_lags_avx512(corr, lo, hi, energy, floor, out)
-            },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above. Nothing here can fuse.
-            Backend::Avx2 | Backend::Fma => unsafe {
-                x86::normalize_lags_avx2(corr, lo, hi, energy, floor, out)
-            },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above.
-            Backend::Sse41 => unsafe {
-                x86::normalize_lags_sse41(corr, lo, hi, energy, floor, out)
-            },
-            _ => scalar::normalize_lags(corr, lo, hi, energy, floor, out),
-        }
+        dispatch!(wide: self, normalize_lags(corr, lo, hi, energy, floor, out))
     }
 
     /// The ADC model of a receiver front end, sample by sample: gain,
@@ -533,19 +447,7 @@ impl Backend {
     pub fn digitize(self, adc: &Adc, analog: &[Cf32], out: &mut [Cf32]) {
         assert_eq!(analog.len(), out.len(), "digitize length mismatch");
         assert!(adc.levels <= 32_768.0, "digitize: {} levels", adc.levels);
-        match self.effective() {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `effective()` guarantees CPU support; equal
-            // lengths are asserted above.
-            Backend::Avx512 => unsafe { x86::digitize_avx512(adc, analog, out) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above. Fma shares the AVX2 body.
-            Backend::Avx2 | Backend::Fma => unsafe { x86::digitize_avx2(adc, analog, out) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above.
-            Backend::Sse41 => unsafe { x86::digitize_sse41(adc, analog, out) },
-            _ => scalar::digitize(adc, analog, out),
-        }
+        dispatch!(wide: self, digitize(adc, analog, out))
     }
 
     /// Block-floating-point compression of I/Q samples to `bits` bits
@@ -575,25 +477,7 @@ impl Backend {
         data: &mut [u8],
     ) {
         check_codec_shape(samples.len(), bits, block_len, scales.len(), data.len());
-        match self.effective() {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `effective()` guarantees CPU support; the slice
-            // lengths the callee relies on are asserted above.
-            Backend::Avx512 => unsafe {
-                x86::compress_avx512(samples, bits, block_len, scales, data)
-            },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above. Nothing here can fuse.
-            Backend::Avx2 | Backend::Fma => unsafe {
-                x86::compress_avx2(samples, bits, block_len, scales, data)
-            },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above.
-            Backend::Sse41 => unsafe {
-                x86::compress_sse41(samples, bits, block_len, scales, data)
-            },
-            _ => scalar::compress(samples, bits, block_len, scales, data),
-        }
+        dispatch!(wide: self, compress(samples, bits, block_len, scales, data))
     }
 
     /// The inverse of [`Backend::compress`]: sample `i`'s rails are
@@ -615,23 +499,7 @@ impl Backend {
         out: &mut [Cf32],
     ) {
         check_codec_shape(out.len(), bits, block_len, scales.len(), data.len());
-        match self.effective() {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `effective()` guarantees CPU support; the slice
-            // lengths the callee relies on are asserted above.
-            Backend::Avx512 => unsafe {
-                x86::decompress_avx512(bits, block_len, scales, data, out)
-            },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above. Nothing here can fuse.
-            Backend::Avx2 | Backend::Fma => unsafe {
-                x86::decompress_avx2(bits, block_len, scales, data, out)
-            },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above.
-            Backend::Sse41 => unsafe { x86::decompress_sse41(bits, block_len, scales, data, out) },
-            _ => scalar::decompress(bits, block_len, scales, data, out),
-        }
+        dispatch!(wide: self, decompress(bits, block_len, scales, data, out))
     }
 }
 
@@ -676,28 +544,9 @@ pub struct Adc {
 // Process-wide backend selection
 // ---------------------------------------------------------------------------
 
-/// 0 = not yet resolved; otherwise `Backend` discriminant + 1.
+/// 0 = not yet resolved; otherwise the backend's discriminant (its
+/// index in [`Backend::ALL`]) + 1.
 static ACTIVE: AtomicU8 = AtomicU8::new(0);
-
-fn to_code(b: Backend) -> u8 {
-    match b {
-        Backend::Scalar => 1,
-        Backend::Sse41 => 2,
-        Backend::Avx2 => 3,
-        Backend::Fma => 4,
-        Backend::Avx512 => 5,
-    }
-}
-
-fn from_code(c: u8) -> Backend {
-    match c {
-        1 => Backend::Scalar,
-        2 => Backend::Sse41,
-        3 => Backend::Avx2,
-        4 => Backend::Fma,
-        _ => Backend::Avx512,
-    }
-}
 
 /// The backend `GALIOT_DSP_BACKEND` currently requests, if any:
 /// `None` when the variable is unset, empty, or `auto`;
@@ -719,30 +568,27 @@ pub fn env_request() -> Option<Result<Backend, String>> {
 }
 
 fn resolve_from_env() -> Backend {
-    match std::env::var("GALIOT_DSP_BACKEND") {
-        Ok(v) if !v.is_empty() && !v.eq_ignore_ascii_case("auto") => match Backend::from_name(&v) {
-            Some(req) if req.is_supported() => req,
-            Some(req) => {
-                let fallback = Backend::detect();
-                eprintln!(
-                    "galiot-dsp: GALIOT_DSP_BACKEND={v} requests the {} backend but the \
-                     CPU does not support it; using {}",
-                    req.name(),
-                    fallback.name()
-                );
-                fallback
-            }
-            None => {
-                let fallback = Backend::detect();
-                eprintln!(
-                    "galiot-dsp: unknown GALIOT_DSP_BACKEND={v:?} \
-                     (expected scalar|sse4.1|avx2|fma|avx512|auto); using {}",
-                    fallback.name()
-                );
-                fallback
-            }
-        },
-        _ => Backend::detect(),
+    let fallback = Backend::detect();
+    match env_request() {
+        None => fallback,
+        Some(Ok(req)) if req.is_supported() => req,
+        Some(Ok(req)) => {
+            eprintln!(
+                "galiot-dsp: GALIOT_DSP_BACKEND requests the {} backend but the CPU does not \
+                 support it; using {}",
+                req.name(),
+                fallback.name()
+            );
+            fallback
+        }
+        Some(Err(v)) => {
+            eprintln!(
+                "galiot-dsp: unknown GALIOT_DSP_BACKEND={v:?} \
+                 (expected scalar|sse4.1|avx2|fma|avx512|auto); using {}",
+                fallback.name()
+            );
+            fallback
+        }
     }
 }
 
@@ -759,10 +605,10 @@ pub fn active() -> Backend {
             // Benign race: resolution is deterministic for a given
             // environment, so concurrent first callers agree.
             let b = resolve_from_env();
-            ACTIVE.store(to_code(b), Ordering::Relaxed);
+            ACTIVE.store(b as u8 + 1, Ordering::Relaxed);
             b
         }
-        c => from_code(c),
+        c => Backend::ALL[c as usize - 1],
     }
 }
 
@@ -783,7 +629,7 @@ pub fn backend_name() -> &'static str {
 pub fn set_backend(b: Backend) -> Backend {
     let prev = active();
     let clamped = if b.is_supported() { b } else { Backend::Scalar };
-    ACTIVE.store(to_code(clamped), Ordering::Relaxed);
+    ACTIVE.store(clamped as u8 + 1, Ordering::Relaxed);
     prev
 }
 
@@ -791,95 +637,32 @@ pub fn set_backend(b: Backend) -> Backend {
 // Free functions: the call-site API (dispatch on the active backend)
 // ---------------------------------------------------------------------------
 
-/// [`Backend::dot_conj`] on the [`active`] backend.
-#[inline]
-pub fn dot_conj(x: &[Cf32], h: &[Cf32]) -> Cf32 {
-    active().dot_conj(x, h)
+/// Each free function: the [`Backend`] method of its name on the
+/// [`active`] backend.
+macro_rules! on_active {
+    ($($name:ident($($arg:ident: $ty:ty),*) $(-> $ret:ty)?;)*) => {$(
+        #[doc = concat!("[`Backend::", stringify!($name), "`] on the [`active`] backend.")]
+        #[inline]
+        pub fn $name($($arg: $ty),*) $(-> $ret)? {
+            active().$name($($arg),*)
+        }
+    )*};
 }
 
-/// [`Backend::energy_f32`] on the [`active`] backend.
-#[inline]
-pub fn energy_f32(x: &[Cf32]) -> f32 {
-    active().energy_f32(x)
-}
-
-/// [`Backend::energy_f64`] on the [`active`] backend.
-#[inline]
-pub fn energy_f64(x: &[Cf32]) -> f64 {
-    active().energy_f64(x)
-}
-
-/// [`Backend::max_norm_sqr`] on the [`active`] backend.
-#[inline]
-pub fn max_norm_sqr(x: &[Cf32]) -> f32 {
-    active().max_norm_sqr(x)
-}
-
-/// [`Backend::norm_sqr_into`] on the [`active`] backend.
-#[inline]
-pub fn norm_sqr_into(x: &[Cf32], out: &mut [f32]) {
-    active().norm_sqr_into(x, out)
-}
-
-/// [`Backend::mul_in_place`] on the [`active`] backend.
-#[inline]
-pub fn mul_in_place(a: &mut [Cf32], b: &[Cf32]) {
-    active().mul_in_place(a, b)
-}
-
-/// [`Backend::sub_scaled`] on the [`active`] backend.
-#[inline]
-pub fn sub_scaled(x: &mut [Cf32], y: &[Cf32], g: Cf32) {
-    active().sub_scaled(x, y, g)
-}
-
-/// [`Backend::fir_same`] on the [`active`] backend.
-#[inline]
-pub fn fir_same(taps: &[f32], input: &[Cf32], out: &mut [Cf32]) {
-    active().fir_same(taps, input, out)
-}
-
-/// [`Backend::fir_same_real`] on the [`active`] backend.
-#[inline]
-pub fn fir_same_real(taps: &[f32], input: &[f32], out: &mut [f32]) {
-    active().fir_same_real(taps, input, out)
-}
-
-/// [`Backend::normalize_lags`] on the [`active`] backend.
-#[inline]
-pub fn normalize_lags(
-    corr: &[Cf32],
-    prefix: &[f64],
-    m: usize,
-    energy: f64,
-    floor: f64,
-    out: &mut [f32],
-) {
-    active().normalize_lags(corr, prefix, m, energy, floor, out)
-}
-
-/// [`Backend::digitize`] on the [`active`] backend.
-#[inline]
-pub fn digitize(adc: &Adc, analog: &[Cf32], out: &mut [Cf32]) {
-    active().digitize(adc, analog, out)
-}
-
-/// [`Backend::compress`] on the [`active`] backend.
-#[inline]
-pub fn compress(
-    samples: &[Cf32],
-    bits: u32,
-    block_len: usize,
-    scales: &mut [f32],
-    data: &mut [u8],
-) {
-    active().compress(samples, bits, block_len, scales, data)
-}
-
-/// [`Backend::decompress`] on the [`active`] backend.
-#[inline]
-pub fn decompress(bits: u32, block_len: usize, scales: &[f32], data: &[u8], out: &mut [Cf32]) {
-    active().decompress(bits, block_len, scales, data, out)
+on_active! {
+    dot_conj(x: &[Cf32], h: &[Cf32]) -> Cf32;
+    energy_f32(x: &[Cf32]) -> f32;
+    energy_f64(x: &[Cf32]) -> f64;
+    max_norm_sqr(x: &[Cf32]) -> f32;
+    norm_sqr_into(x: &[Cf32], out: &mut [f32]);
+    mul_in_place(a: &mut [Cf32], b: &[Cf32]);
+    sub_scaled(x: &mut [Cf32], y: &[Cf32], g: Cf32);
+    fir_same(taps: &[f32], input: &[Cf32], out: &mut [Cf32]);
+    fir_same_real(taps: &[f32], input: &[f32], out: &mut [f32]);
+    normalize_lags(corr: &[Cf32], prefix: &[f64], m: usize, energy: f64, floor: f64, out: &mut [f32]);
+    digitize(adc: &Adc, analog: &[Cf32], out: &mut [Cf32]);
+    compress(samples: &[Cf32], bits: u32, block_len: usize, scales: &mut [f32], data: &mut [u8]);
+    decompress(bits: u32, block_len: usize, scales: &[f32], data: &[u8], out: &mut [Cf32]);
 }
 
 // ---------------------------------------------------------------------------
@@ -894,6 +677,7 @@ pub fn decompress(bits: u32, block_len: usize, scales: &[f32], data: &[u8], out:
 mod scalar {
     use super::Adc;
     use crate::num::Cf32;
+    use std::ops::{AddAssign, Mul, Range};
 
     pub fn dot_conj(x: &[Cf32], h: &[Cf32]) -> Cf32 {
         let mut acc = Cf32::ZERO;
@@ -941,33 +725,40 @@ mod scalar {
         }
     }
 
-    pub fn fir_same(taps: &[f32], input: &[Cf32], out: &mut [Cf32]) {
-        let n = input.len();
-        let delay = (taps.len() - 1) / 2;
-        for (i, o) in out.iter_mut().enumerate() {
-            let mut acc = Cf32::ZERO;
-            for (k, &t) in taps.iter().enumerate() {
-                let idx = i as isize + delay as isize - k as isize;
-                if idx >= 0 && (idx as usize) < n {
-                    acc += input[idx as usize] * t;
-                }
-            }
-            *o = acc;
-        }
+    /// A FIR sample: one real rail, or two interleaved (I then Q), each
+    /// filtered on its own.
+    pub trait Rails: Copy + Default + Mul<f32, Output = Self> + AddAssign {
+        /// The `f32`s a sample is made of, which is how many the vector
+        /// FIR reads per sample.
+        const RAILS: usize;
     }
 
-    pub fn fir_same_real(taps: &[f32], input: &[f32], out: &mut [f32]) {
+    impl Rails for f32 {
+        const RAILS: usize = 1;
+    }
+
+    impl Rails for Cf32 {
+        const RAILS: usize = 2;
+    }
+
+    pub fn fir_same<T: Rails>(taps: &[f32], input: &[T], out: &mut [T]) {
+        fir_range(taps, input, out, 0..out.len());
+    }
+
+    /// The outputs `range` of `Backend::fir_same`, each accumulating its
+    /// in-bounds taps in ascending order.
+    pub fn fir_range<T: Rails>(taps: &[f32], input: &[T], out: &mut [T], range: Range<usize>) {
         let n = input.len();
         let delay = (taps.len() - 1) / 2;
-        for (i, o) in out.iter_mut().enumerate() {
-            let mut acc = 0.0f32;
+        for i in range {
+            let mut acc = T::default();
             for (k, &t) in taps.iter().enumerate() {
                 let idx = i as isize + delay as isize - k as isize;
                 if idx >= 0 && (idx as usize) < n {
                     acc += input[idx as usize] * t;
                 }
             }
-            *o = acc;
+            out[i] = acc;
         }
     }
 
@@ -1200,503 +991,15 @@ mod x86 {
     use crate::num::Cf32;
     use std::arch::x86_64::*;
 
-    /// Views interleaved complex samples as their raw `re, im, re, im`
-    /// float stream. Sound because `Cf32` is `#[repr(C)]` over two
-    /// `f32` fields with no padding.
-    #[inline]
-    fn floats(x: &[Cf32]) -> &[f32] {
-        // SAFETY: see above; length doubles, alignment only shrinks.
-        unsafe { std::slice::from_raw_parts(x.as_ptr().cast::<f32>(), x.len() * 2) }
-    }
-
-    /// Mutable variant of [`floats`].
-    #[inline]
-    fn floats_mut(x: &mut [Cf32]) -> &mut [f32] {
-        // SAFETY: as in `floats`; exclusive borrow is carried over.
-        unsafe { std::slice::from_raw_parts_mut(x.as_mut_ptr().cast::<f32>(), x.len() * 2) }
-    }
-
-    // -- dot_conj ----------------------------------------------------------
-    //
-    // With interleaved lanes a = [xr, xi, ...] and b = [hr, hi, ...]:
-    //   acc1 += a * b        accumulates [xr*hr, xi*hi, ...]  (re terms)
-    //   acc2 += a * swap(b)  accumulates [xr*hi, xi*hr, ...]  (im terms)
-    // re = sum(acc1 lanes); im = sum(odd acc2 lanes) - sum(even).
-
-    macro_rules! dot_conj_256 {
-        ($name:ident, $feat:literal ; $acc:ident, $a:ident, $b:ident => $step1:expr, $bs:ident => $step2:expr) => {
-            #[target_feature(enable = $feat)]
-            pub unsafe fn $name(x: &[Cf32], h: &[Cf32]) -> Cf32 {
-                let xf = floats(x);
-                let hf = floats(h);
-                let lim = xf.len();
-                let mut acc1 = _mm256_setzero_ps();
-                let mut acc2 = _mm256_setzero_ps();
-                let mut i = 0usize;
-                while i + 8 <= lim {
-                    let $a = _mm256_loadu_ps(xf.as_ptr().add(i));
-                    let $b = _mm256_loadu_ps(hf.as_ptr().add(i));
-                    let $bs = _mm256_permute_ps($b, 0b1011_0001);
-                    let $acc = acc1;
-                    acc1 = $step1;
-                    let $acc = acc2;
-                    let ($a, $b) = ($a, $bs);
-                    acc2 = $step2;
-                    i += 8;
-                }
-                let mut t1 = [0f32; 8];
-                let mut t2 = [0f32; 8];
-                _mm256_storeu_ps(t1.as_mut_ptr(), acc1);
-                _mm256_storeu_ps(t2.as_mut_ptr(), acc2);
-                let mut re = t1.iter().sum::<f32>();
-                let mut im = (t2[1] + t2[3] + t2[5] + t2[7]) - (t2[0] + t2[2] + t2[4] + t2[6]);
-                // Scalar tail over the remaining (< 4) complex samples.
-                let tail = scalar::dot_conj(&x[i / 2..], &h[i / 2..]);
-                re += tail.re;
-                im += tail.im;
-                Cf32 { re, im }
-            }
-        };
-    }
-
-    dot_conj_256!(dot_conj_avx2, "avx2" ;
-        acc, a, b => _mm256_add_ps(acc, _mm256_mul_ps(a, b)),
-        bs => _mm256_add_ps(acc, _mm256_mul_ps(a, b)));
-    dot_conj_256!(dot_conj_fma, "avx2,fma" ;
-        acc, a, b => _mm256_fmadd_ps(a, b, acc),
-        bs => _mm256_fmadd_ps(a, b, acc));
-
-    #[target_feature(enable = "sse4.1")]
-    pub unsafe fn dot_conj_sse41(x: &[Cf32], h: &[Cf32]) -> Cf32 {
-        let xf = floats(x);
-        let hf = floats(h);
-        let lim = xf.len();
-        let mut acc1 = _mm_setzero_ps();
-        let mut acc2 = _mm_setzero_ps();
-        let mut i = 0usize;
-        while i + 4 <= lim {
-            let a = _mm_loadu_ps(xf.as_ptr().add(i));
-            let b = _mm_loadu_ps(hf.as_ptr().add(i));
-            let bs = _mm_shuffle_ps(b, b, 0b1011_0001);
-            acc1 = _mm_add_ps(acc1, _mm_mul_ps(a, b));
-            acc2 = _mm_add_ps(acc2, _mm_mul_ps(a, bs));
-            i += 4;
-        }
-        let mut t1 = [0f32; 4];
-        let mut t2 = [0f32; 4];
-        _mm_storeu_ps(t1.as_mut_ptr(), acc1);
-        _mm_storeu_ps(t2.as_mut_ptr(), acc2);
-        let mut re = t1.iter().sum::<f32>();
-        let mut im = (t2[1] + t2[3]) - (t2[0] + t2[2]);
-        let tail = scalar::dot_conj(&x[i / 2..], &h[i / 2..]);
-        re += tail.re;
-        im += tail.im;
-        Cf32 { re, im }
-    }
-
-    // -- energy ------------------------------------------------------------
-
-    macro_rules! energy_f32_256 {
-        ($name:ident, $feat:literal ; $acc:ident, $v:ident => $step:expr) => {
-            #[target_feature(enable = $feat)]
-            pub unsafe fn $name(x: &[Cf32]) -> f32 {
-                let xf = floats(x);
-                let lim = xf.len();
-                let mut acc = _mm256_setzero_ps();
-                let mut i = 0usize;
-                while i + 8 <= lim {
-                    let $v = _mm256_loadu_ps(xf.as_ptr().add(i));
-                    let $acc = acc;
-                    acc = $step;
-                    i += 8;
-                }
-                let mut t = [0f32; 8];
-                _mm256_storeu_ps(t.as_mut_ptr(), acc);
-                let mut total = t.iter().sum::<f32>();
-                while i < lim {
-                    total += xf[i] * xf[i];
-                    i += 1;
-                }
-                total
-            }
-        };
-    }
-
-    energy_f32_256!(energy_f32_avx2, "avx2" ;
-        acc, v => _mm256_add_ps(acc, _mm256_mul_ps(v, v)));
-    energy_f32_256!(energy_f32_fma, "avx2,fma" ;
-        acc, v => _mm256_fmadd_ps(v, v, acc));
-
-    #[target_feature(enable = "sse4.1")]
-    pub unsafe fn energy_f32_sse41(x: &[Cf32]) -> f32 {
-        let xf = floats(x);
-        let lim = xf.len();
-        let mut acc = _mm_setzero_ps();
-        let mut i = 0usize;
-        while i + 4 <= lim {
-            let v = _mm_loadu_ps(xf.as_ptr().add(i));
-            acc = _mm_add_ps(acc, _mm_mul_ps(v, v));
-            i += 4;
-        }
-        let mut t = [0f32; 4];
-        _mm_storeu_ps(t.as_mut_ptr(), acc);
-        let mut total = t.iter().sum::<f32>();
-        while i < lim {
-            total += xf[i] * xf[i];
-            i += 1;
-        }
-        total
-    }
-
-    macro_rules! energy_f64_256 {
-        ($name:ident, $feat:literal ; $acc:ident, $d:ident => $step:expr) => {
-            #[target_feature(enable = $feat)]
-            pub unsafe fn $name(x: &[Cf32]) -> f64 {
-                let xf = floats(x);
-                let lim = xf.len();
-                let mut acc = _mm256_setzero_pd();
-                let mut i = 0usize;
-                while i + 4 <= lim {
-                    let $d = _mm256_cvtps_pd(_mm_loadu_ps(xf.as_ptr().add(i)));
-                    let $acc = acc;
-                    acc = $step;
-                    i += 4;
-                }
-                let mut t = [0f64; 4];
-                _mm256_storeu_pd(t.as_mut_ptr(), acc);
-                let mut total = t.iter().sum::<f64>();
-                while i < lim {
-                    let v = xf[i] as f64;
-                    total += v * v;
-                    i += 1;
-                }
-                total
-            }
-        };
-    }
-
-    energy_f64_256!(energy_f64_avx2, "avx2" ;
-        acc, d => _mm256_add_pd(acc, _mm256_mul_pd(d, d)));
-    energy_f64_256!(energy_f64_fma, "avx2,fma" ;
-        acc, d => _mm256_fmadd_pd(d, d, acc));
-
-    #[target_feature(enable = "sse4.1")]
-    pub unsafe fn energy_f64_sse41(x: &[Cf32]) -> f64 {
-        let xf = floats(x);
-        let lim = xf.len();
-        let mut acc = _mm_setzero_pd();
-        let mut i = 0usize;
-        while i + 2 <= lim {
-            let d = _mm_cvtps_pd(_mm_castsi128_ps(_mm_loadl_epi64(
-                xf.as_ptr().add(i).cast::<__m128i>(),
-            )));
-            acc = _mm_add_pd(acc, _mm_mul_pd(d, d));
-            i += 2;
-        }
-        let mut t = [0f64; 2];
-        _mm_storeu_pd(t.as_mut_ptr(), acc);
-        let mut total = t[0] + t[1];
-        while i < lim {
-            let v = xf[i] as f64;
-            total += v * v;
-            i += 1;
-        }
-        total
-    }
-
-    // -- max_norm_sqr ------------------------------------------------------
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn max_norm_sqr_avx2(x: &[Cf32]) -> f32 {
-        let xf = floats(x);
-        let lim = xf.len();
-        let mut macc = _mm256_setzero_ps();
-        let mut i = 0usize;
-        while i + 8 <= lim {
-            let v = _mm256_loadu_ps(xf.as_ptr().add(i));
-            let sq = _mm256_mul_ps(v, v);
-            // Pairwise re^2 + im^2 (duplicated across the pair, which
-            // max ignores): one add of the two rounded squares, the
-            // scalar sequence exactly.
-            let sums = _mm256_add_ps(sq, _mm256_permute_ps(sq, 0b1011_0001));
-            macc = _mm256_max_ps(macc, sums);
-            i += 8;
-        }
-        let mut t = [0f32; 8];
-        _mm256_storeu_ps(t.as_mut_ptr(), macc);
-        let mut best = t.iter().fold(0.0f32, |a, &b| a.max(b));
-        for z in &x[i / 2..] {
-            best = best.max(z.norm_sqr());
-        }
-        best
-    }
-
-    #[target_feature(enable = "sse4.1")]
-    pub unsafe fn max_norm_sqr_sse41(x: &[Cf32]) -> f32 {
-        let xf = floats(x);
-        let lim = xf.len();
-        let mut macc = _mm_setzero_ps();
-        let mut i = 0usize;
-        while i + 4 <= lim {
-            let v = _mm_loadu_ps(xf.as_ptr().add(i));
-            let sq = _mm_mul_ps(v, v);
-            let sums = _mm_add_ps(sq, _mm_shuffle_ps(sq, sq, 0b1011_0001));
-            macc = _mm_max_ps(macc, sums);
-            i += 4;
-        }
-        let mut t = [0f32; 4];
-        _mm_storeu_ps(t.as_mut_ptr(), macc);
-        let mut best = t.iter().fold(0.0f32, |a, &b| a.max(b));
-        for z in &x[i / 2..] {
-            best = best.max(z.norm_sqr());
-        }
-        best
-    }
-
-    // -- norm_sqr_into -----------------------------------------------------
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn norm_sqr_into_avx2(x: &[Cf32], out: &mut [f32]) {
-        let xf = floats(x);
-        let n = x.len();
-        let mut i = 0usize; // complex index
-                            // 8 complex samples per iteration: two squared vectors, hadd
-                            // pairs them ([s0 s1 s4 s5 | s2 s3 s6 s7]), permute restores
-                            // order. Each s is one add of two rounded squares — bit-exact.
-        while i + 8 <= n {
-            let va = _mm256_loadu_ps(xf.as_ptr().add(2 * i));
-            let vb = _mm256_loadu_ps(xf.as_ptr().add(2 * i + 8));
-            let ha = _mm256_hadd_ps(_mm256_mul_ps(va, va), _mm256_mul_ps(vb, vb));
-            let ordered =
-                _mm256_castpd_ps(_mm256_permute4x64_pd(_mm256_castps_pd(ha), 0b1101_1000));
-            _mm256_storeu_ps(out.as_mut_ptr().add(i), ordered);
-            i += 8;
-        }
-        for (o, z) in out[i..].iter_mut().zip(&x[i..]) {
-            *o = z.norm_sqr();
-        }
-    }
-
-    #[target_feature(enable = "sse4.1")]
-    pub unsafe fn norm_sqr_into_sse41(x: &[Cf32], out: &mut [f32]) {
-        let xf = floats(x);
-        let n = x.len();
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let va = _mm_loadu_ps(xf.as_ptr().add(2 * i));
-            let vb = _mm_loadu_ps(xf.as_ptr().add(2 * i + 4));
-            let h = _mm_hadd_ps(_mm_mul_ps(va, va), _mm_mul_ps(vb, vb));
-            _mm_storeu_ps(out.as_mut_ptr().add(i), h);
-            i += 4;
-        }
-        for (o, z) in out[i..].iter_mut().zip(&x[i..]) {
-            *o = z.norm_sqr();
-        }
-    }
-
-    // -- mul_in_place ------------------------------------------------------
-    //
-    // Standard interleaved complex multiply:
-    //   t1 = a * dup_re(b)        = [ar*br, ai*br, ...]
-    //   t2 = swap(a) * dup_im(b)  = [ai*bi, ar*bi, ...]
-    //   addsub(t1, t2)            = [ar*br - ai*bi, ai*br + ar*bi, ...]
-    // Each output component is one add/sub of two rounded products —
-    // the exact rounding sequence of Cf32's scalar Mul.
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn mul_in_place_avx2(a: &mut [Cf32], b: &[Cf32]) {
-        // Peel scalar elements until the in-place operand sits on a 32B
-        // boundary: allocations only guarantee 16B, and misaligned 32B
-        // accesses split cache lines on every other address. The split
-        // point cannot change element-wise results. An odd-float base
-        // can never reach 32B alignment; run unaligned throughout then.
-        let head = (a.as_ptr() as usize).wrapping_neg() % 32 / 4;
-        let peel = if head.is_multiple_of(2) {
-            (head / 2).min(a.len())
-        } else {
-            0
-        };
-        scalar::mul_in_place(&mut a[..peel], &b[..peel]);
-        let bf = floats(b);
-        let af = floats_mut(a);
-        let lim = af.len();
-        let mut i = peel * 2;
-        // Two independent 4-complex lanes per iteration: element-wise
-        // results are identical at any unroll factor, and the second
-        // lane hides the shuffle-port latency of the first. The store
-        // (and one load) are 32B-aligned after the peel whenever the
-        // base pointer is float-even, which `Vec<Cf32>` guarantees.
-        while i + 16 <= lim {
-            let va0 = _mm256_loadu_ps(af.as_ptr().add(i));
-            let vb0 = _mm256_loadu_ps(bf.as_ptr().add(i));
-            let va1 = _mm256_loadu_ps(af.as_ptr().add(i + 8));
-            let vb1 = _mm256_loadu_ps(bf.as_ptr().add(i + 8));
-            let t1 = _mm256_mul_ps(va0, _mm256_moveldup_ps(vb0));
-            let t2 = _mm256_mul_ps(_mm256_permute_ps(va0, 0b1011_0001), _mm256_movehdup_ps(vb0));
-            let u1 = _mm256_mul_ps(va1, _mm256_moveldup_ps(vb1));
-            let u2 = _mm256_mul_ps(_mm256_permute_ps(va1, 0b1011_0001), _mm256_movehdup_ps(vb1));
-            _mm256_storeu_ps(af.as_mut_ptr().add(i), _mm256_addsub_ps(t1, t2));
-            _mm256_storeu_ps(af.as_mut_ptr().add(i + 8), _mm256_addsub_ps(u1, u2));
-            i += 16;
-        }
-        while i + 8 <= lim {
-            let va = _mm256_loadu_ps(af.as_ptr().add(i));
-            let vb = _mm256_loadu_ps(bf.as_ptr().add(i));
-            let t1 = _mm256_mul_ps(va, _mm256_moveldup_ps(vb));
-            let t2 = _mm256_mul_ps(_mm256_permute_ps(va, 0b1011_0001), _mm256_movehdup_ps(vb));
-            _mm256_storeu_ps(af.as_mut_ptr().add(i), _mm256_addsub_ps(t1, t2));
-            i += 8;
-        }
-        let done = i / 2;
-        scalar::mul_in_place(&mut a[done..], &b[done..]);
-    }
-
-    #[target_feature(enable = "sse4.1")]
-    pub unsafe fn mul_in_place_sse41(a: &mut [Cf32], b: &[Cf32]) {
-        let bf = floats(b);
-        let af = floats_mut(a);
-        let lim = af.len();
-        let mut i = 0usize;
-        while i + 4 <= lim {
-            let va = _mm_loadu_ps(af.as_ptr().add(i));
-            let vb = _mm_loadu_ps(bf.as_ptr().add(i));
-            let t1 = _mm_mul_ps(va, _mm_moveldup_ps(vb));
-            let t2 = _mm_mul_ps(_mm_shuffle_ps(va, va, 0b1011_0001), _mm_movehdup_ps(vb));
-            _mm_storeu_ps(af.as_mut_ptr().add(i), _mm_addsub_ps(t1, t2));
-            i += 4;
-        }
-        let done = i / 2;
-        scalar::mul_in_place(&mut a[done..], &b[done..]);
-    }
-
-    // AVX-512 has no addsub; an even-lane-masked subtract over the
-    // full-width add reproduces it: each lane still computes exactly
-    // one add or one sub of the same two rounded products, so the
-    // result stays bit-exact with the scalar reference.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn mul_in_place_avx512(a: &mut [Cf32], b: &[Cf32]) {
-        // Peel to a 64B boundary (see mul_in_place_avx2; allocations
-        // only guarantee 16B and split-line accesses cost double).
-        let head = (a.as_ptr() as usize).wrapping_neg() % 64 / 4;
-        let peel = if head.is_multiple_of(2) {
-            (head / 2).min(a.len())
-        } else {
-            0
-        };
-        scalar::mul_in_place(&mut a[..peel], &b[..peel]);
-        let bf = floats(b);
-        let af = floats_mut(a);
-        let lim = af.len();
-        let mut i = peel * 2;
-        const RE_LANES: u16 = 0x5555;
-        while i + 32 <= lim {
-            let va0 = _mm512_loadu_ps(af.as_ptr().add(i));
-            let vb0 = _mm512_loadu_ps(bf.as_ptr().add(i));
-            let va1 = _mm512_loadu_ps(af.as_ptr().add(i + 16));
-            let vb1 = _mm512_loadu_ps(bf.as_ptr().add(i + 16));
-            let t1 = _mm512_mul_ps(va0, _mm512_moveldup_ps(vb0));
-            let t2 = _mm512_mul_ps(_mm512_permute_ps(va0, 0b1011_0001), _mm512_movehdup_ps(vb0));
-            let u1 = _mm512_mul_ps(va1, _mm512_moveldup_ps(vb1));
-            let u2 = _mm512_mul_ps(_mm512_permute_ps(va1, 0b1011_0001), _mm512_movehdup_ps(vb1));
-            let r0 = _mm512_mask_sub_ps(_mm512_add_ps(t1, t2), RE_LANES, t1, t2);
-            let r1 = _mm512_mask_sub_ps(_mm512_add_ps(u1, u2), RE_LANES, u1, u2);
-            _mm512_storeu_ps(af.as_mut_ptr().add(i), r0);
-            _mm512_storeu_ps(af.as_mut_ptr().add(i + 16), r1);
-            i += 32;
-        }
-        while i + 16 <= lim {
-            let va = _mm512_loadu_ps(af.as_ptr().add(i));
-            let vb = _mm512_loadu_ps(bf.as_ptr().add(i));
-            let t1 = _mm512_mul_ps(va, _mm512_moveldup_ps(vb));
-            let t2 = _mm512_mul_ps(_mm512_permute_ps(va, 0b1011_0001), _mm512_movehdup_ps(vb));
-            let r = _mm512_mask_sub_ps(_mm512_add_ps(t1, t2), RE_LANES, t1, t2);
-            _mm512_storeu_ps(af.as_mut_ptr().add(i), r);
-            i += 16;
-        }
-        let done = i / 2;
-        scalar::mul_in_place(&mut a[done..], &b[done..]);
-    }
-
-    // -- sub_scaled --------------------------------------------------------
-    //
-    // y * g with broadcast g, then subtract from x. Product lanes:
-    //   t1 = y * set1(g.re)       = [yr*gr, yi*gr, ...]
-    //   t2 = swap(y) * set1(g.im) = [yi*gi, yr*gi, ...]
-    //   p  = addsub(t1, t2)       = [yr*gr - yi*gi, yi*gr + yr*gi, ...]
-    // matching Cf32 Mul's rounding, then x - p elementwise.
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn sub_scaled_avx2(x: &mut [Cf32], y: &[Cf32], g: Cf32) {
-        let yf = floats(y);
-        let xf = floats_mut(x);
-        let lim = xf.len();
-        let gr = _mm256_set1_ps(g.re);
-        let gi = _mm256_set1_ps(g.im);
-        let mut i = 0usize;
-        while i + 8 <= lim {
-            let vy = _mm256_loadu_ps(yf.as_ptr().add(i));
-            let t1 = _mm256_mul_ps(vy, gr);
-            let t2 = _mm256_mul_ps(_mm256_permute_ps(vy, 0b1011_0001), gi);
-            let p = _mm256_addsub_ps(t1, t2);
-            let vx = _mm256_loadu_ps(xf.as_ptr().add(i));
-            _mm256_storeu_ps(xf.as_mut_ptr().add(i), _mm256_sub_ps(vx, p));
-            i += 8;
-        }
-        let done = i / 2;
-        scalar::sub_scaled(&mut x[done..], &y[done..], g);
-    }
-
-    #[target_feature(enable = "sse4.1")]
-    pub unsafe fn sub_scaled_sse41(x: &mut [Cf32], y: &[Cf32], g: Cf32) {
-        let yf = floats(y);
-        let xf = floats_mut(x);
-        let lim = xf.len();
-        let gr = _mm_set1_ps(g.re);
-        let gi = _mm_set1_ps(g.im);
-        let mut i = 0usize;
-        while i + 4 <= lim {
-            let vy = _mm_loadu_ps(yf.as_ptr().add(i));
-            let t1 = _mm_mul_ps(vy, gr);
-            let t2 = _mm_mul_ps(_mm_shuffle_ps(vy, vy, 0b1011_0001), gi);
-            let p = _mm_addsub_ps(t1, t2);
-            let vx = _mm_loadu_ps(xf.as_ptr().add(i));
-            _mm_storeu_ps(xf.as_mut_ptr().add(i), _mm_sub_ps(vx, p));
-            i += 4;
-        }
-        let done = i / 2;
-        scalar::sub_scaled(&mut x[done..], &y[done..], g);
-    }
-
-    // Same masked-subtract addsub replacement as mul_in_place_avx512;
-    // bit-exact per lane.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn sub_scaled_avx512(x: &mut [Cf32], y: &[Cf32], g: Cf32) {
-        let yf = floats(y);
-        let xf = floats_mut(x);
-        let lim = xf.len();
-        let gr = _mm512_set1_ps(g.re);
-        let gi = _mm512_set1_ps(g.im);
-        const RE_LANES: u16 = 0x5555;
-        let mut i = 0usize;
-        while i + 16 <= lim {
-            let vy = _mm512_loadu_ps(yf.as_ptr().add(i));
-            let t1 = _mm512_mul_ps(vy, gr);
-            let t2 = _mm512_mul_ps(_mm512_permute_ps(vy, 0b1011_0001), gi);
-            let p = _mm512_mask_sub_ps(_mm512_add_ps(t1, t2), RE_LANES, t1, t2);
-            let vx = _mm512_loadu_ps(xf.as_ptr().add(i));
-            _mm512_storeu_ps(xf.as_mut_ptr().add(i), _mm512_sub_ps(vx, p));
-            i += 16;
-        }
-        let done = i / 2;
-        scalar::sub_scaled(&mut x[done..], &y[done..], g);
-    }
-
     // -- One vector type per ISA ---------------------------------------------
     //
-    // The FFT passes and the digitizer are written once over `Simd` and
-    // instantiated for `__m128`, `__m256` and `__m512`: every body is
-    // `#[inline(always)]` and entered only through a `#[target_feature]`
-    // function, so each instantiation compiles for its ISA.
+    // Every kernel below is written once over `Simd` (the capped and
+    // reduction rows also over `Narrow`) and instantiated for `__m128`,
+    // `__m256` and `__m512`: every body is `#[inline(always)]` and
+    // entered only through a `#[target_feature]` entry point, so each
+    // instantiation compiles for its ISA. A body's own safety condition
+    // is its trait's, plus the slice shapes its doc names (which the
+    // `Backend` method asserts before dispatching).
 
     /// A vector of `LANES` interleaved complex samples (`2 * LANES`
     /// floats) and the per-lane operations the generic kernels use.
@@ -1773,57 +1076,44 @@ mod x86 {
     /// Swaps the floats of every pair (`permute`/`shuffle` control).
     const SWAP: i32 = 0b1011_0001;
 
+    /// The [`Simd`] methods that are one intrinsic each: the unaligned
+    /// load and store, the broadcast, and the listed lane-wise binary
+    /// operations (`op(self, o)`).
+    macro_rules! one_intrinsic {
+        ($load:path, $store:path, $splat:path; $($op:ident: $f:path),*) => {
+            #[inline(always)]
+            unsafe fn load(p: *const Cf32) -> Self {
+                $load(p.cast())
+            }
+            #[inline(always)]
+            unsafe fn store(self, p: *mut Cf32) {
+                $store(p.cast(), self)
+            }
+            #[inline(always)]
+            unsafe fn splat(v: f32) -> Self {
+                $splat(v)
+            }
+            $(
+                #[inline(always)]
+                unsafe fn $op(self, o: Self) -> Self {
+                    $f(self, o)
+                }
+            )*
+        };
+    }
+
     impl Simd for __m128 {
         const LANES: usize = 2;
         type Small = __m128;
 
-        #[inline(always)]
-        unsafe fn load(p: *const Cf32) -> Self {
-            _mm_loadu_ps(p.cast())
-        }
-        #[inline(always)]
-        unsafe fn store(self, p: *mut Cf32) {
-            _mm_storeu_ps(p.cast(), self)
-        }
-        #[inline(always)]
-        unsafe fn splat(v: f32) -> Self {
-            _mm_set1_ps(v)
-        }
+        one_intrinsic!(_mm_loadu_ps, _mm_storeu_ps, _mm_set1_ps;
+            add: _mm_add_ps, sub: _mm_sub_ps, mul: _mm_mul_ps, div: _mm_div_ps,
+            min: _mm_min_ps, max: _mm_max_ps, and: _mm_and_ps, or: _mm_or_ps,
+            blend_im: _mm_blend_ps::<0b1010>);
+
         #[inline(always)]
         unsafe fn rails(re: f32, im: f32) -> Self {
             _mm_setr_ps(re, im, re, im)
-        }
-        #[inline(always)]
-        unsafe fn add(self, o: Self) -> Self {
-            _mm_add_ps(self, o)
-        }
-        #[inline(always)]
-        unsafe fn sub(self, o: Self) -> Self {
-            _mm_sub_ps(self, o)
-        }
-        #[inline(always)]
-        unsafe fn mul(self, o: Self) -> Self {
-            _mm_mul_ps(self, o)
-        }
-        #[inline(always)]
-        unsafe fn div(self, o: Self) -> Self {
-            _mm_div_ps(self, o)
-        }
-        #[inline(always)]
-        unsafe fn min(self, o: Self) -> Self {
-            _mm_min_ps(self, o)
-        }
-        #[inline(always)]
-        unsafe fn max(self, o: Self) -> Self {
-            _mm_max_ps(self, o)
-        }
-        #[inline(always)]
-        unsafe fn and(self, o: Self) -> Self {
-            _mm_and_ps(self, o)
-        }
-        #[inline(always)]
-        unsafe fn or(self, o: Self) -> Self {
-            _mm_or_ps(self, o)
         }
         #[inline(always)]
         unsafe fn trunc(self) -> Self {
@@ -1832,10 +1122,6 @@ mod x86 {
         #[inline(always)]
         unsafe fn swap(self) -> Self {
             _mm_shuffle_ps::<SWAP>(self, self)
-        }
-        #[inline(always)]
-        unsafe fn blend_im(self, o: Self) -> Self {
-            _mm_blend_ps::<0b1010>(self, o)
         }
         #[inline(always)]
         unsafe fn cmul(self, w: Self) -> Self {
@@ -1904,53 +1190,14 @@ mod x86 {
         const LANES: usize = 4;
         type Small = [__m256; 2];
 
-        #[inline(always)]
-        unsafe fn load(p: *const Cf32) -> Self {
-            _mm256_loadu_ps(p.cast())
-        }
-        #[inline(always)]
-        unsafe fn store(self, p: *mut Cf32) {
-            _mm256_storeu_ps(p.cast(), self)
-        }
-        #[inline(always)]
-        unsafe fn splat(v: f32) -> Self {
-            _mm256_set1_ps(v)
-        }
+        one_intrinsic!(_mm256_loadu_ps, _mm256_storeu_ps, _mm256_set1_ps;
+            add: _mm256_add_ps, sub: _mm256_sub_ps, mul: _mm256_mul_ps, div: _mm256_div_ps,
+            min: _mm256_min_ps, max: _mm256_max_ps, and: _mm256_and_ps, or: _mm256_or_ps,
+            blend_im: _mm256_blend_ps::<0b1010_1010>);
+
         #[inline(always)]
         unsafe fn rails(re: f32, im: f32) -> Self {
             _mm256_setr_ps(re, im, re, im, re, im, re, im)
-        }
-        #[inline(always)]
-        unsafe fn add(self, o: Self) -> Self {
-            _mm256_add_ps(self, o)
-        }
-        #[inline(always)]
-        unsafe fn sub(self, o: Self) -> Self {
-            _mm256_sub_ps(self, o)
-        }
-        #[inline(always)]
-        unsafe fn mul(self, o: Self) -> Self {
-            _mm256_mul_ps(self, o)
-        }
-        #[inline(always)]
-        unsafe fn div(self, o: Self) -> Self {
-            _mm256_div_ps(self, o)
-        }
-        #[inline(always)]
-        unsafe fn min(self, o: Self) -> Self {
-            _mm256_min_ps(self, o)
-        }
-        #[inline(always)]
-        unsafe fn max(self, o: Self) -> Self {
-            _mm256_max_ps(self, o)
-        }
-        #[inline(always)]
-        unsafe fn and(self, o: Self) -> Self {
-            _mm256_and_ps(self, o)
-        }
-        #[inline(always)]
-        unsafe fn or(self, o: Self) -> Self {
-            _mm256_or_ps(self, o)
         }
         #[inline(always)]
         unsafe fn trunc(self) -> Self {
@@ -1959,10 +1206,6 @@ mod x86 {
         #[inline(always)]
         unsafe fn swap(self) -> Self {
             _mm256_permute_ps::<SWAP>(self)
-        }
-        #[inline(always)]
-        unsafe fn blend_im(self, o: Self) -> Self {
-            _mm256_blend_ps::<0b1010_1010>(self, o)
         }
         #[inline(always)]
         unsafe fn cmul(self, w: Self) -> Self {
@@ -2042,45 +1285,13 @@ mod x86 {
         const LANES: usize = 8;
         type Small = [__m512; 3];
 
-        #[inline(always)]
-        unsafe fn load(p: *const Cf32) -> Self {
-            _mm512_loadu_ps(p.cast())
-        }
-        #[inline(always)]
-        unsafe fn store(self, p: *mut Cf32) {
-            _mm512_storeu_ps(p.cast(), self)
-        }
-        #[inline(always)]
-        unsafe fn splat(v: f32) -> Self {
-            _mm512_set1_ps(v)
-        }
+        one_intrinsic!(_mm512_loadu_ps, _mm512_storeu_ps, _mm512_set1_ps;
+            add: _mm512_add_ps, sub: _mm512_sub_ps, mul: _mm512_mul_ps, div: _mm512_div_ps,
+            min: _mm512_min_ps, max: _mm512_max_ps);
+
         #[inline(always)]
         unsafe fn rails(re: f32, im: f32) -> Self {
             _mm512_mask_blend_ps(0xAAAA, _mm512_set1_ps(re), _mm512_set1_ps(im))
-        }
-        #[inline(always)]
-        unsafe fn add(self, o: Self) -> Self {
-            _mm512_add_ps(self, o)
-        }
-        #[inline(always)]
-        unsafe fn sub(self, o: Self) -> Self {
-            _mm512_sub_ps(self, o)
-        }
-        #[inline(always)]
-        unsafe fn mul(self, o: Self) -> Self {
-            _mm512_mul_ps(self, o)
-        }
-        #[inline(always)]
-        unsafe fn div(self, o: Self) -> Self {
-            _mm512_div_ps(self, o)
-        }
-        #[inline(always)]
-        unsafe fn min(self, o: Self) -> Self {
-            _mm512_min_ps(self, o)
-        }
-        #[inline(always)]
-        unsafe fn max(self, o: Self) -> Self {
-            _mm512_max_ps(self, o)
         }
         #[inline(always)]
         unsafe fn and(self, o: Self) -> Self {
@@ -2185,6 +1396,102 @@ mod x86 {
         }
     }
 
+    /// The operations only the capped and reduction rows use, for the
+    /// two vector types those rows run (no backend runs them 512 bits
+    /// wide).
+    ///
+    /// # Safety
+    /// As for [`Simd`]; `add_squares_f64` reads `LANES` floats at `p`,
+    /// `store_f64` writes `LANES` f64s and `norm_sqr2` `2 * LANES` floats.
+    trait Narrow: Simd {
+        /// A vector of `LANES` f64s.
+        type F64: Copy;
+
+        /// `acc + self * o` per lane: one rounding if `FUSED`, two
+        /// otherwise.
+        unsafe fn mul_add<const FUSED: bool>(self, o: Self, acc: Self) -> Self;
+        unsafe fn zero_f64() -> Self::F64;
+        /// `acc + d * d` per lane, `d` the `LANES` floats at `p` widened
+        /// to f64: one rounding if `FUSED`, two otherwise.
+        unsafe fn add_squares_f64<const FUSED: bool>(acc: Self::F64, p: *const f32) -> Self::F64;
+        unsafe fn store_f64(v: Self::F64, p: *mut f64);
+        /// Writes `|z|^2` of the samples of `self`, then of `o`, at
+        /// `out`: each one add of two rounded squares.
+        unsafe fn norm_sqr2(self, o: Self, out: *mut f32);
+    }
+
+    impl Narrow for __m128 {
+        type F64 = __m128d;
+
+        #[inline(always)]
+        unsafe fn mul_add<const FUSED: bool>(self, o: Self, acc: Self) -> Self {
+            if FUSED {
+                _mm_fmadd_ps(self, o, acc)
+            } else {
+                _mm_add_ps(acc, _mm_mul_ps(self, o))
+            }
+        }
+        #[inline(always)]
+        unsafe fn zero_f64() -> Self::F64 {
+            _mm_setzero_pd()
+        }
+        #[inline(always)]
+        unsafe fn add_squares_f64<const FUSED: bool>(acc: Self::F64, p: *const f32) -> Self::F64 {
+            let d = _mm_cvtps_pd(_mm_castsi128_ps(_mm_loadl_epi64(p.cast())));
+            if FUSED {
+                _mm_fmadd_pd(d, d, acc)
+            } else {
+                _mm_add_pd(acc, _mm_mul_pd(d, d))
+            }
+        }
+        #[inline(always)]
+        unsafe fn store_f64(v: Self::F64, p: *mut f64) {
+            _mm_storeu_pd(p, v)
+        }
+        #[inline(always)]
+        unsafe fn norm_sqr2(self, o: Self, out: *mut f32) {
+            _mm_storeu_ps(out, _mm_hadd_ps(_mm_mul_ps(self, self), _mm_mul_ps(o, o)))
+        }
+    }
+
+    impl Narrow for __m256 {
+        type F64 = __m256d;
+
+        #[inline(always)]
+        unsafe fn mul_add<const FUSED: bool>(self, o: Self, acc: Self) -> Self {
+            if FUSED {
+                _mm256_fmadd_ps(self, o, acc)
+            } else {
+                _mm256_add_ps(acc, _mm256_mul_ps(self, o))
+            }
+        }
+        #[inline(always)]
+        unsafe fn zero_f64() -> Self::F64 {
+            _mm256_setzero_pd()
+        }
+        #[inline(always)]
+        unsafe fn add_squares_f64<const FUSED: bool>(acc: Self::F64, p: *const f32) -> Self::F64 {
+            let d = _mm256_cvtps_pd(_mm_loadu_ps(p));
+            if FUSED {
+                _mm256_fmadd_pd(d, d, acc)
+            } else {
+                _mm256_add_pd(acc, _mm256_mul_pd(d, d))
+            }
+        }
+        #[inline(always)]
+        unsafe fn store_f64(v: Self::F64, p: *mut f64) {
+            _mm256_storeu_pd(p, v)
+        }
+        #[inline(always)]
+        unsafe fn norm_sqr2(self, o: Self, out: *mut f32) {
+            // `hadd` pairs the squares as [s0 s1 s4 s5 | s2 s3 s6 s7];
+            // the permute restores sample order.
+            let h = _mm256_hadd_ps(_mm256_mul_ps(self, self), _mm256_mul_ps(o, o));
+            let ordered = _mm256_permute4x64_pd::<0b1101_1000>(_mm256_castps_pd(h));
+            _mm256_storeu_ps(out, _mm256_castpd_ps(ordered))
+        }
+    }
+
     // -- FFT stages --------------------------------------------------------
     //
     // One butterfly is `(a, b) <- (a + b*w, a - b*w)`: the interleaved
@@ -2230,6 +1537,20 @@ mod x86 {
                 b.store(p1.add(k));
             }
             scalar::butterfly_run(&mut lo[vec_h..], &mut hi[vec_h..], &tw[vec_h..]);
+        }
+    }
+
+    /// `Backend::butterflies`: a stage with fewer butterflies per block
+    /// than `S` holds runs on `__m256` if it fills those (an avx512f
+    /// entry point has avx2), else on the scalar body.
+    #[inline(always)]
+    unsafe fn butterflies<S: Simd>(buf: &mut [Cf32], tw: &[Cf32]) {
+        if tw.len() >= S::LANES {
+            pass1::<S>(buf, tw)
+        } else if S::LANES > 4 && tw.len() >= 4 {
+            pass1::<__m256>(buf, tw)
+        } else {
+            scalar::butterflies(buf, tw)
         }
     }
 
@@ -2574,189 +1895,300 @@ mod x86 {
         }
     }
 
-    /// Instantiates the generic kernels for one ISA.
-    macro_rules! instantiate {
-        ($feat:literal, $v:ty: $butterflies:ident, $fft_stages:ident, $normalize_lags:ident, $digitize:ident, $compress:ident, $decompress:ident) => {
-            #[target_feature(enable = $feat)]
-            pub unsafe fn $butterflies(buf: &mut [Cf32], tw: &[Cf32]) {
-                pass1::<$v>(buf, tw)
+    // -- Element-wise kernels -----------------------------------------------
+    //
+    // `cmul` is `Cf32`'s `Mul` per lane; everything else is one IEEE
+    // operation per float lane in the scalar order. The samples that
+    // fill no vector run the scalar body.
+
+    /// `Backend::mul_in_place` over slices of one length.
+    #[inline(always)]
+    unsafe fn mul_in_place<S: Simd>(a: &mut [Cf32], b: &[Cf32]) {
+        // Peel scalar samples until `a` sits on a vector boundary:
+        // allocations only guarantee 16 B, and misaligned wide accesses
+        // split cache lines on every other address. The split point
+        // cannot change element-wise results. An odd-float base never
+        // gets there; it runs unaligned throughout.
+        let head = (a.as_ptr() as usize).wrapping_neg() % (8 * S::LANES) / 4;
+        let peel = if head.is_multiple_of(2) {
+            (head / 2).min(a.len())
+        } else {
+            0
+        };
+        scalar::mul_in_place(&mut a[..peel], &b[..peel]);
+        let (n, pa, pb) = (a.len(), a.as_mut_ptr(), b.as_ptr());
+        let mut k = peel;
+        // Two independent vectors a step: the second hides the shuffle
+        // latency of the first.
+        while k + 2 * S::LANES <= n {
+            // SAFETY (pointers): k + 2 * LANES <= n, both slices' length.
+            let (a0, a1) = (S::load(pa.add(k)), S::load(pa.add(k + S::LANES)));
+            let (b0, b1) = (S::load(pb.add(k)), S::load(pb.add(k + S::LANES)));
+            a0.cmul(b0).store(pa.add(k));
+            a1.cmul(b1).store(pa.add(k + S::LANES));
+            k += 2 * S::LANES;
+        }
+        if k + S::LANES <= n {
+            // SAFETY (pointers): k + LANES <= n.
+            S::load(pa.add(k)).cmul(S::load(pb.add(k))).store(pa.add(k));
+            k += S::LANES;
+        }
+        scalar::mul_in_place(&mut a[k..], &b[k..]);
+    }
+
+    /// `Backend::sub_scaled` over slices of one length. `y * g` is
+    /// `cmul` by `rails(g.re, g.im)`, whose even and odd lanes are the
+    /// `g.re` and `g.im` the scalar `Mul` multiplies by.
+    #[inline(always)]
+    unsafe fn sub_scaled<S: Simd>(x: &mut [Cf32], y: &[Cf32], g: Cf32) {
+        let gv = S::rails(g.re, g.im);
+        let done = x.len() - x.len() % S::LANES;
+        let (px, py) = (x.as_mut_ptr(), y.as_ptr());
+        for k in (0..done).step_by(S::LANES) {
+            // SAFETY (pointers): k + LANES <= done <= both lengths.
+            let p = S::load(py.add(k)).cmul(gv);
+            S::load(px.add(k)).sub(p).store(px.add(k));
+        }
+        scalar::sub_scaled(&mut x[done..], &y[done..], g);
+    }
+
+    /// The `2 * LANES` floats of `v`, in lane order, at the front.
+    #[inline(always)]
+    unsafe fn to_floats<S: Narrow>(v: S) -> [f32; 8] {
+        let mut t = [0f32; 8];
+        v.store(t.as_mut_ptr().cast());
+        t
+    }
+
+    /// `Backend::max_norm_sqr`. `re^2 + im^2` lands in both lanes of a
+    /// pair (one add of the two rounded squares), which `max` ignores.
+    #[inline(always)]
+    unsafe fn max_norm_sqr<S: Narrow>(x: &[Cf32]) -> f32 {
+        let mut peak = S::splat(0.0);
+        let done = x.len() - x.len() % S::LANES;
+        for k in (0..done).step_by(S::LANES) {
+            // SAFETY (pointer): k + LANES <= done <= x.len().
+            let v = S::load(x.as_ptr().add(k));
+            let sq = v.mul(v);
+            peak = peak.max(sq.add(sq.swap()));
+        }
+        let lanes = to_floats(peak);
+        let mut best = lanes[..2 * S::LANES].iter().fold(0.0f32, |a, &b| a.max(b));
+        for z in &x[done..] {
+            best = best.max(z.norm_sqr());
+        }
+        best
+    }
+
+    /// `Backend::norm_sqr_into` over slices of one length.
+    #[inline(always)]
+    unsafe fn norm_sqr_into<S: Narrow>(x: &[Cf32], out: &mut [f32]) {
+        let step = 2 * S::LANES;
+        let done = x.len() - x.len() % step;
+        for k in (0..done).step_by(step) {
+            // SAFETY (pointers): k + 2 * LANES <= done <= both lengths.
+            let p = x.as_ptr().add(k);
+            S::load(p).norm_sqr2(S::load(p.add(S::LANES)), out.as_mut_ptr().add(k));
+        }
+        scalar::norm_sqr_into(&x[done..], &mut out[done..]);
+    }
+
+    /// `Backend::fir_same` (`T = Cf32`) and `Backend::fir_same_real`
+    /// (`T = f32`) over slices of one length and at least one tap: one
+    /// real FIR over the float stream, at a stride of `T::RAILS`.
+    /// Vectorized across consecutive *outputs*: a block accumulates
+    /// `input[i + delay - k] * taps[k]` for ascending `k` with an
+    /// unfused multiply and add, lane for lane the scalar sequence.
+    /// Only blocks whose every (lane, tap) index is in bounds take the
+    /// vector path; the edges run the scalar one.
+    #[inline(always)]
+    unsafe fn fir_same<S: Simd, T: scalar::Rails>(taps: &[f32], input: &[T], out: &mut [T]) {
+        let (n, rails) = (input.len(), T::RAILS);
+        let delay = (taps.len() - 1) / 2;
+        // A block at `i` is interior when `i >= lo` and its last output
+        // reads no further than `n - 1`.
+        let (lo, step) = (taps.len() - 1 - delay, 2 * S::LANES / rails);
+        let (src, dst) = (input.as_ptr().cast::<f32>(), out.as_mut_ptr().cast::<f32>());
+        let mut i = lo;
+        while i + step + delay <= n {
+            let mut acc = S::splat(0.0);
+            for (k, &t) in taps.iter().enumerate() {
+                // SAFETY (pointer): samples i + delay - k (>= 0 as
+                // i >= lo) up to i + step + delay - k <= n.
+                let v = S::load(src.add(rails * (i + delay - k)).cast());
+                acc = acc.add(v.mul(S::splat(t)));
             }
-            #[target_feature(enable = $feat)]
-            pub unsafe fn $fft_stages(buf: &mut [Cf32], tw: &[Cf32], scale: Option<f32>) {
-                fft_stages::<$v>(buf, tw, scale)
+            acc.store(dst.add(rails * i).cast());
+            i += step;
+        }
+        scalar::fir_range(taps, input, out, 0..lo.min(n));
+        scalar::fir_range(taps, input, out, i..n);
+    }
+
+    // -- Reductions ---------------------------------------------------------
+    //
+    // Each keeps the lane split of its row: `2 * LANES` float
+    // accumulators (`LANES` f64 ones for `energy_f64`), one `mul_add`
+    // each per vector (fused only in the `Fma` instantiation), the lanes
+    // summed in order, then the samples that fill no vector in sample
+    // order. `tests/kernel_diff.rs` keeps the same split in plain Rust.
+
+    /// `Backend::dot_conj` over slices of one length. With `a = [xr, xi,
+    /// ..]` and `b = [hr, hi, ..]`, `re` gathers `a * b = [xr*hr, xi*hi,
+    /// ..]` and `im` gathers `a * swap(b) = [xr*hi, xi*hr, ..]`: the odd
+    /// lanes' sum minus the even lanes'.
+    #[inline(always)]
+    unsafe fn dot_conj<S: Narrow, const FUSED: bool>(x: &[Cf32], h: &[Cf32]) -> Cf32 {
+        let (mut re, mut im) = (S::splat(0.0), S::splat(0.0));
+        let done = x.len() - x.len() % S::LANES;
+        for k in (0..done).step_by(S::LANES) {
+            // SAFETY (pointers): k + LANES <= done <= both lengths.
+            let (a, b) = (S::load(x.as_ptr().add(k)), S::load(h.as_ptr().add(k)));
+            re = a.mul_add::<FUSED>(b, re);
+            im = a.mul_add::<FUSED>(b.swap(), im);
+        }
+        let (re, im) = (to_floats(re), to_floats(im));
+        let (odd, even) = (
+            every_other(&im[1..2 * S::LANES]),
+            every_other(&im[..2 * S::LANES]),
+        );
+        let tail = scalar::dot_conj(&x[done..], &h[done..]);
+        Cf32 {
+            re: re[..2 * S::LANES].iter().sum::<f32>() + tail.re,
+            im: (odd - even) + tail.im,
+        }
+    }
+
+    /// `v[0] + v[2] + v[4] + ..`, left to right.
+    fn every_other(v: &[f32]) -> f32 {
+        v[2..].iter().step_by(2).fold(v[0], |s, &x| s + x)
+    }
+
+    /// `Backend::energy_f32`; the tail adds `re^2` then `im^2`.
+    #[inline(always)]
+    unsafe fn energy_f32<S: Narrow, const FUSED: bool>(x: &[Cf32]) -> f32 {
+        let mut acc = S::splat(0.0);
+        let done = x.len() - x.len() % S::LANES;
+        for k in (0..done).step_by(S::LANES) {
+            // SAFETY (pointer): k + LANES <= done <= x.len().
+            let v = S::load(x.as_ptr().add(k));
+            acc = v.mul_add::<FUSED>(v, acc);
+        }
+        let mut total = to_floats(acc)[..2 * S::LANES].iter().sum::<f32>();
+        for z in &x[done..] {
+            total += z.re * z.re;
+            total += z.im * z.im;
+        }
+        total
+    }
+
+    /// `Backend::energy_f64`: `LANES` floats, half as many samples, a
+    /// step.
+    #[inline(always)]
+    unsafe fn energy_f64<S: Narrow, const FUSED: bool>(x: &[Cf32]) -> f64 {
+        let per_step = S::LANES / 2;
+        let mut acc = S::zero_f64();
+        let done = x.len() - x.len() % per_step;
+        for k in (0..done).step_by(per_step) {
+            // SAFETY (pointer): k + LANES / 2 <= done <= x.len().
+            acc = S::add_squares_f64::<FUSED>(acc, x.as_ptr().add(k).cast());
+        }
+        let mut lanes = [0f64; 4];
+        S::store_f64(acc, lanes.as_mut_ptr());
+        let mut total = lanes[..S::LANES].iter().sum::<f64>();
+        for z in &x[done..] {
+            for v in [z.re as f64, z.im as f64] {
+                total += v * v;
             }
+        }
+        total
+    }
+
+    // -- Entry points --------------------------------------------------------
+    //
+    // One `#[target_feature]` function per generic body and ISA: the
+    // only way into the bodies above, which are `#[inline(always)]` and
+    // so compile for the features of the entry point they are inlined
+    // into. A module per ISA holds the rows `dispatch!` sends to it.
+
+    macro_rules! entries {
+        ($feat:literal; $($name:ident $(<$t:ident: $bound:path>)? ::<$($g:tt),*>
+            ($($a:ident: $ty:ty),*) $(-> $ret:ty)?;)*) => {$(
+            /// # Safety
+            #[doc = concat!("The CPU must support `", $feat, "`, and the arguments must \
+                have the shapes the calling `Backend` method asserts.")]
             #[target_feature(enable = $feat)]
-            pub unsafe fn $normalize_lags(
-                corr: &[Cf32],
-                lo: &[f64],
-                hi: &[f64],
-                energy: f64,
-                floor: f64,
-                out: &mut [f32],
-            ) {
-                normalize_lags::<$v>(corr, lo, hi, energy, floor, out)
+            pub unsafe fn $name $(<$t: $bound>)? ($($a: $ty),*) $(-> $ret)? {
+                super::$name::<$($g),*>($($a),*)
             }
-            #[target_feature(enable = $feat)]
-            pub unsafe fn $digitize(adc: &Adc, analog: &[Cf32], out: &mut [Cf32]) {
-                digitize::<$v>(adc, analog, out)
-            }
-            #[target_feature(enable = $feat)]
-            pub unsafe fn $compress(
-                samples: &[Cf32],
-                bits: u32,
-                block_len: usize,
-                scales: &mut [f32],
-                data: &mut [u8],
-            ) {
-                compress::<$v>(samples, bits, block_len, scales, data)
-            }
-            #[target_feature(enable = $feat)]
-            pub unsafe fn $decompress(
-                bits: u32,
-                block_len: usize,
-                scales: &[f32],
-                data: &[u8],
-                out: &mut [Cf32],
-            ) {
-                decompress::<$v>(bits, block_len, scales, data, out)
+        )*};
+    }
+
+    /// The rows of the dispatch table (`dispatch!`), each a set of entry
+    /// points at one ISA's features and vector type.
+    macro_rules! wide {
+        ($feat:literal, $v:ty) => {
+            entries! { $feat;
+                mul_in_place::<$v>(a: &mut [Cf32], b: &[Cf32]);
+                sub_scaled::<$v>(x: &mut [Cf32], y: &[Cf32], g: Cf32);
+                butterflies::<$v>(buf: &mut [Cf32], tw: &[Cf32]);
+                fft_stages::<$v>(buf: &mut [Cf32], tw: &[Cf32], scale: Option<f32>);
+                normalize_lags::<$v>(
+                    corr: &[Cf32], lo: &[f64], hi: &[f64], energy: f64, floor: f64, out: &mut [f32]
+                );
+                digitize::<$v>(adc: &Adc, analog: &[Cf32], out: &mut [Cf32]);
+                compress::<$v>(
+                    samples: &[Cf32], bits: u32, block_len: usize, scales: &mut [f32], data: &mut [u8]
+                );
+                decompress::<$v>(
+                    bits: u32, block_len: usize, scales: &[f32], data: &[u8], out: &mut [Cf32]
+                );
             }
         };
     }
 
-    instantiate!("sse4.1", __m128: butterflies_sse41, fft_stages_sse41, normalize_lags_sse41, digitize_sse41, compress_sse41, decompress_sse41);
-    instantiate!("avx2", __m256: butterflies_avx2, fft_stages_avx2, normalize_lags_avx2, digitize_avx2, compress_avx2, decompress_avx2);
-    instantiate!("avx512f", __m512: butterflies_avx512, fft_stages_avx512, normalize_lags_avx512, digitize_avx512, compress_avx512, decompress_avx512);
-
-    // -- FIR ---------------------------------------------------------------
-    //
-    // Vectorized across consecutive *outputs*: a block of outputs
-    // accumulates `input[i + delay - k] * taps[k]` for ascending k with
-    // unfused mul+add, which is lane-for-lane the scalar reference's
-    // rounding sequence. Only fully-in-bounds blocks take the vector
-    // path; edge outputs run the scalar bounds-checked loop.
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn fir_same_avx2(taps: &[f32], input: &[Cf32], out: &mut [Cf32]) {
-        let n = input.len();
-        let nt = taps.len();
-        let delay = (nt - 1) / 2;
-        // A 4-output block at i is interior when every (lane, tap)
-        // index is in bounds: i >= nt-1-delay and i+3+delay <= n-1.
-        let lo = (nt - 1).saturating_sub(delay);
-        let inf = floats(input);
-        let outf = floats_mut(out);
-        let mut i = lo;
-        while i + 4 + delay <= n {
-            let mut acc = _mm256_setzero_ps();
-            for (k, &t) in taps.iter().enumerate() {
-                let base = i + delay - k;
-                let v = _mm256_loadu_ps(inf.as_ptr().add(2 * base));
-                acc = _mm256_add_ps(acc, _mm256_mul_ps(v, _mm256_set1_ps(t)));
+    macro_rules! capped {
+        ($feat:literal, $v:ty) => {
+            entries! { $feat;
+                max_norm_sqr::<$v>(x: &[Cf32]) -> f32;
+                norm_sqr_into::<$v>(x: &[Cf32], out: &mut [f32]);
+                fir_same<T: scalar::Rails>::<$v, T>(taps: &[f32], input: &[T], out: &mut [T]);
             }
-            _mm256_storeu_ps(outf.as_mut_ptr().add(2 * i), acc);
-            i += 4;
-        }
-        let edge = lo.min(out.len());
-        scalar::fir_same(taps, input, &mut out[..edge]);
-        scalar_fir_range(taps, input, out, i, n);
+        };
     }
 
-    #[target_feature(enable = "sse4.1")]
-    pub unsafe fn fir_same_sse41(taps: &[f32], input: &[Cf32], out: &mut [Cf32]) {
-        let n = input.len();
-        let nt = taps.len();
-        let delay = (nt - 1) / 2;
-        let lo = (nt - 1).saturating_sub(delay);
-        let inf = floats(input);
-        let outf = floats_mut(out);
-        let mut i = lo;
-        while i + 2 + delay <= n {
-            let mut acc = _mm_setzero_ps();
-            for (k, &t) in taps.iter().enumerate() {
-                let base = i + delay - k;
-                let v = _mm_loadu_ps(inf.as_ptr().add(2 * base));
-                acc = _mm_add_ps(acc, _mm_mul_ps(v, _mm_set1_ps(t)));
+    macro_rules! reduction {
+        ($feat:literal, $v:ty, $fused:literal) => {
+            entries! { $feat;
+                dot_conj::<$v, $fused>(x: &[Cf32], h: &[Cf32]) -> Cf32;
+                energy_f32::<$v, $fused>(x: &[Cf32]) -> f32;
+                energy_f64::<$v, $fused>(x: &[Cf32]) -> f64;
             }
-            _mm_storeu_ps(outf.as_mut_ptr().add(2 * i), acc);
-            i += 2;
-        }
-        let edge = lo.min(out.len());
-        scalar::fir_same(taps, input, &mut out[..edge]);
-        scalar_fir_range(taps, input, out, i, n);
+        };
     }
 
-    /// Scalar FIR over output range `[from, to)` (tail/edge outputs).
-    fn scalar_fir_range(taps: &[f32], input: &[Cf32], out: &mut [Cf32], from: usize, to: usize) {
-        let n = input.len();
-        let delay = (taps.len() - 1) / 2;
-        for (i, o) in out.iter_mut().enumerate().take(to).skip(from) {
-            let mut acc = Cf32::ZERO;
-            for (k, &t) in taps.iter().enumerate() {
-                let idx = i as isize + delay as isize - k as isize;
-                if idx >= 0 && (idx as usize) < n {
-                    acc += input[idx as usize] * t;
-                }
-            }
-            *o = acc;
-        }
+    pub mod sse41 {
+        use super::*;
+        wide!("sse4.1", __m128);
+        capped!("sse4.1", __m128);
+        reduction!("sse4.1", __m128, false);
     }
 
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn fir_same_real_avx2(taps: &[f32], input: &[f32], out: &mut [f32]) {
-        let n = input.len();
-        let nt = taps.len();
-        let delay = (nt - 1) / 2;
-        let lo = (nt - 1).saturating_sub(delay);
-        let mut i = lo;
-        while i + 8 + delay <= n {
-            let mut acc = _mm256_setzero_ps();
-            for (k, &t) in taps.iter().enumerate() {
-                let v = _mm256_loadu_ps(input.as_ptr().add(i + delay - k));
-                acc = _mm256_add_ps(acc, _mm256_mul_ps(v, _mm256_set1_ps(t)));
-            }
-            _mm256_storeu_ps(out.as_mut_ptr().add(i), acc);
-            i += 8;
-        }
-        let edge = lo.min(out.len());
-        scalar::fir_same_real(taps, input, &mut out[..edge]);
-        scalar_fir_real_range(taps, input, out, i, n);
+    pub mod avx2 {
+        use super::*;
+        wide!("avx2", __m256);
+        capped!("avx2", __m256);
+        reduction!("avx2", __m256, false);
     }
 
-    #[target_feature(enable = "sse4.1")]
-    pub unsafe fn fir_same_real_sse41(taps: &[f32], input: &[f32], out: &mut [f32]) {
-        let n = input.len();
-        let nt = taps.len();
-        let delay = (nt - 1) / 2;
-        let lo = (nt - 1).saturating_sub(delay);
-        let mut i = lo;
-        while i + 4 + delay <= n {
-            let mut acc = _mm_setzero_ps();
-            for (k, &t) in taps.iter().enumerate() {
-                let v = _mm_loadu_ps(input.as_ptr().add(i + delay - k));
-                acc = _mm_add_ps(acc, _mm_mul_ps(v, _mm_set1_ps(t)));
-            }
-            _mm_storeu_ps(out.as_mut_ptr().add(i), acc);
-            i += 4;
-        }
-        let edge = lo.min(out.len());
-        scalar::fir_same_real(taps, input, &mut out[..edge]);
-        scalar_fir_real_range(taps, input, out, i, n);
+    pub mod fma {
+        use super::*;
+        reduction!("avx2,fma", __m256, true);
     }
 
-    /// Scalar real FIR over output range `[from, to)`.
-    fn scalar_fir_real_range(taps: &[f32], input: &[f32], out: &mut [f32], from: usize, to: usize) {
-        let n = input.len();
-        let delay = (taps.len() - 1) / 2;
-        for (i, o) in out.iter_mut().enumerate().take(to).skip(from) {
-            let mut acc = 0.0f32;
-            for (k, &t) in taps.iter().enumerate() {
-                let idx = i as isize + delay as isize - k as isize;
-                if idx >= 0 && (idx as usize) < n {
-                    acc += input[idx as usize] * t;
-                }
-            }
-            *o = acc;
-        }
+    pub mod avx512 {
+        use super::*;
+        wide!("avx512f", __m512);
     }
 }
 

@@ -8,7 +8,8 @@ use crate::num::{lin_to_db, Cf32};
 /// Mean power (energy per sample) of a complex signal.
 ///
 /// The f64 energy reduction runs on the active [`crate::kernels`]
-/// backend (ULP-bounded across backends).
+/// backend (bit-exact to that backend's lane-split reference, not
+/// across backends).
 pub fn mean_power(signal: &[Cf32]) -> f32 {
     if signal.is_empty() {
         return 0.0;

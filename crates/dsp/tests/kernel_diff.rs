@@ -11,11 +11,15 @@
 //!   and the FIR: these sit on the waveform-synthesis path, where the
 //!   golden fingerprints require byte-identical output from every
 //!   backend.
-//! * **ULP-bounded** for the reductions (`dot_conj`, `energy_f32`,
-//!   `energy_f64`): both the scalar reference and the vector paths are
-//!   compared against an f64 ground truth with an error budget of
-//!   `n * eps_f32` relative to the sum of absolute terms — the bound a
-//!   sequential f32 accumulation itself carries, with margin.
+//! * **Bit-exact to their backend's lane-split reference** for the
+//!   reductions (`dot_conj`, `energy_f32`, `energy_f64`): a vector
+//!   backend splits a sum across its lanes, so it differs from the
+//!   scalar one, but by exactly the reference kept here — the lane
+//!   count, the fused or unfused update, the horizontal sum and the
+//!   tail of that backend, in plain Rust. Every backend and the scalar
+//!   reference are also held to an f64 ground truth with an error budget
+//!   of `n * eps_f32` relative to the sum of absolute terms — the bound
+//!   a sequential f32 accumulation itself carries, with margin.
 //!
 //! Backend values are passed explicitly (`Backend::dot_conj(...)`), so
 //! the suite is safe under the parallel test runner. The one exception
@@ -967,7 +971,170 @@ fn packed_len_is_checked() {
 }
 
 // ---------------------------------------------------------------------------
-// ULP-bounded reductions, checked against an f64 ground truth
+// Reductions: bit-exact to the lane-split reference of their backend
+// ---------------------------------------------------------------------------
+
+/// How `backend` splits a reduction: into `floats` f32 accumulators
+/// (`floats / 2` f64 ones for `energy_f64`), each updated with `acc +
+/// a * b` or, when `fused`, `a.mul_add(b, acc)`. `None` for the scalar
+/// reference, which sums in sample order.
+fn lane_split(backend: Backend) -> Option<(usize, bool)> {
+    match backend {
+        Backend::Scalar => None,
+        Backend::Sse41 => Some((4, false)),
+        Backend::Avx2 => Some((8, false)),
+        Backend::Fma | Backend::Avx512 => Some((8, true)),
+    }
+}
+
+fn rails(x: &[Cf32]) -> Vec<f32> {
+    x.iter().flat_map(|z| [z.re, z.im]).collect()
+}
+
+fn dot_conj_in_order(x: &[Cf32], h: &[Cf32]) -> Cf32 {
+    let mut acc = Cf32::ZERO;
+    for (&a, &b) in x.iter().zip(h) {
+        acc += a * b.conj();
+    }
+    acc
+}
+
+/// `dot_conj` as `backend` sums it: per-lane `x * h` and `x *
+/// swap(h)`, then `re` the lanes' sum and `im` the odd lanes' minus the
+/// even lanes', then the samples that fill no vector in order.
+fn reference_dot_conj(backend: Backend, x: &[Cf32], h: &[Cf32]) -> Cf32 {
+    let n = x.len().min(h.len());
+    let Some((w, fused)) = lane_split(backend) else {
+        return dot_conj_in_order(&x[..n], &h[..n]);
+    };
+    let step = |a: f32, b: f32, acc: f32| {
+        if fused {
+            a.mul_add(b, acc)
+        } else {
+            acc + a * b
+        }
+    };
+    let (xf, hf) = (rails(&x[..n]), rails(&h[..n]));
+    let (mut acc1, mut acc2) = (vec![0f32; w], vec![0f32; w]);
+    let done = xf.len() - xf.len() % w;
+    for (a, b) in xf[..done].chunks(w).zip(hf[..done].chunks(w)) {
+        for j in 0..w {
+            acc1[j] = step(a[j], b[j], acc1[j]);
+            acc2[j] = step(a[j], b[j ^ 1], acc2[j]);
+        }
+    }
+    let odd = acc2[3..].iter().step_by(2).fold(acc2[1], |s, &v| s + v);
+    let even = acc2[2..].iter().step_by(2).fold(acc2[0], |s, &v| s + v);
+    let tail = dot_conj_in_order(&x[done / 2..n], &h[done / 2..n]);
+    Cf32::new(acc1.iter().sum::<f32>() + tail.re, (odd - even) + tail.im)
+}
+
+/// `energy_f32` as `backend` sums it; the tail adds `re^2` then `im^2`.
+fn reference_energy_f32(backend: Backend, x: &[Cf32]) -> f32 {
+    let Some((w, fused)) = lane_split(backend) else {
+        return x.iter().fold(0.0, |acc, z| acc + z.norm_sqr());
+    };
+    let xf = rails(x);
+    let mut acc = vec![0f32; w];
+    let done = xf.len() - xf.len() % w;
+    for v in xf[..done].chunks(w) {
+        for j in 0..w {
+            acc[j] = if fused {
+                v[j].mul_add(v[j], acc[j])
+            } else {
+                acc[j] + v[j] * v[j]
+            };
+        }
+    }
+    let mut total = acc.iter().sum::<f32>();
+    for &v in &xf[done..] {
+        total += v * v;
+    }
+    total
+}
+
+/// `energy_f64` as `backend` sums it: every rail widened, then squared
+/// in f64.
+fn reference_energy_f64(backend: Backend, x: &[Cf32]) -> f64 {
+    let Some((w, fused)) = lane_split(backend) else {
+        return x.iter().fold(0.0, |acc, z| acc + z.norm_sqr() as f64);
+    };
+    let xf: Vec<f64> = rails(x).into_iter().map(f64::from).collect();
+    let mut acc = vec![0f64; w / 2];
+    let done = xf.len() - xf.len() % (w / 2);
+    for v in xf[..done].chunks(w / 2) {
+        for (a, &d) in acc.iter_mut().zip(v) {
+            *a = if fused { d.mul_add(d, *a) } else { *a + d * d };
+        }
+    }
+    let mut total = acc.iter().sum::<f64>();
+    for &d in &xf[done..] {
+        total += d * d;
+    }
+    total
+}
+
+/// Reduction inputs, `n + 1` samples each: wide-range noise, mostly
+/// subnormal rails (products underflow, sums stay subnormal), and rails
+/// near 2^53 (squares near 2^106, sums that use the whole exponent
+/// range without overflowing).
+fn reduction_inputs(rng: &mut StdRng, n: usize) -> Vec<(&'static str, Vec<Cf32>)> {
+    let mut scaled = |k: fn(usize) -> f32| -> Vec<Cf32> {
+        (0..=n)
+            .map(|i| {
+                Cf32::new(
+                    (rng.gen::<f32>() * 2.0 - 1.0) * k(i),
+                    (rng.gen::<f32>() * 2.0 - 1.0) * k(i),
+                )
+            })
+            .collect()
+    };
+    let denormal = scaled(|i| if i % 11 == 0 { 1.0e-30 } else { 1.0e-41 });
+    let large = scaled(|i| 2.0f32.powi(50 + (i % 7) as i32));
+    vec![
+        ("random", cvec(rng, n + 1)),
+        ("denormal", denormal),
+        ("large", large),
+    ]
+}
+
+#[test]
+fn reductions_bit_exact_to_their_lane_split_reference() {
+    let mut rng = StdRng::seed_from_u64(0x5eed_0026);
+    let lengths = (0..=40).chain([
+        63, 64, 65, 127, 128, 129, 255, 256, 257, 1023, 1024, 1025, 4095, 4096, 4097,
+    ]);
+    for n in lengths {
+        let (xs, hs) = (reduction_inputs(&mut rng, n), reduction_inputs(&mut rng, n));
+        for ((family, x), (_, h)) in xs.iter().zip(&hs) {
+            // At the allocation's alignment and one sample off it; `h`
+            // one sample longer than `x` once.
+            for (x, h) in [(&x[..n], &h[..n]), (&x[1..], &h[1..]), (&x[..n], &h[..])] {
+                for backend in backends() {
+                    let what = format!("{backend:?} {family} n={n}");
+                    assert_eq!(
+                        bits(backend.dot_conj(x, h)),
+                        bits(reference_dot_conj(backend, x, h)),
+                        "dot_conj, {what}"
+                    );
+                    assert_eq!(
+                        backend.energy_f32(x).to_bits(),
+                        reference_energy_f32(backend, x).to_bits(),
+                        "energy_f32, {what}"
+                    );
+                    assert_eq!(
+                        backend.energy_f64(x).to_bits(),
+                        reference_energy_f64(backend, x).to_bits(),
+                        "energy_f64, {what}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Reductions against an f64 ground truth
 // ---------------------------------------------------------------------------
 
 /// Error budget for an n-term f32 reduction whose true value is

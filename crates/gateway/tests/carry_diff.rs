@@ -2,26 +2,21 @@
 //!
 //! A gateway session scores each lag once: a flush correlates one
 //! overlap-save block — the lags it adds, from the samples under them
-//! alone — and a `DetectionStream` picks peaks over the session's trace
-//! as the blocks arrive. `Template::xcorr_normalized_extend` is the
-//! engine half: it keeps the first `valid` lags of a trace and appends
-//! the rest, computed from `x[valid..]` alone (a block's scores are the
-//! trace of its own samples, `valid = 0`). Three contracts, on every
-//! backend the CPU runs:
+//! alone, with `Template::xcorr_normalized_into` — and a
+//! `DetectionStream` picks peaks over the session's trace as the blocks
+//! arrive. Two contracts of the engine half, on every backend the CPU
+//! runs:
 //!
-//! * **From lag 0** it is `xcorr_normalized_into`, bit for bit.
-//! * **From any `valid`** the kept lags are untouched and the appended
-//!   ones are, bit for bit, the trace of `x[valid..]` — the quiet-window
-//!   floor, the lags parked under it and the walk redone after a NaN hid
-//!   the peak included, since all of that now happens over a suffix.
-//! * **Against the whole-signal trace** the appended lags differ by FFT
-//!   rounding only (their overlap-save blocks start at `valid`): at most
-//!   1e-6 absolute on what a gateway correlates — digitized windows with
-//!   a noise floor, against the universal preamble and every
-//!   technology's own. (No such bound holds across nine decades of
-//!   dynamic range in one block, and the floor is taken over the lags
-//!   a call computes: hostile signals are held to the suffix identity.)
-//!
+//! * **Against the whole-signal trace** the trace of `x[k..]` differs
+//!   from lag `k` on by FFT rounding only (its overlap-save blocks start
+//!   at `k`): at most 1e-6 absolute on what a gateway correlates —
+//!   digitized windows with a noise floor, against the universal
+//!   preamble and every technology's own. (No such bound holds across
+//!   nine decades of dynamic range in one block, and the floor is taken
+//!   over the lags a call computes.)
+//! * **The quiet-window floor** of a block is settled over that block:
+//!   the lags parked under it and the walk redone after a NaN hid the
+//!   peak included.
 //!
 //! The detector half: a `DetectionStream` fed flush by flush picks what
 //! `find_peaks` picks over the blocks it scored, and one last flush over
@@ -45,7 +40,6 @@ use galiot_gateway::{
     PacketDetector, PeakRule, RtlSdrFrontEnd, UniversalDetector,
 };
 use galiot_phy::registry::Registry;
-use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Mutex;
@@ -71,83 +65,16 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|s| s.to_bits()).collect()
 }
 
-/// Extends a trace holding `stale` scores from `valid` and checks the
-/// first two contracts; returns the trace.
-fn extend_and_check(t: &Template, x: &[Cf32], valid: usize, stale: usize, what: &str) -> Vec<f32> {
-    let lags = (x.len() + 1).saturating_sub(t.len());
-    let held: Vec<f32> = (0..stale).map(|i| 0.25 + i as f32 * 1e-4).collect();
-    let mut out = held.clone();
-    t.xcorr_normalized_extend(x, valid, &mut out);
-    assert_eq!(out.len(), lags, "{what}: one score per lag");
-    // A hint is good for what the buffer holds and the signal has.
-    let kept = valid.min(stale).min(lags);
-    assert_eq!(bits(&out[..kept]), bits(&held[..kept]), "{what}: kept lags");
-    let suffix = t.xcorr_normalized(&x[kept..]);
-    assert_eq!(bits(&out[kept..]), bits(&suffix), "{what}: appended lags");
-    out
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn extending_keeps_the_head_and_appends_the_trace_of_the_tail(
-        m in 1usize..70,
-        // Runs of a length and a decade each — loud, quiet and dead
-        // stretches in any order — cut by 224-lag block seams.
-        lens in proptest::collection::vec(1usize..600, 1..6),
-        decades in proptest::collection::vec(0i32..9, 6),
-        phase in 0.0f32..1.0,
-        // Anywhere in the trace, and past its end.
-        valid_permille in 0usize..1_200,
-        stale in 0usize..3_000,
-        // One sample no bound can be trusted on, somewhere (or none).
-        poke_at in 0usize..1_000,
-        poke in 0usize..4,
-    ) {
-        let t = Template::new(&wave(m, 0.4 + phase));
-        let mut x = Vec::new();
-        for (len, decade) in lens.into_iter().zip(decades) {
-            let k = if decade == 8 { 0.0 } else { 10f32.powi(-decade) };
-            x.extend(wave(len, phase).into_iter().map(|z| z * k));
-        }
-        let hostile = [
-            Cf32::new(f32::NAN, 0.0),
-            Cf32::new(3.0, f32::INFINITY),
-            Cf32::new(1e3, 0.0),
-        ];
-        if let Some(&sample) = hostile.get(poke) {
-            let at = poke_at * x.len() / 1_000;
-            x[at] = sample;
-        }
-        let lags = (x.len() + 1).saturating_sub(m);
-        let valid = valid_permille * lags / 1_000;
-        let mut across: Vec<Vec<u32>> = Vec::new();
-        on_every_backend(|backend| {
-            let what = format!("{backend:?}");
-            let out = extend_and_check(&t, &x, valid, stale, &what);
-            across.push(bits(&out));
-            // From lag 0, whatever the buffer held: the whole trace.
-            let whole = extend_and_check(&t, &x, 0, stale, &what);
-            let mut into = vec![f32::NAN; stale];
-            t.xcorr_normalized_into(&x, &mut into);
-            assert_eq!(bits(&whole), bits(&into), "{what}: from lag 0");
-            assert_eq!(bits(&whole), bits(&t.xcorr_normalized(&x)), "{what}: from lag 0");
-        });
-        prop_assert!(across.windows(2).all(|w| w[0] == w[1]), "backends disagree");
-    }
-}
-
 /// The two ways a walk's quiet-window floor comes out wrong the first
-/// time, each placed wholly in the appended part of a trace.
+/// time, each placed wholly in a block scored from its own samples.
 #[test]
-fn the_floor_of_an_appended_stretch_is_settled_over_that_stretch() {
+fn the_floor_of_a_block_is_settled_over_that_block() {
     let h = wave(33, 0.9); // 256-sample blocks, 224 lags each
     let t = Template::new(&h);
     let scaled = |len: usize, k: f32| wave(len, 0.31).into_iter().map(move |z| z * k);
-    // What the trace already covers: loud — a floor taken over the whole
-    // signal would be set here — then quiet, so that the appended
-    // stretch starts out knowing nothing louder.
+    // What earlier blocks covered: loud — a floor taken over the whole
+    // signal would be set here — then quiet, so that the block starts
+    // out knowing nothing louder.
     let head: Vec<Cf32> = scaled(700, 1.0).chain(scaled(64, 1e-6)).collect();
     let valid = head.len() - h.len() + 1;
 
@@ -167,10 +94,14 @@ fn the_floor_of_an_appended_stretch_is_settled_over_that_stretch() {
     on_every_backend(|backend| {
         for (what, x, quiet) in [("parked", &parked, 1_900), ("redone", &redone, 900)] {
             let what = format!("{backend:?}, {what}");
-            let out = extend_and_check(&t, x, valid, valid, &what);
+            let block = &x[valid..];
+            let mut out = vec![f32::NAN; 7];
+            t.xcorr_normalized_into(block, &mut out);
+            assert_eq!(bits(&out), bits(&t.xcorr_normalized(block)), "{what}");
             // Nonzero samples, scored zero: only a floor that a later
-            // block raised can have done that.
-            let stretch = &out[head.len()..head.len() + quiet];
+            // overlap-save block raised can have done that.
+            let at = head.len() - valid;
+            let stretch = &out[at..at + quiet];
             assert!(stretch.iter().all(|&v| v == 0.0), "{what}: quiet stretch");
         }
     });
@@ -210,15 +141,15 @@ fn gateway_windows(registry: &Registry, len: usize) -> Vec<(&'static str, Vec<Cf
 }
 
 #[test]
-fn appended_lags_are_the_whole_window_trace_to_fft_rounding() {
+fn a_suffix_trace_is_the_whole_window_trace_to_fft_rounding() {
     let registry = Registry::prototype();
     // A live session's window (DESIGN.md §7).
     let frame = registry.max_frame_samples_for(FS, 32);
     let flush_len = 4 * frame + 2 * (frame / 8) + 128;
 
-    // The template a session resumes on is the universal preamble, and
-    // it is held to 1e-6. A technology's own preamble (the edge and the
-    // matched bank correlate whole spans against these, never resuming)
+    // The template a session scores blocks with is the universal
+    // preamble, and it is held to 1e-6. A technology's own preamble (the
+    // edge and the matched bank correlate whole spans against these)
     // can be a ninth as long: the same rounding of a 4x-template block
     // under a score over that many fewer samples.
     let bank = registry.template_bank(FS);
@@ -242,14 +173,14 @@ fn appended_lags_are_the_whole_window_trace_to_fft_rounding() {
             let valids = [7 * t.block_lags(), 1, lags - 1, rng.gen_range(1..lags)];
             on_every_backend(|backend| {
                 let whole = t.xcorr_normalized(x);
+                let mut out = Vec::new();
                 for valid in valids {
                     let what = format!("{backend:?}, {kind}, {name}");
-                    let mut out = whole[..valid].to_vec();
-                    t.xcorr_normalized_extend(x, valid, &mut out);
-                    assert_eq!(out.len(), lags, "{what}");
-                    assert_eq!(bits(&out[..valid]), bits(&whole[..valid]), "{what}: kept");
-                    for (lag, (g, w)) in out.iter().zip(&whole).enumerate().skip(valid) {
+                    t.xcorr_normalized_into(&x[valid..], &mut out);
+                    assert_eq!(out.len(), lags - valid, "{what}");
+                    for (k, (g, w)) in out.iter().zip(&whole[valid..]).enumerate() {
                         let off = (g - w).abs();
+                        let lag = valid + k;
                         assert!(off <= bound, "{what}: lag {lag} from {valid}: {g} / {w}");
                         worst = worst.max(off);
                     }
@@ -257,7 +188,7 @@ fn appended_lags_are_the_whole_window_trace_to_fft_rounding() {
             });
         }
         println!(
-            "{name} ({} samples): appended lags within {worst:e}",
+            "{name} ({} samples): suffix traces within {worst:e}",
             t.len()
         );
     }
