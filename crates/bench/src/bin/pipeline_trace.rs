@@ -20,7 +20,7 @@ use std::time::Instant;
 use galiot_bench::{parse_args, tsv_row};
 use galiot_channel::{compose, forced_collision, snr_to_noise_power, TxEvent};
 use galiot_core::{GaliotConfig, StreamingGaliot, TransportConfig};
-use galiot_gateway::{LinkFaults, PacketDetector, UniversalDetector};
+use galiot_gateway::{Detection, LinkFaults, PacketDetector, UniversalDetector};
 use galiot_phy::registry::Registry;
 use galiot_phy::TechId;
 use galiot_trace::{Stage, TraceSession};
@@ -30,6 +30,12 @@ use rand::SeedableRng;
 const FS: f64 = 1_000_000.0;
 /// Disabled-path overhead budget: 3% over the uninstrumented baseline.
 const OVERHEAD_BUDGET: f64 = 0.03;
+/// Fewest back-to-back `detect_raw` / `detect` pairs the gate takes the
+/// median ratio of. (The best of three of each side read over budget on
+/// about one run in four: a shared host runs the same call at two
+/// speeds ~25 % apart, each for a few calls, and one side could catch
+/// the fast one alone.)
+const OVERHEAD_PAIRS: usize = 31;
 
 /// The seeded workload: all three prototype technologies, one forced
 /// cross-technology collision cluster plus separated traffic, so every
@@ -92,27 +98,40 @@ fn main() {
     // ── Overhead regression: disabled tracing must be near-free ──────
     // `detect_raw` is the span-free inherent method; the trait `detect`
     // adds the span guard, disarmed here: the session above is
-    // finished, so this thread has no recorder. Best-of-N wall time for each, interleaved so thermal
-    // or scheduler drift hits both sides alike.
+    // finished, so this thread has no recorder. The two calls of a pair
+    // run back to back, each side first in every other pair, so the
+    // host's speed is the same for both; the median pair's ratio is the
+    // overhead. The best time of each side is reported too.
     assert!(!galiot_trace::enabled(), "session leaked into the bench");
     let registry = Registry::prototype();
     let detector = UniversalDetector::new(&registry, FS, 0.0);
     let detections = detector.detect_raw(&samples, FS).len();
-    let mut best_raw = u64::MAX;
-    let mut best_disabled = u64::MAX;
-    for _ in 0..trials.max(3) {
+    let time = |detect: &dyn Fn() -> Vec<Detection>| {
         let t0 = Instant::now();
-        let d = detector.detect_raw(&samples, FS);
-        best_raw = best_raw.min(t0.elapsed().as_nanos() as u64);
-        assert_eq!(d.len(), detections, "detector is nondeterministic");
-        let t0 = Instant::now();
-        let d = detector.detect(&samples, FS);
-        best_disabled = best_disabled.min(t0.elapsed().as_nanos() as u64);
+        let d = detect();
+        let ns = t0.elapsed().as_nanos() as u64;
         assert_eq!(d.len(), detections, "span wrapper changed the result");
-    }
-    let overhead = best_disabled as f64 / best_raw as f64 - 1.0;
+        ns
+    };
+    let raw = || detector.detect_raw(&samples, FS);
+    let disabled = || detector.detect(&samples, FS);
+    let mut pairs: Vec<(u64, u64)> = (0..trials.max(OVERHEAD_PAIRS))
+        .map(|pair| {
+            if pair % 2 == 0 {
+                (time(&raw), time(&disabled))
+            } else {
+                let d = time(&disabled);
+                (time(&raw), d)
+            }
+        })
+        .collect();
+    let best_raw = pairs.iter().map(|p| p.0).min().unwrap_or(0);
+    let best_disabled = pairs.iter().map(|p| p.1).min().unwrap_or(0);
+    let ratio = |&(r, d): &(u64, u64)| d as f64 / r as f64;
+    pairs.sort_by(|a, b| ratio(a).total_cmp(&ratio(b)));
+    let overhead = ratio(&pairs[pairs.len() / 2]) - 1.0;
     println!(
-        "# overhead: raw={best_raw}ns disabled={best_disabled}ns ({:+.2}%)",
+        "# overhead: median pair {:+.2}% (best raw={best_raw}ns disabled={best_disabled}ns)",
         overhead * 100.0
     );
 

@@ -17,7 +17,7 @@ use std::fmt;
 #[derive(Clone, Debug, PartialEq)]
 pub enum ConfigError {
     /// A numeric knob that must be finite and strictly positive
-    /// (e.g. `fs`, `backhaul_bps`) is not.
+    /// (e.g. `fs`, `decode_deadline_s`, `transport.uplink_bps`) is not.
     NonPositive {
         /// The field name.
         field: &'static str,
@@ -25,7 +25,8 @@ pub enum ConfigError {
         value: f64,
     },
     /// A numeric knob that must be finite and non-negative
-    /// (e.g. `edge_cluster_guard_s`, `detect_threshold`) is not.
+    /// (e.g. `edge_cluster_guard_s`, `detect_threshold`, an ARQ timing
+    /// or a link-fault probability) is not.
     Negative {
         /// The field name.
         field: &'static str,
@@ -107,17 +108,6 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Which packet detector the gateway runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DetectorKind {
-    /// Energy threshold (the baseline of the existing literature).
-    Energy,
-    /// Per-technology matched-filter bank (optimal, scales linearly).
-    MatchedBank,
-    /// GalioT's universal preamble (the paper's contribution).
-    Universal,
-}
-
 /// One injected gateway crash for [`crate::FleetGaliot`] failover
 /// testing: session `session` dies immediately before emitting its
 /// `after_segments`-th segment (0 = silent from the first would-be
@@ -142,10 +132,9 @@ pub struct GaliotConfig {
     pub fs: f64,
     /// Front-end model parameters.
     pub front_end: FrontEndParams,
-    /// Which detector the gateway runs.
-    pub detector: DetectorKind,
-    /// Detection threshold (meaning depends on the detector: dB over
-    /// noise floor for energy, normalized correlation otherwise).
+    /// The universal-preamble detector's normalized-correlation
+    /// threshold; `0.0` selects the analytic noise threshold over the
+    /// window a flush takes it over.
     pub detect_threshold: f32,
     /// Whether the edge tries to decode before shipping to the cloud.
     pub edge_decoding: bool,
@@ -161,10 +150,6 @@ pub struct GaliotConfig {
     pub max_expected_payload: usize,
     /// Bits per I/Q rail on the backhaul (compression).
     pub compression_bits: u32,
-    /// Backhaul uplink rate, bits per second.
-    pub backhaul_bps: f64,
-    /// Backhaul one-way latency, seconds.
-    pub backhaul_latency_s: f64,
     /// Cloud decoder parameters.
     pub cloud: CloudParams,
     /// Number of parallel cloud decode workers in the streaming
@@ -172,15 +157,6 @@ pub struct GaliotConfig {
     /// reproduces the historical single-threaded cloud tier. The
     /// batch pipeline ignores this knob.
     pub cloud_workers: usize,
-    /// When true, the *streaming* pipeline emulates the backhaul in
-    /// real time: the gateway blocks for each segment's serialization
-    /// on the shared uplink (`backhaul_bps`) and every cloud worker
-    /// blocks `backhaul_latency_s` per segment before decoding,
-    /// modeling the hop to a remote elastic cloud instance. The batch
-    /// pipeline instead models the same wire analytically
-    /// ([`crate::pipeline::RunReport::last_arrival_s`]). Off by
-    /// default: conformance tests compare decoded output, not timing.
-    pub emulate_backhaul: bool,
     /// The gateway→cloud segment transport: link impairments, ARQ,
     /// send-queue sizing, and the compression-degradation ladder. The
     /// default is a passthrough (perfect links, no ARQ) in which the
@@ -226,19 +202,14 @@ impl Default for GaliotConfig {
         GaliotConfig {
             fs: 1_000_000.0,
             front_end: FrontEndParams::default(),
-            detector: DetectorKind::Universal,
-            // 0.0 = analytic noise threshold for correlation
-            // detectors; energy detection falls back to 6 dB.
+            // 0.0 = the analytic noise threshold.
             detect_threshold: 0.0,
             edge_decoding: true,
             edge_cluster_guard_s: galiot_gateway::DEFAULT_CLUSTER_GUARD_S,
             max_expected_payload: 32,
             compression_bits: 8,
-            backhaul_bps: 20e6,
-            backhaul_latency_s: 0.010,
             cloud: CloudParams::default(),
             cloud_workers: 0,
-            emulate_backhaul: false,
             transport: TransportConfig::default(),
             gateways: 1,
             ingest_shards: 0,
@@ -254,7 +225,7 @@ impl Default for GaliotConfig {
 impl GaliotConfig {
     /// The paper's prototype configuration: RTL-SDR front end at
     /// 1 Msps, universal-preamble detection, edge-first decoding,
-    /// 8-bit compression over a home cable uplink.
+    /// 8-bit compression.
     pub fn prototype() -> Self {
         Self::default()
     }
@@ -262,15 +233,6 @@ impl GaliotConfig {
     /// Returns the configuration with an explicit cloud worker count.
     pub fn with_cloud_workers(mut self, workers: usize) -> Self {
         self.cloud_workers = workers;
-        self
-    }
-
-    /// Returns the configuration with real-time backhaul emulation in
-    /// the streaming pipeline (uplink serialization at `backhaul_bps`,
-    /// per-segment cloud latency of `backhaul_latency_s`).
-    pub fn with_emulated_backhaul(mut self, rtt_s: f64) -> Self {
-        self.emulate_backhaul = true;
-        self.backhaul_latency_s = rtt_s;
         self
     }
 
@@ -388,8 +350,6 @@ impl GaliotConfig {
         positive("fs", self.fs)?;
         non_negative("detect_threshold", self.detect_threshold as f64)?;
         non_negative("edge_cluster_guard_s", self.edge_cluster_guard_s)?;
-        positive("backhaul_bps", self.backhaul_bps)?;
-        non_negative("backhaul_latency_s", self.backhaul_latency_s)?;
         if self.max_expected_payload == 0 {
             return Err(ConfigError::ZeroCount {
                 field: "max_expected_payload",
@@ -403,10 +363,29 @@ impl GaliotConfig {
         if bits == 0 || bits > 16 || min_bits == 0 || min_bits > bits {
             return Err(ConfigError::BadCompressionBits { bits, min_bits });
         }
-        if self.transport.send_queue_cap == 0 {
+        let t = &self.transport;
+        if t.send_queue_cap == 0 {
             return Err(ConfigError::ZeroCount {
                 field: "transport.send_queue_cap",
             });
+        }
+        // The ARQ sender makes `Duration`s of these, which panics on a
+        // negative or non-finite value (on its thread, mid-session).
+        non_negative("transport.arq.base_timeout_s", t.arq.base_timeout_s)?;
+        non_negative("transport.arq.max_timeout_s", t.arq.max_timeout_s)?;
+        non_negative("transport.arq.backoff", t.arq.backoff)?;
+        non_negative("transport.arq.jitter", t.arq.jitter)?;
+        // A link draws against its probabilities, which panics on NaN.
+        for (field, f) in [
+            ("transport.data_faults", t.data_faults),
+            ("transport.ack_faults", t.ack_faults),
+        ] {
+            for p in [f.loss, f.corrupt, f.duplicate, f.reorder] {
+                non_negative(field, p)?;
+            }
+        }
+        if let Some(bps) = t.uplink_bps {
+            positive("transport.uplink_bps", bps)?;
         }
         for c in &self.crashes {
             if c.session >= self.gateways {
@@ -430,13 +409,13 @@ impl GaliotConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::ArqParams;
 
     #[test]
     fn prototype_matches_paper_parameters() {
         let c = GaliotConfig::prototype();
         assert_eq!(c.fs, 1_000_000.0);
         assert_eq!(c.front_end.adc_bits, 8);
-        assert_eq!(c.detector, DetectorKind::Universal);
         assert!(c.edge_decoding);
     }
 
@@ -522,6 +501,55 @@ mod tests {
         let mut c = GaliotConfig::prototype();
         c.max_expected_payload = 0;
         assert!(c.validate().is_err());
+
+        // ARQ timings the sender cannot make a `Duration` of, and a link
+        // probability it cannot draw against.
+        let lossy = GaliotConfig::prototype().with_faulty_link(LinkFaults::lossy(0.05, 7));
+        let arq_knobs: [fn(&mut ArqParams) -> &mut f64; 4] = [
+            |a| &mut a.base_timeout_s,
+            |a| &mut a.max_timeout_s,
+            |a| &mut a.backoff,
+            |a| &mut a.jitter,
+        ];
+        for knob in arq_knobs {
+            for bad in [f64::NAN, -0.5, f64::INFINITY] {
+                let mut c = lossy.clone();
+                *knob(&mut c.transport.arq) = bad;
+                assert!(
+                    matches!(c.validate(), Err(ConfigError::Negative { .. })),
+                    "{:?}",
+                    c.transport.arq
+                );
+            }
+        }
+        let mut c = lossy.clone();
+        c.transport.data_faults.loss = f64::NAN;
+        assert!(matches!(
+            c.validate(),
+            Err(ConfigError::Negative {
+                field: "transport.data_faults",
+                ..
+            })
+        ));
+        let mut c = lossy.clone();
+        c.transport.ack_faults.reorder = f64::INFINITY;
+        assert!(c.validate().is_err());
+
+        // A pacing rate the sender cannot divide by.
+        for bad in [0.0, -1e6, f64::NAN] {
+            let mut c = lossy.clone();
+            c.transport.uplink_bps = Some(bad);
+            assert!(matches!(
+                c.validate(),
+                Err(ConfigError::NonPositive {
+                    field: "transport.uplink_bps",
+                    ..
+                })
+            ));
+        }
+        let mut c = lossy;
+        c.transport.uplink_bps = Some(1e6);
+        c.validate().unwrap();
     }
 
     #[test]

@@ -475,7 +475,6 @@ fn build_session_io(
             gateway: gw,
             mode: ShipMode::Direct(inbox_tx),
             base_bits: config.compression_bits,
-            uplink_bps: config.emulate_backhaul.then_some(config.backhaul_bps),
             metrics: sup.metrics.clone(),
         }
     } else {
@@ -496,7 +495,7 @@ fn build_session_io(
             ack_rx,
             t.arq,
             t.data_faults,
-            config.emulate_backhaul.then_some(config.backhaul_bps),
+            t.uplink_bps,
             sup.metrics.clone(),
             move |seq| {
                 galiot_trace::event(
@@ -525,7 +524,6 @@ fn build_session_io(
                 result_tx: sup.result_tx.clone(),
             },
             base_bits: config.compression_bits,
-            uplink_bps: None,
             metrics: sup.metrics.clone(),
         }
     };

@@ -12,8 +12,6 @@ use galiot_dsp::Cf32;
 use galiot_gateway::{GatewayId, ShippedSegment};
 use galiot_phy::registry::Registry;
 use std::sync::Arc;
-use std::thread;
-use std::time::Duration;
 
 use crate::config::GaliotConfig;
 use crate::metrics::SharedMetrics;
@@ -156,7 +154,6 @@ pub(crate) struct Shipper {
     pub(crate) gateway: GatewayId,
     pub(crate) mode: ShipMode,
     pub(crate) base_bits: u32,
-    pub(crate) uplink_bps: Option<f64>,
     pub(crate) metrics: SharedMetrics,
 }
 
@@ -169,7 +166,7 @@ impl Shipper {
                 let shipped =
                     ShippedSegment::pack(seq, abs_start, samples, self.base_bits, COMPRESS_BLOCK)
                         .with_gateway(self.gateway);
-                let ok = ship(shipped, tx, &self.metrics, self.uplink_bps);
+                let ok = ship(shipped, tx, &self.metrics);
                 if ok {
                     self.metrics
                         .with(|m| *m.shipped_by_bits.entry(self.base_bits).or_default() += 1);
@@ -227,20 +224,8 @@ impl Shipper {
 /// Ships one compressed segment towards the worker pool, updating the
 /// backhaul metrics and the queue high-water mark. Returns `false` when
 /// the pool is gone.
-///
-/// With backhaul emulation on, blocks for the segment's serialization
-/// time on the shared uplink — serialization cannot be parallelized
-/// away, which is why it happens here on the single gateway thread.
-fn ship(
-    shipped: ShippedSegment,
-    seg_tx: &Sender<PoolItem>,
-    metrics: &SharedMetrics,
-    uplink_bps: Option<f64>,
-) -> bool {
+fn ship(shipped: ShippedSegment, seg_tx: &Sender<PoolItem>, metrics: &SharedMetrics) -> bool {
     let bytes = shipped.wire_bytes();
-    if let Some(bps) = uplink_bps {
-        thread::sleep(Duration::from_secs_f64(bytes as f64 * 8.0 / bps));
-    }
     // Mark the handoff before the send so the ship event
     // happens-before everything the receiving worker records for this
     // seq (the trace-conformance journey check relies on the order).
@@ -306,7 +291,6 @@ mod tests {
                     gateway: GatewayId(0),
                     mode: ShipMode::Direct(seg_tx),
                     base_bits: config.compression_bits,
-                    uplink_bps: None,
                     metrics: metrics.clone(),
                 },
                 &result_tx,
@@ -324,5 +308,78 @@ mod tests {
             assert!(result_rx.is_none_or(|rx| rx.try_recv().is_err()));
             assert!(m.gateway_busy_ns > 0, "edge case {decoded_at_edge}: {m:?}");
         }
+    }
+
+    #[test]
+    fn a_backed_up_send_queue_steps_compression_down_then_sheds_the_weakest() {
+        // Nothing drains the queue, so its depth is the number of ships
+        // so far, capped at 2: the ladder and the shedder, no clock.
+        use crate::transport::SendQueue;
+        use galiot_trace::{tag_seq, EventKind, TraceSession};
+
+        let queue = SendQueue::new(2);
+        let (result_tx, result_rx) = unbounded();
+        let metrics = SharedMetrics::new();
+        let gateway = GatewayId(3);
+        let shipper = Shipper {
+            gateway,
+            mode: ShipMode::Transport {
+                tx: SendQueueTx::new(queue.clone()),
+                hwm: 1,
+                cap: 2,
+                min_bits: 4,
+                result_tx,
+            },
+            base_bits: 8,
+            metrics: metrics.clone(),
+        };
+        // Constant samples: a segment's mean power is its amplitude squared.
+        let amplitudes = [2.0, 1.0, 3.0, 0.5, 1.5];
+        let start = |seq: u64| 10_000 * (seq as usize + 1);
+        let session = TraceSession::start();
+        for (seq, &a) in amplitudes.iter().enumerate() {
+            let samples = vec![Cf32::from_re(a); 256];
+            let seq = seq as u64;
+            assert!(shipper.ship(seq, start(seq), &samples));
+        }
+        let trace = session.finish();
+
+        // Depths 0, 1, 2, 2, 2: full bits, one step down, then the floor.
+        // Each push past two slots sheds the weakest segment queued: seq 1
+        // (power 1) for seq 2, then seq 3 (0.25) and seq 4 (2.25) as they
+        // arrive — each answered by a gap notice carrying its start.
+        let mut kept = Vec::new();
+        while let Some(q) = queue.try_pop() {
+            kept.push((q.seg.seq, q.seg.compressed.bits));
+        }
+        assert_eq!(kept, [(0, 8), (2, 4)]);
+        let gaps: Vec<(u64, Option<u64>)> = (result_rx.try_iter())
+            .map(|msg| match msg {
+                ResultMsg::Segment(r) if r.gateway == gateway && r.frames.is_empty() => {
+                    (r.seq, r.watermark)
+                }
+                _ => panic!("a shed answers with a gap notice only"),
+            })
+            .collect();
+        let victims = [1, 3, 4];
+        assert_eq!(gaps, victims.map(|s| (s, Some(start(s) as u64))));
+
+        let m = metrics.snapshot();
+        let by_bits: Vec<(u32, u64)> = m.shipped_by_bits.iter().map(|(&b, &n)| (b, n)).collect();
+        assert_eq!(by_bits, [(4, 3), (6, 1), (8, 1)]);
+        assert_eq!(m.shipped_by_bits.values().sum::<u64>(), 5);
+        assert_eq!(m.shipped_segments, 5);
+        assert_eq!((m.segments_downgraded, m.segments_shed), (4, 3));
+
+        let tags = |kind: EventKind| -> Vec<u64> {
+            (trace.events.iter())
+                .filter(|e| e.kind == kind)
+                .map(|e| e.seq)
+                .collect()
+        };
+        let tag =
+            |seqs: &[u64]| -> Vec<u64> { seqs.iter().map(|&s| tag_seq(gateway.0, s)).collect() };
+        assert_eq!(tags(EventKind::Ship), tag(&[0, 1, 2, 3, 4]));
+        assert_eq!(tags(EventKind::Shed), tag(&victims));
     }
 }

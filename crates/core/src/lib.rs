@@ -45,7 +45,7 @@ pub mod spawn;
 mod stage;
 pub mod transport;
 
-pub use config::{ConfigError, CrashSpec, DetectorKind, GaliotConfig};
+pub use config::{ConfigError, CrashSpec, GaliotConfig};
 pub use fleet::FleetGaliot;
 /// Re-export of the decode-fault injection spec so downstream users can
 /// configure the supervised pool without depending on `galiot-channel`

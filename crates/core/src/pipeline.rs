@@ -6,15 +6,12 @@
 
 use galiot_cloud::{CloudDecoder, Recovery, TraceBuffers};
 use galiot_dsp::Cf32;
-use galiot_gateway::{
-    AnalogView, Backhaul, Detection, EnergyDetector, MatchedFilterBank, PacketDetector,
-    ShippedSegment, UniversalDetector,
-};
+use galiot_gateway::{AnalogView, ShippedSegment};
 use galiot_phy::registry::Registry;
 use galiot_phy::DecodedFrame;
 use std::convert::Infallible;
 
-use crate::config::{DetectorKind, GaliotConfig};
+use crate::config::GaliotConfig;
 use crate::metrics::{Metrics, SharedMetrics};
 use crate::stage::GatewayStage;
 
@@ -36,41 +33,10 @@ pub struct RunReport {
     pub frames: Vec<PipelineFrame>,
     /// Counters for the run.
     pub metrics: Metrics,
-    /// Cloud arrival time of the last shipped segment (seconds from
-    /// capture start), if anything was shipped.
-    pub last_arrival_s: Option<f64>,
 }
 
 /// Block length of the backhaul's block-floating-point compression.
 pub(crate) const COMPRESS_BLOCK: usize = 1024;
-
-/// The gateway's packet detector for `config.detector` — the one
-/// constructor behind both the batch pipeline and the live gateway
-/// loop, so streaming≡batch holds for every [`DetectorKind`].
-pub(crate) fn build_detector(
-    config: &GaliotConfig,
-    registry: &Registry,
-) -> Box<dyn PacketDetector> {
-    match config.detector {
-        DetectorKind::Energy => Box::new(EnergyDetector {
-            threshold_db: if config.detect_threshold > 0.0 {
-                config.detect_threshold
-            } else {
-                6.0
-            },
-            ..EnergyDetector::default()
-        }),
-        DetectorKind::MatchedBank => Box::new(MatchedFilterBank::new(
-            registry.clone(),
-            config.detect_threshold,
-        )),
-        DetectorKind::Universal => Box::new(UniversalDetector::new(
-            registry,
-            config.fs,
-            config.detect_threshold,
-        )),
-    }
-}
 
 /// The GalioT system: a configured gateway + cloud pair.
 pub struct Galiot {
@@ -118,11 +84,6 @@ impl Galiot {
         &self.registry
     }
 
-    /// Runs detection only (used by the detection experiments).
-    pub fn detect(&self, analog: &[Cf32]) -> Vec<Detection> {
-        self.gateway.detect(analog)
-    }
-
     /// Processes one analog capture end to end: the gateway stage a
     /// live session runs per flush step ([`crate::stage`]), here as one
     /// last flush whose window is the whole capture, then the cloud.
@@ -159,8 +120,6 @@ impl Galiot {
         let mut metrics = shared.snapshot();
 
         let mut frames = Vec::new();
-        let mut backhaul = Backhaul::new(self.config.backhaul_bps, self.config.backhaul_latency_s);
-        let mut last_arrival = None;
         let (mut at_cloud, mut traces) = (Vec::new(), TraceBuffers::default());
         for emission in emissions {
             let seg = match emission {
@@ -177,11 +136,8 @@ impl Galiot {
             };
 
             // Ship, decompress at the cloud.
-            let bytes = seg.compressed.wire_bytes();
             metrics.shipped_segments += 1;
-            metrics.shipped_bytes += bytes as u64;
-            let now_s = (seg.start + seg.compressed.len) as f64 / fs;
-            last_arrival = Some(backhaul.ship(bytes, now_s));
+            metrics.shipped_bytes += seg.compressed.wire_bytes() as u64;
             seg.unpack_into(&mut at_cloud);
 
             // Cloud: Algorithm 1.
@@ -203,11 +159,7 @@ impl Galiot {
             }
         }
         metrics.record_engine_stats(&engine_before);
-        RunReport {
-            frames,
-            metrics,
-            last_arrival_s: last_arrival,
-        }
+        RunReport { frames, metrics }
     }
 }
 
@@ -269,7 +221,6 @@ mod tests {
             .collect();
         let hits = truth.iter().filter(|t| got.contains(t)).count();
         assert_eq!(hits, 2, "got {got:?}");
-        assert!(report.last_arrival_s.is_some());
     }
 
     #[test]
@@ -280,23 +231,6 @@ mod tests {
         assert!(report.frames.is_empty());
         // Bandwidth saving: nearly nothing shipped from pure noise.
         assert!(report.metrics.shipped_fraction(8) < 0.2);
-    }
-
-    #[test]
-    fn energy_detector_variant_works_at_high_snr() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let reg = Registry::prototype();
-        let zwave = reg.get(TechId::ZWave).unwrap().clone();
-        let ev = TxEvent::new(zwave, vec![9; 6], 60_000);
-        let np = snr_to_noise_power(20.0, 0.0);
-        let cap = compose(&[ev], 600_000, FS, np, &mut rng);
-        let config = GaliotConfig {
-            detector: DetectorKind::Energy,
-            detect_threshold: 6.0,
-            ..GaliotConfig::prototype()
-        };
-        let report = Galiot::new(config, Registry::prototype()).process_capture(&cap.samples);
-        assert_eq!(report.frames.len(), 1);
     }
 
     #[test]

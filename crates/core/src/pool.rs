@@ -49,7 +49,7 @@
 //!
 //! The gateway half is the function [`crate::pipeline::Galiot`] runs
 //! (`crate::stage`), flushed once per fixed step of the capture:
-//! digitize → detection (the configured [`crate::DetectorKind`]) →
+//! digitize → universal-preamble detection →
 //! extraction → edge-first decode, then block-floating-point
 //! compression of what ships. Workers decompress before decoding, so
 //! the cloud sees bit-identical samples to the batch backhaul path.
@@ -356,7 +356,6 @@ struct Supervisor {
     faults: DecodeFaultSpec,
     fs: f64,
     cloud_params: CloudParams,
-    hop_latency: Option<Duration>,
     registry: Registry,
     n_shards: usize,
     n_workers: usize,
@@ -402,9 +401,6 @@ impl Supervisor {
             faults: config.decode_faults,
             fs: config.fs,
             cloud_params: config.cloud,
-            hop_latency: config
-                .emulate_backhaul
-                .then(|| Duration::from_secs_f64(config.backhaul_latency_s)),
             registry,
             n_shards,
             n_workers,
@@ -692,7 +688,6 @@ impl Supervisor {
         let registry = self.registry.clone();
         let cloud_params = self.cloud_params;
         let fs = self.fs;
-        let hop_latency = self.hop_latency;
         let faults = self.faults;
         let deadline = self.deadline;
         let handle = spawn_thread(&format!("galiot-cloud-{wid}.{incarnation}"), move || {
@@ -702,7 +697,6 @@ impl Supervisor {
                 registry,
                 cloud_params,
                 fs,
-                hop_latency,
                 faults,
                 deadline,
                 rx,
@@ -926,7 +920,6 @@ fn run_pool_worker(
     registry: Registry,
     cloud_params: CloudParams,
     fs: f64,
-    hop_latency: Option<Duration>,
     faults: DecodeFaultSpec,
     deadline: Duration,
     attempt_rx: Receiver<Attempt>,
@@ -942,12 +935,6 @@ fn run_pool_worker(
         seg,
     }) = attempt_rx.recv()
     {
-        // The hop to a remote elastic cloud instance: latency is per
-        // segment and overlaps across workers — this is the wait the
-        // pool exists to hide.
-        if let Some(lat) = hop_latency {
-            thread::sleep(lat);
-        }
         let strike = faults.strikes(seg.gateway.0, seg.seq, attempt);
         if strike && faults.kind == DecodeFaultKind::Hang {
             // A wedged decode: no span, no Done — the supervisor can

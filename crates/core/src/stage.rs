@@ -13,8 +13,8 @@
 
 use galiot_dsp::Cf32;
 use galiot_gateway::{
-    AnalogRing, AnalogView, Detection, DetectionStream, EdgeDecoder, EdgeOutcome, ExtractParams,
-    PacketDetector, RtlSdrFrontEnd, SlidingGain,
+    AnalogRing, AnalogView, DetectionStream, EdgeDecoder, EdgeOutcome, ExtractParams, LagScorer,
+    RtlSdrFrontEnd, SlidingGain, UniversalDetector,
 };
 use galiot_phy::registry::Registry;
 use galiot_phy::DecodedFrame;
@@ -23,14 +23,14 @@ use std::time::Instant;
 
 use crate::config::GaliotConfig;
 use crate::metrics::SharedMetrics;
-use crate::pipeline::build_detector;
 
 /// The configured gateway stages. Immutable once built: what a session
 /// carries from flush to flush is its [`StageBuffers`].
 pub(crate) struct GatewayStage {
     fs: f64,
     front_end: RtlSdrFrontEnd,
-    detector: Box<dyn PacketDetector>,
+    /// The universal preamble, behind the trait the tests' fakes share.
+    scorer: Box<dyn LagScorer>,
     /// Extraction policy: the paper's 2× max frame, sized by the
     /// deployment's expected payloads.
     params: ExtractParams,
@@ -40,8 +40,7 @@ pub(crate) struct GatewayStage {
     /// over the last W samples (four frames, two pre-guards and 128).
     window: usize,
     /// How far the capture moves between live flushes: one overlap-save
-    /// block of the detector's template (24 577 samples at 1 Msps), or
-    /// a pre-guard for a detector that re-runs over the window.
+    /// block of the detector's template (24 577 samples at 1 Msps).
     step: usize,
 }
 
@@ -65,7 +64,7 @@ pub(crate) struct StageBuffers {
     edge_trace: Vec<f32>,
     /// Every detection decided so far, in order, for the tests to check.
     #[cfg(test)]
-    log: Vec<Detection>,
+    log: Vec<galiot_gateway::Detection>,
 }
 
 /// A live session: the analog ring its flushes read, and its buffers.
@@ -92,36 +91,29 @@ impl GatewayStage {
             .max_frame_samples_for(config.fs, config.max_expected_payload)
             .max(1);
         let params = ExtractParams::paper(frame);
-        let detector = build_detector(config, registry);
+        let scorer = UniversalDetector::new(registry, config.fs, config.detect_threshold);
         let window = 4 * frame + 2 * params.pre_guard + 128;
-        let step = detector.peak_rule(window).map(|rule| rule.block_lags);
         GatewayStage {
             fs: config.fs,
             front_end: RtlSdrFrontEnd::new(config.front_end),
             edge: config.edge_decoding.then(|| {
                 EdgeDecoder::new(registry.clone()).with_cluster_guard_s(config.edge_cluster_guard_s)
             }),
-            detector,
-            step: step.unwrap_or(params.pre_guard).max(1),
+            step: scorer.peak_rule(window).block_lags,
+            scorer: Box::new(scorer),
             params,
             window,
         }
     }
 
-    /// Digitizes `analog` and runs detection only.
-    pub(crate) fn detect(&self, analog: &[Cf32]) -> Vec<Detection> {
-        (self.detector).detect(&self.front_end.digitize(analog), self.fs)
-    }
-
     /// Fresh buffers for a session whose first sample is capture index
     /// `origin`, with gain and threshold over `window` samples.
     pub(crate) fn buffers(&self, origin: usize, window: usize) -> StageBuffers {
-        let (detector, guard) = (&*self.detector, self.params.pre_guard);
         StageBuffers {
             origin,
             window,
             gain: SlidingGain::new(origin, window, window / self.step + 2),
-            scan: DetectionStream::new(detector, self.fs, origin, window, guard),
+            scan: DetectionStream::new(self.scorer.peak_rule(window), origin),
             open: None,
             merged: Vec::new(),
             span: Vec::new(),
@@ -215,7 +207,7 @@ impl GatewayStage {
         };
         let result = (|| {
             let scan = &mut bufs.scan;
-            let detections = scan.flush(&*self.detector, &self.front_end, gain, &analog, last);
+            let detections = scan.flush(&*self.scorer, &self.front_end, gain, &analog, last);
             metrics.with(|m| m.detections += detections.len());
             #[cfg(test)]
             bufs.log.extend(&detections);
@@ -262,13 +254,13 @@ mod tests {
         compose, forced_collision, random_payload, scenario_seed, snr_to_noise_power, TxEvent,
     };
     use galiot_dsp::corr::find_peaks;
-    use galiot_gateway::{spans, FrontEndParams, PeakRule, UniversalDetector};
+    use galiot_gateway::{spans, Detection, FrontEndParams, PeakRule};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::convert::Infallible;
     use std::sync::{Arc, Mutex};
 
-    /// Each `score_lags` call a detector received: how many samples it
+    /// Each `score_lags` call a scorer received: how many samples it
     /// read, and the scores it wrote.
     type Calls = Arc<Mutex<Vec<(usize, Vec<f32>)>>>;
 
@@ -278,16 +270,8 @@ mod tests {
         calls: Calls,
     }
 
-    impl<D: PacketDetector> PacketDetector for Recorded<D> {
-        fn name(&self) -> &'static str {
-            self.inner.name()
-        }
-
-        fn detect_with(&self, capture: &[Cf32], fs: f64, trace: &mut Vec<f32>) -> Vec<Detection> {
-            self.inner.detect_with(capture, fs, trace)
-        }
-
-        fn peak_rule(&self, window_len: usize) -> Option<PeakRule> {
+    impl<D: LagScorer> LagScorer for Recorded<D> {
+        fn peak_rule(&self, window_len: usize) -> PeakRule {
             self.inner.peak_rule(window_len)
         }
 
@@ -296,28 +280,24 @@ mod tests {
             let mut calls = self.calls.lock().expect("a recording test panicked");
             calls.push((capture.len(), trace.clone()));
         }
-
-        fn complexity_per_sample(&self, fs: f64) -> f64 {
-            self.inner.complexity_per_sample(fs)
-        }
     }
 
-    /// The configured stage with `detector`, recorded, for a detector —
-    /// and flushing at the step it asks for — and the record.
+    /// The configured stage with `scorer`, recorded, in place of the
+    /// universal preamble — flushing at the step it asks for — and the
+    /// record.
     fn recorded_stage(
         config: &GaliotConfig,
-        detector: impl PacketDetector + 'static,
+        scorer: impl LagScorer + 'static,
     ) -> (GatewayStage, Calls) {
         let calls = Calls::default();
         let base = GatewayStage::new(config, &Registry::prototype());
-        let step =
-            (detector.peak_rule(base.window)).map_or(base.params.pre_guard, |r| r.block_lags);
-        let detector = Box::new(Recorded {
-            inner: detector,
+        let step = scorer.peak_rule(base.window).block_lags;
+        let scorer = Box::new(Recorded {
+            inner: scorer,
             calls: calls.clone(),
         });
         let stage = GatewayStage {
-            detector,
+            scorer,
             step,
             ..base
         };
@@ -332,7 +312,7 @@ mod tests {
     struct Live {
         session: Session,
         emitted: Vec<Emission>,
-        /// Every scoring call its detector received.
+        /// Every scoring call its scorer received.
         calls: Vec<(usize, Vec<f32>)>,
     }
 
@@ -425,10 +405,7 @@ mod tests {
                 );
             }
         }
-        let rule = stage
-            .detector
-            .peak_rule(stage.window)
-            .expect("a lag scorer");
+        let rule = stage.scorer.peak_rule(stage.window);
         let want: Vec<Detection> = find_peaks(&trace, rule.threshold, rule.min_distance)
             .into_iter()
             .map(Detection::from)
@@ -519,7 +496,7 @@ mod tests {
             let detector = UniversalDetector::new(&registry, config.fs, config.detect_threshold);
             let m = detector.preamble().template.len();
             let (stage, calls) = recorded_stage(config, detector);
-            let rule = stage.detector.peak_rule(stage.window).unwrap();
+            let rule = stage.scorer.peak_rule(stage.window);
             assert!((rule.threshold - 0.0557).abs() < 5e-5, "{rule:?}");
             assert_eq!((stage.step, stage.window), (24_577, 436_416));
             for k in 0..24 {
@@ -564,30 +541,18 @@ mod tests {
         block: usize,
     }
 
-    impl PacketDetector for Lags {
-        fn name(&self) -> &'static str {
-            "lags"
-        }
-
-        fn detect_with(&self, _: &[Cf32], _: f64, _: &mut Vec<f32>) -> Vec<Detection> {
-            Vec::new()
-        }
-
-        fn peak_rule(&self, _window_len: usize) -> Option<PeakRule> {
-            Some(PeakRule {
+    impl LagScorer for Lags {
+        fn peak_rule(&self, _window_len: usize) -> PeakRule {
+            PeakRule {
                 block_lags: self.block,
                 threshold: 1.0,
                 min_distance: 1,
-            })
+            }
         }
 
         fn score_lags(&self, capture: &[Cf32], trace: &mut Vec<f32>) {
             trace.clear();
             trace.resize((capture.len() + 1).saturating_sub(self.m), 0.0);
-        }
-
-        fn complexity_per_sample(&self, _fs: f64) -> f64 {
-            0.0
         }
     }
 
@@ -634,30 +599,18 @@ mod tests {
     /// exactly where it likes.
     struct Spikes;
 
-    impl PacketDetector for Spikes {
-        fn name(&self) -> &'static str {
-            "spikes"
-        }
-
-        fn detect_with(&self, _: &[Cf32], _: f64, _: &mut Vec<f32>) -> Vec<Detection> {
-            Vec::new()
-        }
-
-        fn peak_rule(&self, _window_len: usize) -> Option<PeakRule> {
-            Some(PeakRule {
+    impl LagScorer for Spikes {
+        fn peak_rule(&self, _window_len: usize) -> PeakRule {
+            PeakRule {
                 block_lags: 1_000,
                 threshold: 0.5,
                 min_distance: 300,
-            })
+            }
         }
 
         fn score_lags(&self, capture: &[Cf32], trace: &mut Vec<f32>) {
             trace.clear();
             trace.extend(capture.iter().map(|z| z.abs()));
-        }
-
-        fn complexity_per_sample(&self, _fs: f64) -> f64 {
-            0.0
         }
     }
 

@@ -193,6 +193,9 @@ pub struct TransportConfig {
     pub degrade_hwm: usize,
     /// Floor of the compression ladder, bits per I/Q rail.
     pub min_bits: u32,
+    /// Rate, bits per second, at which the ARQ sender serializes each
+    /// datagram onto the uplink in real time; `None` sends at once.
+    pub uplink_bps: Option<f64>,
 }
 
 impl Default for TransportConfig {
@@ -204,6 +207,7 @@ impl Default for TransportConfig {
             send_queue_cap: 32,
             degrade_hwm: 8,
             min_bits: 4,
+            uplink_bps: None,
         }
     }
 }

@@ -1,9 +1,11 @@
 //! Packet detection at the gateway: the common interface plus the two
 //! baselines the paper compares against — energy detection and the
 //! per-technology matched-filter bank ("the optimal solution" that
-//! "scales poorly", Sec. 4).
+//! "scales poorly", Sec. 4) — which Fig. 3(b) runs at the detection
+//! level only.
 //!
-//! GalioT's own detector lives in [`crate::universal`].
+//! GalioT's own detector lives in [`crate::universal`]; it is also the
+//! [`LagScorer`] a live gateway's [`DetectionStream`] scores with.
 
 use std::ops::Range;
 
@@ -56,25 +58,6 @@ pub trait PacketDetector: Send + Sync {
     /// going in is discarded, what it holds afterwards is unspecified.
     fn detect_with(&self, capture: &[Cf32], fs: f64, trace: &mut Vec<f32>) -> Vec<Detection>;
 
-    /// `Some` for a detector that scores each lag from the samples
-    /// under it alone and whose detections over a window of
-    /// `window_len` samples are `find_peaks(trace, threshold,
-    /// min_distance)` over the trace [`PacketDetector::score_lags`]
-    /// writes. A live gateway then scores each lag once, a block at a
-    /// time, and picks peaks as the lags arrive. `None` (the default,
-    /// [`EnergyDetector`], [`MatchedFilterBank`]): the gateway re-runs
-    /// [`PacketDetector::detect_with`] over its window instead.
-    fn peak_rule(&self, _window_len: usize) -> Option<PeakRule> {
-        None
-    }
-
-    /// Writes one score per lag of `capture` into `trace`, replacing
-    /// what it held (none when the template does not fit). A detector
-    /// without a [`PeakRule`] scores nothing.
-    fn score_lags(&self, _capture: &[Cf32], trace: &mut Vec<f32>) {
-        trace.clear();
-    }
-
     /// Approximate cost in multiply-accumulates per capture sample —
     /// the scaling metric of the paper's argument (the universal
     /// preamble's cost stays flat as technologies are added; the
@@ -82,8 +65,22 @@ pub trait PacketDetector: Send + Sync {
     fn complexity_per_sample(&self, fs: f64) -> f64;
 }
 
-/// How a lag-scoring detector picks detections from its trace (see
-/// [`PacketDetector::peak_rule`]).
+/// A detector that scores each lag from the samples under it alone, and
+/// whose detections over a window of `window_len` samples are
+/// `find_peaks(trace, threshold, min_distance)` over the trace it
+/// writes. A live gateway scores each lag once, a block at a time, and
+/// picks peaks as the lags arrive ([`DetectionStream`]).
+pub trait LagScorer: Send + Sync {
+    /// How detections are picked from the trace over a window of
+    /// `window_len` samples.
+    fn peak_rule(&self, window_len: usize) -> PeakRule;
+
+    /// Writes one score per lag of `capture` into `trace`, replacing
+    /// what it held (none when the template does not fit).
+    fn score_lags(&self, capture: &[Cf32], trace: &mut Vec<f32>);
+}
+
+/// How a [`LagScorer`] picks detections from its trace.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PeakRule {
     /// Lags one overlap-save block of the template scores: the fewest
@@ -95,58 +92,34 @@ pub struct PeakRule {
     pub min_distance: usize,
 }
 
-/// A [`PacketDetector`] over a live capture that arrives one flush at a
-/// time: each flush digitizes, at the gain of the window it ends, only
-/// what the detector reads, and returns the detections it decides —
-/// each once, in capture order.
-///
-/// A detector with a [`PeakRule`] reads the lags it has not scored yet
-/// — the flush's new samples and the `m − 1` before them: one
-/// overlap-save block when flushes are [`PeakRule::block_lags`] apart —
-/// and a [`PeakStream`] decides the peaks over the stream's trace as the
-/// lags arrive, so the detections are `find_peaks` over all of it with
-/// the window's threshold. Any other detector re-runs over the window,
-/// and what it finds `guard` samples or more before the flush's end is
-/// decided. A last flush decides everything: one last flush over a
-/// whole capture is [`PacketDetector::detect_with`] over
+/// A [`LagScorer`] over a live capture that arrives one flush at a
+/// time: each flush digitizes, at the gain of the window it ends, the
+/// lags the scorer has not scored yet — the flush's new samples and the
+/// `m − 1` before them: one overlap-save block when flushes are
+/// [`PeakRule::block_lags`] apart — and a [`PeakStream`] decides the
+/// peaks over the stream's trace as the lags arrive. The detections,
+/// each returned once and in capture order, are `find_peaks` over all
+/// of it with the rule's threshold. A last flush decides everything:
+/// one last flush over a whole capture is
+/// [`crate::UniversalDetector`]'s [`PacketDetector::detect_with`] over
 /// [`RtlSdrFrontEnd::digitize`], bit for bit.
 pub struct DetectionStream {
-    fs: f64,
     /// Capture index of the stream's first sample.
     origin: usize,
-    /// Samples the threshold is taken over, and that a detector without
-    /// a peak rule re-runs over.
-    window: usize,
-    /// How far before a flush's end a re-run's detections are decided.
-    guard: usize,
-    peaks: Option<PeakStream>,
-    /// Capture index before which every detection is decided.
-    decided: usize,
+    peaks: PeakStream,
     /// What the last flush digitized, from capture index `digital_start`.
     digital: Vec<Cf32>,
     digital_start: usize,
-    /// The detector's scores over `digital`.
+    /// The scorer's scores over `digital`.
     trace: Vec<f32>,
 }
 
 impl DetectionStream {
-    /// A stream for `detector` from capture index `origin`, threshold
-    /// over `window` samples.
-    pub fn new(
-        detector: &dyn PacketDetector,
-        fs: f64,
-        origin: usize,
-        window: usize,
-        guard: usize,
-    ) -> Self {
-        let rule = detector.peak_rule(window);
+    /// A stream from capture index `origin` that picks peaks by `rule`.
+    pub fn new(rule: PeakRule, origin: usize) -> Self {
         DetectionStream {
-            fs,
             origin,
-            window,
-            guard,
-            peaks: rule.map(|rule| PeakStream::new(rule.threshold, rule.min_distance)),
-            decided: origin,
+            peaks: PeakStream::new(rule.threshold, rule.min_distance),
             digital: Vec::new(),
             digital_start: origin,
             trace: Vec::new(),
@@ -155,7 +128,7 @@ impl DetectionStream {
 
     /// Capture index before which every detection has been decided.
     pub fn decided(&self) -> usize {
-        self.decided
+        self.origin + self.peaks.decided()
     }
 
     /// One flush, at `gain`, over `analog`: the capture up to the
@@ -163,39 +136,21 @@ impl DetectionStream {
     /// detections it decides.
     pub fn flush(
         &mut self,
-        detector: &dyn PacketDetector,
+        scorer: &dyn LagScorer,
         front_end: &RtlSdrFrontEnd,
         gain: f32,
         analog: &AnalogView<'_>,
         last: bool,
     ) -> Vec<Detection> {
-        let (origin, end) = (self.origin, analog.end());
-        let from = match &self.peaks {
-            Some(peaks) => origin + peaks.seen(),
-            None => end.saturating_sub(self.window).max(origin),
-        };
-        front_end.digitize_range(gain, analog, from..end, &mut self.digital);
+        let (origin, from) = (self.origin, self.origin + self.peaks.seen());
+        front_end.digitize_range(gain, analog, from..analog.end(), &mut self.digital);
         self.digital_start = from;
-        let Some(peaks) = &mut self.peaks else {
-            let found = detector.detect_with(&self.digital, self.fs, &mut self.trace);
-            let horizon = end.saturating_sub(if last { 0 } else { self.guard });
-            let fresh = self.decided..horizon;
-            self.decided = horizon.max(self.decided);
-            return (found.into_iter())
-                .map(|d| Detection {
-                    start: from + d.start,
-                    ..d
-                })
-                .filter(|d| fresh.contains(&d.start))
-                .collect();
-        };
-        detector.score_lags(&self.digital, &mut self.trace);
+        scorer.score_lags(&self.digital, &mut self.trace);
         let mut picked = Vec::new();
-        peaks.push(&self.trace, &mut picked);
+        self.peaks.push(&self.trace, &mut picked);
         if last {
-            peaks.finish(&mut picked);
+            self.peaks.finish(&mut picked);
         }
-        self.decided = origin + peaks.decided();
         (picked.into_iter())
             .map(|p| Detection {
                 start: origin + p.index,

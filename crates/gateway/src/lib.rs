@@ -24,7 +24,7 @@ pub use backhaul::{
     WIRE_VERSION_MIN,
 };
 pub use detect::{
-    score_detections, Detection, DetectionStream, EnergyDetector, MatchedFilterBank,
+    score_detections, Detection, DetectionStream, EnergyDetector, LagScorer, MatchedFilterBank,
     PacketDetector, PeakRule,
 };
 pub use edge::{EdgeDecoder, EdgeOutcome, DEFAULT_CLUSTER_GUARD_S};

@@ -24,7 +24,7 @@ use galiot_dsp::Cf32;
 use galiot_phy::registry::Registry;
 use galiot_phy::TechId;
 
-use crate::detect::{Detection, PacketDetector, PeakRule};
+use crate::detect::{Detection, LagScorer, PacketDetector, PeakRule};
 
 /// The result of the coalescing step: which technologies share a
 /// representative.
@@ -179,23 +179,42 @@ impl UniversalDetector {
     /// trace-overhead regression bench compares against. Production
     /// callers use the [`PacketDetector`] impl.
     pub fn detect_raw(&self, capture: &[Cf32], _fs: f64) -> Vec<Detection> {
-        self.detect_raw_with(capture, &mut Vec::new())
+        let mut ncc = Vec::new();
+        self.template.xcorr_normalized_into(capture, &mut ncc);
+        self.peaks(&ncc, capture.len())
     }
 
-    /// [`UniversalDetector::detect_raw`] with the correlation trace in
-    /// a caller-held buffer.
-    fn detect_raw_with(&self, capture: &[Cf32], ncc: &mut Vec<f32>) -> Vec<Detection> {
-        let rule = self.rule(capture.len());
-        self.template.xcorr_normalized_into(capture, ncc);
-        find_peaks(ncc, rule.threshold, rule.min_distance)
+    /// The detections in `trace`, the scores of a `window_len`-sample
+    /// capture.
+    fn peaks(&self, trace: &[f32], window_len: usize) -> Vec<Detection> {
+        let rule = self.peak_rule(window_len);
+        find_peaks(trace, rule.threshold, rule.min_distance)
             .into_iter()
             .map(Detection::from)
             .collect()
     }
+}
 
-    /// The peak rule over a window of `window_len` samples: the fixed
-    /// threshold, or the analytic one for that many lags.
-    fn rule(&self, window_len: usize) -> PeakRule {
+impl PacketDetector for UniversalDetector {
+    fn name(&self) -> &'static str {
+        "universal-preamble"
+    }
+
+    fn detect_with(&self, capture: &[Cf32], _fs: f64, trace: &mut Vec<f32>) -> Vec<Detection> {
+        self.score_lags(capture, trace);
+        self.peaks(trace, capture.len())
+    }
+
+    fn complexity_per_sample(&self, _fs: f64) -> f64 {
+        // One correlation, regardless of how many technologies are
+        // registered — the paper's scaling claim.
+        self.preamble.template.len() as f64
+    }
+}
+
+impl LagScorer for UniversalDetector {
+    /// The fixed threshold, or the analytic one for `window_len` lags.
+    fn peak_rule(&self, window_len: usize) -> PeakRule {
         let threshold = if self.threshold > 0.0 {
             self.threshold
         } else {
@@ -208,31 +227,10 @@ impl UniversalDetector {
             min_distance: self.min_distance,
         }
     }
-}
-
-impl PacketDetector for UniversalDetector {
-    fn name(&self) -> &'static str {
-        "universal-preamble"
-    }
-
-    fn detect_with(&self, capture: &[Cf32], _fs: f64, trace: &mut Vec<f32>) -> Vec<Detection> {
-        let _span = galiot_trace::span(galiot_trace::Stage::UniversalDetect, galiot_trace::NO_SEQ);
-        self.detect_raw_with(capture, trace)
-    }
-
-    fn peak_rule(&self, window_len: usize) -> Option<PeakRule> {
-        Some(self.rule(window_len))
-    }
 
     fn score_lags(&self, capture: &[Cf32], trace: &mut Vec<f32>) {
         let _span = galiot_trace::span(galiot_trace::Stage::UniversalDetect, galiot_trace::NO_SEQ);
         self.template.xcorr_normalized_into(capture, trace);
-    }
-
-    fn complexity_per_sample(&self, _fs: f64) -> f64 {
-        // One correlation, regardless of how many technologies are
-        // registered — the paper's scaling claim.
-        self.preamble.template.len() as f64
     }
 }
 

@@ -36,8 +36,8 @@ use galiot_dsp::engine::Template;
 use galiot_dsp::kernels::{self, Backend};
 use galiot_dsp::Cf32;
 use galiot_gateway::{
-    build_universal_preamble, AnalogView, Detection, DetectionStream, MatchedFilterBank,
-    PacketDetector, PeakRule, RtlSdrFrontEnd, UniversalDetector,
+    build_universal_preamble, AnalogView, Detection, DetectionStream, LagScorer, PacketDetector,
+    PeakRule, RtlSdrFrontEnd, UniversalDetector,
 };
 use galiot_phy::registry::Registry;
 use rand::rngs::StdRng;
@@ -200,26 +200,14 @@ struct Recorded {
     trace: Mutex<Vec<f32>>,
 }
 
-impl PacketDetector for Recorded {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn detect_with(&self, capture: &[Cf32], fs: f64, trace: &mut Vec<f32>) -> Vec<Detection> {
-        self.inner.detect_with(capture, fs, trace)
-    }
-
-    fn peak_rule(&self, window_len: usize) -> Option<PeakRule> {
+impl LagScorer for Recorded {
+    fn peak_rule(&self, window_len: usize) -> PeakRule {
         self.inner.peak_rule(window_len)
     }
 
     fn score_lags(&self, capture: &[Cf32], trace: &mut Vec<f32>) {
         self.inner.score_lags(capture, trace);
         self.trace.lock().unwrap().extend_from_slice(trace);
-    }
-
-    fn complexity_per_sample(&self, fs: f64) -> f64 {
-        self.inner.complexity_per_sample(fs)
     }
 }
 
@@ -240,7 +228,7 @@ fn isolated_frames(registry: &Registry, len: usize) -> Vec<Cf32> {
 /// one gain for every window, and returns what it decided.
 fn flush_at(
     stream: &mut DetectionStream,
-    detector: &dyn PacketDetector,
+    scorer: &dyn LagScorer,
     front_end: &RtlSdrFrontEnd,
     analog: &[Cf32],
     ends: &[usize],
@@ -254,7 +242,7 @@ fn flush_at(
             parts: [&analog[..cut], &analog[cut..end]],
         };
         let last = k + 1 == ends.len();
-        let fresh = stream.flush(detector, front_end, gain, &view, last);
+        let fresh = stream.flush(scorer, front_end, gain, &view, last);
         assert!(fresh.iter().all(|d| d.start < stream.decided() || last));
         decided.extend(fresh);
     }
@@ -277,9 +265,9 @@ fn a_detection_stream_picks_what_find_peaks_picks_over_the_lags_it_scored() {
     // One last flush over a whole capture: `detect_with` over
     // `digitize`, bit for bit.
     let digital = front_end.digitize(&analog);
-    let batch = detector.detect_with(&digital, FS, &mut Vec::new());
+    let batch = detector.inner.detect_with(&digital, FS, &mut Vec::new());
     assert!(batch.len() >= 3, "a frame of each technology: {batch:?}");
-    let mut stream = DetectionStream::new(&detector, FS, 0, n, 0);
+    let mut stream = DetectionStream::new(detector.peak_rule(n), 0);
     let whole = AnalogView::whole(&analog);
     let gain = front_end.gain(galiot_dsp::kernels::energy_f64(&analog), n);
     assert_eq!(
@@ -291,14 +279,14 @@ fn a_detection_stream_picks_what_find_peaks_picks_over_the_lags_it_scored() {
     // once, and the peaks `find_peaks` picks over them all — which, at
     // one gain, are the whole trace's to FFT rounding.
     let window = 436_416;
-    let rule = detector.peak_rule(window).unwrap();
+    let rule = detector.peak_rule(window);
     let mut rng = StdRng::seed_from_u64(scenario_seed(0xCA22_3001));
     for _ in 0..4 {
         let mut ends: Vec<usize> = (0..12).map(|_| rng.gen_range(m..n)).collect();
         ends.sort_unstable();
         ends.push(n);
         detector.trace.lock().unwrap().clear();
-        let mut stream = DetectionStream::new(&detector, FS, 0, window, 0);
+        let mut stream = DetectionStream::new(rule, 0);
         let got = flush_at(&mut stream, &detector, &front_end, &analog, &ends);
         let scored = detector.trace.lock().unwrap().clone();
         assert_eq!(scored.len(), n - m + 1, "flushes at {ends:?}");
@@ -313,24 +301,8 @@ fn a_detection_stream_picks_what_find_peaks_picks_over_the_lags_it_scored() {
         }
     }
 
-    // A detector without a peak rule re-runs over the window; what it
-    // finds a guard before a flush's end is decided.
-    let bank = MatchedFilterBank::new(registry.clone(), 0.9);
-    let whole_bank = bank.detect(&digital, FS);
-    assert!(whole_bank.len() >= 3, "{whole_bank:?}");
-    let guard = 12_832;
-    let mut stream = DetectionStream::new(&bank, FS, 0, window, guard);
-    let ends: Vec<usize> = (1..=n / guard).map(|k| k * guard).chain([n]).collect();
-    let got = flush_at(&mut stream, &bank, &front_end, &analog, &ends);
-    assert_eq!(got.len(), whole_bank.len(), "{got:?}");
-    for (g, w) in got.iter().zip(&whole_bank) {
-        // Other windows, other overlap-save blocks: FFT rounding apart.
-        assert!(g.start == w.start && g.tech == w.tech, "{g:?} / {w:?}");
-        assert!((g.score - w.score).abs() <= 1e-6, "{g:?} / {w:?}");
-    }
-
     // A stream shorter than the template scores nothing.
-    let mut stream = DetectionStream::new(&detector, FS, 0, window, 0);
+    let mut stream = DetectionStream::new(rule, 0);
     let short = &analog[..m - 1];
     assert!(flush_at(&mut stream, &detector, &front_end, short, &[m - 1]).is_empty());
 }

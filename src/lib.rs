@@ -45,8 +45,8 @@ pub mod prelude {
     pub use galiot_channel::{compose, forced_collision, snr_to_noise_power, TxEvent};
     pub use galiot_cloud::{CloudDecoder, Recovery};
     pub use galiot_core::{
-        ArqClock, ArqParams, ConfigError, CrashSpec, DetectorKind, FleetGaliot, Galiot,
-        GaliotConfig, StreamingGaliot, TransportConfig,
+        ArqClock, ArqParams, ConfigError, CrashSpec, FleetGaliot, Galiot, GaliotConfig,
+        StreamingGaliot, TransportConfig,
     };
     pub use galiot_dsp::Cf32;
     pub use galiot_gateway::GatewayId;

@@ -164,25 +164,3 @@ fn compression_does_not_break_cloud_decoding() {
     assert_eq!(report.frames[0].frame.payload, vec![0x42; 12]);
     assert!(!report.frames[0].at_edge);
 }
-
-#[test]
-fn detector_kinds_are_interchangeable_at_high_snr() {
-    for kind in [
-        DetectorKind::Energy,
-        DetectorKind::MatchedBank,
-        DetectorKind::Universal,
-    ] {
-        let mut rng = StdRng::seed_from_u64(scenario_seed(11));
-        let registry = Registry::prototype();
-        let zwave = registry.get(TechId::ZWave).unwrap().clone();
-        let ev = TxEvent::new(zwave, vec![5; 6], 80_000);
-        let np = snr_to_noise_power(20.0, 0.0);
-        let cap = compose(&[ev], 500_000, FS, np, &mut rng);
-        let config = GaliotConfig {
-            detector: kind,
-            ..GaliotConfig::prototype()
-        };
-        let report = Galiot::new(config, registry).process_capture(&cap.samples);
-        assert_eq!(report.frames.len(), 1, "{kind:?}");
-    }
-}

@@ -20,10 +20,6 @@ const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 /// typical SDR USB transfer size.
 const CHUNK_SIZES: [usize; 3] = [1, 7, 4096];
 
-/// A normalized-correlation threshold every matched filter clears at
-/// 20 dB SNR (≈0.995) and the universal preamble never does (≤0.83).
-const MATCHED_ONLY_THRESHOLD: f32 = 0.9;
-
 /// A frame reduced to its conformance identity.
 type FrameId = (TechId, Vec<u8>, usize);
 
@@ -187,50 +183,6 @@ fn conformance_on_repeated_collision_clusters() {
     let cap = compose(&events, 1_600_000, FS, np, &mut rng);
     assert!(cap.has_collision());
     assert_conformance(&cap.samples, &registry, "repeated collision clusters");
-}
-
-/// The live gateway honours `config.detector`: with the matched-filter
-/// bank at a correlation threshold the universal preamble (a
-/// compromise template) never reaches, batch recovers every frame —
-/// and so must streaming, which it cannot if it detects with anything
-/// but the configured bank.
-#[test]
-fn conformance_with_the_matched_bank_detector() {
-    let mut rng = StdRng::seed_from_u64(scenario_seed(44));
-    let registry = Registry::prototype();
-    let xbee = registry.get(TechId::XBee).unwrap().clone();
-    let zwave = registry.get(TechId::ZWave).unwrap().clone();
-    let lora = registry.get(TechId::LoRa).unwrap().clone();
-    let events = vec![
-        TxEvent::new(xbee, vec![0xD4; 6], 90_000),
-        TxEvent::new(zwave, vec![0xE5; 6], 500_000),
-        TxEvent::new(lora, vec![0xF6; 6], 900_000),
-    ];
-    let np = snr_to_noise_power(20.0, 0.0);
-    let cap = compose(&events, 1_500_000, FS, np, &mut rng);
-
-    let matched = GaliotConfig {
-        detector: DetectorKind::MatchedBank,
-        detect_threshold: MATCHED_ONLY_THRESHOLD,
-        ..GaliotConfig::prototype()
-    };
-    let universal = GaliotConfig {
-        detector: DetectorKind::Universal,
-        ..matched.clone()
-    };
-    assert!(
-        run_batch(&cap.samples, &registry, &universal).is_empty(),
-        "threshold no longer separates the detectors — the cell is vacuous"
-    );
-    assert_eq!(run_batch(&cap.samples, &registry, &matched).len(), 3);
-    assert_conformance_with(
-        &matched,
-        &[1, 4],
-        &[7, 4096],
-        &cap.samples,
-        &registry,
-        "matched-bank detector",
-    );
 }
 
 /// Streaming cuts the segments batch cuts — as many — and recovers its

@@ -237,10 +237,8 @@ fn shed_segments_terminate_in_the_trace() {
 
     let mut config = GaliotConfig::prototype().with_cloud_workers(1);
     config.edge_decoding = false;
-    config.emulate_backhaul = true;
-    config.backhaul_bps = 1e6;
-    config.backhaul_latency_s = 0.0;
     let mut t = TransportConfig::reliable();
+    t.uplink_bps = Some(1e6);
     t.send_queue_cap = 2;
     t.degrade_hwm = 1;
     t.min_bits = 4;

@@ -306,14 +306,12 @@ fn degradation_counters_stay_consistent() {
     let np = snr_to_noise_power(20.0, 0.0);
     let cap = compose(&events, 1_100_000, FS, np, &mut rng);
 
-    // A 1 Mbit/s emulated uplink against back-to-back segments, with a
+    // A 1 Mbit/s paced uplink against back-to-back segments, with a
     // two-slot send queue: the ladder and the shedder must both fire.
     let mut config = GaliotConfig::prototype().with_cloud_workers(1);
     config.edge_decoding = false;
-    config.emulate_backhaul = true;
-    config.backhaul_bps = 1e6;
-    config.backhaul_latency_s = 0.0;
     let mut t = TransportConfig::reliable();
+    t.uplink_bps = Some(1e6);
     t.send_queue_cap = 2;
     t.degrade_hwm = 1;
     t.min_bits = 4;
