@@ -7,7 +7,7 @@
 //! (slowly rotating) residual CFO of the original transmission without
 //! explicit CFO estimation.
 
-use galiot_dsp::corr::xcorr_fft;
+use galiot_dsp::corr::xcorr_fft_into;
 use galiot_dsp::kernels;
 use galiot_dsp::Cf32;
 use galiot_phy::{DecodedFrame, Technology};
@@ -61,7 +61,7 @@ pub fn cancel_frame(
     fs: f64,
     slack: usize,
 ) -> Option<CancelReport> {
-    let reference = tech.modulate(&frame.payload, fs);
+    let mut reference = tech.modulate(&frame.payload, fs);
     if reference.is_empty() || residual.is_empty() {
         return None;
     }
@@ -84,13 +84,18 @@ pub fn cancel_frame(
         0
     };
     let mut score = vec![0.0f64; lags];
+    let mut corr = Vec::new();
     for b in 0..nblocks {
         let o = b * stride;
         let seg_end = (lo + o + block_n + lags - 1).min(residual.len());
         if lo + o >= seg_end || seg_end - (lo + o) < block_n {
             continue;
         }
-        let corr = xcorr_fft(&residual[lo + o..seg_end], &reference[o..o + block_n]);
+        xcorr_fft_into(
+            &residual[lo + o..seg_end],
+            &reference[o..o + block_n],
+            &mut corr,
+        );
         for (i, c) in corr.iter().take(lags).enumerate() {
             score[i] += c.norm_sqr() as f64;
         }
@@ -163,12 +168,11 @@ pub fn cancel_frame(
 
     // Derotate the reference by the estimated CFO, then subtract with
     // per-block complex gains (which absorb amplitude, phase and any
-    // residual drift the linear fit missed).
-    let reference: Vec<Cf32> = reference
-        .iter()
-        .enumerate()
-        .map(|(i, &r)| r * Cf32::cis(omega * i as f32))
-        .collect();
+    // residual drift the linear fit missed). The remodulation is ours:
+    // derotate it where it lies.
+    for (i, r) in reference.iter_mut().enumerate() {
+        *r *= Cf32::cis(omega * i as f32);
+    }
     let block = (n / 16).clamp(256, 2048).min(n.max(1));
     let mut k = 0;
     let mut gain_acc = Cf32::ZERO;

@@ -12,7 +12,6 @@
 //! trace and re-scores only the lags a cancellation touched;
 //! [`classify()`] is its one-shot form.
 
-use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -79,7 +78,8 @@ pub fn classify(segment: &[Cf32], fs: f64, registry: &Registry, threshold: f32) 
 /// as it was: [`Classifier::cancel`] re-correlates that range alone (a
 /// LoRa frame dirties about a fifth of a collision segment, an XBee
 /// frame a fiftieth). The residual is only copied from the caller's
-/// segment when the first cancellation writes to it.
+/// segment when the first cancellation writes to it, and then into a
+/// buffer of its own: the caller's segment is never written.
 pub struct Classifier<'a> {
     registry: &'a Registry,
     /// One template bank per (registry, fs): preamble waveforms and
@@ -87,37 +87,45 @@ pub struct Classifier<'a> {
     bank: Arc<TemplateBank>,
     fs: f64,
     threshold: f32,
-    residual: Cow<'a, [Cf32]>,
-    buffers: TraceBuffers,
+    segment: &'a [Cf32],
+    /// Whether `buffers.residual` holds the residual: from the first
+    /// cancellation on, before which the residual is `segment`.
+    cancelled: bool,
+    buffers: ClassifierBuffers,
 }
 
-/// The correlation traces of a [`Classifier`], one float per segment
-/// sample per technology: a decode worker hands the same buffers to
-/// every segment's classifier ([`Classifier::reusing`]) and takes them
-/// back afterwards ([`Classifier::into_buffers`]).
+/// What a [`Classifier`] writes: one correlation trace per technology,
+/// one float per segment sample, and the residual once a frame is
+/// cancelled. A decode worker hands the same buffers to every
+/// segment's classifier ([`Classifier::reusing`]) and takes them back
+/// afterwards ([`Classifier::into_buffers`]), inside its
+/// [`crate::DecodeBuffers`].
 #[derive(Debug, Default)]
-pub struct TraceBuffers {
+pub(crate) struct ClassifierBuffers {
     /// Per technology, in registry order; empty where the template is
     /// empty or longer than the segment.
     traces: Vec<Vec<f32>>,
     /// The freshly correlated lags of one re-scoring.
     fresh: Vec<f32>,
+    /// The segment with every cancelled frame subtracted.
+    residual: Vec<Cf32>,
 }
 
 impl<'a> Classifier<'a> {
     /// Correlates `segment` against every technology's preamble.
     pub fn new(segment: &'a [Cf32], fs: f64, registry: &'a Registry, threshold: f32) -> Self {
-        Self::reusing(segment, fs, registry, threshold, TraceBuffers::default())
+        Self::reusing(segment, fs, registry, threshold, Default::default())
     }
 
-    /// [`Classifier::new`] writing its traces into `buffers` (whatever
-    /// they held is discarded) instead of allocating them.
-    pub fn reusing(
+    /// [`Classifier::new`] writing its traces, and later its residual,
+    /// into `buffers` (whatever they held is discarded) instead of
+    /// allocating them.
+    pub(crate) fn reusing(
         segment: &'a [Cf32],
         fs: f64,
         registry: &'a Registry,
         threshold: f32,
-        mut buffers: TraceBuffers,
+        mut buffers: ClassifierBuffers,
     ) -> Self {
         let bank = registry.template_bank(fs);
         buffers.traces.resize_with(bank.len(), Vec::new);
@@ -129,19 +137,24 @@ impl<'a> Classifier<'a> {
             bank,
             fs,
             threshold,
-            residual: Cow::Borrowed(segment),
+            segment,
+            cancelled: false,
             buffers,
         }
     }
 
-    /// Gives the trace buffers back for the next segment.
-    pub fn into_buffers(self) -> TraceBuffers {
+    /// Gives the buffers back for the next segment.
+    pub(crate) fn into_buffers(self) -> ClassifierBuffers {
         self.buffers
     }
 
     /// The segment with every cancelled frame subtracted.
     pub fn residual(&self) -> &[Cf32] {
-        &self.residual
+        if self.cancelled {
+            &self.buffers.residual
+        } else {
+            self.segment
+        }
     }
 
     /// The technologies present in the residual: one entry per
@@ -166,7 +179,7 @@ impl<'a> Classifier<'a> {
             // dot product at the known lag beats an FFT correlation whose
             // only used output is lag zero.
             let h = template.waveform();
-            let dot = kernels::dot_conj(&self.residual[start..start + h.len()], h);
+            let dot = kernels::dot_conj(&self.residual()[start..start + h.len()], h);
             let e = template.energy();
             let amplitude = if e > 0.0 { dot.abs() / e } else { 0.0 };
             found.push(Classified {
@@ -186,14 +199,26 @@ impl<'a> Classifier<'a> {
     /// residual unchanged, if the frame cannot be aligned.
     pub fn cancel(&mut self, frame: &DecodedFrame, slack: usize) -> Option<CancelReport> {
         let tech = self.registry.get(frame.tech)?;
-        let report = cancel_frame(self.residual.to_mut(), tech.as_ref(), frame, self.fs, slack)?;
+        let residual = &mut self.buffers.residual;
+        if !self.cancelled {
+            residual.clear();
+            residual.reserve_exact(self.segment.len());
+            residual.extend_from_slice(self.segment);
+            self.cancelled = true;
+        }
+        let report = cancel_frame(residual, tech.as_ref(), frame, self.fs, slack)?;
         self.rescore(report.span());
         Some(report)
     }
 
-    /// Re-correlates every lag whose template window overlaps `dirty`.
+    /// Re-correlates every lag whose template window overlaps `dirty`
+    /// (in the residual a cancellation has written).
     fn rescore(&mut self, dirty: Range<usize>) {
-        let TraceBuffers { traces, fresh } = &mut self.buffers;
+        let ClassifierBuffers {
+            traces,
+            fresh,
+            residual,
+        } = &mut self.buffers;
         for (i, trace) in traces.iter_mut().enumerate() {
             let template = self.bank.template(i);
             let m = template.len();
@@ -202,7 +227,7 @@ impl<'a> Classifier<'a> {
             if lo >= hi {
                 continue;
             }
-            template.xcorr_normalized_into(&self.residual[lo..hi + m - 1], fresh);
+            template.xcorr_normalized_into(&residual[lo..hi + m - 1], fresh);
             trace[lo..hi].copy_from_slice(fresh);
         }
     }

@@ -9,11 +9,11 @@
 //! technology, exactly as the paper requires.
 
 use galiot_dsp::Cf32;
-use galiot_phy::common::{anchored_window, demodulate_anchored, MAX_DEMOD_FIR_TAPS};
+use galiot_phy::common::{anchored_window, demodulate_anchored_with, MAX_DEMOD_FIR_TAPS};
 use galiot_phy::registry::Registry;
-use galiot_phy::{DecodedFrame, TechId};
+use galiot_phy::{DecodedFrame, DemodScratch, TechId};
 
-use crate::classify::{Classifier, TraceBuffers};
+use crate::classify::{Classifier, ClassifierBuffers};
 use crate::kill::apply_kill_window;
 
 /// Cloud decoder tuning knobs.
@@ -72,6 +72,19 @@ impl CloudResult {
     }
 }
 
+/// Everything a decode writes besides the frames it returns: the
+/// classifier's correlation traces and its residual, the demodulators'
+/// intermediates and the kill filters' output. A decode worker keeps
+/// one from segment to segment ([`CloudDecoder::decode_reusing`]), so
+/// that once they have grown to its segments a decode allocates little
+/// beyond its frames and their remodulations.
+#[derive(Debug, Default)]
+pub struct DecodeBuffers {
+    classifier: ClassifierBuffers,
+    demod: DemodScratch,
+    killed: Vec<Cf32>,
+}
+
 /// The GalioT cloud decoder.
 pub struct CloudDecoder {
     registry: Registry,
@@ -114,28 +127,35 @@ impl CloudDecoder {
     /// to, `S_j` is killed on that window only, and a cancellation
     /// re-classifies only the lags it touched.
     pub fn decode(&self, segment: &[Cf32], fs: f64) -> CloudResult {
-        self.decode_reusing(segment, fs, &mut TraceBuffers::default())
+        self.decode_reusing(segment, fs, &mut DecodeBuffers::default())
     }
 
-    /// [`CloudDecoder::decode`] with the classifier's correlation
-    /// traces in `buffers`, which a decode worker keeps from one
-    /// segment to the next (a decode that panics leaves them empty).
+    /// [`CloudDecoder::decode`] writing its intermediates into
+    /// `buffers`, which a decode worker keeps from one segment to the
+    /// next: the same result, bit for bit. Whatever they held is never
+    /// read, `segment` is never written, and a decode that panics
+    /// leaves them empty.
     pub fn decode_reusing(
         &self,
         segment: &[Cf32],
         fs: f64,
-        buffers: &mut TraceBuffers,
+        buffers: &mut DecodeBuffers,
     ) -> CloudResult {
         let mut result = CloudResult::default();
         let mut already: Vec<(TechId, Vec<u8>)> = Vec::new();
         let slack = self.params.cancel_slack;
         let pad = anchor_pad(slack);
+        let DecodeBuffers {
+            classifier,
+            mut demod,
+            mut killed,
+        } = std::mem::take(buffers);
         let mut classifier = Classifier::reusing(
             segment,
             fs,
             &self.registry,
             self.params.classify_threshold,
-            std::mem::take(buffers),
+            classifier,
         );
 
         while result.rounds < self.params.max_rounds {
@@ -159,9 +179,11 @@ impl CloudDecoder {
                 // Demodulates S_i where the classifier anchored it, in
                 // samples that begin at segment sample `offset`;
                 // rejects payloads already recovered.
-                let try_decode = |samples: &[Cf32], offset: usize| {
+                let mut try_decode = |samples: &[Cf32], offset: usize| {
                     let anchor = s_i.search_from - offset..=s_i.start - offset;
-                    let mut frame = demodulate_anchored(tech, samples, fs, anchor, pad).ok()?;
+                    let mut frame =
+                        demodulate_anchored_with(tech, samples, fs, anchor, pad, &mut demod)
+                            .ok()?;
                     if already
                         .iter()
                         .any(|(t, p)| *t == frame.tech && *p == frame.payload)
@@ -190,13 +212,14 @@ impl CloudDecoder {
                         continue;
                     };
                     let span_end = s_j.start + vtech.max_frame_samples(fs);
-                    let (offset, killed) = apply_kill_window(
+                    let offset = apply_kill_window(
                         classifier.residual(),
                         fs,
                         vtech.as_ref(),
                         s_j.start,
                         s_j.start..span_end.min(segment.len()),
                         window.clone(),
+                        &mut killed,
                     );
                     result.kills += 1;
                     if let Some(frame) = try_decode(&killed, offset) {
@@ -222,7 +245,11 @@ impl CloudDecoder {
                 }
             }
         }
-        *buffers = classifier.into_buffers();
+        *buffers = DecodeBuffers {
+            classifier: classifier.into_buffers(),
+            demod,
+            killed,
+        };
         result
     }
 }

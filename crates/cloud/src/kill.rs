@@ -4,8 +4,8 @@
 
 use galiot_dsp::fft::Fft;
 use galiot_dsp::kernels;
-use galiot_dsp::mix::mix;
-use galiot_dsp::spectral::{stft_frame, suppress_bands, suppress_bands_framed, Band};
+use galiot_dsp::mix::{mix_in_place, mix_into};
+use galiot_dsp::spectral::{stft_frame, suppress_bands, suppress_bands_framed_into, Band};
 use galiot_dsp::Cf32;
 use galiot_phy::common::{KillRecipe, WINDOW_ALIGN};
 use galiot_phy::Technology;
@@ -88,73 +88,109 @@ pub fn kill_css(
     head_symbols: usize,
     sfd_symbols: usize,
 ) -> Vec<Cf32> {
+    let mut out = Vec::new();
+    kill_css_into(
+        samples,
+        fs,
+        bw,
+        sf,
+        center_offset_hz,
+        grid_start,
+        span,
+        head_symbols,
+        sfd_symbols,
+        &mut out,
+    );
+    out
+}
+
+/// [`kill_css`] into a caller-held buffer: whatever `out` held is
+/// discarded, and it comes back as long as `samples`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn kill_css_into(
+    samples: &[Cf32],
+    fs: f64,
+    bw: f64,
+    sf: u32,
+    center_offset_hz: f64,
+    grid_start: usize,
+    span: std::ops::Range<usize>,
+    head_symbols: usize,
+    sfd_symbols: usize,
+    out: &mut Vec<Cf32>,
+) {
     let os = (fs / bw).round() as usize;
-    if os == 0 || (fs / bw - os as f64).abs() > 1e-9 {
-        // Cannot form a symbol grid: return input unchanged.
-        return samples.to_vec();
-    }
     let sps = os << sf;
-    if samples.len() < sps {
-        return samples.to_vec();
+    if os == 0 || (fs / bw - os as f64).abs() > 1e-9 || samples.len() < sps {
+        // Cannot form a symbol grid: return input unchanged.
+        copy_into(samples, out);
+        return;
     }
-    let mut base = if center_offset_hz != 0.0 {
-        mix(samples, -center_offset_hz, fs)
+    let base = out;
+    if center_offset_hz != 0.0 {
+        mix_into(samples, -center_offset_hz, fs, base);
     } else {
-        samples.to_vec()
-    };
+        copy_into(samples, base);
+    }
     let down = galiot_dsp::chirp::downchirp(bw, sps, fs);
     let up = galiot_dsp::chirp::upchirp(bw, sps, fs);
     let plan = galiot_dsp::engine::plan(sps.next_power_of_two());
+    let scratch = &mut NotchScratch::default();
 
     let lo = span.start.min(base.len());
     let hi = span.end.min(base.len());
 
     // Head (preamble + sync): up-chirps aligned to grid_start.
     let head_end = (grid_start + head_symbols * sps).min(hi);
-    dechirp_notch_pass(&mut base, &down, &up, &plan, os, grid_start, lo..head_end);
+    dechirp_notch_pass(
+        base,
+        &down,
+        &up,
+        &plan,
+        os,
+        grid_start,
+        lo..head_end,
+        scratch,
+    );
     // SFD: whole down-chirps right after the head...
     let sfd_start = grid_start + head_symbols * sps;
     let sfd_end = (sfd_start + sfd_symbols * sps).min(hi);
-    dechirp_notch_pass(
-        &mut base,
-        &up,
-        &down,
-        &plan,
-        os,
-        sfd_start,
-        sfd_start.min(hi)..sfd_end,
-    );
+    let sfd = sfd_start.min(hi)..sfd_end;
+    dechirp_notch_pass(base, &up, &down, &plan, os, sfd_start, sfd, scratch);
     // ...plus one quarter-shifted window that catches the trailing
     // quarter down-chirp (it up-dechirps to a tone alongside whatever
     // tail of the previous down-chirp remains).
     let tail_grid = sfd_start + sfd_symbols * sps - (3 * sps) / 4;
     let tail_end = (tail_grid + sps).min(hi);
-    dechirp_notch_pass(
-        &mut base,
-        &up,
-        &down,
-        &plan,
-        os,
-        tail_grid,
-        tail_grid.min(hi)..tail_end,
-    );
+    let tail = tail_grid.min(hi)..tail_end;
+    dechirp_notch_pass(base, &up, &down, &plan, os, tail_grid, tail, scratch);
     // Data: up-chirp symbols on the quarter-shifted grid.
     let data_start = sfd_start + sfd_symbols * sps + sps / 4;
-    dechirp_notch_pass(
-        &mut base,
-        &down,
-        &up,
-        &plan,
-        os,
-        data_start,
-        data_start.min(hi)..hi,
-    );
+    let data = data_start.min(hi)..hi;
+    dechirp_notch_pass(base, &down, &up, &plan, os, data_start, data, scratch);
 
     if center_offset_hz != 0.0 {
-        mix(&base, center_offset_hz, fs)
-    } else {
-        base
+        mix_in_place(base, center_offset_hz, fs, 0.0);
     }
+}
+
+/// Replaces what `out` held with a copy of `samples`, sized exactly.
+fn copy_into(samples: &[Cf32], out: &mut Vec<Cf32>) {
+    out.clear();
+    out.reserve_exact(samples.len());
+    out.extend_from_slice(samples);
+}
+
+/// The symbol-sized working memory of [`dechirp_notch_pass`], shared by
+/// the passes of one kill.
+#[derive(Default)]
+struct NotchScratch {
+    /// The dechirped window.
+    window: Vec<Cf32>,
+    /// Its zero-padded spectrum.
+    spectrum: Vec<Cf32>,
+    /// The tone [`project_out_tone`] removes.
+    phasors: Vec<Cf32>,
 }
 
 /// One dechirp-project-rechirp pass over symbol-grid windows.
@@ -182,6 +218,7 @@ fn dechirp_notch_pass(
     os: usize,
     grid_start: usize,
     span: std::ops::Range<usize>,
+    scratch: &mut NotchScratch,
 ) {
     let sps = fwd.len();
     let padded = plan.len();
@@ -200,22 +237,29 @@ fn dechirp_notch_pass(
     } else {
         phase + ((lo - phase).div_ceil(sps)) * sps
     };
-    let mut buf = vec![Cf32::ZERO; padded];
+    let NotchScratch {
+        window: d,
+        spectrum: buf,
+        phasors,
+    } = scratch;
+    buf.clear();
+    buf.resize(padded, Cf32::ZERO);
     while w + sps <= hi {
-        let mut d: Vec<Cf32> = base[w..w + sps].to_vec();
-        kernels::mul_in_place(&mut d, fwd);
+        d.clear();
+        d.extend_from_slice(&base[w..w + sps]);
+        kernels::mul_in_place(d, fwd);
         let mut any = false;
         for _ in 0..2 {
-            buf[..sps].copy_from_slice(&d);
+            buf[..sps].copy_from_slice(d);
             for b in buf.iter_mut().skip(sps) {
                 *b = Cf32::ZERO;
             }
-            plan.forward(&mut buf);
-            let total: f32 = kernels::energy_f32(&buf);
+            plan.forward(buf);
+            let total: f32 = kernels::energy_f32(buf);
             if total <= 0.0 {
                 break;
             }
-            let peak = galiot_dsp::fft::peak_bin(&buf);
+            let peak = galiot_dsp::fft::peak_bin(buf);
             if buf[peak].norm_sqr() / total < 0.04 {
                 break;
             }
@@ -248,43 +292,43 @@ fn dechirp_notch_pass(
             let f2 = f1 - sign * bw_norm;
             let frac = (sign * f1 / bw_norm).clamp(0.0, 1.0);
             let t_wrap = ((1.0 - frac) * sps as f64).round() as usize;
-            project_out_tone(&mut d[..t_wrap.min(sps)], f1);
+            project_out_tone(&mut d[..t_wrap.min(sps)], f1, phasors);
             if t_wrap < sps {
-                project_out_tone(&mut d[t_wrap..], f2);
+                project_out_tone(&mut d[t_wrap..], f2, phasors);
             }
             any = true;
         }
         if any {
-            kernels::mul_in_place(&mut d, inv);
-            base[w..w + sps].copy_from_slice(&d);
+            kernels::mul_in_place(d, inv);
+            base[w..w + sps].copy_from_slice(d);
         }
         w += sps;
     }
 }
 
 /// Removes the least-squares projection of `seg` onto the unit tone
-/// `e^{i 2 pi f n}` (`f` in cycles/sample).
-fn project_out_tone(seg: &mut [Cf32], f: f64) {
+/// `e^{i 2 pi f n}` (`f` in cycles/sample), building the tone in
+/// `phasors`.
+fn project_out_tone(seg: &mut [Cf32], f: f64, phasors: &mut Vec<Cf32>) {
     if seg.is_empty() {
         return;
     }
     let step = 2.0 * std::f64::consts::PI * f;
     let mut ph = 0.0f64;
-    let phasors: Vec<Cf32> = (0..seg.len())
-        .map(|_| {
-            let p = Cf32::cis(ph as f32);
-            ph += step;
-            if ph > std::f64::consts::TAU {
-                ph -= std::f64::consts::TAU;
-            } else if ph < -std::f64::consts::TAU {
-                ph += std::f64::consts::TAU;
-            }
-            p
-        })
-        .collect();
-    let num = kernels::dot_conj(seg, &phasors);
+    phasors.clear();
+    phasors.extend((0..seg.len()).map(|_| {
+        let p = Cf32::cis(ph as f32);
+        ph += step;
+        if ph > std::f64::consts::TAU {
+            ph -= std::f64::consts::TAU;
+        } else if ph < -std::f64::consts::TAU {
+            ph += std::f64::consts::TAU;
+        }
+        p
+    }));
+    let num = kernels::dot_conj(seg, phasors);
     let g = num / seg.len() as f32;
-    kernels::sub_scaled(seg, &phasors, g);
+    kernels::sub_scaled(seg, phasors, g);
 }
 
 /// KILL-CODES: for each code-symbol window, project the signal onto the
@@ -299,14 +343,43 @@ pub fn kill_codes(
     grid_start: usize,
     span: std::ops::Range<usize>,
 ) -> Vec<Cf32> {
+    let mut out = Vec::new();
+    kill_codes_into(
+        samples,
+        fs,
+        refs,
+        sps,
+        center_offset_hz,
+        grid_start,
+        span,
+        &mut out,
+    );
+    out
+}
+
+/// [`kill_codes`] into a caller-held buffer: whatever `out` held is
+/// discarded, and it comes back as long as `samples`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn kill_codes_into(
+    samples: &[Cf32],
+    fs: f64,
+    refs: &[Vec<Cf32>],
+    sps: usize,
+    center_offset_hz: f64,
+    grid_start: usize,
+    span: std::ops::Range<usize>,
+    out: &mut Vec<Cf32>,
+) {
+    let base = out;
     if refs.is_empty() || sps == 0 || samples.len() < sps {
-        return samples.to_vec();
+        copy_into(samples, base);
+        return;
     }
-    let mut base = if center_offset_hz != 0.0 {
-        mix(samples, -center_offset_hz, fs)
+    if center_offset_hz != 0.0 {
+        mix_into(samples, -center_offset_hz, fs, base);
     } else {
-        samples.to_vec()
-    };
+        copy_into(samples, base);
+    }
     let lo = span.start.min(base.len());
     let hi = span.end.min(base.len());
     let phase = grid_start % sps;
@@ -340,9 +413,7 @@ pub fn kill_codes(
         w += sps;
     }
     if center_offset_hz != 0.0 {
-        mix(&base, center_offset_hz, fs)
-    } else {
-        base
+        mix_in_place(base, center_offset_hz, fs, 0.0);
     }
 }
 
@@ -358,15 +429,26 @@ pub fn apply_kill(
     grid_start: usize,
     span: std::ops::Range<usize>,
 ) -> Vec<Cf32> {
-    apply_kill_window(samples, fs, tech, grid_start, span, 0..samples.len()).1
+    let mut killed = Vec::new();
+    apply_kill_window(
+        samples,
+        fs,
+        tech,
+        grid_start,
+        span,
+        0..samples.len(),
+        &mut killed,
+    );
+    killed
 }
 
 /// [`apply_kill`] on one window of a segment: what a decoder that only
 /// needs the samples a *target* frame occupies pays for, instead of
 /// filtering the whole segment whatever the victim's extent.
 ///
-/// Returns the filtered copy and the segment index of its first
-/// sample. That index is `window.start`, except that grid-anchored
+/// Writes the filtered copy into `killed` (whatever it held is
+/// discarded) and returns the segment index of its first sample. That
+/// index is `window.start`, except that grid-anchored
 /// filters (KILL-CSS, KILL-CODES) reach back to `grid_start` (down to
 /// [`WINDOW_ALIGN`], like any window) when the victim begins before the
 /// window, so the victim's frame anatomy is laid out from its real
@@ -380,7 +462,8 @@ pub(crate) fn apply_kill_window(
     grid_start: usize,
     span: std::ops::Range<usize>,
     window: std::ops::Range<usize>,
-) -> (usize, Vec<Cf32>) {
+    killed: &mut Vec<Cf32>,
+) -> usize {
     let _span = galiot_trace::span(galiot_trace::Stage::KillFilter, galiot_trace::NO_SEQ);
     let hi = window.end.min(samples.len());
     let recipe = tech.kill_recipe(fs);
@@ -396,9 +479,9 @@ pub(crate) fn apply_kill_window(
     // begins before the cut simply clips to it.
     let grid = grid_start.saturating_sub(lo);
     let span = span.start.saturating_sub(lo)..span.end.saturating_sub(lo);
-    let killed = match recipe {
+    match recipe {
         KillRecipe::Frequency(bands) => {
-            suppress_bands_framed(cut, fs, &bands, stft_frame(samples.len()))
+            suppress_bands_framed_into(cut, fs, &bands, stft_frame(samples.len()), killed)
         }
         KillRecipe::Css {
             bw,
@@ -406,7 +489,7 @@ pub(crate) fn apply_kill_window(
             center_offset_hz,
             head_symbols,
             sfd_symbols,
-        } => kill_css(
+        } => kill_css_into(
             cut,
             fs,
             bw,
@@ -416,14 +499,15 @@ pub(crate) fn apply_kill_window(
             span,
             head_symbols,
             sfd_symbols,
+            killed,
         ),
         KillRecipe::Codes {
             refs,
             sps,
             center_offset_hz,
-        } => kill_codes(cut, fs, &refs, sps, center_offset_hz, grid, span),
-    };
-    (lo, killed)
+        } => kill_codes_into(cut, fs, &refs, sps, center_offset_hz, grid, span, killed),
+    }
+    lo
 }
 
 #[cfg(test)]
@@ -516,13 +600,15 @@ mod tests {
         let span = t.start..t.start + t.len;
         let whole = apply_kill(&cap.samples, FS, lora.as_ref(), t.start, span.clone());
         let window = 30_000..52_000;
-        let (offset, cut) = apply_kill_window(
+        let mut cut = Vec::new();
+        let offset = apply_kill_window(
             &cap.samples,
             FS,
             lora.as_ref(),
             t.start,
             span,
             window.clone(),
+            &mut cut,
         );
         assert_eq!(offset, 9_216, "reaches back to the grid anchor, aligned");
         assert_eq!(cut.len(), window.end - offset);
@@ -531,13 +617,14 @@ mod tests {
         let upto = window.end - sps;
         assert_eq!(cut[..upto - offset], whole[offset..upto]);
         // A victim that begins inside the window needs no reach-back.
-        let (offset, cut) = apply_kill_window(
+        let offset = apply_kill_window(
             &cap.samples,
             FS,
             lora.as_ref(),
             t.start,
             t.start..t.start + t.len,
             2_000..40_000,
+            &mut cut,
         );
         assert_eq!(offset, 2_000);
         assert_eq!(cut[..30_000], whole[2_000..32_000]);
@@ -550,13 +637,15 @@ mod tests {
         let ev = TxEvent::new(xbee.clone(), vec![0x5A; 100], 60_000);
         let cap = compose(&[ev], 272_000, FS, 0.0, &mut rng);
         let t = &cap.truth[0];
-        let (offset, cut) = apply_kill_window(
+        let mut cut = Vec::new();
+        let offset = apply_kill_window(
             &cap.samples,
             FS,
             xbee.as_ref(),
             t.start,
             t.start..t.start + t.len,
             62_000..70_000,
+            &mut cut,
         );
         assert_eq!((offset, cut.len()), (62_000, 8_000));
         // An 8 k window would pick a 1024-point STFT on its own; the

@@ -19,8 +19,8 @@ pub mod kill;
 pub mod sic;
 
 pub use cancel::{cancel_frame, CancelReport};
-pub use classify::{classify, Classified, Classifier, TraceBuffers};
-pub use decode::{CloudDecoder, CloudParams, CloudResult, Recovery};
+pub use classify::{classify, Classified, Classifier};
+pub use decode::{CloudDecoder, CloudParams, CloudResult, DecodeBuffers, Recovery};
 pub use ingest::{
     shard_for, CreditGuard, FairnessGate, FleetMerge, GatewayId, SessionInfo, SessionRegistry,
 };

@@ -8,13 +8,17 @@
 //! demodulation searches from sample 0, every kill filters the lot. The
 //! two must recover the same frames in the same number of rounds.
 //!
+//! A decode worker keeps one `DecodeBuffers` from segment to segment;
+//! run through the same captures in sequence, `decode_reusing` must
+//! return exactly what a fresh `decode` does on each.
+//!
 //! Captures are seeded through `galiot_channel::scenario_seed`, so
 //! `GALIOT_TEST_SEED` re-rolls all of them at once (CI sweeps it).
 
 use galiot_channel::{compose, forced_collision, scenario_seed, snr_to_noise_power};
 use galiot_cloud::{
     apply_kill, cancel_frame, classify, Classifier, CloudDecoder, CloudParams, CloudResult,
-    Recovery,
+    DecodeBuffers, Recovery,
 };
 use galiot_dsp::Cf32;
 use galiot_phy::registry::Registry;
@@ -214,4 +218,28 @@ fn incremental_candidates_equal_a_fresh_classification_after_every_cancel() {
         }
     }
     assert!(cancellations > 0, "the suite must cancel something");
+}
+
+#[test]
+fn reused_buffers_decode_every_capture_as_fresh_ones() {
+    let decoder = CloudDecoder::with_params(Registry::prototype(), CloudParams::default());
+    let mut buffers = DecodeBuffers::default();
+    let mut frames = 0usize;
+    // Every capture in turn, cut to one of three lengths so the buffers
+    // are reused both longer and shorter than the segment, then the
+    // first capture again.
+    for k in (0..CAPTURES).chain([0]) {
+        let (_, samples, _) = capture(k);
+        let samples = &samples[..samples.len() - (k as usize % 3) * 50_000];
+        let fresh = decoder.decode(samples, FS);
+        let reused = decoder.decode_reusing(samples, FS, &mut buffers);
+        assert_eq!(reused.frames, fresh.frames, "capture {k}: frames");
+        assert_eq!(
+            (reused.rounds, reused.kills),
+            (fresh.rounds, fresh.kills),
+            "capture {k}: rounds and kills"
+        );
+        frames += fresh.frames.len();
+    }
+    assert!(frames > 0, "the suite must decode something to compare");
 }

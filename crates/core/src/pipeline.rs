@@ -4,7 +4,7 @@
 //! This is the batch (whole-capture) form; [`crate::pool`] runs
 //! the same stages across threads for live chunked captures.
 
-use galiot_cloud::{CloudDecoder, Recovery, TraceBuffers};
+use galiot_cloud::{CloudDecoder, DecodeBuffers, Recovery};
 use galiot_dsp::Cf32;
 use galiot_gateway::{AnalogView, ShippedSegment};
 use galiot_phy::registry::Registry;
@@ -120,7 +120,7 @@ impl Galiot {
         let mut metrics = shared.snapshot();
 
         let mut frames = Vec::new();
-        let (mut at_cloud, mut traces) = (Vec::new(), TraceBuffers::default());
+        let (mut at_cloud, mut buffers) = (Vec::new(), DecodeBuffers::default());
         for emission in emissions {
             let seg = match emission {
                 Emission::Edge(frame) => {
@@ -143,7 +143,7 @@ impl Galiot {
             // Cloud: Algorithm 1.
             let decode_span =
                 galiot_trace::span(galiot_trace::Stage::WorkerDecode, galiot_trace::NO_SEQ);
-            let result = self.cloud.decode_reusing(&at_cloud, fs, &mut traces);
+            let result = self.cloud.decode_reusing(&at_cloud, fs, &mut buffers);
             drop(decode_span);
             metrics.sic_rounds += result.rounds as u64;
             metrics.kill_applications += result.kills as u64;

@@ -60,7 +60,7 @@
 
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use galiot_channel::{DecodeFaultKind, DecodeFaultSpec};
-use galiot_cloud::{shard_for, CloudDecoder, CloudParams, Recovery, TraceBuffers};
+use galiot_cloud::{shard_for, CloudDecoder, CloudParams, DecodeBuffers, Recovery};
 use galiot_dsp::Cf32;
 use galiot_gateway::{GatewayId, ShippedSegment};
 use galiot_phy::registry::Registry;
@@ -927,8 +927,8 @@ fn run_pool_worker(
     abandoned: Arc<AtomicBool>,
 ) {
     let decoder = CloudDecoder::with_params(registry, cloud_params);
-    // Decompressed samples and classifier traces, kept across segments.
-    let (mut samples, mut traces) = (Vec::new(), TraceBuffers::default());
+    // Decompressed samples and the decode's buffers, kept across segments.
+    let (mut samples, mut buffers) = (Vec::new(), DecodeBuffers::default());
     while let Ok(Attempt {
         lease,
         attempt,
@@ -967,7 +967,7 @@ fn run_pool_worker(
                 panic!("injected decode fault");
             }
             seg.unpack_into(&mut samples);
-            let result = decoder.decode_reusing(&samples, fs, &mut traces);
+            let result = decoder.decode_reusing(&samples, fs, &mut buffers);
             (mean_power(&samples), result)
         }));
         drop(decode_span);

@@ -13,8 +13,8 @@
 
 use galiot_dsp::Cf32;
 use galiot_gateway::{
-    AnalogRing, AnalogView, DetectionStream, EdgeDecoder, EdgeOutcome, ExtractParams, LagScorer,
-    RtlSdrFrontEnd, SlidingGain, UniversalDetector,
+    AnalogRing, AnalogView, DetectionStream, EdgeBuffers, EdgeDecoder, EdgeOutcome, ExtractParams,
+    LagScorer, RtlSdrFrontEnd, SlidingGain, UniversalDetector,
 };
 use galiot_phy::registry::Registry;
 use galiot_phy::DecodedFrame;
@@ -60,8 +60,8 @@ pub(crate) struct StageBuffers {
     merged: Vec<usize>,
     /// An emitted span's digitization, where the scan's does not hold it.
     span: Vec<Cf32>,
-    /// Each edge attempt's correlation trace.
-    edge_trace: Vec<f32>,
+    /// Each edge attempt's correlation trace and demodulators.
+    edge: EdgeBuffers,
     /// Every detection decided so far, in order, for the tests to check.
     #[cfg(test)]
     log: Vec<galiot_gateway::Detection>,
@@ -117,7 +117,7 @@ impl GatewayStage {
             open: None,
             merged: Vec::new(),
             span: Vec::new(),
-            edge_trace: Vec::new(),
+            edge: EdgeBuffers::default(),
             #[cfg(test)]
             log: Vec::new(),
         }
@@ -194,7 +194,7 @@ impl GatewayStage {
             // Edge-first decode (paper, Sec. 4): handle clean single
             // packets locally, ship everything else.
             let edge_frame = self.edge.as_ref().and_then(|edge| {
-                match edge.process_slice(samples, span.start, self.fs, &mut bufs.edge_trace) {
+                match edge.process_slice(samples, span.start, self.fs, &mut bufs.edge) {
                     EdgeOutcome::DecodedLocally(frame) => Some(frame),
                     EdgeOutcome::ShipToCloud(_) => None,
                 }

@@ -41,16 +41,22 @@ pub fn downchirp(bw: f64, samples_per_symbol: usize, fs: f64) -> Vec<Cf32> {
 /// Symbol `s` starts its sweep at frequency
 /// `-bw/2 + s * bw / 2^sf` and wraps at `+bw/2`.
 pub fn symbol_chirp(value: u32, sf: u32, bw: f64, samples_per_symbol: usize, fs: f64) -> Vec<Cf32> {
+    let mut out = Vec::with_capacity(samples_per_symbol);
+    extend_symbol_chirp(&mut out, &upchirp(bw, samples_per_symbol, fs), value, sf);
+    out
+}
+
+/// Appends [`symbol_chirp`] of `value` to `out`, shifting the caller's
+/// elementary up-chirp `up` (one symbol, from [`upchirp`]) instead of
+/// synthesizing it again.
+pub fn extend_symbol_chirp(out: &mut Vec<Cf32>, up: &[Cf32], value: u32, sf: u32) {
     let m = 1u32 << sf;
     assert!(value < m, "symbol {value} out of range for SF{sf}");
-    let base = upchirp(bw, samples_per_symbol, fs);
     // A cyclic shift in time of the elementary chirp realizes the
     // frequency offset: shift left by value/m of a symbol.
-    let shift = (value as usize * samples_per_symbol) / m as usize;
-    let mut out = Vec::with_capacity(samples_per_symbol);
-    out.extend_from_slice(&base[shift..]);
-    out.extend_from_slice(&base[..shift]);
-    out
+    let shift = (value as usize * up.len()) / m as usize;
+    out.extend_from_slice(&up[shift..]);
+    out.extend_from_slice(&up[..shift]);
 }
 
 /// Dechirps a symbol-aligned window: multiplies by the conjugate

@@ -43,6 +43,12 @@ pub fn xcorr_fft(x: &[Cf32], h: &[Cf32]) -> Vec<Cf32> {
     crate::engine::xcorr_cached(x, h)
 }
 
+/// [`xcorr_fft`] into a caller-held buffer: whatever `out` held is
+/// discarded, and it comes back with one correlation per lag.
+pub fn xcorr_fft_into(x: &[Cf32], h: &[Cf32], out: &mut Vec<Cf32>) {
+    crate::engine::xcorr_cached_into(x, h, out)
+}
+
 /// Normalized sliding cross-correlation magnitude in `[0, 1]`.
 ///
 /// `out[i] = |<x_i, h>| / (|x_i| |h|)` where `x_i` is the window of
@@ -251,22 +257,58 @@ impl PeakStream {
 ///
 /// Computed with one FFT correlation plus prefix sums, `O(N log N)`.
 pub fn ncc_real(x: &[f32], h: &[f32]) -> Vec<f32> {
+    let mut out = Vec::new();
+    ncc_real_into(x, h, &mut out, &mut NccScratch::default());
+    out
+}
+
+/// The working memory of [`ncc_real_into`]: the template and signal as
+/// complex sequences, their raw correlation and the prefix sums, kept
+/// by a caller from one call to the next.
+#[derive(Clone, Debug, Default)]
+pub struct NccScratch {
+    hz: Vec<Cf32>,
+    xz: Vec<Cf32>,
+    raw: Vec<Cf32>,
+    p1: Vec<f64>,
+    p2: Vec<f64>,
+}
+
+/// [`ncc_real`] into a caller-held buffer, with its intermediates in
+/// `scratch`: whatever either held is discarded, and `out` comes back
+/// with one score per lag.
+pub fn ncc_real_into(x: &[f32], h: &[f32], out: &mut Vec<f32>, scratch: &mut NccScratch) {
+    out.clear();
     if h.len() < 2 || x.len() < h.len() {
-        return Vec::new();
+        return;
     }
+    let NccScratch {
+        hz,
+        xz,
+        raw,
+        p1,
+        p2,
+    } = scratch;
     let m = h.len();
     let mean_h: f32 = h.iter().sum::<f32>() / m as f32;
-    let hz: Vec<Cf32> = h.iter().map(|&v| Cf32::from_re(v - mean_h)).collect();
+    hz.clear();
+    hz.reserve_exact(m);
+    hz.extend(h.iter().map(|&v| Cf32::from_re(v - mean_h)));
     let h_norm: f32 = hz.iter().map(|z| z.re * z.re).sum::<f32>().sqrt();
     if h_norm <= 0.0 {
-        return vec![0.0; x.len() - m + 1];
+        out.resize(x.len() - m + 1, 0.0);
+        return;
     }
-    let xz: Vec<Cf32> = x.iter().map(|&v| Cf32::from_re(v)).collect();
+    xz.clear();
+    xz.reserve_exact(x.len());
+    xz.extend(x.iter().map(|&v| Cf32::from_re(v)));
     // <x_i, h - mean_h> == <x_i - mean_i, h - mean_h> since h is zero-mean.
-    let raw = xcorr_fft(&xz, &hz);
+    xcorr_fft_into(xz, hz, raw);
     // Sliding sums for window mean and variance (f64 prefix sums).
-    let mut p1 = Vec::with_capacity(x.len() + 1);
-    let mut p2 = Vec::with_capacity(x.len() + 1);
+    p1.clear();
+    p2.clear();
+    p1.reserve_exact(x.len() + 1);
+    p2.reserve_exact(x.len() + 1);
     p1.push(0.0f64);
     p2.push(0.0f64);
     let (mut a1, mut a2) = (0.0f64, 0.0f64);
@@ -276,7 +318,7 @@ pub fn ncc_real(x: &[f32], h: &[f32]) -> Vec<f32> {
         p1.push(a1);
         p2.push(a2);
     }
-    let mut out = Vec::with_capacity(raw.len());
+    out.reserve_exact(raw.len());
     for (i, r) in raw.iter().enumerate() {
         let s1 = p1[i + m] - p1[i];
         let s2 = p2[i + m] - p2[i];
@@ -288,7 +330,6 @@ pub fn ncc_real(x: &[f32], h: &[f32]) -> Vec<f32> {
             out.push((r.re / (x_norm * h_norm)).clamp(-1.0, 1.0));
         }
     }
-    out
 }
 
 /// Index and magnitude of the largest-magnitude correlation sample.

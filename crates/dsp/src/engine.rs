@@ -247,7 +247,7 @@ impl Template {
     /// with the cached plan, writing into `out`.
     pub fn xcorr_into(&self, x: &[Cf32], out: &mut Vec<Cf32>) {
         out.clear();
-        out.reserve(self.lags(x));
+        out.reserve_exact(self.lags(x));
         SCRATCH.with(|s| {
             let scratch = &mut *s.borrow_mut();
             self.overlap_save(x, &mut scratch.block, |corr| out.extend_from_slice(corr));
@@ -332,7 +332,9 @@ impl Template {
     /// taken over the lags it computes.
     pub fn xcorr_normalized_into(&self, x: &[Cf32], out: &mut Vec<f32>) {
         // No `clear()`: every lag is written below, so a buffer that is
-        // already long enough is not filled twice.
+        // already long enough is not filled twice. Grown to the lags
+        // exactly, never doubled past them.
+        out.reserve_exact(self.lags(x).saturating_sub(out.len()));
         out.resize(self.lags(x), 0.0);
         self.normalize(x, out);
     }
@@ -486,14 +488,23 @@ impl<'a> WindowEnergies<'a> {
 /// the signal side runs overlap-save, so long captures use a few small
 /// transforms instead of one enormous freshly-planned one.
 pub fn xcorr_cached(x: &[Cf32], h: &[Cf32]) -> Vec<Cf32> {
+    let mut out = Vec::new();
+    xcorr_cached_into(x, h, &mut out);
+    out
+}
+
+/// [`xcorr_cached`] into a caller-held buffer: whatever `out` held is
+/// discarded, and it comes back with one correlation per lag.
+pub(crate) fn xcorr_cached_into(x: &[Cf32], h: &[Cf32], out: &mut Vec<Cf32>) {
+    out.clear();
     if h.is_empty() || x.len() < h.len() {
-        return Vec::new();
+        return;
     }
     // For short signals a single block the size of the whole problem
     // beats overlap-save's per-block overhead.
     let single = next_pow2(x.len() + h.len());
     let block = default_block(h.len()).min(single);
-    Template::with_block(h, block).xcorr(x)
+    Template::with_block(h, block).xcorr_into(x, out);
 }
 
 // ---------------------------------------------------------------------------

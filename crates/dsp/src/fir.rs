@@ -144,9 +144,18 @@ impl Fir {
     /// FMA contraction), so filtered waveforms are byte-identical
     /// however the filter is dispatched.
     pub fn filter(&self, input: &[Cf32]) -> Vec<Cf32> {
-        let mut out = vec![Cf32::ZERO; input.len()];
-        crate::kernels::fir_same(&self.taps, input, &mut out);
+        let mut out = Vec::new();
+        self.filter_into(input, &mut out);
         out
+    }
+
+    /// [`Fir::filter`] into a caller-held buffer: whatever `out` held is
+    /// discarded, and it comes back with one output per input sample.
+    pub fn filter_into(&self, input: &[Cf32], out: &mut Vec<Cf32>) {
+        out.clear();
+        out.reserve_exact(input.len());
+        out.resize(input.len(), Cf32::ZERO);
+        crate::kernels::fir_same(&self.taps, input, out);
     }
 
     /// Filters a real-valued signal ("same" mode, delay compensated).

@@ -60,9 +60,18 @@ const MIX_CHUNK: usize = 4096;
 /// Returns `signal` multiplied by `e^{i 2 pi f t}` — i.e. the spectrum
 /// shifted *up* by `freq_hz` (use a negative frequency to shift down).
 pub fn mix(signal: &[Cf32], freq_hz: f64, fs: f64) -> Vec<Cf32> {
-    let mut out = signal.to_vec();
-    mix_in_place(&mut out, freq_hz, fs, 0.0);
+    let mut out = Vec::new();
+    mix_into(signal, freq_hz, fs, &mut out);
     out
+}
+
+/// [`mix`] into a caller-held buffer: whatever `out` held is discarded,
+/// and it comes back with the mixed copy of `signal`.
+pub fn mix_into(signal: &[Cf32], freq_hz: f64, fs: f64, out: &mut Vec<Cf32>) {
+    out.clear();
+    out.reserve_exact(signal.len());
+    out.extend_from_slice(signal);
+    mix_in_place(out, freq_hz, fs, 0.0);
 }
 
 /// In-place variant of [`mix`], with a starting phase.
@@ -73,7 +82,7 @@ pub fn mix(signal: &[Cf32], freq_hz: f64, fs: f64) -> Vec<Cf32> {
 /// kernel, so mixed waveforms are byte-identical across backends.
 pub fn mix_in_place(signal: &mut [Cf32], freq_hz: f64, fs: f64, phase: f64) {
     let mut nco = Nco::new(freq_hz, fs, phase);
-    let mut phasors = vec![Cf32::ZERO; signal.len().min(MIX_CHUNK)];
+    let mut phasors = [Cf32::ZERO; MIX_CHUNK];
     for chunk in signal.chunks_mut(MIX_CHUNK) {
         let p = &mut phasors[..chunk.len()];
         nco.fill(p);

@@ -63,8 +63,23 @@ pub fn stft_frame(len: usize) -> usize {
 /// Applies `gain(f_hz) -> f32` to every bin of an `n`-point STFT and
 /// resynthesizes.
 fn stft_apply(signal: &[Cf32], fs: f64, n: usize, gain: impl Fn(f64) -> f32) -> Vec<Cf32> {
+    let mut out = Vec::new();
+    stft_apply_into(signal, fs, n, gain, &mut out);
+    out
+}
+
+/// [`stft_apply`] into `out` (whatever it held is discarded), which
+/// also holds the padded resynthesis while it runs.
+fn stft_apply_into(
+    signal: &[Cf32],
+    fs: f64,
+    n: usize,
+    gain: impl Fn(f64) -> f32,
+    out: &mut Vec<Cf32>,
+) {
+    out.clear();
     if signal.is_empty() {
-        return Vec::new();
+        return;
     }
     let hop = n / 2;
     let plan = engine::plan(n);
@@ -84,7 +99,8 @@ fn stft_apply(signal: &[Cf32], fs: f64, n: usize, gain: impl Fn(f64) -> f32) -> 
     // Pad with a frame of silence each side so every input sample is
     // covered by a full complement of overlapping windows.
     let padded_len = signal.len() + 2 * n;
-    let mut out = vec![Cf32::ZERO; padded_len];
+    out.reserve_exact(padded_len);
+    out.resize(padded_len, Cf32::ZERO);
     let mut frame = vec![Cf32::ZERO; n];
     let mut start = 0usize;
     while start + n <= padded_len {
@@ -107,7 +123,8 @@ fn stft_apply(signal: &[Cf32], fs: f64, n: usize, gain: impl Fn(f64) -> f32) -> 
         }
         start += hop;
     }
-    out[n..n + signal.len()].to_vec()
+    out.copy_within(n..n + signal.len(), 0);
+    out.truncate(signal.len());
 }
 
 /// Zeroes all spectral content of `signal` inside `bands`
@@ -124,13 +141,28 @@ pub fn suppress_bands(signal: &[Cf32], fs: f64, bands: &[Band]) -> Vec<Cf32> {
 /// # Panics
 /// Panics if `frame` is not a power of two.
 pub fn suppress_bands_framed(signal: &[Cf32], fs: f64, bands: &[Band], frame: usize) -> Vec<Cf32> {
-    stft_apply(signal, fs, frame, |f| {
-        if bands.iter().any(|b| b.contains(f)) {
+    let mut out = Vec::new();
+    suppress_bands_framed_into(signal, fs, bands, frame, &mut out);
+    out
+}
+
+/// [`suppress_bands_framed`] into a caller-held buffer: whatever `out`
+/// held is discarded, and it comes back as long as `signal`.
+pub fn suppress_bands_framed_into(
+    signal: &[Cf32],
+    fs: f64,
+    bands: &[Band],
+    frame: usize,
+    out: &mut Vec<Cf32>,
+) {
+    let gain = |f| {
+        if bands.iter().any(|b: &Band| b.contains(f)) {
             0.0
         } else {
             1.0
         }
-    })
+    };
+    stft_apply_into(signal, fs, frame, gain, out);
 }
 
 /// Zeroes all spectral content of `signal` *outside* `bands`

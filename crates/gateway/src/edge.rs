@@ -9,7 +9,7 @@
 
 use galiot_dsp::corr::find_peaks;
 use galiot_dsp::Cf32;
-use galiot_phy::common::{demodulate_anchored, MAX_DEMOD_FIR_TAPS};
+use galiot_phy::common::{demodulate_anchored_with, DemodScratch, MAX_DEMOD_FIR_TAPS};
 use galiot_phy::registry::Registry;
 use galiot_phy::DecodedFrame;
 
@@ -37,6 +37,12 @@ const ANCHOR_PAD: usize = MAX_DEMOD_FIR_TAPS + 64;
 /// belong to one packet's preamble. 2.048 ms reproduces the historical
 /// 2,048-sample guard at the prototype's 1 Msps capture rate.
 pub const DEFAULT_CLUSTER_GUARD_S: f64 = 2.048e-3;
+
+/// What an edge attempt writes: one correlation trace, every
+/// technology's in turn, and the demodulators' intermediates. A gateway
+/// session keeps one from one segment to the next.
+#[derive(Debug, Default)]
+pub struct EdgeBuffers(pub Vec<f32>, pub DemodScratch);
 
 /// The edge decoder.
 pub struct EdgeDecoder {
@@ -86,22 +92,22 @@ impl EdgeDecoder {
     /// technology without a peak has no preamble in the segment to
     /// synchronize to and is not tried.
     pub fn process(&self, seg: &Segment, fs: f64) -> EdgeOutcome {
-        self.process_slice(&seg.samples, seg.start, fs, &mut Vec::new())
+        self.process_slice(&seg.samples, seg.start, fs, &mut EdgeBuffers::default())
     }
 
     /// [`EdgeDecoder::process`] on samples still lying in the window
     /// they were detected in: `samples` begin at capture index `start`,
-    /// and `trace` is one buffer, kept by the caller from one segment
-    /// to the next, that every technology's correlation is written
-    /// into in turn.
+    /// and the attempt writes into `buffers`, kept by the caller from
+    /// one segment to the next (whatever they held is never read).
     pub fn process_slice(
         &self,
         samples: &[Cf32],
         start: usize,
         fs: f64,
-        trace: &mut Vec<f32>,
+        buffers: &mut EdgeBuffers,
     ) -> EdgeOutcome {
         let _span = galiot_trace::span(galiot_trace::Stage::EdgeDecode, galiot_trace::NO_SEQ);
+        let EdgeBuffers(trace, demod) = buffers;
         let peaks = self.preamble_peaks(samples, fs, trace);
         if self.clusters(&peaks, fs) >= 2 {
             return EdgeOutcome::ShipToCloud(Vec::new());
@@ -113,7 +119,7 @@ impl EdgeDecoder {
             };
             let anchor = first..=last;
             if let Ok(mut frame) =
-                demodulate_anchored(tech.as_ref(), samples, fs, anchor, ANCHOR_PAD)
+                demodulate_anchored_with(tech.as_ref(), samples, fs, anchor, ANCHOR_PAD, demod)
             {
                 // Convert to capture coordinates.
                 frame.start += start;
@@ -125,17 +131,6 @@ impl EdgeDecoder {
         } else {
             EdgeOutcome::ShipToCloud(decoded)
         }
-    }
-
-    /// Collision evidence: two or more spatially distinct preamble-
-    /// correlation peak clusters anywhere in the segment (regardless of
-    /// technology — co-located peaks of correlated preambles count as
-    /// one cluster). The cluster guard is `cluster_guard_s` converted
-    /// to samples at `fs`, so the verdict does not change with the
-    /// capture rate.
-    pub fn collision_suspected(&self, seg: &Segment, fs: f64) -> bool {
-        let peaks = self.preamble_peaks(&seg.samples, fs, &mut Vec::new());
-        self.clusters(&peaks, fs) >= 2
     }
 
     /// Where each technology's preamble correlates with the segment:
@@ -190,6 +185,19 @@ mod tests {
     use rand::SeedableRng;
 
     const FS: f64 = 1_000_000.0;
+
+    impl EdgeDecoder {
+        /// Collision evidence: two or more spatially distinct preamble-
+        /// correlation peak clusters anywhere in the segment (regardless
+        /// of technology — co-located peaks of correlated preambles
+        /// count as one cluster), the test `process` starts with. The
+        /// cluster guard is `cluster_guard_s` converted to samples at
+        /// `fs`, so the verdict does not change with the capture rate.
+        fn collision_suspected(&self, seg: &Segment, fs: f64) -> bool {
+            let peaks = self.preamble_peaks(&seg.samples, fs, &mut Vec::new());
+            self.clusters(&peaks, fs) >= 2
+        }
+    }
 
     fn seg_from(samples: Vec<galiot_dsp::Cf32>, start: usize) -> Segment {
         Segment {

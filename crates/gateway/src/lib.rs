@@ -27,7 +27,7 @@ pub use detect::{
     score_detections, Detection, DetectionStream, EnergyDetector, LagScorer, MatchedFilterBank,
     PacketDetector, PeakRule,
 };
-pub use edge::{EdgeDecoder, EdgeOutcome, DEFAULT_CLUSTER_GUARD_S};
+pub use edge::{EdgeBuffers, EdgeDecoder, EdgeOutcome, DEFAULT_CLUSTER_GUARD_S};
 pub use extract::{extract, shipped_fraction, spans, ExtractParams, Segment, Span};
 pub use frontend::{
     AnalogRing, AnalogView, FrontEndParams, HoppingFrontEnd, RtlSdrFrontEnd, SlidingGain,

@@ -18,11 +18,12 @@ use galiot_channel::{
 };
 use galiot_dsp::corr::find_peaks;
 use galiot_gateway::{
-    Detection, EdgeDecoder, EdgeOutcome, RtlSdrFrontEnd, Segment, DEFAULT_CLUSTER_GUARD_S,
+    Detection, EdgeBuffers, EdgeDecoder, EdgeOutcome, RtlSdrFrontEnd, Segment,
+    DEFAULT_CLUSTER_GUARD_S,
 };
 use galiot_phy::common::WINDOW_ALIGN;
 use galiot_phy::registry::Registry;
-use galiot_phy::{DecodedFrame, TechId};
+use galiot_phy::{DecodedFrame, DemodScratch, TechId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -385,11 +386,12 @@ proptest! {
             },
             FS,
         );
-        let mut trace = vec![0.7f32; stale];
-        let got = edge.process_slice(&window[range.clone()], origin + range.start, FS, &mut trace);
+        let mut buffers = EdgeBuffers(vec![0.7f32; stale], DemodScratch::default());
+        let got = edge.process_slice(&window[range.clone()], origin + range.start, FS, &mut buffers);
         prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
-        // The same buffer, as the next span's attempt finds it.
-        let again = edge.process_slice(&window[range.clone()], origin + range.start, FS, &mut trace);
+        // The same buffers, as the next span's attempt finds them.
+        let again =
+            edge.process_slice(&window[range.clone()], origin + range.start, FS, &mut buffers);
         prop_assert_eq!(format!("{again:?}"), format!("{want:?}"));
     }
 }

@@ -12,6 +12,7 @@
 //! preamble is the `01010101` pattern of Table 1) and the framework's
 //! extensibility claim.
 
+use galiot_dsp::engine::FsCache;
 use galiot_dsp::spectral::Band;
 use galiot_dsp::Cf32;
 
@@ -53,6 +54,9 @@ impl Default for BleParams {
 pub struct BlePhy {
     modem: FskModem,
     params: BleParams,
+    /// Discriminator-domain preamble+access-address template, shaped
+    /// once per sample rate rather than on every demodulation attempt.
+    sync: FsCache<Vec<f32>>,
 }
 
 impl BlePhy {
@@ -70,6 +74,7 @@ impl BlePhy {
                 center_offset_hz: params.center_offset_hz,
             }),
             params,
+            sync: FsCache::new(),
         }
     }
 
@@ -139,7 +144,11 @@ impl Technology for BlePhy {
     fn demodulate(&self, capture: &[Cf32], fs: f64) -> Result<DecodedFrame, PhyError> {
         let soft = self.modem.discriminate(capture, fs)?;
         let sync_bits = Self::sync_bits();
-        let template = self.modem.sync_template(&sync_bits, fs)?;
+        let template = self.sync.get_or(fs, || {
+            self.modem
+                .sync_template(&sync_bits, fs)
+                .expect("sample rate checked by discriminate")
+        });
         let (start, _) = self
             .modem
             .find_sync(&soft, &template, 0.55)

@@ -8,6 +8,7 @@
 //! trait, which is what makes GalioT extensible "through simple
 //! software updates" (paper, Sec. 1).
 
+use galiot_dsp::corr::NccScratch;
 use galiot_dsp::spectral::Band;
 use galiot_dsp::Cf32;
 use std::fmt;
@@ -170,6 +171,31 @@ pub struct DecodedFrame {
     pub len: usize,
 }
 
+/// The intermediates of a demodulation, in buffers a caller keeps from
+/// one attempt to the next — a cloud decode worker across segments, a
+/// gateway session across edge attempts — so that an attempt writes
+/// into memory already held instead of allocating for its window.
+///
+/// Buffers are sized by the longest window seen. No demodulator reads
+/// what an earlier call left in them: each is cleared before it is
+/// filled, so a result never depends on the scratch it was computed in.
+#[derive(Debug, Default)]
+pub struct DemodScratch {
+    /// The capture mixed to the channel's center.
+    pub(crate) mixed: Vec<Cf32>,
+    /// The channel filter's output, at the capture rate.
+    pub(crate) filtered: Vec<Cf32>,
+    /// LoRa: the decimated baseband at rate `bw`.
+    pub(crate) base: Vec<Cf32>,
+    /// LoRa: the symbol window being dechirped.
+    pub(crate) symbol: Vec<Cf32>,
+    /// FSK: the discriminator output.
+    pub(crate) soft: Vec<f32>,
+    /// FSK: the sync correlation, and its working memory.
+    pub(crate) ncc: Vec<f32>,
+    pub(crate) ncc_scratch: NccScratch,
+}
+
 /// A radio technology: modulator, demodulator and the metadata the
 /// gateway and cloud need (preamble waveform, occupied band, class).
 ///
@@ -206,6 +232,19 @@ pub trait Technology: Send + Sync {
     /// Attempts to decode the first frame of this technology inside
     /// `capture` (complex baseband at rate `fs`).
     fn demodulate(&self, capture: &[Cf32], fs: f64) -> Result<DecodedFrame, PhyError>;
+
+    /// [`Technology::demodulate`] with its intermediates in `scratch`,
+    /// which the caller keeps from one call to the next: the same
+    /// result, bit for bit, without allocating for the capture once the
+    /// scratch has grown to it. The default ignores the scratch.
+    fn demodulate_with(
+        &self,
+        capture: &[Cf32],
+        fs: f64,
+        _scratch: &mut DemodScratch,
+    ) -> Result<DecodedFrame, PhyError> {
+        self.demodulate(capture, fs)
+    }
 
     /// Upper bound on the number of samples a maximum-length frame
     /// occupies at rate `fs` — the gateway ships twice this around each
@@ -279,8 +318,22 @@ pub fn demodulate_anchored(
     anchor: std::ops::RangeInclusive<usize>,
     pad: usize,
 ) -> Result<DecodedFrame, PhyError> {
+    let scratch = &mut DemodScratch::default();
+    demodulate_anchored_with(tech, capture, fs, anchor, pad, scratch)
+}
+
+/// [`demodulate_anchored`] through [`Technology::demodulate_with`],
+/// with the demodulator's intermediates in `scratch`.
+pub fn demodulate_anchored_with(
+    tech: &dyn Technology,
+    capture: &[Cf32],
+    fs: f64,
+    anchor: std::ops::RangeInclusive<usize>,
+    pad: usize,
+    scratch: &mut DemodScratch,
+) -> Result<DecodedFrame, PhyError> {
     let window = anchored_window(tech, fs, anchor, pad, capture.len());
-    let mut frame = tech.demodulate(&capture[window.clone()], fs)?;
+    let mut frame = tech.demodulate_with(&capture[window.clone()], fs, scratch)?;
     frame.start += window.start;
     Ok(frame)
 }
@@ -372,6 +425,91 @@ mod tests {
                 anchored_window(&xbee, FS, at.clone(), PAD, capture.len()).end <= capture.len()
             );
             assert!(demodulate_anchored(&xbee, &capture, FS, at, PAD).is_err());
+        }
+    }
+
+    /// `len` samples of uniform complex noise at `power`, with each
+    /// `(waveform, at, gain)` added in.
+    fn capture(len: usize, power: f32, frames: &[(&[Cf32], usize, f32)], seed: u64) -> Vec<Cf32> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        // Uniform on [-a, a) has power a^2 / 3 per component.
+        let a = (1.5 * power).sqrt();
+        let mut capture: Vec<Cf32> = (0..len)
+            .map(|_| Cf32::new(rng.gen_range(-a..a), rng.gen_range(-a..a)))
+            .collect();
+        for &(frame, at, gain) in frames {
+            for (dst, &src) in capture[at..].iter_mut().zip(frame) {
+                *dst += src * gain;
+            }
+        }
+        capture
+    }
+
+    /// Fills every buffer of `scratch` whose type allows it with NaN, at
+    /// more than `len` samples: whatever a call reads of it shows.
+    fn poison(scratch: &mut DemodScratch, len: usize) {
+        let nan = Cf32::new(f32::NAN, f32::NAN);
+        for buf in [
+            &mut scratch.mixed,
+            &mut scratch.filtered,
+            &mut scratch.base,
+            &mut scratch.symbol,
+        ] {
+            *buf = vec![nan; len + 4_099];
+        }
+        for buf in [&mut scratch.soft, &mut scratch.ncc] {
+            *buf = vec![f32::NAN; len + 4_099];
+        }
+    }
+
+    #[test]
+    fn a_reused_scratch_demodulates_every_capture_as_a_fresh_one() {
+        let registry = crate::registry::Registry::prototype();
+        let [lora, xbee, zwave] = [TechId::LoRa, TechId::XBee, TechId::ZWave]
+            .map(|id| registry.get(id).expect("prototype technology").clone());
+        let lora_frame = lora.modulate(b"reused scratch", FS);
+        let xbee_frame = xbee.modulate(&[0x5A; 24], FS);
+        let zwave_frame = zwave.modulate(b"zw", FS);
+        // A LoRa+XBee collision with a Z-Wave frame clear of it, a short
+        // capture holding one clean frame, noise, and the first again:
+        // buffers grown long, then reused short, then long again.
+        let collision = capture(
+            400_000,
+            0.01,
+            &[
+                (&lora_frame, 20_000, 1.0),
+                (&xbee_frame, 45_000, 2.0),
+                (&zwave_frame, 300_000, 1.0),
+            ],
+            1,
+        );
+        let clean = capture(30_000, 0.001, &[(&zwave_frame, 4_000, 1.0)], 2);
+        let noise = capture(120_000, 1.0, &[], 3);
+        let sequence = [&collision, &clean, &noise, &collision];
+        for tech in [&lora, &xbee, &zwave] {
+            let (mut scratch, mut decoded) = (DemodScratch::default(), 0);
+            for (k, samples) in sequence.iter().enumerate() {
+                let fresh = tech.demodulate(samples, FS);
+                let label = format!("{} on capture {k}", tech.id());
+                // As the previous call left the scratch...
+                let reused = tech.demodulate_with(samples, FS, &mut scratch);
+                assert_eq!(reused, fresh, "{label}");
+                // ...and with every buffer longer and full of NaN.
+                poison(&mut scratch, samples.len());
+                let poisoned = tech.demodulate_with(samples, FS, &mut scratch);
+                assert_eq!(poisoned, fresh, "{label}, poisoned scratch");
+                decoded += usize::from(fresh.is_ok());
+                // Anchored, as the decoders call it.
+                let anchor = 20_000..=45_000;
+                let fresh = demodulate_anchored(tech.as_ref(), samples, FS, anchor.clone(), PAD);
+                let reused =
+                    demodulate_anchored_with(tech.as_ref(), samples, FS, anchor, PAD, &mut scratch);
+                assert_eq!(reused, fresh, "{label}, anchored");
+            }
+            // LoRa and XBee decode out of the collision, Z-Wave where it
+            // is clean: the comparison is not only of errors.
+            assert!(decoded >= 2, "{} decoded {decoded} times", tech.id());
         }
     }
 

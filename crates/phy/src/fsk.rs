@@ -11,15 +11,15 @@
 //! statistic makes sync immune to carrier-frequency offset, which
 //! appears on a discriminator output as a DC shift.
 
-use galiot_dsp::corr::ncc_real;
+use galiot_dsp::corr::{ncc_real, ncc_real_into};
 use galiot_dsp::engine::FsCache;
 use galiot_dsp::fir::Fir;
-use galiot_dsp::mix::mix;
+use galiot_dsp::mix::mix_into;
 use galiot_dsp::pulse::gaussian_filter;
 use galiot_dsp::window::Window;
 use galiot_dsp::Cf32;
 
-use crate::common::PhyError;
+use crate::common::{DemodScratch, PhyError};
 
 /// Waveform-level parameters of a binary FSK technology.
 #[derive(Clone, Copy, Debug)]
@@ -120,25 +120,45 @@ impl FskModem {
     /// band-limits it, and returns per-sample instantaneous frequency
     /// normalized so `+1.0` corresponds to `+deviation`.
     pub fn discriminate(&self, capture: &[Cf32], fs: f64) -> Result<Vec<f32>, PhyError> {
+        let mut scratch = DemodScratch::default();
+        self.discriminate_into(capture, fs, &mut scratch)?;
+        Ok(scratch.soft)
+    }
+
+    /// [`FskModem::discriminate`] into `scratch.soft`, mixing and
+    /// filtering in the scratch's buffers.
+    pub(crate) fn discriminate_into(
+        &self,
+        capture: &[Cf32],
+        fs: f64,
+        scratch: &mut DemodScratch,
+    ) -> Result<(), PhyError> {
         let sps = self.sps(fs)?;
         if capture.len() < 2 * sps {
             return Err(PhyError::CaptureTooShort);
         }
-        let base = mix(capture, -self.params.center_offset_hz, fs);
+        let DemodScratch {
+            mixed,
+            filtered,
+            soft,
+            ..
+        } = scratch;
+        mix_into(capture, -self.params.center_offset_hz, fs, mixed);
         let fir = self.channel_fir.get_or(fs, || {
             // Carson bandwidth: deviation + bitrate.
             let cutoff = (self.params.deviation_hz + self.params.bitrate).min(0.45 * fs);
             let ntaps = (4 * sps + 1).clamp(33, 257);
             Fir::lowpass(cutoff, fs, ntaps, Window::Hamming)
         });
-        let filtered = fir.filter(&base);
+        fir.filter_into(mixed, filtered);
         let k = fs as f32 / (2.0 * std::f32::consts::PI * self.params.deviation_hz as f32);
-        let mut soft = Vec::with_capacity(filtered.len());
+        soft.clear();
+        soft.reserve_exact(filtered.len());
         soft.push(0.0);
         for w in filtered.windows(2) {
             soft.push((w[1] * w[0].conj()).arg() * k);
         }
-        Ok(soft)
+        Ok(())
     }
 
     /// Builds the discriminator-domain sync template for a known bit
@@ -157,12 +177,25 @@ impl FskModem {
         template: &[f32],
         threshold: f32,
     ) -> Option<(usize, f32)> {
-        let ncc = ncc_real(soft, template);
-        ncc.iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .filter(|&(_, &v)| v >= threshold)
-            .map(|(i, &v)| (i, v))
+        best_sync(&ncc_real(soft, template), threshold)
+    }
+
+    /// [`FskModem::find_sync`] on the discriminator output in
+    /// `scratch.soft`, correlating in the scratch's buffers.
+    pub(crate) fn find_sync_in(
+        &self,
+        scratch: &mut DemodScratch,
+        template: &[f32],
+        threshold: f32,
+    ) -> Option<(usize, f32)> {
+        let DemodScratch {
+            soft,
+            ncc,
+            ncc_scratch,
+            ..
+        } = scratch;
+        ncc_real_into(soft, template, ncc, ncc_scratch);
+        best_sync(ncc, threshold)
     }
 
     /// Hard-decides `nbits` bits from a discriminator output starting
@@ -170,6 +203,9 @@ impl FskModem {
     /// period. Returns `None` if the capture ends first.
     pub fn slice_bits(&self, soft: &[f32], start: usize, nbits: usize, fs: f64) -> Option<Vec<u8>> {
         let sps = self.sps(fs).ok()?;
+        if nbits == 0 {
+            return Some(Vec::new());
+        }
         let lo = sps / 4;
         let hi = ((3 * sps) / 4).max(lo + 1);
         // Only the integration window of each bit must fit — a sync
@@ -191,6 +227,15 @@ impl FskModem {
     pub fn bits_to_samples(&self, nbits: usize, fs: f64) -> Result<usize, PhyError> {
         Ok(nbits * self.sps(fs)?)
     }
+}
+
+/// The best alignment in a sync correlation, if it reaches `threshold`.
+fn best_sync(ncc: &[f32], threshold: f32) -> Option<(usize, f32)> {
+    ncc.iter()
+        .enumerate()
+        .max_by(|a, b| a.1.total_cmp(b.1))
+        .filter(|&(_, &v)| v >= threshold)
+        .map(|(i, &v)| (i, v))
 }
 
 #[cfg(test)]
@@ -231,6 +276,15 @@ mod tests {
         for z in &sig {
             assert!((z.abs() - 1.0).abs() < 1e-5);
         }
+    }
+
+    #[test]
+    fn slicing_no_bits_reads_nothing() {
+        // A zero-length field (a header that declares an empty body)
+        // fits anywhere, even past the end of the output.
+        let m = modem(None);
+        assert_eq!(m.slice_bits(&[0.5; 100], 0, 0, FS), Some(Vec::new()));
+        assert_eq!(m.slice_bits(&[], 7, 0, FS), Some(Vec::new()));
     }
 
     #[test]

@@ -30,4 +30,4 @@ pub mod sigfox;
 pub mod xbee;
 pub mod zwave;
 
-pub use common::{DecodedFrame, ModClass, PhyError, TechId, Technology};
+pub use common::{DecodedFrame, DemodScratch, ModClass, PhyError, TechId, Technology};

@@ -12,18 +12,18 @@
 //! every stage of the real PHY is present, which is what the kill
 //! filters and detection experiments exercise.
 
-use galiot_dsp::chirp::{downchirp, symbol_chirp, upchirp};
+use galiot_dsp::chirp::{downchirp, extend_symbol_chirp, upchirp};
 use galiot_dsp::engine::FsCache;
 use galiot_dsp::fft::Fft;
 use galiot_dsp::fir::Fir;
 use galiot_dsp::kernels;
-use galiot_dsp::mix::mix;
+use galiot_dsp::mix::{mix, mix_in_place, mix_into};
 use galiot_dsp::spectral::Band;
 use galiot_dsp::window::Window;
 use galiot_dsp::Cf32;
 
 use crate::bits::{bits_to_bytes_msb, bytes_to_bits_msb, crc16_ccitt, Pn9};
-use crate::common::{DecodedFrame, ModClass, PhyError, TechId, Technology};
+use crate::common::{DecodedFrame, DemodScratch, ModClass, PhyError, TechId, Technology};
 use crate::fec::{
     deinterleave, gray_decode, gray_encode, hamming_decode, hamming_encode, interleave, CodeRate,
 };
@@ -216,41 +216,58 @@ impl LoraPhy {
         })
     }
 
-    /// Channelizes a capture to the LoRa baseband at rate `bw`:
-    /// mix down, anti-alias, decimate by the oversampling factor.
-    fn channelize(&self, capture: &[Cf32], fs: f64, os: usize, fir: Option<&Fir>) -> Vec<Cf32> {
-        let base = if self.params.center_offset_hz != 0.0 {
-            mix(capture, -self.params.center_offset_hz, fs)
+    /// Channelizes a capture to the LoRa baseband at rate `bw` in
+    /// `scratch.base`: mix down (off DC only), anti-alias, decimate by
+    /// the oversampling factor.
+    fn channelize(
+        &self,
+        capture: &[Cf32],
+        fs: f64,
+        os: usize,
+        fir: Option<&Fir>,
+        scratch: &mut DemodScratch,
+    ) {
+        let DemodScratch {
+            mixed,
+            filtered,
+            base,
+            ..
+        } = scratch;
+        let input = if self.params.center_offset_hz != 0.0 {
+            mix_into(capture, -self.params.center_offset_hz, fs, mixed);
+            &mixed[..]
         } else {
-            capture.to_vec()
+            capture
         };
+        base.clear();
+        base.reserve_exact(input.len().div_ceil(os));
         match fir {
-            Some(fir) => fir.filter(&base).iter().step_by(os).copied().collect(),
-            None => base,
+            Some(fir) => {
+                fir.filter_into(input, filtered);
+                base.extend(filtered.iter().step_by(os).copied());
+            }
+            None => base.extend_from_slice(input),
         }
     }
 
-    /// Demodulates one symbol-aligned window (at rate `bw`,
-    /// `2^sf` samples) to its symbol value.
-    fn demod_symbol(&self, window: &[Cf32], down: &[Cf32], plan: &Fft) -> u32 {
-        let n = window.len().min(down.len());
-        let mut buf = window[..n].to_vec();
-        kernels::mul_in_place(&mut buf, &down[..n]);
-        plan.forward(&mut buf);
-        galiot_dsp::fft::peak_bin(&buf) as u32
-    }
-
-    /// Dechirps one window with `chirp`, returning
+    /// Dechirps one window with `chirp` in `buf`, returning
     /// `(peak bin, complex peak, quality)` where quality is the peak
     /// bin's share of the window energy (≈1 for a clean aligned chirp,
     /// ≈ln(n)/n for noise).
-    fn dechirp_peak(&self, window: &[Cf32], chirp: &[Cf32], plan: &Fft) -> (usize, Cf32, f32) {
+    fn dechirp_peak(
+        &self,
+        window: &[Cf32],
+        chirp: &[Cf32],
+        plan: &Fft,
+        buf: &mut Vec<Cf32>,
+    ) -> (usize, Cf32, f32) {
         let n = window.len().min(chirp.len());
-        let mut buf = window[..n].to_vec();
-        kernels::mul_in_place(&mut buf, &chirp[..n]);
-        plan.forward(&mut buf);
-        let bin = galiot_dsp::fft::peak_bin(&buf);
-        let total: f32 = kernels::energy_f32(&buf);
+        buf.clear();
+        buf.extend_from_slice(&window[..n]);
+        kernels::mul_in_place(buf, &chirp[..n]);
+        plan.forward(buf);
+        let bin = galiot_dsp::fft::peak_bin(buf);
+        let total: f32 = kernels::energy_f32(buf);
         let q = if total > 0.0 {
             buf[bin].norm_sqr() / total
         } else {
@@ -313,28 +330,39 @@ impl Technology for LoraPhy {
         let bw = self.params.bw;
         let up = upchirp(bw, sps, fs);
         let down = downchirp(bw, sps, fs);
+        let data = self.encode_symbols(payload);
 
-        let mut out = Vec::new();
+        let symbols = PREAMBLE_SYMBOLS + SYNC_SYMBOLS.len() + 2 + data.len();
+        let mut out = Vec::with_capacity(symbols * sps + sps / 4);
         for _ in 0..PREAMBLE_SYMBOLS {
             out.extend_from_slice(&up);
         }
         for &s in &SYNC_SYMBOLS {
-            out.extend_from_slice(&symbol_chirp(s, self.params.sf, bw, sps, fs));
+            extend_symbol_chirp(&mut out, &up, s, self.params.sf);
         }
         // SFD: 2.25 down-chirps.
         out.extend_from_slice(&down);
         out.extend_from_slice(&down);
         out.extend_from_slice(&down[..sps / 4]);
-        for sym in self.encode_symbols(payload) {
-            out.extend_from_slice(&symbol_chirp(sym, self.params.sf, bw, sps, fs));
+        for sym in data {
+            extend_symbol_chirp(&mut out, &up, sym, self.params.sf);
         }
         if self.params.center_offset_hz != 0.0 {
-            out = mix(&out, self.params.center_offset_hz, fs);
+            mix_in_place(&mut out, self.params.center_offset_hz, fs, 0.0);
         }
         out
     }
 
     fn demodulate(&self, capture: &[Cf32], fs: f64) -> Result<DecodedFrame, PhyError> {
+        self.demodulate_with(capture, fs, &mut DemodScratch::default())
+    }
+
+    fn demodulate_with(
+        &self,
+        capture: &[Cf32],
+        fs: f64,
+        scratch: &mut DemodScratch,
+    ) -> Result<DecodedFrame, PhyError> {
         let (os, _) = self.geometry(fs)?;
         let sf = self.params.sf;
         let n = 1usize << sf; // samples per symbol at rate bw
@@ -342,7 +370,8 @@ impl Technology for LoraPhy {
 
         let tables = self.demod_tables(fs, os);
         let (up, down) = (&tables.up, &tables.down);
-        let base = self.channelize(capture, fs, os, tables.channel_fir.as_ref());
+        self.channelize(capture, fs, os, tables.channel_fir.as_ref(), scratch);
+        let (base, buf) = (&mut scratch.base, &mut scratch.symbol);
         if base.len() < (PREAMBLE_SYMBOLS + 5) * n {
             return Err(PhyError::CaptureTooShort);
         }
@@ -361,7 +390,7 @@ impl Technology for LoraPhy {
         let nwin = base.len() / n;
         let wins: Vec<(usize, f32)> = (0..nwin)
             .map(|i| {
-                let (bin, _, q) = self.dechirp_peak(&base[i * n..(i + 1) * n], down, &plan);
+                let (bin, _, q) = self.dechirp_peak(&base[i * n..(i + 1) * n], down, &plan, buf);
                 (bin, q)
             })
             .collect();
@@ -418,7 +447,7 @@ impl Technology for LoraPhy {
                 let mut ok = true;
                 for (s, &expect) in SYNC_SYMBOLS.iter().enumerate() {
                     let w = &base[sync_at + s * n..sync_at + (s + 1) * n];
-                    let (bin, _, q) = self.dechirp_peak(w, down, &plan);
+                    let (bin, _, q) = self.dechirp_peak(w, down, &plan, buf);
                     let want = ((expect as i64 + cfo) % nn + nn) % nn;
                     if q < q_thr || bin_dist(bin, want as usize, n) > 1 {
                         ok = false;
@@ -435,7 +464,7 @@ impl Technology for LoraPhy {
                 // degeneracy the up-side checks alone cannot resolve.
                 for s in 0..2usize {
                     let w = &base[sfd_at + s * n..sfd_at + (s + 1) * n];
-                    let (bin, _, q) = self.dechirp_peak(w, up, &plan);
+                    let (bin, _, q) = self.dechirp_peak(w, up, &plan, buf);
                     let want = ((cfo % nn) + nn) % nn;
                     if q < q_thr || bin_dist(bin, want as usize, n) > 1 {
                         ok = false;
@@ -460,7 +489,7 @@ impl Technology for LoraPhy {
             if s + n > base.len() {
                 break;
             }
-            let (_, c, _) = self.dechirp_peak(&base[s..s + n], down, &plan);
+            let (_, c, _) = self.dechirp_peak(&base[s..s + n], down, &plan, buf);
             if let Some(p) = prev {
                 drift += c * p.conj();
             }
@@ -468,11 +497,10 @@ impl Technology for LoraPhy {
         }
         let frac_bins = drift.arg() as f64 / (2.0 * std::f64::consts::PI);
         let cfo_hz = (cfo_bins as f64 + frac_bins) * bw / n as f64;
-        let base = if cfo_hz.abs() > 1e-3 {
-            mix(&base, -cfo_hz, bw)
-        } else {
-            base
-        };
+        if cfo_hz.abs() > 1e-3 {
+            mix_in_place(base, -cfo_hz, bw, 0.0);
+        }
+        let base: &[Cf32] = base;
 
         // Data begins after preamble + sync + 2.25 downchirp SFD.
         let data_start = start + (PREAMBLE_SYMBOLS + SYNC_SYMBOLS.len()) * n + 2 * n + n / 4;
@@ -482,14 +510,15 @@ impl Technology for LoraPhy {
         let sf_us = sf as usize;
         let hdr_blocks = 6_usize.div_ceil(sf_us);
         let hdr_syms = hdr_blocks * hdr_rate.codeword_len();
-        let read_symbols = |from: usize, count: usize| -> Result<Vec<u32>, PhyError> {
+        let mut read_symbols = |from: usize, count: usize| -> Result<Vec<u32>, PhyError> {
             let mut syms = Vec::with_capacity(count);
             for k in 0..count {
                 let s = from + k * n;
                 if s + n > base.len() {
                     return Err(PhyError::Truncated);
                 }
-                syms.push(self.demod_symbol(&base[s..s + n], down, &plan));
+                // A data symbol's value is its dechirped peak bin.
+                syms.push(self.dechirp_peak(&base[s..s + n], down, &plan, buf).0 as u32);
             }
             Ok(syms)
         };

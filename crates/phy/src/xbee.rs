@@ -11,7 +11,7 @@ use galiot_dsp::spectral::Band;
 use galiot_dsp::Cf32;
 
 use crate::bits::{bits_to_bytes_msb, bytes_to_bits_msb, crc16_ccitt, Pn9};
-use crate::common::{DecodedFrame, ModClass, PhyError, TechId, Technology};
+use crate::common::{DecodedFrame, DemodScratch, ModClass, PhyError, TechId, Technology};
 use crate::fsk::{FskModem, FskParams};
 
 /// Preamble bytes (Table 1: 4 bytes of `01010101`).
@@ -134,7 +134,16 @@ impl Technology for XbeePhy {
     }
 
     fn demodulate(&self, capture: &[Cf32], fs: f64) -> Result<DecodedFrame, PhyError> {
-        let soft = self.modem.discriminate(capture, fs)?;
+        self.demodulate_with(capture, fs, &mut DemodScratch::default())
+    }
+
+    fn demodulate_with(
+        &self,
+        capture: &[Cf32],
+        fs: f64,
+        scratch: &mut DemodScratch,
+    ) -> Result<DecodedFrame, PhyError> {
+        self.modem.discriminate_into(capture, fs, scratch)?;
         let sync_bits = Self::sync_bits();
         let sps = self.modem.sps(fs)?;
         let template = self.sync.get_or(fs, || {
@@ -144,14 +153,15 @@ impl Technology for XbeePhy {
         });
         let (start, _) = self
             .modem
-            .find_sync(&soft, &template, 0.55)
+            .find_sync_in(scratch, &template, 0.55)
             .ok_or(PhyError::SyncNotFound)?;
+        let soft = &scratch.soft;
         let data_at = start + sync_bits.len() * sps;
 
         // PHR first.
         let phr_bits = self
             .modem
-            .slice_bits(&soft, data_at, 16, fs)
+            .slice_bits(soft, data_at, 16, fs)
             .ok_or(PhyError::Truncated)?;
         let phr = bits_to_bytes_msb(&phr_bits);
         let len = (((phr[0] & 0x07) as usize) << 8) | phr[1] as usize;
@@ -161,7 +171,7 @@ impl Technology for XbeePhy {
 
         let mut psdu_bits = self
             .modem
-            .slice_bits(&soft, data_at + 16 * sps, len * 8, fs)
+            .slice_bits(soft, data_at + 16 * sps, len * 8, fs)
             .ok_or(PhyError::Truncated)?;
         Pn9::new().whiten(&mut psdu_bits);
         let psdu = bits_to_bytes_msb(&psdu_bits);

@@ -20,7 +20,7 @@ use crate::bits::{
     bits_to_bytes_msb, bytes_to_bits_msb, checksum_zwave, crc16_zwave, manchester_decode,
     manchester_encode,
 };
-use crate::common::{DecodedFrame, ModClass, PhyError, TechId, Technology};
+use crate::common::{DecodedFrame, DemodScratch, ModClass, PhyError, TechId, Technology};
 use crate::fsk::{FskModem, FskParams};
 
 /// Number of `0x55` preamble bytes (G.9959 requires >= 10).
@@ -250,7 +250,16 @@ impl Technology for ZwavePhy {
     }
 
     fn demodulate(&self, capture: &[Cf32], fs: f64) -> Result<DecodedFrame, PhyError> {
-        let soft = self.modem.discriminate(capture, fs)?;
+        self.demodulate_with(capture, fs, &mut DemodScratch::default())
+    }
+
+    fn demodulate_with(
+        &self,
+        capture: &[Cf32],
+        fs: f64,
+        scratch: &mut DemodScratch,
+    ) -> Result<DecodedFrame, PhyError> {
+        self.modem.discriminate_into(capture, fs, scratch)?;
         let sync_line = self.sync_line_bits();
         let sps = self.modem.sps(fs)?;
         let template = self.sync.get_or(fs, || {
@@ -260,15 +269,16 @@ impl Technology for ZwavePhy {
         });
         let (start, _) = self
             .modem
-            .find_sync(&soft, &template, 0.55)
+            .find_sync_in(scratch, &template, 0.55)
             .ok_or(PhyError::SyncNotFound)?;
+        let soft = &scratch.soft;
         let lf = self.line_factor();
         let mpdu_at = start + sync_line.len() * sps;
 
         // Read through the length byte first (8 header bytes precede it).
         let head_line = self
             .modem
-            .slice_bits(&soft, mpdu_at, 8 * 8 * lf, fs)
+            .slice_bits(soft, mpdu_at, 8 * 8 * lf, fs)
             .ok_or(PhyError::Truncated)?;
         let head = bits_to_bytes_msb(&self.line_decode(&head_line));
         let len = head[7] as usize;
@@ -279,7 +289,7 @@ impl Technology for ZwavePhy {
 
         let mpdu_line = self
             .modem
-            .slice_bits(&soft, mpdu_at, len * 8 * lf, fs)
+            .slice_bits(soft, mpdu_at, len * 8 * lf, fs)
             .ok_or(PhyError::Truncated)?;
         let mpdu = bits_to_bytes_msb(&self.line_decode(&mpdu_line));
         if !self.check_mpdu(&mpdu) {

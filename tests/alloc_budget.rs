@@ -1,18 +1,22 @@
-//! The allocation budget of the gateway path: what one flush of a live
-//! session, and one `process_capture` call, may ask the allocator for.
+//! The allocation budget of the gateway path — what one flush of a live
+//! session, and one `process_capture` call, may ask the allocator for —
+//! and of one cloud decode by a worker whose buffers are warm.
 //!
 //! I/Q travels analog ring → digitized segment → edge attempt → packed
 //! bytes without a per-flush copy in between (DESIGN.md, "Who owns the
-//! samples"): a flush that finds nothing allocates nothing, and
-//! one that emits a segment allocates for what the demodulator needs,
-//! not for the samples. The budgets below are measured byte counts plus
+//! samples"): a flush that finds nothing allocates nothing, and one
+//! that emits a segment allocates little beyond the frame it decodes —
+//! the demodulators write into the session's buffers. A cloud worker's
+//! decode likewise writes into buffers the worker keeps. The budgets
+//! below are measured byte counts plus
 //! at most a quarter; a copy or a per-flush buffer coming back costs
 //! megabytes and fails them. Counts, not timings: the same binary asks
 //! for the same bytes on every run.
 //!
 //! One `#[test]`: the counter is process-wide.
 
-use galiot::channel::{compose, snr_to_noise_power, TxEvent};
+use galiot::channel::{compose, forced_collision, snr_to_noise_power, TxEvent};
+use galiot::cloud::{CloudDecoder, DecodeBuffers};
 use galiot::core::{Galiot, GaliotConfig, StreamingGaliot};
 use galiot::gateway::{LagScorer, UniversalDetector};
 use galiot::phy::registry::Registry;
@@ -98,10 +102,11 @@ const FS: f64 = 1_000_000.0;
 /// its detection), 64 in one other (4 352 where a frame was sighted and
 /// deferred when a flush read a whole window).
 const QUIET_FLUSH_BUDGET: u64 = 5_440;
-/// A flush that emits an XBee frame's segment: one edge attempt's
-/// demodulator temporaries (8.8 MB when the segment and its three
-/// correlation traces were allocated per attempt). Measured: 2 750 700.
-const EMITTING_FLUSH_BUDGET: u64 = 3_400_000;
+/// A flush that emits an XBee frame's segment: one edge attempt, whose
+/// demodulators write into the session's buffers (2 722 208 while they
+/// allocated for their window, 8.8 MB when the segment and its three
+/// correlation traces were allocated per attempt). Measured: 195 736.
+const EMITTING_FLUSH_BUDGET: u64 = 244_700;
 /// What a session's first edge attempt asks for on top of that, once:
 /// the edge's own correlation trace, one f32 per sample of the
 /// 218 144-sample segment (the detector's trace holds one flush's
@@ -120,11 +125,24 @@ const EDGE_TRACE_BYTES: u64 = 4 * 218_144;
 /// 872 576 + 1 745 152 on the first emitting flush, 2 722 208 on the
 /// second.
 const SPAN_BYTES: u64 = 8 * 218_144;
+/// And, once, the session's demodulator scratch, grown on the first
+/// attempt to the windows the edge demodulates the frame in. Measured:
+/// 1 568 064 = 4 381 528 − 195 736 − 872 576 − 1 745 152 on the first
+/// emitting flush, 195 736 on the second.
+const EDGE_DEMOD_BYTES: u64 = 1_568_064;
 /// `process_capture` per capture sample (16.7 before): one digitized
 /// copy (8 bytes), one correlation trace (4), the edge attempt and its
-/// trace. Measured: 13.72 (13.30 while the edge borrowed the detector's
-/// trace).
+/// trace. Measured: 13.25 (13.72 while the edge's demodulators
+/// allocated for their window, 13.30 while the edge borrowed the
+/// detector's trace).
 const BATCH_BYTES_PER_SAMPLE_BUDGET: f64 = 14.6;
+/// One decode of a two-frame LoRa+XBee collision (272 000 samples) by a
+/// worker that has decoded one before it: the frames, the remodulations
+/// cancellation subtracts and template-sized scratch, with every
+/// demodulation, kill and the residual in the worker's buffers.
+/// Measured: 1 449 401 (21 282 581 while the demodulators, the kill
+/// filters and the residual allocated on every attempt).
+const WARM_DECODE_BUDGET: u64 = 1_812_000;
 
 #[test]
 fn gateway_flushes_and_process_capture_stay_inside_their_allocation_budgets() {
@@ -198,9 +216,10 @@ fn gateway_flushes_and_process_capture_stay_inside_their_allocation_budgets() {
     // decides one of the two frames' peaks may.
     assert!(sighted.len() <= 2, "{sighted:?}");
     // The session's buffers are allocated once: the first edge attempt
-    // pays for the edge trace and the span's digitization, the second
-    // for nothing but itself.
-    for (&(flush, bytes), once) in emitting.iter().zip([EDGE_TRACE_BYTES + SPAN_BYTES, 0]) {
+    // pays for the edge trace, the span's digitization and the
+    // demodulators' scratch, the second for nothing but itself.
+    let first = EDGE_TRACE_BYTES + SPAN_BYTES + EDGE_DEMOD_BYTES;
+    for (&(flush, bytes), once) in emitting.iter().zip([first, 0]) {
         let budget = EMITTING_FLUSH_BUDGET + once;
         assert!(
             bytes <= budget,
@@ -226,5 +245,28 @@ fn gateway_flushes_and_process_capture_stay_inside_their_allocation_budgets() {
         "process_capture requested {bytes} bytes for {} samples: {per_sample:.2} a sample, \
          budget {BATCH_BYTES_PER_SAMPLE_BUDGET}",
         capture.len()
+    );
+
+    // -- Cloud ----------------------------------------------------------------
+    // A worker's second two-frame collision: its buffers already hold a
+    // segment as long.
+    let decoder = CloudDecoder::new(Registry::prototype());
+    let mut buffers = DecodeBuffers::default();
+    let mut rng = StdRng::seed_from_u64(0xDEC0DE);
+    let noise = snr_to_noise_power(18.0, 0.0);
+    let [first, second] = [0, 1].map(|_| {
+        let events = forced_collision(decoder.registry(), 8, &[0.0, 1.0], 20_000, 10_000, &mut rng);
+        compose(&events, 272_000, FS, noise, &mut rng).samples
+    });
+    let warm = decoder.decode_reusing(&first, FS, &mut buffers);
+    assert_eq!(warm.frames.len(), 2, "{warm:?}");
+    let before = requested();
+    let result = decoder.decode_reusing(&second, FS, &mut buffers);
+    let bytes = requested() - before;
+    assert_eq!(result.frames.len(), 2, "{result:?}");
+    println!("a warm decode of a two-frame collision requested {bytes} bytes");
+    assert!(
+        bytes <= WARM_DECODE_BUDGET,
+        "a warm decode requested {bytes} bytes, budget {WARM_DECODE_BUDGET}"
     );
 }
