@@ -55,7 +55,7 @@ pub struct DecodeFaultSpec {
     /// How many leading attempts of a struck segment fault before the
     /// segment decodes cleanly (min 1 for an enabled spec).
     pub sticky_attempts: u32,
-    /// Pattern seed. Fold test defaults through [`decode_fault_seed`]
+    /// Pattern seed. Fold test defaults through [`crate::decode_fault_seed`]
     /// so `GALIOT_DECODE_FAULTS` sweeps the pattern.
     pub seed: u64,
 }

@@ -86,6 +86,7 @@ pub struct DecodeBuffers {
 }
 
 /// The GalioT cloud decoder.
+#[derive(Clone)]
 pub struct CloudDecoder {
     registry: Registry,
     params: CloudParams,

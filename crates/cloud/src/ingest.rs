@@ -169,17 +169,6 @@ impl SessionRegistry {
         true
     }
 
-    /// The epoch `gateway` is currently registered under (0 if never
-    /// registered).
-    pub fn current_epoch(&self, gateway: GatewayId) -> u64 {
-        self.sessions
-            .lock()
-            .unwrap()
-            .get(&gateway)
-            .map(|rec| rec.epoch)
-            .unwrap_or(0)
-    }
-
     /// Point-in-time view of every known session, ordered by gateway.
     pub fn snapshot(&self) -> Vec<SessionInfo> {
         let sessions = self.sessions.lock().unwrap();
@@ -224,7 +213,6 @@ pub fn shard_for(gateway: GatewayId, seq: u64, shards: usize) -> usize {
 
 struct GateState {
     in_flight: HashMap<u16, usize>,
-    closed: bool,
 }
 
 /// Per-gateway in-flight credit gate in front of the shared decode
@@ -249,7 +237,6 @@ impl FairnessGate {
         FairnessGate {
             state: Mutex::new(GateState {
                 in_flight: HashMap::new(),
-                closed: false,
             }),
             freed: Condvar::new(),
             quota: quota.max(1),
@@ -260,27 +247,24 @@ impl FairnessGate {
     /// the session is at quota. The credit is returned when the guard
     /// drops — on every path, including a panicking decode worker or a
     /// segment discarded in a queue at teardown, so no path can leak a
-    /// credit and starve the session. Returns `None` if the gate was
-    /// closed instead.
-    pub fn acquire_guard(self: &Arc<Self>, gateway: GatewayId) -> Option<CreditGuard> {
-        self.acquire(gateway).then(|| CreditGuard {
+    /// credit and starve the session.
+    pub fn acquire_guard(self: &Arc<Self>, gateway: GatewayId) -> CreditGuard {
+        self.acquire(gateway);
+        CreditGuard {
             gate: Arc::clone(self),
             gateway,
-        })
+        }
     }
 
     /// Takes one credit for `gateway`, blocking while the session is
-    /// at quota. Returns `false` if the gate was closed instead.
-    pub fn acquire(&self, gateway: GatewayId) -> bool {
+    /// at quota.
+    fn acquire(&self, gateway: GatewayId) {
         let mut st = self.state.lock().unwrap();
         loop {
-            if st.closed {
-                return false;
-            }
             let held = st.in_flight.entry(gateway.0).or_insert(0);
             if *held < self.quota {
                 *held += 1;
-                return true;
+                return;
             }
             st = self.freed.wait(st).unwrap();
         }
@@ -306,12 +290,6 @@ impl FairnessGate {
         drop(st);
         self.freed.notify_all();
         reclaimed
-    }
-
-    /// Unblocks every waiter permanently (teardown).
-    pub fn close(&self) {
-        self.state.lock().unwrap().closed = true;
-        self.freed.notify_all();
     }
 
     /// Credits currently held by `gateway` (test/diagnostic hook).
@@ -551,11 +529,6 @@ impl<T> FleetMerge<T> {
     pub fn delivered(&self) -> u64 {
         self.delivered
     }
-
-    /// Groups still awaiting release.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 #[cfg(test)]
@@ -606,28 +579,28 @@ mod tests {
     #[test]
     fn fairness_gate_blocks_only_the_over_quota_session() {
         let gate = FairnessGate::new(2);
-        assert!(gate.acquire(GatewayId(1)));
-        assert!(gate.acquire(GatewayId(1)));
+        gate.acquire(GatewayId(1));
+        gate.acquire(GatewayId(1));
         // Gateway 1 is at quota; gateway 2 is unaffected.
-        assert!(gate.acquire(GatewayId(2)));
+        gate.acquire(GatewayId(2));
         assert_eq!(gate.held(GatewayId(1)), 2);
         assert_eq!(gate.held(GatewayId(2)), 1);
         gate.release(GatewayId(1));
-        assert!(gate.acquire(GatewayId(1)));
-        gate.close();
-        assert!(!gate.acquire(GatewayId(1)), "closed gate must not admit");
+        gate.acquire(GatewayId(1));
+        assert_eq!(gate.held(GatewayId(1)), 2);
     }
 
     #[test]
     fn fairness_gate_wakes_blocked_acquirer_on_release() {
         use std::sync::Arc;
         let gate = Arc::new(FairnessGate::new(1));
-        assert!(gate.acquire(GatewayId(5)));
+        gate.acquire(GatewayId(5));
         let g2 = gate.clone();
         let waiter = std::thread::spawn(move || g2.acquire(GatewayId(5)));
         std::thread::sleep(std::time::Duration::from_millis(20));
         gate.release(GatewayId(5));
-        assert!(waiter.join().unwrap());
+        waiter.join().unwrap();
+        assert_eq!(gate.held(GatewayId(5)), 1);
     }
 
     #[test]
@@ -716,7 +689,7 @@ mod tests {
         let e2 = reg.register(GatewayId(7));
         assert!(!reg.touch_current(GatewayId(7), e1), "stale epoch fenced");
         assert!(reg.touch_current(GatewayId(7), e2));
-        assert_eq!(reg.current_epoch(GatewayId(7)), e2);
+        assert_eq!(reg.snapshot()[0].epoch, e2);
         assert_eq!(reg.snapshot()[0].segments, 1, "fenced touch must not count");
         // A dead session admits nothing, not even its current epoch.
         for _ in 0..4 {
@@ -730,8 +703,8 @@ mod tests {
     fn credit_guard_returns_credit_on_drop_and_revoke_reclaims() {
         use std::sync::Arc;
         let gate = Arc::new(FairnessGate::new(2));
-        let g1 = gate.acquire_guard(GatewayId(3)).unwrap();
-        let g2 = gate.acquire_guard(GatewayId(3)).unwrap();
+        let g1 = gate.acquire_guard(GatewayId(3));
+        let g2 = gate.acquire_guard(GatewayId(3));
         assert_eq!(gate.held(GatewayId(3)), 2);
         drop(g1);
         assert_eq!(gate.held(GatewayId(3)), 1, "drop must return the credit");
@@ -742,16 +715,14 @@ mod tests {
         drop(g2);
         assert_eq!(gate.held(GatewayId(3)), 0);
         // Blocked waiter wakes when revoke frees the quota.
-        let full = gate.acquire_guard(GatewayId(4)).unwrap();
-        let _full2 = gate.acquire_guard(GatewayId(4)).unwrap();
+        let _full = gate.acquire_guard(GatewayId(4));
+        let _full2 = gate.acquire_guard(GatewayId(4));
         let g2c = gate.clone();
-        let waiter = std::thread::spawn(move || g2c.acquire_guard(GatewayId(4)).is_some());
+        let waiter = std::thread::spawn(move || g2c.acquire_guard(GatewayId(4)));
         std::thread::sleep(std::time::Duration::from_millis(20));
         gate.revoke(GatewayId(4));
-        assert!(waiter.join().unwrap());
-        drop(full);
-        gate.close();
-        assert!(gate.acquire_guard(GatewayId(4)).is_none());
+        let _woken = waiter.join().unwrap();
+        assert_eq!(gate.held(GatewayId(4)), 1);
     }
 
     #[test]
@@ -811,6 +782,6 @@ mod tests {
         // only genuine progress releases the group.
         assert!(m.advance(0, 50).is_empty());
         assert_eq!(m.advance(0, 700), vec![7]);
-        assert_eq!(m.pending_len(), 0);
+        assert!(m.finish(0).is_empty(), "nothing left pending");
     }
 }

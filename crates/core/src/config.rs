@@ -1,10 +1,19 @@
-//! End-to-end GalioT configuration.
+//! End-to-end GalioT configuration, split along the layers that read
+//! it: the gateway and backhaul knobs sit at the top level,
+//! [`GaliotConfig::pool`] holds the decode pool's ([`PoolConfig`], in
+//! [`crate::pool`]) and [`GaliotConfig::fleet`] the session topology's
+//! ([`FleetConfig`], in [`crate::fleet`]). Each part validates its own
+//! knobs; [`GaliotConfig::validate`] runs all three, and an error names
+//! its field by path (`pool.deadline_s`, `fleet.gateways`).
 
+use crate::fleet::{CrashSpec, FleetConfig};
+use crate::pool::PoolConfig;
 use crate::transport::TransportConfig;
 use galiot_channel::DecodeFaultSpec;
 use galiot_cloud::CloudParams;
 use galiot_gateway::{FrontEndParams, LinkFaults};
 use std::fmt;
+use std::time::{Duration, Instant};
 
 /// Why a [`GaliotConfig`] was rejected by [`GaliotConfig::validate`].
 ///
@@ -17,26 +26,35 @@ use std::fmt;
 #[derive(Clone, Debug, PartialEq)]
 pub enum ConfigError {
     /// A numeric knob that must be finite and strictly positive
-    /// (e.g. `fs`, `decode_deadline_s`, `transport.uplink_bps`) is not.
+    /// (e.g. `fs`, `pool.deadline_s`, `transport.uplink_bps`) is not.
     NonPositive {
-        /// The field name.
+        /// The field path.
         field: &'static str,
         /// The offending value.
         value: f64,
     },
     /// A numeric knob that must be finite and non-negative
-    /// (e.g. `edge_cluster_guard_s`, `detect_threshold`, an ARQ timing
-    /// or a link-fault probability) is not.
+    /// (e.g. `edge_cluster_guard_s`, `detect_threshold`, the ARQ base
+    /// timeout or a link-fault probability) is not.
     Negative {
-        /// The field name.
+        /// The field path.
         field: &'static str,
         /// The offending value.
         value: f64,
     },
-    /// A count that must be at least one (e.g. `gateways`,
-    /// `max_expected_payload`, an explicit ingest shard count) is zero.
+    /// A duration knob too long for the pipeline to represent: the
+    /// longest wait it implies is refused by `Duration`, or does not
+    /// fit an `Instant` deadline (e.g. `pool.deadline_s = 1e19`).
+    Unrepresentable {
+        /// The field path.
+        field: &'static str,
+        /// The offending value.
+        value: f64,
+    },
+    /// A count that must be at least one (e.g. `fleet.gateways`,
+    /// `max_expected_payload`) is zero.
     ZeroCount {
-        /// The field name.
+        /// The field path.
         field: &'static str,
     },
     /// `compression_bits` (or the transport's degradation floor
@@ -48,16 +66,16 @@ pub enum ConfigError {
         /// Degradation-ladder floor.
         min_bits: u32,
     },
-    /// A [`CrashSpec`] names a session index outside `0..gateways`:
-    /// the crash would never fire and the scenario silently tests
-    /// nothing.
+    /// A [`CrashSpec`] names a session index outside
+    /// `0..fleet.gateways`: the crash would never fire and the scenario
+    /// silently tests nothing.
     CrashSessionOutOfRange {
         /// The offending session index.
         session: usize,
         /// The configured fleet size.
         gateways: usize,
     },
-    /// A no-restart [`CrashSpec`] while `liveness_horizon == 0`
+    /// A no-restart [`CrashSpec`] while `fleet.liveness_horizon == 0`
     /// (eviction disabled): the dead session's merge watermark is
     /// never finalized and the fleet wedges instead of failing over.
     CrashWithoutEviction {
@@ -79,6 +97,12 @@ impl fmt::Display for ConfigError {
             ConfigError::Negative { field, value } => {
                 write!(f, "{field} must be finite and >= 0 (got {value})")
             }
+            ConfigError::Unrepresentable { field, value } => {
+                write!(
+                    f,
+                    "{field} is too long a duration to wait for (got {value})"
+                )
+            }
             ConfigError::ZeroCount { field } => {
                 write!(f, "{field} must be at least 1 (got 0)")
             }
@@ -94,12 +118,12 @@ impl fmt::Display for ConfigError {
             ),
             ConfigError::CrashWithoutEviction { session } => write!(
                 f,
-                "session {session} crashes without restart while liveness_horizon = 0 \
+                "session {session} crashes without restart while fleet.liveness_horizon = 0 \
                  (eviction disabled): the fleet would wedge on its unfinalized watermark"
             ),
             ConfigError::DecodeFaultsWithoutAttempts => write!(
                 f,
-                "decode_faults is enabled (period > 0) with sticky_attempts = 0: \
+                "pool.faults is enabled (period > 0) with sticky_attempts = 0: \
                  no attempt would ever be struck"
             ),
         }
@@ -108,21 +132,41 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// One injected gateway crash for [`crate::FleetGaliot`] failover
-/// testing: session `session` dies immediately before emitting its
-/// `after_segments`-th segment (0 = silent from the first would-be
-/// segment). With `restart` set the session supervisor brings a new
-/// instance up under a bumped [`galiot_cloud::SessionRegistry`] epoch,
-/// resuming the capture where the dead instance stopped consuming it.
-/// Each spec fires at most once, on the session's first life.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CrashSpec {
-    /// Fleet session index (0-based, i.e. wire gateway `session + 1`).
-    pub session: usize,
-    /// Number of segments the first instance emits before dying.
-    pub after_segments: u64,
-    /// Whether a replacement instance is started after the crash.
-    pub restart: bool,
+/// `value` must be finite and > 0.
+pub(crate) fn positive(field: &'static str, value: f64) -> Result<(), ConfigError> {
+    if value.is_finite() && value > 0.0 {
+        Ok(())
+    } else {
+        Err(ConfigError::NonPositive { field, value })
+    }
+}
+
+/// `value` must be finite and >= 0.
+fn non_negative(field: &'static str, value: f64) -> Result<(), ConfigError> {
+    if value.is_finite() && value >= 0.0 {
+        Ok(())
+    } else {
+        Err(ConfigError::Negative { field, value })
+    }
+}
+
+/// The count `n` must be at least one.
+pub(crate) fn at_least_one(field: &'static str, n: usize) -> Result<(), ConfigError> {
+    if n > 0 {
+        Ok(())
+    } else {
+        Err(ConfigError::ZeroCount { field })
+    }
+}
+
+/// The knob `value` implies waits of up to `wait_s` seconds, which
+/// must make a `Duration` and fit a deadline `Instant` from now: the
+/// pipeline threads that wait panic otherwise.
+pub(crate) fn waitable(field: &'static str, value: f64, wait_s: f64) -> Result<(), ConfigError> {
+    match Duration::try_from_secs_f64(wait_s).map(|d| Instant::now().checked_add(d)) {
+        Ok(Some(_)) => Ok(()),
+        _ => Err(ConfigError::Unrepresentable { field, value }),
+    }
 }
 
 /// Full system configuration.
@@ -152,49 +196,19 @@ pub struct GaliotConfig {
     pub compression_bits: u32,
     /// Cloud decoder parameters.
     pub cloud: CloudParams,
-    /// Number of parallel cloud decode workers in the streaming
-    /// pipeline. `0` means "one per available CPU core"; `1`
-    /// reproduces the historical single-threaded cloud tier. The
-    /// batch pipeline ignores this knob.
-    pub cloud_workers: usize,
     /// The gateway→cloud segment transport: link impairments, ARQ,
     /// send-queue sizing, and the compression-degradation ladder. The
     /// default is a passthrough (perfect links, no ARQ) in which the
     /// streaming pipeline behaves exactly as it did before the
     /// transport existed.
     pub transport: TransportConfig,
-    /// Number of gateway sessions in [`crate::FleetGaliot`]'s fleet,
-    /// each with its own sequence space, transport, and (in transport
-    /// mode) decorrelated link-fault seeds. The single-gateway
-    /// pipelines ignore this knob. Minimum 1.
-    pub gateways: usize,
-    /// Number of routing shards the fleet ingest hashes (gateway, seq)
-    /// onto before folding shards onto workers. `0` means "one shard
-    /// per worker". More shards than workers is legal and keeps
-    /// routing stable across worker-count changes.
-    pub ingest_shards: usize,
-    /// Injected gateway crashes for fleet failover testing. Empty in
-    /// production configurations.
-    pub crashes: Vec<CrashSpec>,
-    /// Fleet liveness horizon in registry logical-clock events: a
-    /// session silent for more than this many events (while holding no
-    /// in-flight credits) is declared dead, its merge watermark is
-    /// finalized, and its credits are reclaimed. `0` disables
-    /// liveness-driven eviction.
-    pub liveness_horizon: u64,
-    /// Per-segment decode lease deadline, seconds: a worker that has
-    /// held one segment longer than this is declared hung by the pool
-    /// supervisor, replaced, and the segment is re-dispatched. Must be
-    /// positive; generous by default so healthy decodes never trip it.
-    pub decode_deadline_s: f64,
-    /// How many times the pool supervisor re-dispatches a failed
-    /// (panicked or hung) decode before quarantining the segment to the
-    /// dead-letter record. `0` quarantines on the first failure.
-    pub decode_retries: usize,
-    /// Deterministic decode-fault injection (panic/hang/slow) for
-    /// supervisor testing. Disabled (`period == 0`) in production
-    /// configurations; see [`galiot_channel::DecodeFaultSpec`].
-    pub decode_faults: DecodeFaultSpec,
+    /// The supervised decode pool: worker count, lease deadline, retry
+    /// budget and fault injection. The batch pipeline ignores it.
+    pub pool: PoolConfig,
+    /// The fleet's sessions: gateway count, ingest shards, injected
+    /// crashes and the liveness horizon. Only [`crate::FleetGaliot`]
+    /// reads it.
+    pub fleet: FleetConfig,
 }
 
 impl Default for GaliotConfig {
@@ -209,15 +223,9 @@ impl Default for GaliotConfig {
             max_expected_payload: 32,
             compression_bits: 8,
             cloud: CloudParams::default(),
-            cloud_workers: 0,
             transport: TransportConfig::default(),
-            gateways: 1,
-            ingest_shards: 0,
-            crashes: Vec::new(),
-            liveness_horizon: 64,
-            decode_deadline_s: 5.0,
-            decode_retries: 2,
-            decode_faults: DecodeFaultSpec::disabled(),
+            pool: PoolConfig::default(),
+            fleet: FleetConfig::default(),
         }
     }
 }
@@ -230,9 +238,10 @@ impl GaliotConfig {
         Self::default()
     }
 
-    /// Returns the configuration with an explicit cloud worker count.
+    /// Returns the configuration with an explicit cloud worker count
+    /// ([`PoolConfig::workers`]).
     pub fn with_cloud_workers(mut self, workers: usize) -> Self {
-        self.cloud_workers = workers;
+        self.pool.workers = workers;
         self
     }
 
@@ -252,26 +261,17 @@ impl GaliotConfig {
         self
     }
 
-    /// The worker count [`crate::StreamingGaliot`] will actually spawn:
-    /// `cloud_workers`, with `0` resolved to the machine's available
-    /// parallelism.
-    pub fn effective_cloud_workers(&self) -> usize {
-        if self.cloud_workers > 0 {
-            self.cloud_workers
-        } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        }
-    }
-
-    /// Returns the configuration with `gateways` fleet sessions.
+    /// Returns the configuration with `gateways` fleet sessions
+    /// ([`FleetConfig::gateways`]).
     pub fn with_gateways(mut self, gateways: usize) -> Self {
-        self.gateways = gateways;
+        self.fleet.gateways = gateways;
         self
     }
 
-    /// Returns the configuration with an explicit ingest shard count.
+    /// Returns the configuration with an explicit ingest shard count
+    /// ([`FleetConfig::shards`]).
     pub fn with_ingest_shards(mut self, shards: usize) -> Self {
-        self.ingest_shards = shards;
+        self.fleet.shards = shards;
         self
     }
 
@@ -279,7 +279,7 @@ impl GaliotConfig {
     /// (fleet failover testing; see [`CrashSpec`]). May be called
     /// repeatedly to crash several sessions.
     pub fn with_crash(mut self, session: usize, after_segments: u64, restart: bool) -> Self {
-        self.crashes.push(CrashSpec {
+        self.fleet.crashes.push(CrashSpec {
             session,
             after_segments,
             restart,
@@ -290,91 +290,57 @@ impl GaliotConfig {
     /// Returns the configuration with an explicit fleet liveness
     /// horizon (`0` disables liveness-driven eviction).
     pub fn with_liveness_horizon(mut self, horizon: u64) -> Self {
-        self.liveness_horizon = horizon;
+        self.fleet.liveness_horizon = horizon;
         self
     }
 
     /// Returns the configuration with an explicit decode lease
     /// deadline (seconds; must be positive to validate).
     pub fn with_decode_deadline(mut self, deadline_s: f64) -> Self {
-        self.decode_deadline_s = deadline_s;
+        self.pool.deadline_s = deadline_s;
         self
     }
 
     /// Returns the configuration with an explicit decode retry budget
     /// (re-dispatches before quarantine; `0` quarantines immediately).
     pub fn with_decode_retries(mut self, retries: usize) -> Self {
-        self.decode_retries = retries;
+        self.pool.retries = retries;
         self
     }
 
     /// Returns the configuration with deterministic decode-fault
     /// injection enabled (see [`galiot_channel::DecodeFaultSpec`]).
     pub fn with_decode_faults(mut self, faults: DecodeFaultSpec) -> Self {
-        self.decode_faults = faults;
+        self.pool.faults = faults;
         self
     }
 
-    /// The shard count the fleet ingest will actually route over:
-    /// `ingest_shards`, with `0` resolved to one shard per effective
-    /// worker.
-    pub fn effective_ingest_shards(&self) -> usize {
-        if self.ingest_shards > 0 {
-            self.ingest_shards
-        } else {
-            self.effective_cloud_workers()
-        }
-    }
-
     /// Checks the configuration for silently-degenerate knob
-    /// combinations (see [`ConfigError`] for the catalogue). The
-    /// pipeline constructors ([`crate::Galiot::new`],
-    /// [`crate::StreamingGaliot::start`], [`crate::FleetGaliot::start`])
-    /// assert this, so an invalid configuration fails loudly at
-    /// construction instead of wedging or quietly testing nothing.
+    /// combinations (see [`ConfigError`] for the catalogue): its own
+    /// knobs, then [`FleetConfig::validate`] and
+    /// [`PoolConfig::validate`]. The pipeline constructors
+    /// ([`crate::Galiot::new`], [`crate::StreamingGaliot::start`],
+    /// [`crate::FleetGaliot::start`]) assert this, so an invalid
+    /// configuration fails loudly at construction instead of wedging,
+    /// panicking a pipeline thread, or quietly testing nothing.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        fn positive(field: &'static str, value: f64) -> Result<(), ConfigError> {
-            if value.is_finite() && value > 0.0 {
-                Ok(())
-            } else {
-                Err(ConfigError::NonPositive { field, value })
-            }
-        }
-        fn non_negative(field: &'static str, value: f64) -> Result<(), ConfigError> {
-            if value.is_finite() && value >= 0.0 {
-                Ok(())
-            } else {
-                Err(ConfigError::Negative { field, value })
-            }
-        }
         positive("fs", self.fs)?;
         non_negative("detect_threshold", self.detect_threshold as f64)?;
         non_negative("edge_cluster_guard_s", self.edge_cluster_guard_s)?;
-        if self.max_expected_payload == 0 {
-            return Err(ConfigError::ZeroCount {
-                field: "max_expected_payload",
-            });
-        }
-        if self.gateways == 0 {
-            return Err(ConfigError::ZeroCount { field: "gateways" });
-        }
+        at_least_one("max_expected_payload", self.max_expected_payload)?;
         let bits = self.compression_bits;
         let min_bits = self.transport.min_bits;
         if bits == 0 || bits > 16 || min_bits == 0 || min_bits > bits {
             return Err(ConfigError::BadCompressionBits { bits, min_bits });
         }
         let t = &self.transport;
-        if t.send_queue_cap == 0 {
-            return Err(ConfigError::ZeroCount {
-                field: "transport.send_queue_cap",
-            });
-        }
-        // The ARQ sender makes `Duration`s of these, which panics on a
-        // negative or non-finite value (on its thread, mid-session).
-        non_negative("transport.arq.base_timeout_s", t.arq.base_timeout_s)?;
-        non_negative("transport.arq.max_timeout_s", t.arq.max_timeout_s)?;
-        non_negative("transport.arq.backoff", t.arq.backoff)?;
-        non_negative("transport.arq.jitter", t.arq.jitter)?;
+        at_least_one("transport.send_queue_cap", t.send_queue_cap)?;
+        // The ARQ sender makes `Duration`s and deadlines of its
+        // timeouts, which panics on a negative, non-finite or
+        // overlong value (on its thread, mid-session).
+        let (base, longest) = (t.arq.base_timeout_s, t.arq.longest_timeout_s());
+        non_negative("transport.arq.base_timeout_s", base)?;
+        waitable("transport.arq.base_timeout_s", base, longest)?;
         // A link draws against its probabilities, which panics on NaN.
         for (field, f) in [
             ("transport.data_faults", t.data_faults),
@@ -386,30 +352,18 @@ impl GaliotConfig {
         }
         if let Some(bps) = t.uplink_bps {
             positive("transport.uplink_bps", bps)?;
+            // The serialization delay of the longest datagram the wire
+            // format can frame (its payload length is a `u32`).
+            waitable("transport.uplink_bps", bps, u32::MAX as f64 * 8.0 / bps)?;
         }
-        for c in &self.crashes {
-            if c.session >= self.gateways {
-                return Err(ConfigError::CrashSessionOutOfRange {
-                    session: c.session,
-                    gateways: self.gateways,
-                });
-            }
-            if !c.restart && self.liveness_horizon == 0 {
-                return Err(ConfigError::CrashWithoutEviction { session: c.session });
-            }
-        }
-        positive("decode_deadline_s", self.decode_deadline_s)?;
-        if self.decode_faults.enabled() && self.decode_faults.sticky_attempts == 0 {
-            return Err(ConfigError::DecodeFaultsWithoutAttempts);
-        }
-        Ok(())
+        self.fleet.validate()?;
+        self.pool.validate()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::ArqParams;
 
     #[test]
     fn prototype_matches_paper_parameters() {
@@ -437,9 +391,9 @@ mod tests {
     #[test]
     fn cloud_workers_default_to_available_parallelism() {
         let c = GaliotConfig::prototype();
-        assert_eq!(c.cloud_workers, 0);
-        assert!(c.effective_cloud_workers() >= 1);
-        assert_eq!(c.clone().with_cloud_workers(3).effective_cloud_workers(), 3);
+        assert_eq!(c.pool.workers, 0);
+        assert!(c.pool.effective_workers() >= 1);
+        assert_eq!(c.clone().with_cloud_workers(3).pool.effective_workers(), 3);
     }
 
     #[test]
@@ -496,31 +450,28 @@ mod tests {
 
         // A zero-session fleet and an empty payload budget.
         let mut c = GaliotConfig::prototype();
-        c.gateways = 0;
-        assert!(c.validate().is_err());
+        c.fleet.gateways = 0;
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::ZeroCount {
+                field: "fleet.gateways"
+            })
+        );
         let mut c = GaliotConfig::prototype();
         c.max_expected_payload = 0;
         assert!(c.validate().is_err());
 
-        // ARQ timings the sender cannot make a `Duration` of, and a link
-        // probability it cannot draw against.
+        // An ARQ timeout the sender cannot make a `Duration` of, and a
+        // link probability it cannot draw against.
         let lossy = GaliotConfig::prototype().with_faulty_link(LinkFaults::lossy(0.05, 7));
-        let arq_knobs: [fn(&mut ArqParams) -> &mut f64; 4] = [
-            |a| &mut a.base_timeout_s,
-            |a| &mut a.max_timeout_s,
-            |a| &mut a.backoff,
-            |a| &mut a.jitter,
-        ];
-        for knob in arq_knobs {
-            for bad in [f64::NAN, -0.5, f64::INFINITY] {
-                let mut c = lossy.clone();
-                *knob(&mut c.transport.arq) = bad;
-                assert!(
-                    matches!(c.validate(), Err(ConfigError::Negative { .. })),
-                    "{:?}",
-                    c.transport.arq
-                );
-            }
+        for bad in [f64::NAN, -0.5, f64::INFINITY] {
+            let mut c = lossy.clone();
+            c.transport.arq.base_timeout_s = bad;
+            assert!(
+                matches!(c.validate(), Err(ConfigError::Negative { .. })),
+                "{:?}",
+                c.transport.arq
+            );
         }
         let mut c = lossy.clone();
         c.transport.data_faults.loss = f64::NAN;
@@ -547,9 +498,43 @@ mod tests {
                 })
             ));
         }
-        let mut c = lossy;
+        let mut c = lossy.clone();
         c.transport.uplink_bps = Some(1e6);
         c.validate().unwrap();
+
+        // Durations too long to wait for, each of which once panicked a
+        // pipeline thread: the pool's lease deadline in
+        // `Duration::from_secs_f64` (1e20) or in its first
+        // `Instant::now() + deadline` (1e19), the uplink's first
+        // retransmit timeout and its first pacing sleep.
+        for bad in [1e20, 1e19] {
+            let c = GaliotConfig::prototype().with_decode_deadline(bad);
+            assert_eq!(
+                c.validate(),
+                Err(ConfigError::Unrepresentable {
+                    field: "pool.deadline_s",
+                    value: bad
+                })
+            );
+        }
+        let mut c = lossy.clone();
+        c.transport.arq.base_timeout_s = 1e20;
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::Unrepresentable {
+                field: "transport.arq.base_timeout_s",
+                value: 1e20
+            })
+        );
+        let mut c = lossy;
+        c.transport.uplink_bps = Some(1e-300);
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::Unrepresentable {
+                field: "transport.uplink_bps",
+                value: 1e-300
+            })
+        );
     }
 
     #[test]
@@ -606,27 +591,27 @@ mod tests {
         use galiot_channel::{DecodeFaultKind, DecodeFaultSpec};
 
         let c = GaliotConfig::prototype();
-        assert_eq!(c.decode_retries, 2);
-        assert!(c.decode_deadline_s > 0.0);
-        assert!(!c.decode_faults.enabled());
+        assert_eq!(c.pool.retries, 2);
+        assert!(c.pool.deadline_s > 0.0);
+        assert!(!c.pool.faults.enabled());
 
         // A non-positive lease deadline is degenerate.
         let mut c = GaliotConfig::prototype();
-        c.decode_deadline_s = 0.0;
+        c.pool.deadline_s = 0.0;
         assert!(matches!(
             c.validate(),
             Err(ConfigError::NonPositive {
-                field: "decode_deadline_s",
+                field: "pool.deadline_s",
                 ..
             })
         ));
-        c.decode_deadline_s = f64::NAN;
+        c.pool.deadline_s = f64::NAN;
         assert!(c.validate().is_err());
         let c = GaliotConfig::prototype()
             .with_decode_deadline(0.25)
             .with_decode_retries(1);
-        assert_eq!(c.decode_deadline_s, 0.25);
-        assert_eq!(c.decode_retries, 1);
+        assert_eq!(c.pool.deadline_s, 0.25);
+        assert_eq!(c.pool.retries, 1);
 
         // An enabled fault spec with an empty sticky window tests
         // nothing and is rejected.
@@ -649,11 +634,16 @@ mod tests {
     #[test]
     fn fleet_knobs_default_to_one_gateway_and_per_worker_shards() {
         let c = GaliotConfig::prototype().with_cloud_workers(4);
-        assert_eq!(c.gateways, 1);
-        assert_eq!(c.ingest_shards, 0);
-        assert_eq!(c.effective_ingest_shards(), 4, "0 → one shard per worker");
+        let workers = c.pool.effective_workers();
+        assert_eq!(c.fleet.gateways, 1);
+        assert_eq!(c.fleet.shards, 0);
+        assert_eq!(
+            c.fleet.effective_shards(workers),
+            4,
+            "0 → one shard per worker"
+        );
         let c = c.with_gateways(3).with_ingest_shards(16);
-        assert_eq!(c.gateways, 3);
-        assert_eq!(c.effective_ingest_shards(), 16);
+        assert_eq!(c.fleet.gateways, 3);
+        assert_eq!(c.fleet.effective_shards(workers), 16);
     }
 }

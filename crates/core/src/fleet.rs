@@ -4,7 +4,7 @@
 //! through a fairness-gated ingest, with duplicate suppression and
 //! capture-order release on the way out. It is the same picture for one
 //! gateway and for a neighbourhood of them: [`FleetGaliot`] starts it
-//! with `config.gateways` sessions (wire ids 1..=N),
+//! with `config.fleet.gateways` sessions (wire ids 1..=N),
 //! [`crate::StreamingGaliot`] with exactly one (wire id 0).
 //!
 //! # Topology
@@ -66,11 +66,11 @@
 //! # Self-healing
 //!
 //! Each session runs under a supervisor thread that can survive the
-//! gateway instance crashing (fault injection via
-//! [`crate::config::CrashSpec`]; a real deployment's equivalent is the
-//! SDR process dying). A session moves through `alive → silent → dead`
-//! as observed by the [`SessionRegistry`] logical clock: once it has
-//! been silent past `liveness_horizon` events while holding no
+//! gateway instance crashing (fault injection via [`CrashSpec`]; a
+//! real deployment's equivalent is the SDR process dying). A session
+//! moves through `alive → silent → dead` as observed by the
+//! [`SessionRegistry`] logical clock: once it has been silent past
+//! [`FleetConfig::liveness_horizon`] events while holding no
 //! [`FairnessGate`] credits, the merge-side reaper declares it dead,
 //! reclaims its credits, and finalizes its [`FleetMerge`] watermark to
 //! `u64::MAX` so capture-order release resumes for the survivors
@@ -85,12 +85,12 @@
 //! [`crate::pool`] §supervised pool and DESIGN.md §17): every
 //! dispatched segment holds a deadline lease, hung workers are
 //! replaced in place, panicked and hung decodes are re-dispatched up
-//! to `decode_retries` times, and a segment that exhausts the ladder
-//! is quarantined to a dead-letter record while an empty watermarked
-//! result keeps capture-order release and the liveness reaper moving.
-//! A copy parked on a shared lease keeps its fairness credit until its
-//! result is queued at the merge, so its session is never "silent" to
-//! the reaper while it waits.
+//! to [`crate::PoolConfig::retries`] times, and a segment that exhausts
+//! the ladder is quarantined to a dead-letter record while an empty
+//! watermarked result keeps capture-order release and the liveness
+//! reaper moving. A copy parked on a shared lease keeps its fairness
+//! credit until its result is queued at the merge, so its session is
+//! never "silent" to the reaper while it waits.
 //!
 //! Ingest-side mechanics — [`SessionRegistry`],
 //! [`galiot_cloud::shard_for`], [`galiot_cloud::FairnessGate`],
@@ -99,7 +99,7 @@
 //! [`crate::transport`].
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use galiot_cloud::{FairnessGate, FleetMerge, SessionInfo, SessionRegistry};
+use galiot_cloud::{CloudDecoder, FairnessGate, FleetMerge, SessionInfo, SessionRegistry};
 use galiot_dsp::Cf32;
 use galiot_gateway::GatewayId;
 use galiot_phy::registry::Registry;
@@ -107,13 +107,96 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::thread;
 
-use crate::config::{CrashSpec, GaliotConfig};
+use crate::config::{at_least_one, ConfigError, GaliotConfig};
 use crate::gateway_loop::{run_gateway, SessionStart, ShipMode, Shipper};
 use crate::metrics::SharedMetrics;
 use crate::pipeline::PipelineFrame;
-use crate::pool::{spawn_supervised_pool, PoolItem, ResultMsg, SegmentResult, DEDUP_SLACK};
+use crate::pool::{PoolItem, ResultMsg, SegmentResult, Supervisor, DEDUP_SLACK};
 use crate::spawn::spawn_thread;
 use crate::transport::{spawn_arq_receiver, spawn_arq_sender, SendQueue, SendQueueTx};
+
+/// One injected gateway crash for [`FleetGaliot`] failover
+/// testing: session `session` dies immediately before emitting its
+/// `after_segments`-th segment (0 = silent from the first would-be
+/// segment). With `restart` set the session supervisor brings a new
+/// instance up under a bumped [`galiot_cloud::SessionRegistry`] epoch,
+/// resuming the capture where the dead instance stopped consuming it.
+/// Each spec fires at most once, on the session's first life.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CrashSpec {
+    /// Fleet session index (0-based, i.e. wire gateway `session + 1`).
+    pub session: usize,
+    /// Number of segments the first instance emits before dying.
+    pub after_segments: u64,
+    /// Whether a replacement instance is started after the crash.
+    pub restart: bool,
+}
+
+/// The fleet's knobs ([`GaliotConfig::fleet`]): how many sessions
+/// [`FleetGaliot::start`] runs, how their segments are routed, and the
+/// failover machinery. [`crate::StreamingGaliot`] ignores them all.
+#[derive(Clone, Debug, PartialEq)]
+pub struct FleetConfig {
+    /// Number of gateway sessions, each with its own sequence space,
+    /// transport, and (in transport mode) decorrelated link-fault
+    /// seeds. Minimum 1.
+    pub gateways: usize,
+    /// Number of routing shards the ingest hashes (gateway, seq) onto
+    /// before folding shards onto workers. `0` means "one shard per
+    /// worker". More shards than workers is legal and keeps routing
+    /// stable across worker-count changes.
+    pub shards: usize,
+    /// Injected gateway crashes for failover testing. Empty in
+    /// production configurations.
+    pub crashes: Vec<CrashSpec>,
+    /// Liveness horizon in registry logical-clock events: a session
+    /// silent for more than this many events (while holding no
+    /// in-flight credits) is declared dead, its merge watermark is
+    /// finalized, and its credits are reclaimed. `0` disables
+    /// liveness-driven eviction.
+    pub liveness_horizon: u64,
+}
+
+impl Default for FleetConfig {
+    fn default() -> Self {
+        FleetConfig {
+            gateways: 1,
+            shards: 0,
+            crashes: Vec::new(),
+            liveness_horizon: 64,
+        }
+    }
+}
+
+impl FleetConfig {
+    /// The shard count the ingest will actually route over: `shards`,
+    /// with `0` resolved to one shard per worker of a pool of
+    /// `workers`.
+    pub fn effective_shards(&self, workers: usize) -> usize {
+        match self.shards {
+            0 => workers,
+            n => n,
+        }
+    }
+
+    /// Rejects an empty fleet, a crash aimed past it, and a
+    /// no-restart crash the liveness reaper could never evict.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        at_least_one("fleet.gateways", self.gateways)?;
+        for c in &self.crashes {
+            if c.session >= self.gateways {
+                return Err(ConfigError::CrashSessionOutOfRange {
+                    session: c.session,
+                    gateways: self.gateways,
+                });
+            }
+            if !c.restart && self.liveness_horizon == 0 {
+                return Err(ConfigError::CrashWithoutEviction { session: c.session });
+            }
+        }
+        Ok(())
+    }
+}
 
 /// In-flight decode credits each session may hold between its mux and
 /// the worker pool (see [`FairnessGate`]).
@@ -160,35 +243,36 @@ pub struct FleetGaliot {
 }
 
 impl FleetGaliot {
-    /// Starts `config.gateways` sessions (wire ids 1..=N) with the
-    /// configured crash injections.
+    /// Starts `config.fleet.gateways` sessions (wire ids 1..=N) with
+    /// the configured crash injections.
     ///
     /// # Panics
     /// Panics if `config` fails [`GaliotConfig::validate`] — in
     /// particular a crash spec the liveness reaper could never evict
     /// must be rejected here rather than wedge the merge.
     pub fn start(config: GaliotConfig, phy_registry: Registry) -> Self {
-        let crashes = config.crashes.clone();
-        let ids = fleet_ids(config.gateways);
-        Self::start_sessions(config, phy_registry, &ids, &crashes)
+        let fleet = config.fleet.clone();
+        Self::start_sessions(config, phy_registry, &fleet_ids(fleet.gateways), &fleet)
     }
 
     /// The one place pipeline threads are spawned: one session
     /// supervisor per entry of `ids` (its wire id; sessions are
     /// addressed by position everywhere else), a shared pool of
-    /// `config.effective_cloud_workers()` decode workers, and the
-    /// merge. The topology is what the caller passes, never
-    /// `config.gateways` / `config.crashes`.
+    /// `config.pool`'s decode workers, and the merge. The topology is
+    /// what the caller passes, `ids` and `fleet`, never `config.fleet`.
     pub(crate) fn start_sessions(
-        config: GaliotConfig,
+        mut config: GaliotConfig,
         phy_registry: Registry,
         ids: &[GatewayId],
-        crashes: &[CrashSpec],
+        fleet: &FleetConfig,
     ) -> Self {
         if let Err(e) = config.validate() {
             panic!("invalid GaliotConfig: {e}");
         }
-        let n_workers = config.effective_cloud_workers();
+        // Resolved once: the pool, its intake and every session inbox
+        // are sized by the same count.
+        config.pool.workers = config.pool.effective_workers();
+        let n_workers = config.pool.workers;
         // Routing, fairness and queue depth follow from the session
         // count (module docs, "A sole session"): one session needs no
         // shard affinity, no credit cap, and only enough intake to keep
@@ -199,7 +283,7 @@ impl FleetGaliot {
             (0, usize::MAX, 2 * n_workers.max(4))
         } else {
             (
-                config.effective_ingest_shards(),
+                fleet.effective_shards(n_workers),
                 SESSION_QUOTA,
                 2 * ids.len().max(4) * n_workers,
             )
@@ -222,23 +306,23 @@ impl FleetGaliot {
 
         // Shared supervised decode pool: the supervisor owns worker
         // routing and the hang/retry/quarantine ladder.
-        let pool = spawn_supervised_pool(
-            &config,
-            phy_registry.clone(),
-            n_workers,
+        let (pool_tx, pool_supervisor) = Supervisor::new(
+            config.pool,
+            config.fs,
+            CloudDecoder::with_params(phy_registry.clone(), config.cloud),
             intake_cap,
             n_shards,
             result_tx.clone(),
             metrics.clone(),
-        );
-        let pool_tx = pool.intake;
+        )
+        .spawn();
 
         let mut chunk_txs = Vec::with_capacity(ids.len());
         let mut threads = Vec::with_capacity(ids.len() + 2);
         for (index, &gw) in ids.iter().enumerate() {
             let (chunk_tx, chunk_rx) = bounded::<Arc<Vec<Cf32>>>(8);
             chunk_txs.push(chunk_tx);
-            let crash = crashes.iter().find(|c| c.session == index).copied();
+            let crash = fleet.crashes.iter().find(|c| c.session == index).copied();
             threads.push(spawn_session(SessionSupervisor {
                 index,
                 gw,
@@ -259,14 +343,14 @@ impl FleetGaliot {
         drop(pool_tx);
         drop(result_tx);
 
-        threads.push(pool.supervisor);
+        threads.push(pool_supervisor);
         threads.push(spawn_merge(
             result_rx,
             frames_tx,
             ids.to_vec(),
             registry.clone(),
             gate,
-            config.liveness_horizon,
+            fleet.liveness_horizon,
             metrics.clone(),
         ));
 
@@ -461,7 +545,7 @@ fn build_session_io(
 ) -> (Shipper, SessionIo) {
     let config = &sup.config;
     let transport = config.transport;
-    let n_workers = config.effective_cloud_workers();
+    let n_workers = config.pool.effective_workers();
     // The session inbox: segments that survived this instance's
     // backhaul, awaiting the fence + fairness credit.
     let (inbox_tx, inbox_rx) = bounded::<PoolItem>(2 * n_workers.max(4));
@@ -470,13 +554,8 @@ fn build_session_io(
         threads: Vec::new(),
         send_queue: None,
     };
-    let shipper = if transport.is_passthrough() {
-        Shipper {
-            gateway: gw,
-            mode: ShipMode::Direct(inbox_tx),
-            base_bits: config.compression_bits,
-            metrics: sup.metrics.clone(),
-        }
+    let mode = if transport.is_passthrough() {
+        ShipMode::Direct(inbox_tx)
     } else {
         // Each instance owns a full transport stack over its own
         // impaired links, seeds decorrelated per session and per life.
@@ -514,18 +593,19 @@ fn build_session_io(
             sup.metrics.clone(),
         ));
         io.send_queue = Some(queue.clone());
-        Shipper {
-            gateway: gw,
-            mode: ShipMode::Transport {
-                tx: SendQueueTx::new(queue),
-                hwm: t.degrade_hwm,
-                cap: t.send_queue_cap,
-                min_bits: t.min_bits,
-                result_tx: sup.result_tx.clone(),
-            },
-            base_bits: config.compression_bits,
-            metrics: sup.metrics.clone(),
+        ShipMode::Transport {
+            tx: SendQueueTx::new(queue),
+            hwm: t.degrade_hwm,
+            cap: t.send_queue_cap,
+            min_bits: t.min_bits,
+            result_tx: sup.result_tx.clone(),
         }
+    };
+    let shipper = Shipper {
+        gateway: gw,
+        mode,
+        base_bits: config.compression_bits,
+        metrics: sup.metrics.clone(),
     };
 
     io.threads.push(spawn_mux(
@@ -569,10 +649,7 @@ fn spawn_mux(
                 continue;
             }
             metrics.with(|m| *m.per_gateway_segments.entry(gw.0).or_default() += 1);
-            let Some(credit) = gate.acquire_guard(gw) else {
-                return; // gate closed: fleet is tearing down
-            };
-            item.credit = Some(credit);
+            item.credit = Some(gate.acquire_guard(gw));
             if pool_tx.send(item).is_err() {
                 return; // pool gone; the in-item guard frees the credit
             }

@@ -45,8 +45,8 @@ pub mod spawn;
 mod stage;
 pub mod transport;
 
-pub use config::{ConfigError, CrashSpec, GaliotConfig};
-pub use fleet::FleetGaliot;
+pub use config::{ConfigError, GaliotConfig};
+pub use fleet::{CrashSpec, FleetConfig, FleetGaliot};
 /// Re-export of the decode-fault injection spec so downstream users can
 /// configure the supervised pool without depending on `galiot-channel`
 /// directly.
@@ -56,7 +56,7 @@ pub use galiot_channel::{DecodeFaultKind, DecodeFaultSpec};
 pub use galiot_trace as trace;
 pub use metrics::{Metrics, QuarantineRecord, SharedMetrics};
 pub use pipeline::{Galiot, PipelineFrame, RunReport};
-pub use pool::StreamingGaliot;
+pub use pool::{PoolConfig, StreamingGaliot};
 pub use spawn::{spawn_thread, SpawnError};
 pub use transport::{
     degraded_bits, ArqClock, ArqParams, QueuedSegment, SendQueue, SendQueueTx, TransportConfig,

@@ -10,6 +10,9 @@
 //! `dup_segments_dropped`). The transport accounting invariant —
 //! every shipped segment is decoded by exactly one worker, shed, or
 //! declared lost — is asserted by `tests/transport_conformance.rs`.
+//! The run's shape is recorded as the engine resolved it:
+//! `cloud_workers` from `config.pool.workers`, `ingest_shards` from
+//! `config.fleet.shards`, `fleet_gateways` from the sessions started.
 
 use galiot_gateway::LinkStats;
 use galiot_phy::{DecodedFrame, TechId};
@@ -68,7 +71,8 @@ pub struct Metrics {
     /// Capture samples processed.
     pub samples_processed: u64,
     /// Cloud decode workers the streaming pipeline ran with
-    /// (0 for the batch pipeline, which has no pool).
+    /// (`pool.workers` resolved; 0 for the batch pipeline, which has
+    /// no pool).
     pub cloud_workers: usize,
     /// Frames decoded by each cloud worker, by worker index.
     pub per_worker_decoded: BTreeMap<usize, usize>,
@@ -147,7 +151,7 @@ pub struct Metrics {
     /// single-gateway pipelines, which have no fleet).
     pub fleet_gateways: usize,
     /// Routing shards the fleet ingest hashed (gateway, seq) onto
-    /// (0 outside the fleet pipeline).
+    /// (`fleet.shards` resolved; 0 for a sole session).
     pub ingest_shards: usize,
     /// Segments each fleet session pushed into the shared decode pool,
     /// keyed by gateway id.
@@ -183,7 +187,7 @@ pub struct Metrics {
     /// a panic or lease expiry (one per `Retried` trace event).
     pub decode_retried: usize,
     /// Segments quarantined to a dead-letter record after exhausting
-    /// `decode_retries` re-dispatches (one per `Quarantined` trace
+    /// `pool.retries` re-dispatches (one per `Quarantined` trace
     /// event; equals `quarantine_records.len()`).
     pub decode_quarantined: usize,
     /// Hung workers the supervisor abandoned and replaced with a

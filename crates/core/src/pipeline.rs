@@ -85,7 +85,7 @@ impl Galiot {
     }
 
     /// Processes one analog capture end to end: the gateway stage a
-    /// live session runs per flush step ([`crate::stage`]), here as one
+    /// live session runs per flush step (`crate::stage`), here as one
     /// last flush whose window is the whole capture, then the cloud.
     pub fn process_capture(&self, analog: &[Cf32]) -> RunReport {
         let fs = self.config.fs;

@@ -28,12 +28,12 @@
 //! # The supervised pool
 //!
 //! Workers are not trusted to come back: every dispatched segment
-//! holds a *lease* whose deadline is [`GaliotConfig::decode_deadline_s`].
+//! holds a *lease* whose deadline is [`PoolConfig::deadline_s`].
 //! The supervisor (DESIGN.md §17) detects a hung worker when its lease
 //! expires, abandons and replaces the thread (same `wid` lineage,
 //! bumped incarnation in the thread name), and re-dispatches the
 //! segment to a healthy worker; panicked decodes are re-dispatched
-//! too. After `decode_retries` re-dispatches fail, the segment is
+//! too. After [`PoolConfig::retries`] re-dispatches fail, the segment is
 //! quarantined to a dead-letter [`QuarantineRecord`] and an empty
 //! result carrying its watermark is synthesized, so in-order delivery
 //! (and the liveness reaper) never stalls behind a poison segment.
@@ -60,7 +60,7 @@
 
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use galiot_channel::{DecodeFaultKind, DecodeFaultSpec};
-use galiot_cloud::{shard_for, CloudDecoder, CloudParams, DecodeBuffers, Recovery};
+use galiot_cloud::{shard_for, CloudDecoder, DecodeBuffers, Recovery};
 use galiot_dsp::Cf32;
 use galiot_gateway::{GatewayId, ShippedSegment};
 use galiot_phy::registry::Registry;
@@ -70,12 +70,69 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crate::config::GaliotConfig;
-use crate::fleet::FleetGaliot;
+use crate::config::{positive, waitable, ConfigError, GaliotConfig};
+use crate::fleet::{FleetConfig, FleetGaliot};
 use crate::metrics::{QuarantineRecord, SharedMetrics};
 use crate::pipeline::PipelineFrame;
 use crate::spawn::{spawn_thread, SpawnError};
 use std::sync::Arc;
+
+/// The supervised decode pool's knobs ([`GaliotConfig::pool`]). The
+/// pool is built from these plus the capture rate and the cloud
+/// decoder, never from the whole configuration.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct PoolConfig {
+    /// Number of parallel cloud decode workers. `0` means "one per
+    /// available CPU core"; `1` reproduces the historical
+    /// single-threaded cloud tier.
+    pub workers: usize,
+    /// Per-segment decode lease deadline, seconds: a worker that has
+    /// held one segment longer than this is declared hung by the pool
+    /// supervisor, replaced, and the segment is re-dispatched. Must be
+    /// positive; generous by default so healthy decodes never trip it.
+    pub deadline_s: f64,
+    /// How many times the pool supervisor re-dispatches a failed
+    /// (panicked or hung) decode before quarantining the segment to the
+    /// dead-letter record. `0` quarantines on the first failure.
+    pub retries: usize,
+    /// Deterministic decode-fault injection (panic/hang/slow) for
+    /// supervisor testing. Disabled (`period == 0`) in production
+    /// configurations; see [`galiot_channel::DecodeFaultSpec`].
+    pub faults: DecodeFaultSpec,
+}
+
+impl Default for PoolConfig {
+    fn default() -> Self {
+        PoolConfig {
+            workers: 0,
+            deadline_s: 5.0,
+            retries: 2,
+            faults: DecodeFaultSpec::disabled(),
+        }
+    }
+}
+
+impl PoolConfig {
+    /// The worker count the pool will actually spawn: `workers`, with
+    /// `0` resolved to the machine's available parallelism.
+    pub fn effective_workers(&self) -> usize {
+        match self.workers {
+            0 => thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        }
+    }
+
+    /// Rejects a lease deadline that is not positive or is too long to
+    /// wait for, and an enabled fault spec that would strike nothing.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        positive("pool.deadline_s", self.deadline_s)?;
+        waitable("pool.deadline_s", self.deadline_s, self.deadline_s)?;
+        if self.faults.enabled() && self.faults.sticky_attempts == 0 {
+            return Err(ConfigError::DecodeFaultsWithoutAttempts);
+        }
+        Ok(())
+    }
+}
 
 /// Start-offset slack when deduplicating copies of one over-the-air
 /// frame: re-decodes from a session's overlapping segment emissions
@@ -166,8 +223,7 @@ impl From<ShippedSegment> for PoolItem {
 
 /// A running one-gateway GalioT pipeline: the fleet engine
 /// ([`FleetGaliot`]) started with a single session whose wire id is
-/// `GatewayId(0)`. `config.gateways`, `config.crashes` and
-/// `config.ingest_shards` describe a fleet and are ignored here.
+/// `GatewayId(0)`. It ignores `config.fleet`, which describes a fleet.
 ///
 /// Feed raw capture chunks with [`StreamingGaliot::push_chunk`], close
 /// the intake with [`StreamingGaliot::finish`], and collect decoded
@@ -182,12 +238,9 @@ impl StreamingGaliot {
     /// silently-degenerate configuration must fail at construction,
     /// not hang a live pipeline.
     pub fn start(config: GaliotConfig, registry: Registry) -> Self {
-        StreamingGaliot(FleetGaliot::start_sessions(
-            config,
-            registry,
-            &[GatewayId(0)],
-            &[],
-        ))
+        let sole = FleetConfig::default();
+        let engine = FleetGaliot::start_sessions(config, registry, &[GatewayId(0)], &sole);
+        StreamingGaliot(engine)
     }
 
     /// Feeds one capture chunk; blocks if the pipeline is saturated.
@@ -299,24 +352,16 @@ fn same_span(seg: &ShippedSegment, gateway: GatewayId, start: usize, len: usize)
         && (seg.start + seg.compressed.len).abs_diff(start + len) <= DEDUP_SLACK
 }
 
-/// A running supervised decode pool: ship [`PoolItem`]s into `intake`;
-/// results (including synthesized quarantine gap notices) come out on
-/// the `result_tx` the pool was built with. Dropping every intake
-/// sender drains and stops the pool.
-pub(crate) struct SupervisedPool {
-    pub(crate) intake: Sender<PoolItem>,
-    pub(crate) supervisor: thread::JoinHandle<()>,
-}
-
-/// Spawns the decode-pool supervisor and its initial workers.
+/// The decode-pool supervisor: owns the worker slots, the lease table,
+/// and the retry/quarantine ladder. Runs on its own thread.
 ///
 /// The supervisor owns dispatch: workers get private rendezvous
 /// channels and only ever hold one attempt, so every in-flight decode
-/// has a lease with a deadline (`config.decode_deadline_s`). On lease
+/// has a lease with a deadline (`pool.deadline_s`). On lease
 /// expiry the holding worker is declared hung, abandoned, and replaced
 /// (same `wid`, bumped incarnation in the thread name); the segment is
 /// re-dispatched — as are panicked decodes — up to
-/// `config.decode_retries` times before it is quarantined to a
+/// `pool.retries` times before it is quarantined to a
 /// dead-letter record and replaced by an empty result carrying its
 /// watermark, so capture-order delivery never stalls.
 ///
@@ -327,36 +372,11 @@ pub(crate) struct SupervisedPool {
 /// capture span another gateway's live lease already covers joins that
 /// lease instead of being decoded again (DESIGN.md §17, "Shared
 /// leases").
-pub(crate) fn spawn_supervised_pool(
-    config: &GaliotConfig,
-    registry: Registry,
-    n_workers: usize,
-    intake_cap: usize,
-    n_shards: usize,
-    result_tx: Sender<ResultMsg>,
-    metrics: SharedMetrics,
-) -> SupervisedPool {
-    let (intake_tx, intake_rx) = bounded::<PoolItem>(intake_cap);
-    let sup = Supervisor::new(
-        config, registry, n_workers, intake_cap, n_shards, result_tx, metrics,
-    );
-    let supervisor = spawn_thread("galiot-pool-supervisor", move || sup.run(intake_rx))
-        .unwrap_or_else(|e| panic!("decode pool startup: {e}"));
-    SupervisedPool {
-        intake: intake_tx,
-        supervisor,
-    }
-}
-
-/// The decode-pool supervisor: owns the worker slots, the lease table,
-/// and the retry/quarantine ladder. Runs on its own thread.
-struct Supervisor {
-    deadline: Duration,
-    retries: usize,
-    faults: DecodeFaultSpec,
+pub(crate) struct Supervisor {
+    pool: PoolConfig,
     fs: f64,
-    cloud_params: CloudParams,
-    registry: Registry,
+    /// Cloned into every worker incarnation.
+    decoder: CloudDecoder,
     n_shards: usize,
     n_workers: usize,
     intake_cap: usize,
@@ -382,26 +402,25 @@ struct Supervisor {
 }
 
 impl Supervisor {
-    /// A supervisor with no worker slots yet ([`Supervisor::run`]
-    /// spawns them).
-    fn new(
-        config: &GaliotConfig,
-        registry: Registry,
-        n_workers: usize,
+    /// A supervisor of `pool.effective_workers()` workers decoding
+    /// captures at `fs` with `decoder`, with no worker slots yet
+    /// ([`Supervisor::run`] spawns them). Results, including
+    /// synthesized quarantine gap notices, go to `result_tx`.
+    pub(crate) fn new(
+        pool: PoolConfig,
+        fs: f64,
+        decoder: CloudDecoder,
         intake_cap: usize,
         n_shards: usize,
         result_tx: Sender<ResultMsg>,
         metrics: SharedMetrics,
     ) -> Self {
         let (done_tx, done_rx) = unbounded::<Done>();
-        let n_workers = n_workers.max(1);
+        let n_workers = pool.effective_workers();
         Supervisor {
-            deadline: Duration::from_secs_f64(config.decode_deadline_s),
-            retries: config.decode_retries,
-            faults: config.decode_faults,
-            fs: config.fs,
-            cloud_params: config.cloud,
-            registry,
+            pool,
+            fs,
+            decoder,
             n_shards,
             n_workers,
             intake_cap: intake_cap.max(1),
@@ -417,6 +436,16 @@ impl Supervisor {
             shared: VecDeque::new(),
             next_lease: 0,
         }
+    }
+
+    /// Starts the supervisor thread, which spawns the workers. Ship
+    /// [`PoolItem`]s into the returned intake; dropping every intake
+    /// sender drains and stops the pool.
+    pub(crate) fn spawn(self) -> (Sender<PoolItem>, thread::JoinHandle<()>) {
+        let (intake_tx, intake_rx) = bounded::<PoolItem>(self.intake_cap);
+        let supervisor = spawn_thread("galiot-pool-supervisor", move || self.run(intake_rx))
+            .unwrap_or_else(|e| panic!("decode pool startup: {e}"));
+        (intake_tx, supervisor)
     }
 
     fn run(mut self, intake_rx: Receiver<PoolItem>) {
@@ -620,7 +649,7 @@ impl Supervisor {
             self.replace_worker(wid);
             return;
         }
-        let deadline = Instant::now() + self.deadline;
+        let deadline = Instant::now() + Duration::from_secs_f64(self.pool.deadline_s);
         self.slots[wid].as_mut().expect("slot just used").busy = Some((id, deadline));
     }
 
@@ -685,24 +714,9 @@ impl Supervisor {
         let abandoned = Arc::new(AtomicBool::new(false));
         let flag = abandoned.clone();
         let done_tx = self.done_tx.clone();
-        let registry = self.registry.clone();
-        let cloud_params = self.cloud_params;
-        let fs = self.fs;
-        let faults = self.faults;
-        let deadline = self.deadline;
+        let (decoder, pool, fs) = (self.decoder.clone(), self.pool, self.fs);
         let handle = spawn_thread(&format!("galiot-cloud-{wid}.{incarnation}"), move || {
-            run_pool_worker(
-                wid,
-                incarnation,
-                registry,
-                cloud_params,
-                fs,
-                faults,
-                deadline,
-                rx,
-                done_tx,
-                flag,
-            )
+            run_pool_worker(wid, incarnation, decoder, fs, pool, rx, done_tx, flag)
         })?;
         Ok(WorkerSlot {
             incarnation,
@@ -833,7 +847,7 @@ impl Supervisor {
             let lease = self.leases.get_mut(&id).expect("failing a live lease");
             lease.history.push(how);
             lease.attempt += 1;
-            lease.attempt as usize > self.retries
+            lease.attempt as usize > self.pool.retries
         };
         if exhausted {
             self.quarantine(id);
@@ -877,8 +891,8 @@ impl Supervisor {
                 len: seg.compressed.len,
                 attempts: history,
                 payload_hash: fnv1a(&seg.compressed.data),
-                fault_seed: if self.faults.enabled() {
-                    self.faults.seed
+                fault_seed: if self.pool.faults.enabled() {
+                    self.pool.faults.seed
                 } else {
                     0
                 },
@@ -917,16 +931,14 @@ impl Supervisor {
 fn run_pool_worker(
     wid: usize,
     incarnation: u64,
-    registry: Registry,
-    cloud_params: CloudParams,
+    decoder: CloudDecoder,
     fs: f64,
-    faults: DecodeFaultSpec,
-    deadline: Duration,
+    pool: PoolConfig,
     attempt_rx: Receiver<Attempt>,
     done_tx: Sender<Done>,
     abandoned: Arc<AtomicBool>,
 ) {
-    let decoder = CloudDecoder::with_params(registry, cloud_params);
+    let (faults, deadline) = (pool.faults, Duration::from_secs_f64(pool.deadline_s));
     // Decompressed samples and the decode's buffers, kept across segments.
     let (mut samples, mut buffers) = (Vec::new(), DecodeBuffers::default());
     while let Ok(Attempt {
@@ -1044,6 +1056,15 @@ mod tests {
 
     const FS: f64 = 1_000_000.0;
 
+    /// The default pool knobs on one worker (thread-less: the tests
+    /// push the slot themselves).
+    fn one_worker() -> PoolConfig {
+        PoolConfig {
+            workers: 1,
+            ..PoolConfig::default()
+        }
+    }
+
     /// A slow first attempt is declared hung, its retry waits in the
     /// queue (every worker busy), and then the slow attempt finishes
     /// and wins: the queued retry names a resolved lease and must not
@@ -1052,9 +1073,15 @@ mod tests {
     fn late_win_purges_its_queued_retry() {
         let (result_tx, result_rx) = unbounded();
         let metrics = SharedMetrics::new();
-        let config = GaliotConfig::prototype();
-        let registry = Registry::prototype();
-        let mut sup = Supervisor::new(&config, registry, 1, 4, 0, result_tx, metrics.clone());
+        let mut sup = Supervisor::new(
+            one_worker(),
+            FS,
+            CloudDecoder::new(Registry::prototype()),
+            4,
+            0,
+            result_tx,
+            metrics.clone(),
+        );
         let (tx, attempt_rx) = bounded(1);
         sup.slots.push(Some(WorkerSlot {
             incarnation: 0,
@@ -1120,11 +1147,10 @@ mod tests {
     fn bench(n_shards: usize) -> Bench {
         let (result_tx, results) = unbounded();
         let metrics = SharedMetrics::new();
-        let config = GaliotConfig::prototype();
         let mut sup = Supervisor::new(
-            &config,
-            Registry::prototype(),
-            1,
+            one_worker(),
+            FS,
+            CloudDecoder::new(Registry::prototype()),
             4,
             n_shards,
             result_tx,
@@ -1196,7 +1222,7 @@ mod tests {
         /// Fails `attempt` and each of its retries in turn, as a wedged
         /// or panicking decode would, until the lease is quarantined.
         fn poison(&mut self, mut attempt: Attempt, how: &'static str) {
-            let retries = GaliotConfig::prototype().decode_retries;
+            let retries = self.sup.pool.retries;
             for rung in 0..=retries {
                 // What `on_done` / `replace_worker` do for a real slot.
                 self.sup.slots[0].as_mut().expect("one slot").busy = None;

@@ -18,7 +18,7 @@ use std::time::Duration;
 /// How many times [`spawn_thread`] asks the OS before giving up.
 const SPAWN_ATTEMPTS: u32 = 5;
 
-/// A thread could not be spawned even after [`SPAWN_ATTEMPTS`] tries.
+/// A thread could not be spawned even after `SPAWN_ATTEMPTS` (5) tries.
 #[derive(Debug)]
 pub struct SpawnError {
     /// The name the thread would have carried.

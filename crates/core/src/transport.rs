@@ -15,8 +15,9 @@
 //!              ladder 8→6→4
 //! ```
 //!
-//! The sender keeps at most `window` datagrams in flight, retransmits
-//! on per-segment timeouts with exponential backoff and jitter, and —
+//! The sender keeps at most `ARQ_WINDOW` (8) datagrams in flight,
+//! retransmits on per-segment timeouts with exponential backoff and
+//! jitter, and —
 //! after `max_retries` — declares a segment lost and reports the gap
 //! (via the `on_lost` hook) so the reassembly stage can advance past
 //! it instead of stalling. The receiver validates every datagram's
@@ -47,23 +48,28 @@ use std::time::{Duration, Instant};
 use crate::metrics::SharedMetrics;
 use crate::spawn::spawn_thread;
 
-/// Automatic-repeat-request knobs of the segment transport.
+/// Maximum unacknowledged segments the ARQ sender keeps in flight.
+const ARQ_WINDOW: usize = 8;
+/// Ceiling the exponential backoff saturates at, seconds (or the base
+/// timeout, if that is longer).
+const ARQ_MAX_TIMEOUT_S: f64 = 0.25;
+/// Timeout multiplier per retry (exponential backoff).
+const ARQ_BACKOFF: f64 = 2.0;
+/// Largest random extra fraction added to the base timeout and to each
+/// backoff step (decorrelates retransmit storms).
+const ARQ_JITTER: f64 = 0.5;
+
+/// Automatic-repeat-request knobs of the segment transport. The window
+/// (8 datagrams in flight) and the backoff (×2 per retry, up to 0.25 s
+/// or the base timeout, each step with up to 50 % random extra) are
+/// fixed.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ArqParams {
     /// Whether the sender tracks acks and retransmits at all. Off, the
     /// transport is fire-and-forget (every loss is silent).
     pub enabled: bool,
-    /// Maximum unacknowledged segments in flight (1 = stop-and-wait).
-    pub window: usize,
     /// Initial per-segment retransmit timeout, seconds.
     pub base_timeout_s: f64,
-    /// Ceiling the exponential backoff saturates at, seconds.
-    pub max_timeout_s: f64,
-    /// Timeout multiplier per retry (exponential backoff).
-    pub backoff: f64,
-    /// Random extra fraction added to each backoff step (decorrelates
-    /// retransmit storms).
-    pub jitter: f64,
     /// Retransmissions before a segment is declared lost.
     pub max_retries: u32,
     /// Seed of the backoff-jitter generator.
@@ -76,15 +82,21 @@ impl Default for ArqParams {
     fn default() -> Self {
         ArqParams {
             enabled: false,
-            window: 8,
             base_timeout_s: 0.002,
-            max_timeout_s: 0.25,
-            backoff: 2.0,
-            jitter: 0.5,
             max_retries: 10,
             seed: 0x5EED,
             clock: ArqClock::Wall,
         }
+    }
+}
+
+impl ArqParams {
+    /// The longest timeout, seconds, the sender computes: one jittered
+    /// backoff step from the longer of the jittered base timeout and
+    /// the ceiling, before the ceiling clamps it.
+    pub(crate) fn longest_timeout_s(&self) -> f64 {
+        let jittered = 1.0 + ARQ_JITTER;
+        (self.base_timeout_s * jittered).max(ARQ_MAX_TIMEOUT_S) * ARQ_BACKOFF * jittered
     }
 }
 
@@ -439,7 +451,7 @@ fn push_link(
 }
 
 /// Spawns the ARQ sender: pulls segments off the send queue, keeps up
-/// to `arq.window` datagrams in flight over the (possibly faulty) data
+/// to `ARQ_WINDOW` datagrams in flight over the (possibly faulty) data
 /// link, retransmits on timeout with exponential backoff + jitter, and
 /// declares a segment lost after `arq.max_retries` — invoking
 /// `on_lost(seq)` so downstream reassembly can tolerate the gap
@@ -465,12 +477,12 @@ pub fn spawn_arq_sender(
         // session, so a shared wire must never let one session's
         // ack retire another's in-flight datagram.
         let mut in_flight: BTreeMap<(GatewayId, u64), Flight> = BTreeMap::new();
-        let max_timeout = Duration::from_secs_f64(arq.max_timeout_s.max(arq.base_timeout_s));
+        let max_timeout = Duration::from_secs_f64(ARQ_MAX_TIMEOUT_S.max(arq.base_timeout_s));
 
         'run: loop {
             // Top the window up (ARQ off: everything is
             // fire-and-forget, the window stays empty).
-            while !arq.enabled || in_flight.len() < arq.window.max(1) {
+            while !arq.enabled || in_flight.len() < ARQ_WINDOW {
                 let item = if in_flight.is_empty() {
                     match queue.pop() {
                         Some(item) => item,
@@ -487,7 +499,7 @@ pub fn spawn_arq_sender(
                 }
                 if arq.enabled {
                     let timeout = Duration::from_secs_f64(
-                        arq.base_timeout_s * (1.0 + arq.jitter * rng.gen::<f64>()),
+                        arq.base_timeout_s * (1.0 + ARQ_JITTER * rng.gen::<f64>()),
                     );
                     in_flight.insert(
                         (item.seg.gateway, item.seg.seq),
@@ -541,7 +553,7 @@ pub fn spawn_arq_sender(
                             f.retries += 1;
                             f.timeout = f
                                 .timeout
-                                .mul_f64(arq.backoff * (1.0 + arq.jitter * rng.gen::<f64>()))
+                                .mul_f64(ARQ_BACKOFF * (1.0 + ARQ_JITTER * rng.gen::<f64>()))
                                 .min(max_timeout);
                             f.deadline = now + f.timeout;
                             metrics.with(|m| m.arq_retransmits += 1);
@@ -573,7 +585,7 @@ pub fn spawn_arq_sender(
 
 /// Duplicate seqs the receiver still recognizes behind the newest seq
 /// it has seen from a session. A duplicate can only trail the original
-/// by what the sender still has in flight — `window` datagrams plus
+/// by what the sender still has in flight — `ARQ_WINDOW` datagrams plus
 /// the link's reorder depth — so 1024 is two orders of magnitude of
 /// headroom while keeping receiver memory O(window), not O(session).
 pub const ARQ_DEDUP_WINDOW: u64 = 1024;
@@ -1023,10 +1035,10 @@ mod tests {
     }
 
     /// Satellite of the wall-clock bugfix: the full ARQ path delivers
-    /// exactly-once over a harsh link with a 0-jitter virtual clock —
+    /// exactly-once over a harsh link on the virtual clock —
     /// retransmit decisions driven purely by emulated time.
     #[test]
-    fn arq_delivers_everything_with_a_zero_jitter_virtual_clock() {
+    fn arq_delivers_everything_with_a_virtual_clock() {
         let metrics = SharedMetrics::new();
         let q = SendQueue::new(64);
         let (wire_tx, wire_rx) = bounded::<Vec<u8>>(64);
@@ -1034,7 +1046,6 @@ mod tests {
         let (seg_tx, seg_rx) = unbounded::<ShippedSegment>();
         let arq = ArqParams {
             enabled: true,
-            jitter: 0.0,
             clock: ArqClock::deterministic(),
             ..ArqParams::default()
         };

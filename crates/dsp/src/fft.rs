@@ -7,7 +7,7 @@
 //! preamble detector, and spectral kill filters at the cloud.
 //!
 //! The butterflies run on the active
-//! [`kernels::Backend`](crate::kernels::Backend), which walks the
+//! [`kernels::Backend`], which walks the
 //! buffer once per two or three stages rather than once per stage, and
 //! are bit-exact across backends and with the stage-at-a-time order, so
 //! a transform's output does not depend on the CPU it ran on.

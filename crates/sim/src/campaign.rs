@@ -9,7 +9,7 @@
 //! replays from its printed seed via `--replay-seed` without rerunning
 //! the campaign around it.
 //!
-//! Failures are minimized by [`crate::shrink`] and rendered as
+//! Failures are minimized by [`crate::shrink()`] and rendered as
 //! self-contained repro bundles: seed, minimized scenario JSON, the
 //! exact environment knobs, and the replay command line.
 

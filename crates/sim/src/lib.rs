@@ -10,7 +10,7 @@
 //! invariant the conformance suites encode (streaming ≡ batch,
 //! fleet ≡ single gateway, forced-scalar ≡ detected SIMD backend,
 //! trace ↔ metrics reconciliation, no-panic/deadline) against each
-//! sampled scenario, and a greedy [`shrink`]er minimizes any failure
+//! sampled scenario, and a greedy [`shrink()`]er minimizes any failure
 //! into a self-contained repro: the seed, the minimized scenario as
 //! JSON, and the exact environment knobs needed to replay it.
 //!

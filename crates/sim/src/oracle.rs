@@ -404,7 +404,7 @@ fn check_fleet_batch(scenario: &Scenario, built: &Built) -> Result<(), String> {
 /// every record carries a full attempt history, and the fleet decode
 /// identity balances with `quarantined_frames`).
 fn check_decode_quarantine(scenario: &Scenario, built: &Built) -> Result<(), String> {
-    let retries = scenario.config().decode_retries;
+    let retries = scenario.config().pool.retries;
 
     let sys = StreamingGaliot::start(scenario.config(), built.registry.clone());
     let metrics = sys.metrics().clone();

@@ -383,10 +383,10 @@ mod tests {
         });
         s.validate().expect("valid with decode faults");
         let c = s.config();
-        assert_eq!(c.decode_faults.kind, DecodeFaultKind::Hang);
-        assert_eq!(c.decode_faults.period, 2);
-        assert_eq!(c.decode_retries, DecodeFaultPlan::RETRIES);
-        assert!((c.decode_deadline_s - DecodeFaultPlan::DEADLINE_S).abs() < 1e-12);
+        assert_eq!(c.pool.faults.kind, DecodeFaultKind::Hang);
+        assert_eq!(c.pool.faults.period, 2);
+        assert_eq!(c.pool.retries, DecodeFaultPlan::RETRIES);
+        assert!((c.pool.deadline_s - DecodeFaultPlan::DEADLINE_S).abs() < 1e-12);
         assert!(s.decode_faults.unwrap().quarantines());
         let json = s.to_json();
         assert!(

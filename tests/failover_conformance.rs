@@ -619,7 +619,7 @@ fn poisoned_decodes_do_not_leak_fairness_credits() {
     // two of which were re-dispatches, ending in quarantine (which is
     // what returned the credit).
     let shipped: usize = m.per_gateway_segments.values().sum();
-    let attempts = 1 + GaliotConfig::prototype().decode_retries;
+    let attempts = 1 + GaliotConfig::prototype().pool.retries;
     assert_eq!(
         m.per_worker_segments.values().sum::<usize>(),
         attempts * shipped,
@@ -808,7 +808,7 @@ fn a_poisoned_primary_costs_its_siblings_nothing() {
     assert_segment_identity(&m, ctx);
     // Only poisoned copies were ever quarantined, each after the full
     // ladder, each with its record and its trace terminal.
-    let attempts = 1 + GaliotConfig::prototype().decode_retries;
+    let attempts = 1 + GaliotConfig::prototype().pool.retries;
     assert_eq!(
         m.decode_poisoned,
         attempts * m.decode_quarantined,
