@@ -86,6 +86,14 @@ pub enum ConfigError {
     /// spec would strike no attempt and the scenario silently tests
     /// nothing.
     DecodeFaultsWithoutAttempts,
+    /// Impaired links (`transport.data_faults`, `transport.ack_faults`)
+    /// or a paced uplink (`transport.uplink_bps`) with
+    /// `transport.arq.enabled = false`: without the ARQ, segments
+    /// bypass the transport, so the knob would be silently ignored.
+    TransportWithoutArq {
+        /// The field path of the ignored knob.
+        field: &'static str,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -125,6 +133,11 @@ impl fmt::Display for ConfigError {
                 f,
                 "pool.faults is enabled (period > 0) with sticky_attempts = 0: \
                  no attempt would ever be struck"
+            ),
+            ConfigError::TransportWithoutArq { field } => write!(
+                f,
+                "{field} is set while transport.arq.enabled = false: segments \
+                 bypass the transport without the ARQ, so it would be ignored"
             ),
         }
     }
@@ -356,6 +369,17 @@ impl GaliotConfig {
             // format can frame (its payload length is a `u32`).
             waitable("transport.uplink_bps", bps, u32::MAX as f64 * 8.0 / bps)?;
         }
+        if !t.arq.enabled {
+            for (field, ignored) in [
+                ("transport.data_faults", !t.data_faults.is_perfect()),
+                ("transport.ack_faults", !t.ack_faults.is_perfect()),
+                ("transport.uplink_bps", t.uplink_bps.is_some()),
+            ] {
+                if ignored {
+                    return Err(ConfigError::TransportWithoutArq { field });
+                }
+            }
+        }
         self.fleet.validate()?;
         self.pool.validate()
     }
@@ -526,7 +550,7 @@ mod tests {
                 value: 1e20
             })
         );
-        let mut c = lossy;
+        let mut c = lossy.clone();
         c.transport.uplink_bps = Some(1e-300);
         assert_eq!(
             c.validate(),
@@ -535,6 +559,29 @@ mod tests {
                 value: 1e-300
             })
         );
+
+        // ARQ off makes the transport a passthrough: an impaired link
+        // would lose segments with no gap notice (stalling their
+        // session's merge lane until `finish`) and a pacing rate would
+        // never be applied.
+        let mut cases = Vec::new();
+        let mut c = lossy.clone();
+        c.transport.arq.enabled = false;
+        c.transport.ack_faults = LinkFaults::none();
+        cases.push((c, "transport.data_faults"));
+        let mut c = lossy;
+        c.transport.arq.enabled = false;
+        c.transport.data_faults = LinkFaults::none();
+        cases.push((c, "transport.ack_faults"));
+        let mut c = GaliotConfig::prototype();
+        c.transport.uplink_bps = Some(1e6);
+        cases.push((c, "transport.uplink_bps"));
+        for (c, field) in cases {
+            assert_eq!(
+                c.validate(),
+                Err(ConfigError::TransportWithoutArq { field })
+            );
+        }
     }
 
     #[test]

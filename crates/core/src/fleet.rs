@@ -239,7 +239,6 @@ pub struct FleetGaliot {
     threads: Vec<thread::JoinHandle<()>>,
     registry: Arc<SessionRegistry>,
     metrics: SharedMetrics,
-    engine_before: Option<galiot_dsp::engine::EngineStats>,
 }
 
 impl FleetGaliot {
@@ -288,7 +287,6 @@ impl FleetGaliot {
                 2 * ids.len().max(4) * n_workers,
             )
         };
-        let engine_before = galiot_dsp::engine::stats();
         let metrics = SharedMetrics::new();
         metrics.with(|m| {
             m.cloud_workers = n_workers;
@@ -360,7 +358,6 @@ impl FleetGaliot {
             threads,
             registry,
             metrics,
-            engine_before: Some(engine_before),
         }
     }
 
@@ -399,9 +396,6 @@ impl FleetGaliot {
         // the pool drops the result senders, ending the merge.
         for t in self.threads.drain(..) {
             let _ = t.join();
-        }
-        if let Some(before) = self.engine_before.take() {
-            self.metrics.with(|m| m.record_engine_stats(&before));
         }
     }
 
@@ -769,10 +763,6 @@ impl MergeCore {
             return Vec::new();
         }
         lane.pending.entry(result.seq).or_insert(result);
-        self.metrics.with(|m| {
-            let depth: usize = self.lanes.iter().map(|l| l.pending.len()).sum();
-            m.reassembly_hwm = m.reassembly_hwm.max(depth);
-        });
         let mut released = Vec::new();
         loop {
             // Re-borrow per iteration: offer_segment needs &mut self.
@@ -873,7 +863,7 @@ fn spawn_merge(
                 m.dedup_suppressed = merge_suppressed as usize;
                 m.fleet_delivered += released.len();
                 for pf in &released {
-                    m.record_frame(&pf.frame, pf.at_edge, pf.via_kill);
+                    m.record_frame(&pf.frame, pf.at_edge);
                 }
             });
             for pf in released {

@@ -1,18 +1,23 @@
 //! System metrics: what the experiments measure.
 //!
-//! Counters fall into four groups: detection/decode outcomes, the
-//! streaming pool (per-worker counts, queue high-water marks, busy
-//! time), the DSP engine caches, and — since the fault-tolerant
-//! backhaul — the segment transport: the degradation ladder
-//! (`segments_downgraded`, `segments_shed`, `shipped_by_bits`,
-//! `send_queue_hwm`), the ARQ (`arq_retransmits`, `arq_acked`,
-//! `arq_lost`), and the wire itself (`wire_*`,
-//! `dup_segments_dropped`). The transport accounting invariant —
-//! every shipped segment is decoded by exactly one worker, shed, or
-//! declared lost — is asserted by `tests/transport_conformance.rs`.
-//! The run's shape is recorded as the engine resolved it:
-//! `cloud_workers` from `config.pool.workers`, `ingest_shards` from
-//! `config.fleet.shards`, `fleet_gateways` from the sessions started.
+//! Each counter records one fact about this run, written where it
+//! happens: detection and decode outcomes, the decode pool (per-worker
+//! counts, queue high-water marks, busy time, supervision), the fleet
+//! merge (per-gateway counts, dedup, crash accounting) and the segment
+//! transport — the degradation ladder (`segments_downgraded`,
+//! `segments_shed`, `shipped_by_bits`, `send_queue_hwm`), the ARQ
+//! (`arq_retransmits`, `arq_acked`, `arq_lost`) and the wire itself
+//! (`wire`, each link's own [`LinkStats`]; `wire_bytes_sent`). The
+//! transport accounting invariant — every shipped segment is decoded
+//! by exactly one worker, shed, or declared lost — is asserted by
+//! `tests/transport_conformance.rs`. The run's shape is recorded as
+//! the engine resolved it: `cloud_workers` from `config.pool.workers`,
+//! `ingest_shards` from `config.fleet.shards`, `fleet_gateways` from
+//! the sessions started.
+//!
+//! Nothing here copies process-wide state: the DSP engine's cache
+//! counters are read from `galiot_dsp::engine::stats` and the kernel
+//! backend from `galiot_dsp::kernels::backend_name`.
 
 use galiot_gateway::LinkStats;
 use galiot_phy::{DecodedFrame, TechId};
@@ -64,8 +69,6 @@ pub struct Metrics {
     pub shipped_bytes: u64,
     /// Frames decoded at the cloud.
     pub cloud_decoded: usize,
-    /// Of the cloud frames, how many needed a kill filter.
-    pub kill_recovered: usize,
     /// Payload bits recovered, per technology.
     pub payload_bits: BTreeMap<TechId, u64>,
     /// Capture samples processed.
@@ -80,9 +83,6 @@ pub struct Metrics {
     pub per_worker_segments: BTreeMap<usize, usize>,
     /// Deepest the gateway→cloud segment queue ever got.
     pub seg_queue_hwm: usize,
-    /// Most out-of-order segment results the reassembly stage ever
-    /// buffered while waiting for an earlier sequence number.
-    pub reassembly_hwm: usize,
     /// Time the gateway thread spent in detection/extraction/edge
     /// decode, in nanoseconds.
     pub gateway_busy_ns: u64,
@@ -92,16 +92,6 @@ pub struct Metrics {
     /// Segments whose decode panicked inside a worker (the pool
     /// survives these; see the failure-injection tests).
     pub decode_poisoned: usize,
-    /// FFT plan-cache hits in the DSP engine over the run (process-wide
-    /// counters sampled before/after, so concurrent runs can bleed into
-    /// each other's numbers; treat as indicative, not exact).
-    pub plan_cache_hits: u64,
-    /// FFT plan-cache misses (plans actually constructed) over the run.
-    pub plan_cache_misses: u64,
-    /// Preamble template banks synthesized over the run.
-    pub template_bank_builds: u64,
-    /// Template-bank cache hits over the run.
-    pub template_bank_hits: u64,
     /// Segments shipped with fewer compression bits than configured
     /// because the send queue crossed its high-water mark.
     pub segments_downgraded: usize,
@@ -119,27 +109,13 @@ pub struct Metrics {
     pub arq_acked: usize,
     /// Segments the ARQ declared lost after exhausting retries.
     pub arq_lost: usize,
-    /// Datagrams offered to the (possibly faulty) wire, both
-    /// directions, including retransmissions.
-    pub wire_datagrams_sent: u64,
-    /// Datagram copies that actually came out of the wire.
-    pub wire_datagrams_delivered: u64,
-    /// Datagrams the wire dropped.
-    pub wire_dropped: u64,
-    /// Datagrams the wire delivered with flipped bits.
-    pub wire_corrupted: u64,
-    /// Extra copies the wire duplicated.
-    pub wire_duplicated: u64,
-    /// Datagrams the wire delivered out of order.
-    pub wire_reordered: u64,
+    /// What the wire did to the datagrams offered to it, both
+    /// directions and every session, retransmissions included: each
+    /// link's own [`LinkStats`], merged in when its endpoint exits.
+    pub wire: LinkStats,
     /// Payload bytes offered to the wire (pre-impairment, including
     /// retransmissions).
     pub wire_bytes_sent: u64,
-    /// Received datagrams rejected by framing/CRC/header validation.
-    pub wire_decode_errors: usize,
-    /// Duplicate segments (same sequence number) the receiver dropped
-    /// before they reached the decode pool.
-    pub dup_segments_dropped: usize,
     /// Successful SIC rounds executed by the cloud tier (one per
     /// recovered frame; reconciles with the `sic_round` stage
     /// histogram).
@@ -216,23 +192,15 @@ pub struct Metrics {
     /// Dead-letter records, one per quarantined segment, in quarantine
     /// order.
     pub quarantine_records: Vec<QuarantineRecord>,
-    /// Name of the SIMD kernel backend the DSP hot loops dispatched to
-    /// (`scalar`, `sse4.1`, `avx2` or `fma` — see
-    /// `galiot_dsp::kernels`), stamped whenever engine stats are
-    /// recorded. Empty until a pipeline runs.
-    pub dsp_backend: String,
 }
 
 impl Metrics {
     /// Records a decoded frame (either tier).
-    pub fn record_frame(&mut self, frame: &DecodedFrame, at_edge: bool, via_kill: bool) {
+    pub fn record_frame(&mut self, frame: &DecodedFrame, at_edge: bool) {
         if at_edge {
             self.edge_decoded += 1;
         } else {
             self.cloud_decoded += 1;
-            if via_kill {
-                self.kill_recovered += 1;
-            }
         }
         *self.payload_bits.entry(frame.tech).or_default() += frame.payload.len() as u64 * 8;
     }
@@ -265,35 +233,6 @@ impl Metrics {
         }
         let shipped_samples = self.shipped_bytes as f64 * 8.0 / (2.0 * bits as f64);
         shipped_samples / self.samples_processed as f64
-    }
-
-    /// Folds a [`LinkStats`] block (one direction of a faulty link)
-    /// into the wire counters.
-    pub fn record_link_stats(&mut self, stats: &LinkStats) {
-        self.wire_datagrams_sent += stats.sent;
-        self.wire_datagrams_delivered += stats.delivered;
-        self.wire_dropped += stats.dropped;
-        self.wire_corrupted += stats.corrupted;
-        self.wire_duplicated += stats.duplicated;
-        self.wire_reordered += stats.reordered;
-    }
-
-    /// Fraction of FFT plan lookups served from the cache, or `None`
-    /// when no lookups were recorded.
-    pub fn plan_cache_hit_rate(&self) -> Option<f64> {
-        let total = self.plan_cache_hits + self.plan_cache_misses;
-        (total > 0).then(|| self.plan_cache_hits as f64 / total as f64)
-    }
-
-    /// Copies the DSP engine counter deltas since `before` into this
-    /// block (see [`galiot_dsp::engine::stats`]).
-    pub fn record_engine_stats(&mut self, before: &galiot_dsp::engine::EngineStats) {
-        self.dsp_backend = galiot_dsp::kernels::backend_name().to_string();
-        let d = galiot_dsp::engine::stats().since(before);
-        self.plan_cache_hits += d.plan_hits;
-        self.plan_cache_misses += d.plan_misses;
-        self.template_bank_builds += d.bank_builds;
-        self.template_bank_hits += d.bank_hits;
     }
 
     /// Records a quarantine: bumps the counter and appends the
@@ -349,12 +288,11 @@ mod tests {
     #[test]
     fn record_and_totals() {
         let mut m = Metrics::default();
-        m.record_frame(&frame(TechId::LoRa, 10), true, false);
-        m.record_frame(&frame(TechId::XBee, 5), false, true);
+        m.record_frame(&frame(TechId::LoRa, 10), true);
+        m.record_frame(&frame(TechId::XBee, 5), false);
         assert_eq!(m.total_decoded(), 2);
         assert_eq!(m.edge_decoded, 1);
         assert_eq!(m.cloud_decoded, 1);
-        assert_eq!(m.kill_recovered, 1);
         assert_eq!(m.total_payload_bits(), 120);
         assert_eq!(m.payload_bits[&TechId::LoRa], 80);
     }
@@ -365,7 +303,7 @@ mod tests {
             samples_processed: 1_000_000,
             ..Default::default()
         }; // 1 s at 1 Msps
-        m.record_frame(&frame(TechId::ZWave, 125), true, false);
+        m.record_frame(&frame(TechId::ZWave, 125), true);
         assert!((m.goodput_bps(1e6) - 1000.0).abs() < 1e-6);
         assert_eq!(Metrics::default().goodput_bps(1e6), 0.0);
     }
@@ -378,42 +316,6 @@ mod tests {
             ..Default::default()
         };
         assert!((m.shipped_fraction(8) - 0.1).abs() < 1e-9);
-    }
-
-    #[test]
-    fn plan_cache_hit_rate_math() {
-        assert_eq!(Metrics::default().plan_cache_hit_rate(), None);
-        let m = Metrics {
-            plan_cache_hits: 3,
-            plan_cache_misses: 1,
-            ..Default::default()
-        };
-        assert_eq!(m.plan_cache_hit_rate(), Some(0.75));
-    }
-
-    #[test]
-    fn link_stats_fold_into_the_wire_counters() {
-        let mut m = Metrics {
-            wire_decode_errors: 4,
-            ..Default::default()
-        };
-        let stats = LinkStats {
-            sent: 10,
-            delivered: 9,
-            dropped: 1,
-            corrupted: 2,
-            duplicated: 1,
-            reordered: 3,
-        };
-        m.record_link_stats(&stats);
-        m.record_link_stats(&stats);
-        assert_eq!(m.wire_datagrams_sent, 20);
-        assert_eq!(m.wire_datagrams_delivered, 18);
-        assert_eq!(m.wire_dropped, 2);
-        assert_eq!(m.wire_corrupted, 4);
-        assert_eq!(m.wire_duplicated, 2);
-        assert_eq!(m.wire_reordered, 6);
-        assert_eq!(m.wire_decode_errors, 4);
     }
 
     #[test]

@@ -89,7 +89,6 @@ impl Galiot {
     /// last flush whose window is the whole capture, then the cloud.
     pub fn process_capture(&self, analog: &[Cf32]) -> RunReport {
         let fs = self.config.fs;
-        let engine_before = galiot_dsp::engine::stats();
         let shared = SharedMetrics::new();
         shared.with(|m| m.samples_processed = analog.len() as u64);
 
@@ -124,7 +123,7 @@ impl Galiot {
         for emission in emissions {
             let seg = match emission {
                 Emission::Edge(frame) => {
-                    metrics.record_frame(&frame, true, false);
+                    metrics.record_frame(&frame, true);
                     frames.push(PipelineFrame {
                         frame,
                         at_edge: true,
@@ -149,16 +148,14 @@ impl Galiot {
             metrics.kill_applications += result.kills as u64;
             for (mut frame, how) in result.frames {
                 frame.start += seg.start;
-                let via_kill = matches!(how, Recovery::AfterKill { .. });
-                metrics.record_frame(&frame, false, via_kill);
+                metrics.record_frame(&frame, false);
                 frames.push(PipelineFrame {
                     frame,
                     at_edge: false,
-                    via_kill,
+                    via_kill: matches!(how, Recovery::AfterKill { .. }),
                 });
             }
         }
-        metrics.record_engine_stats(&engine_before);
         RunReport { frames, metrics }
     }
 }
@@ -191,14 +188,6 @@ mod tests {
         assert_eq!(report.frames[0].frame.payload, vec![1, 2, 3, 4]);
         // Nothing shipped: the edge handled it.
         assert_eq!(report.metrics.shipped_segments, 0);
-        // The DSP engine counters are folded into the metrics: the run
-        // must have exercised the FFT plan cache.
-        let m = &report.metrics;
-        assert!(
-            m.plan_cache_hits + m.plan_cache_misses > 0,
-            "no plan lookups recorded: {m:?}"
-        );
-        assert!(m.plan_cache_hit_rate().is_some());
     }
 
     #[test]

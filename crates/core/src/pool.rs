@@ -1613,7 +1613,7 @@ mod tests {
         assert_eq!(m.arq_lost, 0, "{m:?}");
         assert_eq!(m.segments_shed, 0, "{m:?}");
         assert_eq!(m.arq_acked, m.shipped_segments, "{m:?}");
-        assert!(m.wire_datagrams_sent > 0, "{m:?}");
+        assert!(m.wire.sent > 0, "{m:?}");
         assert_eq!(
             m.shipped_segments,
             m.per_worker_segments.values().sum::<usize>(),

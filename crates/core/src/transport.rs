@@ -65,8 +65,12 @@ const ARQ_JITTER: f64 = 0.5;
 /// fixed.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ArqParams {
-    /// Whether the sender tracks acks and retransmits at all. Off, the
-    /// transport is fire-and-forget (every loss is silent).
+    /// Whether segments travel over the transport at all. Off, the
+    /// transport is a passthrough: segments go straight from the
+    /// gateway to the worker pool, so [`GaliotConfig::validate`]
+    /// rejects it together with impaired links or a paced uplink.
+    ///
+    /// [`GaliotConfig::validate`]: crate::GaliotConfig::validate
     pub enabled: bool,
     /// Initial per-segment retransmit timeout, seconds.
     pub base_timeout_s: f64,
@@ -225,11 +229,12 @@ impl Default for TransportConfig {
 }
 
 impl TransportConfig {
-    /// Whether the streaming pipeline can skip the transport entirely
-    /// (perfect links, no ARQ): segments then flow straight from the
-    /// gateway to the worker pool exactly as before this subsystem.
+    /// Whether the streaming pipeline skips the transport entirely
+    /// (ARQ off, which a valid configuration allows only over perfect,
+    /// unpaced links): segments then flow straight from the gateway to
+    /// the worker pool exactly as before this subsystem.
     pub fn is_passthrough(&self) -> bool {
-        !self.arq.enabled && self.data_faults.is_perfect() && self.ack_faults.is_perfect()
+        !self.arq.enabled
     }
 
     /// ARQ over perfect links — exercises the wire codec and windowed
@@ -457,7 +462,10 @@ fn push_link(
 /// `on_lost(seq)` so downstream reassembly can tolerate the gap
 /// (return `false` from the hook to stop the sender). With
 /// `serialize_bps` set, each datagram also pays its real-time
-/// serialization delay on the uplink.
+/// serialization delay on the uplink. The sender always acks and
+/// retransmits: `arq.enabled` only decides, through
+/// [`TransportConfig::is_passthrough`], whether a pipeline builds the
+/// transport at all.
 #[allow(clippy::too_many_arguments)] // one endpoint per wiring half: queue + 2 channels + knobs
 pub fn spawn_arq_sender(
     queue: Arc<SendQueue>,
@@ -480,9 +488,8 @@ pub fn spawn_arq_sender(
         let max_timeout = Duration::from_secs_f64(ARQ_MAX_TIMEOUT_S.max(arq.base_timeout_s));
 
         'run: loop {
-            // Top the window up (ARQ off: everything is
-            // fire-and-forget, the window stays empty).
-            while !arq.enabled || in_flight.len() < ARQ_WINDOW {
+            // Top the window up.
+            while in_flight.len() < ARQ_WINDOW {
                 let item = if in_flight.is_empty() {
                     match queue.pop() {
                         Some(item) => item,
@@ -497,23 +504,18 @@ pub fn spawn_arq_sender(
                 if !push_link(&mut link, &item.seg, serialize_bps, &wire_tx, &metrics) {
                     break 'run;
                 }
-                if arq.enabled {
-                    let timeout = Duration::from_secs_f64(
-                        arq.base_timeout_s * (1.0 + ARQ_JITTER * rng.gen::<f64>()),
-                    );
-                    in_flight.insert(
-                        (item.seg.gateway, item.seg.seq),
-                        Flight {
-                            seg: item.seg,
-                            retries: 0,
-                            timeout,
-                            deadline: clock.now() + timeout,
-                        },
-                    );
-                }
-            }
-            if in_flight.is_empty() {
-                continue;
+                let timeout = Duration::from_secs_f64(
+                    arq.base_timeout_s * (1.0 + ARQ_JITTER * rng.gen::<f64>()),
+                );
+                in_flight.insert(
+                    (item.seg.gateway, item.seg.seq),
+                    Flight {
+                        seg: item.seg,
+                        retries: 0,
+                        timeout,
+                        deadline: clock.now() + timeout,
+                    },
+                );
             }
 
             // Wait for acks until the earliest retransmit deadline.
@@ -523,17 +525,16 @@ pub fn spawn_arq_sender(
                 .min()
                 .expect("in_flight is non-empty");
             match clock.await_ack(&ack_rx, deadline) {
-                Ok(bytes) => match decode_ack(&bytes) {
-                    Ok((gw, seq)) => {
-                        // An ack for another session's (gateway,
-                        // seq) — e.g. on a shared wire — must not
-                        // retire this one's flight.
-                        if in_flight.remove(&(gw, seq)).is_some() {
+                Ok(bytes) => {
+                    // An ack for another session's (gateway, seq) —
+                    // e.g. on a shared wire — must not retire this
+                    // one's flight; a corrupted ack retires nothing.
+                    if let Ok(key) = decode_ack(&bytes) {
+                        if in_flight.remove(&key).is_some() {
                             metrics.with(|m| m.arq_acked += 1);
                         }
                     }
-                    Err(_) => metrics.with(|m| m.wire_decode_errors += 1),
-                },
+                }
                 Err(RecvTimeoutError::Timeout) => {
                     let now = clock.now();
                     let expired: Vec<(GatewayId, u64)> = in_flight
@@ -578,7 +579,7 @@ pub fn spawn_arq_sender(
                 break;
             }
         }
-        metrics.with(|m| m.record_link_stats(&link.stats));
+        metrics.with(|m| m.wire.merge(&link.stats));
     })
     .unwrap_or_else(|e| panic!("ARQ sender startup: {e}"))
 }
@@ -689,33 +690,32 @@ pub fn spawn_arq_receiver<T: From<ShippedSegment> + Send + 'static>(
             // once (and if) the wire bytes decode.
             let mut recv_span =
                 galiot_trace::span(galiot_trace::Stage::ArqRecv, galiot_trace::NO_SEQ);
-            match decode_segment(&bytes) {
-                Ok(seg) => {
-                    recv_span.set_seq(galiot_trace::tag_seq(seg.gateway.0, seg.seq));
-                    // Ack first, even for duplicates: the original
-                    // ack may have been the casualty.
-                    for d in ack_link.transmit(encode_ack(seg.gateway, seg.seq)) {
-                        let _ = ack_tx.send(d);
-                    }
-                    if !seen.insert(seg.gateway, seg.seq) {
-                        metrics.with(|m| m.dup_segments_dropped += 1);
-                        continue;
-                    }
-                    if seg_tx.send(T::from(seg)).is_err() {
-                        break; // pool is gone
-                    }
-                    let depth = seg_tx.len();
-                    metrics.with(|m| m.seg_queue_hwm = m.seg_queue_hwm.max(depth));
-                }
-                Err(_) => metrics.with(|m| m.wire_decode_errors += 1),
+            // Framing, CRC or header damage: unacked, so the sender
+            // retransmits.
+            let Ok(seg) = decode_segment(&bytes) else {
+                continue;
+            };
+            recv_span.set_seq(galiot_trace::tag_seq(seg.gateway.0, seg.seq));
+            // Ack first, even for duplicates: the original ack may have
+            // been the casualty.
+            for d in ack_link.transmit(encode_ack(seg.gateway, seg.seq)) {
+                let _ = ack_tx.send(d);
             }
+            if !seen.insert(seg.gateway, seg.seq) {
+                continue;
+            }
+            if seg_tx.send(T::from(seg)).is_err() {
+                break; // pool is gone
+            }
+            let depth = seg_tx.len();
+            metrics.with(|m| m.seg_queue_hwm = m.seg_queue_hwm.max(depth));
         }
         // Late acks for traffic the sender no longer waits on are
         // harmless; flush the ack link's jitter buffer anyway.
         for d in ack_link.drain() {
             let _ = ack_tx.send(d);
         }
-        metrics.with(|m| m.record_link_stats(&ack_link.stats));
+        metrics.with(|m| m.wire.merge(&ack_link.stats));
     })
     .unwrap_or_else(|e| panic!("ARQ receiver startup: {e}"))
 }
@@ -835,7 +835,7 @@ mod tests {
         assert_eq!(m.arq_lost, 0, "{m:?}");
         assert_eq!(m.arq_acked as u64, n, "{m:?}");
         assert!(m.arq_retransmits > 0, "a 30% link must retransmit: {m:?}");
-        assert!(m.wire_dropped > 0 && m.wire_bytes_sent > 0, "{m:?}");
+        assert!(m.wire.dropped > 0 && m.wire_bytes_sent > 0, "{m:?}");
     }
 
     /// With retries disabled over a one-way lossy link, exactly the

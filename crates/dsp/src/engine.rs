@@ -647,8 +647,12 @@ mod tests {
         let a = plan(1 << 14);
         let b = plan(1 << 14);
         assert!(Arc::ptr_eq(&a, &b));
+        // Both lookups are counted, and the repeat is a hit. (The
+        // counters are process-wide: concurrent tests only add to
+        // them.)
         let after = stats().since(&before);
-        assert!(after.plan_hits >= 1);
+        assert!(after.plan_hits >= 1, "{after:?}");
+        assert!(after.plan_hits + after.plan_misses >= 2, "{after:?}");
     }
 
     #[test]

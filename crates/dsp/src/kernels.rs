@@ -612,8 +612,8 @@ pub fn active() -> Backend {
     }
 }
 
-/// The active backend's name — the `dsp_backend` tag metrics and
-/// benches record.
+/// The active backend's name — the `dsp_backend` tag benchmark reports
+/// record.
 pub fn backend_name() -> &'static str {
     active().name()
 }

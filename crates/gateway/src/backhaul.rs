@@ -1127,6 +1127,32 @@ mod tests {
     }
 
     #[test]
+    fn link_stats_merge_field_by_field() {
+        let stats = LinkStats {
+            sent: 10,
+            delivered: 9,
+            dropped: 1,
+            corrupted: 2,
+            duplicated: 1,
+            reordered: 3,
+        };
+        let mut total = LinkStats::default();
+        total.merge(&stats);
+        total.merge(&stats);
+        assert_eq!(
+            total,
+            LinkStats {
+                sent: 20,
+                delivered: 18,
+                dropped: 2,
+                corrupted: 4,
+                duplicated: 2,
+                reordered: 6,
+            }
+        );
+    }
+
+    #[test]
     fn lossy_link_drops_at_roughly_the_configured_rate() {
         let mut link = FaultyLink::new(LinkFaults::lossy(0.2, 99));
         let mut delivered = 0usize;

@@ -268,7 +268,7 @@ fn fleet_matches_single_gateway_batch_across_the_matrix() {
                 if loss > 0.0 {
                     assert_eq!(m.arq_lost, 0, "{ctx}: ARQ gave a segment up: {m:?}");
                     assert!(
-                        m.wire_datagrams_sent > m.shipped_segments as u64,
+                        m.wire.sent > m.shipped_segments as u64,
                         "{ctx}: a lossy fleet run should retransmit: {m:?}"
                     );
                 }

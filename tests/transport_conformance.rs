@@ -148,7 +148,7 @@ fn assert_transport_conformance(samples: &[Cf32], registry: &Registry, edge: boo
                 m.arq_acked, m.shipped_segments,
                 "{ctx}: every shipped segment must end acked: {m:?}"
             );
-            if m.wire_dropped > 0 {
+            if m.wire.dropped > 0 {
                 assert!(
                     m.arq_retransmits > 0,
                     "{ctx}: the wire dropped datagrams but nothing was retransmitted: {m:?}"
@@ -156,7 +156,7 @@ fn assert_transport_conformance(samples: &[Cf32], registry: &Registry, edge: boo
             }
             if loss > 0.0 {
                 assert!(
-                    m.wire_datagrams_sent > m.shipped_segments as u64,
+                    m.wire.sent > m.shipped_segments as u64,
                     "{ctx}: a lossy run should need more datagrams than segments: {m:?}"
                 );
             }
@@ -279,7 +279,7 @@ fn declared_lost_segments_are_exactly_the_missing_ones() {
         m.arq_lost > 0,
         "a 35% one-way link with zero retries should lose something: {m:?}"
     );
-    assert_eq!(m.wire_dropped as usize, m.arq_lost, "{m:?}");
+    assert_eq!(m.wire.dropped as usize, m.arq_lost, "{m:?}");
     assert_accounting(&m, "declared-lost");
 }
 
