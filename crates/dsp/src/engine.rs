@@ -18,6 +18,8 @@
 //!   precomputed at a fixed engine block size, correlated against
 //!   arbitrary-length signals by overlap-save with per-thread scratch
 //!   buffers (zero steady-state allocation beyond the output).
+//! * [`NccWalk`] — a template's normalized correlation walked one block
+//!   at a time, so a caller can stop once the lags so far answer it.
 //! * [`TemplateBank`] — an indexed set of templates, built once per
 //!   registry-and-sample-rate pair by the PHY layer.
 //! * [`FsCache`] — a tiny sample-rate-keyed memo used by callers that
@@ -128,23 +130,39 @@ pub fn note_bank_hit() {
 }
 
 // ---------------------------------------------------------------------------
-// Per-thread scratch
+// Scratch
 // ---------------------------------------------------------------------------
 
-/// Reusable per-thread work buffers for the overlap-save correlator.
-/// Each is sized by the template's FFT block, never by the signal.
+/// Reusable per-thread work buffers for one overlap-save block, shared
+/// by every correlation and every [`NccWalk`] on the thread: nothing in
+/// them outlives the block. Each is sized by the template's FFT block,
+/// never by the signal.
 #[derive(Default)]
 struct Scratch {
     /// FFT work block (signal block in, correlation block out).
     block: Vec<Cf32>,
     /// Per-sample `|z|^2` staging for the prefix-sum pass.
     sq: Vec<f32>,
+}
+
+/// What an [`NccWalk`] carries from one block to the next, kept by a
+/// caller from one walk to the next (the engine keeps one per thread for
+/// [`Template::xcorr_normalized_into`]). Sized by the template's block,
+/// never by the signal — unless the walk parks lags, which it does only
+/// on a signal with no noise floor.
+#[derive(Debug, Default)]
+pub struct WalkScratch {
     /// Prefix sums under the sliding-window energies in flight.
     prefix: Vec<f64>,
+    /// The walk's normalized lags from the first one not handed out on.
+    pending: Vec<f32>,
+    /// `(lag, window energy)` of the lags normalized on credit.
+    parked: Vec<(usize, f64)>,
 }
 
 thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+    static WALK: RefCell<WalkScratch> = RefCell::new(WalkScratch::default());
 }
 
 // ---------------------------------------------------------------------------
@@ -246,11 +264,16 @@ impl Template {
     /// (identical semantics to [`crate::corr::xcorr_fft`]): overlap-save
     /// with the cached plan, writing into `out`.
     pub fn xcorr_into(&self, x: &[Cf32], out: &mut Vec<Cf32>) {
+        let lags = self.lags(x);
         out.clear();
-        out.reserve_exact(self.lags(x));
+        out.reserve_exact(lags);
         SCRATCH.with(|s| {
-            let scratch = &mut *s.borrow_mut();
-            self.overlap_save(x, &mut scratch.block, |corr| out.extend_from_slice(corr));
+            let block = &mut s.borrow_mut().block;
+            let plan = plan(self.fft_len);
+            while out.len() < lags {
+                let run = self.correlate_block(x, out.len(), block, &plan);
+                out.extend_from_slice(&block[..run]);
+            }
         });
     }
 
@@ -271,52 +294,33 @@ impl Template {
         }
     }
 
-    /// Overlap-save core against a caller-supplied block buffer: hands
-    /// `emit` the correlation at consecutive lags, one run of at most
-    /// `fft_len - len + 1` per FFT block.
-    fn overlap_save(&self, x: &[Cf32], block: &mut Vec<Cf32>, mut emit: impl FnMut(&[Cf32])) {
-        let out_len = self.lags(x);
+    /// One overlap-save block: leaves the correlation at lags `pos..`
+    /// in `block[..run]` and returns `run`, at most
+    /// [`Template::block_lags`] (fewer only at the end of `x`).
+    fn correlate_block(&self, x: &[Cf32], pos: usize, block: &mut Vec<Cf32>, plan: &Fft) -> usize {
         let n = self.fft_len;
-        let step = self.block_lags();
-        let plan = plan(n);
         block.resize(n, Cf32::ZERO);
-        let mut pos = 0usize;
-        while pos < out_len {
-            let take = (x.len() - pos).min(n);
-            block[..take].copy_from_slice(&x[pos..pos + take]);
-            for z in block[take..].iter_mut() {
-                *z = Cf32::ZERO;
-            }
-            plan.forward(block);
-            // Correlation theorem: corr = IFFT(FFT(x) * conj(FFT(h))).
-            // Pointwise spectral multiply on the SIMD backend — bit-
-            // exact across backends, so detection output is too.
-            crate::kernels::mul_in_place(block, &self.spectrum_conj);
-            plan.inverse(block);
-            // Outputs 0..step of a block are full-overlap correlations;
-            // later ones wrap circularly and belong to the next block.
-            let run = step.min(out_len - pos);
-            emit(&block[..run]);
-            pos += run;
-        }
+        let take = (x.len() - pos).min(n);
+        block[..take].copy_from_slice(&x[pos..pos + take]);
+        block[take..].fill(Cf32::ZERO);
+        plan.forward(block);
+        // Correlation theorem: corr = IFFT(FFT(x) * conj(FFT(h))).
+        // Pointwise spectral multiply on the SIMD backend — bit-exact
+        // across backends, so detection output is too.
+        crate::kernels::mul_in_place(block, &self.spectrum_conj);
+        plan.inverse(block);
+        // Outputs 0..step of a block are full-overlap correlations;
+        // later ones wrap circularly and belong to the next block.
+        self.block_lags().min(self.lags(x) - pos)
     }
 
     /// Normalized sliding correlation magnitude in `[0, 1]` (identical
     /// semantics to [`crate::corr::xcorr_normalized`]), using the
-    /// precomputed template energy and per-thread scratch.
-    ///
-    /// Windows quieter than `1e-9` of the loudest one are numerical
-    /// residue, not signal, and score zero — a floor only known once
-    /// every window has been seen. The signal is still walked once:
-    /// no window can outweigh `m` samples at the capture's peak power,
-    /// which bounds the floor from above before the walk starts, and
-    /// the loudest window so far bounds it from below. A lag under the
-    /// lower bound is zero, one over the upper bound is normalized as
-    /// it comes out of the inverse FFT, and the few in between (none on
-    /// a capture with a noise floor) are parked and settled at the end.
+    /// precomputed template energy and per-thread scratch: an
+    /// [`NccWalk`] run to the end.
     pub fn xcorr_normalized(&self, x: &[Cf32]) -> Vec<f32> {
-        let mut out = vec![0.0; self.lags(x)];
-        self.normalize(x, &mut out);
+        let mut out = Vec::new();
+        self.xcorr_normalized_into(x, &mut out);
         out
     }
 
@@ -331,74 +335,163 @@ impl Template {
     /// start at `k`, so not bit for bit), with the quiet-window floor
     /// taken over the lags it computes.
     pub fn xcorr_normalized_into(&self, x: &[Cf32], out: &mut Vec<f32>) {
-        // No `clear()`: every lag is written below, so a buffer that is
-        // already long enough is not filled twice. Grown to the lags
-        // exactly, never doubled past them.
-        out.reserve_exact(self.lags(x).saturating_sub(out.len()));
-        out.resize(self.lags(x), 0.0);
-        self.normalize(x, out);
+        out.clear();
+        // Grown to the lags exactly, never doubled past them.
+        out.reserve_exact(self.lags(x));
+        WALK.with(|s| {
+            // The walk keeps its lags in `out`, and keeps all of them.
+            let scratch = &mut *s.borrow_mut();
+            std::mem::swap(&mut scratch.pending, out);
+            let mut walk = self.walk(x, scratch);
+            while walk.advance() {}
+            std::mem::swap(&mut scratch.pending, out);
+        });
     }
 
-    /// Writes the normalized correlation at every lag of `x` into
-    /// `out` (one entry per lag, each overwritten).
-    fn normalize(&self, x: &[Cf32], out: &mut [f32]) {
-        if out.is_empty() {
-            return;
-        }
-        let m = self.waveform.len() as f64;
-        let ceiling = (m * crate::kernels::max_norm_sqr(x) as f64 * 2e-9).max(QUIET_FLOOR);
-        let floor = self.normalize_walk(x, QUIET_FLOOR, ceiling, out);
-        if floor > ceiling {
-            // Only NaN samples, which `max_norm_sqr` may skip a
-            // neighbour of, can void the bound: walk again knowing
-            // the floor.
-            self.normalize_walk(x, floor, floor, out);
+    /// Starts an [`NccWalk`] of `x` in `scratch` (whatever it held is
+    /// never read).
+    pub fn walk<'a>(&'a self, x: &'a [Cf32], scratch: &'a mut WalkScratch) -> NccWalk<'a> {
+        let WalkScratch {
+            prefix,
+            pending,
+            parked,
+        } = scratch;
+        pending.clear();
+        parked.clear();
+        // No window can outweigh `m` samples at the signal's peak power,
+        // plus what f64 prefix sums over `n` samples can round to.
+        let (m, n) = (self.len() as f64, x.len() as f64);
+        let peak = crate::kernels::max_norm_sqr(x) as f64;
+        NccWalk {
+            template: self,
+            plan: None,
+            energies: WindowEnergies::new(x, self.len(), prefix),
+            pending,
+            parked,
+            ceiling: (peak * (m + n * n * f64::EPSILON) * 2e-9).max(QUIET_FLOOR),
+            loudest: 0.0,
+            walked: 0,
+            settled: 0,
+            origin: 0,
         }
     }
+}
 
-    /// One correlate-and-normalize walk over `x` into `out`, given that
-    /// the quiet-window floor lies in `[at_least, at_most]`; returns the
-    /// floor. Exact whenever the returned floor is at most `at_most`.
-    fn normalize_walk(&self, x: &[Cf32], at_least: f64, at_most: f64, out: &mut [f32]) -> f64 {
-        let m = self.waveform.len();
-        SCRATCH.with(|s| {
-            let Scratch { block, sq, prefix } = &mut *s.borrow_mut();
-            let mut energies = WindowEnergies::new(x, m, sq, prefix);
-            let mut max_win = 0.0f64;
-            // (lag, window energy) of the lags normalized on credit.
-            let mut parked: Vec<(usize, f64)> = Vec::new();
-            let mut lag = 0usize;
-            self.overlap_save(x, block, |corr| {
-                energies.load(corr.len());
-                let (quietest, loudest) = energies.extremes();
-                max_win = max_win.max(loudest);
-                let floor = (max_win * 1e-9).max(at_least);
-                let run = &mut out[lag..lag + corr.len()];
-                crate::kernels::normalize_lags(
-                    corr,
-                    energies.prefix,
-                    m,
-                    self.energy as f64,
-                    floor,
-                    run,
-                );
-                if quietest <= at_most {
-                    parked.extend(
-                        (0..corr.len())
-                            .map(|k| (lag + k, energies.win(k)))
-                            .filter(|&(_, win)| win > floor && win <= at_most),
-                    );
-                }
-                lag += corr.len();
-            });
-            let floor = (max_win * 1e-9).max(QUIET_FLOOR);
-            for (lag, win) in parked {
-                if win <= floor {
-                    out[lag] = 0.0;
-                }
+/// Normalized correlation of one signal against one [`Template`], walked
+/// one overlap-save block at a time from lag 0, so a caller can stop as
+/// soon as the lags it has seen answer its question.
+///
+/// Every lag is the one [`Template::xcorr_normalized`] gives over the
+/// whole signal, bit for bit. Windows quieter than `1e-9` of the loudest
+/// one are numerical residue, not signal, and score zero — a floor only
+/// known once every window has been seen. No window can outweigh `m`
+/// samples at the signal's peak power, which bounds the floor from above
+/// before the walk starts, and the loudest window so far bounds it from
+/// below. A lag under the lower bound is zero, one over the upper bound
+/// is final as it comes out of the inverse FFT, and the few in between
+/// (none on a signal with a noise floor) are *parked*: normalized on
+/// credit, zeroed if a louder window later raises the floor over them,
+/// and held back — with every lag after them — until the floor can no
+/// longer reach them, at the latest at the end of the signal.
+pub struct NccWalk<'a> {
+    template: &'a Template,
+    /// The template's FFT plan, looked up on the first block.
+    plan: Option<Arc<Fft>>,
+    energies: WindowEnergies<'a>,
+    /// Lags `origin..walked`, normalized.
+    pending: &'a mut Vec<f32>,
+    /// Parked lags, ascending.
+    parked: &'a mut Vec<(usize, f64)>,
+    /// Upper bound on the quiet-window floor.
+    ceiling: f64,
+    /// The loudest window so far.
+    loudest: f64,
+    /// Lags correlated so far.
+    walked: usize,
+    /// Lags handed out so far.
+    settled: usize,
+    /// The lag `pending` starts at.
+    origin: usize,
+}
+
+impl NccWalk<'_> {
+    /// Lags of the whole trace.
+    pub fn lags(&self) -> usize {
+        self.template.lags(self.energies.x)
+    }
+
+    /// Lags correlated so far.
+    pub fn walked(&self) -> usize {
+        self.walked
+    }
+
+    /// Lags handed out so far: every one is final.
+    pub fn settled(&self) -> usize {
+        self.settled
+    }
+
+    /// Correlates the next overlap-save block and returns the lags that
+    /// became final with it, in order from the last run's end — all of
+    /// the block's unless a lag is parked, and with the last block every
+    /// lag still held back. `None` once the walk has handed out every
+    /// lag.
+    pub fn next_run(&mut self) -> Option<&[f32]> {
+        self.pending.drain(..self.settled - self.origin);
+        self.origin = self.settled;
+        self.advance()
+            .then(|| &self.pending[..self.settled - self.origin])
+    }
+
+    /// Correlates and normalizes the next block into `pending` and
+    /// settles what it can; `false` once every block is done.
+    fn advance(&mut self) -> bool {
+        let lags = self.lags();
+        if self.walked == lags {
+            return false;
+        }
+        let (t, walked) = (self.template, self.walked);
+        let plan = self.plan.get_or_insert_with(|| plan(t.fft_len));
+        let (energies, pending, loudest) =
+            (&mut self.energies, &mut *self.pending, &mut self.loudest);
+        let (run, quietest, floor) = SCRATCH.with(|s| {
+            let Scratch { block, sq } = &mut *s.borrow_mut();
+            let run = t.correlate_block(energies.x, walked, block, plan);
+            energies.load(run, sq);
+            let (quietest, most) = energies.extremes();
+            *loudest = loudest.max(most);
+            let floor = (*loudest * 1e-9).max(QUIET_FLOOR);
+            let at = pending.len();
+            pending.resize(at + run, 0.0);
+            crate::kernels::normalize_lags(
+                &block[..run],
+                energies.prefix,
+                t.len(),
+                t.energy as f64,
+                floor,
+                &mut pending[at..],
+            );
+            (run, quietest, floor)
+        });
+        if quietest <= self.ceiling {
+            let (energies, ceiling) = (&self.energies, self.ceiling);
+            self.parked.extend(
+                (0..run)
+                    .map(|k| (walked + k, energies.win(k)))
+                    .filter(|&(_, win)| win > floor && win <= ceiling),
+            );
+        }
+        self.walked += run;
+        // The floor may have risen over lags parked before; past the
+        // last window it can rise no more.
+        let (pending, origin, end) = (&mut *self.pending, self.origin, self.walked == lags);
+        self.parked.retain(|&(lag, win)| {
+            if win <= floor {
+                pending[lag - origin] = 0.0;
             }
-            floor
-        })
+            win > floor && !end
+        });
+        self.settled = self.parked.first().map_or(self.walked, |&(lag, _)| lag);
+        true
     }
 }
 
@@ -418,9 +511,6 @@ const QUIET_FLOOR: f64 = 1e-30;
 struct WindowEnergies<'a> {
     x: &'a [Cf32],
     m: usize,
-    /// `|z|^2` staging: squared on the SIMD backend (bit-exact), summed
-    /// sequentially.
-    sq: &'a mut Vec<f32>,
     /// `prefix[k]` is the energy of `x[..first + k]`; `count + m`
     /// entries, so window `k` of the run is `prefix[k + m] - prefix[k]`.
     prefix: &'a mut Vec<f64>,
@@ -431,13 +521,12 @@ struct WindowEnergies<'a> {
 }
 
 impl<'a> WindowEnergies<'a> {
-    fn new(x: &'a [Cf32], m: usize, sq: &'a mut Vec<f32>, prefix: &'a mut Vec<f64>) -> Self {
+    fn new(x: &'a [Cf32], m: usize, prefix: &'a mut Vec<f64>) -> Self {
         prefix.clear();
         prefix.push(0.0);
         WindowEnergies {
             x,
             m,
-            sq,
             prefix,
             first: 0,
             count: 0,
@@ -445,17 +534,19 @@ impl<'a> WindowEnergies<'a> {
     }
 
     /// Moves on to the next `count` windows: drops the sums behind the
-    /// previous run and extends them to cover this one.
-    fn load(&mut self, count: usize) {
+    /// previous run and extends them to cover this one, the new samples'
+    /// `|z|^2` staged in `sq` (squared on the SIMD backend, bit-exact,
+    /// then summed sequentially).
+    fn load(&mut self, count: usize, sq: &mut Vec<f32>) {
         self.prefix.drain(..self.count);
         self.first += self.count;
         self.count = count;
         let have = self.first + self.prefix.len() - 1;
         let need = self.first + count - 1 + self.m;
-        self.sq.resize(need - have, 0.0);
-        crate::kernels::norm_sqr_into(&self.x[have..need], self.sq);
+        sq.resize(need - have, 0.0);
+        crate::kernels::norm_sqr_into(&self.x[have..need], sq);
         let mut acc = self.prefix[self.prefix.len() - 1];
-        self.prefix.extend(self.sq.iter().map(|&v| {
+        self.prefix.extend(sq.iter().map(|&v| {
             acc += v as f64;
             acc
         }));
@@ -796,14 +887,104 @@ mod tests {
         poisoned[1_000] = Cf32::new(f32::NAN, 0.0);
         poisoned[400] = Cf32::new(3.0, f32::INFINITY);
         assert_matches_two_pass(&poisoned, &h, "NaN and inf");
-        // A NaN one vector stride after the peak wipes the peak from a
-        // vector `max_norm_sqr`'s lane, and the first block's quiet lags
-        // are long written when the peak's window shows up: the bound
-        // comes out under the true floor and the walk is redone.
+        // A NaN one vector stride after the peak shares its lane in a
+        // vector `max_norm_sqr`, and the first block's quiet lags are
+        // long final when the peak's window shows up: were the NaN to
+        // wipe the peak, the bound would come out under the true floor.
         let mut hidden: Vec<Cf32> = scaled(2_000, 1e-6).collect();
         hidden[1_000] = Cf32::new(1e3, 0.0);
         hidden[1_004] = Cf32::new(f32::NAN, 0.0);
         assert_matches_two_pass(&hidden, &h, "peak hidden behind a NaN");
+    }
+
+    /// Walks `x` for `blocks` blocks (in a scratch another walk left
+    /// dirty), checks what it handed out against the whole-signal trace
+    /// and its settled point against the floor's bounds, then walks on
+    /// to the end.
+    fn check_stopped_walk(t: &Template, x: &[Cf32], blocks: usize) {
+        let whole = t.xcorr_normalized(x);
+        let mut scratch = WalkScratch::default();
+        let mut dirty = t.walk(&x[x.len() / 3..], &mut scratch);
+        while dirty.next_run().is_some() {}
+        let mut walk = t.walk(x, &mut scratch);
+        let mut got = Vec::new();
+        for _ in 0..blocks {
+            match walk.next_run() {
+                Some(run) => got.extend_from_slice(run),
+                None => break,
+            }
+        }
+        let (walked, settled) = (walk.walked(), walk.settled());
+        assert_eq!(walked, (blocks * t.block_lags()).min(whole.len()));
+        assert_eq!(got.len(), settled);
+        assert_eq!(bits(&got), bits(&whole[..settled]), "{blocks} blocks");
+        // Settled up to the first lag walked whose window lies over the
+        // floor so far but at most the bound on the floor a later window
+        // can raise — or all of them, once there are no later windows.
+        let m = t.len();
+        let mut prefix = vec![0.0f64];
+        for z in x {
+            prefix.push(prefix[prefix.len() - 1] + z.norm_sqr() as f64);
+        }
+        let win = |i: usize| prefix[i + m] - prefix[i];
+        // The whole-signal trace is the specification: the raw correlation
+        // normalized by every lag's window, zero at or under the floor
+        // over all of them.
+        let floor_of = |lags: usize| ((0..lags).map(win).fold(0.0f64, f64::max) * 1e-9).max(1e-30);
+        let (raw, last) = (t.xcorr(x), floor_of(whole.len()));
+        let spec: Vec<f32> = (0..raw.len())
+            .map(|i| match win(i) {
+                w if w <= last => 0.0,
+                w => (raw[i].abs() / (w * t.energy() as f64).sqrt() as f32).min(1.0),
+            })
+            .collect();
+        assert_eq!(bits(&whole), bits(&spec), "the whole trace");
+        let floor = floor_of(walked);
+        let peak = x.iter().map(|z| z.norm_sqr()).fold(0.0f32, f32::max) as f64;
+        let n = x.len() as f64;
+        let ceiling = (peak * (m as f64 + n * n * f64::EPSILON) * 2e-9).max(1e-30);
+        let exposed = (0..walked).find(|&i| win(i) > floor && win(i) <= ceiling);
+        let want = if walked == whole.len() {
+            walked
+        } else {
+            exposed.unwrap_or(walked)
+        };
+        assert_eq!(settled, want, "{blocks} blocks of {walked} lags");
+        while let Some(run) = walk.next_run() {
+            got.extend_from_slice(run);
+        }
+        assert_eq!(bits(&got), bits(&whole), "walked on from {blocks} blocks");
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
+    #[test]
+    fn a_stopped_walk_is_the_whole_trace_so_far() {
+        let h = wave(33, 0.9); // 256-sample blocks, 224 lags each
+        let t = Template::new(&h);
+        let scaled = |len: usize, k: f32| wave(len, 0.31).into_iter().map(move |z| z * k);
+        let mut quiet_then_loud: Vec<Cf32> = scaled(2_000, 1e-6).chain(scaled(100, 1.0)).collect();
+        let mut silent = wave(3_000, 0.31);
+        silent[700..1_900].fill(Cf32::ZERO);
+        for blocks in 0..12 {
+            check_stopped_walk(&t, &wave(2_000, 0.31), blocks);
+            check_stopped_walk(&t, &silent, blocks);
+            check_stopped_walk(&t, &vec![Cf32::ZERO; 1_000], blocks);
+            check_stopped_walk(&t, &wave(100, 0.31), blocks);
+            check_stopped_walk(&t, &wave(20, 0.31), blocks);
+            // The burst comes in with the ninth block: every lag before
+            // it is parked until then.
+            check_stopped_walk(&t, &quiet_then_loud, blocks);
+        }
+        let mut scratch = WalkScratch::default();
+        let mut walk = t.walk(&quiet_then_loud, &mut scratch);
+        assert_eq!(walk.next_run(), Some(&[][..]));
+        quiet_then_loud[1_000] = Cf32::new(f32::NAN, 0.0);
+        for blocks in 0..12 {
+            check_stopped_walk(&t, &quiet_then_loud, blocks);
+        }
     }
 
     proptest::proptest! {
@@ -825,6 +1006,36 @@ mod tests {
                 x.extend(wave(len, phase).into_iter().map(|z| z * k));
             }
             assert_matches_two_pass(&x, &h, "random runs");
+        }
+
+        #[test]
+        fn prop_a_stopped_walk_is_the_whole_trace_so_far(
+            m in 1usize..70,
+            lens in proptest::collection::vec(1usize..600, 1..6),
+            decades in proptest::collection::vec(0i32..9, 6),
+            phase in 0.0f32..1.0,
+            blocks in 0usize..14,
+            // A loud burst this far past the last sample the stopped walk
+            // read, and a NaN sample anywhere (each half the time).
+            burst in 0usize..800,
+            nan_at in 0usize..6_000,
+        ) {
+            let t = Template::new(&wave(m, 0.4 + phase));
+            let mut x = Vec::new();
+            for (len, decade) in lens.into_iter().zip(decades) {
+                let k = if decade == 8 { 0.0 } else { 10f32.powi(-decade) };
+                x.extend(wave(len, phase).into_iter().map(|z| z * k));
+            }
+            if burst < 400 {
+                let at = (blocks * t.block_lags() + m - 1 + burst).min(x.len());
+                let loud: Vec<Cf32> = wave(50, phase).into_iter().map(|z| z * 1e3).collect();
+                x.splice(at..at, loud);
+            }
+            if nan_at < 3_000 && !x.is_empty() {
+                let at = nan_at % x.len();
+                x[at] = Cf32::new(f32::NAN, 0.0);
+            }
+            check_stopped_walk(&t, &x, blocks);
         }
 
         #[test]

@@ -266,10 +266,11 @@ impl Backend {
 
     /// Peak instantaneous power `max_i |x[i]|^2` (0 for empty input).
     ///
-    /// Bit-exact across backends for finite inputs: each `|z|^2` is
-    /// the same two-product one-add sequence as the scalar reference,
-    /// and `max` is exact. NaN samples are not part of the contract
-    /// (the scalar fold drops them; vector `max` semantics differ).
+    /// Bit-exact across backends: each `|z|^2` is the same two-product
+    /// one-add sequence as the scalar reference, `max` is exact, and a
+    /// NaN `|z|^2` is skipped (the running peak is the operand a vector
+    /// `max` keeps when either is NaN), so the result is a true bound on
+    /// every other sample's power.
     pub fn max_norm_sqr(self, x: &[Cf32]) -> f32 {
         dispatch!(capped: self, max_norm_sqr(x))
     }
@@ -1970,7 +1971,7 @@ mod x86 {
             // SAFETY (pointer): k + LANES <= done <= x.len().
             let v = S::load(x.as_ptr().add(k));
             let sq = v.mul(v);
-            peak = peak.max(sq.add(sq.swap()));
+            peak = sq.add(sq.swap()).max(peak);
         }
         let lanes = to_floats(peak);
         let mut best = lanes[..2 * S::LANES].iter().fold(0.0f32, |a, &b| a.max(b));

@@ -169,6 +169,26 @@ fn max_norm_sqr_bit_exact_across_backends() {
             assert_eq!(got.to_bits(), reference.to_bits(), "{backend:?} n={n}");
         }
     }
+    // NaN samples are skipped: a NaN in the peak's lane, one vector
+    // stride after it, must not wipe it (the correlation engine bounds
+    // its quiet-window floor by this peak).
+    for &n in LENGTHS.iter().filter(|&&n| n >= 2) {
+        let mut x = cvec(&mut rng, n);
+        let at = rng.gen_range(0..n);
+        x[at] = Cf32::new(1e3, 0.0);
+        for k in [1, 2, 4, 8, 16] {
+            if let Some(z) = x.get_mut(at + k) {
+                *z = Cf32::new(f32::NAN, 0.0);
+            }
+        }
+        x[rng.gen_range(0..n)] = Cf32::new(0.0, f32::NAN);
+        let reference = Backend::Scalar.max_norm_sqr(&x);
+        assert!(!reference.is_nan(), "n={n}");
+        for backend in backends() {
+            let got = backend.max_norm_sqr(&x);
+            assert_eq!(got.to_bits(), reference.to_bits(), "{backend:?} n={n}, NaN");
+        }
+    }
 }
 
 #[test]

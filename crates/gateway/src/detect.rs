@@ -295,23 +295,17 @@ impl MatchedFilterBank {
                 continue;
             }
             template.xcorr_normalized_into(capture, ncc);
-            let min_distance = if self.min_distance == 0 {
-                (template.len() / 2).max(512)
-            } else {
-                self.min_distance
+            let min_distance = match self.min_distance {
+                0 => (template.len() / 2).max(512),
+                d => d,
             };
             let threshold = if self.threshold > 0.0 {
                 self.threshold
             } else {
                 ncc_noise_threshold(capture.len(), template.len(), self.auto_factor)
             };
-            for p in find_peaks(ncc, threshold, min_distance) {
-                detections.push(Detection {
-                    start: p.index,
-                    score: p.value,
-                    tech: Some(tech.id()),
-                });
-            }
+            let (tech, found) = (Some(tech.id()), find_peaks(ncc, threshold, min_distance));
+            detections.extend(found.into_iter().map(|p| Detection { tech, ..p.into() }));
         }
         detections.sort_by_key(|d| d.start);
         detections

@@ -3,11 +3,16 @@
 //! "I/Q samples are pushed to the edge for decoding individual
 //! technologies (assuming no collisions) and shipped to the cloud only
 //! if decoding fails" (Sec. 4). The edge correlates a segment against
-//! every registered preamble once; if that shows a single packet, the
-//! technologies it could belong to are demodulated where it sits and a
-//! lone clean decode is finished locally. Everything else travels on.
+//! every registered preamble once, block by block, and ships it as soon
+//! as the peaks found so far prove a collision; if the whole segment
+//! shows a single packet, the technologies it could belong to are
+//! demodulated where it sits and a lone clean decode is finished
+//! locally. Everything else travels on.
 
-use galiot_dsp::corr::find_peaks;
+use std::ops::ControlFlow;
+
+use galiot_dsp::corr::{Peak, PeakStream};
+use galiot_dsp::engine::{NccWalk, WalkScratch};
 use galiot_dsp::Cf32;
 use galiot_phy::common::{demodulate_anchored_with, DemodScratch, MAX_DEMOD_FIR_TAPS};
 use galiot_phy::registry::Registry;
@@ -38,11 +43,11 @@ const ANCHOR_PAD: usize = MAX_DEMOD_FIR_TAPS + 64;
 /// 2,048-sample guard at the prototype's 1 Msps capture rate.
 pub const DEFAULT_CLUSTER_GUARD_S: f64 = 2.048e-3;
 
-/// What an edge attempt writes: one correlation trace, every
-/// technology's in turn, and the demodulators' intermediates. A gateway
-/// session keeps one from one segment to the next.
+/// What an edge attempt writes: each technology's correlation walk and
+/// the demodulators' intermediates. A gateway session keeps one from one
+/// segment to the next.
 #[derive(Debug, Default)]
-pub struct EdgeBuffers(pub Vec<f32>, pub DemodScratch);
+pub struct EdgeBuffers(Vec<WalkScratch>, DemodScratch);
 
 /// The edge decoder.
 pub struct EdgeDecoder {
@@ -107,17 +112,15 @@ impl EdgeDecoder {
         buffers: &mut EdgeBuffers,
     ) -> EdgeOutcome {
         let _span = galiot_trace::span(galiot_trace::Stage::EdgeDecode, galiot_trace::NO_SEQ);
-        let EdgeBuffers(trace, demod) = buffers;
-        let peaks = self.preamble_peaks(samples, fs, trace);
-        if self.clusters(&peaks, fs) >= 2 {
+        let EdgeBuffers(walks, demod) = buffers;
+        let ControlFlow::Continue(peaks) = self.preamble_peaks(samples, fs, walks) else {
             return EdgeOutcome::ShipToCloud(Vec::new());
-        }
+        };
         let mut decoded = Vec::new();
         for (tech, at) in self.registry.techs().iter().zip(&peaks) {
-            let (Some(&first), Some(&last)) = (at.first(), at.last()) else {
+            let Some(anchor) = at.first().zip(at.last()).map(|(a, b)| a.index..=b.index) else {
                 continue;
             };
-            let anchor = first..=last;
             if let Ok(mut frame) =
                 demodulate_anchored_with(tech.as_ref(), samples, fs, anchor, ANCHOR_PAD, demod)
             {
@@ -134,44 +137,64 @@ impl EdgeDecoder {
     }
 
     /// Where each technology's preamble correlates with the segment:
-    /// per technology, in registry order, the ascending sample offsets
-    /// of its normalized-correlation peaks.
-    fn preamble_peaks(&self, samples: &[Cf32], fs: f64, ncc: &mut Vec<f32>) -> Vec<Vec<usize>> {
+    /// per technology, in registry order, its normalized-correlation
+    /// peaks in ascending order — or `Break` with the furthest lag any
+    /// walk reached, as soon as the peaks show two clusters.
+    ///
+    /// Each technology's correlation is an [`galiot_dsp::engine::NccWalk`]
+    /// feeding a [`PeakStream`], moved one block on at a time, the walk
+    /// furthest behind first. Below the least lag every stream has
+    /// decided no peak can still appear, and a later one cannot land
+    /// between two earlier ones: two clusters there are two clusters of
+    /// the whole segment.
+    fn preamble_peaks(
+        &self,
+        samples: &[Cf32],
+        fs: f64,
+        scratch: &mut Vec<WalkScratch>,
+    ) -> ControlFlow<usize, Vec<Vec<Peak>>> {
         let bank = self.registry.template_bank(fs);
-        // Sized by the segment, exactly: a caller's buffer is allocated
-        // on its first segment and again only for a longer one, never
-        // doubled past what a trace needs.
-        ncc.reserve_exact(samples.len().saturating_sub(ncc.len()));
-        (0..bank.len())
-            .map(|i| {
-                let template = bank.template(i);
-                if template.is_empty() || template.len() > samples.len() {
-                    return Vec::new();
-                }
-                template.xcorr_normalized_into(samples, ncc);
-                find_peaks(ncc, 0.25, template.len() / 2)
-                    .iter()
-                    .map(|p| p.index)
-                    .collect()
+        scratch.resize_with(bank.len(), WalkScratch::default);
+        let mut walks: Vec<_> = (scratch.iter_mut().enumerate())
+            .map(|(i, s)| {
+                let t = bank.template(i);
+                (t.walk(samples, s), PeakStream::new(0.25, t.len() / 2))
             })
-            .collect()
+            .collect();
+        let mut peaks = vec![Vec::new(); walks.len()];
+        let open = |w: &NccWalk| w.settled() < w.lags();
+        while let Some((i, (walk, stream))) = (walks.iter_mut().enumerate())
+            .filter(|(_, (w, _))| open(w))
+            .min_by_key(|(_, (w, _))| w.walked())
+        {
+            if let Some(run) = walk.next_run() {
+                stream.push(run, &mut peaks[i]);
+            }
+            if !open(walk) {
+                stream.finish(&mut peaks[i]);
+            }
+            let decided = |(w, s): &(NccWalk, PeakStream)| open(w).then(|| s.decided());
+            if self.two_clusters(&peaks, walks.iter().filter_map(decided).min(), fs) {
+                let reached = walks.iter().map(|(w, _)| w.walked()).max();
+                return ControlFlow::Break(reached.unwrap_or(0));
+            }
+        }
+        ControlFlow::Continue(peaks)
     }
 
-    /// Number of peak clusters separated by more than the guard
-    /// distance, over every technology's peaks together.
-    fn clusters(&self, peaks: &[Vec<usize>], fs: f64) -> usize {
-        let mut positions: Vec<usize> = peaks.iter().flatten().copied().collect();
-        positions.sort_unstable();
+    /// Collision evidence: every technology's peaks (before lag `below`,
+    /// if given) together fall into two or more clusters, each peak more
+    /// than the guard distance from the one before starting a new one —
+    /// co-located peaks of correlated preambles count as one. The guard
+    /// is `cluster_guard_s` converted to samples at `fs`, so the verdict
+    /// does not change with the capture rate.
+    fn two_clusters(&self, peaks: &[Vec<Peak>], below: Option<usize>, fs: f64) -> bool {
         let guard = (self.cluster_guard_s * fs).round().max(1.0) as usize;
-        let mut clusters = 0usize;
-        let mut last: Option<usize> = None;
-        for pos in positions {
-            if last.is_none_or(|l| pos - l > guard) {
-                clusters += 1;
-            }
-            last = Some(pos);
-        }
-        clusters
+        let at = || peaks.iter().flatten().map(|p| p.index);
+        let at = || at().filter(|&p| below.is_none_or(|b| p < b));
+        // Some peak past the first has none within the guard before it.
+        let first = at().min();
+        at().any(|p| Some(p) != first && at().all(|q| q >= p || p - q > guard))
     }
 }
 
@@ -187,15 +210,55 @@ mod tests {
     const FS: f64 = 1_000_000.0;
 
     impl EdgeDecoder {
-        /// Collision evidence: two or more spatially distinct preamble-
-        /// correlation peak clusters anywhere in the segment (regardless
-        /// of technology — co-located peaks of correlated preambles
-        /// count as one cluster), the test `process` starts with. The
-        /// cluster guard is `cluster_guard_s` converted to samples at
-        /// `fs`, so the verdict does not change with the capture rate.
+        /// Whether the segment's preamble peaks fall into two clusters,
+        /// the test `process` starts with.
         fn collision_suspected(&self, seg: &Segment, fs: f64) -> bool {
-            let peaks = self.preamble_peaks(&seg.samples, fs, &mut Vec::new());
-            self.clusters(&peaks, fs) >= 2
+            self.preamble_peaks(&seg.samples, fs, &mut Vec::new())
+                .is_break()
+        }
+    }
+
+    #[test]
+    fn a_collision_ships_at_its_proof_and_a_lone_frame_walks_on() {
+        // A collision segment as long as the gateway cuts them, at 18 dB.
+        const LEN: usize = 272_000;
+        let reg = Registry::prototype();
+        let edge = EdgeDecoder::new(reg.clone());
+        let np = snr_to_noise_power(18.0, 0.0);
+        let mut rng = StdRng::seed_from_u64(5);
+        let lone = |id| {
+            vec![TxEvent::new(
+                reg.get(id).unwrap().clone(),
+                vec![9, 8, 7, 6],
+                20_000,
+            )]
+        };
+        let pair = forced_collision(&reg, 8, &[0.0, 0.0], 2_000, 20_000, &mut rng);
+        let cases = [
+            ("LoRa+XBee", pair, true),
+            // Its preamble's sidelobe comb reads as a second cluster.
+            ("lone LoRa", lone(TechId::LoRa), true),
+            ("lone XBee", lone(TechId::XBee), false),
+            ("lone Z-Wave", lone(TechId::ZWave), false),
+        ];
+        for (what, events, ships) in cases {
+            let cap = compose(&events, LEN, FS, np, &mut rng);
+            let mut scratch = Vec::new();
+            match edge.preamble_peaks(&cap.samples, FS, &mut scratch) {
+                // Within the first fifth of the segment's blocks.
+                ControlFlow::Break(reached) => {
+                    assert!(ships, "{what}: shipped");
+                    assert!(reached <= LEN / 5, "{what}: walked {reached} lags of {LEN}");
+                }
+                ControlFlow::Continue(_) => {
+                    assert!(!ships, "{what}: walked every block");
+                    let want = (events[0].tech.id(), events[0].payload.clone());
+                    match edge.process(&seg_from(cap.samples, 0), FS) {
+                        EdgeOutcome::DecodedLocally(f) => assert_eq!((f.tech, f.payload), want),
+                        other => panic!("{what}: expected a local decode, got {other:?}"),
+                    }
+                }
+            }
         }
     }
 

@@ -120,8 +120,8 @@ pub fn build(reg: &Registry, fs: f64, coalesce_threshold: f32) -> UniversalPream
     for r in &reps {
         let mut w = r.to_vec();
         normalize_power(&mut w, 1.0);
-        for (k, &s) in w.iter().enumerate() {
-            template[k] += s;
+        for (t, s) in template.iter_mut().zip(w) {
+            *t += s;
         }
     }
     UniversalPreamble { template, groups }
@@ -179,9 +179,7 @@ impl UniversalDetector {
     /// trace-overhead regression bench compares against. Production
     /// callers use the [`PacketDetector`] impl.
     pub fn detect_raw(&self, capture: &[Cf32], _fs: f64) -> Vec<Detection> {
-        let mut ncc = Vec::new();
-        self.template.xcorr_normalized_into(capture, &mut ncc);
-        self.peaks(&ncc, capture.len())
+        self.peaks(&self.template.xcorr_normalized(capture), capture.len())
     }
 
     /// The detections in `trace`, the scores of a `window_len`-sample

@@ -15,8 +15,8 @@
 //!   nine decades of dynamic range in one block, and the floor is taken
 //!   over the lags a call computes.)
 //! * **The quiet-window floor** of a block is settled over that block:
-//!   the lags parked under it and the walk redone after a NaN hid the
-//!   peak included.
+//!   the lags parked under it and a peak sharing its vector lane with a
+//!   NaN included.
 //!
 //! The detector half: a `DetectionStream` fed flush by flush picks what
 //! `find_peaks` picks over the blocks it scored, and one last flush over
@@ -65,8 +65,8 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|s| s.to_bits()).collect()
 }
 
-/// The two ways a walk's quiet-window floor comes out wrong the first
-/// time, each placed wholly in a block scored from its own samples.
+/// The two ways a walk's quiet-window floor could come out wrong, each
+/// placed wholly in a block scored from its own samples.
 #[test]
 fn the_floor_of_a_block_is_settled_over_that_block() {
     let h = wave(33, 0.9); // 256-sample blocks, 224 lags each
@@ -83,16 +83,16 @@ fn the_floor_of_a_block_is_settled_over_that_block() {
     // credit) when it shows up.
     let mut parked = head.clone();
     parked.extend(scaled(2_000, 1e-6).chain(scaled(100, 1.0)));
-    // The walk redone: a NaN one vector stride after the peak wipes it
-    // from a vector `max_norm_sqr`'s lane, so the bound the walk starts
-    // from is under the true floor.
-    let mut redone = head.clone();
-    redone.extend(scaled(2_000, 1e-6));
-    redone[head.len() + 1_000] = Cf32::new(1e3, 0.0);
-    redone[head.len() + 1_004] = Cf32::new(f32::NAN, 0.0);
+    // A NaN one vector stride after the peak, in its vector
+    // `max_norm_sqr` lane: were it to wipe the peak, the bound the walk
+    // starts from would be under the true floor.
+    let mut hidden = head.clone();
+    hidden.extend(scaled(2_000, 1e-6));
+    hidden[head.len() + 1_000] = Cf32::new(1e3, 0.0);
+    hidden[head.len() + 1_004] = Cf32::new(f32::NAN, 0.0);
 
     on_every_backend(|backend| {
-        for (what, x, quiet) in [("parked", &parked, 1_900), ("redone", &redone, 900)] {
+        for (what, x, quiet) in [("parked", &parked, 1_900), ("hidden", &hidden, 900)] {
             let what = format!("{backend:?}, {what}");
             let block = &x[valid..];
             let mut out = vec![f32::NAN; 7];

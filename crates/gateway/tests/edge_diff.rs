@@ -23,7 +23,7 @@ use galiot_gateway::{
 };
 use galiot_phy::common::WINDOW_ALIGN;
 use galiot_phy::registry::Registry;
-use galiot_phy::{DecodedFrame, DemodScratch, TechId};
+use galiot_phy::{DecodedFrame, TechId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -358,7 +358,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The gateway's edge attempt reads a span of a digitized window in
-    /// place, through a trace buffer the last attempt left dirty; it
+    /// place, through buffers the last attempt left dirty; it
     /// must be the attempt `EdgeDecoder::process` makes on that span
     /// copied out into a `Segment` — verdict, frames and frame starts.
     #[test]
@@ -386,7 +386,10 @@ proptest! {
             },
             FS,
         );
-        let mut buffers = EdgeBuffers(vec![0.7f32; stale], DemodScratch::default());
+        // Buffers the attempt on another span, `stale` samples long,
+        // left dirty.
+        let mut buffers = EdgeBuffers::default();
+        edge.process_slice(&window[..stale], origin, FS, &mut buffers);
         let got = edge.process_slice(&window[range.clone()], origin + range.start, FS, &mut buffers);
         prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
         // The same buffers, as the next span's attempt finds them.

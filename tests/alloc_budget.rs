@@ -1,6 +1,7 @@
 //! The allocation budget of the gateway path — what one flush of a live
 //! session, and one `process_capture` call, may ask the allocator for —
-//! and of one cloud decode by a worker whose buffers are warm.
+//! and of one cloud decode by a worker, and one edge attempt by a
+//! session, whose buffers are warm.
 //!
 //! I/Q travels analog ring → digitized segment → edge attempt → packed
 //! bytes without a per-flush copy in between (DESIGN.md, "Who owns the
@@ -18,7 +19,7 @@
 use galiot::channel::{compose, forced_collision, snr_to_noise_power, TxEvent};
 use galiot::cloud::{CloudDecoder, DecodeBuffers};
 use galiot::core::{Galiot, GaliotConfig, StreamingGaliot};
-use galiot::gateway::{LagScorer, UniversalDetector};
+use galiot::gateway::{EdgeBuffers, EdgeDecoder, EdgeOutcome, LagScorer, UniversalDetector};
 use galiot::phy::registry::Registry;
 use galiot::phy::TechId;
 use rand::rngs::StdRng;
@@ -105,37 +106,40 @@ const QUIET_FLUSH_BUDGET: u64 = 5_440;
 /// A flush that emits an XBee frame's segment: one edge attempt, whose
 /// demodulators write into the session's buffers (2 722 208 while they
 /// allocated for their window, 8.8 MB when the segment and its three
-/// correlation traces were allocated per attempt). Measured: 195 736.
+/// correlation traces were allocated per attempt). Measured: 196 040
+/// (195 736 before the edge walked its correlations block by block).
 const EMITTING_FLUSH_BUDGET: u64 = 244_700;
 /// What a session's first edge attempt asks for on top of that, once:
-/// the edge's own correlation trace, one f32 per sample of the
-/// 218 144-sample segment (the detector's trace holds one flush's
-/// block of lags and can no longer be lent to the edge). Measured when
-/// flushes read whole windows:
-/// 3 623 276 = 2 750 700 + 872 576 on the first emitting flush,
-/// 2 726 672 on the second — grown by `Vec` doubling instead of sized
-/// by the segment it was 1.68 MB, and allocated per attempt it would
-/// come back on every emitting flush.
-const EDGE_TRACE_BYTES: u64 = 4 * 218_144;
+/// what each technology's correlation walk carries from one block to
+/// the next — the prefix sums under a block's windows (8 bytes per lag
+/// and template sample) and a block of normalized lags (4 per lag): for
+/// the prototype's 8 192-, 960- and 2 200-sample preambles, 24 577-,
+/// 3 137- and 14 185-lag blocks. Measured: 593 892 = 4 103 148 −
+/// 196 040 − 1 745 152 − 1 568 064 on the first emitting flush. It
+/// replaced the edge's own correlation trace, one f32 per sample of the
+/// 218 144-sample segment (872 576, 1.68 MB while grown by `Vec`
+/// doubling); allocated per attempt, either would come back on every
+/// emitting flush.
+const EDGE_WALK_BYTES: u64 = 593_892;
 /// And, once, the segment's digitization: a flush digitizes only the
 /// lags it scores, so an emitted span is digitized from the analog ring
 /// into a session buffer, 8 bytes per sample of the longest span seen,
 /// sized to the span (`reserve_exact`: a longer span later grows it to
 /// that span, not to twice the last). Measured: 5 363 964 = 2 746 236 +
-/// 872 576 + 1 745 152 on the first emitting flush, 2 722 208 on the
-/// second.
+/// 872 576 (the edge's trace, then) + 1 745 152 on the first emitting
+/// flush, 2 722 208 on the second.
 const SPAN_BYTES: u64 = 8 * 218_144;
 /// And, once, the session's demodulator scratch, grown on the first
 /// attempt to the windows the edge demodulates the frame in. Measured:
-/// 1 568 064 = 4 381 528 − 195 736 − 872 576 − 1 745 152 on the first
-/// emitting flush, 195 736 on the second.
+/// 1 568 064 = 4 381 528 − 195 736 − 872 576 (the edge's trace, then)
+/// − 1 745 152 on the first emitting flush, 195 736 on the second.
 const EDGE_DEMOD_BYTES: u64 = 1_568_064;
 /// `process_capture` per capture sample (16.7 before): one digitized
 /// copy (8 bytes), one correlation trace (4), the edge attempt and its
-/// trace. Measured: 13.25 (13.72 while the edge's demodulators
-/// allocated for their window, 13.30 while the edge borrowed the
-/// detector's trace).
-const BATCH_BYTES_PER_SAMPLE_BUDGET: f64 = 14.6;
+/// walks. Measured: 13.11 (13.25 while the edge held a trace of the
+/// segment, 13.72 while the edge's demodulators allocated for their
+/// window, 13.30 while the edge borrowed the detector's trace).
+const BATCH_BYTES_PER_SAMPLE_BUDGET: f64 = 14.4;
 /// One decode of a two-frame LoRa+XBee collision (272 000 samples) by a
 /// worker that has decoded one before it: the frames, the remodulations
 /// cancellation subtracts and template-sized scratch, with every
@@ -143,6 +147,13 @@ const BATCH_BYTES_PER_SAMPLE_BUDGET: f64 = 14.6;
 /// Measured: 1 449 401 (21 282 581 while the demodulators, the kill
 /// filters and the residual allocated on every attempt).
 const WARM_DECODE_BUDGET: u64 = 1_812_000;
+/// One edge attempt on a two-frame LoRa+XBee collision (272 000
+/// samples) through a session's buffers that an attempt has grown
+/// before: the peak streams' candidates and the peaks, the collision
+/// proven two blocks of LoRa lags in, the walks' state in the buffers.
+/// Measured: 920 (a cold attempt, as `EdgeDecoder::process` makes:
+/// 595 004, where the edge's trace of the segment alone was 1 088 000).
+const WARM_EDGE_BUDGET: u64 = 1_150;
 
 #[test]
 fn gateway_flushes_and_process_capture_stay_inside_their_allocation_budgets() {
@@ -216,9 +227,9 @@ fn gateway_flushes_and_process_capture_stay_inside_their_allocation_budgets() {
     // decides one of the two frames' peaks may.
     assert!(sighted.len() <= 2, "{sighted:?}");
     // The session's buffers are allocated once: the first edge attempt
-    // pays for the edge trace, the span's digitization and the
+    // pays for the edge's walks, the span's digitization and the
     // demodulators' scratch, the second for nothing but itself.
-    let first = EDGE_TRACE_BYTES + SPAN_BYTES + EDGE_DEMOD_BYTES;
+    let first = EDGE_WALK_BYTES + SPAN_BYTES + EDGE_DEMOD_BYTES;
     for (&(flush, bytes), once) in emitting.iter().zip([first, 0]) {
         let budget = EMITTING_FLUSH_BUDGET + once;
         assert!(
@@ -268,5 +279,27 @@ fn gateway_flushes_and_process_capture_stay_inside_their_allocation_budgets() {
     assert!(
         bytes <= WARM_DECODE_BUDGET,
         "a warm decode requested {bytes} bytes, budget {WARM_DECODE_BUDGET}"
+    );
+
+    // -- Edge -----------------------------------------------------------------
+    // A session's second edge attempt on the same collisions.
+    let edge = EdgeDecoder::new(Registry::prototype());
+    let mut buffers = EdgeBuffers::default();
+    let warm = edge.process_slice(&first, 0, FS, &mut buffers);
+    assert!(
+        matches!(&warm, EdgeOutcome::ShipToCloud(f) if f.is_empty()),
+        "{warm:?}"
+    );
+    let before = requested();
+    let outcome = edge.process_slice(&second, 0, FS, &mut buffers);
+    let bytes = requested() - before;
+    assert!(
+        matches!(&outcome, EdgeOutcome::ShipToCloud(f) if f.is_empty()),
+        "{outcome:?}"
+    );
+    println!("a warm edge attempt on a two-frame collision requested {bytes} bytes");
+    assert!(
+        bytes <= WARM_EDGE_BUDGET,
+        "a warm edge attempt requested {bytes} bytes, budget {WARM_EDGE_BUDGET}"
     );
 }
