@@ -31,11 +31,13 @@ pub struct Classified {
     /// Sample offset of its preamble inside the segment.
     pub start: usize,
     /// Where a demodulator should start looking for the frame: `start`,
-    /// unless a lag at least a template length earlier scores within
-    /// 10 % of it. A frame's own tail can look like its preamble (a LoRa
-    /// frame whose last interleaver block is padding ends in eight plain
-    /// up-chirps) and outscore the real one by noise; the frame then
-    /// begins at the earlier lag.
+    /// unless a lag at least a template length and at most one of the
+    /// technology's longest frames earlier scores within 10 % of it. A
+    /// frame's own tail can look like its preamble (a LoRa frame whose
+    /// last interleaver block is padding ends in eight plain up-chirps)
+    /// and outscore the real one by noise; the frame then begins at the
+    /// earlier lag. A look-alike farther back cannot be that frame's
+    /// preamble.
     pub search_from: usize,
     /// Normalized correlation score in [0, 1].
     pub score: f32,
@@ -171,9 +173,10 @@ impl<'a> Classifier<'a> {
                 continue;
             }
             let template = self.bank.template(i);
-            let search_from = peak(&trace[..start.saturating_sub(template.len())])
+            let from = start.saturating_sub(tech.max_frame_samples(self.fs));
+            let search_from = peak(&trace[from..start.saturating_sub(template.len()).max(from)])
                 .filter(|&(_, v)| v >= LOOKALIKE_SHARE * score)
-                .map_or(start, |(i, _)| i);
+                .map_or(start, |(i, _)| from + i);
             // Amplitude from the raw matched-filter output at the peak:
             // corr = a * E_template for a scaled template copy. A direct
             // dot product at the known lag beats an FFT correlation whose
@@ -293,6 +296,29 @@ mod tests {
             "{}",
             found[0].amplitude
         );
+    }
+
+    #[test]
+    fn a_look_alike_farther_back_than_a_frame_is_not_taken() {
+        // A weaker copy of the XBee preamble half a frame, then more than
+        // a whole frame, before a stronger one: the first may be where
+        // the stronger one's frame begins, the second may not.
+        let reg = Registry::prototype();
+        let xbee = reg.get(TechId::XBee).unwrap().clone();
+        let (preamble, reach) = (xbee.preamble_waveform(FS), xbee.max_frame_samples(FS));
+        for (gap, widened) in [(reach / 2, true), (reach + 5_000, false)] {
+            let mut rng = StdRng::seed_from_u64(7);
+            let (decoy, at) = (2_000, 2_000 + gap);
+            let mut segment = galiot_channel::awgn(at + 10_000, 0.01, &mut rng);
+            for (k, &s) in preamble.iter().enumerate() {
+                segment[decoy + k] += s * 0.3;
+                segment[at + k] += s;
+            }
+            let found = classify(&segment, FS, &reg, 0.5);
+            let c = found.iter().find(|c| c.tech == TechId::XBee).unwrap();
+            assert_eq!(c.start, at, "gap {gap}");
+            assert_eq!(c.search_from, if widened { decoy } else { at }, "gap {gap}");
+        }
     }
 
     #[test]

@@ -146,45 +146,6 @@ pub fn detection_bin(
     counts
 }
 
-/// Calibrates the three detectors' thresholds to a common false-alarm
-/// budget: the maximum detector statistic observed over `trials`
-/// noise-only captures (so each detector fires on pure noise with
-/// probability roughly `1/trials` per capture).
-pub fn calibrate_thresholds(reg: &Registry, fs: f64, trials: usize, seed: u64) -> DetectionConfig {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let front_end = RtlSdrFrontEnd::new(GaliotConfig::prototype().front_end);
-    let matched = MatchedFilterBank::new(reg.clone(), 0.0);
-    let universal = UniversalDetector::new(reg, fs, 0.0);
-    let max_frame = reg.max_frame_samples_for(fs, 16);
-    let len = 2 * max_frame;
-
-    let mut max_energy_db = 0.0f32;
-    let mut max_matched = 0.0f32;
-    let mut max_universal = 0.0f32;
-    for _ in 0..trials {
-        let noise = galiot_channel::awgn(len, 1.0, &mut rng);
-        let digital = front_end.digitize(&noise);
-        // Energy statistic: strongest window over the noise floor, dB.
-        let powers = galiot_dsp::power::sliding_power(&digital, 256);
-        let floor = galiot_dsp::power::noise_floor(&digital, 256, 10).max(1e-30);
-        let peak = powers.iter().copied().fold(0.0f32, f32::max);
-        max_energy_db = max_energy_db.max(galiot_dsp::lin_to_db(peak / floor));
-        // Correlation statistics: strongest peak scores.
-        for d in matched.detect(&digital, fs) {
-            max_matched = max_matched.max(d.score);
-        }
-        for d in universal.detect(&digital, fs) {
-            max_universal = max_universal.max(d.score);
-        }
-    }
-    DetectionConfig {
-        energy_threshold_db: max_energy_db + 0.5,
-        matched_threshold: max_matched * 1.05,
-        universal_threshold: max_universal * 1.05,
-        ..DetectionConfig::default()
-    }
-}
-
 /// One Figure 3(c) data point: payload goodput of strict SIC vs GalioT
 /// (Algorithm 1) on comparable-power collisions in an SNR regime.
 #[derive(Clone, Copy, Debug, Default)]
@@ -327,14 +288,5 @@ mod tests {
         );
         assert!(point.galiot_bits > 0);
         assert!(point.galiot_bps() > 0.0);
-    }
-
-    #[test]
-    fn calibration_produces_usable_thresholds() {
-        let reg = Registry::prototype();
-        let cfg = calibrate_thresholds(&reg, FS, 3, 45);
-        assert!(cfg.energy_threshold_db > 0.0);
-        assert!((0.0..1.0).contains(&cfg.matched_threshold));
-        assert!((0.0..1.0).contains(&cfg.universal_threshold));
     }
 }

@@ -14,7 +14,7 @@ use galiot_phy::registry::Registry;
 use std::sync::Arc;
 
 use crate::config::GaliotConfig;
-use crate::metrics::SharedMetrics;
+use crate::metrics::{Metrics, SharedMetrics};
 use crate::pipeline::{PipelineFrame, COMPRESS_BLOCK};
 use crate::pool::{mean_power, PoolItem, ResultMsg, SegmentResult};
 use crate::stage::{Emitted, GatewayStage};
@@ -158,91 +158,68 @@ pub(crate) struct Shipper {
 }
 
 impl Shipper {
-    /// Packs and ships one segment. Returns `false` when downstream is
-    /// gone and the gateway should stop.
+    /// Packs and ships one segment — towards the worker pool, or into
+    /// the send queue at the compression its depth calls for, shedding
+    /// the weakest segment queued when it is full — and books the
+    /// backhaul metrics. Returns `false` when downstream is gone and the
+    /// gateway should stop.
     fn ship(&self, seq: u64, abs_start: usize, samples: &[Cf32]) -> bool {
-        match &self.mode {
-            ShipMode::Direct(tx) => {
-                let shipped =
-                    ShippedSegment::pack(seq, abs_start, samples, self.base_bits, COMPRESS_BLOCK)
-                        .with_gateway(self.gateway);
-                let ok = ship(shipped, tx, &self.metrics);
-                if ok {
-                    self.metrics
-                        .with(|m| *m.shipped_by_bits.entry(self.base_bits).or_default() += 1);
-                }
-                ok
-            }
+        let bits = match &self.mode {
+            ShipMode::Direct(_) => self.base_bits,
             ShipMode::Transport {
                 tx,
                 hwm,
                 cap,
                 min_bits,
-                result_tx,
-            } => {
-                let depth = tx.queue().len();
-                let bits = degraded_bits(self.base_bits, *min_bits, depth, *hwm, *cap);
-                let shipped = ShippedSegment::pack(seq, abs_start, samples, bits, COMPRESS_BLOCK)
-                    .with_gateway(self.gateway);
-                let wire = shipped.wire_bytes() as u64;
-                let power = mean_power(samples);
+                ..
+            } => degraded_bits(self.base_bits, *min_bits, tx.queue().len(), *hwm, *cap),
+        };
+        let shipped = ShippedSegment::pack(seq, abs_start, samples, bits, COMPRESS_BLOCK)
+            .with_gateway(self.gateway);
+        let wire = shipped.wire_bytes() as u64;
+        let book = |m: &mut Metrics| {
+            m.shipped_segments += 1;
+            m.shipped_bytes += wire;
+            *m.shipped_by_bits.entry(bits).or_default() += 1;
+            m.segments_downgraded += usize::from(bits < self.base_bits);
+        };
+        // Mark the handoff before the send so the ship event
+        // happens-before everything the receiving worker records for this
+        // seq (the trace-conformance journey check relies on the order).
+        let tag = galiot_trace::tag_seq(self.gateway.0, seq);
+        galiot_trace::event(galiot_trace::EventKind::Ship, tag);
+        match &self.mode {
+            ShipMode::Direct(seg_tx) => {
+                if seg_tx.send(PoolItem::from(shipped)).is_err() {
+                    return false;
+                }
+                let depth = seg_tx.len();
                 self.metrics.with(|m| {
-                    m.shipped_segments += 1;
-                    m.shipped_bytes += wire;
-                    *m.shipped_by_bits.entry(bits).or_default() += 1;
-                    if bits < self.base_bits {
-                        m.segments_downgraded += 1;
-                    }
+                    book(m);
+                    m.seg_queue_hwm = m.seg_queue_hwm.max(depth);
                 });
-                galiot_trace::event(
-                    galiot_trace::EventKind::Ship,
-                    galiot_trace::tag_seq(self.gateway.0, seq),
-                );
-                if let Some(victim) = tx.queue().push(QueuedSegment {
+            }
+            ShipMode::Transport { tx, result_tx, .. } => {
+                self.metrics.with(book);
+                let power = mean_power(samples);
+                let queued = QueuedSegment {
                     seg: shipped,
                     power,
-                }) {
+                };
+                if let Some(victim) = tx.queue().push(queued) {
                     // The shed victim's sequence slot still needs a gap
                     // notice so the merge can advance past it.
                     let v = victim.seg;
                     self.metrics.with(|m| m.segments_shed += 1);
-                    galiot_trace::event(
-                        galiot_trace::EventKind::Shed,
-                        galiot_trace::tag_seq(v.gateway.0, v.seq),
-                    );
+                    let tag = galiot_trace::tag_seq(v.gateway.0, v.seq);
+                    galiot_trace::event(galiot_trace::EventKind::Shed, tag);
                     let notice = ResultMsg::gap(v.gateway, v.seq, Some(v.start as u64));
-                    if result_tx.send(notice).is_err() {
-                        return false;
-                    }
+                    return result_tx.send(notice).is_ok();
                 }
-                true
             }
         }
+        true
     }
-}
-
-/// Ships one compressed segment towards the worker pool, updating the
-/// backhaul metrics and the queue high-water mark. Returns `false` when
-/// the pool is gone.
-fn ship(shipped: ShippedSegment, seg_tx: &Sender<PoolItem>, metrics: &SharedMetrics) -> bool {
-    let bytes = shipped.wire_bytes();
-    // Mark the handoff before the send so the ship event
-    // happens-before everything the receiving worker records for this
-    // seq (the trace-conformance journey check relies on the order).
-    galiot_trace::event(
-        galiot_trace::EventKind::Ship,
-        galiot_trace::tag_seq(shipped.gateway.0, shipped.seq),
-    );
-    if seg_tx.send(PoolItem::from(shipped)).is_err() {
-        return false;
-    }
-    let depth = seg_tx.len();
-    metrics.with(|m| {
-        m.shipped_segments += 1;
-        m.shipped_bytes += bytes as u64;
-        m.seg_queue_hwm = m.seg_queue_hwm.max(depth);
-    });
-    true
 }
 
 #[cfg(test)]

@@ -46,15 +46,6 @@ pub struct Galiot {
     cloud: CloudDecoder,
 }
 
-/// What the gateway half of [`Galiot::process_capture`] hands its
-/// cloud half, in capture order.
-enum Emission {
-    /// Decoded at the edge; nothing travels.
-    Edge(DecodedFrame),
-    /// Compressed for the backhaul.
-    Shipped(ShippedSegment),
-}
-
 impl Galiot {
     /// Builds the system for a technology registry.
     ///
@@ -93,8 +84,10 @@ impl Galiot {
         shared.with(|m| m.samples_processed = analog.len() as u64);
 
         // Gateway: digitize, detect, extract, edge-decode, compress.
+        // What the gateway half hands the cloud half, in capture order:
+        // each segment's edge frame, or the segment compressed to ship.
         let bits = self.config.compression_bits;
-        let mut emissions = Vec::new();
+        let mut emissions: Vec<Result<DecodedFrame, ShippedSegment>> = Vec::new();
         let Ok(()) = self.gateway.run(
             &mut self.gateway.buffers(0, analog.len()),
             AnalogView::whole(analog),
@@ -103,16 +96,9 @@ impl Galiot {
             &mut || Ok::<_, Infallible>(()),
             &mut |seg| {
                 let seq = emissions.len() as u64;
-                emissions.push(match seg.edge_frame {
-                    Some(frame) => Emission::Edge(frame),
-                    None => Emission::Shipped(ShippedSegment::pack(
-                        seq,
-                        seg.start,
-                        seg.samples,
-                        bits,
-                        COMPRESS_BLOCK,
-                    )),
-                });
+                let pack =
+                    || ShippedSegment::pack(seq, seg.start, seg.samples, bits, COMPRESS_BLOCK);
+                emissions.push(seg.edge_frame.ok_or_else(pack));
                 Ok(())
             },
         );
@@ -122,7 +108,7 @@ impl Galiot {
         let (mut at_cloud, mut buffers) = (Vec::new(), DecodeBuffers::default());
         for emission in emissions {
             let seg = match emission {
-                Emission::Edge(frame) => {
+                Ok(frame) => {
                     metrics.record_frame(&frame, true);
                     frames.push(PipelineFrame {
                         frame,
@@ -131,7 +117,7 @@ impl Galiot {
                     });
                     continue;
                 }
-                Emission::Shipped(seg) => seg,
+                Err(seg) => seg,
             };
 
             // Ship, decompress at the cloud.

@@ -13,8 +13,8 @@
 
 use galiot_dsp::Cf32;
 use galiot_gateway::{
-    AnalogRing, AnalogView, DetectionStream, EdgeBuffers, EdgeDecoder, EdgeOutcome, ExtractParams,
-    LagScorer, RtlSdrFrontEnd, SlidingGain, UniversalDetector,
+    AnalogRing, AnalogView, Attempt, DetectionStream, EdgeBuffers, EdgeDecoder, EdgeOutcome,
+    ExtractParams, LagScorer, RtlSdrFrontEnd, SlidingGain, UniversalDetector,
 };
 use galiot_phy::registry::Registry;
 use galiot_phy::DecodedFrame;
@@ -54,17 +54,36 @@ pub(crate) struct StageBuffers {
     window: usize,
     gain: SlidingGain,
     scan: DetectionStream,
-    /// The span detections are merging into, until it settles, and where
-    /// its detections start.
-    open: Option<Range<usize>>,
+    /// Where the detections of the span they merge into start, until it
+    /// leaves: the span runs from a pre-guard before the first to two max
+    /// frames past the last.
     merged: Vec<usize>,
-    /// An emitted span's digitization, where the scan's does not hold it.
+    /// What the edge has made of that span so far, and the flush end of
+    /// its last attempt (`usize::MAX`: none until the span settles).
+    verdict: Attempt,
+    tried: usize,
+    /// A span's digitization — the head an attempt reads, or an emitted
+    /// span — where the scan's does not hold it.
     span: Vec<Cf32>,
-    /// Each edge attempt's correlation trace and demodulators.
+    /// Each edge attempt's correlation walks and demodulators.
     edge: EdgeBuffers,
     /// Every detection decided so far, in order, for the tests to check.
     #[cfg(test)]
     log: Vec<galiot_gateway::Detection>,
+}
+
+impl StageBuffers {
+    /// The span the detections are merging into, if any.
+    fn open(&self, p: ExtractParams) -> Option<Range<usize>> {
+        let (first, last) = (self.merged.first()?, self.merged.last()?);
+        Some(first.saturating_sub(p.pre_guard).max(self.origin)..last + 2 * p.max_frame_samples)
+    }
+
+    /// The open span's verdict, leaving none for the next span.
+    fn take_verdict(&mut self) -> Attempt {
+        self.tried = 0;
+        std::mem::replace(&mut self.verdict, Attempt::Wait(None))
+    }
 }
 
 /// A live session: the analog ring its flushes read, and its buffers.
@@ -114,8 +133,9 @@ impl GatewayStage {
             window,
             gain: SlidingGain::new(origin, window, window / self.step + 2),
             scan: DetectionStream::new(self.scorer.peak_rule(window), origin),
-            open: None,
             merged: Vec::new(),
+            verdict: Attempt::Wait(None),
+            tried: 0,
             span: Vec::new(),
             edge: EdgeBuffers::default(),
             #[cfg(test)]
@@ -163,14 +183,17 @@ impl GatewayStage {
     }
 
     /// One flush: the capture is known up to `analog`'s end. Detects
-    /// over what the flush adds, merges the detections it decides into
-    /// spans, and emits a span once it has settled (no lag a later
-    /// detection could merge from is undecided), once its start is
-    /// about to leave the ring (cut at the end, carrying on from the
-    /// first detection whose extraction the cut truncated), or — if
-    /// `last` — in any case, cut at the end. An emitted span goes to
-    /// `admit`, then with its edge attempt to `emit`; an `Err` from
-    /// either ends the flush there.
+    /// over what the flush adds and merges the detections it decides into
+    /// spans. The edge attempts the open span on what has arrived of it;
+    /// a lone frame leaves once the trace is decided past its end, its
+    /// guard and a pre-guard with no detection in between (a detection
+    /// past that opens the next span). Any other span leaves once it has
+    /// settled (no lag a later detection could merge from is undecided),
+    /// once its start is about to leave the ring (cut at the end,
+    /// carrying on from the first detection whose extraction the cut
+    /// truncated), or — if `last` — in any case, cut at the end. An
+    /// emitted span goes to `admit`, then with its edge verdict to
+    /// `emit`; an `Err` from either ends the flush there.
     ///
     /// Books `detections`, `segments` (the admitted ones) and — on
     /// every way out — the flush's `gateway_busy_ns`.
@@ -185,20 +208,25 @@ impl GatewayStage {
     ) -> Result<(), E> {
         let t0 = Instant::now();
         let (gain, end) = (bufs.gain.advance(&self.front_end, &analog), analog.end());
-        let mut out = |bufs: &mut StageBuffers, span: Range<usize>| {
+        let mut out = |bufs: &mut StageBuffers, span: Range<usize>, mut verdict, latest: usize| {
             let span = span.start..span.end.min(end);
             admit()?;
             metrics.with(|m| m.segments += 1);
             let (fe, buf) = (&self.front_end, &mut bufs.span);
             let samples = bufs.scan.samples(fe, gain, &analog, span.clone(), buf);
             // Edge-first decode (paper, Sec. 4): handle clean single
-            // packets locally, ship everything else.
-            let edge_frame = self.edge.as_ref().and_then(|edge| {
-                match edge.process_slice(samples, span.start, self.fs, &mut bufs.edge) {
-                    EdgeOutcome::DecodedLocally(frame) => Some(frame),
-                    EdgeOutcome::ShipToCloud(_) => None,
-                }
-            });
+            // packets locally, ship everything else. A span no attempt
+            // concluded on is judged whole, barred by any detection at
+            // or past its frame's end.
+            if let (Attempt::Wait(frame), Some(edge)) = (&mut verdict, &self.edge) {
+                let (late, frame) = (|e| latest >= e, frame.take());
+                verdict = edge.attempt(samples, span.clone(), self.fs, late, frame, &mut bufs.edge);
+            }
+            let edge_frame = match verdict {
+                Attempt::Final(EdgeOutcome::DecodedLocally(frame))
+                | Attempt::Whole(EdgeOutcome::DecodedLocally(frame)) => Some(frame),
+                _ => None,
+            };
             emit(Emitted {
                 start: span.start,
                 samples,
@@ -212,38 +240,98 @@ impl GatewayStage {
             #[cfg(test)]
             bufs.log.extend(&detections);
             let _extract = galiot_trace::span(galiot_trace::Stage::Extract, galiot_trace::NO_SEQ);
-            let (pre_guard, reach) = (self.params.pre_guard, 2 * self.params.max_frame_samples);
-            for d in detections {
-                let lo = d.start.saturating_sub(pre_guard).max(bufs.origin);
-                match &mut bufs.open {
-                    Some(open) if lo <= open.end => open.end = open.end.max(d.start + reach),
-                    // Nothing left to merge into the open span: it goes.
-                    _ => {
-                        bufs.merged.clear();
-                        if let Some(done) = bufs.open.replace(lo..d.start + reach) {
-                            out(bufs, done)?;
-                        }
+            let (p, reach) = (self.params, 2 * self.params.max_frame_samples);
+            for next in detections.into_iter().map(Some).chain([None]) {
+                let at = next.map(|d| d.start);
+                while let Some((span, lone)) = self.lone_leaves(bufs, gain, &analog, last, at) {
+                    out(bufs, span, lone, 0)?;
+                }
+                let Some(d) = next else { break };
+                let lo = d.start.saturating_sub(p.pre_guard).max(bufs.origin);
+                if let Some(open) = bufs.open(p) {
+                    if lo > open.end {
+                        // Nothing left to merge into the open span: it goes.
+                        let verdict = bufs.take_verdict();
+                        let latest = bufs.merged.drain(..).next_back().unwrap_or(0);
+                        out(bufs, open, verdict, latest)?;
+                    } else if matches!(bufs.verdict, Attempt::Whole(_)) {
+                        // The span grows past what was judged whole: it
+                        // is judged again when it settles.
+                        bufs.take_verdict();
+                        bufs.tried = usize::MAX;
                     }
                 }
                 bufs.merged.push(d.start);
             }
-            if let Some(open) = bufs.open.clone() {
-                let settled = last || bufs.scan.decided() > open.end + pre_guard;
+            if let Some(open) = bufs.open(p) {
+                let settled = last || bufs.scan.decided() > open.end + p.pre_guard;
                 if settled || open.start + bufs.window < end {
                     // A cluster cut before it settles carries on from the
                     // first detection whose extraction the cut truncated.
                     let cut = bufs.merged.iter().position(|&d| d + reach > end);
                     let keep = cut.filter(|_| !settled).unwrap_or(bufs.merged.len());
-                    bufs.merged.drain(..keep);
-                    let go_on = |&d: &usize| d.saturating_sub(pre_guard).max(bufs.origin)..open.end;
-                    bufs.open = bufs.merged.first().map(go_on);
-                    out(bufs, open)?;
+                    let latest = bufs.merged.drain(..keep).next_back().unwrap_or(0);
+                    let verdict = bufs.take_verdict();
+                    out(bufs, open, verdict, latest)?;
                 }
             }
             Ok(())
         })();
         metrics.with(|m| m.gateway_busy_ns += t0.elapsed().as_nanos() as u64);
         result
+    }
+
+    /// The open span's lone frame as it leaves — the span cut at the
+    /// frame's guard, and the verdict — once no detection can still land
+    /// within the guard and a pre-guard past the frame's end: every lag
+    /// before detection `at` (all the flush decided, if `None`) is
+    /// known, or the capture is over. The detections past that stay to
+    /// open the next span; one inside it bars the exit, and the span
+    /// settles as it would have without it.
+    ///
+    /// First the edge attempts the open span on what has arrived of it,
+    /// once a flush while no attempt has concluded, and once the span
+    /// holds a block of every preamble's correlation.
+    fn lone_leaves(
+        &self,
+        bufs: &mut StageBuffers,
+        gain: f32,
+        analog: &AnalogView<'_>,
+        last: bool,
+        at: Option<usize>,
+    ) -> Option<(Range<usize>, Attempt)> {
+        let (end, edge, open) = (analog.end(), self.edge.as_ref()?, bufs.open(self.params)?);
+        let guard = edge.cluster_guard(self.fs);
+        let (bar, held) = (guard + self.params.pre_guard, open.start..open.end.min(end));
+        if let Attempt::Wait(frame) = &mut bufs.verdict {
+            let head = if last { held.clone() } else { open.clone() };
+            if bufs.tried >= end || (held.len() < head.len() && held.len() <= edge.head(self.fs)) {
+                return None;
+            }
+            let (fe, buf, frame) = (&self.front_end, &mut bufs.span, frame.take());
+            let samples = bufs.scan.samples(fe, gain, analog, held, buf);
+            let late = |e: usize| bufs.merged.iter().any(|&d| (e..e + bar).contains(&d));
+            bufs.verdict = edge.attempt(samples, head, self.fs, late, frame, &mut bufs.edge);
+            bufs.tried = end;
+        }
+        let Attempt::Final(EdgeOutcome::DecodedLocally(frame)) = &bufs.verdict else {
+            return None;
+        };
+        let frame_end = frame.start + frame.len;
+        let past = bufs.merged.partition_point(|&d| d < frame_end + bar);
+        if bufs.merged[..past].last().is_some_and(|&d| d >= frame_end) {
+            (bufs.verdict, bufs.tried) = (Attempt::Wait(Some(frame.clone())), usize::MAX);
+            return None;
+        }
+        let decided = at.unwrap_or_else(|| bufs.scan.decided());
+        let over = last && at.is_none();
+        if past == bufs.merged.len() && !over && decided < frame_end + bar {
+            return None;
+        }
+        // The frame lies in the span, so its end plus the bar is past the
+        // span's first detection: every exit drains at least that one.
+        bufs.merged.drain(..past);
+        Some((open.start..frame_end + guard, bufs.take_verdict()))
     }
 }
 
@@ -305,8 +393,8 @@ mod tests {
     }
 
     /// One emitted segment: how many flushes had run when it left, its
-    /// capture range, its samples.
-    type Emission = (usize, Range<usize>, Vec<Cf32>);
+    /// capture range, its samples, its edge frame.
+    type Emission = (usize, Range<usize>, Vec<Cf32>, Option<DecodedFrame>);
 
     /// What one live session did.
     struct Live {
@@ -333,7 +421,7 @@ mod tests {
         let mut emit = |seg: Emitted<'_>| {
             let flushes = calls.lock().unwrap().len();
             let range = seg.start..seg.start + seg.samples.len();
-            emitted.push((flushes, range, seg.samples.to_vec()));
+            emitted.push((flushes, range, seg.samples.to_vec(), seg.edge_frame));
             Ok(())
         };
         for c in analog.chunks(chunk) {
@@ -421,7 +509,7 @@ mod tests {
         let (pre_guard, reach) = (stage.params.pre_guard, 2 * stage.params.max_frame_samples);
         let cut = spans(n, &want, stage.params);
         assert_eq!(live.emitted.len(), cut.len(), "{what}: segments");
-        for ((flushed, range, samples), span) in live.emitted.iter().zip(&cut) {
+        for ((flushed, range, samples, _), span) in live.emitted.iter().zip(&cut) {
             let rel = range.start - origin..range.end - origin;
             assert_eq!(rel, span.range, "{what}: span");
             // The settle point: no lag this span could still merge from
@@ -532,6 +620,61 @@ mod tests {
             }
         }
         assert!(segments >= 24, "{segments} segments in 48 captures");
+    }
+
+    #[test]
+    fn a_lone_frame_leaves_past_its_bar_and_a_collision_at_its_settle_point() {
+        let config = GaliotConfig::prototype();
+        let registry = Registry::prototype();
+        let detector = UniversalDetector::new(&registry, config.fs, config.detect_threshold);
+        let (stage, calls) = recorded_stage(&config, detector);
+        let edge = stage.edge.as_ref().expect("edge decoding is on");
+        let (pre_guard, reach) = (stage.params.pre_guard, 2 * stage.params.max_frame_samples);
+        let bar = edge.cluster_guard(stage.fs) + pre_guard;
+        let xbee = registry.get(galiot_phy::TechId::XBee).unwrap().clone();
+        let mut rng = StdRng::seed_from_u64(scenario_seed(0x5E77_1000));
+        let lone = vec![TxEvent::new(xbee, vec![0x5A; 8], 300_000)];
+        let pair = forced_collision(&registry, 8, &[0.0, 1.0], 20_000, 300_000, &mut rng);
+        for (what, events) in [("lone XBee", lone), ("LoRa+XBee", pair)] {
+            let n = 2 * stage.window;
+            let np = snr_to_noise_power(18.0, 0.0);
+            let analog = compose(&events, n, stage.fs, np, &mut rng).samples;
+            let live = feed(&stage, &calls, 0, &analog, 4_096, true);
+            // The flush after which every lag before `at` is decided.
+            let (mut trace, rule) = (Vec::new(), stage.scorer.peak_rule(stage.window));
+            let flush_past = |trace: &mut Vec<f32>, at: usize| {
+                trace.clear();
+                (live.calls.iter()).position(|(_, lags)| {
+                    trace.extend_from_slice(lags);
+                    undecided(trace, trace.len(), rule.threshold, rule.min_distance) >= at
+                })
+            };
+            let [(flushed, range, _, frame)] = &live.emitted[..] else {
+                panic!(
+                    "{what}: {:?}",
+                    live.emitted.iter().map(|e| &e.1).collect::<Vec<_>>()
+                );
+            };
+            match frame {
+                Some(f) => {
+                    // The span is cut at the frame's guard.
+                    let end = f.start + f.len;
+                    assert_eq!(range.end, end + bar - pre_guard, "{what}");
+                    assert_eq!(
+                        Some(*flushed - 1),
+                        flush_past(&mut trace, end + bar),
+                        "{what}"
+                    );
+                }
+                None => {
+                    let last = live.session.buffers.log.last().unwrap().start;
+                    assert_eq!(range.end, last + reach, "{what}");
+                    let settle = flush_past(&mut trace, last + reach + pre_guard + 1);
+                    assert_eq!(Some(*flushed - 1), settle, "{what}");
+                }
+            }
+            assert_eq!(frame.is_some(), what == "lone XBee", "{what}: {frame:?}");
+        }
     }
 
     /// Scores every lag zero: an `m`-sample template read `block` lags a

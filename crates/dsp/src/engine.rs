@@ -430,6 +430,14 @@ impl NccWalk<'_> {
         self.settled
     }
 
+    /// The signal samples the next block reads, from the first: while
+    /// the signal is the head of a longer one and holds more than this,
+    /// the block's lags are the longer signal's (on a signal with a noise
+    /// floor, where no lag is parked).
+    pub fn reads_to(&self) -> usize {
+        self.walked + self.template.fft_len
+    }
+
     /// Correlates the next overlap-save block and returns the lags that
     /// became final with it, in order from the last run's end — all of
     /// the block's unless a lag is parked, and with the last block every

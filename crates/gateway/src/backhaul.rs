@@ -1,5 +1,5 @@
-//! Backhaul: I/Q compression, the segment wire codec, and models of
-//! the bandwidth-limited (and unreliable) home uplink.
+//! Backhaul: I/Q compression, the segment wire codec, and a model of
+//! the unreliable home uplink.
 //!
 //! Streaming raw 1 Msps complex floats is 64 Mb/s — already beyond many
 //! home uplinks, and the paper notes raw multi-technology captures
@@ -7,8 +7,7 @@
 //! detected segments, re-quantized to a few bits with a per-block
 //! scale. This module implements that compression, the versioned
 //! datagram format segments travel in ([`encode_segment`] /
-//! [`decode_segment`], CRC32-protected and length-framed), a
-//! serialization-delay model of the cable uplink ([`Backhaul`]), and a
+//! [`decode_segment`], CRC32-protected and length-framed), and a
 //! deterministic impairment model of a *bad* uplink ([`FaultyLink`]:
 //! loss, bit corruption, duplication, reordering) that the streaming
 //! pipeline's ARQ layer is tested against.
@@ -721,69 +720,6 @@ impl FaultyLink {
     }
 }
 
-/// A bandwidth-limited uplink with FIFO serialization.
-#[derive(Clone, Debug)]
-pub struct Backhaul {
-    /// Uplink rate in bits per second.
-    pub rate_bps: f64,
-    /// Fixed one-way latency in seconds.
-    pub latency_s: f64,
-    queued_until_s: f64,
-    /// Total bytes shipped so far.
-    pub bytes_shipped: u64,
-}
-
-impl Backhaul {
-    /// A typical home cable uplink: 20 Mb/s up, 10 ms latency.
-    pub fn home_cable() -> Self {
-        Backhaul {
-            rate_bps: 20e6,
-            latency_s: 0.010,
-            queued_until_s: 0.0,
-            bytes_shipped: 0,
-        }
-    }
-
-    /// Creates a backhaul with the given rate and latency.
-    pub fn new(rate_bps: f64, latency_s: f64) -> Self {
-        assert!(rate_bps > 0.0, "rate must be positive");
-        assert!(latency_s >= 0.0, "latency must be non-negative and finite");
-        Backhaul {
-            rate_bps,
-            latency_s,
-            queued_until_s: 0.0,
-            bytes_shipped: 0,
-        }
-    }
-
-    /// Ships `bytes` at time `now_s`; returns the arrival time at the
-    /// cloud, accounting for queueing behind earlier transfers.
-    ///
-    /// The busy-until clock is monotone by construction: a `now_s`
-    /// earlier than a previous call (callers iterating segments out of
-    /// capture order, or a non-finite timestamp) is clamped to the
-    /// clock instead of rewinding it, so arrival times never run
-    /// backwards across calls.
-    pub fn ship(&mut self, bytes: usize, now_s: f64) -> f64 {
-        let now = if now_s.is_finite() {
-            now_s
-        } else {
-            self.queued_until_s
-        };
-        let start = now.max(self.queued_until_s);
-        let tx_time = bytes as f64 * 8.0 / self.rate_bps;
-        self.queued_until_s = start + tx_time;
-        self.bytes_shipped += bytes as u64;
-        self.queued_until_s + self.latency_s
-    }
-
-    /// Whether the link could sustain streaming raw float I/Q at
-    /// sample rate `fs` (it cannot, which is the point).
-    pub fn can_stream_raw(&self, fs: f64) -> bool {
-        fs * 64.0 <= self.rate_bps
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -856,27 +792,6 @@ mod tests {
     }
 
     #[test]
-    fn backhaul_serializes_fifo() {
-        let mut b = Backhaul::new(8e6, 0.0); // 1 MB/s
-        let t1 = b.ship(1_000_000, 0.0);
-        assert!((t1 - 1.0).abs() < 1e-9);
-        // Second transfer queues behind the first.
-        let t2 = b.ship(1_000_000, 0.5);
-        assert!((t2 - 2.0).abs() < 1e-9);
-        assert_eq!(b.bytes_shipped, 2_000_000);
-    }
-
-    #[test]
-    fn home_cable_cannot_stream_raw_but_ships_segments() {
-        let b = Backhaul::home_cable();
-        assert!(!b.can_stream_raw(1e6));
-        // A 100 ms segment at 8-bit compression is ~200 KB: 80 ms on
-        // the wire — sustainable at low duty cycles.
-        let seg_bytes = compress(&tone(100_000, 0.5), 8, 1024).wire_bytes();
-        assert!(seg_bytes as f64 * 8.0 / b.rate_bps < 0.1);
-    }
-
-    #[test]
     fn empty_segment_compresses_to_header() {
         let c = compress(&[], 8, 64);
         assert_eq!(c.len, 0);
@@ -887,30 +802,6 @@ mod tests {
     #[should_panic(expected = "bits")]
     fn rejects_zero_bits() {
         let _ = compress(&tone(10, 1.0), 0, 4);
-    }
-
-    // --- clock monotonicity regression (PR 3 bugfix) ---
-
-    #[test]
-    fn ship_clock_never_runs_backwards() {
-        let mut b = Backhaul::new(8e6, 0.010); // 1 MB/s
-        let t1 = b.ship(500_000, 1.0);
-        // A caller handing in an *earlier* timestamp must queue behind
-        // the first transfer, not rewind the busy-until clock.
-        let t2 = b.ship(500_000, 0.25);
-        assert!(t2 > t1, "arrival ran backwards: {t2} < {t1}");
-        // Non-finite timestamps are clamped to the clock.
-        let t3 = b.ship(500_000, f64::NAN);
-        let t4 = b.ship(500_000, f64::NEG_INFINITY);
-        assert!(t3 > t2 && t4 > t3);
-        // Queue opened at now=1.0; four 0.5 s transfers back to back.
-        assert!((t4 - (1.0 + 4.0 * 0.5 + 0.010)).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "latency")]
-    fn rejects_negative_latency() {
-        let _ = Backhaul::new(1e6, -0.5);
     }
 
     // --- header validation (PR 3 bugfix: decompress trusted the

@@ -2,19 +2,23 @@
 //!
 //! "I/Q samples are pushed to the edge for decoding individual
 //! technologies (assuming no collisions) and shipped to the cloud only
-//! if decoding fails" (Sec. 4). The edge correlates a segment against
+//! if decoding fails" (Sec. 4). The edge correlates a span against
 //! every registered preamble once, block by block, and ships it as soon
-//! as the peaks found so far prove a collision; if the whole segment
-//! shows a single packet, the technologies it could belong to are
-//! demodulated where it sits and a lone clean decode is finished
-//! locally. Everything else travels on.
+//! as the peaks found so far prove a collision. Once the first cluster
+//! of peaks is closed, the technologies peaking there are demodulated
+//! where it sits; a lone clean decode is finished locally as soon as no
+//! other cluster can lie before the frame's own end plus the guard —
+//! the header says where the frame ends, so the rest of the span is not
+//! read. Everything else travels on.
 
-use std::ops::ControlFlow;
+use std::ops::Range;
 
 use galiot_dsp::corr::{Peak, PeakStream};
 use galiot_dsp::engine::{NccWalk, WalkScratch};
 use galiot_dsp::Cf32;
-use galiot_phy::common::{demodulate_anchored_with, DemodScratch, MAX_DEMOD_FIR_TAPS};
+use galiot_phy::common::{
+    anchored_window, demodulate_anchored_with, DemodScratch, MAX_DEMOD_FIR_TAPS,
+};
 use galiot_phy::registry::Registry;
 use galiot_phy::DecodedFrame;
 
@@ -31,6 +35,24 @@ pub enum EdgeOutcome {
     /// the frames decoded before the verdict — empty when collision
     /// evidence short-circuited demodulation.
     ShipToCloud(Vec<DecodedFrame>),
+}
+
+/// What an edge attempt on a span — or on the head of one still
+/// arriving — concludes.
+#[derive(Clone, Debug)]
+pub enum Attempt {
+    /// The verdict whatever the rest of the span holds: a collision, or
+    /// a first cluster that does not decode to exactly one frame, ships;
+    /// a lone frame with no other cluster before its end plus the guard
+    /// stays.
+    Final(EdgeOutcome),
+    /// The verdict on the whole span, walked to its end: it stands as
+    /// long as the span does.
+    Whole(EdgeOutcome),
+    /// The verdict needs more of the span. Carries the first cluster's
+    /// frame once it is demodulated, for the next attempt to take as
+    /// given.
+    Wait(Option<DecodedFrame>),
 }
 
 /// How far either side of its preamble peaks a demodulator is given
@@ -79,81 +101,77 @@ impl EdgeDecoder {
         self.cluster_guard_s
     }
 
+    /// The collision cluster guard in samples at `fs`, so the verdict
+    /// does not change with the capture rate.
+    pub fn cluster_guard(&self, fs: f64) -> usize {
+        (self.cluster_guard_s * fs).round().max(1.0) as usize
+    }
+
+    /// The samples a span must hold before an attempt on it can decide
+    /// anything: one overlap-save block of every preamble's correlation.
+    pub fn head(&self, fs: f64) -> usize {
+        let bank = self.registry.template_bank(fs);
+        let block = |i| bank.template(i).block_lags() + bank.template(i).len() - 1;
+        (0..bank.len()).map(block).max().unwrap_or(0)
+    }
+
     /// The registry in use.
     pub fn registry(&self) -> &Registry {
         &self.registry
     }
 
     /// The paper's policy: the edge handles a segment locally only
-    /// when it looks like a single clean packet — the segment shows no
-    /// collision evidence *and* exactly one technology decodes. A
+    /// when it looks like a single clean packet — no peak cluster
+    /// besides the frame's own lies before the frame's end plus the
+    /// guard, *and* exactly one technology peaking there decodes. A
     /// robust technology (LoRa) can decode straight through a
     /// collision, so "one decode succeeded" alone is not enough: the
     /// still-buried frame would be silently lost.
     ///
     /// The preamble correlation that supplies the collision evidence
-    /// also says where the one packet is, so it runs first and each
+    /// also says where the packet is, so it runs first and each
     /// technology is demodulated over the span of its own peaks only; a
-    /// technology without a peak has no preamble in the segment to
-    /// synchronize to and is not tried.
+    /// technology without a peak has no preamble to synchronize to and
+    /// is not tried. A lone frame leaves at its own end unless one of
+    /// the segment's detections lies at or after that end; then the
+    /// whole segment is judged.
     pub fn process(&self, seg: &Segment, fs: f64) -> EdgeOutcome {
-        self.process_slice(&seg.samples, seg.start, fs, &mut EdgeBuffers::default())
-    }
-
-    /// [`EdgeDecoder::process`] on samples still lying in the window
-    /// they were detected in: `samples` begin at capture index `start`,
-    /// and the attempt writes into `buffers`, kept by the caller from
-    /// one segment to the next (whatever they held is never read).
-    pub fn process_slice(
-        &self,
-        samples: &[Cf32],
-        start: usize,
-        fs: f64,
-        buffers: &mut EdgeBuffers,
-    ) -> EdgeOutcome {
-        let _span = galiot_trace::span(galiot_trace::Stage::EdgeDecode, galiot_trace::NO_SEQ);
-        let EdgeBuffers(walks, demod) = buffers;
-        let ControlFlow::Continue(peaks) = self.preamble_peaks(samples, fs, walks) else {
-            return EdgeOutcome::ShipToCloud(Vec::new());
-        };
-        let mut decoded = Vec::new();
-        for (tech, at) in self.registry.techs().iter().zip(&peaks) {
-            let Some(anchor) = at.first().zip(at.last()).map(|(a, b)| a.index..=b.index) else {
-                continue;
-            };
-            if let Ok(mut frame) =
-                demodulate_anchored_with(tech.as_ref(), samples, fs, anchor, ANCHOR_PAD, demod)
-            {
-                // Convert to capture coordinates.
-                frame.start += start;
-                decoded.push(frame);
-            }
-        }
-        if decoded.len() == 1 {
-            EdgeOutcome::DecodedLocally(decoded.remove(0))
-        } else {
-            EdgeOutcome::ShipToCloud(decoded)
+        let late = |end: usize| seg.detections.iter().any(|d| d.start >= end);
+        let (span, buffers) = (seg.start..seg.end(), &mut EdgeBuffers::default());
+        match self.attempt(&seg.samples, span, fs, late, None, buffers) {
+            Attempt::Final(outcome) | Attempt::Whole(outcome) => outcome,
+            Attempt::Wait(_) => unreachable!("a whole segment is judged"),
         }
     }
 
-    /// Where each technology's preamble correlates with the segment:
-    /// per technology, in registry order, its normalized-correlation
-    /// peaks in ascending order — or `Break` with the furthest lag any
-    /// walk reached, as soon as the peaks show two clusters.
+    /// The edge attempt on the capture range `span`, of which `samples`
+    /// are the first ones, arrived so far (all of them in batch).
+    /// `late(end)` says whether a detection bars a lone frame ending at
+    /// capture index `end` from leaving there; `frame` is the first
+    /// cluster's decode from an earlier attempt on the span. The attempt
+    /// writes into `buffers`, kept by the caller from one span to the
+    /// next (whatever they held is never read).
     ///
-    /// Each technology's correlation is an [`galiot_dsp::engine::NccWalk`]
-    /// feeding a [`PeakStream`], moved one block on at a time, the walk
-    /// furthest behind first. Below the least lag every stream has
-    /// decided no peak can still appear, and a later one cannot land
-    /// between two earlier ones: two clusters there are two clusters of
-    /// the whole segment.
-    fn preamble_peaks(
+    /// Each technology's correlation is an [`NccWalk`] feeding a
+    /// [`PeakStream`], moved one block on at a time, the walk furthest
+    /// behind first; of a span still arriving, only blocks whose samples
+    /// have all arrived are walked, so every lag is the whole span's.
+    /// Below the least lag every stream has decided no peak can still
+    /// appear, and a later one cannot land between two earlier ones: two
+    /// clusters there are two clusters of the whole span, and a cluster
+    /// with nothing within the guard after it is closed.
+    pub fn attempt(
         &self,
         samples: &[Cf32],
+        span: Range<usize>,
         fs: f64,
-        scratch: &mut Vec<WalkScratch>,
-    ) -> ControlFlow<usize, Vec<Vec<Peak>>> {
-        let bank = self.registry.template_bank(fs);
+        late: impl Fn(usize) -> bool,
+        mut frame: Option<DecodedFrame>,
+        buffers: &mut EdgeBuffers,
+    ) -> Attempt {
+        let _span = galiot_trace::span(galiot_trace::Stage::EdgeDecode, galiot_trace::NO_SEQ);
+        let (EdgeBuffers(scratch, demod), whole) = (buffers, samples.len() >= span.len());
+        let (bank, guard) = (self.registry.template_bank(fs), self.cluster_guard(fs));
         scratch.resize_with(bank.len(), WalkScratch::default);
         let mut walks: Vec<_> = (scratch.iter_mut().enumerate())
             .map(|(i, s)| {
@@ -162,34 +180,73 @@ impl EdgeDecoder {
             })
             .collect();
         let mut peaks = vec![Vec::new(); walks.len()];
-        let open = |w: &NccWalk| w.settled() < w.lags();
-        while let Some((i, (walk, stream))) = (walks.iter_mut().enumerate())
-            .filter(|(_, (w, _))| open(w))
-            .min_by_key(|(_, (w, _))| w.walked())
-        {
+        // A walk of a span still arriving stays open past the samples.
+        let open = |w: &NccWalk| !whole || w.settled() < w.lags();
+        loop {
+            let open_walks = walks.iter().filter(|(w, _)| open(w));
+            let below = open_walks.map(|(_, s)| s.decided()).min();
+            let before = |at: usize| below.is_none_or(|b| b > at);
+            if self.two_clusters(&peaks, below, guard) {
+                return Attempt::Final(EdgeOutcome::ShipToCloud(Vec::new()));
+            }
+            let last = peaks.iter().flatten().map(|p| p.index).max();
+            if frame.is_none() && last.is_some_and(|last| before(last + guard)) {
+                // The first cluster is closed: demodulate what peaks in it.
+                let mut decoded = Vec::new();
+                for (tech, at) in self.registry.techs().iter().zip(&peaks) {
+                    let (Some(a), Some(b)) = (at.first(), at.last()) else {
+                        continue;
+                    };
+                    let tech = tech.as_ref();
+                    let window =
+                        anchored_window(tech, fs, a.index..=b.index, ANCHOR_PAD, span.len());
+                    let Some(held) = samples.get(..window.end) else {
+                        return Attempt::Wait(None);
+                    };
+                    let anchor = a.index..=b.index;
+                    decoded.extend(
+                        demodulate_anchored_with(tech, held, fs, anchor, ANCHOR_PAD, demod).ok(),
+                    );
+                }
+                if decoded.len() != 1 {
+                    return Attempt::Final(EdgeOutcome::ShipToCloud(decoded));
+                }
+                frame = decoded.pop().map(|f| DecodedFrame {
+                    start: f.start + span.start,
+                    ..f
+                });
+            }
+            let end = |f: &&DecodedFrame| f.start + f.len;
+            if let Some(f) = frame
+                .as_ref()
+                .filter(|f| before(end(f) - span.start + guard) && !late(end(f)))
+            {
+                return Attempt::Final(EdgeOutcome::DecodedLocally(f.clone()));
+            }
+            let next = (walks.iter_mut().enumerate())
+                .filter(|(_, (w, _))| open(w))
+                .min_by_key(|(_, (w, _))| w.walked());
+            let Some((i, (walk, stream))) = next else {
+                let ship = EdgeOutcome::ShipToCloud(Vec::new());
+                return Attempt::Whole(frame.map_or(ship, EdgeOutcome::DecodedLocally));
+            };
+            if !whole && walk.reads_to() >= samples.len() {
+                return Attempt::Wait(frame);
+            }
             if let Some(run) = walk.next_run() {
                 stream.push(run, &mut peaks[i]);
             }
             if !open(walk) {
                 stream.finish(&mut peaks[i]);
             }
-            let decided = |(w, s): &(NccWalk, PeakStream)| open(w).then(|| s.decided());
-            if self.two_clusters(&peaks, walks.iter().filter_map(decided).min(), fs) {
-                let reached = walks.iter().map(|(w, _)| w.walked()).max();
-                return ControlFlow::Break(reached.unwrap_or(0));
-            }
         }
-        ControlFlow::Continue(peaks)
     }
 
     /// Collision evidence: every technology's peaks (before lag `below`,
     /// if given) together fall into two or more clusters, each peak more
-    /// than the guard distance from the one before starting a new one —
-    /// co-located peaks of correlated preambles count as one. The guard
-    /// is `cluster_guard_s` converted to samples at `fs`, so the verdict
-    /// does not change with the capture rate.
-    fn two_clusters(&self, peaks: &[Vec<Peak>], below: Option<usize>, fs: f64) -> bool {
-        let guard = (self.cluster_guard_s * fs).round().max(1.0) as usize;
+    /// than `guard` samples from the one before starting a new one —
+    /// co-located peaks of correlated preambles count as one.
+    fn two_clusters(&self, peaks: &[Vec<Peak>], below: Option<usize>, guard: usize) -> bool {
         let at = || peaks.iter().flatten().map(|p| p.index);
         let at = || at().filter(|&p| below.is_none_or(|b| p < b));
         // Some peak past the first has none within the guard before it.
@@ -210,18 +267,26 @@ mod tests {
     const FS: f64 = 1_000_000.0;
 
     impl EdgeDecoder {
-        /// Whether the segment's preamble peaks fall into two clusters,
-        /// the test `process` starts with.
+        /// Whether the segment's preamble peaks, over whole correlations,
+        /// fall into two clusters.
         fn collision_suspected(&self, seg: &Segment, fs: f64) -> bool {
-            self.preamble_peaks(&seg.samples, fs, &mut Vec::new())
-                .is_break()
+            let bank = self.registry.template_bank(fs);
+            let peaks: Vec<Vec<Peak>> = (0..bank.len())
+                .map(|i| {
+                    let t = bank.template(i);
+                    let ncc = t.xcorr_normalized(&seg.samples);
+                    galiot_dsp::corr::find_peaks(&ncc, 0.25, t.len() / 2)
+                })
+                .collect();
+            self.two_clusters(&peaks, None, self.cluster_guard(fs))
         }
     }
 
     #[test]
-    fn a_collision_ships_at_its_proof_and_a_lone_frame_walks_on() {
+    fn a_collision_ships_at_its_proof_and_a_lone_frame_leaves_at_its_end() {
         // A collision segment as long as the gateway cuts them, at 18 dB.
         const LEN: usize = 272_000;
+        const AT: usize = 20_000;
         let reg = Registry::prototype();
         let edge = EdgeDecoder::new(reg.clone());
         let np = snr_to_noise_power(18.0, 0.0);
@@ -230,10 +295,10 @@ mod tests {
             vec![TxEvent::new(
                 reg.get(id).unwrap().clone(),
                 vec![9, 8, 7, 6],
-                20_000,
+                AT,
             )]
         };
-        let pair = forced_collision(&reg, 8, &[0.0, 0.0], 2_000, 20_000, &mut rng);
+        let pair = forced_collision(&reg, 8, &[0.0, 0.0], 2_000, AT, &mut rng);
         let cases = [
             ("LoRa+XBee", pair, true),
             // Its preamble's sidelobe comb reads as a second cluster.
@@ -243,21 +308,42 @@ mod tests {
         ];
         for (what, events, ships) in cases {
             let cap = compose(&events, LEN, FS, np, &mut rng);
-            let mut scratch = Vec::new();
-            match edge.preamble_peaks(&cap.samples, FS, &mut scratch) {
-                // Within the first fifth of the segment's blocks.
-                ControlFlow::Break(reached) => {
-                    assert!(ships, "{what}: shipped");
-                    assert!(reached <= LEN / 5, "{what}: walked {reached} lags of {LEN}");
+            let frame_end = AT + events[0].tech.modulate(&events[0].payload, FS).len();
+            // The head the attempt is handed: a quarter of the segment
+            // (two LoRa blocks) for a collision, the frame's anchored
+            // window and a LoRa block past it for a lone frame.
+            let head = if ships { LEN / 4 } else { frame_end + 50_000 };
+            let attempt = |n: usize, late: bool| {
+                let mut buffers = EdgeBuffers::default();
+                edge.attempt(&cap.samples[..n], 0..LEN, FS, |_| late, None, &mut buffers)
+            };
+            match (attempt(head, false), ships) {
+                (Attempt::Final(EdgeOutcome::ShipToCloud(f)), true) => {
+                    assert!(f.is_empty(), "{what}")
                 }
-                ControlFlow::Continue(_) => {
-                    assert!(!ships, "{what}: walked every block");
-                    let want = (events[0].tech.id(), events[0].payload.clone());
-                    match edge.process(&seg_from(cap.samples, 0), FS) {
-                        EdgeOutcome::DecodedLocally(f) => assert_eq!((f.tech, f.payload), want),
-                        other => panic!("{what}: expected a local decode, got {other:?}"),
+                (Attempt::Final(EdgeOutcome::DecodedLocally(f)), false) => {
+                    assert_eq!(
+                        (f.tech, &f.payload),
+                        (events[0].tech.id(), &events[0].payload)
+                    );
+                    assert!(
+                        f.start.abs_diff(AT) <= 4 && f.start + f.len <= frame_end + 4,
+                        "{what}"
+                    );
+                    // A detection past its end bars the exit: the attempt
+                    // waits for the rest, and the whole segment keeps the frame.
+                    assert!(
+                        matches!(attempt(head, true), Attempt::Wait(Some(_))),
+                        "{what}"
+                    );
+                    match attempt(LEN, true) {
+                        Attempt::Whole(EdgeOutcome::DecodedLocally(g)) => {
+                            assert_eq!(g.payload, f.payload)
+                        }
+                        other => panic!("{what}: the whole segment gave {other:?}"),
                     }
                 }
+                (other, _) => panic!("{what}: {other:?} on the first {head} samples"),
             }
         }
     }

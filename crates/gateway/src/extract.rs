@@ -104,16 +104,6 @@ pub fn extract(capture: &[Cf32], detections: &[Detection], p: ExtractParams) -> 
         .collect()
 }
 
-/// Fraction of the capture that extraction ships (the bandwidth-saving
-/// argument of the paper: noise is discarded, packets travel).
-pub fn shipped_fraction(capture_len: usize, segments: &[Segment]) -> f64 {
-    if capture_len == 0 {
-        return 0.0;
-    }
-    let shipped: usize = segments.iter().map(|s| s.samples.len()).sum();
-    shipped as f64 / capture_len as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,16 +172,6 @@ mod tests {
         assert_eq!(segs[0].start, 0);
         // ...and the trailing window clips at the capture end.
         assert_eq!(segs[1].end(), 25_000);
-    }
-
-    #[test]
-    fn shipped_fraction_reflects_savings() {
-        let cap = capture(1_000_000);
-        let p = ExtractParams::paper(10_000);
-        let segs = extract(&cap, &[det(100_000)], p);
-        let f = shipped_fraction(cap.len(), &segs);
-        assert!(f < 0.03, "fraction {f}");
-        assert_eq!(shipped_fraction(0, &segs), 0.0);
     }
 
     proptest::proptest! {

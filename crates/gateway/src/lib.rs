@@ -19,16 +19,15 @@ pub mod universal;
 
 pub use backhaul::{
     compress, crc32, decode_ack, decode_segment, decompress, decompress_into, encode_ack,
-    encode_segment, try_decompress, validate_header, Backhaul, CodecError, CompressedSegment,
-    FaultyLink, GatewayId, LinkFaults, LinkStats, ShippedSegment, WireError, WIRE_VERSION,
-    WIRE_VERSION_MIN,
+    encode_segment, try_decompress, validate_header, CodecError, CompressedSegment, FaultyLink,
+    GatewayId, LinkFaults, LinkStats, ShippedSegment, WireError, WIRE_VERSION, WIRE_VERSION_MIN,
 };
 pub use detect::{
     score_detections, Detection, DetectionStream, EnergyDetector, LagScorer, MatchedFilterBank,
     PacketDetector, PeakRule,
 };
-pub use edge::{EdgeBuffers, EdgeDecoder, EdgeOutcome, DEFAULT_CLUSTER_GUARD_S};
-pub use extract::{extract, shipped_fraction, spans, ExtractParams, Segment, Span};
+pub use edge::{Attempt, EdgeBuffers, EdgeDecoder, EdgeOutcome, DEFAULT_CLUSTER_GUARD_S};
+pub use extract::{extract, spans, ExtractParams, Segment, Span};
 pub use frontend::{
     AnalogRing, AnalogView, FrontEndParams, HoppingFrontEnd, RtlSdrFrontEnd, SlidingGain,
 };

@@ -1,14 +1,17 @@
 //! Differential suite for the correlate-once edge decoder.
 //!
 //! `EdgeDecoder::process` correlates a segment against every preamble
-//! once, ships on collision evidence without demodulating, and
-//! otherwise demodulates each technology over the span of its own
-//! peaks only. The reference here is the edge as it was before: every
-//! technology's demodulator over the *whole segment*, then the same
-//! correlation run a second time to decide whether the result may be
-//! kept. On every segment of the corpus the two must return the same
-//! variant and, for a local decode, the same frame at the same sample —
-//! any disagreement is a failure, not a tolerance.
+//! once, ships on collision evidence without demodulating, demodulates
+//! each technology of the first peak cluster over the span of its own
+//! peaks only, and lets a lone frame leave at its own end plus the
+//! cluster guard unless one of the segment's detections lies at or
+//! after that end. The reference here is the slow path applied to the
+//! span that rule judges: every technology's demodulator over the
+//! *whole span*, then the whole correlation of every preamble to decide
+//! whether the result may be kept. On every segment of the corpus the
+//! two must return the same variant and, for a local decode, the same
+//! frame at the same sample — any disagreement is a failure, not a
+//! tolerance.
 //!
 //! Captures are seeded through `galiot_channel::scenario_seed`, so
 //! `GALIOT_TEST_SEED` re-rolls all of them at once (CI sweeps it).
@@ -18,8 +21,8 @@ use galiot_channel::{
 };
 use galiot_dsp::corr::find_peaks;
 use galiot_gateway::{
-    Detection, EdgeBuffers, EdgeDecoder, EdgeOutcome, RtlSdrFrontEnd, Segment,
-    DEFAULT_CLUSTER_GUARD_S,
+    Attempt, Detection, EdgeBuffers, EdgeDecoder, EdgeOutcome, PacketDetector, RtlSdrFrontEnd,
+    Segment, UniversalDetector, DEFAULT_CLUSTER_GUARD_S,
 };
 use galiot_phy::common::WINDOW_ALIGN;
 use galiot_phy::registry::Registry;
@@ -37,49 +40,89 @@ const MAX_EXPECTED_PAYLOAD: usize = 32;
 /// frame start that was not re-based cannot pass.
 const SEG_START: usize = 1_000_000;
 
-/// The edge verdict as it was computed before the correlate-once
-/// rewrite, from the public primitives: demodulate everything over the
-/// whole segment, then look for collision evidence.
-fn whole_segment_process(
+/// Every technology's demodulator over the whole of `samples`, the
+/// frames re-based to capture index `start`.
+fn demodulate_all(
     registry: &Registry,
-    cluster_guard_s: f64,
-    seg: &Segment,
-    fs: f64,
-) -> EdgeOutcome {
-    let mut decoded: Vec<DecodedFrame> = Vec::new();
-    for tech in registry.techs() {
-        if let Ok(mut frame) = tech.demodulate(&seg.samples, fs) {
-            frame.start += seg.start;
-            decoded.push(frame);
+    samples: &[galiot_dsp::Cf32],
+    start: usize,
+) -> Vec<DecodedFrame> {
+    let decode = |tech: &galiot_phy::registry::TechHandle| tech.demodulate(samples, FS).ok();
+    (registry.techs().iter().filter_map(decode))
+        .map(|f| DecodedFrame {
+            start: f.start + start,
+            ..f
+        })
+        .collect()
+}
+
+/// Where each peak cluster of every preamble's whole correlation over
+/// `samples` starts, in order: peaks closer than `guard` to the one
+/// before them are one cluster.
+fn cluster_starts(registry: &Registry, guard: usize, samples: &[galiot_dsp::Cf32]) -> Vec<usize> {
+    let mut peak_positions: Vec<usize> = Vec::new();
+    let bank = registry.template_bank(FS);
+    for i in 0..bank.len() {
+        let template = bank.template(i);
+        if template.is_empty() || template.len() > samples.len() {
+            continue;
+        }
+        let ncc = template.xcorr_normalized(samples);
+        for p in find_peaks(&ncc, 0.25, template.len() / 2) {
+            peak_positions.push(p.index);
         }
     }
-    let collision_suspected = || {
-        let mut peak_positions: Vec<usize> = Vec::new();
-        let bank = registry.template_bank(fs);
-        for i in 0..bank.len() {
-            let template = bank.template(i);
-            if template.is_empty() || template.len() > seg.samples.len() {
-                continue;
-            }
-            let ncc = template.xcorr_normalized(&seg.samples);
-            for p in find_peaks(&ncc, 0.25, template.len() / 2) {
-                peak_positions.push(p.index);
-            }
+    peak_positions.sort_unstable();
+    let mut starts = Vec::new();
+    let mut last: Option<usize> = None;
+    for pos in peak_positions {
+        if last.is_none_or(|l| pos - l > guard) {
+            starts.push(pos);
         }
-        peak_positions.sort_unstable();
-        let guard = (cluster_guard_s * fs).round().max(1.0) as usize;
-        let mut clusters = 0usize;
-        let mut last: Option<usize> = None;
-        for pos in peak_positions {
-            if last.is_none_or(|l| pos - l > guard) {
-                clusters += 1;
-            }
-            last = Some(pos);
+        last = Some(pos);
+    }
+    starts
+}
+
+/// The edge verdict from the public primitives, the slow way: a frame
+/// that every demodulator over the whole segment, or over the samples
+/// before its second peak cluster, finds, that is the only decode of
+/// every demodulator over the segment up to its end plus the guard,
+/// whose whole-correlation peaks before that point form one cluster,
+/// and past whose end no detection lies, is kept — the span the lone
+/// exit judges. Otherwise the whole segment is judged: every
+/// demodulator over it, then collision evidence anywhere in it.
+fn judged_span_process(registry: &Registry, cluster_guard_s: f64, seg: &Segment) -> EdgeOutcome {
+    let guard = (cluster_guard_s * FS).round().max(1.0) as usize;
+    let clusters = cluster_starts(registry, guard, &seg.samples);
+    let mut decoded = demodulate_all(registry, &seg.samples, seg.start);
+    // A demodulator over a span finds one frame, and a lone frame lies
+    // wholly before the second cluster.
+    let mut candidates = decoded.clone();
+    if let Some(&second) = clusters.get(1) {
+        candidates.extend(demodulate_all(registry, &seg.samples[..second], seg.start));
+    }
+    candidates.sort_by_key(|f| f.start);
+    for f in &candidates {
+        let end = f.start + f.len;
+        if seg.detections.iter().any(|d| d.start >= end) {
+            continue;
         }
-        clusters >= 2
-    };
+        let judged = &seg.samples[..(end - seg.start + guard).min(seg.samples.len())];
+        let alone = demodulate_all(registry, judged, seg.start);
+        let same =
+            |g: &DecodedFrame| (g.tech, &g.payload, g.start) == (f.tech, &f.payload, f.start);
+        let one_cluster = clusters
+            .iter()
+            .filter(|&&c| c < end - seg.start + guard)
+            .count()
+            == 1;
+        if alone.len() == 1 && same(&alone[0]) && one_cluster {
+            return EdgeOutcome::DecodedLocally(f.clone());
+        }
+    }
     match decoded.len() {
-        1 if !collision_suspected() => EdgeOutcome::DecodedLocally(decoded.remove(0)),
+        1 if clusters.len() < 2 => EdgeOutcome::DecodedLocally(decoded.remove(0)),
         _ => EdgeOutcome::ShipToCloud(decoded),
     }
 }
@@ -97,6 +140,8 @@ struct Corpus {
     /// Segment length: twice the longest expected frame (paper, Sec. 4).
     seg_len: usize,
     front_end: RtlSdrFrontEnd,
+    /// Raises each case's detections, as the gateway would.
+    detector: UniversalDetector,
     cases: Vec<Case>,
 }
 
@@ -105,9 +150,10 @@ impl Corpus {
         let registry = Registry::prototype();
         let seg_len = 2 * registry.max_frame_samples_for(FS, MAX_EXPECTED_PAYLOAD);
         Corpus {
-            registry,
             seg_len,
             front_end: RtlSdrFrontEnd::new(Default::default()),
+            detector: UniversalDetector::new(&registry, FS, 0.0),
+            registry,
             cases: Vec::new(),
         }
     }
@@ -117,9 +163,10 @@ impl Corpus {
     }
 
     /// Composes `events` over noise, keeps the first `seg_len` samples
-    /// (cutting off whatever runs past) and files the segment. Every
-    /// other case goes through the 8-bit front end, as every segment
-    /// the gateway hands its edge decoder has.
+    /// (cutting off whatever runs past) and files the segment with the
+    /// detections the universal detector raises on it. Every other case
+    /// goes through the 8-bit front end, as every segment the gateway
+    /// hands its edge decoder has.
     fn push(&mut self, label: String, events: &[TxEvent], noise: f32, rng: &mut StdRng) {
         let span = events
             .iter()
@@ -132,20 +179,27 @@ impl Corpus {
         if digitized {
             samples = self.front_end.digitize(&samples);
         }
+        let label = format!(
+            "#{} {label}{}",
+            self.cases.len(),
+            if digitized { ", digitized" } else { "" }
+        );
+        self.file(label, samples);
+    }
+
+    fn file(&mut self, label: String, samples: Vec<galiot_dsp::Cf32>) {
+        let detections = (self.detector.detect(&samples, FS).into_iter())
+            .map(|d| Detection {
+                start: d.start + SEG_START,
+                ..d
+            })
+            .collect();
         self.cases.push(Case {
-            label: format!(
-                "#{} {label}{}",
-                self.cases.len(),
-                if digitized { ", digitized" } else { "" }
-            ),
+            label,
             seg: Segment {
                 start: SEG_START,
                 samples,
-                detections: vec![Detection {
-                    start: SEG_START,
-                    score: 1.0,
-                    tech: None,
-                }],
+                detections,
             },
         });
     }
@@ -281,14 +335,57 @@ impl Corpus {
         for power in [1.0, 0.01] {
             let mut rng = self.rng();
             let samples = awgn(self.seg_len, power, &mut rng);
-            self.cases.push(Case {
-                label: format!("#{} noise only, power {power}", self.cases.len()),
-                seg: Segment {
-                    start: SEG_START,
-                    samples,
-                    detections: Vec::new(),
-                },
-            });
+            self.file(
+                format!("#{} noise only, power {power}", self.cases.len()),
+                samples,
+            );
+        }
+    }
+
+    /// A lone frame with a second transmission after it, past its end
+    /// plus the guard: one the universal detector misses — an XBee frame
+    /// cut by the segment's end 1 500 samples in, its preamble whole:
+    /// the universal template is 8 192 samples long, with the XBee
+    /// preamble ≈ 5 000 into it, so no lag of it sees the frame, while
+    /// the XBee preamble's own correlation does (the lone exit keeps the
+    /// first frame and never reads the second, the whole segment would
+    /// ship) — and one it detects, just past the guard (the lone exit
+    /// is barred, the segment ships).
+    fn second_transmissions(&mut self) {
+        let guard = (DEFAULT_CLUSTER_GUARD_S * FS).round() as usize;
+        let xbee = self.registry.get(TechId::XBee).expect("prototype").clone();
+        for tech in self.registry.techs().to_vec() {
+            if tech.id() == TechId::LoRa {
+                continue; // its sidelobe comb ships it alone
+            }
+            for missed in [true, false] {
+                let mut rng = self.rng();
+                let payload = random_payload(8, &mut rng);
+                let at = rng.gen_range(2_000..20_000);
+                let end = at + tech.modulate(&payload, FS).len();
+                let (second, next, power_db) = match missed {
+                    true => (xbee.clone(), self.seg_len - 1_500, 0.0),
+                    false => (
+                        self.registry.techs()[rng.gen_range(1..3usize)].clone(),
+                        end + guard + 500,
+                        0.0,
+                    ),
+                };
+                let label = format!("{} then {} at {next}", tech.id(), second.id());
+                let events = [
+                    TxEvent::new(tech.clone(), payload, at),
+                    TxEvent::new(second, random_payload(8, &mut rng), next).with_power_db(power_db),
+                ];
+                self.push(label, &events, snr_to_noise_power(18.0, 0.0), &mut rng);
+                let seg = &self.cases[self.cases.len() - 1].seg;
+                let sighted = seg.detections.iter().any(|d| d.start >= SEG_START + end);
+                assert_eq!(
+                    sighted,
+                    !missed,
+                    "{}",
+                    self.cases[self.cases.len() - 1].label
+                );
+            }
         }
     }
 }
@@ -302,6 +399,7 @@ fn correlate_once_edge_matches_the_whole_segment_edge() {
     corpus.same_technology_pairs();
     corpus.lora_lookalike_tails();
     corpus.noise_only();
+    corpus.second_transmissions();
 
     // The deployment default, under which a lone LoRa frame always
     // ships (its preamble's correlation sidelobes sit two guards
@@ -313,7 +411,7 @@ fn correlate_once_edge_matches_the_whole_segment_edge() {
     for (tally, guard_s) in verdicts.iter_mut().zip([DEFAULT_CLUSTER_GUARD_S, 20.0e-3]) {
         let edge = EdgeDecoder::new(corpus.registry.clone()).with_cluster_guard_s(guard_s);
         for Case { label, seg } in &corpus.cases {
-            let want = whole_segment_process(&corpus.registry, guard_s, seg, FS);
+            let want = judged_span_process(&corpus.registry, guard_s, seg);
             let got = edge.process(seg, FS);
             let same = match (&want, &got) {
                 (EdgeOutcome::DecodedLocally(w), EdgeOutcome::DecodedLocally(g)) => {
@@ -328,7 +426,7 @@ fn correlate_once_edge_matches_the_whole_segment_edge() {
             };
             if !same {
                 disagreements.push(format!(
-                    "{label}, guard {guard_s} s:\n  whole segment {want:?}\n  correlate once {got:?}"
+                    "{label}, guard {guard_s} s:\n  slow path {want:?}\n  correlate once {got:?}"
                 ));
             }
         }
@@ -389,12 +487,17 @@ proptest! {
         // Buffers the attempt on another span, `stale` samples long,
         // left dirty.
         let mut buffers = EdgeBuffers::default();
-        edge.process_slice(&window[..stale], origin, FS, &mut buffers);
-        let got = edge.process_slice(&window[range.clone()], origin + range.start, FS, &mut buffers);
+        let mut attempt = |samples: &[galiot_dsp::Cf32], start: usize| {
+            match edge.attempt(samples, start..start + samples.len(), FS, |_| false, None, &mut buffers) {
+                Attempt::Final(outcome) | Attempt::Whole(outcome) => outcome,
+                Attempt::Wait(_) => unreachable!("a whole span is judged"),
+            }
+        };
+        attempt(&window[..stale], origin);
+        let got = attempt(&window[range.clone()], origin + range.start);
         prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
         // The same buffers, as the next span's attempt finds them.
-        let again =
-            edge.process_slice(&window[range.clone()], origin + range.start, FS, &mut buffers);
+        let again = attempt(&window[range.clone()], origin + range.start);
         prop_assert_eq!(format!("{again:?}"), format!("{want:?}"));
     }
 }

@@ -19,7 +19,10 @@
 use galiot::channel::{compose, forced_collision, snr_to_noise_power, TxEvent};
 use galiot::cloud::{CloudDecoder, DecodeBuffers};
 use galiot::core::{Galiot, GaliotConfig, StreamingGaliot};
-use galiot::gateway::{EdgeBuffers, EdgeDecoder, EdgeOutcome, LagScorer, UniversalDetector};
+use galiot::dsp::Cf32;
+use galiot::gateway::{
+    Attempt, EdgeBuffers, EdgeDecoder, EdgeOutcome, LagScorer, UniversalDetector,
+};
 use galiot::phy::registry::Registry;
 use galiot::phy::TechId;
 use rand::rngs::StdRng;
@@ -106,8 +109,9 @@ const QUIET_FLUSH_BUDGET: u64 = 5_440;
 /// A flush that emits an XBee frame's segment: one edge attempt, whose
 /// demodulators write into the session's buffers (2 722 208 while they
 /// allocated for their window, 8.8 MB when the segment and its three
-/// correlation traces were allocated per attempt). Measured: 196 040
-/// (195 736 before the edge walked its correlations block by block).
+/// correlation traces were allocated per attempt). Measured: 196 056
+/// (196 040 while the frame waited for its settle point, 195 736 before
+/// the edge walked its correlations block by block).
 const EMITTING_FLUSH_BUDGET: u64 = 244_700;
 /// What a session's first edge attempt asks for on top of that, once:
 /// what each technology's correlation walk carries from one block to
@@ -115,20 +119,23 @@ const EMITTING_FLUSH_BUDGET: u64 = 244_700;
 /// and template sample) and a block of normalized lags (4 per lag): for
 /// the prototype's 8 192-, 960- and 2 200-sample preambles, 24 577-,
 /// 3 137- and 14 185-lag blocks. Measured: 593 892 = 4 103 148 −
-/// 196 040 − 1 745 152 − 1 568 064 on the first emitting flush. It
+/// 196 040 − 1 745 152 − 1 568 064 on the first emitting flush while
+/// spans were digitized whole. It
 /// replaced the edge's own correlation trace, one f32 per sample of the
 /// 218 144-sample segment (872 576, 1.68 MB while grown by `Vec`
 /// doubling); allocated per attempt, either would come back on every
 /// emitting flush.
 const EDGE_WALK_BYTES: u64 = 593_892;
-/// And, once, the segment's digitization: a flush digitizes only the
-/// lags it scores, so an emitted span is digitized from the analog ring
-/// into a session buffer, 8 bytes per sample of the longest span seen,
-/// sized to the span (`reserve_exact`: a longer span later grows it to
-/// that span, not to twice the last). Measured: 5 363 964 = 2 746 236 +
-/// 872 576 (the edge's trace, then) + 1 745 152 on the first emitting
-/// flush, 2 722 208 on the second.
-const SPAN_BYTES: u64 = 8 * 218_144;
+/// And, once, the span's digitization: a flush digitizes only the lags
+/// it scores, so the span an edge attempt reads is digitized from the
+/// analog ring into a session buffer, 8 bytes per sample of the longest
+/// span seen, sized to the span (`reserve_exact`: a longer span later
+/// grows it to that span, not to twice the last). A lone frame is
+/// attempted on the span's first 56 814 samples, a flush past its end,
+/// and leaves there. Measured: 454 512 = 2 812 524 − 196 056 − 593 892 −
+/// 1 568 064 on the first emitting flush (1 745 152, 8 × 218 144, while
+/// every span was digitized whole at its settle point).
+const SPAN_BYTES: u64 = 8 * 56_814;
 /// And, once, the session's demodulator scratch, grown on the first
 /// attempt to the windows the edge demodulates the frame in. Measured:
 /// 1 568 064 = 4 381 528 − 195 736 − 872 576 (the edge's trace, then)
@@ -154,6 +161,13 @@ const WARM_DECODE_BUDGET: u64 = 1_812_000;
 /// Measured: 920 (a cold attempt, as `EdgeDecoder::process` makes:
 /// 595 004, where the edge's trace of the segment alone was 1 088 000).
 const WARM_EDGE_BUDGET: u64 = 1_150;
+
+/// One edge attempt on a lone XBee frame's 218 144-sample span through
+/// buffers an attempt on one has grown: the XBee demodulator's frame
+/// and intermediates it does not keep in the buffers, the peaks, the
+/// walks stopped a LoRa block past the frame's end plus the guard.
+/// Measured: 199 312.
+const WARM_LONE_EDGE_BUDGET: u64 = 249_200;
 
 #[test]
 fn gateway_flushes_and_process_capture_stay_inside_their_allocation_budgets() {
@@ -285,21 +299,46 @@ fn gateway_flushes_and_process_capture_stay_inside_their_allocation_budgets() {
     // A session's second edge attempt on the same collisions.
     let edge = EdgeDecoder::new(Registry::prototype());
     let mut buffers = EdgeBuffers::default();
-    let warm = edge.process_slice(&first, 0, FS, &mut buffers);
+    let mut attempt = |samples: &[Cf32]| {
+        edge.attempt(samples, 0..samples.len(), FS, |_| false, None, &mut buffers)
+    };
+    let warm = attempt(&first);
     assert!(
-        matches!(&warm, EdgeOutcome::ShipToCloud(f) if f.is_empty()),
+        matches!(&warm, Attempt::Final(EdgeOutcome::ShipToCloud(f)) if f.is_empty()),
         "{warm:?}"
     );
     let before = requested();
-    let outcome = edge.process_slice(&second, 0, FS, &mut buffers);
+    let outcome = attempt(&second);
     let bytes = requested() - before;
     assert!(
-        matches!(&outcome, EdgeOutcome::ShipToCloud(f) if f.is_empty()),
+        matches!(&outcome, Attempt::Final(EdgeOutcome::ShipToCloud(f)) if f.is_empty()),
         "{outcome:?}"
     );
     println!("a warm edge attempt on a two-frame collision requested {bytes} bytes");
     assert!(
         bytes <= WARM_EDGE_BUDGET,
         "a warm edge attempt requested {bytes} bytes, budget {WARM_EDGE_BUDGET}"
+    );
+
+    // An attempt on a lone XBee frame's span as the gateway cuts it,
+    // through buffers an attempt on one has grown: it leaves at the
+    // frame's end.
+    let xbee = Registry::prototype().get(TechId::XBee).unwrap().clone();
+    let [first, span] = [0, 1].map(|_| {
+        let lone = [TxEvent::new(xbee.clone(), vec![0xA5; 16], 12_832)];
+        compose(&lone, 218_144, FS, noise, &mut rng).samples
+    });
+    attempt(&first);
+    let before = requested();
+    let outcome = attempt(&span);
+    let bytes = requested() - before;
+    assert!(
+        matches!(&outcome, Attempt::Final(EdgeOutcome::DecodedLocally(f)) if f.payload == [0xA5; 16]),
+        "{outcome:?}"
+    );
+    println!("a warm edge attempt on a lone XBee frame's span requested {bytes} bytes");
+    assert!(
+        bytes <= WARM_LONE_EDGE_BUDGET,
+        "a warm lone edge attempt requested {bytes} bytes, budget {WARM_LONE_EDGE_BUDGET}"
     );
 }

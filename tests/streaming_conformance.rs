@@ -9,7 +9,8 @@
 //! delivered.
 
 use galiot::channel::{compose, forced_collision, scenario_seed, snr_to_noise_power, TxEvent};
-use galiot::core::PipelineFrame;
+use galiot::core::{Metrics, PipelineFrame};
+use galiot::gateway::{PacketDetector, RtlSdrFrontEnd, UniversalDetector};
 use galiot::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -186,8 +187,8 @@ fn conformance_on_repeated_collision_clusters() {
 }
 
 /// Streaming cuts the segments batch cuts — as many — and recovers its
-/// frames, at every chunk size.
-fn assert_same_segments(samples: &[Cf32], registry: &Registry, label: &str) {
+/// frames, at every chunk size. Returns the batch run's metrics.
+fn assert_same_segments(samples: &[Cf32], registry: &Registry, label: &str) -> Metrics {
     let config = GaliotConfig::prototype().with_cloud_workers(2);
     let batch = Galiot::new(config.clone(), registry.clone()).process_capture(samples);
     let batch_frames = frame_ids(&batch.frames);
@@ -207,6 +208,7 @@ fn assert_same_segments(samples: &[Cf32], registry: &Registry, label: &str) {
         );
         assert_same_frames(&streamed, &batch_frames, &ctx);
     }
+    batch.metrics
 }
 
 /// Where a gateway that flushed a 436 416-sample window every 205 312
@@ -260,6 +262,96 @@ fn frames_whose_spans_touch_merge_into_one_segment_as_in_batch() {
     let np = snr_to_noise_power(18.0, 0.0);
     let cap = compose(&events, first + 640_000, FS, np, &mut rng);
     assert_same_segments(&cap.samples, &registry, "touching spans");
+}
+
+/// The sibling of the cell above whose first span holds a collision —
+/// an XBee and a Z-Wave frame 6 000 samples apart, two peak clusters
+/// the edge ships at their settle point — so spans that touch are still
+/// cut as batch cuts them now that a lone frame leaves at its own end:
+/// a Z-Wave frame whose detection lies within a pre-guard past the
+/// collision's span. (A LoRa + XBee cluster cannot stand in: the live
+/// gateway's per-window threshold raises a different last detection on
+/// LoRa's payload chirps than batch's, so their spans end apart.)
+#[test]
+fn a_collision_and_a_frame_whose_spans_touch_merge_into_one_segment_as_in_batch() {
+    let registry = Registry::prototype();
+    let config = GaliotConfig::prototype();
+    let frame = registry.max_frame_samples_for(FS, config.max_expected_payload);
+    let np = snr_to_noise_power(18.0, 0.0);
+    let mut rng = StdRng::seed_from_u64(scenario_seed(47));
+    let xbee = registry.get(TechId::XBee).unwrap().clone();
+    let zwave = registry.get(TechId::ZWave).unwrap().clone();
+    let mut events = vec![
+        TxEvent::new(xbee, vec![0x5A; 8], 300_000),
+        TxEvent::new(zwave.clone(), vec![0x3C; 8], 306_000),
+    ];
+    // Where the collision's span ends, from its own last detection.
+    let alone = compose(&events, 800_000, FS, np, &mut rng).samples;
+    let digital = RtlSdrFrontEnd::new(config.front_end).digitize(&alone);
+    let detections = UniversalDetector::new(&registry, FS, 0.0).detect(&digital, FS);
+    let span_end = detections.last().expect("the collision is detected").start + 2 * frame;
+    events.push(TxEvent::new(zwave, vec![0xA5; 8], span_end + frame / 16));
+    let cap = compose(&events, 800_000, FS, np, &mut rng);
+    let batch = assert_same_segments(&cap.samples, &registry, "a collision and a frame");
+    assert_eq!(batch.segments, 1, "the spans touch: one segment");
+}
+
+/// A lone XBee frame followed by a Z-Wave frame whose detections land
+/// `offset` samples from the end of the window the XBee frame's lone
+/// exit bars — its end, the edge's cluster guard and a pre-guard: the
+/// batch metrics once live ≡ batch holds at every chunk size.
+fn xbee_then_zwave(seed: u64, offset: isize) -> Metrics {
+    let mut rng = StdRng::seed_from_u64(scenario_seed(seed));
+    let registry = Registry::prototype();
+    let xbee = registry.get(TechId::XBee).unwrap().clone();
+    let zwave = registry.get(TechId::ZWave).unwrap().clone();
+    let config = GaliotConfig::prototype();
+    let pre_guard = registry.max_frame_samples_for(FS, config.max_expected_payload) / 8;
+    let guard = (config.edge_cluster_guard_s * FS).round() as usize;
+    let first = 300_000;
+    let payload = vec![0x5A; 8];
+    let bar_end = first + xbee.modulate(&payload, FS).len() + guard + pre_guard;
+    let events = vec![
+        TxEvent::new(xbee, payload, first),
+        TxEvent::new(
+            zwave,
+            vec![0xA5; 8],
+            bar_end.checked_add_signed(offset).unwrap(),
+        ),
+    ];
+    let np = snr_to_noise_power(18.0, 0.0);
+    let cap = compose(&events, first + 700_000, FS, np, &mut rng);
+    assert_same_segments(
+        &cap.samples,
+        &registry,
+        &format!("Z-Wave {offset} past the bar"),
+    )
+}
+
+/// The Z-Wave frame's detections (one can sit 5 381 samples before the
+/// frame) land inside the barred window: the lone exit is barred, the
+/// span settles as one segment, ships, and the cloud decodes both.
+#[test]
+fn a_frame_detected_just_inside_a_lone_frames_bar_ships_with_it() {
+    let m = xbee_then_zwave(48, -3_000);
+    assert_eq!(
+        (m.segments, m.edge_decoded, m.cloud_decoded),
+        (1, 0, 2),
+        "{m:?}"
+    );
+}
+
+/// Every detection of the Z-Wave frame lands just past the barred
+/// window: the XBee frame leaves at its own end, the Z-Wave frame opens
+/// a segment of its own, and both are decoded at the edge.
+#[test]
+fn a_frame_detected_just_past_a_lone_frames_bar_is_a_segment_of_its_own() {
+    let m = xbee_then_zwave(49, 6_000);
+    assert_eq!(
+        (m.segments, m.edge_decoded, m.cloud_decoded),
+        (2, 2, 0),
+        "{m:?}"
+    );
 }
 
 /// The pool's observability contract: per-worker decode counts and the
