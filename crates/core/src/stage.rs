@@ -7,9 +7,9 @@
 //! over a whole capture, the window being the capture. Either way each
 //! lag is scored once, each peak is decided once over the session's
 //! trace ([`DetectionStream`]), and a segment leaves with the first
-//! flush after which nothing can change it. What differs — where an
-//! emitted segment goes — is the closures the callers pass in
-//! (DESIGN.md §7, "The flush step").
+//! flush decided past its bar, after which no detection can join it.
+//! What differs — where an emitted segment goes — is the closures the
+//! callers pass in (DESIGN.md §7, "The flush step").
 
 use galiot_dsp::Cf32;
 use galiot_gateway::{
@@ -59,7 +59,7 @@ pub(crate) struct StageBuffers {
     /// frames past the last.
     merged: Vec<usize>,
     /// What the edge has made of that span so far, and the flush end of
-    /// its last attempt (`usize::MAX`: none until the span settles).
+    /// its last attempt (`usize::MAX`: none until the span leaves).
     verdict: Attempt,
     tried: usize,
     /// A span's digitization — the head an attempt reads, or an emitted
@@ -184,16 +184,15 @@ impl GatewayStage {
 
     /// One flush: the capture is known up to `analog`'s end. Detects
     /// over what the flush adds and merges the detections it decides into
-    /// spans. The edge attempts the open span on what has arrived of it;
-    /// a lone frame leaves once the trace is decided past its end, its
-    /// guard and a pre-guard with no detection in between (a detection
-    /// past that opens the next span). Any other span leaves once it has
-    /// settled (no lag a later detection could merge from is undecided),
-    /// once its start is about to leave the ring (cut at the end,
-    /// carrying on from the first detection whose extraction the cut
-    /// truncated), or — if `last` — in any case, cut at the end. An
-    /// emitted span goes to `admit`, then with its edge verdict to
-    /// `emit`; an `Err` from either ends the flush there.
+    /// spans. One rule emits: the open span leaves once every lag before
+    /// its bar is known — the horizon (the next detection, else all the
+    /// flush decided, or, if `last`, the capture's end) is at or past the
+    /// bar ([`GatewayStage::leaves`]) — and the detections from the bar on
+    /// open the next span. The one exception is the ring: a span whose
+    /// start is about to leave it goes as it stands, cut at the end, and
+    /// carries on from the first detection whose extraction the cut
+    /// truncated. An emitted span goes to `admit`, then with its edge
+    /// verdict to `emit`; an `Err` from either ends the flush there.
     ///
     /// Books `detections`, `segments` (the admitted ones) and — on
     /// every way out — the flush's `gateway_busy_ns`.
@@ -208,8 +207,10 @@ impl GatewayStage {
     ) -> Result<(), E> {
         let t0 = Instant::now();
         let (gain, end) = (bufs.gain.advance(&self.front_end, &analog), analog.end());
-        let mut out = |bufs: &mut StageBuffers, span: Range<usize>, mut verdict, latest: usize| {
-            let span = span.start..span.end.min(end);
+        // The span `span` leaves with the first `keep` merged detections.
+        let mut out = |bufs: &mut StageBuffers, span: Range<usize>, keep: usize| {
+            let latest = bufs.merged.drain(..keep).next_back().unwrap_or(0);
+            let (span, mut verdict) = (span.start..span.end.min(end), bufs.take_verdict());
             admit()?;
             metrics.with(|m| m.segments += 1);
             let (fe, buf) = (&self.front_end, &mut bufs.span);
@@ -219,7 +220,7 @@ impl GatewayStage {
             // concluded on is judged whole, barred by any detection at
             // or past its frame's end.
             if let (Attempt::Wait(frame), Some(edge)) = (&mut verdict, &self.edge) {
-                let (late, frame) = (|e| latest >= e, frame.take());
+                let (late, frame) = (|r: Range<usize>| latest >= r.start, frame.take());
                 verdict = edge.attempt(samples, span.clone(), self.fs, late, frame, &mut bufs.edge);
             }
             let edge_frame = match verdict {
@@ -240,40 +241,35 @@ impl GatewayStage {
             #[cfg(test)]
             bufs.log.extend(&detections);
             let _extract = galiot_trace::span(galiot_trace::Stage::Extract, galiot_trace::NO_SEQ);
-            let (p, reach) = (self.params, 2 * self.params.max_frame_samples);
             for next in detections.into_iter().map(Some).chain([None]) {
-                let at = next.map(|d| d.start);
-                while let Some((span, lone)) = self.lone_leaves(bufs, gain, &analog, last, at) {
-                    out(bufs, span, lone, 0)?;
+                // Every lag before the horizon is known.
+                let horizon = match next {
+                    Some(d) => d.start,
+                    None if last => usize::MAX,
+                    None => bufs.scan.decided(),
+                };
+                while let Some((cut, bar)) =
+                    (self.leaves(bufs, gain, &analog, last)).filter(|&(_, bar)| horizon >= bar)
+                {
+                    let keep = bufs.merged.partition_point(|&d| d < bar);
+                    out(bufs, cut, keep)?;
                 }
                 let Some(d) = next else { break };
-                let lo = d.start.saturating_sub(p.pre_guard).max(bufs.origin);
-                if let Some(open) = bufs.open(p) {
-                    if lo > open.end {
-                        // Nothing left to merge into the open span: it goes.
-                        let verdict = bufs.take_verdict();
-                        let latest = bufs.merged.drain(..).next_back().unwrap_or(0);
-                        out(bufs, open, verdict, latest)?;
-                    } else if matches!(bufs.verdict, Attempt::Whole(_)) {
-                        // The span grows past what was judged whole: it
-                        // is judged again when it settles.
-                        bufs.take_verdict();
-                        bufs.tried = usize::MAX;
-                    }
+                if matches!(bufs.verdict, Attempt::Whole(_)) {
+                    // The span grows past what was judged whole: it is
+                    // judged again when it leaves.
+                    bufs.take_verdict();
+                    bufs.tried = usize::MAX;
                 }
                 bufs.merged.push(d.start);
             }
-            if let Some(open) = bufs.open(p) {
-                let settled = last || bufs.scan.decided() > open.end + p.pre_guard;
-                if settled || open.start + bufs.window < end {
-                    // A cluster cut before it settles carries on from the
-                    // first detection whose extraction the cut truncated.
-                    let cut = bufs.merged.iter().position(|&d| d + reach > end);
-                    let keep = cut.filter(|_| !settled).unwrap_or(bufs.merged.len());
-                    let latest = bufs.merged.drain(..keep).next_back().unwrap_or(0);
-                    let verdict = bufs.take_verdict();
-                    out(bufs, open, verdict, latest)?;
-                }
+            // A span whose start is about to leave the ring goes as it
+            // stands, and carries on from the first detection whose
+            // extraction the cut truncated.
+            if let Some(open) = (bufs.open(self.params)).filter(|o| o.start + bufs.window < end) {
+                let reach = 2 * self.params.max_frame_samples;
+                let keep = bufs.merged.iter().position(|&d| d + reach > end);
+                out(bufs, open, keep.unwrap_or(bufs.merged.len()))?;
             }
             Ok(())
         })();
@@ -281,57 +277,51 @@ impl GatewayStage {
         result
     }
 
-    /// The open span's lone frame as it leaves — the span cut at the
-    /// frame's guard, and the verdict — once no detection can still land
-    /// within the guard and a pre-guard past the frame's end: every lag
-    /// before detection `at` (all the flush decided, if `None`) is
-    /// known, or the capture is over. The detections past that stay to
-    /// open the next span; one inside it bars the exit, and the span
-    /// settles as it would have without it.
+    /// The open span's cut and its bar, the first lag at which a
+    /// detection no longer joins it. A proven lone frame's span is cut at
+    /// the end of its reach (the frame's end plus the guard,
+    /// [`EdgeDecoder::reach`]) and barred a pre-guard past that, unless a
+    /// detection in its reach or that pre-guard un-proves it; any other
+    /// span reaches the paper's two max frames past its last detection,
+    /// and a detection a pre-guard past that still joins.
     ///
     /// First the edge attempts the open span on what has arrived of it,
     /// once a flush while no attempt has concluded, and once the span
-    /// holds a block of every preamble's correlation.
-    fn lone_leaves(
+    /// holds a block of every preamble's correlation (or, if `last`, all
+    /// it will).
+    fn leaves(
         &self,
         bufs: &mut StageBuffers,
         gain: f32,
         analog: &AnalogView<'_>,
         last: bool,
-        at: Option<usize>,
-    ) -> Option<(Range<usize>, Attempt)> {
-        let (end, edge, open) = (analog.end(), self.edge.as_ref()?, bufs.open(self.params)?);
-        let guard = edge.cluster_guard(self.fs);
-        let (bar, held) = (guard + self.params.pre_guard, open.start..open.end.min(end));
-        if let Attempt::Wait(frame) = &mut bufs.verdict {
-            let head = if last { held.clone() } else { open.clone() };
-            if bufs.tried >= end || (held.len() < head.len() && held.len() <= edge.head(self.fs)) {
-                return None;
-            }
-            let (fe, buf, frame) = (&self.front_end, &mut bufs.span, frame.take());
-            let samples = bufs.scan.samples(fe, gain, analog, held, buf);
-            let late = |e: usize| bufs.merged.iter().any(|&d| (e..e + bar).contains(&d));
-            bufs.verdict = edge.attempt(samples, head, self.fs, late, frame, &mut bufs.edge);
-            bufs.tried = end;
-        }
-        let Attempt::Final(EdgeOutcome::DecodedLocally(frame)) = &bufs.verdict else {
-            return None;
+    ) -> Option<(Range<usize>, usize)> {
+        let (end, open, pre) = (analog.end(), bufs.open(self.params)?, self.params.pre_guard);
+        // Whether a detection lies in `reach` or a pre-guard past it.
+        let joins = |merged: &[usize], r: &Range<usize>| {
+            merged.iter().any(|&d| (r.start..r.end + pre).contains(&d))
         };
-        let frame_end = frame.start + frame.len;
-        let past = bufs.merged.partition_point(|&d| d < frame_end + bar);
-        if bufs.merged[..past].last().is_some_and(|&d| d >= frame_end) {
+        if let (Some(edge), Attempt::Wait(frame)) = (&self.edge, &mut bufs.verdict) {
+            let held = open.start..open.end.min(end);
+            let head = if last { held.clone() } else { open.clone() };
+            if bufs.tried < end && (held.len() == head.len() || held.len() > edge.head(self.fs)) {
+                let (fe, buf, frame) = (&self.front_end, &mut bufs.span, frame.take());
+                let samples = bufs.scan.samples(fe, gain, analog, held, buf);
+                let late = |r: Range<usize>| joins(&bufs.merged, &r);
+                bufs.verdict = edge.attempt(samples, head, self.fs, late, frame, &mut bufs.edge);
+                bufs.tried = end;
+            }
+        }
+        let verdict = (&self.edge, &bufs.verdict);
+        if let (Some(edge), Attempt::Final(EdgeOutcome::DecodedLocally(frame))) = verdict {
+            let reach = edge.reach(frame, self.fs);
+            if !joins(&bufs.merged, &reach) {
+                return Some((open.start..reach.end, reach.end + pre));
+            }
             (bufs.verdict, bufs.tried) = (Attempt::Wait(Some(frame.clone())), usize::MAX);
-            return None;
         }
-        let decided = at.unwrap_or_else(|| bufs.scan.decided());
-        let over = last && at.is_none();
-        if past == bufs.merged.len() && !over && decided < frame_end + bar {
-            return None;
-        }
-        // The frame lies in the span, so its end plus the bar is past the
-        // span's first detection: every exit drains at least that one.
-        bufs.merged.drain(..past);
-        Some((open.start..frame_end + guard, bufs.take_verdict()))
+        let bar = open.end + pre + 1;
+        Some((open, bar))
     }
 }
 
@@ -774,7 +764,7 @@ mod tests {
         let (stage, calls) = recorded_stage(&config, Spikes);
         let (step, window) = (stage.step, stage.window);
         let (pre_guard, reach) = (stage.params.pre_guard, 2 * stage.params.max_frame_samples);
-        let n = 3_000_000;
+        let n = 3_500_000;
         let mut analog = vec![Cf32::ZERO; n];
         let mut spike = |at: usize, v: f32| analog[at] = Cf32::from_re(v);
         // Flushes run by the first one to hold sample `at`.
@@ -831,6 +821,16 @@ mod tests {
             "the second's extraction is whole"
         );
         want.push((settles(fourth), chain + 2 * hop - pre_guard..fourth + reach));
+        // A spike exactly `reach + pre_guard` past the last one still
+        // merges: the default bar is closed. The pair spans the window
+        // less 128 samples, so its start leaves the ring before the pair
+        // settles, and it goes whole then.
+        let (e1, e2) = (2_700_000, 2_700_000 + reach + pre_guard);
+        spike(e1, 0.9);
+        spike(e2, 0.9);
+        let leaves = (e1 - pre_guard + window).div_ceil(step);
+        assert!(leaves * step >= e2 + reach && leaves < settles(e2));
+        want.push((leaves, e1 - pre_guard..e2 + reach));
         // The last flush cuts what is still open at the capture's end.
         let tail = n - 50_000;
         spike(tail, 0.9);
@@ -844,7 +844,7 @@ mod tests {
             assert_eq!(got, want, "chunks of {chunk}");
             let starts: Vec<usize> = live.session.buffers.log.iter().map(|d| d.start).collect();
             let mut placed = vec![d1, d2, d3, d4, d5, a, strong];
-            placed.extend([chain, chain + hop, chain + 2 * hop, fourth, tail]);
+            placed.extend([chain, chain + hop, chain + 2 * hop, fourth, e1, e2, tail]);
             assert_eq!(starts, placed, "chunks of {chunk}: the weak candidate lost");
         }
     }

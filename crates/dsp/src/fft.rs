@@ -183,11 +183,6 @@ pub fn fft(buf: &mut [Cf32]) {
     crate::engine::plan(buf.len()).forward(buf);
 }
 
-/// One-shot normalized inverse FFT of a power-of-two-length slice.
-pub fn ifft(buf: &mut [Cf32]) {
-    crate::engine::plan(buf.len()).inverse(buf);
-}
-
 /// Returns the index of the maximum-magnitude bin of a spectrum.
 ///
 /// Ties resolve to the lowest index. Returns 0 for an empty slice.
@@ -298,7 +293,7 @@ mod tests {
         let mut buf = vec![Cf32::new(2.0, -1.0)];
         fft(&mut buf);
         assert_eq!(buf[0], Cf32::new(2.0, -1.0));
-        ifft(&mut buf);
+        Fft::new(1).inverse(&mut buf);
         assert_eq!(buf[0], Cf32::new(2.0, -1.0));
     }
 

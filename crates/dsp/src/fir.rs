@@ -1,7 +1,7 @@
 //! FIR filter design (windowed sinc) and application.
 //!
-//! The gateway channelizer, the GFSK pulse shapers and the
-//! KILL-FREQUENCY band filters are all linear-phase FIR filters
+//! The demodulators' channel filters, the GFSK pulse shapers and the
+//! decimator's anti-alias filter are all linear-phase FIR filters
 //! designed here. Filters have real taps and are applied to complex
 //! baseband with group-delay compensation so that filtered output
 //! stays time-aligned with the input — an alignment the cloud's
@@ -64,21 +64,6 @@ impl Fir {
         Fir { taps }
     }
 
-    /// Designs a windowed-sinc high-pass filter by spectral inversion
-    /// of the corresponding low-pass.
-    pub fn highpass(cutoff_hz: f64, fs: f64, ntaps: usize, window: Window) -> Self {
-        let lp = Self::lowpass(cutoff_hz, fs, ntaps, window);
-        let n = lp.taps.len();
-        let mid = n / 2;
-        let taps: Vec<f32> = lp
-            .taps
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| if i == mid { 1.0 - t } else { -t })
-            .collect();
-        Fir { taps }
-    }
-
     /// Designs a band-pass filter passing `lo_hz..hi_hz`.
     pub fn bandpass(lo_hz: f64, hi_hz: f64, fs: f64, ntaps: usize, window: Window) -> Self {
         assert!(lo_hz < hi_hz, "band edges out of order");
@@ -89,24 +74,6 @@ impl Fir {
             .iter()
             .zip(lo.taps.iter())
             .map(|(&h, &l)| h - l)
-            .collect();
-        Fir { taps }
-    }
-
-    /// Designs a band-stop (notch-band) filter rejecting `lo_hz..hi_hz`.
-    ///
-    /// This is the building block of the KILL-FREQUENCY filter: it
-    /// carves the FSK tone bands out of a collision while passing the
-    /// rest of the capture through with linear phase.
-    pub fn bandstop(lo_hz: f64, hi_hz: f64, fs: f64, ntaps: usize, window: Window) -> Self {
-        let bp = Self::bandpass(lo_hz, hi_hz, fs, ntaps, window);
-        let n = bp.taps.len();
-        let mid = n / 2;
-        let taps: Vec<f32> = bp
-            .taps
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| if i == mid { 1.0 - t } else { -t })
             .collect();
         Fir { taps }
     }
@@ -127,12 +94,6 @@ impl Fir {
     #[inline]
     pub fn is_empty(&self) -> bool {
         false
-    }
-
-    /// Group delay in samples (`(ntaps - 1) / 2` for linear phase).
-    #[inline]
-    pub fn group_delay(&self) -> usize {
-        (self.taps.len() - 1) / 2
     }
 
     /// Filters a complex signal, returning output the same length as
@@ -207,28 +168,6 @@ pub fn decimate(input: &[Cf32], factor: usize, fs: f64) -> Vec<Cf32> {
     filtered.iter().step_by(factor).copied().collect()
 }
 
-/// Upsamples by an integer factor: zero-stuffing followed by an
-/// interpolation low-pass with gain `factor`.
-pub fn interpolate(input: &[Cf32], factor: usize, fs_in: f64) -> Vec<Cf32> {
-    assert!(factor >= 1, "interpolation factor must be >= 1");
-    if factor == 1 {
-        return input.to_vec();
-    }
-    let fs_out = fs_in * factor as f64;
-    let mut stuffed = vec![Cf32::ZERO; input.len() * factor];
-    for (i, &s) in input.iter().enumerate() {
-        stuffed[i * factor] = s;
-    }
-    let cutoff = 0.4 * fs_in;
-    let ntaps = (8 * factor + 1).max(33);
-    let fir = Fir::lowpass(cutoff, fs_out, ntaps, Window::Hamming);
-    let mut out = fir.filter(&stuffed);
-    for z in &mut out {
-        *z *= factor as f32;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,26 +201,11 @@ mod tests {
     }
 
     #[test]
-    fn highpass_blocks_dc() {
-        let fir = Fir::highpass(100e3, 1e6, 101, Window::Hamming);
-        assert!(fir.response_at(0.0, 1e6) < 1e-3);
-        assert!((fir.response_at(400e3, 1e6) - 1.0).abs() < 0.02);
-    }
-
-    #[test]
     fn bandpass_selects_band() {
         let fir = Fir::bandpass(80e3, 120e3, 1e6, 201, Window::Blackman);
         assert!((fir.response_at(100e3, 1e6) - 1.0).abs() < 0.02);
         assert!(fir.response_at(0.0, 1e6) < 0.01);
         assert!(fir.response_at(300e3, 1e6) < 0.01);
-    }
-
-    #[test]
-    fn bandstop_rejects_band_passes_rest() {
-        let fir = Fir::bandstop(80e3, 120e3, 1e6, 201, Window::Blackman);
-        assert!(fir.response_at(100e3, 1e6) < 0.02);
-        assert!((fir.response_at(0.0, 1e6) - 1.0).abs() < 0.02);
-        assert!((fir.response_at(300e3, 1e6) - 1.0).abs() < 0.02);
     }
 
     #[test]
@@ -316,18 +240,6 @@ mod tests {
         }
         let est = dph / (mid.len() - 1) as f64 * (fs / 4.0) / (2.0 * std::f64::consts::PI);
         assert!((est - f).abs() < 500.0, "estimated {est}");
-    }
-
-    #[test]
-    fn interpolate_then_decimate_roundtrips() {
-        let fs = 250e3;
-        let sig = tone(10e3, fs, 1024);
-        let up = interpolate(&sig, 4, fs);
-        assert_eq!(up.len(), 4096);
-        let down = decimate(&up, 4, fs * 4.0);
-        let a = power(&sig[100..900]);
-        let b = power(&down[100..900]);
-        assert!((a - b).abs() / a < 0.05, "power {a} vs {b}");
     }
 
     #[test]

@@ -32,12 +32,6 @@ pub fn goertzel_power(window: &[Cf32], freq_hz: f64, fs: f64) -> f32 {
     goertzel(window, freq_hz, fs).norm_sqr()
 }
 
-/// Binary FSK decision for one symbol window: returns `true` (mark /
-/// bit 1) if the tone at `f_mark` carries more energy than `f_space`.
-pub fn fsk_decide(window: &[Cf32], f_mark: f64, f_space: f64, fs: f64) -> bool {
-    goertzel_power(window, f_mark, fs) >= goertzel_power(window, f_space, fs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,15 +76,6 @@ mod tests {
         let fs = 1e6;
         let sig = tone(-40e3, fs, 512);
         assert!(goertzel_power(&sig, -40e3, fs) > 50.0 * goertzel_power(&sig, 40e3, fs));
-    }
-
-    #[test]
-    fn fsk_decision_separates_tones() {
-        let fs = 200e3;
-        let mark = tone(20e3, fs, 100);
-        let space = tone(-20e3, fs, 100);
-        assert!(fsk_decide(&mark, 20e3, -20e3, fs));
-        assert!(!fsk_decide(&space, 20e3, -20e3, fs));
     }
 
     #[test]

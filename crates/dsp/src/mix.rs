@@ -25,11 +25,6 @@ impl Nco {
         }
     }
 
-    /// Retunes the oscillator without a phase discontinuity.
-    pub fn set_freq(&mut self, freq_hz: f64, fs: f64) {
-        self.step = 2.0 * std::f64::consts::PI * freq_hz / fs;
-    }
-
     /// Returns the next oscillator sample and advances the phase.
     #[inline]
     pub fn next_sample(&mut self) -> Cf32 {

@@ -128,22 +128,6 @@ pub fn welch_psd(signal: &[Cf32], fs: f64, nfft: usize) -> Psd {
     Psd { power, fs }
 }
 
-/// [`find_bands_above`] with the threshold expressed as
-/// `threshold_factor` times the PSD's median power.
-pub fn find_peak_bands(
-    psd: &Psd,
-    threshold_factor: f32,
-    merge_hz: f64,
-    min_width_hz: f64,
-) -> Vec<Band> {
-    find_bands_above(
-        psd,
-        psd.median_power() * threshold_factor,
-        merge_hz,
-        min_width_hz,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,7 +162,7 @@ mod tests {
     }
 
     #[test]
-    fn find_peak_bands_locates_fsk_tones() {
+    fn find_bands_above_locates_fsk_tones() {
         let fs = 1e6;
         let n = 65_536;
         let mut sig = tone(25_000.0, fs, n, 1.0);
@@ -191,7 +175,7 @@ mod tests {
             *z += Cf32::new(((i * 37) % 97) as f32 / 970.0 - 0.05, 0.0);
         }
         let psd = welch_psd(&sig, fs, 1024);
-        let bands = find_peak_bands(&psd, 10.0, 3_000.0, 500.0);
+        let bands = find_bands_above(&psd, psd.median_power() * 10.0, 3_000.0, 500.0);
         assert!(bands.len() >= 2, "{bands:?}");
         let hits = |f: f64| bands.iter().any(|b| b.contains(f));
         assert!(hits(25_000.0), "{bands:?}");
@@ -202,7 +186,7 @@ mod tests {
     fn short_input_gives_empty_estimate() {
         let psd = welch_psd(&[Cf32::ONE; 10], 1e6, 1024);
         assert!(psd.power.iter().all(|&p| p == 0.0));
-        assert!(find_peak_bands(&psd, 5.0, 1e3, 1e2).is_empty());
+        assert!(find_bands_above(&psd, psd.median_power() * 5.0, 1e3, 1e2).is_empty());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! GFSK technologies (XBee, Z-Wave R2+, BLE) shape their frequency
 //! pulse with a Gaussian filter characterized by its bandwidth-time
 //! product BT; 802.15.4 O-QPSK uses half-sine chip shaping. Both
-//! shapes, plus root-raised-cosine for completeness, live here.
+//! shapes live here.
 
 use crate::fir::Fir;
 
@@ -49,43 +49,6 @@ pub fn half_sine(sps: usize) -> Vec<f32> {
     (0..sps)
         .map(|i| (std::f32::consts::PI * i as f32 / sps as f32).sin())
         .collect()
-}
-
-/// Root-raised-cosine filter taps.
-///
-/// * `beta` — roll-off in `(0, 1]`.
-/// * `sps` — samples per symbol.
-/// * `span` — length in symbols.
-pub fn rrc_taps(beta: f32, sps: usize, span: usize) -> Vec<f32> {
-    assert!(beta > 0.0 && beta <= 1.0, "roll-off must be in (0, 1]");
-    let n = sps * span + 1;
-    let mid = (n - 1) as f32 / 2.0;
-    let pi = std::f32::consts::PI;
-    let mut taps: Vec<f32> = (0..n)
-        .map(|i| {
-            let t = (i as f32 - mid) / sps as f32;
-            if t.abs() < 1e-6 {
-                1.0 - beta + 4.0 * beta / pi
-            } else if (t.abs() - 1.0 / (4.0 * beta)).abs() < 1e-4 {
-                // Singularity at t = +-1/(4 beta).
-                (beta / 2f32.sqrt())
-                    * ((1.0 + 2.0 / pi) * (pi / (4.0 * beta)).sin()
-                        + (1.0 - 2.0 / pi) * (pi / (4.0 * beta)).cos())
-            } else {
-                let num =
-                    (pi * t * (1.0 - beta)).sin() + 4.0 * beta * t * (pi * t * (1.0 + beta)).cos();
-                let den = pi * t * (1.0 - (4.0 * beta * t) * (4.0 * beta * t));
-                num / den
-            }
-        })
-        .collect();
-    // Normalize to unit energy.
-    let e: f32 = taps.iter().map(|t| t * t).sum();
-    let k = e.sqrt();
-    for t in &mut taps {
-        *t /= k;
-    }
-    taps
 }
 
 #[cfg(test)]
@@ -147,38 +110,6 @@ mod tests {
         assert!(p[0].abs() < 1e-6);
         assert!((p[8] - 1.0).abs() < 1e-6);
         assert!(p.iter().all(|&v| (0.0..=1.0).contains(&v)));
-    }
-
-    #[test]
-    fn rrc_has_unit_energy_and_symmetry() {
-        let taps = rrc_taps(0.35, 8, 6);
-        let e: f32 = taps.iter().map(|t| t * t).sum();
-        assert!((e - 1.0).abs() < 1e-4);
-        let n = taps.len();
-        for i in 0..n {
-            assert!((taps[i] - taps[n - 1 - i]).abs() < 1e-4);
-        }
-    }
-
-    #[test]
-    fn rrc_cascade_is_nyquist() {
-        // RRC * RRC sampled at symbol instants ~ impulse (zero ISI).
-        let sps = 8;
-        let taps = rrc_taps(0.5, sps, 8);
-        // Full convolution of taps with itself.
-        let m = taps.len();
-        let mut rc = vec![0.0f32; 2 * m - 1];
-        for i in 0..m {
-            for j in 0..m {
-                rc[i + j] += taps[i] * taps[j];
-            }
-        }
-        let center = m - 1;
-        let peak = rc[center];
-        for k in 1..4 {
-            let v = rc[center + k * sps].abs();
-            assert!(v < 0.02 * peak, "ISI at +{k} symbols: {v} vs peak {peak}");
-        }
     }
 
     #[test]

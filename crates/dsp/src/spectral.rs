@@ -9,13 +9,9 @@
 //! passband — a whole-block rectangular FFT mask would smear several
 //! percent of a mid-bin tone's energy across the spectrum, poisoning
 //! the interference-cancellation subtraction downstream.
-//!
-//! [`suppress_bins`] is the separate whole-block primitive used by
-//! KILL-CSS, whose caller works on symbol-aligned power-of-two windows
-//! where the dechirped tones are exactly bin-aligned.
 
 use crate::engine;
-use crate::fft::{freq_to_bin, next_pow2};
+use crate::fft::next_pow2;
 use crate::num::Cf32;
 
 /// A frequency band in Hz, `lo <= hi`, interpreted at complex baseband
@@ -177,75 +173,6 @@ pub fn select_bands(signal: &[Cf32], fs: f64, bands: &[Band]) -> Vec<Cf32> {
     })
 }
 
-/// Scales spectral content inside `bands` by `gain` (0 = kill,
-/// 1 = identity), leaving the rest untouched.
-pub fn apply_mask(signal: &[Cf32], fs: f64, bands: &[Band], gain: f32) -> Vec<Cf32> {
-    stft_apply(signal, fs, stft_frame(signal.len()), |f| {
-        if bands.iter().any(|b| b.contains(f)) {
-            gain
-        } else {
-            1.0
-        }
-    })
-}
-
-/// Zeroes a set of individual FFT *bins* (by index, on the padded-size
-/// grid of `n = next_pow2(len)`) in a single whole-block transform —
-/// the primitive behind KILL-CSS, which works on symbol-aligned
-/// power-of-two windows where dechirped tones are exactly bin-aligned.
-pub fn suppress_bins(signal: &[Cf32], bins: &[usize]) -> Vec<Cf32> {
-    if signal.is_empty() {
-        return Vec::new();
-    }
-    let n = next_pow2(signal.len());
-    let plan = engine::plan(n);
-    let mut buf = vec![Cf32::ZERO; n];
-    buf[..signal.len()].copy_from_slice(signal);
-    plan.forward(&mut buf);
-    for &b in bins {
-        if b < n {
-            buf[b] = Cf32::ZERO;
-        }
-    }
-    plan.inverse(&mut buf);
-    buf.truncate(signal.len());
-    buf
-}
-
-/// Fraction of total signal energy lying inside `bands` (0..=1),
-/// measured on a whole-block transform.
-pub fn band_energy_fraction(signal: &[Cf32], fs: f64, bands: &[Band]) -> f32 {
-    if signal.is_empty() {
-        return 0.0;
-    }
-    let n = next_pow2(signal.len());
-    let plan = engine::plan(n);
-    let mut buf = vec![Cf32::ZERO; n];
-    buf[..signal.len()].copy_from_slice(signal);
-    plan.forward(&mut buf);
-    let mut inside = 0.0f64;
-    let mut total = 0.0f64;
-    for (bin, z) in buf.iter().enumerate() {
-        let e = z.norm_sqr() as f64;
-        total += e;
-        let f = crate::fft::bin_to_freq(bin, n, fs);
-        if bands.iter().any(|b| b.contains(f)) {
-            inside += e;
-        }
-    }
-    if total <= 0.0 {
-        0.0
-    } else {
-        (inside / total) as f32
-    }
-}
-
-/// Convenience: the padded-grid bin index of `freq_hz` for a signal of
-/// `len` samples at rate `fs` (the grid [`suppress_bins`] uses).
-pub fn padded_bin(freq_hz: f64, len: usize, fs: f64) -> usize {
-    freq_to_bin(freq_hz, next_pow2(len), fs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,7 +203,7 @@ mod tests {
         let sig: Vec<Cf32> = (0..3000)
             .map(|i| Cf32::new((i as f32 * 0.17).sin(), (i as f32 * 0.05).cos()))
             .collect();
-        let out = apply_mask(&sig, fs, &[], 0.0);
+        let out = suppress_bands(&sig, fs, &[]);
         for (a, b) in out.iter().zip(&sig) {
             assert!((*a - *b).abs() < 1e-3, "{a:?} vs {b:?}");
         }
@@ -337,61 +264,8 @@ mod tests {
     }
 
     #[test]
-    fn gain_one_mask_is_identity_in_band() {
-        let fs = 1e6;
-        let sig = tone(75e3, fs, 2048);
-        let out = apply_mask(&sig, fs, &[Band::centered(75e3, 50e3)], 1.0);
-        for (a, b) in out[100..1900].iter().zip(&sig[100..1900]) {
-            assert!((*a - *b).abs() < 1e-3);
-        }
-    }
-
-    #[test]
-    fn suppress_bins_removes_exact_bin() {
-        let fs = 1e6;
-        let n = 1024; // already pow2: bins are exact
-        let k = 100;
-        let f = k as f64 * fs / n as f64;
-        let sig = tone(f, fs, n);
-        let out = suppress_bins(&sig, &[k]);
-        assert!(mean_power(&out) < 1e-4);
-    }
-
-    #[test]
-    fn suppress_bins_ignores_out_of_range() {
-        let sig = tone(1e3, 1e6, 64);
-        let out = suppress_bins(&sig, &[usize::MAX, 9999]);
-        let err: f32 = out
-            .iter()
-            .zip(&sig)
-            .map(|(a, b)| (*a - *b).norm_sqr())
-            .sum();
-        assert!(err < 1e-6);
-    }
-
-    #[test]
-    fn band_energy_fraction_sums_correctly() {
-        let fs = 1e6;
-        let n = 2048;
-        let a = tone(50e3, fs, n);
-        let b = tone(-150e3, fs, n);
-        let sum: Vec<Cf32> = a.iter().zip(&b).map(|(x, y)| *x + *y).collect();
-        let frac = band_energy_fraction(&sum, fs, &[Band::centered(50e3, 8e3)]);
-        assert!((frac - 0.5).abs() < 0.02, "fraction {frac}");
-    }
-
-    #[test]
     fn empty_signal_handled() {
         assert!(suppress_bands(&[], 1e6, &[Band::new(0.0, 1.0)]).is_empty());
         assert!(select_bands(&[], 1e6, &[]).is_empty());
-        assert!(suppress_bins(&[], &[1]).is_empty());
-        assert_eq!(band_energy_fraction(&[], 1e6, &[]), 0.0);
-    }
-
-    #[test]
-    fn padded_bin_matches_grid() {
-        // len 1000 pads to 1024; 250 kHz at 1 Msps -> bin 256.
-        assert_eq!(padded_bin(250e3, 1000, 1e6), 256);
-        assert_eq!(padded_bin(-250e3, 1000, 1e6), 768);
     }
 }

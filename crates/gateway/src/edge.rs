@@ -107,17 +107,21 @@ impl EdgeDecoder {
         (self.cluster_guard_s * fs).round().max(1.0) as usize
     }
 
+    /// A lone frame's reach at `fs`: from its end to its end plus the
+    /// guard, where the gateway cuts its span. [`EdgeDecoder::attempt`]
+    /// hands it to `late`, which says whether a detection bars the frame
+    /// from leaving alone.
+    pub fn reach(&self, frame: &DecodedFrame, fs: f64) -> Range<usize> {
+        let end = frame.start + frame.len;
+        end..end + self.cluster_guard(fs)
+    }
+
     /// The samples a span must hold before an attempt on it can decide
     /// anything: one overlap-save block of every preamble's correlation.
     pub fn head(&self, fs: f64) -> usize {
         let bank = self.registry.template_bank(fs);
         let block = |i| bank.template(i).block_lags() + bank.template(i).len() - 1;
         (0..bank.len()).map(block).max().unwrap_or(0)
-    }
-
-    /// The registry in use.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
     }
 
     /// The paper's policy: the edge handles a segment locally only
@@ -136,7 +140,7 @@ impl EdgeDecoder {
     /// the segment's detections lies at or after that end; then the
     /// whole segment is judged.
     pub fn process(&self, seg: &Segment, fs: f64) -> EdgeOutcome {
-        let late = |end: usize| seg.detections.iter().any(|d| d.start >= end);
+        let late = |r: Range<usize>| seg.detections.iter().any(|d| d.start >= r.start);
         let (span, buffers) = (seg.start..seg.end(), &mut EdgeBuffers::default());
         match self.attempt(&seg.samples, span, fs, late, None, buffers) {
             Attempt::Final(outcome) | Attempt::Whole(outcome) => outcome,
@@ -146,8 +150,8 @@ impl EdgeDecoder {
 
     /// The edge attempt on the capture range `span`, of which `samples`
     /// are the first ones, arrived so far (all of them in batch).
-    /// `late(end)` says whether a detection bars a lone frame ending at
-    /// capture index `end` from leaving there; `frame` is the first
+    /// `late(reach)` says whether a detection bars a lone frame with that
+    /// [reach](EdgeDecoder::reach) from leaving there; `frame` is the first
     /// cluster's decode from an earlier attempt on the span. The attempt
     /// writes into `buffers`, kept by the caller from one span to the
     /// next (whatever they held is never read).
@@ -165,7 +169,7 @@ impl EdgeDecoder {
         samples: &[Cf32],
         span: Range<usize>,
         fs: f64,
-        late: impl Fn(usize) -> bool,
+        late: impl Fn(Range<usize>) -> bool,
         mut frame: Option<DecodedFrame>,
         buffers: &mut EdgeBuffers,
     ) -> Attempt {
@@ -197,13 +201,11 @@ impl EdgeDecoder {
                     let (Some(a), Some(b)) = (at.first(), at.last()) else {
                         continue;
                     };
-                    let tech = tech.as_ref();
-                    let window =
-                        anchored_window(tech, fs, a.index..=b.index, ANCHOR_PAD, span.len());
+                    let (tech, anchor) = (tech.as_ref(), a.index..=b.index);
+                    let window = anchored_window(tech, fs, anchor.clone(), ANCHOR_PAD, span.len());
                     let Some(held) = samples.get(..window.end) else {
                         return Attempt::Wait(None);
                     };
-                    let anchor = a.index..=b.index;
                     decoded.extend(
                         demodulate_anchored_with(tech, held, fs, anchor, ANCHOR_PAD, demod).ok(),
                     );
@@ -216,11 +218,11 @@ impl EdgeDecoder {
                     ..f
                 });
             }
-            let end = |f: &&DecodedFrame| f.start + f.len;
-            if let Some(f) = frame
-                .as_ref()
-                .filter(|f| before(end(f) - span.start + guard) && !late(end(f)))
-            {
+            let leaves = |f: &&DecodedFrame| {
+                let reach = self.reach(f, fs);
+                before(reach.end - span.start) && !late(reach)
+            };
+            if let Some(f) = frame.as_ref().filter(leaves) {
                 return Attempt::Final(EdgeOutcome::DecodedLocally(f.clone()));
             }
             let next = (walks.iter_mut().enumerate())

@@ -262,13 +262,6 @@ pub trait Technology: Send + Sync {
     fn kill_recipe(&self, fs: f64) -> KillRecipe;
 }
 
-/// Reconstructs the waveform of a decoded frame — the reference signal
-/// SIC subtracts. Provided for any `Technology` since remodulation is
-/// just `modulate` on the recovered payload.
-pub fn remodulate(tech: &dyn Technology, frame: &DecodedFrame, fs: f64) -> Vec<Cf32> {
-    tech.modulate(&frame.payload, fs)
-}
-
 /// Upper bound on the tap count of any demodulator's channel filter
 /// (the PHYs clamp their designs to it). A demodulator's output is only
 /// trustworthy this far inside the slice it was handed, so callers that

@@ -63,7 +63,7 @@ const CELL_DEADLINE: Duration = Duration::from_secs(180);
 /// full multi-gateway fleet (channelizer + mux + decode pool + merge,
 /// all CPU-bound). On a small box, letting them contend turns the
 /// wall-clock budgets above into lottery tickets — the cells are
-/// timing assertions, so they run one at a time (ROADMAP item 5).
+/// timing assertions, so they run one at a time (ROADMAP, *clock*).
 static SUITE: Mutex<()> = Mutex::new(());
 
 fn suite_lock() -> MutexGuard<'static, ()> {

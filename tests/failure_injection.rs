@@ -26,8 +26,8 @@ const FS: f64 = 1_000_000.0;
 /// tracing (each cell's trace session sees only its own pipeline): a
 /// cell asserts that honest decodes beat a 2 s lease and that the whole
 /// hang ladder fits a 90 s budget, and two matrices contending for the
-/// same cores turn those wall-clock bounds into a lottery (ROADMAP
-/// item 5). The other tests assert no timing and run alongside.
+/// same cores turn those wall-clock bounds into a lottery (ROADMAP,
+/// *clock*). The other tests assert no timing and run alongside.
 static TIMING: Mutex<()> = Mutex::new(());
 
 fn timing_lock() -> MutexGuard<'static, ()> {

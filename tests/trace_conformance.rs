@@ -355,7 +355,7 @@ fn packet_journey_reconstructs_by_seq() {
     );
 }
 
-/// ROADMAP item 1's regression test: a recorder is owned by its session
+/// The regression test for session-owned tracing: a recorder is owned by its session
 /// and inherited down the pipeline's own threads, so two pipelines
 /// traced from two threads of one process *at the same time* each
 /// reconcile exactly, and a third, untraced pipeline running beside
