@@ -21,7 +21,7 @@ use galiot_dsp::Cf32;
 use galiot_phy::registry::Registry;
 use galiot_phy::{DecodedFrame, TechId};
 
-use crate::cancel::{cancel_frame, CancelReport};
+use galiot_phy::cancel::{cancel_frame_into, CancelReport};
 
 /// One classified signal inside a segment.
 #[derive(Clone, Copy, Debug)]
@@ -97,8 +97,8 @@ pub struct Classifier<'a> {
 }
 
 /// What a [`Classifier`] writes: one correlation trace per technology,
-/// one float per segment sample, and the residual once a frame is
-/// cancelled. A decode worker hands the same buffers to every
+/// one float per segment sample, the residual once a frame is
+/// cancelled, and the remodulation each cancellation subtracts. A decode worker hands the same buffers to every
 /// segment's classifier ([`Classifier::reusing`]) and takes them back
 /// afterwards ([`Classifier::into_buffers`]), inside its
 /// [`crate::DecodeBuffers`].
@@ -111,6 +111,8 @@ pub(crate) struct ClassifierBuffers {
     fresh: Vec<f32>,
     /// The segment with every cancelled frame subtracted.
     residual: Vec<Cf32>,
+    /// The last cancelled frame's remodulation.
+    reference: Vec<Cf32>,
 }
 
 impl<'a> Classifier<'a> {
@@ -197,7 +199,7 @@ impl<'a> Classifier<'a> {
         found
     }
 
-    /// Subtracts a decoded frame from the residual ([`cancel_frame`])
+    /// Subtracts a decoded frame from the residual ([`crate::cancel_frame`])
     /// and re-scores the lags the subtraction touched. `None`, with the
     /// residual unchanged, if the frame cannot be aligned.
     pub fn cancel(&mut self, frame: &DecodedFrame, slack: usize) -> Option<CancelReport> {
@@ -209,7 +211,8 @@ impl<'a> Classifier<'a> {
             residual.extend_from_slice(self.segment);
             self.cancelled = true;
         }
-        let report = cancel_frame(residual, tech.as_ref(), frame, self.fs, slack)?;
+        let reference = &mut self.buffers.reference;
+        let report = cancel_frame_into(residual, tech.as_ref(), frame, self.fs, slack, reference)?;
         self.rescore(report.span());
         Some(report)
     }
@@ -221,6 +224,7 @@ impl<'a> Classifier<'a> {
             traces,
             fresh,
             residual,
+            ..
         } = &mut self.buffers;
         for (i, trace) in traces.iter_mut().enumerate() {
             let template = self.bank.template(i);

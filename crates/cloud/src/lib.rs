@@ -2,7 +2,7 @@
 //!
 //! The cloud half of GalioT. Shipped segments are classified by
 //! per-technology preamble correlation ([`classify()`](classify())), decoded
-//! power-first with reconstruct-and-subtract cancellation ([`cancel`],
+//! power-first with reconstruct-and-subtract cancellation ([`cancel_frame`],
 //! [`sic`] — the paper's strawman baseline), and, where SIC stalls on
 //! comparable-power collisions, unlocked by the modulation-aware kill
 //! filters ([`kill`]: KILL-FREQUENCY, KILL-CSS, KILL-CODES). The whole
@@ -11,16 +11,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cancel;
 pub mod classify;
 pub mod decode;
 pub mod ingest;
 pub mod kill;
 pub mod sic;
 
-pub use cancel::{cancel_frame, CancelReport};
 pub use classify::{classify, Classified, Classifier};
 pub use decode::{CloudDecoder, CloudParams, CloudResult, DecodeBuffers, Recovery};
+pub use galiot_phy::cancel::{cancel_frame, CancelReport};
 pub use ingest::{
     shard_for, CreditGuard, FairnessGate, FleetMerge, GatewayId, SessionInfo, SessionRegistry,
 };

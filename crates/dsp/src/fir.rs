@@ -119,6 +119,17 @@ impl Fir {
         crate::kernels::fir_same(&self.taps, input, out);
     }
 
+    /// [`Fir::filter_into`] keeping every `os`-th output (the first
+    /// kept): `out` comes back as `filter(input).step_by(os)` would fill
+    /// it, bit for bit, without the outputs in between ever being
+    /// computed ([`crate::kernels::fir_decimate`]).
+    pub fn decimate_into(&self, input: &[Cf32], os: usize, out: &mut Vec<Cf32>) {
+        out.clear();
+        out.reserve_exact(input.len().div_ceil(os));
+        out.resize(input.len().div_ceil(os), Cf32::ZERO);
+        crate::kernels::fir_decimate(&self.taps, input, os, out);
+    }
+
     /// Filters a real-valued signal ("same" mode, delay compensated).
     ///
     /// Bit-exact across [`crate::kernels`] backends, like

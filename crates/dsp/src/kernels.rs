@@ -22,7 +22,7 @@
 //! | row | kernels | `Sse41` | `Avx2` | `Fma` | `Avx512` |
 //! |---|---|---|---|---|---|
 //! | wide | [`mul_in_place`], [`sub_scaled`], [`Backend::butterflies`], [`Backend::fft_stages`], [`normalize_lags`], [`digitize`], [`compress`], [`decompress`] | 128 | 256 | 256 | 512 |
-//! | capped | [`max_norm_sqr`], [`norm_sqr_into`], [`fir_same`], [`fir_same_real`] | 128 | 256 | 256 | 256 |
+//! | capped | [`max_norm_sqr`], [`norm_sqr_into`], [`fir_same`], [`fir_same_real`], [`fir_decimate`] | 128 | 256 | 256 | 256 |
 //! | reduction | [`dot_conj`], [`energy_f32`], [`energy_f64`] | 128 | 256 | 256 fused | 256 fused |
 //!
 //! [`Backend::Scalar`], and any backend the CPU lacks, runs the scalar
@@ -323,7 +323,7 @@ impl Backend {
             out.fill(Cf32::ZERO);
             return;
         }
-        dispatch!(capped: self, fir_same(taps, input, out))
+        dispatch!(capped: self, fir(taps, input, 1, out))
     }
 
     /// "Same"-mode real-tap FIR over real input — the GFSK pulse
@@ -338,7 +338,26 @@ impl Backend {
             out.fill(0.0);
             return;
         }
-        dispatch!(capped: self, fir_same(taps, input, out))
+        dispatch!(capped: self, fir(taps, input, 1, out))
+    }
+
+    /// Every `os`-th output of [`Backend::fir_same`] — `out[j]` is its
+    /// output `j * os` — computing only those: a decimating channel
+    /// filter that never forms the samples it drops. Bit-exact with
+    /// [`Backend::fir_same`] followed by `step_by(os)`, in every backend:
+    /// each output accumulates its taps in the same ascending, unfused
+    /// order, the vector paths across `LANES` outputs read at a stride.
+    ///
+    /// # Panics
+    /// Panics if `os` is 0 or `out.len() != input.len().div_ceil(os)`.
+    pub fn fir_decimate(self, taps: &[f32], input: &[Cf32], os: usize, out: &mut [Cf32]) {
+        assert!(os > 0, "fir_decimate by 0");
+        assert_eq!(out.len(), input.len().div_ceil(os), "fir_decimate length");
+        if taps.is_empty() {
+            out.fill(Cf32::ZERO);
+            return;
+        }
+        dispatch!(capped: self, fir(taps, input, os, out))
     }
 
     /// One radix-2 decimation-in-time FFT stage, in place: in every
@@ -660,6 +679,7 @@ on_active! {
     sub_scaled(x: &mut [Cf32], y: &[Cf32], g: Cf32);
     fir_same(taps: &[f32], input: &[Cf32], out: &mut [Cf32]);
     fir_same_real(taps: &[f32], input: &[f32], out: &mut [f32]);
+    fir_decimate(taps: &[f32], input: &[Cf32], os: usize, out: &mut [Cf32]);
     normalize_lags(corr: &[Cf32], prefix: &[f64], m: usize, energy: f64, floor: f64, out: &mut [f32]);
     digitize(adc: &Adc, analog: &[Cf32], out: &mut [Cf32]);
     compress(samples: &[Cf32], bits: u32, block_len: usize, scales: &mut [f32], data: &mut [u8]);
@@ -742,24 +762,30 @@ mod scalar {
         const RAILS: usize = 2;
     }
 
-    pub fn fir_same<T: Rails>(taps: &[f32], input: &[T], out: &mut [T]) {
-        fir_range(taps, input, out, 0..out.len());
+    /// `Backend::fir_same` (`os = 1`) and `Backend::fir_decimate`.
+    pub fn fir<T: Rails>(taps: &[f32], input: &[T], os: usize, out: &mut [T]) {
+        fir_range(taps, input, os, out, 0..out.len());
     }
 
-    /// The outputs `range` of `Backend::fir_same`, each accumulating its
-    /// in-bounds taps in ascending order.
-    pub fn fir_range<T: Rails>(taps: &[f32], input: &[T], out: &mut [T], range: Range<usize>) {
-        let n = input.len();
+    /// The outputs `range` of `fir`: output `j` is the FIR at sample
+    /// `j * os`, its in-bounds taps accumulated in ascending order.
+    pub fn fir_range<T: Rails>(
+        taps: &[f32],
+        input: &[T],
+        os: usize,
+        out: &mut [T],
+        range: Range<usize>,
+    ) {
         let delay = (taps.len() - 1) / 2;
-        for i in range {
+        for j in range {
             let mut acc = T::default();
             for (k, &t) in taps.iter().enumerate() {
-                let idx = i as isize + delay as isize - k as isize;
-                if idx >= 0 && (idx as usize) < n {
-                    acc += input[idx as usize] * t;
+                let idx = (j * os + delay).checked_sub(k);
+                if let Some(&x) = idx.and_then(|idx| input.get(idx)) {
+                    acc += x * t;
                 }
             }
-            out[i] = acc;
+            out[j] = acc;
         }
     }
 
@@ -1419,6 +1445,8 @@ mod x86 {
         /// Writes `|z|^2` of the samples of `self`, then of `o`, at
         /// `out`: each one add of two rounded squares.
         unsafe fn norm_sqr2(self, o: Self, out: *mut f32);
+        /// The `LANES` samples `stride` apart from `p` on.
+        unsafe fn load_strided(p: *const Cf32, stride: usize) -> Self;
     }
 
     impl Narrow for __m128 {
@@ -1452,6 +1480,12 @@ mod x86 {
         #[inline(always)]
         unsafe fn norm_sqr2(self, o: Self, out: *mut f32) {
             _mm_storeu_ps(out, _mm_hadd_ps(_mm_mul_ps(self, self), _mm_mul_ps(o, o)))
+        }
+        #[inline(always)]
+        unsafe fn load_strided(p: *const Cf32, stride: usize) -> Self {
+            // One sample is one f64's worth of bits.
+            let lo = _mm_load_sd(p.cast());
+            _mm_castpd_ps(_mm_loadh_pd(lo, p.add(stride).cast()))
         }
     }
 
@@ -1490,6 +1524,12 @@ mod x86 {
             let h = _mm256_hadd_ps(_mm256_mul_ps(self, self), _mm256_mul_ps(o, o));
             let ordered = _mm256_permute4x64_pd::<0b1101_1000>(_mm256_castps_pd(h));
             _mm256_storeu_ps(out, _mm256_castpd_ps(ordered))
+        }
+        #[inline(always)]
+        unsafe fn load_strided(p: *const Cf32, stride: usize) -> Self {
+            let lo = __m128::load_strided(p, stride);
+            let hi = __m128::load_strided(p.add(2 * stride), stride);
+            _mm256_insertf128_ps::<1>(_mm256_castps128_ps256(lo), hi)
         }
     }
 
@@ -1994,36 +2034,62 @@ mod x86 {
         scalar::norm_sqr_into(&x[done..], &mut out[done..]);
     }
 
-    /// `Backend::fir_same` (`T = Cf32`) and `Backend::fir_same_real`
-    /// (`T = f32`) over slices of one length and at least one tap: one
-    /// real FIR over the float stream, at a stride of `T::RAILS`.
-    /// Vectorized across consecutive *outputs*: a block accumulates
-    /// `input[i + delay - k] * taps[k]` for ascending `k` with an
-    /// unfused multiply and add, lane for lane the scalar sequence.
-    /// Only blocks whose every (lane, tap) index is in bounds take the
-    /// vector path; the edges run the scalar one.
+    /// `Backend::fir_same` (`T = Cf32`, `os = 1`), `Backend::fir_same_real`
+    /// (`T = f32`, `os = 1`) and `Backend::fir_decimate` (`T = Cf32`)
+    /// with at least one tap: one real FIR over the float stream, at a
+    /// stride of `T::RAILS`, its outputs `j * os`. Vectorized across
+    /// consecutive kept outputs, two vectors a step so that one's adds
+    /// overlap the other's loads (each tap's samples read `os` apart): a
+    /// block accumulates `input[j * os + delay - k] * taps[k]` for
+    /// ascending `k` with an unfused multiply and add, lane for lane the
+    /// scalar sequence. Only blocks whose every (lane, tap) index is in
+    /// bounds take the vector path; the edges run the scalar one.
     #[inline(always)]
-    unsafe fn fir_same<S: Simd, T: scalar::Rails>(taps: &[f32], input: &[T], out: &mut [T]) {
-        let (n, rails) = (input.len(), T::RAILS);
-        let delay = (taps.len() - 1) / 2;
-        // A block at `i` is interior when `i >= lo` and its last output
-        // reads no further than `n - 1`.
-        let (lo, step) = (taps.len() - 1 - delay, 2 * S::LANES / rails);
-        let (src, dst) = (input.as_ptr().cast::<f32>(), out.as_mut_ptr().cast::<f32>());
-        let mut i = lo;
-        while i + step + delay <= n {
-            let mut acc = S::splat(0.0);
-            for (k, &t) in taps.iter().enumerate() {
-                // SAFETY (pointer): samples i + delay - k (>= 0 as
-                // i >= lo) up to i + step + delay - k <= n.
-                let v = S::load(src.add(rails * (i + delay - k)).cast());
-                acc = acc.add(v.mul(S::splat(t)));
-            }
-            acc.store(dst.add(rails * i).cast());
-            i += step;
+    unsafe fn fir<S: Narrow, T: scalar::Rails>(
+        taps: &[f32],
+        input: &[T],
+        os: usize,
+        out: &mut [T],
+    ) {
+        // The strided load reads two floats a sample: a complex sample.
+        assert!(os == 1 || T::RAILS == 2, "a real FIR decimated");
+        match os {
+            1 => fir_loads::<S, T>(taps, input, 1, out, |p| S::load(p)),
+            _ => fir_loads::<S, T>(taps, input, os, out, |p| S::load_strided(p, os)),
         }
-        scalar::fir_range(taps, input, out, 0..lo.min(n));
-        scalar::fir_range(taps, input, out, i..n);
+    }
+
+    /// `fir` with `load` reading a vector of kept outputs' samples at a
+    /// pointer.
+    #[inline(always)]
+    unsafe fn fir_loads<S: Narrow, T: scalar::Rails>(
+        taps: &[f32],
+        input: &[T],
+        os: usize,
+        out: &mut [T],
+        load: impl Fn(*const Cf32) -> S,
+    ) {
+        let (rails, delay) = (T::RAILS, (taps.len() - 1) / 2);
+        // Outputs a vector holds, and the first whose taps all read in
+        // bounds.
+        let (per, first) = (2 * S::LANES / rails, (taps.len() - 1 - delay).div_ceil(os));
+        let (src, dst) = (input.as_ptr().cast::<f32>(), out.as_mut_ptr().cast::<f32>());
+        let mut j = first;
+        while (j + 2 * per - 1) * os + delay < input.len() {
+            let (mut lo, mut hi) = (S::splat(0.0), S::splat(0.0));
+            for (k, &t) in taps.iter().enumerate() {
+                // SAFETY (pointers): samples j * os + delay - k (>= 0 as
+                // j >= first) to (j + 2 * per - 1) * os + delay - k < n.
+                let p = src.add(rails * (j * os + delay - k));
+                lo = lo.add(load(p.cast()).mul(S::splat(t)));
+                hi = hi.add(load(p.add(rails * per * os).cast()).mul(S::splat(t)));
+            }
+            lo.store(dst.add(rails * j).cast());
+            hi.store(dst.add(rails * (j + per)).cast());
+            j += 2 * per;
+        }
+        scalar::fir_range(taps, input, os, out, 0..first.min(out.len()));
+        scalar::fir_range(taps, input, os, out, j.max(first)..out.len());
     }
 
     // -- Reductions ---------------------------------------------------------
@@ -2153,7 +2219,7 @@ mod x86 {
             entries! { $feat;
                 max_norm_sqr::<$v>(x: &[Cf32]) -> f32;
                 norm_sqr_into::<$v>(x: &[Cf32], out: &mut [f32]);
-                fir_same<T: scalar::Rails>::<$v, T>(taps: &[f32], input: &[T], out: &mut [T]);
+                fir<T: scalar::Rails>::<$v, T>(taps: &[f32], input: &[T], os: usize, out: &mut [T]);
             }
         };
     }

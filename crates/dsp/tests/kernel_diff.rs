@@ -211,6 +211,44 @@ fn fir_same_bit_exact_across_backends() {
     }
 }
 
+/// The decimating FIR against the full-rate one stepped: every backend's
+/// `fir_decimate` is its own `fir_same` (`Fir::filter_into`) followed by
+/// `step_by(os)`, bit for bit — and so the scalar one's.
+#[test]
+fn fir_decimate_is_fir_same_stepped_on_every_backend() {
+    let mut rng = StdRng::seed_from_u64(0x5eed_000d);
+    for &n in &LENGTHS {
+        let x = cvec(&mut rng, n);
+        for &nt in TAP_COUNTS.iter().chain(&[49]) {
+            let taps = rvec(&mut rng, nt);
+            for os in [1, 2, 3, 8, 13] {
+                let mut full = vec![Cf32::ZERO; n];
+                Backend::Scalar.fir_same(&taps, &x, &mut full);
+                let reference: Vec<Cf32> = full.iter().step_by(os).copied().collect();
+                for backend in backends() {
+                    backend.fir_same(&taps, &x, &mut full);
+                    let stepped = full.iter().step_by(os);
+                    let mut got = vec![Cf32::ZERO; n.div_ceil(os)];
+                    backend.fir_decimate(&taps, &x, os, &mut got);
+                    for (i, ((g, s), r)) in got.iter().zip(stepped).zip(&reference).enumerate() {
+                        let what = format!("{backend:?} n={n} taps={nt} os={os} out {i}");
+                        assert_eq!(bits(*g), bits(*s), "{what}: against its own fir_same");
+                        assert_eq!(bits(*g), bits(*r), "{what}: against scalar");
+                    }
+                }
+            }
+        }
+    }
+    // Through the filter, on the active backend.
+    let fir = galiot_dsp::fir::Fir::from_taps(rvec(&mut rng, 49));
+    let x = cvec(&mut rng, 10_007);
+    let (mut full, mut kept) = (Vec::new(), vec![Cf32::new(f32::NAN, 0.0); 3]);
+    fir.filter_into(&x, &mut full);
+    fir.decimate_into(&x, 8, &mut kept);
+    let stepped: Vec<_> = full.iter().step_by(8).map(|&z| bits(z)).collect();
+    assert_eq!(kept.iter().map(|&z| bits(z)).collect::<Vec<_>>(), stepped);
+}
+
 #[test]
 fn fir_same_real_bit_exact_across_backends() {
     let mut rng = StdRng::seed_from_u64(0x5eed_0007);

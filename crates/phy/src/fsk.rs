@@ -98,12 +98,26 @@ impl FskModem {
     /// Modulates a bit sequence to unit-amplitude complex baseband at
     /// rate `fs`, centered at the configured channel offset.
     pub fn modulate_bits(&self, bits: &[u8], fs: f64) -> Result<Vec<Cf32>, PhyError> {
+        let mut out = Vec::new();
+        self.modulate_bits_into(bits, fs, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`FskModem::modulate_bits`] into `out`: whatever it held is
+    /// discarded, and it comes back with the waveform.
+    pub(crate) fn modulate_bits_into(
+        &self,
+        bits: &[u8],
+        fs: f64,
+        out: &mut Vec<Cf32>,
+    ) -> Result<(), PhyError> {
         let sps = self.sps(fs)?;
         let freq = self.shaped_nrz(bits, sps);
         let k = 2.0 * std::f64::consts::PI * self.params.deviation_hz / fs;
         let co = 2.0 * std::f64::consts::PI * self.params.center_offset_hz / fs;
         let mut phase = 0.0f64;
-        let mut out = Vec::with_capacity(freq.len());
+        out.clear();
+        out.reserve_exact(freq.len());
         for f in freq {
             out.push(Cf32::cis(phase as f32));
             phase += k * f as f64 + co;
@@ -113,7 +127,7 @@ impl FskModem {
                 phase += std::f64::consts::TAU;
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Quadrature-discriminates a capture: mixes the channel to DC,

@@ -12,14 +12,16 @@
 //!
 //! Shared machinery: [`bits`] (CRCs, whitening, packing), [`fec`]
 //! (Hamming codes, gray mapping, interleaving), [`fsk`] (the generic
-//! binary-FSK modem), and [`registry`] (Table 1 of the paper and
-//! standard technology instantiations).
+//! binary-FSK modem), [`registry`] (Table 1 of the paper and standard
+//! technology instantiations), and [`cancel`] (subtracting a decoded
+//! frame's remodulation, for the cloud's SIC and the gateway's edge).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bits;
 pub mod ble;
+pub mod cancel;
 pub mod common;
 pub mod dsss;
 pub mod fec;

@@ -127,9 +127,15 @@ impl Technology for XbeePhy {
     }
 
     fn modulate(&self, payload: &[u8], fs: f64) -> Vec<Cf32> {
+        let mut out = Vec::new();
+        self.modulate_into(payload, fs, &mut out);
+        out
+    }
+
+    fn modulate_into(&self, payload: &[u8], fs: f64, out: &mut Vec<Cf32>) {
         assert!(payload.len() <= self.max_payload_len(), "payload too long");
         self.modem
-            .modulate_bits(&self.frame_bits(payload), fs)
+            .modulate_bits_into(&self.frame_bits(payload), fs, out)
             .expect("sample rate too low for XBee")
     }
 

@@ -241,11 +241,17 @@ impl Technology for ZwavePhy {
     }
 
     fn modulate(&self, payload: &[u8], fs: f64) -> Vec<Cf32> {
+        let mut out = Vec::new();
+        self.modulate_into(payload, fs, &mut out);
+        out
+    }
+
+    fn modulate_into(&self, payload: &[u8], fs: f64, out: &mut Vec<Cf32>) {
         assert!(payload.len() <= self.max_payload_len(), "payload too long");
         let mut line = self.sync_line_bits();
         line.extend(self.line_code(&bytes_to_bits_msb(&self.build_mpdu(payload))));
         self.modem
-            .modulate_bits(&line, fs)
+            .modulate_bits_into(&line, fs, out)
             .expect("sample rate too low for Z-Wave")
     }
 

@@ -186,8 +186,9 @@ fn conformance_on_repeated_collision_clusters() {
     assert_conformance(&cap.samples, &registry, "repeated collision clusters");
 }
 
-/// Streaming cuts the segments batch cuts — as many — and recovers its
-/// frames, at every chunk size. Returns the batch run's metrics.
+/// Streaming cuts the segments batch cuts — as many, as many of them
+/// decoded at the edge — and recovers its frames, at every chunk size.
+/// Returns the batch run's metrics.
 fn assert_same_segments(samples: &[Cf32], registry: &Registry, label: &str) -> Metrics {
     let config = GaliotConfig::prototype().with_cloud_workers(2);
     let batch = Galiot::new(config.clone(), registry.clone()).process_capture(samples);
@@ -201,10 +202,11 @@ fn assert_same_segments(samples: &[Cf32], registry: &Registry, label: &str) -> M
         }
         let streamed = frame_ids(&sys.finish());
         let ctx = format!("{label}: chunk={chunk}");
+        let m = metrics.snapshot();
         assert_eq!(
-            metrics.snapshot().segments,
-            batch.metrics.segments,
-            "{ctx}: segments"
+            (m.segments, m.edge_decoded),
+            (batch.metrics.segments, batch.metrics.edge_decoded),
+            "{ctx}: segments, and those decoded at the edge"
         );
         assert_same_frames(&streamed, &batch_frames, &ctx);
     }
@@ -350,6 +352,52 @@ fn a_frame_detected_just_past_a_lone_frames_bar_is_a_segment_of_its_own() {
     assert_eq!(
         (m.segments, m.edge_decoded, m.cloud_decoded),
         (2, 2, 0),
+        "{m:?}"
+    );
+}
+
+/// One LoRa frame 300 000 samples into an 800 000-sample capture at
+/// 18 dB, and `other` — a technology, its power and its offset from the
+/// LoRa frame's start — if given: the batch metrics once live ≡ batch
+/// holds at every chunk size.
+fn lora_with(seed: u64, other: Option<(TechId, f32, usize)>) -> Metrics {
+    let mut rng = StdRng::seed_from_u64(scenario_seed(seed));
+    let registry = Registry::prototype();
+    let lora = registry.get(TechId::LoRa).unwrap().clone();
+    let mut events = vec![TxEvent::new(lora, vec![0x4C; 12], 300_000)];
+    if let Some((id, power_db, offset)) = other {
+        let tech = registry.get(id).unwrap().clone();
+        events.push(TxEvent::new(tech, vec![0xB7; 8], 300_000 + offset).with_power_db(power_db));
+    }
+    let np = snr_to_noise_power(18.0, 0.0);
+    let cap = compose(&events, 800_000, FS, np, &mut rng);
+    let label = format!("LoRa with {other:?}");
+    assert_same_segments(&cap.samples, &registry, &label)
+}
+
+/// A lone LoRa frame: its preamble's sidelobe comb and its payload chirps
+/// peak as clusters inside its reach, which its cancellation explains —
+/// it is decoded at the edge, live and in batch.
+#[test]
+fn a_lone_lora_frame_is_decoded_at_the_edge_as_in_batch() {
+    let m = lora_with(50, None);
+    assert_eq!(
+        (m.segments, m.edge_decoded, m.cloud_decoded),
+        (1, 1, 0),
+        "{m:?}"
+    );
+}
+
+/// A LoRa frame with an XBee frame 15 dB under it, inside it: the LoRa
+/// frame decodes through the collision, but the XBee preamble is left in
+/// its residual, so the span ships — live and in batch — and the cloud
+/// decodes both.
+#[test]
+fn a_lora_frame_with_a_weak_frame_inside_it_ships_as_in_batch() {
+    let m = lora_with(51, Some((TechId::XBee, -15.0, 15_000)));
+    assert_eq!(
+        (m.segments, m.edge_decoded, m.cloud_decoded),
+        (1, 0, 2),
         "{m:?}"
     );
 }
