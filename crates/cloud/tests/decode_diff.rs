@@ -15,14 +15,20 @@
 //! Captures are seeded through `galiot_channel::scenario_seed`, so
 //! `GALIOT_TEST_SEED` re-rolls all of them at once (CI sweeps it).
 
-use galiot_channel::{compose, forced_collision, scenario_seed, snr_to_noise_power};
+use galiot_channel::{
+    awgn, compose, forced_collision, random_payload, scenario_seed, snr_to_noise_power,
+    Impairments, TxEvent,
+};
 use galiot_cloud::{
     apply_kill, cancel_frame, classify, Classifier, CloudDecoder, CloudParams, CloudResult,
     DecodeBuffers, Recovery,
 };
 use galiot_dsp::Cf32;
+use galiot_phy::common::{
+    anchored_window, demodulate_anchored_with, header_window, MAX_DEMOD_FIR_TAPS,
+};
 use galiot_phy::registry::Registry;
-use galiot_phy::{DecodedFrame, TechId};
+use galiot_phy::{DecodedFrame, DemodScratch, TechId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -242,4 +248,97 @@ fn reused_buffers_decode_every_capture_as_fresh_ones() {
         frames += fresh.frames.len();
     }
     assert!(frames > 0, "the suite must decode something to compare");
+}
+
+/// Cases per technology in the header-window sweep.
+const HEADER_CASES: u64 = 64;
+
+/// An anchored XBee or Z-Wave demodulation reads the sync and header
+/// from the head of its window and demodulates only to the frame's end
+/// plus the pad. Wherever the longest window — the technology's longest
+/// frame past the anchor, demodulated whole — recovers the frame
+/// anchored there, the header window returns the same frame, bit for
+/// bit, across payload lengths, anchors along the correlation's slack
+/// (one preamble-and-sync early, a widened lookalike range, late within
+/// the pad), ±0.2 ppm crystals at 868 MHz and SNRs from 6 to 20 dB. A
+/// capture cut mid-header or mid-payload fails, and so does an anchor
+/// over noise — and the header read needs no sample past the head.
+#[test]
+fn fsk_header_windows_hold_the_frames_the_longest_windows_give() {
+    let registry = Registry::prototype();
+    let pad = MAX_DEMOD_FIR_TAPS + 64;
+    for id in [TechId::XBee, TechId::ZWave] {
+        let tech = registry.get(id).unwrap();
+        let header = tech.header_samples(FS).expect("a length header");
+        let slack = tech.preamble_waveform(FS).len();
+        let mut rng = StdRng::seed_from_u64(scenario_seed(0x4EAD_0000 + id as u64));
+        let (scratch, mut recovered) = (&mut DemodScratch::default(), 0);
+        for case in 0..HEADER_CASES {
+            let len = rng.gen_range(0..=tech.max_payload_len());
+            let payload = random_payload(len, &mut rng);
+            let at = rng.gen_range(4_000..40_000);
+            let n = tech.modulate(&payload, FS).len();
+            // Whole, cut mid-header, cut mid-payload.
+            let cut = match case % 4 {
+                0 => at + rng.gen_range(1..header - slack),
+                1 => at + rng.gen_range(header..n.max(header + 1)),
+                _ => at + n + 30_000,
+            };
+            let ppm = rng.gen_range(-0.2..=0.2);
+            let event = TxEvent::new(tech.clone(), payload.clone(), at)
+                .with_impairments(Impairments::crystal(ppm, 868e6));
+            let noise = snr_to_noise_power(rng.gen_range(6.0..20.0), 0.0);
+            let mut capture = compose(&[event], at + n + 30_000, FS, noise, &mut rng).samples;
+            capture.truncate(cut);
+            let end = match rng.gen_range(0..3) {
+                0 => at - rng.gen_range(0..=slack),
+                1 => at,
+                _ => at + rng.gen_range(0..pad / 2),
+            };
+            let start = match rng.gen_range(0..4) {
+                0 => end.saturating_sub(rng.gen_range(0..tech.max_frame_samples(FS))),
+                _ => end,
+            };
+            let label = format!("{id} case {case}: {len} bytes at {at}, anchor {start}..={end}");
+            let got =
+                demodulate_anchored_with(tech.as_ref(), &capture, FS, start..=end, pad, scratch);
+            let whole = anchored_window(tech.as_ref(), FS, start..=end, pad, capture.len());
+            let want = tech
+                .demodulate(&capture[whole.clone()], FS)
+                .map(|f| DecodedFrame {
+                    start: f.start + whole.start,
+                    ..f
+                });
+            match want {
+                Ok(want) if want.payload == payload && want.start.abs_diff(at) <= 64 => {
+                    assert_eq!(got, Ok(want), "{label}");
+                    recovered += 1;
+                }
+                _ if cut < at + n => assert!(got.is_err(), "{label}: {got:?}"),
+                _ => {}
+            }
+            // The header read needs the head and nothing past it.
+            let head = (end + header + pad).min(capture.len());
+            let [held, arrived] = [&capture[..], &capture[..head]].map(|samples| {
+                header_window(
+                    tech.as_ref(),
+                    samples,
+                    FS,
+                    start..=end,
+                    pad,
+                    capture.len(),
+                    scratch,
+                )
+            });
+            assert_eq!(arrived, held, "{label}");
+            // An anchor over noise finds no header in its head.
+            let quiet = 2 * tech.max_frame_samples(FS);
+            let over_noise = awgn(quiet + 2 * header, noise, &mut rng);
+            let anchor = quiet..=quiet + rng.gen_range(0..slack);
+            let none = header_window(tech.as_ref(), &over_noise, FS, anchor, pad, quiet, scratch);
+            assert!(matches!(none, Ok(Err(_))), "{label}, over noise: {none:?}");
+        }
+        // Most whole captures decode: the comparison is not vacuous.
+        assert!(recovered >= HEADER_CASES / 4, "{id}: {recovered} recovered");
+    }
 }

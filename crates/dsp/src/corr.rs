@@ -332,15 +332,6 @@ pub fn ncc_real_into(x: &[f32], h: &[f32], out: &mut Vec<f32>, scratch: &mut Ncc
     }
 }
 
-/// Index and magnitude of the largest-magnitude correlation sample.
-/// Returns `None` for an empty slice.
-pub fn argmax_abs(corr: &[Cf32]) -> Option<(usize, f32)> {
-    corr.iter()
-        .enumerate()
-        .map(|(i, z)| (i, z.abs()))
-        .max_by(|a, b| a.1.total_cmp(&b.1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,8 +375,8 @@ mod tests {
             x[137 + k] = hv;
         }
         let corr = xcorr_fft(&x, &h);
-        let (idx, _) = argmax_abs(&corr).unwrap();
-        assert_eq!(idx, 137);
+        let idx = (0..corr.len()).max_by(|&a, &b| corr[a].abs().total_cmp(&corr[b].abs()));
+        assert_eq!(idx, Some(137));
     }
 
     #[test]
@@ -592,6 +583,5 @@ mod tests {
         assert!(xcorr_direct(&seq(&[1.0]), &h).is_empty());
         assert!(xcorr_fft(&seq(&[1.0, 2.0]), &h).is_empty());
         assert!(xcorr_normalized(&[], &h).is_empty());
-        assert!(argmax_abs(&[]).is_none());
     }
 }

@@ -211,14 +211,6 @@ pub fn bin_to_freq(bin: usize, n: usize, fs: f64) -> f64 {
     b * fs / n as f64
 }
 
-/// Maps a frequency in Hz (positive or negative) to the nearest FFT bin
-/// index in `0..n`.
-#[inline]
-pub fn freq_to_bin(freq: f64, n: usize, fs: f64) -> usize {
-    let raw = (freq * n as f64 / fs).round() as i64;
-    raw.rem_euclid(n as i64) as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,13 +306,15 @@ mod tests {
     }
 
     #[test]
-    fn bin_freq_mapping_roundtrips() {
-        let n = 1024;
-        let fs = 1_000_000.0;
-        for &f in &[0.0, 125_000.0, -40_000.0, 488_281.25] {
-            let b = freq_to_bin(f, n, fs);
-            let back = bin_to_freq(b, n, fs);
-            assert!((back - f).abs() <= fs / n as f64 / 2.0 + 1e-6);
+    fn bins_past_half_map_to_negative_frequencies() {
+        let (n, fs) = (1024, 1_000_000.0);
+        for (bin, f) in [
+            (0, 0.0),
+            (128, 125_000.0),
+            (512, 500_000.0),
+            (984, -39_062.5),
+        ] {
+            assert!((bin_to_freq(bin, n, fs) - f).abs() < 1e-6, "bin {bin}");
         }
     }
 

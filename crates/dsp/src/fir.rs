@@ -64,20 +64,6 @@ impl Fir {
         Fir { taps }
     }
 
-    /// Designs a band-pass filter passing `lo_hz..hi_hz`.
-    pub fn bandpass(lo_hz: f64, hi_hz: f64, fs: f64, ntaps: usize, window: Window) -> Self {
-        assert!(lo_hz < hi_hz, "band edges out of order");
-        let hi = Self::lowpass(hi_hz, fs, ntaps, window);
-        let lo = Self::lowpass(lo_hz, fs, ntaps, window);
-        let taps: Vec<f32> = hi
-            .taps
-            .iter()
-            .zip(lo.taps.iter())
-            .map(|(&h, &l)| h - l)
-            .collect();
-        Fir { taps }
-    }
-
     /// The filter taps.
     #[inline]
     pub fn taps(&self) -> &[f32] {
@@ -209,14 +195,6 @@ mod tests {
         // Ignore filter edges.
         assert!(power(&inband[200..3800]) > 0.9);
         assert!(power(&outband[200..3800]) < 1e-4);
-    }
-
-    #[test]
-    fn bandpass_selects_band() {
-        let fir = Fir::bandpass(80e3, 120e3, 1e6, 201, Window::Blackman);
-        assert!((fir.response_at(100e3, 1e6) - 1.0).abs() < 0.02);
-        assert!(fir.response_at(0.0, 1e6) < 0.01);
-        assert!(fir.response_at(300e3, 1e6) < 0.01);
     }
 
     #[test]

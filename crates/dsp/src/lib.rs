@@ -7,7 +7,7 @@
 //! * [`num`] — a minimal complex sample type ([`Cf32`]) and dB helpers;
 //! * [`fft`] — a planned radix-2 FFT;
 //! * [`window`] / [`fir`] — window functions and windowed-sinc FIR
-//!   design (low/high/band-pass, band-stop), decimation, interpolation;
+//!   design (low-pass), filtering and decimation;
 //! * [`corr`] — direct and FFT cross-correlation, normalized matched
 //!   filtering and peak picking (the heart of packet detection);
 //! * [`engine`] — the correlation engine: a process-wide FFT plan
@@ -16,7 +16,6 @@
 //!   correlator with per-thread scratch buffers;
 //! * [`chirp`] — CSS up/down chirps and symbol chirps (LoRa, KILL-CSS);
 //! * [`mix`] — NCO, frequency translation and tone estimation;
-//! * [`goertzel`] — single-bin DFT for FSK tone decisions;
 //! * [`pulse`] — Gaussian (GFSK), half-sine (O-QPSK) and RRC shaping;
 //! * [`power`] — power/energy/SNR measurement and noise-floor
 //!   estimation;
@@ -41,7 +40,6 @@ pub mod corr;
 pub mod engine;
 pub mod fft;
 pub mod fir;
-pub mod goertzel;
 pub mod kernels;
 pub mod mix;
 pub mod num;

@@ -20,7 +20,7 @@ use galiot_dsp::corr::{Peak, PeakStream};
 use galiot_dsp::engine::{NccWalk, WalkScratch};
 use galiot_dsp::Cf32;
 use galiot_phy::cancel::cancel_frame_into;
-use galiot_phy::common::{header_window, DemodScratch, MAX_DEMOD_FIR_TAPS};
+use galiot_phy::common::{demodulate_window, header_window, DemodScratch, MAX_DEMOD_FIR_TAPS};
 use galiot_phy::registry::Registry;
 use galiot_phy::DecodedFrame;
 
@@ -265,16 +265,14 @@ impl EdgeDecoder {
                         let (pad, len) = (ANCHOR_PAD, span.len());
                         let window = header_window(tech, samples, fs, anchor, pad, len, demod);
                         let window = match window {
-                            Ok(window) if window.end <= samples.len() => window,
-                            Ok(Range { end, .. }) | Err(end) => {
+                            Ok(Ok(window)) if window.end <= samples.len() => window,
+                            Ok(Ok(Range { end, .. })) | Err(end) => {
                                 return Attempt::Wait(None, span.start + end)
                             }
+                            // No header at the anchor: nothing to demodulate.
+                            Ok(Err(_)) => continue,
                         };
-                        let f = tech.demodulate_with(&samples[window.clone()], fs, demod);
-                        decoded.extend(f.map(|f| DecodedFrame {
-                            start: f.start + window.start,
-                            ..f
-                        }));
+                        decoded.extend(demodulate_window(tech, samples, fs, window, demod));
                     }
                     if decoded.len() != 1 {
                         return Attempt::Final(EdgeOutcome::ShipToCloud(decoded));

@@ -191,18 +191,6 @@ pub fn manchester_decode(half_bits: &[u8]) -> Vec<u8> {
     half_bits.chunks_exact(2).map(|p| p[0] & 1).collect()
 }
 
-/// Hamming distance between two equal-length bit slices.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub fn hamming_distance(a: &[u8], b: &[u8]) -> usize {
-    assert_eq!(a.len(), b.len(), "hamming_distance needs equal lengths");
-    a.iter()
-        .zip(b)
-        .filter(|(x, y)| (**x ^ **y) & 1 == 1)
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,11 +321,5 @@ mod tests {
         for p in enc.chunks_exact(2) {
             assert_ne!(p[0], p[1]);
         }
-    }
-
-    #[test]
-    fn hamming_distance_counts() {
-        assert_eq!(hamming_distance(&[1, 0, 1], &[1, 1, 1]), 1);
-        assert_eq!(hamming_distance(&[], &[]), 0);
     }
 }

@@ -12,13 +12,12 @@
 //! preamble is the `01010101` pattern of Table 1) and the framework's
 //! extensibility claim.
 
-use galiot_dsp::engine::FsCache;
 use galiot_dsp::spectral::Band;
 use galiot_dsp::Cf32;
 
 use crate::bits::{bits_to_bytes_lsb, bytes_to_bits_lsb, crc24_ble, BleWhitener};
-use crate::common::{DecodedFrame, ModClass, PhyError, TechId, Technology};
-use crate::fsk::{FskModem, FskParams};
+use crate::common::{DecodedFrame, DemodScratch, ModClass, PhyError, TechId, Technology};
+use crate::fsk::{fsk_technology, FskFramed, FskModem, FskParams, FskSync};
 
 /// The advertising-channel access address.
 pub const ACCESS_ADDRESS: u32 = 0x8E89_BED6;
@@ -52,11 +51,8 @@ impl Default for BleParams {
 /// The BLE technology implementation.
 #[derive(Clone, Debug)]
 pub struct BlePhy {
-    modem: FskModem,
+    sync: FskSync,
     params: BleParams,
-    /// Discriminator-domain preamble+access-address template, shaped
-    /// once per sample rate rather than on every demodulation attempt.
-    sync: FsCache<Vec<f32>>,
 }
 
 impl BlePhy {
@@ -66,15 +62,17 @@ impl BlePhy {
     /// Panics if `channel > 39`.
     pub fn new(params: BleParams) -> Self {
         assert!(params.channel <= 39, "BLE channel must be 0..=39");
+        let modem = FskModem::new(FskParams {
+            bitrate: params.bitrate,
+            deviation_hz: params.deviation_hz,
+            bt: Some(0.3),
+            center_offset_hz: params.center_offset_hz,
+        });
+        let mut sync = bytes_to_bits_lsb(&[PREAMBLE]);
+        sync.extend(bytes_to_bits_lsb(&ACCESS_ADDRESS.to_le_bytes()));
         BlePhy {
-            modem: FskModem::new(FskParams {
-                bitrate: params.bitrate,
-                deviation_hz: params.deviation_hz,
-                bt: Some(0.3),
-                center_offset_hz: params.center_offset_hz,
-            }),
+            sync: FskSync::new(modem, sync, 8),
             params,
-            sync: FsCache::new(),
         }
     }
 
@@ -82,40 +80,17 @@ impl BlePhy {
     pub fn params(&self) -> &BleParams {
         &self.params
     }
-
-    fn sync_bits() -> Vec<u8> {
-        let mut bits = bytes_to_bits_lsb(&[PREAMBLE]);
-        bits.extend(bytes_to_bits_lsb(&ACCESS_ADDRESS.to_le_bytes()));
-        bits
-    }
 }
 
 impl Technology for BlePhy {
+    fsk_technology!();
+
     fn id(&self) -> TechId {
         TechId::Ble
     }
 
-    fn modulation(&self) -> ModClass {
-        ModClass::Fsk
-    }
-
-    fn center_offset_hz(&self) -> f64 {
-        self.params.center_offset_hz
-    }
-
-    fn occupied_band(&self) -> Band {
-        let p = self.modem.params();
-        Band::centered(p.center_offset_hz, 2.0 * (p.deviation_hz + p.bitrate / 2.0))
-    }
-
     fn bitrate(&self) -> f64 {
         self.params.bitrate
-    }
-
-    fn preamble_waveform(&self, fs: f64) -> Vec<Cf32> {
-        self.modem
-            .modulate_bits(&Self::sync_bits(), fs)
-            .expect("sample rate too low for BLE preamble")
     }
 
     fn modulate(&self, payload: &[u8], fs: f64) -> Vec<Cf32> {
@@ -134,67 +109,16 @@ impl Technology for BlePhy {
         ]));
         BleWhitener::new(self.params.channel).whiten(&mut body_bits);
 
-        let mut bits = Self::sync_bits();
+        let mut bits = self.sync.bits.clone();
         bits.extend(body_bits);
-        self.modem
+        (self.sync.modem)
             .modulate_bits(&bits, fs)
             .expect("sample rate too low for BLE")
     }
 
-    fn demodulate(&self, capture: &[Cf32], fs: f64) -> Result<DecodedFrame, PhyError> {
-        let soft = self.modem.discriminate(capture, fs)?;
-        let sync_bits = Self::sync_bits();
-        let template = self.sync.get_or(fs, || {
-            self.modem
-                .sync_template(&sync_bits, fs)
-                .expect("sample rate checked by discriminate")
-        });
-        let (start, _) = self
-            .modem
-            .find_sync(&soft, &template, 0.55)
-            .ok_or(PhyError::SyncNotFound)?;
-        let sps = self.modem.sps(fs)?;
-        let pdu_at = start + sync_bits.len() * sps;
-
-        // Header: 2 bytes whitened.
-        let mut hdr_bits = self
-            .modem
-            .slice_bits(&soft, pdu_at, 16, fs)
-            .ok_or(PhyError::Truncated)?;
-        BleWhitener::new(self.params.channel).whiten(&mut hdr_bits);
-        let hdr = bits_to_bytes_lsb(&hdr_bits);
-        let len = hdr[1] as usize;
-        if len > self.max_payload_len() {
-            return Err(PhyError::MalformedHeader("PDU length"));
-        }
-
-        // Re-read the whole whitened body (header + payload + CRC) so
-        // the whitener stream stays aligned.
-        let body_bits_n = (2 + len + 3) * 8;
-        let mut body_bits = self
-            .modem
-            .slice_bits(&soft, pdu_at, body_bits_n, fs)
-            .ok_or(PhyError::Truncated)?;
-        BleWhitener::new(self.params.channel).whiten(&mut body_bits);
-        let body = bits_to_bytes_lsb(&body_bits);
-        let pdu = &body[..2 + len];
-        let rx_crc = body[2 + len] as u32
-            | (body[2 + len + 1] as u32) << 8
-            | (body[2 + len + 2] as u32) << 16;
-        if crc24_ble(pdu) != rx_crc {
-            return Err(PhyError::CrcMismatch);
-        }
-        Ok(DecodedFrame {
-            tech: TechId::Ble,
-            payload: pdu[2..].to_vec(),
-            start,
-            len: (sync_bits.len() + body_bits_n) * sps,
-        })
-    }
-
     fn max_frame_samples(&self, fs: f64) -> usize {
         let bits = (1 + 4 + 2 + self.max_payload_len() + 3) * 8;
-        self.modem
+        (self.sync.modem)
             .bits_to_samples(bits, fs)
             .expect("sample rate too low for BLE")
     }
@@ -209,12 +133,43 @@ impl Technology for BlePhy {
     }
 
     fn kill_recipe(&self, _fs: f64) -> crate::common::KillRecipe {
-        let p = self.modem.params();
+        let p = self.sync.modem.params();
         let w = 0.6 * p.bitrate;
         crate::common::KillRecipe::Frequency(vec![
             Band::centered(p.center_offset_hz - p.deviation_hz, w),
             Band::centered(p.center_offset_hz + p.deviation_hz, w),
         ])
+    }
+}
+
+impl FskFramed for BlePhy {
+    /// The PDU header: type and length bytes, whitened.
+    fn header_bits(&self) -> usize {
+        16
+    }
+
+    fn frame_bits(&self, header: &[u8]) -> Result<usize, PhyError> {
+        let mut header = header.to_vec();
+        BleWhitener::new(self.params.channel).whiten(&mut header);
+        let len = bits_to_bytes_lsb(&header)[1] as usize;
+        if len > self.max_payload_len() {
+            return Err(PhyError::MalformedHeader("PDU length"));
+        }
+        // Header, payload and CRC-24.
+        Ok((2 + len + 3) * 8)
+    }
+
+    fn payload(&self, bits: &[u8]) -> Result<Vec<u8>, PhyError> {
+        // The whole body is dewhitened at once, so the whitener stream
+        // stays aligned.
+        let mut bits = bits.to_vec();
+        BleWhitener::new(self.params.channel).whiten(&mut bits);
+        let body = bits_to_bytes_lsb(&bits);
+        let (pdu, crc) = body.split_at(body.len() - 3);
+        if crc24_ble(pdu) != u32::from_le_bytes([crc[0], crc[1], crc[2], 0]) {
+            return Err(PhyError::CrcMismatch);
+        }
+        Ok(pdu[2..].to_vec())
     }
 }
 

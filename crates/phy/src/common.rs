@@ -177,8 +177,10 @@ pub struct DecodedFrame {
 /// into memory already held instead of allocating for its window.
 ///
 /// Buffers are sized by the longest window seen. No demodulator reads
-/// what an earlier call left in them: each is cleared before it is
-/// filled, so a result never depends on the scratch it was computed in.
+/// what an earlier call left in them — each is cleared before it is
+/// filled, so a result never depends on the scratch it was computed in —
+/// except [`Technology::demodulate_rest`], which continues from the
+/// header [`Technology::frame_end`] read.
 #[derive(Debug, Default)]
 pub struct DemodScratch {
     /// The capture mixed to the channel's center.
@@ -194,6 +196,10 @@ pub struct DemodScratch {
     /// FSK: the sync correlation, and its working memory.
     pub(crate) ncc: Vec<f32>,
     pub(crate) ncc_scratch: NccScratch,
+    /// FSK: the header [`Technology::frame_end`] read last — the samples
+    /// it discriminated, the frame's start and its line bits past the
+    /// sync word.
+    pub(crate) header: Option<(usize, usize, usize)>,
 }
 
 /// A radio technology: modulator, demodulator and the metadata the
@@ -264,11 +270,31 @@ pub trait Technology: Send + Sync {
     }
 
     /// Where the first frame of this technology in `capture` ends, read
-    /// from its header alone: the end of the frame
-    /// [`Technology::demodulate`] would return, its payload unread.
-    /// `None` where no header is found, or the technology has none.
-    fn frame_end(&self, _capture: &[Cf32], _fs: f64, _scratch: &mut DemodScratch) -> Option<usize> {
-        None
+    /// from its sync and header alone: the end of the frame
+    /// [`Technology::demodulate`] would return, its payload unread. `Err`
+    /// where no header is found, or the technology has none. What the
+    /// read leaves in `scratch` is what [`Technology::demodulate_rest`]
+    /// continues from.
+    fn frame_end(
+        &self,
+        _capture: &[Cf32],
+        _fs: f64,
+        _scratch: &mut DemodScratch,
+    ) -> Result<usize, PhyError> {
+        Err(PhyError::MalformedHeader("no length header"))
+    }
+
+    /// Demodulates the frame whose header [`Technology::frame_end`] read
+    /// last into `scratch`, from the head of `capture`, continuing from
+    /// that read rather than reading the head again. The default
+    /// demodulates `capture` afresh ([`Technology::demodulate_with`]).
+    fn demodulate_rest(
+        &self,
+        capture: &[Cf32],
+        fs: f64,
+        scratch: &mut DemodScratch,
+    ) -> Result<DecodedFrame, PhyError> {
+        self.demodulate_with(capture, fs, scratch)
     }
 
     /// Upper bound on the number of samples a maximum-length frame
@@ -324,10 +350,13 @@ pub fn anchored_window(
 }
 
 /// The [`anchored_window`] cut where the frame's header says it ends,
-/// read from the first [`Technology::header_samples`] past `anchor` of
-/// `capture`; uncut where the technology has no length header or it is
-/// not read there. `Err` carries the capture length the header needs
-/// while `capture` is shorter.
+/// read from its head — the window's first samples through
+/// [`Technology::header_samples`] past `anchor`, and `pad` — of
+/// `capture`; uncut where the technology has no length header. `Ok(Err)`
+/// where it has one and none is read at the anchor: nothing past the
+/// head is worth demodulating. `Err` carries the capture length the head
+/// needs while `capture` is shorter. The read stays in `scratch` for
+/// [`demodulate_window`].
 pub fn header_window(
     tech: &dyn Technology,
     capture: &[Cf32],
@@ -336,25 +365,41 @@ pub fn header_window(
     pad: usize,
     capture_len: usize,
     scratch: &mut DemodScratch,
-) -> Result<std::ops::Range<usize>, usize> {
+) -> Result<Result<std::ops::Range<usize>, PhyError>, usize> {
     let window = anchored_window(tech, fs, anchor.clone(), pad, capture_len);
     let Some(header) = tech.header_samples(fs) else {
-        return Ok(window);
+        return Ok(Ok(window));
     };
-    let head = window.start..(anchor.end() + header + pad).min(window.end);
+    let head_end = anchor.end().saturating_add(header).saturating_add(pad);
+    let head = window.start..head_end.min(window.end);
     let held = capture.get(head.clone()).ok_or(head.end)?;
-    Ok(match tech.frame_end(held, fs, scratch) {
-        Some(end) => window.start..(head.start + end + pad).min(window.end),
-        None => window,
-    })
+    Ok(tech
+        .frame_end(held, fs, scratch)
+        .map(|end| window.start..(head.start + end).saturating_add(pad).min(window.end)))
+}
+
+/// Demodulates the frame in `window` of `capture` whose header
+/// [`header_window`] read into `scratch` when it cut the window
+/// ([`Technology::demodulate_rest`]), with [`DecodedFrame::start`]
+/// re-based to `capture` coordinates.
+pub fn demodulate_window(
+    tech: &dyn Technology,
+    capture: &[Cf32],
+    fs: f64,
+    window: std::ops::Range<usize>,
+    scratch: &mut DemodScratch,
+) -> Result<DecodedFrame, PhyError> {
+    let mut frame = tech.demodulate_rest(&capture[window.clone()], fs, scratch)?;
+    frame.start += window.start;
+    Ok(frame)
 }
 
 /// Demodulates the frame of `tech` whose preamble a classifier placed
-/// in `anchor`: [`Technology::demodulate`] on the [`anchored_window`]
-/// only, with [`DecodedFrame::start`] re-based to `capture`
-/// coordinates. Cost follows the frame, not the capture, and a second
-/// frame of the same technology elsewhere in the capture cannot
-/// capture the sync search.
+/// in `anchor`, on the [`header_window`] only, with
+/// [`DecodedFrame::start`] re-based to `capture` coordinates. Cost
+/// follows the frame, not the capture — an anchor where no header is
+/// read costs its head — and a second frame of the same technology
+/// elsewhere in the capture cannot capture the sync search.
 pub fn demodulate_anchored(
     tech: &dyn Technology,
     capture: &[Cf32],
@@ -366,8 +411,8 @@ pub fn demodulate_anchored(
     demodulate_anchored_with(tech, capture, fs, anchor, pad, scratch)
 }
 
-/// [`demodulate_anchored`] through [`Technology::demodulate_with`],
-/// with the demodulator's intermediates in `scratch`.
+/// [`demodulate_anchored`] with the demodulator's intermediates in
+/// `scratch`.
 pub fn demodulate_anchored_with(
     tech: &dyn Technology,
     capture: &[Cf32],
@@ -376,10 +421,10 @@ pub fn demodulate_anchored_with(
     pad: usize,
     scratch: &mut DemodScratch,
 ) -> Result<DecodedFrame, PhyError> {
-    let window = anchored_window(tech, fs, anchor, pad, capture.len());
-    let mut frame = tech.demodulate_with(&capture[window.clone()], fs, scratch)?;
-    frame.start += window.start;
-    Ok(frame)
+    let len = capture.len();
+    let window = header_window(tech, capture, fs, anchor, pad, len, scratch)
+        .expect("a window inside the capture holds its head")?;
+    demodulate_window(tech, capture, fs, window, scratch)
 }
 
 #[cfg(test)]
@@ -461,14 +506,25 @@ mod tests {
             );
         }
         // Anchors at and past the end: an empty window, never a slice
-        // out of range.
+        // out of range, and a head that ends with the capture however
+        // far past it the anchor's header would reach.
         let capture = xbee_at(1_000, 10_000, b"x");
-        for anchor in [9_999, 10_000, usize::MAX] {
-            let at = anchor..=anchor;
-            assert!(
-                anchored_window(&xbee, FS, at.clone(), PAD, capture.len()).end <= capture.len()
-            );
-            assert!(demodulate_anchored(&xbee, &capture, FS, at, PAD).is_err());
+        let scratch = &mut DemodScratch::default();
+        for tech in crate::registry::Registry::prototype().techs() {
+            let tech = tech.as_ref();
+            for anchor in [9_999, 10_000, usize::MAX - PAD, usize::MAX] {
+                let (at, len) = (anchor..=anchor, capture.len());
+                let label = format!("{} anchored at {anchor}", tech.id());
+                assert!(anchored_window(tech, FS, at.clone(), PAD, len).end <= len);
+                assert!(demodulate_anchored(tech, &capture, FS, at.clone(), PAD).is_err());
+                let cut = header_window(tech, &capture, FS, at.clone(), PAD, len, scratch);
+                assert!(matches!(cut, Ok(Err(_))), "{label}: {cut:?}");
+                // Of a capture still arriving, the head waits for the
+                // capture's end, and no further.
+                let arrived = &capture[..5_000];
+                let asks = header_window(tech, arrived, FS, at, PAD, len, scratch);
+                assert_eq!(asks, Err(len), "{label}");
+            }
         }
     }
 
@@ -505,6 +561,8 @@ mod tests {
         for buf in [&mut scratch.soft, &mut scratch.ncc] {
             *buf = vec![f32::NAN; len + 4_099];
         }
+        // A header read that never happened.
+        scratch.header = Some((len + 4_099, 7, 64));
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! XBee (802.15.4g MR-FSK), Z-Wave (G.9959) and BLE all modulate bits
 //! as binary frequency shifts, differing only in rate, deviation,
 //! Gaussian shaping and framing. This module implements the shared
-//! waveform layer; the per-technology modules add framing on top.
+//! waveform layer and the one reader of a frame's sync and header
+//! (`FskSync`); the per-technology modules describe their framing
+//! (`FskFramed`) on top.
 //!
 //! Demodulation uses a quadrature discriminator (instantaneous
 //! frequency) followed by zero-mean normalized correlation against the
@@ -11,7 +13,7 @@
 //! statistic makes sync immune to carrier-frequency offset, which
 //! appears on a discriminator output as a DC shift.
 
-use galiot_dsp::corr::{ncc_real, ncc_real_into};
+use galiot_dsp::corr::ncc_real_into;
 use galiot_dsp::engine::FsCache;
 use galiot_dsp::fir::Fir;
 use galiot_dsp::mix::mix_into;
@@ -19,7 +21,7 @@ use galiot_dsp::pulse::gaussian_filter;
 use galiot_dsp::window::Window;
 use galiot_dsp::Cf32;
 
-use crate::common::{DemodScratch, PhyError};
+use crate::common::{DecodedFrame, DemodScratch, PhyError, Technology};
 
 /// Waveform-level parameters of a binary FSK technology.
 #[derive(Clone, Copy, Debug)]
@@ -130,20 +132,17 @@ impl FskModem {
         Ok(())
     }
 
-    /// Quadrature-discriminates a capture: mixes the channel to DC,
-    /// band-limits it, and returns per-sample instantaneous frequency
-    /// normalized so `+1.0` corresponds to `+deviation`.
-    pub fn discriminate(&self, capture: &[Cf32], fs: f64) -> Result<Vec<f32>, PhyError> {
-        let mut scratch = DemodScratch::default();
-        self.discriminate_into(capture, fs, &mut scratch)?;
-        Ok(scratch.soft)
-    }
-
-    /// [`FskModem::discriminate`] into `scratch.soft`, mixing and
-    /// filtering in the scratch's buffers.
+    /// Quadrature-discriminates a capture into `scratch.soft`: mixes the
+    /// channel to DC, band-limits it, and writes per-sample instantaneous
+    /// frequency normalized so `+1.0` corresponds to `+deviation`, mixing
+    /// and filtering in the scratch's buffers. `scratch.soft` holds the
+    /// output for `capture[..from]` (nothing at 0), and only what it
+    /// lacks is computed: the samples past `from`, and those within the
+    /// channel filter's reach of it, which saw silence there.
     pub(crate) fn discriminate_into(
         &self,
         capture: &[Cf32],
+        from: usize,
         fs: f64,
         scratch: &mut DemodScratch,
     ) -> Result<(), PhyError> {
@@ -157,19 +156,26 @@ impl FskModem {
             soft,
             ..
         } = scratch;
-        mix_into(capture, -self.params.center_offset_hz, fs, mixed);
         let fir = self.channel_fir.get_or(fs, || {
             // Carson bandwidth: deviation + bitrate.
             let cutoff = (self.params.deviation_hz + self.params.bitrate).min(0.45 * fs);
             let ntaps = (4 * sps + 1).clamp(33, 257);
             Fir::lowpass(cutoff, fs, ntaps, Window::Hamming)
         });
+        // Outputs below `keep` stand; the filter restarts a reach before
+        // the first output to redo, which needs its predecessor too.
+        let reach = fir.len() / 2;
+        let keep = from.saturating_sub(reach);
+        let at = keep.saturating_sub(reach + 1);
+        mix_into(&capture[at..], -self.params.center_offset_hz, fs, mixed);
         fir.filter_into(mixed, filtered);
         let k = fs as f32 / (2.0 * std::f32::consts::PI * self.params.deviation_hz as f32);
-        soft.clear();
-        soft.reserve_exact(filtered.len());
-        soft.push(0.0);
-        for w in filtered.windows(2) {
+        soft.truncate(keep);
+        soft.reserve_exact(capture.len() - keep);
+        if keep == 0 {
+            soft.push(0.0);
+        }
+        for w in filtered[keep.max(1) - 1 - at..].windows(2) {
             soft.push((w[1] * w[0].conj()).arg() * k);
         }
         Ok(())
@@ -182,20 +188,10 @@ impl FskModem {
         Ok(self.shaped_nrz(bits, sps))
     }
 
-    /// Locates `template` (from [`FskModem::sync_template`]) inside a
-    /// discriminator output. Returns `(start_sample, ncc_peak)` of the
-    /// best alignment, or `None` if no correlation exceeds `threshold`.
-    pub fn find_sync(
-        &self,
-        soft: &[f32],
-        template: &[f32],
-        threshold: f32,
-    ) -> Option<(usize, f32)> {
-        best_sync(&ncc_real(soft, template), threshold)
-    }
-
-    /// [`FskModem::find_sync`] on the discriminator output in
-    /// `scratch.soft`, correlating in the scratch's buffers.
+    /// Locates `template` (from [`FskModem::sync_template`]) inside the
+    /// discriminator output in `scratch.soft`, correlating in the
+    /// scratch's buffers. Returns `(start_sample, ncc_peak)` of the best
+    /// alignment, or `None` if no correlation exceeds `threshold`.
     pub(crate) fn find_sync_in(
         &self,
         scratch: &mut DemodScratch,
@@ -252,12 +248,180 @@ fn best_sync(ncc: &[f32], threshold: f32) -> Option<(usize, f32)> {
         .map(|(i, &v)| (i, v))
 }
 
+/// The receiver the framed FSK technologies share: their modem, the
+/// line bits of their preamble and sync word, and the sync's
+/// discriminator template, shaped once per sample rate.
+#[derive(Clone, Debug)]
+pub(crate) struct FskSync {
+    pub(crate) modem: FskModem,
+    /// Preamble and sync word, in line bits.
+    pub(crate) bits: Vec<u8>,
+    /// The repeating preamble's line bits, along which the preamble's
+    /// correlation can peak.
+    pub(crate) preamble: usize,
+    template: FsCache<Vec<f32>>,
+}
+
+impl FskSync {
+    /// A receiver for frames opening with `bits`, of which the first
+    /// `preamble` repeat.
+    pub(crate) fn new(modem: FskModem, bits: Vec<u8>, preamble: usize) -> Self {
+        let template = FsCache::new();
+        FskSync {
+            modem,
+            bits,
+            preamble,
+            template,
+        }
+    }
+
+    /// The one header reader: discriminates `capture` into
+    /// `scratch.soft` and finds the sync and `phy`'s header there,
+    /// returning the frame's start and its line bits past the sync word.
+    pub(crate) fn read_header(
+        &self,
+        phy: &impl FskFramed,
+        capture: &[Cf32],
+        fs: f64,
+        scratch: &mut DemodScratch,
+    ) -> Result<(usize, usize), PhyError> {
+        self.modem.discriminate_into(capture, 0, fs, scratch)?;
+        let template = self.template.get_or(fs, || {
+            (self.modem.sync_template(&self.bits, fs)).expect("sample rate checked by discriminate")
+        });
+        let found = self.modem.find_sync_in(scratch, &template, 0.55);
+        let (start, _) = found.ok_or(PhyError::SyncNotFound)?;
+        let at = start + self.modem.bits_to_samples(self.bits.len(), fs)?;
+        let header = (self.modem).slice_bits(&scratch.soft, at, phy.header_bits(), fs);
+        Ok((start, phy.frame_bits(&header.ok_or(PhyError::Truncated)?)?))
+    }
+
+    /// `phy`'s frame whose header [`FskSync::read_header`] read, from the
+    /// discriminator output `soft`.
+    pub(crate) fn read_frame(
+        &self,
+        phy: &impl FskFramed,
+        (start, bits): (usize, usize),
+        fs: f64,
+        soft: &[f32],
+    ) -> Result<DecodedFrame, PhyError> {
+        let at = start + self.modem.bits_to_samples(self.bits.len(), fs)?;
+        let line = (self.modem.slice_bits(soft, at, bits, fs)).ok_or(PhyError::Truncated)?;
+        Ok(DecodedFrame {
+            tech: phy.id(),
+            payload: phy.payload(&line)?,
+            start,
+            len: self.modem.bits_to_samples(self.bits.len() + bits, fs)?,
+        })
+    }
+}
+
+/// A technology framed as the shared reader reads it: preamble and sync
+/// word ([`FskSync`]), a header that gives the frame's length, the rest
+/// of the frame.
+pub(crate) trait FskFramed: Technology {
+    /// Line bits from the end of the sync word through the length.
+    fn header_bits(&self) -> usize;
+    /// The frame's line bits past the sync word, read from its header's.
+    fn frame_bits(&self, header: &[u8]) -> Result<usize, PhyError>;
+    /// The payload the frame's line bits past the sync word carry.
+    fn payload(&self, bits: &[u8]) -> Result<Vec<u8>, PhyError>;
+}
+
+/// The [`Technology`] methods a framed FSK technology — one with an
+/// [`FskSync`] in its `sync` field — takes from the shared reader: its
+/// class, channel and band, its preamble, and its demodulation, over a
+/// whole capture and anchored in a window its header bounds
+/// ([`crate::common::header_window`]): [`Technology::frame_end`] reads
+/// the head once, and [`Technology::demodulate_rest`] extends that
+/// read's discriminator output over the rest of the window.
+macro_rules! fsk_technology {
+    () => {
+        fn modulation(&self) -> ModClass {
+            ModClass::Fsk
+        }
+
+        fn center_offset_hz(&self) -> f64 {
+            self.sync.modem.params().center_offset_hz
+        }
+
+        fn occupied_band(&self) -> Band {
+            // Carson bandwidth: 2 (deviation + bitrate/2).
+            let p = self.sync.modem.params();
+            Band::centered(p.center_offset_hz, 2.0 * (p.deviation_hz + p.bitrate / 2.0))
+        }
+
+        fn preamble_waveform(&self, fs: f64) -> Vec<Cf32> {
+            (self.sync.modem.modulate_bits(&self.sync.bits, fs))
+                .expect("sample rate too low for the preamble")
+        }
+
+        fn demodulate(&self, capture: &[Cf32], fs: f64) -> Result<DecodedFrame, PhyError> {
+            self.demodulate_with(capture, fs, &mut DemodScratch::default())
+        }
+
+        fn demodulate_with(
+            &self,
+            capture: &[Cf32],
+            fs: f64,
+            scratch: &mut DemodScratch,
+        ) -> Result<DecodedFrame, PhyError> {
+            let header = self.sync.read_header(self, capture, fs, scratch)?;
+            self.sync.read_frame(self, header, fs, &scratch.soft)
+        }
+
+        fn header_samples(&self, fs: f64) -> Option<usize> {
+            let sync = &self.sync;
+            let bits = sync.preamble + sync.bits.len() + self.header_bits() + 1;
+            sync.modem.bits_to_samples(bits, fs).ok()
+        }
+
+        fn frame_end(
+            &self,
+            capture: &[Cf32],
+            fs: f64,
+            scratch: &mut DemodScratch,
+        ) -> Result<usize, PhyError> {
+            scratch.header = None;
+            let (start, bits) = self.sync.read_header(self, capture, fs, scratch)?;
+            scratch.header = Some((capture.len(), start, bits));
+            let sync = &self.sync;
+            Ok(start + sync.modem.bits_to_samples(sync.bits.len() + bits, fs)?)
+        }
+
+        fn demodulate_rest(
+            &self,
+            capture: &[Cf32],
+            fs: f64,
+            scratch: &mut DemodScratch,
+        ) -> Result<DecodedFrame, PhyError> {
+            let Some((head, start, bits)) = scratch.header.take() else {
+                return self.demodulate_with(capture, fs, scratch);
+            };
+            if capture.len() > head {
+                (self.sync.modem).discriminate_into(capture, head, fs, scratch)?;
+            }
+            scratch.soft.truncate(capture.len());
+            self.sync.read_frame(self, (start, bits), fs, &scratch.soft)
+        }
+    };
+}
+pub(crate) use fsk_technology;
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bits::bytes_to_bits_msb;
+    use galiot_dsp::corr::ncc_real;
 
     const FS: f64 = 1_000_000.0;
+
+    /// The discriminator output of `capture`, at `FS`.
+    fn soft(m: &FskModem, capture: &[Cf32], fs: f64) -> Result<Vec<f32>, PhyError> {
+        let mut scratch = DemodScratch::default();
+        m.discriminate_into(capture, 0, fs, &mut scratch)?;
+        Ok(scratch.soft)
+    }
 
     fn modem(bt: Option<f32>) -> FskModem {
         FskModem::new(FskParams {
@@ -306,7 +470,7 @@ mod tests {
         let m = modem(None);
         let bits = bytes_to_bits_msb(&[0x55, 0x55, 0xF0, 0x96, 0x0F, 0xAA]);
         let sig = m.modulate_bits(&bits, FS).unwrap();
-        let soft = m.discriminate(&sig, FS).unwrap();
+        let soft = soft(&m, &sig, FS).unwrap();
         let out = m.slice_bits(&soft, 0, bits.len(), FS).unwrap();
         // The first bit may be clipped by the filter edge; compare the rest.
         assert_eq!(&out[1..], &bits[1..]);
@@ -317,7 +481,7 @@ mod tests {
         let m = modem(Some(0.5));
         let bits = bytes_to_bits_msb(&[0x55, 0x55, 0xDE, 0xAD, 0xBE, 0xEF]);
         let sig = m.modulate_bits(&bits, FS).unwrap();
-        let soft = m.discriminate(&sig, FS).unwrap();
+        let soft = soft(&m, &sig, FS).unwrap();
         let out = m.slice_bits(&soft, 0, bits.len(), FS).unwrap();
         assert_eq!(&out[1..], &bits[1..]);
     }
@@ -332,9 +496,30 @@ mod tests {
         });
         let bits = bytes_to_bits_msb(&[0x55, 0xC3, 0x5A]);
         let sig = m.modulate_bits(&bits, FS).unwrap();
-        let soft = m.discriminate(&sig, FS).unwrap();
+        let soft = soft(&m, &sig, FS).unwrap();
         let out = m.slice_bits(&soft, 0, bits.len(), FS).unwrap();
         assert_eq!(&out[1..], &bits[1..]);
+    }
+
+    #[test]
+    fn a_head_extended_discriminates_as_the_whole_capture() {
+        // Only the output past the head, and the channel filter's reach
+        // before its end, is computed again; it must be the output of
+        // one pass over the whole capture, bit for bit.
+        let m = modem(Some(0.5));
+        let bits = bytes_to_bits_msb(&[0x55, 0x55, 0x90, 0x4E, 0xDE, 0xAD, 0xBE, 0xEF]);
+        let mut capture = vec![Cf32::ZERO; 300];
+        capture.extend(m.modulate_bits(&bits, FS).unwrap());
+        capture.extend([Cf32::new(0.3, -0.1); 300]);
+        let whole = soft(&m, &capture, FS).unwrap();
+        let mut scratch = DemodScratch::default();
+        for head in [40, 41, 120, 777, 1_500, capture.len() - 1] {
+            m.discriminate_into(&capture[..head], 0, FS, &mut scratch)
+                .unwrap();
+            m.discriminate_into(&capture, head, FS, &mut scratch)
+                .unwrap();
+            assert_eq!(scratch.soft, whole, "head {head}");
+        }
     }
 
     #[test]
@@ -352,9 +537,9 @@ mod tests {
         for (k, &s) in frame.iter().enumerate() {
             capture[3_217 + k] = s;
         }
-        let soft = m.discriminate(&capture, FS).unwrap();
+        let soft = soft(&m, &capture, FS).unwrap();
         let template = m.sync_template(&pre, FS).unwrap();
-        let (start, peak) = m.find_sync(&soft, &template, 0.5).unwrap();
+        let (start, peak) = best_sync(&ncc_real(&soft, &template), 0.5).unwrap();
         assert!(peak > 0.8, "peak {peak}");
         // Bit slicing from the found start recovers the payload bits.
         let data_start = start + m.bits_to_samples(pre.len(), FS).unwrap();
@@ -374,9 +559,9 @@ mod tests {
             capture[2_000 + k] = s;
         }
         let shifted = galiot_dsp::mix::mix(&capture, 500.0, FS);
-        let soft = m.discriminate(&shifted, FS).unwrap();
+        let soft = soft(&m, &shifted, FS).unwrap();
         let template = m.sync_template(&pre, FS).unwrap();
-        let (start, _) = m.find_sync(&soft, &template, 0.5).unwrap();
+        let (start, _) = best_sync(&ncc_real(&soft, &template), 0.5).unwrap();
         assert!(start.abs_diff(2_000) <= 2, "start {start}");
     }
 
@@ -391,7 +576,7 @@ mod tests {
     fn discriminate_refuses_tiny_capture() {
         let m = modem(None);
         assert!(matches!(
-            m.discriminate(&[Cf32::ONE; 10], FS),
+            soft(&m, &[Cf32::ONE; 10], FS),
             Err(PhyError::CaptureTooShort)
         ));
     }

@@ -591,9 +591,14 @@ impl Technology for LoraPhy {
         Some((2 * PREAMBLE_SYMBOLS + SYNC_SYMBOLS.len() + 3 + hdr_syms + 1) * sps)
     }
 
-    fn frame_end(&self, capture: &[Cf32], fs: f64, scratch: &mut DemodScratch) -> Option<usize> {
-        let frame = self.read(capture, fs, scratch, false).ok()?;
-        Some(frame.start + frame.len)
+    fn frame_end(
+        &self,
+        capture: &[Cf32],
+        fs: f64,
+        scratch: &mut DemodScratch,
+    ) -> Result<usize, PhyError> {
+        let frame = self.read(capture, fs, scratch, false)?;
+        Ok(frame.start + frame.len)
     }
 
     fn max_frame_samples(&self, fs: f64) -> usize {
@@ -811,6 +816,7 @@ mod tests {
                     capture.len(),
                     scratch,
                 )
+                .unwrap()
                 .unwrap();
                 assert_eq!(cut.start, whole.start);
                 assert_eq!(

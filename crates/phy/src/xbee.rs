@@ -6,13 +6,12 @@
 //! (payload + CRC-16/CCITT FCS). Modulation is 2-GFSK at 50 kb/s with
 //! modulation index 1 (±25 kHz deviation), BT = 0.5.
 
-use galiot_dsp::engine::FsCache;
 use galiot_dsp::spectral::Band;
 use galiot_dsp::Cf32;
 
 use crate::bits::{bits_to_bytes_msb, bytes_to_bits_msb, crc16_ccitt, Pn9};
 use crate::common::{DecodedFrame, DemodScratch, ModClass, PhyError, TechId, Technology};
-use crate::fsk::{FskModem, FskParams};
+use crate::fsk::{fsk_technology, FskFramed, FskModem, FskParams, FskSync};
 
 /// Preamble bytes (Table 1: 4 bytes of `01010101`).
 pub const PREAMBLE: [u8; 4] = [0x55; 4];
@@ -46,38 +45,45 @@ impl Default for XbeeParams {
 /// The XBee technology implementation.
 #[derive(Clone, Debug)]
 pub struct XbeePhy {
-    modem: FskModem,
-    /// Discriminator-domain preamble+SFD template, shaped once per
-    /// sample rate rather than on every demodulation attempt.
-    sync: FsCache<Vec<f32>>,
+    sync: FskSync,
 }
 
 impl XbeePhy {
     /// Creates an XBee PHY.
     pub fn new(params: XbeeParams) -> Self {
+        let modem = FskModem::new(FskParams {
+            bitrate: params.bitrate,
+            deviation_hz: params.deviation_hz,
+            bt: Some(params.bt),
+            center_offset_hz: params.center_offset_hz,
+        });
+        let mut sync = bytes_to_bits_msb(&PREAMBLE);
+        sync.extend(bytes_to_bits_msb(&SFD));
         XbeePhy {
-            modem: FskModem::new(FskParams {
-                bitrate: params.bitrate,
-                deviation_hz: params.deviation_hz,
-                bt: Some(params.bt),
-                center_offset_hz: params.center_offset_hz,
-            }),
-            sync: FsCache::new(),
+            sync: FskSync::new(modem, sync, PREAMBLE.len() * 8),
         }
     }
+}
 
-    /// The underlying FSK modem (deviation, rate, shaping).
-    pub fn modem(&self) -> &FskModem {
-        &self.modem
+impl Technology for XbeePhy {
+    fsk_technology!();
+
+    fn id(&self) -> TechId {
+        TechId::XBee
     }
 
-    fn sync_bits() -> Vec<u8> {
-        let mut b = bytes_to_bits_msb(&PREAMBLE);
-        b.extend(bytes_to_bits_msb(&SFD));
-        b
+    fn bitrate(&self) -> f64 {
+        self.sync.modem.params().bitrate
     }
 
-    fn frame_bits(&self, payload: &[u8]) -> Vec<u8> {
+    fn modulate(&self, payload: &[u8], fs: f64) -> Vec<Cf32> {
+        let mut out = Vec::new();
+        self.modulate_into(payload, fs, &mut out);
+        out
+    }
+
+    fn modulate_into(&self, payload: &[u8], fs: f64, out: &mut Vec<Cf32>) {
+        assert!(payload.len() <= self.max_payload_len(), "payload too long");
         // PSDU = payload || FCS, whitened.
         let fcs = crc16_ccitt(payload);
         let mut psdu = payload.to_vec();
@@ -90,115 +96,17 @@ impl XbeePhy {
         let len = psdu.len() as u16;
         let phr = [(len >> 8) as u8 & 0x07, (len & 0xFF) as u8];
 
-        let mut bits = Self::sync_bits();
+        let mut bits = self.sync.bits.clone();
         bits.extend(bytes_to_bits_msb(&phr));
         bits.extend(psdu_bits);
-        bits
-    }
-}
-
-impl Technology for XbeePhy {
-    fn id(&self) -> TechId {
-        TechId::XBee
-    }
-
-    fn modulation(&self) -> ModClass {
-        ModClass::Fsk
-    }
-
-    fn center_offset_hz(&self) -> f64 {
-        self.modem.params().center_offset_hz
-    }
-
-    fn occupied_band(&self) -> Band {
-        let p = self.modem.params();
-        // Carson bandwidth: 2 (deviation + bitrate/2).
-        Band::centered(p.center_offset_hz, 2.0 * (p.deviation_hz + p.bitrate / 2.0))
-    }
-
-    fn bitrate(&self) -> f64 {
-        self.modem.params().bitrate
-    }
-
-    fn preamble_waveform(&self, fs: f64) -> Vec<Cf32> {
-        self.modem
-            .modulate_bits(&Self::sync_bits(), fs)
-            .expect("sample rate too low for XBee preamble")
-    }
-
-    fn modulate(&self, payload: &[u8], fs: f64) -> Vec<Cf32> {
-        let mut out = Vec::new();
-        self.modulate_into(payload, fs, &mut out);
-        out
-    }
-
-    fn modulate_into(&self, payload: &[u8], fs: f64, out: &mut Vec<Cf32>) {
-        assert!(payload.len() <= self.max_payload_len(), "payload too long");
-        self.modem
-            .modulate_bits_into(&self.frame_bits(payload), fs, out)
+        (self.sync.modem)
+            .modulate_bits_into(&bits, fs, out)
             .expect("sample rate too low for XBee")
-    }
-
-    fn demodulate(&self, capture: &[Cf32], fs: f64) -> Result<DecodedFrame, PhyError> {
-        self.demodulate_with(capture, fs, &mut DemodScratch::default())
-    }
-
-    fn demodulate_with(
-        &self,
-        capture: &[Cf32],
-        fs: f64,
-        scratch: &mut DemodScratch,
-    ) -> Result<DecodedFrame, PhyError> {
-        self.modem.discriminate_into(capture, fs, scratch)?;
-        let sync_bits = Self::sync_bits();
-        let sps = self.modem.sps(fs)?;
-        let template = self.sync.get_or(fs, || {
-            self.modem
-                .sync_template(&sync_bits, fs)
-                .expect("sample rate checked by sps")
-        });
-        let (start, _) = self
-            .modem
-            .find_sync_in(scratch, &template, 0.55)
-            .ok_or(PhyError::SyncNotFound)?;
-        let soft = &scratch.soft;
-        let data_at = start + sync_bits.len() * sps;
-
-        // PHR first.
-        let phr_bits = self
-            .modem
-            .slice_bits(soft, data_at, 16, fs)
-            .ok_or(PhyError::Truncated)?;
-        let phr = bits_to_bytes_msb(&phr_bits);
-        let len = (((phr[0] & 0x07) as usize) << 8) | phr[1] as usize;
-        if len < 2 || len > self.max_payload_len() + 2 {
-            return Err(PhyError::MalformedHeader("PHR length"));
-        }
-
-        let mut psdu_bits = self
-            .modem
-            .slice_bits(soft, data_at + 16 * sps, len * 8, fs)
-            .ok_or(PhyError::Truncated)?;
-        Pn9::new().whiten(&mut psdu_bits);
-        let psdu = bits_to_bytes_msb(&psdu_bits);
-        let payload = psdu[..len - 2].to_vec();
-        let rx_fcs = ((psdu[len - 2] as u16) << 8) | psdu[len - 1] as u16;
-        if crc16_ccitt(&payload) != rx_fcs {
-            return Err(PhyError::CrcMismatch);
-        }
-        Ok(DecodedFrame {
-            tech: TechId::XBee,
-            payload,
-            start,
-            len: (sync_bits.len() + 16 + len * 8) * sps,
-        })
     }
 
     fn max_frame_samples(&self, fs: f64) -> usize {
         let bits = (PREAMBLE.len() + SFD.len() + 2 + self.max_payload_len() + 2) * 8;
-        self.modem
-            .bits_to_samples(bits, fs)
-            .expect("sample rate too low for XBee")
+        (self.sync.modem.bits_to_samples(bits, fs)).expect("sample rate too low for XBee")
     }
 
     fn max_payload_len(&self) -> usize {
@@ -216,12 +124,38 @@ impl Technology for XbeePhy {
         // Gaussian shaping (BT 0.5) spreads it more than hard BFSK —
         // the kill bands must reach toward DC to catch the transition
         // energy.
-        let p = self.modem.params();
+        let p = self.sync.modem.params();
         let w = 1.2 * p.bitrate;
         crate::common::KillRecipe::Frequency(vec![
             Band::centered(p.center_offset_hz - p.deviation_hz, w),
             Band::centered(p.center_offset_hz + p.deviation_hz, w),
         ])
+    }
+}
+
+impl FskFramed for XbeePhy {
+    fn header_bits(&self) -> usize {
+        16
+    }
+
+    fn frame_bits(&self, phr: &[u8]) -> Result<usize, PhyError> {
+        let phr = bits_to_bytes_msb(phr);
+        let len = (((phr[0] & 0x07) as usize) << 8) | phr[1] as usize;
+        if len < 2 || len > self.max_payload_len() + 2 {
+            return Err(PhyError::MalformedHeader("PHR length"));
+        }
+        Ok(16 + len * 8)
+    }
+
+    fn payload(&self, bits: &[u8]) -> Result<Vec<u8>, PhyError> {
+        let mut psdu_bits = bits[16..].to_vec();
+        Pn9::new().whiten(&mut psdu_bits);
+        let psdu = bits_to_bytes_msb(&psdu_bits);
+        let (payload, fcs) = psdu.split_at(psdu.len() - 2);
+        if crc16_ccitt(payload) != u16::from_be_bytes([fcs[0], fcs[1]]) {
+            return Err(PhyError::CrcMismatch);
+        }
+        Ok(payload.to_vec())
     }
 }
 

@@ -12,7 +12,6 @@
 //! | R2 | 40 kb/s | NRZ | ±20 kHz | 8-bit XOR checksum |
 //! | R3 | 100 kb/s | NRZ, GFSK BT 0.6 | ±29 kHz | CRC-16 (AUG-CCITT) |
 
-use galiot_dsp::engine::FsCache;
 use galiot_dsp::spectral::Band;
 use galiot_dsp::Cf32;
 
@@ -21,7 +20,7 @@ use crate::bits::{
     manchester_encode,
 };
 use crate::common::{DecodedFrame, DemodScratch, ModClass, PhyError, TechId, Technology};
-use crate::fsk::{FskModem, FskParams};
+use crate::fsk::{fsk_technology, FskFramed, FskModem, FskParams, FskSync};
 
 /// Number of `0x55` preamble bytes (G.9959 requires >= 10).
 pub const PREAMBLE_LEN: usize = 10;
@@ -82,6 +81,30 @@ impl ZwaveRate {
             _ => 1,
         }
     }
+
+    /// Data bits -> on-air line bits for this profile.
+    fn line_code(self, bits: &[u8]) -> Vec<u8> {
+        match self {
+            ZwaveRate::R1 => manchester_encode(bits),
+            _ => bits.to_vec(),
+        }
+    }
+
+    /// On-air line bits -> data bits.
+    fn line_decode(self, line: &[u8]) -> Vec<u8> {
+        match self {
+            ZwaveRate::R1 => manchester_decode(line),
+            _ => line.to_vec(),
+        }
+    }
+
+    /// Line bits per data bit.
+    fn line_factor(self) -> usize {
+        match self {
+            ZwaveRate::R1 => 2,
+            _ => 1,
+        }
+    }
 }
 
 /// Z-Wave (G.9959) parameters.
@@ -114,67 +137,32 @@ impl Default for ZwaveParams {
 /// The Z-Wave technology implementation.
 #[derive(Clone, Debug)]
 pub struct ZwavePhy {
-    modem: FskModem,
+    sync: FskSync,
     params: ZwaveParams,
-    /// Discriminator-domain preamble+SOF template, shaped once per
-    /// sample rate rather than on every demodulation attempt.
-    sync: FsCache<Vec<f32>>,
 }
 
 impl ZwavePhy {
     /// Creates a Z-Wave PHY.
     pub fn new(params: ZwaveParams) -> Self {
+        let modem = FskModem::new(FskParams {
+            bitrate: params.rate.baud(),
+            deviation_hz: params.rate.deviation_hz(),
+            bt: params.rate.bt(),
+            center_offset_hz: params.center_offset_hz,
+        });
+        let mut sync = vec![0x55u8; PREAMBLE_LEN];
+        sync.push(SOF);
+        let sync = params.rate.line_code(&bytes_to_bits_msb(&sync));
+        let preamble = PREAMBLE_LEN * 8 * params.rate.line_factor();
         ZwavePhy {
-            modem: FskModem::new(FskParams {
-                bitrate: params.rate.baud(),
-                deviation_hz: params.rate.deviation_hz(),
-                bt: params.rate.bt(),
-                center_offset_hz: params.center_offset_hz,
-            }),
+            sync: FskSync::new(modem, sync, preamble),
             params,
-            sync: FsCache::new(),
         }
-    }
-
-    /// The underlying FSK modem (note: for R1 it runs at the half-bit
-    /// Manchester rate).
-    pub fn modem(&self) -> &FskModem {
-        &self.modem
     }
 
     /// The parameters in use.
     pub fn params(&self) -> &ZwaveParams {
         &self.params
-    }
-
-    /// Data bits -> on-air line bits for this profile.
-    fn line_code(&self, bits: &[u8]) -> Vec<u8> {
-        match self.params.rate {
-            ZwaveRate::R1 => manchester_encode(bits),
-            _ => bits.to_vec(),
-        }
-    }
-
-    /// On-air line bits -> data bits.
-    fn line_decode(&self, line: &[u8]) -> Vec<u8> {
-        match self.params.rate {
-            ZwaveRate::R1 => manchester_decode(line),
-            _ => line.to_vec(),
-        }
-    }
-
-    /// Line bits per data bit.
-    fn line_factor(&self) -> usize {
-        match self.params.rate {
-            ZwaveRate::R1 => 2,
-            _ => 1,
-        }
-    }
-
-    fn sync_line_bits(&self) -> Vec<u8> {
-        let mut pre = vec![0x55u8; PREAMBLE_LEN];
-        pre.push(SOF);
-        self.line_code(&bytes_to_bits_msb(&pre))
     }
 
     fn build_mpdu(&self, payload: &[u8]) -> Vec<u8> {
@@ -213,31 +201,14 @@ impl ZwavePhy {
 }
 
 impl Technology for ZwavePhy {
+    fsk_technology!();
+
     fn id(&self) -> TechId {
         TechId::ZWave
     }
 
-    fn modulation(&self) -> ModClass {
-        ModClass::Fsk
-    }
-
-    fn center_offset_hz(&self) -> f64 {
-        self.params.center_offset_hz
-    }
-
-    fn occupied_band(&self) -> Band {
-        let p = self.modem.params();
-        Band::centered(p.center_offset_hz, 2.0 * (p.deviation_hz + p.bitrate / 2.0))
-    }
-
     fn bitrate(&self) -> f64 {
         self.params.rate.bitrate()
-    }
-
-    fn preamble_waveform(&self, fs: f64) -> Vec<Cf32> {
-        self.modem
-            .modulate_bits(&self.sync_line_bits(), fs)
-            .expect("sample rate too low for Z-Wave preamble")
     }
 
     fn modulate(&self, payload: &[u8], fs: f64) -> Vec<Cf32> {
@@ -248,75 +219,22 @@ impl Technology for ZwavePhy {
 
     fn modulate_into(&self, payload: &[u8], fs: f64, out: &mut Vec<Cf32>) {
         assert!(payload.len() <= self.max_payload_len(), "payload too long");
-        let mut line = self.sync_line_bits();
-        line.extend(self.line_code(&bytes_to_bits_msb(&self.build_mpdu(payload))));
-        self.modem
+        let mut line = self.sync.bits.clone();
+        line.extend(
+            self.params
+                .rate
+                .line_code(&bytes_to_bits_msb(&self.build_mpdu(payload))),
+        );
+        (self.sync.modem)
             .modulate_bits_into(&line, fs, out)
             .expect("sample rate too low for Z-Wave")
-    }
-
-    fn demodulate(&self, capture: &[Cf32], fs: f64) -> Result<DecodedFrame, PhyError> {
-        self.demodulate_with(capture, fs, &mut DemodScratch::default())
-    }
-
-    fn demodulate_with(
-        &self,
-        capture: &[Cf32],
-        fs: f64,
-        scratch: &mut DemodScratch,
-    ) -> Result<DecodedFrame, PhyError> {
-        self.modem.discriminate_into(capture, fs, scratch)?;
-        let sync_line = self.sync_line_bits();
-        let sps = self.modem.sps(fs)?;
-        let template = self.sync.get_or(fs, || {
-            self.modem
-                .sync_template(&sync_line, fs)
-                .expect("sample rate checked by sps")
-        });
-        let (start, _) = self
-            .modem
-            .find_sync_in(scratch, &template, 0.55)
-            .ok_or(PhyError::SyncNotFound)?;
-        let soft = &scratch.soft;
-        let lf = self.line_factor();
-        let mpdu_at = start + sync_line.len() * sps;
-
-        // Read through the length byte first (8 header bytes precede it).
-        let head_line = self
-            .modem
-            .slice_bits(soft, mpdu_at, 8 * 8 * lf, fs)
-            .ok_or(PhyError::Truncated)?;
-        let head = bits_to_bytes_msb(&self.line_decode(&head_line));
-        let len = head[7] as usize;
-        let min_len = MPDU_HEADER_LEN + self.params.rate.check_len();
-        if len < min_len || len > min_len + self.max_payload_len() {
-            return Err(PhyError::MalformedHeader("MPDU length"));
-        }
-
-        let mpdu_line = self
-            .modem
-            .slice_bits(soft, mpdu_at, len * 8 * lf, fs)
-            .ok_or(PhyError::Truncated)?;
-        let mpdu = bits_to_bytes_msb(&self.line_decode(&mpdu_line));
-        if !self.check_mpdu(&mpdu) {
-            return Err(PhyError::CrcMismatch);
-        }
-        let payload = mpdu[MPDU_HEADER_LEN..len - self.params.rate.check_len()].to_vec();
-        Ok(DecodedFrame {
-            tech: TechId::ZWave,
-            payload,
-            start,
-            len: (sync_line.len() + len * 8 * lf) * sps,
-        })
     }
 
     fn max_frame_samples(&self, fs: f64) -> usize {
         let data_bits = (PREAMBLE_LEN + 1) * 8
             + (MPDU_HEADER_LEN + self.max_payload_len() + self.params.rate.check_len()) * 8;
-        let line_bits = data_bits * self.line_factor();
-        self.modem
-            .bits_to_samples(line_bits, fs)
-            .expect("sample rate too low for Z-Wave")
+        let line_bits = data_bits * self.params.rate.line_factor();
+        (self.sync.modem.bits_to_samples(line_bits, fs)).expect("sample rate too low for Z-Wave")
     }
 
     fn max_payload_len(&self) -> usize {
@@ -332,12 +250,36 @@ impl Technology for ZwavePhy {
     fn kill_recipe(&self, _fs: f64) -> crate::common::KillRecipe {
         // Hard BFSK at modulation index ~1 carries strong spectral
         // lines at the tones; moderately narrow notches suffice.
-        let p = self.modem.params();
+        let p = self.sync.modem.params();
         let w = 0.75 * p.bitrate;
         crate::common::KillRecipe::Frequency(vec![
             Band::centered(p.center_offset_hz - p.deviation_hz, w),
             Band::centered(p.center_offset_hz + p.deviation_hz, w),
         ])
+    }
+}
+
+impl FskFramed for ZwavePhy {
+    /// The MPDU through its length byte, its eighth.
+    fn header_bits(&self) -> usize {
+        8 * 8 * self.params.rate.line_factor()
+    }
+
+    fn frame_bits(&self, head: &[u8]) -> Result<usize, PhyError> {
+        let len = bits_to_bytes_msb(&self.params.rate.line_decode(head))[7] as usize;
+        let min_len = MPDU_HEADER_LEN + self.params.rate.check_len();
+        if len < min_len || len > min_len + self.max_payload_len() {
+            return Err(PhyError::MalformedHeader("MPDU length"));
+        }
+        Ok(len * 8 * self.params.rate.line_factor())
+    }
+
+    fn payload(&self, line: &[u8]) -> Result<Vec<u8>, PhyError> {
+        let mpdu = bits_to_bytes_msb(&self.params.rate.line_decode(line));
+        if !self.check_mpdu(&mpdu) {
+            return Err(PhyError::CrcMismatch);
+        }
+        Ok(mpdu[MPDU_HEADER_LEN..mpdu.len() - self.params.rate.check_len()].to_vec())
     }
 }
 

@@ -109,9 +109,11 @@ const QUIET_FLUSH_BUDGET: u64 = 5_440;
 /// A flush that emits an XBee frame's segment: one edge attempt, whose
 /// demodulators write into the session's buffers (2 722 208 while they
 /// allocated for their window, 8.8 MB when the segment and its three
-/// correlation traces were allocated per attempt). Measured: 196 056
-/// (196 040 while the frame waited for its settle point, 195 736 before
-/// the edge walked its correlations block by block).
+/// correlation traces were allocated per attempt). Measured: 195 940,
+/// its XBee frame read on the window its header gives (196 056 on
+/// XBee's longest frame, 196 040 while the frame waited for its settle
+/// point, 195 736 before the edge walked its correlations block by
+/// block).
 const EMITTING_FLUSH_BUDGET: u64 = 244_700;
 /// What a session's first edge attempt asks for on top of that, once:
 /// what each technology's correlation walk carries from one block to
@@ -137,23 +139,33 @@ const EDGE_WALK_BYTES: u64 = 593_892;
 /// every span was digitized whole at its settle point).
 const SPAN_BYTES: u64 = 8 * 56_814;
 /// And, once, the session's demodulator scratch, grown on the first
-/// attempt to the windows the edge demodulates the frame in. Measured:
-/// 1 568 064 = 4 381 528 − 195 736 − 872 576 (the edge's trace, then)
-/// − 1 745 152 on the first emitting flush, 195 736 on the second.
+/// attempt to the head and the window the edge demodulates the frame
+/// in, which its header gives. Measured: 467 104 = 1 711 448 − 195 940 −
+/// 593 892 − 454 512 on the first emitting flush, 195 940 on the second
+/// (1 568 064 = 4 381 528 − 195 736 − 872 576 (the edge's trace, then) −
+/// 1 745 152 while the frame was demodulated on XBee's longest frame).
 const EDGE_DEMOD_BYTES: u64 = 1_568_064;
 /// `process_capture` per capture sample (16.7 before): one digitized
 /// copy (8 bytes), one correlation trace (4), the edge attempt and its
-/// walks. Measured: 13.11 (13.25 while the edge held a trace of the
-/// segment, 13.72 while the edge's demodulators allocated for their
-/// window, 13.30 while the edge borrowed the detector's trace).
+/// walks. Measured: 12.58 with the XBee frame read on its header's
+/// window (13.11 on XBee's longest frame, 13.25 while the edge held a
+/// trace of the segment, 13.72 while the edge's demodulators allocated
+/// for their window, 13.30 while the edge borrowed the detector's
+/// trace).
 const BATCH_BYTES_PER_SAMPLE_BUDGET: f64 = 14.4;
 /// One decode of a two-frame LoRa+XBee collision (272 000 samples) by a
 /// worker that has decoded one before it: the frames, the remodulations
 /// cancellation subtracts and template-sized scratch, with every
 /// demodulation, kill and the residual in the worker's buffers.
-/// Measured: 1 063 865 (1 449 401 while each cancellation remodulated
-/// into a fresh frame-sized buffer, 21 282 581 while the demodulators,
-/// the kill filters and the residual allocated on every attempt).
+/// Measured: 1 239 196 with every demodulation on the window its
+/// header gives: an FSK head's length follows its anchor's width, and
+/// the second collision's widest Z-Wave head (10 758 samples, 7 588 in
+/// the first) grows the discriminator's and the sync correlation's
+/// buffers once more (1 063 865 while every window was
+/// the technology's longest frame, 1 449 401 while each cancellation
+/// remodulated into a fresh frame-sized buffer, 21 282 581 while the
+/// demodulators, the kill filters and the residual allocated on every
+/// attempt).
 const WARM_DECODE_BUDGET: u64 = 1_812_000;
 /// One edge attempt on a two-frame LoRa+XBee collision (272 000
 /// samples) through a session's buffers that an attempt has grown
@@ -163,8 +175,9 @@ const WARM_DECODE_BUDGET: u64 = 1_812_000;
 /// residual to the XBee preamble. What it asks for beyond the buffers is
 /// the LoRa demodulator's per-call state, the decoded frame, the
 /// remodulation's chirp tables and the alignment's scratch. Measured:
-/// 199 136 (202 333 while the LoRa member was demodulated on LoRa's
-/// longest frame and its residual was the whole span; 920 while a
+/// 199 064 (199 136 while XBee and Z-Wave were demodulated on their
+/// longest frames, 202 333 while the LoRa member was demodulated on
+/// LoRa's longest frame and its residual was the whole span; 920 while a
 /// second cluster anywhere proved the collision two blocks of LoRa lags
 /// in; a cold attempt, as `EdgeDecoder::process` makes, was 595 004
 /// then, where the edge's trace of the segment alone was 1 088 000).
@@ -174,7 +187,8 @@ const WARM_EDGE_BUDGET: u64 = 252_900;
 /// buffers an attempt on one has grown: the XBee demodulator's frame
 /// and intermediates it does not keep in the buffers, the peaks, the
 /// walks stopped a LoRa block past the frame's end plus the guard.
-/// Measured: 199 312.
+/// Measured: 199 196, the frame read on the window its header gives
+/// (199 312 on XBee's longest frame).
 const WARM_LONE_EDGE_BUDGET: u64 = 249_200;
 
 #[test]
