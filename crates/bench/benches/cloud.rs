@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use galiot_channel::{compose, snr_to_noise_power, TxEvent};
-use galiot_cloud::{apply_kill, sic_decode, CloudDecoder, SicParams};
+use galiot_cloud::{apply_kill, sic_decode, CloudDecoder, CloudParams};
 use galiot_phy::registry::Registry;
 use galiot_phy::TechId;
 use rand::rngs::StdRng;
@@ -50,7 +50,7 @@ fn bench_cloud(c: &mut Criterion) {
         b.iter(|| apply_kill(&cap, FS, xbee.as_ref(), 30_000, 0..cap.len()))
     });
 
-    let params = SicParams::default();
+    let params = CloudParams::default();
     g.bench_function("sic_strict", |b| {
         b.iter(|| sic_decode(&cap, FS, &reg, &params))
     });

@@ -12,7 +12,6 @@
 //! trace and re-scores only the lags a cancellation touched;
 //! [`classify()`] is its one-shot form.
 
-use std::ops::Range;
 use std::sync::Arc;
 
 use galiot_dsp::engine::TemplateBank;
@@ -21,7 +20,7 @@ use galiot_dsp::Cf32;
 use galiot_phy::registry::Registry;
 use galiot_phy::{DecodedFrame, TechId};
 
-use galiot_phy::cancel::{cancel_frame_into, CancelReport};
+use galiot_phy::cancel::{CancelReport, Residual, ResidualBuffers};
 
 /// One classified signal inside a segment.
 #[derive(Clone, Copy, Debug)]
@@ -74,14 +73,10 @@ pub fn classify(segment: &[Cf32], fs: f64, registry: &Registry, threshold: f32) 
 /// preamble-correlation trace over it, kept consistent across
 /// cancellations.
 ///
-/// The trace value at lag `i` depends only on residual samples
-/// `i..i + template_len`, so subtracting a frame from `span` leaves
-/// every lag outside `span.start - template_len + 1..span.end` exactly
-/// as it was: [`Classifier::cancel`] re-correlates that range alone (a
-/// LoRa frame dirties about a fifth of a collision segment, an XBee
-/// frame a fiftieth). The residual is only copied from the caller's
-/// segment when the first cancellation writes to it, and then into a
-/// buffer of its own: the caller's segment is never written.
+/// The residual is a [`Residual`]: a cancellation dirties only the lags
+/// [`CancelReport::dirty`] names, and [`Classifier::cancel`] re-correlates
+/// those alone (a LoRa frame dirties about a fifth of a collision
+/// segment, an XBee frame a fiftieth).
 pub struct Classifier<'a> {
     registry: &'a Registry,
     /// One template bank per (registry, fs): preamble waveforms and
@@ -89,30 +84,21 @@ pub struct Classifier<'a> {
     bank: Arc<TemplateBank>,
     fs: f64,
     threshold: f32,
-    segment: &'a [Cf32],
-    /// Whether `buffers.residual` holds the residual: from the first
-    /// cancellation on, before which the residual is `segment`.
-    cancelled: bool,
-    buffers: ClassifierBuffers,
-}
-
-/// What a [`Classifier`] writes: one correlation trace per technology,
-/// one float per segment sample, the residual once a frame is
-/// cancelled, and the remodulation each cancellation subtracts. A decode worker hands the same buffers to every
-/// segment's classifier ([`Classifier::reusing`]) and takes them back
-/// afterwards ([`Classifier::into_buffers`]), inside its
-/// [`crate::DecodeBuffers`].
-#[derive(Debug, Default)]
-pub(crate) struct ClassifierBuffers {
     /// Per technology, in registry order; empty where the template is
     /// empty or longer than the segment.
     traces: Vec<Vec<f32>>,
-    /// The freshly correlated lags of one re-scoring.
-    fresh: Vec<f32>,
-    /// The segment with every cancelled frame subtracted.
-    residual: Vec<Cf32>,
-    /// The last cancelled frame's remodulation.
-    reference: Vec<Cf32>,
+    residual: Residual<'a>,
+}
+
+/// What a [`Classifier`] writes: one correlation trace per technology,
+/// one float per segment sample, and its residual's buffers. A decode
+/// worker hands the same buffers to every segment's classifier
+/// ([`Classifier::reusing`]) and takes them back afterwards
+/// ([`Classifier::into_buffers`]), inside its [`crate::DecodeBuffers`].
+#[derive(Debug, Default)]
+pub(crate) struct ClassifierBuffers {
+    traces: Vec<Vec<f32>>,
+    residual: ResidualBuffers,
 }
 
 impl<'a> Classifier<'a> {
@@ -129,11 +115,11 @@ impl<'a> Classifier<'a> {
         fs: f64,
         registry: &'a Registry,
         threshold: f32,
-        mut buffers: ClassifierBuffers,
+        buffers: ClassifierBuffers,
     ) -> Self {
-        let bank = registry.template_bank(fs);
-        buffers.traces.resize_with(bank.len(), Vec::new);
-        for (i, trace) in buffers.traces.iter_mut().enumerate() {
+        let (bank, mut traces) = (registry.template_bank(fs), buffers.traces);
+        traces.resize_with(bank.len(), Vec::new);
+        for (i, trace) in traces.iter_mut().enumerate() {
             bank.template(i).xcorr_normalized_into(segment, trace);
         }
         Classifier {
@@ -141,24 +127,22 @@ impl<'a> Classifier<'a> {
             bank,
             fs,
             threshold,
-            segment,
-            cancelled: false,
-            buffers,
+            traces,
+            residual: Residual::new(segment, buffers.residual),
         }
     }
 
     /// Gives the buffers back for the next segment.
     pub(crate) fn into_buffers(self) -> ClassifierBuffers {
-        self.buffers
+        ClassifierBuffers {
+            traces: self.traces,
+            residual: self.residual.into_buffers(),
+        }
     }
 
     /// The segment with every cancelled frame subtracted.
     pub fn residual(&self) -> &[Cf32] {
-        if self.cancelled {
-            &self.buffers.residual
-        } else {
-            self.segment
-        }
+        self.residual.samples()
     }
 
     /// The technologies present in the residual: one entry per
@@ -167,7 +151,7 @@ impl<'a> Classifier<'a> {
     pub fn candidates(&self) -> Vec<Classified> {
         let mut found = Vec::new();
         for (i, tech) in self.registry.techs().iter().enumerate() {
-            let trace = &self.buffers.traces[i];
+            let trace = &self.traces[i];
             let Some((start, score)) = peak(trace) else {
                 continue;
             };
@@ -199,44 +183,21 @@ impl<'a> Classifier<'a> {
         found
     }
 
-    /// Subtracts a decoded frame from the residual ([`crate::cancel_frame`])
-    /// and re-scores the lags the subtraction touched. `None`, with the
-    /// residual unchanged, if the frame cannot be aligned.
+    /// Subtracts a decoded frame from the residual ([`Residual::cancel`])
+    /// and overwrites each trace's dirty lags with their re-correlation.
+    /// `None`, with the residual unchanged, if the frame cannot be aligned.
     pub fn cancel(&mut self, frame: &DecodedFrame, slack: usize) -> Option<CancelReport> {
         let tech = self.registry.get(frame.tech)?;
-        let residual = &mut self.buffers.residual;
-        if !self.cancelled {
-            residual.clear();
-            residual.reserve_exact(self.segment.len());
-            residual.extend_from_slice(self.segment);
-            self.cancelled = true;
-        }
-        let reference = &mut self.buffers.reference;
-        let report = cancel_frame_into(residual, tech.as_ref(), frame, self.fs, slack, reference)?;
-        self.rescore(report.span());
-        Some(report)
-    }
-
-    /// Re-correlates every lag whose template window overlaps `dirty`
-    /// (in the residual a cancellation has written).
-    fn rescore(&mut self, dirty: Range<usize>) {
-        let ClassifierBuffers {
-            traces,
-            fresh,
-            residual,
-            ..
-        } = &mut self.buffers;
-        for (i, trace) in traces.iter_mut().enumerate() {
+        let report = self.residual.cancel(tech.as_ref(), frame, self.fs, slack)?;
+        for (i, trace) in self.traces.iter_mut().enumerate() {
             let template = self.bank.template(i);
-            let m = template.len();
-            let lo = (dirty.start + 1).saturating_sub(m);
-            let hi = dirty.end.min(trace.len());
-            if lo >= hi {
-                continue;
+            let dirty = report.dirty(template.len());
+            let fresh = self.residual.rescore(template, dirty.clone());
+            if let Some(stale) = trace.get_mut(dirty.start..dirty.start + fresh.len()) {
+                stale.copy_from_slice(fresh);
             }
-            template.xcorr_normalized_into(&residual[lo..hi + m - 1], fresh);
-            trace[lo..hi].copy_from_slice(fresh);
         }
+        Some(report)
     }
 }
 

@@ -9,7 +9,8 @@
 //! technology, exactly as the paper requires.
 
 use galiot_dsp::Cf32;
-use galiot_phy::common::{anchored_window, demodulate_anchored_with, MAX_DEMOD_FIR_TAPS};
+use galiot_phy::cancel::{anchor_pad, CANCEL_SLACK};
+use galiot_phy::common::{anchored_window, demodulate_anchored_with};
 use galiot_phy::registry::Registry;
 use galiot_phy::{DecodedFrame, DemodScratch, TechId};
 
@@ -31,7 +32,7 @@ impl Default for CloudParams {
     fn default() -> Self {
         CloudParams {
             classify_threshold: 0.12,
-            cancel_slack: 64,
+            cancel_slack: CANCEL_SLACK,
             max_rounds: 12,
         }
     }
@@ -255,13 +256,6 @@ impl CloudDecoder {
     }
 }
 
-/// How far either side of a classifier anchor the demodulator is given
-/// samples: its channel filter's settling time, plus the alignment
-/// error cancellation later tolerates for the same frame.
-pub(crate) fn anchor_pad(cancel_slack: usize) -> usize {
-    MAX_DEMOD_FIR_TAPS + cancel_slack
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -464,8 +458,7 @@ mod tests {
                 .collect();
             let np = snr_to_noise_power(25.0, 0.0);
             let cap = compose(&events, 500_000, FS, np, &mut rng);
-            let sic =
-                crate::sic::sic_decode(&cap.samples, FS, &reg, &crate::sic::SicParams::default());
+            let sic = crate::sic::sic_decode(&cap.samples, FS, &reg, &CloudParams::default());
             let gal = CloudDecoder::new(reg.clone()).decode(&cap.samples, FS);
             sic_total += sic
                 .frames

@@ -24,4 +24,4 @@ pub use ingest::{
     shard_for, CreditGuard, FairnessGate, FleetMerge, GatewayId, SessionInfo, SessionRegistry,
 };
 pub use kill::{apply_kill, kill_codes, kill_css, kill_frequency, kill_frequency_adaptive};
-pub use sic::{sic_decode, SicParams, SicResult};
+pub use sic::{sic_decode, SicResult};

@@ -13,33 +13,13 @@
 //! decoding it first.
 
 use galiot_dsp::Cf32;
+use galiot_phy::cancel::anchor_pad;
 use galiot_phy::common::demodulate_anchored;
 use galiot_phy::registry::Registry;
 use galiot_phy::{DecodedFrame, TechId};
 
 use crate::classify::Classifier;
-use crate::decode::anchor_pad;
-
-/// SIC tuning knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct SicParams {
-    /// Classification (preamble correlation) threshold.
-    pub classify_threshold: f32,
-    /// Alignment slack for cancellation, in samples.
-    pub cancel_slack: usize,
-    /// Hard bound on decode rounds (each round decodes one frame).
-    pub max_rounds: usize,
-}
-
-impl Default for SicParams {
-    fn default() -> Self {
-        SicParams {
-            classify_threshold: 0.12,
-            cancel_slack: 64,
-            max_rounds: 8,
-        }
-    }
-}
+use crate::CloudParams;
 
 /// Result of a SIC run.
 #[derive(Clone, Debug, Default)]
@@ -52,13 +32,14 @@ pub struct SicResult {
 
 /// Runs SIC on a segment: classify, decode strongest-first, cancel,
 /// repeat until nothing more decodes. Built from the same incremental
-/// classifier and anchored demodulation as [`crate::CloudDecoder`], so
-/// the two differ by algorithm only.
-pub fn sic_decode(segment: &[Cf32], fs: f64, registry: &Registry, params: &SicParams) -> SicResult {
+/// classifier and anchored demodulation as [`crate::CloudDecoder`], and
+/// tuned by the same [`CloudParams`], so the two differ by algorithm
+/// only.
+pub fn sic_decode(segment: &[Cf32], fs: f64, reg: &Registry, params: &CloudParams) -> SicResult {
     let mut result = SicResult::default();
     let mut already: Vec<(TechId, Vec<u8>)> = Vec::new();
     let pad = anchor_pad(params.cancel_slack);
-    let mut classifier = Classifier::new(segment, fs, registry, params.classify_threshold);
+    let mut classifier = Classifier::new(segment, fs, reg, params.classify_threshold);
 
     while result.rounds < params.max_rounds {
         // One span per successful round (the stall probe is
@@ -68,7 +49,7 @@ pub fn sic_decode(segment: &[Cf32], fs: f64, registry: &Registry, params: &SicPa
             let candidates = classifier.candidates();
             // Strict SIC: only the strongest remaining signal is eligible.
             let strongest = candidates.first()?;
-            let tech = registry.get(strongest.tech)?;
+            let tech = reg.get(strongest.tech)?;
             let frame = demodulate_anchored(
                 tech.as_ref(),
                 classifier.residual(),
@@ -118,7 +99,7 @@ mod tests {
         ];
         let np = snr_to_noise_power(20.0, 0.0);
         let cap = compose(&events, 200_000, FS, np, &mut rng);
-        let res = sic_decode(&cap.samples, FS, &reg, &SicParams::default());
+        let res = sic_decode(&cap.samples, FS, &reg, &CloudParams::default());
         assert_eq!(res.frames.len(), 2, "{res:?}");
     }
 
@@ -137,7 +118,7 @@ mod tests {
         ];
         let np = snr_to_noise_power(25.0, -3.0);
         let cap = compose(&events, 400_000, FS, np, &mut rng);
-        let res = sic_decode(&cap.samples, FS, &reg, &SicParams::default());
+        let res = sic_decode(&cap.samples, FS, &reg, &CloudParams::default());
         let ids: Vec<TechId> = res.frames.iter().map(|f| f.tech).collect();
         assert!(ids.contains(&TechId::LoRa), "{ids:?}");
         assert!(ids.contains(&TechId::XBee), "{ids:?}");
@@ -160,7 +141,7 @@ mod tests {
         ];
         let np = snr_to_noise_power(20.0, 0.0);
         let cap = compose(&events, 80_000, FS, np, &mut rng);
-        let res = sic_decode(&cap.samples, FS, &reg, &SicParams::default());
+        let res = sic_decode(&cap.samples, FS, &reg, &CloudParams::default());
         assert!(
             res.frames.len() < 2,
             "SIC should stall, got {:?}",
@@ -173,7 +154,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let reg = Registry::prototype();
         let noise = galiot_channel::awgn(150_000, 1.0, &mut rng);
-        let res = sic_decode(&noise, FS, &reg, &SicParams::default());
+        let res = sic_decode(&noise, FS, &reg, &CloudParams::default());
         assert!(res.frames.is_empty());
     }
 
@@ -186,7 +167,7 @@ mod tests {
             .map(|i| TxEvent::new(xbee.clone(), vec![i as u8; 4], 5_000 + i * 40_000))
             .collect();
         let cap = compose(&events, 200_000, FS, 0.0, &mut rng);
-        let params = SicParams {
+        let params = CloudParams {
             max_rounds: 2,
             ..Default::default()
         };

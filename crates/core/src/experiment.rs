@@ -6,7 +6,7 @@
 //! figures are generated from.
 
 use galiot_channel::{compose, forced_collision, snr_to_noise_power, Capture, TxEvent};
-use galiot_cloud::{sic_decode, CloudDecoder, SicParams};
+use galiot_cloud::{sic_decode, CloudDecoder, CloudParams};
 use galiot_gateway::{
     score_detections, EnergyDetector, MatchedFilterBank, PacketDetector, RtlSdrFrontEnd,
     UniversalDetector,
@@ -190,7 +190,7 @@ pub fn throughput_bin(
 ) -> ThroughputPoint {
     let mut rng = StdRng::seed_from_u64(seed);
     let decoder = CloudDecoder::new(reg.clone());
-    let sic_params = SicParams::default();
+    let sic_params = CloudParams::default();
     let mut point = ThroughputPoint::default();
 
     for _ in 0..trials {

@@ -16,11 +16,11 @@
 
 use std::ops::Range;
 
-use galiot_dsp::corr::{Peak, PeakStream};
+use galiot_dsp::corr::{find_peaks, Peak, PeakStream};
 use galiot_dsp::engine::{NccWalk, WalkScratch};
 use galiot_dsp::Cf32;
-use galiot_phy::cancel::cancel_frame_into;
-use galiot_phy::common::{demodulate_window, header_window, DemodScratch, MAX_DEMOD_FIR_TAPS};
+use galiot_phy::cancel::{anchor_pad, Residual, ResidualBuffers, CANCEL_SLACK};
+use galiot_phy::common::{demodulate_window, header_window, DemodScratch};
 use galiot_phy::registry::Registry;
 use galiot_phy::DecodedFrame;
 
@@ -55,18 +55,10 @@ pub enum Attempt {
     /// decode, once made, for the next attempt to take as given, and the
     /// capture index the span must be held to before another attempt can
     /// conclude more: the end of the window the first cluster is
-    /// demodulated in, or one sample past what has arrived.
+    /// demodulated in, of the samples its frame's residual test reads, or
+    /// one sample past what has arrived.
     Wait(Option<DecodedFrame>, usize),
 }
-
-/// How far either side of its preamble peaks a demodulator is given
-/// samples: its channel filter's settling time plus the few samples a
-/// correlation peak can sit off the true frame start.
-const ANCHOR_PAD: usize = MAX_DEMOD_FIR_TAPS + 64;
-
-/// How far from its decoded start a frame's remodulation is aligned
-/// when the edge cancels it: the cloud's default `cancel_slack`.
-const CANCEL_SLACK: usize = 64;
 
 /// Default collision cluster guard, in seconds: peaks closer than this
 /// belong to one packet's preamble. 2.048 ms reproduces the historical
@@ -75,24 +67,13 @@ pub const DEFAULT_CLUSTER_GUARD_S: f64 = 2.048e-3;
 
 /// What an edge attempt writes: each technology's correlation walk, the
 /// demodulators' intermediates and, where a decoded frame's reach holds
-/// another cluster, the span with the frame cancelled, its remodulation
-/// and the residual's walks. A gateway session keeps one from one
-/// segment to the next.
+/// another cluster, the buffers of the frame's [`Residual`]. A gateway
+/// session keeps one from one segment to the next.
 #[derive(Debug, Default)]
 pub struct EdgeBuffers {
     walks: Vec<WalkScratch>,
     demod: DemodScratch,
-    residual: Residual,
-}
-
-/// The span with a decoded frame cancelled, the frame's remodulation,
-/// and the residual's correlation walks and peaks.
-#[derive(Debug, Default)]
-struct Residual {
-    samples: Vec<Cf32>,
-    reference: Vec<Cf32>,
-    walks: Vec<WalkScratch>,
-    peaks: Vec<Peak>,
+    residual: ResidualBuffers,
 }
 
 /// The edge decoder.
@@ -195,9 +176,11 @@ impl EdgeDecoder {
     /// in it proves a collision. Once F is, a cluster outside its reach —
     /// template `i`'s lags from F's start less the template's length to
     /// F's end plus the guard — proves one; clusters inside it are
-    /// evidence only if the residual, the span with F remodulated and
+    /// evidence only if F's [`Residual`], the span with F remodulated and
     /// cancelled, peaks there under the same templates, threshold and
-    /// guard. The residual is formed only where such a cluster lies.
+    /// guard. The residual is formed only where such a cluster lies, and
+    /// only once the samples under the widest reach have arrived: until
+    /// then the attempt waits for them.
     pub fn attempt(
         &self,
         samples: &[Cf32],
@@ -210,6 +193,7 @@ impl EdgeDecoder {
         let _span = galiot_trace::span(galiot_trace::Stage::EdgeDecode, galiot_trace::NO_SEQ);
         let whole = samples.len() >= span.len();
         let (bank, guard) = (self.registry.template_bank(fs), self.cluster_guard(fs));
+        let longest = (0..bank.len()).fold(0, |m, i| m.max(bank.template(i).len()));
         let EdgeBuffers {
             walks: scratch,
             demod,
@@ -225,13 +209,10 @@ impl EdgeDecoder {
         let mut peaks = vec![Vec::new(); walks.len()];
         // A walk of a span still arriving stays open past the samples.
         let open = |w: &NccWalk| !whole || w.settled() < w.lags();
-        let (more, ship) = (span.start + samples.len() + 1, |f: &DecodedFrame| {
-            EdgeOutcome::ShipToCloud(vec![f.clone()])
-        });
+        let ship = |f: &DecodedFrame| EdgeOutcome::ShipToCloud(vec![f.clone()]);
         // Whether F's cancellation explains every cluster in its reach,
-        // asked once a cluster past the first is known (`Some(None)`: not
-        // from what has arrived).
-        let (mut frame, mut explained) = (frame, None);
+        // asked once a cluster past the first is known.
+        let (mut frame, mut explained) = (frame, false);
         loop {
             let open_walks = walks.iter().filter(|(w, _)| open(w));
             let below = open_walks.map(|(_, s)| s.decided()).min();
@@ -262,7 +243,7 @@ impl EdgeDecoder {
                         let (tech, Some(anchor)) = (tech.as_ref(), anchor(at)) else {
                             continue;
                         };
-                        let (pad, len) = (ANCHOR_PAD, span.len());
+                        let (pad, len) = (anchor_pad(CANCEL_SLACK), span.len());
                         let window = header_window(tech, samples, fs, anchor, pad, len, demod);
                         let window = match window {
                             Ok(Ok(window)) if window.end <= samples.len() => window,
@@ -295,19 +276,23 @@ impl EdgeDecoder {
                 if peaks.iter().enumerate().any(outside) {
                     return Attempt::Final(ship(f));
                 }
-                // A cluster inside the reach: is there a peak in F's residual?
-                if second.is_some() && explained.is_none() {
-                    explained = Some(self.explains(residual, samples, &span, f, fs));
-                }
-                if explained == Some(Some(false)) {
-                    return Attempt::Final(ship(f));
+                // A cluster inside the reach: is there a peak in F's
+                // residual? It reads one lag past the widest reach.
+                if second.is_some() && !explained {
+                    let read = (lone.end + guard + longest).min(span.len());
+                    if samples.len() < read {
+                        return Attempt::Wait(Some(f.clone()), span.start + read);
+                    }
+                    let mut held = f.clone();
+                    held.start = lone.start;
+                    if !self.explains(residual, &samples[..read], &held, fs) {
+                        return Attempt::Final(ship(f));
+                    }
+                    explained = true;
                 }
                 let reach = self.reach(f, fs);
                 if before(reach.end - span.start) && !late(reach) {
-                    return match explained {
-                        Some(None) => Attempt::Wait(Some(f.clone()), more),
-                        _ => Attempt::Final(EdgeOutcome::DecodedLocally(f.clone())),
-                    };
+                    return Attempt::Final(EdgeOutcome::DecodedLocally(f.clone()));
                 }
             }
             let next = (walks.iter_mut().enumerate())
@@ -320,7 +305,7 @@ impl EdgeDecoder {
                 });
             };
             if !whole && walk.reads_to() >= samples.len() {
-                return Attempt::Wait(frame, more);
+                return Attempt::Wait(frame, span.start + samples.len() + 1);
             }
             if let Some(run) = walk.next_run() {
                 stream.push(run, &mut peaks[i]);
@@ -331,90 +316,28 @@ impl EdgeDecoder {
         }
     }
 
-    /// Whether cancelling `frame` from the `samples` that have arrived of
-    /// `span` explains every cluster in the frame's reach: `Some(false)`
-    /// at the residual's first decided peak there under any template (or
-    /// if the frame cannot be aligned), `Some(true)` once every template
-    /// has decided its reach clean, `None` if that needs samples that have
-    /// not arrived. The template with the shortest blocks walks first, to
-    /// its reach's end, as it costs least a lag: where one peak ships the
-    /// span, the cheapest template to find it looks first. No lag before
-    /// the longest template's reach sees the frame, so the residual starts
-    /// there.
-    fn explains(
-        &self,
-        residual: &mut Residual,
-        samples: &[Cf32],
-        span: &Range<usize>,
-        frame: &DecodedFrame,
-        fs: f64,
-    ) -> Option<bool> {
-        let whole = samples.len() >= span.len();
+    /// Whether cancelling `f` from `x` explains every cluster in its reach:
+    /// whether no template's re-correlation of the [`Residual`] over its
+    /// reach, one lag past it, peaks there under [`find_peaks`] at 0.25 and
+    /// half the template (false if the frame cannot be aligned). The
+    /// template with the shortest blocks goes first, as it costs least a
+    /// lag: where one peak ships the span, the cheapest template to find it
+    /// looks first, and the rest are not correlated.
+    fn explains(&self, bufs: &mut ResidualBuffers, x: &[Cf32], f: &DecodedFrame, fs: f64) -> bool {
         let (bank, guard) = (self.registry.template_bank(fs), self.cluster_guard(fs));
-        let tech = self
-            .registry
-            .get(frame.tech)
-            .expect("its technology decoded it");
-        let longest = (0..bank.len()).map(|i| bank.template(i).len()).max();
-        let from = (frame.start - span.start).saturating_sub(longest.unwrap_or(0));
-        let frame = &DecodedFrame {
-            start: frame.start - span.start - from,
-            ..frame.clone()
-        };
-        let Residual {
-            samples: cancelled,
-            reference,
-            walks,
-            peaks,
-        } = residual;
-        cancelled.clear();
-        cancelled.extend_from_slice(&samples[from..]);
-        let cancel =
-            cancel_frame_into(cancelled, tech.as_ref(), frame, fs, CANCEL_SLACK, reference);
-        if cancel.is_none() {
-            return Some(false);
-        }
-        walks.resize_with(bank.len(), WalkScratch::default);
-        let lone = frame.start..frame.start + frame.len;
-        // Each template walks the residual from its reach's start.
-        let mut walks: Vec<_> = (walks.iter_mut().enumerate())
-            .map(|(i, s)| {
-                let t = bank.template(i);
-                let reach = reached(&lone, t.len(), guard);
-                let (held, stream) = (
-                    &cancelled[reach.start..],
-                    PeakStream::new(0.25, t.len() / 2),
-                );
-                (
-                    t.block_lags(),
-                    t.walk(held, s),
-                    stream,
-                    reach.len(),
-                    held.len(),
-                )
-            })
-            .collect();
-        let open = |(_, w, s, reach, _): &&mut (usize, NccWalk, PeakStream, usize, usize)| {
-            s.decided() < *reach && (!whole || w.settled() < w.lags())
-        };
-        while let Some((_, walk, stream, reach, held)) =
-            walks.iter_mut().filter(open).min_by_key(|w| w.0)
-        {
-            if !whole && walk.reads_to() >= *held {
-                return None;
-            }
-            peaks.clear();
-            if let Some(run) = walk.next_run() {
-                stream.push(run, peaks);
-            }
-            if whole && walk.settled() == walk.lags() {
-                stream.finish(peaks);
-            }
-            if peaks.iter().any(|p| p.index < *reach) {
-                return Some(false);
-            }
-        }
-        Some(true)
+        let tech = self.registry.get(f.tech).expect("registered");
+        let mut templates: Vec<_> = (0..bank.len()).map(|i| bank.template(i)).collect();
+        templates.sort_by_key(|t| t.block_lags());
+        let mut residual = Residual::new(x, std::mem::take(bufs));
+        let cancelled = residual.cancel(tech.as_ref(), f, fs, CANCEL_SLACK);
+        let clean = cancelled.is_some()
+            && templates.into_iter().all(|t| {
+                let reach = reached(&(f.start..f.start + f.len), t.len(), guard);
+                let trace = residual.rescore(t, reach.start..reach.end + 1);
+                find_peaks(trace, 0.25, t.len() / 2).is_empty()
+            });
+        *bufs = residual.into_buffers();
+        clean
     }
 }
 
@@ -517,11 +440,41 @@ mod tests {
             // past it: short of it, the attempt waits no further.
             let head = frame_end + 50_000;
             if first.tech.id() == TechId::LoRa {
-                let waits = attempt(frame_end - 1_000, false);
+                // Short of F's window (its head, then the rest), the
+                // attempt waits no further than the window's end.
+                let mut window_end = frame_end - 1_000;
+                while let Attempt::Wait(None, at) = attempt(window_end, false) {
+                    assert!(at > window_end, "{what}");
+                    window_end = at;
+                }
                 assert!(
-                    matches!(waits, Attempt::Wait(_, at) if at <= frame_end + ANCHOR_PAD + 4),
-                    "{what}: {waits:?}"
+                    window_end <= frame_end + anchor_pad(CANCEL_SLACK) + 4,
+                    "{what}"
                 );
+                // Heads from the end of F's window to the last sample its
+                // residual test reads, one lag past the widest reach: each
+                // waits with F or gives the whole span's final verdict.
+                let whole = attempt(LEN, false);
+                let Attempt::Final(verdict) = &whole else {
+                    panic!("{what}: the whole span gave {whole:?}")
+                };
+                let (frame, local) = match verdict {
+                    EdgeOutcome::DecodedLocally(f) => (f.clone(), true),
+                    EdgeOutcome::ShipToCloud(f) => (f[0].clone(), false),
+                };
+                assert_eq!(local, !ships, "{what}");
+                let bank = reg.template_bank(FS);
+                let longest = (0..bank.len()).map(|i| bank.template(i).len()).max();
+                let read = frame.start + frame.len + edge.cluster_guard(FS) + longest.unwrap();
+                for n in (0..8).map(|k| window_end + k * (read - window_end) / 7) {
+                    match attempt(n, false) {
+                        Attempt::Wait(Some(f), _) => assert_eq!(f, frame, "{what}: {n}"),
+                        Attempt::Final(v) => {
+                            assert_eq!(format!("{v:?}"), format!("{verdict:?}"), "{what}: {n}")
+                        }
+                        other => panic!("{what}: {other:?} on the first {n} samples"),
+                    }
+                }
             }
             match (attempt(head, false), ships) {
                 (Attempt::Final(EdgeOutcome::ShipToCloud(f)), true) => {

@@ -7,15 +7,33 @@
 //! (slowly rotating) residual CFO of the original transmission without
 //! explicit CFO estimation.
 //!
-//! The cloud's SIC rounds cancel every frame they decode; the gateway's
-//! edge cancels the one frame it decodes to see whether anything else
-//! is left in the span.
+//! [`Residual`] is Algorithm 1's step 6 — cancel a decoded frame, then
+//! re-classify what is left — built once: the cloud's SIC rounds cancel
+//! every frame they decode through it, and the gateway's edge cancels
+//! the one frame it decodes to see whether anything else is left in the
+//! span.
+
+use std::ops::Range;
 
 use galiot_dsp::corr::xcorr_fft_into;
+use galiot_dsp::engine::Template;
 use galiot_dsp::kernels;
 use galiot_dsp::Cf32;
 
+use crate::common::MAX_DEMOD_FIR_TAPS;
 use crate::{DecodedFrame, Technology};
+
+/// How far from its decoded start a frame's remodulation is aligned when
+/// it is cancelled, in samples: the cloud's default `cancel_slack`, and
+/// the edge's.
+pub const CANCEL_SLACK: usize = 64;
+
+/// How far either side of its anchor a demodulator is given samples: its
+/// channel filter's settling time, plus the alignment error cancellation
+/// later tolerates for the same frame.
+pub fn anchor_pad(cancel_slack: usize) -> usize {
+    MAX_DEMOD_FIR_TAPS + cancel_slack
+}
 
 /// Cancellation quality report.
 #[derive(Clone, Copy, Debug)]
@@ -38,10 +56,13 @@ pub struct CancelReport {
 }
 
 impl CancelReport {
-    /// The samples of the residual the subtraction changed — everything
-    /// outside is bit-identical to before the call.
-    pub fn span(&self) -> std::ops::Range<usize> {
-        self.aligned_at..self.aligned_at + self.len
+    /// The lags of an `m`-sample template's trace over the residual that
+    /// the subtraction dirtied: every lag whose window `i..i + m` overlaps
+    /// the samples it changed, `aligned_at..aligned_at + len` (everything
+    /// outside is bit-identical to before the call). Every other lag reads
+    /// only samples the subtraction left as they were.
+    pub fn dirty(&self, m: usize) -> Range<usize> {
+        (self.aligned_at + 1).saturating_sub(m)..self.aligned_at + self.len
     }
 
     /// Suppression achieved, in dB (positive = energy removed).
@@ -71,7 +92,7 @@ pub fn cancel_frame(
 /// [`cancel_frame`] remodulating the frame into `reference`, a buffer
 /// the caller keeps from one cancellation to the next (whatever it held
 /// is never read): the same subtraction, bit for bit.
-pub fn cancel_frame_into(
+fn cancel_frame_into(
     residual: &mut [Cf32],
     tech: &dyn Technology,
     frame: &DecodedFrame,
@@ -223,6 +244,89 @@ pub fn cancel_frame_into(
     })
 }
 
+/// What a [`Residual`] writes, kept by its caller from one capture to the
+/// next (whatever it held is never read).
+#[derive(Debug, Default)]
+pub struct ResidualBuffers {
+    /// The capture with every cancelled frame subtracted.
+    samples: Vec<Cf32>,
+    /// The last cancelled frame's remodulation.
+    reference: Vec<Cf32>,
+    /// The lags of the last re-correlation.
+    fresh: Vec<f32>,
+}
+
+/// A capture with decoded frames cancelled from it, re-correlated where
+/// the caller asks: Algorithm 1's step 6, which the cloud's classifier
+/// runs after every frame it decodes and the edge runs on the one frame
+/// it keeps.
+///
+/// The residual is the caller's capture until the first cancellation
+/// writes to it; then the capture is copied into buffers of its own, so
+/// a capture nothing is cancelled from is never copied and the caller's
+/// samples are never written.
+pub struct Residual<'a> {
+    capture: &'a [Cf32],
+    /// `buffers.samples` is empty until the first cancellation.
+    buffers: ResidualBuffers,
+}
+
+impl<'a> Residual<'a> {
+    /// The residual of `capture`, nothing cancelled yet, writing into
+    /// `buffers`.
+    pub fn new(capture: &'a [Cf32], mut buffers: ResidualBuffers) -> Self {
+        buffers.samples.clear();
+        Residual { capture, buffers }
+    }
+
+    /// Gives the buffers back for the next capture.
+    pub fn into_buffers(self) -> ResidualBuffers {
+        self.buffers
+    }
+
+    /// The capture with every cancelled frame subtracted.
+    pub fn samples(&self) -> &[Cf32] {
+        match &self.buffers.samples[..] {
+            [] => self.capture,
+            written => written,
+        }
+    }
+
+    /// Subtracts a decoded frame ([`cancel_frame`]), remodulating it into
+    /// a buffer of the residual's. `None`, with the residual unchanged, if
+    /// the frame cannot be aligned.
+    pub fn cancel(
+        &mut self,
+        tech: &dyn Technology,
+        frame: &DecodedFrame,
+        fs: f64,
+        slack: usize,
+    ) -> Option<CancelReport> {
+        let (samples, capture) = (&mut self.buffers.samples, self.capture);
+        if samples.is_empty() {
+            samples.reserve_exact(capture.len());
+            samples.extend_from_slice(capture);
+        }
+        cancel_frame_into(samples, tech, frame, fs, slack, &mut self.buffers.reference)
+    }
+
+    /// The normalized correlation of `template` over the residual at
+    /// `lags`, those past the last lag where it fits left out: correlated
+    /// over the residual's samples `lags.start..lags.end + m - 1` alone,
+    /// so its overlap-save blocks start at `lags.start`.
+    pub fn rescore(&mut self, template: &Template, lags: Range<usize>) -> &[f32] {
+        let mut fresh = std::mem::take(&mut self.buffers.fresh);
+        let (residual, m) = (self.samples(), template.len());
+        let end = lags.end.min((residual.len() + 1).saturating_sub(m));
+        fresh.clear();
+        if m > 0 && lags.start < end {
+            template.xcorr_normalized_into(&residual[lags.start..end + m - 1], &mut fresh);
+        }
+        self.buffers.fresh = fresh;
+        &self.buffers.fresh
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,6 +334,80 @@ mod tests {
     use crate::TechId;
 
     const FS: f64 = 1_000_000.0;
+
+    #[test]
+    fn a_cancellation_dirties_exactly_the_lags_it_reports() {
+        use rand::{Rng, SeedableRng};
+        // A LoRa frame with an XBee frame inside it, in uniform noise
+        // 18 dB under either; each is cancelled in turn from one residual.
+        let reg = Registry::prototype();
+        let bank = reg.template_bank(FS);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let a = (1.5f32 * 0.016).sqrt();
+        let capture: Vec<Cf32> = (0..120_000)
+            .map(|_| Cf32::new(rng.gen_range(-a..a), rng.gen_range(-a..a)))
+            .collect();
+        let (mut capture, pristine) = (capture.clone(), capture);
+        let mut frames = Vec::new();
+        for (id, at, gain) in [
+            (TechId::LoRa, 6_000, Cf32::cis(0.4)),
+            (TechId::XBee, 21_000, Cf32::cis(-1.1) * 0.7),
+        ] {
+            let waveform = reg.get(id).unwrap().modulate(b"dirty", FS);
+            for (dst, &src) in capture[at..].iter_mut().zip(&waveform) {
+                *dst += src * gain;
+            }
+            let (payload, len) = (b"dirty".to_vec(), waveform.len());
+            frames.push(DecodedFrame {
+                tech: id,
+                payload,
+                start: at,
+                len,
+            });
+        }
+        let with_both = capture.clone();
+        let mut traces: Vec<_> = (0..bank.len())
+            .map(|i| bank.template(i).xcorr_normalized(&capture))
+            .collect();
+        let mut residual = Residual::new(&capture, ResidualBuffers::default());
+        for frame in &frames {
+            let tech = reg.get(frame.tech).unwrap();
+            let before = residual.samples().to_vec();
+            let report = residual.cancel(tech.as_ref(), frame, FS, CANCEL_SLACK);
+            let report = report.unwrap();
+            // How many samples the cancellation changed before each index.
+            let mut changed = vec![0usize];
+            for (x, y) in before.iter().zip(residual.samples()) {
+                changed.push(changed.last().unwrap() + usize::from(x != y));
+            }
+            let span = report.aligned_at..report.aligned_at + report.len;
+            assert_eq!(changed[span.start], 0, "{}", frame.tech);
+            assert_eq!(changed[span.end], changed[before.len()], "{}", frame.tech);
+            let fresh: Vec<_> = (0..bank.len())
+                .map(|i| bank.template(i).xcorr_normalized(residual.samples()))
+                .collect();
+            for (i, trace) in traces.iter_mut().enumerate() {
+                let (template, m) = (bank.template(i), bank.template(i).len());
+                let dirty = report.dirty(m);
+                // Dirty: exactly the lags whose window holds a changed sample.
+                for lag in 0..trace.len() {
+                    let seen = changed[lag + m] > changed[lag];
+                    assert_eq!(dirty.contains(&lag), seen, "{} lag {lag}", frame.tech);
+                }
+                let rescored = residual.rescore(template, dirty.clone());
+                trace[dirty.start..dirty.start + rescored.len()].copy_from_slice(rescored);
+                // Every lag, kept or re-correlated, is the whole residual's.
+                for (lag, (&kept, &want)) in trace.iter().zip(&fresh[i]).enumerate() {
+                    assert!(
+                        (kept - want).abs() <= 1e-4,
+                        "{} template {i} lag {lag}: {kept} vs {want}",
+                        frame.tech
+                    );
+                }
+            }
+        }
+        assert!(capture == with_both && capture != pristine);
+    }
 
     // The cancellation's own behaviour is tested where the cloud calls
     // it, on channel-model captures (`galiot-cloud`'s `tests/cancel.rs`).

@@ -11,7 +11,7 @@
 //! cargo run --release --example collision_decoding
 //! ```
 
-use galiot::cloud::{sic_decode, SicParams};
+use galiot::cloud::{sic_decode, CloudParams};
 use galiot::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -40,7 +40,7 @@ fn main() {
     println!("collision: LoRa (CSS) x XBee (GFSK), full overlap, ~equal power\n");
 
     // Strawman: strict SIC.
-    let sic = sic_decode(&capture.samples, FS, &registry, &SicParams::default());
+    let sic = sic_decode(&capture.samples, FS, &registry, &CloudParams::default());
     println!("strict SIC recovered {} frame(s):", sic.frames.len());
     for f in &sic.frames {
         println!("  {}: {:?}", f.tech, String::from_utf8_lossy(&f.payload));

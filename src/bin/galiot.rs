@@ -13,7 +13,7 @@
 //! admits no CLI crate); everything else is the library.
 
 use galiot::channel::{compose, forced_collision, generate, snr_to_noise_power, TrafficParams};
-use galiot::cloud::{sic_decode, SicParams};
+use galiot::cloud::{sic_decode, CloudParams};
 use galiot::phy::registry::summarize;
 use galiot::prelude::*;
 use rand::rngs::StdRng;
@@ -144,7 +144,7 @@ fn cmd_collide(a: Args) {
         a.snr_db
     );
 
-    let sic = sic_decode(&cap.samples, FS, &registry, &SicParams::default());
+    let sic = sic_decode(&cap.samples, FS, &registry, &CloudParams::default());
     println!("strict SIC recovered {} frame(s)", sic.frames.len());
     for f in &sic.frames {
         println!("  {}: {} bytes", f.tech, f.payload.len());

@@ -171,11 +171,14 @@ const WARM_DECODE_BUDGET: u64 = 1_812_000;
 /// samples) through a session's buffers that an attempt has grown
 /// before. The XBee frame lies inside the LoRa frame's reach, so no
 /// cluster proves the collision before the LoRa member is decoded: the
-/// attempt demodulates it, cancels it from the span and walks the
-/// residual to the XBee preamble. What it asks for beyond the buffers is
-/// the LoRa demodulator's per-call state, the decoded frame, the
-/// remodulation's chirp tables and the alignment's scratch. Measured:
-/// 199 064 (199 136 while XBee and Z-Wave were demodulated on their
+/// attempt demodulates it, cancels it from the span and re-correlates
+/// the residual over the XBee template's reach, where the XBee preamble
+/// peaks. What it asks for beyond the buffers is the LoRa demodulator's
+/// per-call state, the decoded frame, the remodulation's chirp tables
+/// and the alignment's scratch. Measured: 198 584, the residual
+/// re-correlated into the residual's own buffer (199 064 while the
+/// residual was walked with per-attempt walk and peak-stream state,
+/// 199 136 while XBee and Z-Wave were demodulated on their
 /// longest frames, 202 333 while the LoRa member was demodulated on
 /// LoRa's longest frame and its residual was the whole span; 920 while a
 /// second cluster anywhere proved the collision two blocks of LoRa lags

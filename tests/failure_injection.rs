@@ -2,7 +2,7 @@
 //! produce errors (or empty results), never panics or wrong frames.
 
 use galiot::channel::{compose, decode_fault_seed, scenario_seed, snr_to_noise_power, TxEvent};
-use galiot::cloud::{cancel_frame, sic_decode, SicParams};
+use galiot::cloud::{cancel_frame, sic_decode, CloudParams};
 use galiot::core::{DecodeFaultKind, DecodeFaultSpec, Metrics, PipelineFrame};
 use galiot::dsp::spectral::Band;
 use galiot::dsp::Cf32;
@@ -158,7 +158,7 @@ fn sic_handles_captures_full_of_preamble_lookalikes() {
     for _ in 0..20 {
         capture.extend_from_slice(&pre);
     }
-    let res = sic_decode(&capture, FS, &reg, &SicParams::default());
+    let res = sic_decode(&capture, FS, &reg, &CloudParams::default());
     assert!(res.frames.is_empty());
 }
 
