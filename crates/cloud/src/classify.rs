@@ -117,7 +117,8 @@ impl<'a> Classifier<'a> {
         threshold: f32,
         buffers: ClassifierBuffers,
     ) -> Self {
-        let (bank, mut traces) = (registry.template_bank(fs), buffers.traces);
+        let bank = registry.template_bank(fs);
+        let mut traces = buffers.traces;
         traces.resize_with(bank.len(), Vec::new);
         for (i, trace) in traces.iter_mut().enumerate() {
             bank.template(i).xcorr_normalized_into(segment, trace);
@@ -193,8 +194,8 @@ impl<'a> Classifier<'a> {
             let template = self.bank.template(i);
             let dirty = report.dirty(template.len());
             let fresh = self.residual.rescore(template, dirty.clone());
-            if let Some(stale) = trace.get_mut(dirty.start..dirty.start + fresh.len()) {
-                stale.copy_from_slice(fresh);
+            if !fresh.is_empty() {
+                trace[dirty.start..][..fresh.len()].copy_from_slice(fresh);
             }
         }
         Some(report)

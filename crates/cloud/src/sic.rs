@@ -35,11 +35,16 @@ pub struct SicResult {
 /// classifier and anchored demodulation as [`crate::CloudDecoder`], and
 /// tuned by the same [`CloudParams`], so the two differ by algorithm
 /// only.
-pub fn sic_decode(segment: &[Cf32], fs: f64, reg: &Registry, params: &CloudParams) -> SicResult {
+pub fn sic_decode(
+    segment: &[Cf32],
+    fs: f64,
+    registry: &Registry,
+    params: &CloudParams,
+) -> SicResult {
     let mut result = SicResult::default();
     let mut already: Vec<(TechId, Vec<u8>)> = Vec::new();
     let pad = anchor_pad(params.cancel_slack);
-    let mut classifier = Classifier::new(segment, fs, reg, params.classify_threshold);
+    let mut classifier = Classifier::new(segment, fs, registry, params.classify_threshold);
 
     while result.rounds < params.max_rounds {
         // One span per successful round (the stall probe is
@@ -49,7 +54,7 @@ pub fn sic_decode(segment: &[Cf32], fs: f64, reg: &Registry, params: &CloudParam
             let candidates = classifier.candidates();
             // Strict SIC: only the strongest remaining signal is eligible.
             let strongest = candidates.first()?;
-            let tech = reg.get(strongest.tech)?;
+            let tech = registry.get(strongest.tech)?;
             let frame = demodulate_anchored(
                 tech.as_ref(),
                 classifier.residual(),

@@ -16,8 +16,8 @@
 
 use std::ops::Range;
 
-use galiot_dsp::corr::{find_peaks, Peak, PeakStream};
-use galiot_dsp::engine::{NccWalk, WalkScratch};
+use galiot_dsp::corr::{Peak, PeakStream};
+use galiot_dsp::engine::{NccWalk, Template, WalkScratch};
 use galiot_dsp::Cf32;
 use galiot_phy::cancel::{anchor_pad, Residual, ResidualBuffers, CANCEL_SLACK};
 use galiot_phy::common::{demodulate_window, header_window, DemodScratch};
@@ -277,18 +277,22 @@ impl EdgeDecoder {
                     return Attempt::Final(ship(f));
                 }
                 // A cluster inside the reach: is there a peak in F's
-                // residual? It reads one lag past the widest reach.
+                // residual? It reads half the widest template past the
+                // widest reach.
                 if second.is_some() && !explained {
-                    let read = (lone.end + guard + longest).min(span.len());
+                    let read = (lone.end + guard + longest + longest / 2).min(span.len());
                     if samples.len() < read {
                         return Attempt::Wait(Some(f.clone()), span.start + read);
                     }
                     let mut held = f.clone();
                     held.start = lone.start;
-                    if !self.explains(residual, &samples[..read], &held, fs) {
-                        return Attempt::Final(ship(f));
+                    match self.explains(residual, samples, whole, &held, fs) {
+                        Some(true) => explained = true,
+                        Some(false) => return Attempt::Final(ship(f)),
+                        None => {
+                            return Attempt::Wait(Some(f.clone()), span.start + samples.len() + 1)
+                        }
                     }
-                    explained = true;
                 }
                 let reach = self.reach(f, fs);
                 if before(reach.end - span.start) && !late(reach) {
@@ -316,27 +320,39 @@ impl EdgeDecoder {
         }
     }
 
-    /// Whether cancelling `f` from `x` explains every cluster in its reach:
-    /// whether no template's re-correlation of the [`Residual`] over its
-    /// reach, one lag past it, peaks there under [`find_peaks`] at 0.25 and
-    /// half the template (false if the frame cannot be aligned). The
-    /// template with the shortest blocks goes first, as it costs least a
-    /// lag: where one peak ships the span, the cheapest template to find it
-    /// looks first, and the rest are not correlated.
-    fn explains(&self, bufs: &mut ResidualBuffers, x: &[Cf32], f: &DecodedFrame, fs: f64) -> bool {
+    /// Whether cancelling `frame` from `samples` explains every cluster
+    /// in its reach: whether no template's [`residual_peaks`] there (false
+    /// if the frame cannot be aligned), `None` if that needs samples that
+    /// have not arrived (`whole`: all of the span has). The template with
+    /// the shortest blocks goes first, as it costs least a lag: where one
+    /// peak ships the span, the cheapest template to find it looks first,
+    /// and the rest are not correlated.
+    fn explains(
+        &self,
+        buffers: &mut ResidualBuffers,
+        samples: &[Cf32],
+        whole: bool,
+        frame: &DecodedFrame,
+        fs: f64,
+    ) -> Option<bool> {
         let (bank, guard) = (self.registry.template_bank(fs), self.cluster_guard(fs));
-        let tech = self.registry.get(f.tech).expect("registered");
+        let tech = self.registry.get(frame.tech).expect("registered");
         let mut templates: Vec<_> = (0..bank.len()).map(|i| bank.template(i)).collect();
         templates.sort_by_key(|t| t.block_lags());
-        let mut residual = Residual::new(x, std::mem::take(bufs));
-        let cancelled = residual.cancel(tech.as_ref(), f, fs, CANCEL_SLACK);
-        let clean = cancelled.is_some()
-            && templates.into_iter().all(|t| {
-                let reach = reached(&(f.start..f.start + f.len), t.len(), guard);
-                let trace = residual.rescore(t, reach.start..reach.end + 1);
-                find_peaks(trace, 0.25, t.len() / 2).is_empty()
-            });
-        *bufs = residual.into_buffers();
+        let mut residual = Residual::new(samples, std::mem::take(buffers));
+        let lone = frame.start..frame.start + frame.len;
+        let mut clean = Some(
+            residual
+                .cancel(tech.as_ref(), frame, fs, CANCEL_SLACK)
+                .is_some(),
+        );
+        for t in templates {
+            if clean == Some(true) {
+                let reach = reached(&lone, t.len(), guard);
+                clean = residual_peaks(&mut residual, t, reach, whole).map(|peaks| !peaks);
+            }
+        }
+        *buffers = residual.into_buffers();
         clean
     }
 }
@@ -360,6 +376,42 @@ fn later_clusters(
     let first = at.clone().min();
     let opens = move |p: &usize| Some(*p) != first && at.clone().all(|q| q >= *p || *p - q > guard);
     decided(peaks, below).filter(opens)
+}
+
+/// Whether `template`'s trace over `residual` peaks in `reach`, its peaks
+/// taken as the walk takes them — threshold 0.25, guard half the
+/// template — over the trace from the reach's start, the walk's own
+/// blocks. Half a template past the reach decides nearly every run of
+/// candidates; a run that goes on is followed to the residual's end:
+/// `None` if it goes on past it and more of the span is to arrive
+/// (`whole`: none is).
+fn residual_peaks(
+    residual: &mut Residual,
+    template: &Template,
+    reach: Range<usize>,
+    whole: bool,
+) -> Option<bool> {
+    let m = template.len();
+    for end in [reach.end + m / 2 + 1, usize::MAX] {
+        let trace = residual.rescore(template, reach.start..end);
+        let ended = reach.start + trace.len() < end;
+        let mut stream = PeakStream::new(0.25, m / 2);
+        let mut peaks = Vec::new();
+        stream.push(trace, &mut peaks);
+        if ended && whole {
+            stream.finish(&mut peaks);
+        }
+        if peaks.iter().any(|p| p.index < reach.len()) {
+            return Some(true);
+        }
+        if stream.decided() >= reach.len() || ended && whole {
+            return Some(false);
+        }
+        if ended {
+            break;
+        }
+    }
+    None
 }
 
 /// The lags of an `m`-sample template that a frame occupying `frame`
@@ -440,20 +492,24 @@ mod tests {
             // past it: short of it, the attempt waits no further.
             let head = frame_end + 50_000;
             if first.tech.id() == TechId::LoRa {
-                // Short of F's window (its head, then the rest), the
-                // attempt waits no further than the window's end.
+                let waits = attempt(frame_end - 1_000, false);
+                let pad = anchor_pad(CANCEL_SLACK);
+                assert!(
+                    matches!(waits, Attempt::Wait(None, at) if at <= frame_end + pad + 4),
+                    "{what}: {waits:?}"
+                );
+                // Then the rest of F's window: each wait reaches further,
+                // never past the window's end.
                 let mut window_end = frame_end - 1_000;
                 while let Attempt::Wait(None, at) = attempt(window_end, false) {
-                    assert!(at > window_end, "{what}");
+                    assert!(at > window_end && at <= frame_end + pad + 4, "{what}");
                     window_end = at;
                 }
-                assert!(
-                    window_end <= frame_end + anchor_pad(CANCEL_SLACK) + 4,
-                    "{what}"
-                );
+                assert!(window_end > frame_end - 1_000, "{what}");
                 // Heads from the end of F's window to the last sample its
-                // residual test reads, one lag past the widest reach: each
-                // waits with F or gives the whole span's final verdict.
+                // residual test reads, half the widest template past the
+                // widest reach: each waits with F, no further than that
+                // sample or the next, or gives the whole span's verdict.
                 let whole = attempt(LEN, false);
                 let Attempt::Final(verdict) = &whole else {
                     panic!("{what}: the whole span gave {whole:?}")
@@ -465,10 +521,14 @@ mod tests {
                 assert_eq!(local, !ships, "{what}");
                 let bank = reg.template_bank(FS);
                 let longest = (0..bank.len()).map(|i| bank.template(i).len()).max();
-                let read = frame.start + frame.len + edge.cluster_guard(FS) + longest.unwrap();
+                let longest = longest.unwrap();
+                let read = frame.start + frame.len + edge.cluster_guard(FS) + longest + longest / 2;
                 for n in (0..8).map(|k| window_end + k * (read - window_end) / 7) {
                     match attempt(n, false) {
-                        Attempt::Wait(Some(f), _) => assert_eq!(f, frame, "{what}: {n}"),
+                        Attempt::Wait(Some(f), at) => {
+                            assert_eq!(f, frame, "{what}: {n}");
+                            assert!(n < at && at <= read.max(n + 1), "{what}: {n} waits to {at}");
+                        }
                         Attempt::Final(v) => {
                             assert_eq!(format!("{v:?}"), format!("{verdict:?}"), "{what}: {n}")
                         }
@@ -509,6 +569,43 @@ mod tests {
                 (other, _) => panic!("{what}: {other:?} on the first {head} samples"),
             }
         }
+    }
+
+    #[test]
+    fn a_residual_candidate_a_stronger_peak_past_the_reach_suppresses_is_no_peak() {
+        use rand::Rng;
+        // A 256-sample template at lag 1 000 and, twice as strong, at lag
+        // 1 100: within half the template, so the stronger suppresses the
+        // other, though the reach ends between them.
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut noise = |a: f32| Cf32::new(rng.gen_range(-a..a), rng.gen_range(-a..a));
+        let h: Vec<Cf32> = (0..256).map(|_| noise(1.0)).collect();
+        let mut capture: Vec<Cf32> = (0..4_096).map(|_| noise(0.01)).collect();
+        for (at, gain) in [(1_000, 1.0), (1_100, 2.0)] {
+            for (x, &v) in capture[at..].iter_mut().zip(&h) {
+                *x += v * gain;
+            }
+        }
+        let (template, reach) = (Template::new(&h), 0..1_050);
+        let trace = template.xcorr_normalized(&capture);
+        let cut = galiot_dsp::corr::find_peaks(&trace[..=reach.end], 0.25, 128);
+        assert_eq!(cut.iter().map(|p| p.index).collect::<Vec<_>>(), [1_000]);
+        let whole = galiot_dsp::corr::find_peaks(&trace, 0.25, 128);
+        assert_eq!(whole.iter().map(|p| p.index).collect::<Vec<_>>(), [1_100]);
+        let mut residual = Residual::new(&capture, ResidualBuffers::default());
+        for whole in [true, false] {
+            let peaks = residual_peaks(&mut residual, &template, reach.clone(), whole);
+            assert_eq!(peaks, Some(false));
+        }
+        // Cut short of the lags that decide the run, it waits for them
+        // while the span is arriving, and decides at its end.
+        let mut residual = Residual::new(&capture[..1_200 + 256], ResidualBuffers::default());
+        assert_eq!(
+            residual_peaks(&mut residual, &template, reach.clone(), false),
+            None
+        );
+        let peaks = residual_peaks(&mut residual, &template, reach, true);
+        assert_eq!(peaks, Some(false));
     }
 
     fn seg_from(samples: Vec<galiot_dsp::Cf32>, start: usize) -> Segment {
